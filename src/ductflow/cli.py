@@ -11,8 +11,8 @@ Subcommands::
 
 Common flags: ``--config`` (key = value file), ``--set key=value``
 (repeatable, highest precedence), ``--seed``, ``--out``, ``--format``,
-``--threads``.  The thread count never changes results.  Exit codes:
-0 success, 2 configuration error, 3 runtime error.
+``--threads`` (at least 1).  The thread count never changes results.
+Exit codes: 0 success, 2 configuration error, 3 runtime error.
 """
 
 from __future__ import annotations
@@ -83,6 +83,8 @@ def _parse_overrides(pairs: list[str]) -> dict[str, str]:
 
 
 def _dispatch(args: argparse.Namespace) -> list[Path]:
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be at least 1, got {args.threads}")
     overrides = _parse_overrides(args.overrides)
     out = Path(args.out)
     if args.command == "preset":

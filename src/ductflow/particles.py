@@ -16,6 +16,9 @@ absolute particle index (one 4-word counter block per particle per step).
 A run is therefore a deterministic function of ``(config, seed)`` and
 bit-identical for any partitioning of the ensemble across workers; the only
 cross-partition reduction is an associative integer sum of receiver counts.
+Receivers are transparent, so every receiver of a run observes the same
+trajectories: a receiver's counts equal those of a run with that receiver
+alone, and adding a receiver never changes another receiver's counts.
 """
 
 from __future__ import annotations
@@ -147,6 +150,10 @@ class ObservationSeries:
 class SimConfig:
     """Full specification of one simulation run.
 
+    ``rx`` is one receiver or a tuple of receivers; ``receivers`` always
+    holds the tuple, in the given order, and every receiver is validated
+    against the duct.  One run counts all of them on the same trajectories.
+
     Sample times are snapped to the nearest step boundary at construction
     (recorded in ``requested_sample_times``) so no silent interpolation
     happens later; after snapping they must be strictly increasing and lie
@@ -154,12 +161,13 @@ class SimConfig:
     """
 
     channel: DuctChannelConfig
-    rx: ReceiverVolume
+    rx: ReceiverVolume | tuple[ReceiverVolume, ...]
     release: ReleaseSpec
     time_step: float
     horizon: float
     seed: int
     sample_times: Sequence[float]
+    receivers: tuple[ReceiverVolume, ...] = field(init=False)
     requested_sample_times: np.ndarray = field(init=False)
     sample_steps: np.ndarray = field(init=False)
 
@@ -170,7 +178,12 @@ class SimConfig:
             raise ValueError("horizon must be non-negative")
         if not 0 <= self.seed < _MAX_SEED:
             raise ValueError("seed must fit in 64 bits")
-        validate_receiver(self.channel, self.rx)
+        receivers = (self.rx,) if isinstance(self.rx, ReceiverVolume) else tuple(self.rx)
+        if not receivers:
+            raise ValueError("at least one receiver is required")
+        for rx in receivers:
+            validate_receiver(self.channel, rx)
+        object.__setattr__(self, "receivers", receivers)
         if self.release.kind is ReleaseKind.POINT and self.release.r0 > self.channel.radius_a:
             raise ValueError("release radius exceeds duct radius")
         requested = np.asarray(self.sample_times, dtype=float)
@@ -194,6 +207,9 @@ class SimConfig:
 class SimResult:
     """Observation series plus any requested position snapshots.
 
+    ``all_series`` holds one series per receiver of the run, in the order of
+    ``SimConfig.receivers``; ``series`` is the first of them.
+
     ``snapshots`` maps each (snapped) snapshot time to an ``(n, 2)`` array
     of per-particle ``(x, r^2)`` pairs, the natural plotting coordinates:
     a uniform cross-sectional distribution is uniform in ``r^2``, and
@@ -201,8 +217,12 @@ class SimResult:
     ``r^2 = a^2 (1 - x / (2 vbar t))``.
     """
 
-    series: ObservationSeries
+    all_series: tuple[ObservationSeries, ...]
     snapshots: dict[float, np.ndarray] = field(default_factory=dict)
+
+    @property
+    def series(self) -> ObservationSeries:
+        return self.all_series[0]
 
 
 def _place_initial(release: ReleaseSpec, radius_a: float, u_disk: np.ndarray,
@@ -331,7 +351,7 @@ def _count_and_mark(rx: ReceiverVolume, radius_a: float, x, y, z,
 def _run_block(config: SimConfig, lo: int, hi: int,
                snapshot_steps: Sequence[int], record_patterns: bool):
     ch = config.channel
-    rx = config.rx
+    receivers = config.receivers
     a = ch.radius_a
     dt = config.time_step
     n = hi - lo
@@ -340,26 +360,29 @@ def _run_block(config: SimConfig, lo: int, hi: int,
     x, y, z = _initial_block(config.release, a, config.seed, lo, n)
 
     sample_steps = config.sample_steps
-    counts = np.zeros(sample_steps.size, dtype=np.int64)
+    counts = np.zeros((len(receivers), sample_steps.size), dtype=np.int64)
     patterns = np.zeros((n, sample_steps.size), dtype=bool) if record_patterns else None
     snaps: dict[int, np.ndarray] = {}
 
-    # Flow-only transport never changes (r, phi), so the band membership is
-    # fixed at release time and only the axial window needs re-testing.
-    static_band = None
+    # Flow-only transport never changes (r, phi), so each receiver's band
+    # membership is fixed at release time and only the axial window needs
+    # re-testing.
+    static_bands = None
     if not diffusive:
         rr = np.sqrt(y * y + z * z)
         phi = np.arctan2(z, y)
-        static_band = (rr >= a - rx.extent_cr) & (np.abs(phi) <= rx.extent_cphi / 2.0)
+        static_bands = [(rr >= a - rx.extent_cr) & (np.abs(phi) <= rx.extent_cphi / 2.0)
+                        for rx in receivers]
 
     def observe(col: int) -> None:
-        if static_band is not None:
-            hit = static_band & (np.abs(x - rx.axial_distance_d) <= rx.extent_cx / 2.0)
-            counts[col] = int(np.count_nonzero(hit))
-            if patterns is not None:
-                patterns[:, col] = hit
-        else:
-            counts[col] = _count_and_mark(rx, a, x, y, z, patterns, col)
+        for k, rx in enumerate(receivers):
+            if static_bands is not None:
+                hit = static_bands[k] & (np.abs(x - rx.axial_distance_d) <= rx.extent_cx / 2.0)
+                counts[k, col] = int(np.count_nonzero(hit))
+                if patterns is not None:
+                    patterns[:, col] = hit
+            else:
+                counts[k, col] = _count_and_mark(rx, a, x, y, z, patterns, col)
 
     def capture(step_idx: int) -> None:
         snaps[step_idx] = np.column_stack((x.copy(), y * y + z * z))
@@ -385,7 +408,7 @@ def _run_block(config: SimConfig, lo: int, hi: int,
 
 
 def _partition(n: int, workers: int) -> list[tuple[int, int]]:
-    workers = max(1, min(workers, max(n, 1)))
+    workers = min(workers, max(n, 1))
     bounds = np.linspace(0, n, workers + 1).astype(int)
     return [(int(bounds[i]), int(bounds[i + 1])) for i in range(workers)
             if bounds[i + 1] > bounds[i]]
@@ -393,11 +416,13 @@ def _partition(n: int, workers: int) -> list[tuple[int, int]]:
 
 def _run_partitioned(config: SimConfig, threads: int,
                      snapshot_steps: Sequence[int], record_patterns: bool):
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
     blocks = _partition(config.release.n_tx, threads)
     if config.release.n_tx == 0:
         empty_patterns = (np.zeros((0, config.sample_steps.size), dtype=bool)
                           if record_patterns else None)
-        return (np.zeros(config.sample_steps.size, dtype=np.int64),
+        return (np.zeros((len(config.receivers), config.sample_steps.size), dtype=np.int64),
                 {int(s): np.zeros((0, 2)) for s in snapshot_steps}, empty_patterns)
     if len(blocks) == 1:
         results = [_run_block(config, *blocks[0], snapshot_steps, record_patterns)]
@@ -427,12 +452,15 @@ def run(config: SimConfig, *, threads: int = 1,
         snapshot_times: Sequence[float] = ()) -> SimResult:
     """Simulate the configured release and return receiver counts over time.
 
+    One pass over the trajectories counts every receiver of ``config``.
+
     Parameters
     ----------
     config : SimConfig
     threads : int
-        Number of worker threads the ensemble is partitioned across.  Has no
-        effect on the results (see the module reproducibility contract).
+        Number of worker threads (at least 1) the ensemble is partitioned
+        across.  Has no effect on the results (see the module
+        reproducibility contract).
     snapshot_times : sequence of float
         Optional times at which to capture per-particle ``(x, r^2)`` pairs;
         snapped to step boundaries like the sample times.
@@ -440,8 +468,9 @@ def run(config: SimConfig, *, threads: int = 1,
     Returns
     -------
     SimResult
-        Counts at every sample time plus any snapshots.  No partial results
-        are returned on failure.
+        One series of counts at every sample time per receiver (``all_series``,
+        in receiver order; ``series`` is the first), plus any snapshots.  No
+        partial results are returned on failure.
     """
     snap_steps = sorted(set(_snap_steps(snapshot_times, config)))
     counts, snaps, _ = _run_partitioned(config, threads, snap_steps, False)
@@ -451,9 +480,10 @@ def run(config: SimConfig, *, threads: int = 1,
         "requested_sample_times": config.requested_sample_times,
         "threads_hint": threads,
     }
-    series = ObservationSeries(config.sample_times, counts, config.release.n_tx, meta)
+    all_series = tuple(ObservationSeries(config.sample_times, c, config.release.n_tx, dict(meta))
+                       for c in counts)
     snapshots = {s * config.time_step: snaps[s] for s in snap_steps}
-    return SimResult(series, snapshots)
+    return SimResult(all_series, snapshots)
 
 
 def observation_patterns(config: SimConfig, *, threads: int = 1) -> np.ndarray:
@@ -463,7 +493,10 @@ def observation_patterns(config: SimConfig, *, threads: int = 1) -> np.ndarray:
     column sums reproduce :func:`run`'s counts.  This exposes the joint
     observation behaviour of individual particles across sampling instants,
     which drives the particle-based link Monte Carlo where a molecule seen
-    at one detection instant may be seen again at the next.
+    at one detection instant may be seen again at the next.  Patterns are
+    per receiver, so ``config`` must have exactly one.
     """
+    if len(config.receivers) != 1:
+        raise ValueError("observation patterns need a single-receiver config")
     _, _, patterns = _run_partitioned(config, threads, (), True)
     return patterns

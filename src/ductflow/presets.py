@@ -216,20 +216,26 @@ def simulate_action(cfg: ResolvedConfig, out_dir: Path, fmt: str,
 
 def _simulated_cir_paths(cfg: ResolvedConfig, out_dir: Path, fmt: str,
                          threads: int) -> list[Path]:
-    paths = []
+    # One engine pass per release kind counts every distance's receiver;
+    # files are then written distance by distance.
+    distances = cfg["cir.distances"]
+    receivers = tuple(cfg.receiver(distance=d) for d in distances)
     grid = cfg.time_grid()
-    for distance in cfg["cir.distances"]:
-        rx = cfg.receiver(distance=distance)
-        for label in ("uniform", "point"):
-            sim = _sim_for_grid(cfg, rx, cfg.release(label), grid)
-            result = run(sim, threads=threads)
-            response = result.series.to_impulse_response()
+    labels = ("uniform", "point")
+    results = {label: run(_sim_for_grid(cfg, receivers, cfg.release(label), grid),
+                          threads=threads)
+               for label in labels}
+    paths = []
+    for k, distance in enumerate(distances):
+        for label in labels:
+            series = results[label].all_series[k]
+            response = series.to_impulse_response()
             table = Table(
                 columns=("t_s", "pob", "stderr", "ci_half_width", "count", "n_tx"),
-                rows=[(float(t), float(p), float(se), float(hw), int(c), sim.release.n_tx)
+                rows=[(float(t), float(p), float(se), float(hw), int(c), series.n_tx)
                       for t, p, se, hw, c in zip(
                           response.times, response.values, response.meta["stderr"],
-                          response.meta["ci_half_width"], result.series.counts)],
+                          response.meta["ci_half_width"], series.counts)],
                 meta=cfg.header(content="simulated impulse response",
                                 release=label, rx_distance_m=distance,
                                 seed=cfg["seed"]),

@@ -1,7 +1,9 @@
 """Configuration resolution, preset defaults, emission, and the CLI surface."""
 
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -271,6 +273,13 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "snapshot_t0.02s.csv").exists()
 
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_is_config_error(self, tmp_path, capsys, threads):
+        rc = main(["simulate", "--out", str(tmp_path), "--threads", threads] + SMALL_SIM)
+        assert rc == 2
+        assert "--threads must be at least 1" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*.csv")) == []
+
     def test_custom_preset_is_not_runnable(self, tmp_path):
         assert main(["preset", "custom", "--out", str(tmp_path)]) == 2
 
@@ -298,3 +307,53 @@ class TestRunPresetApi:
     def test_all_presets_resolve(self):
         for name in PRESETS:
             preset_config(name)
+
+
+#: Output of ``preset <name> --seed 2017 --set release.n_tx=300 --set
+#: grid.t_stop=1.0``: printed file names in order, then the SHA-256 of every
+#: CSV.  The digests depend on the engine's random streams and on the float
+#: formatting of the tables; a change that alters the streams on purpose
+#: updates them and says so in CHANGES.md.
+CIR_GOLDEN_ORDER = [
+    "cir_analytic_d200um.csv", "cir_analytic_d800um.csv", "cir_peaks.csv",
+    "cir_sim_uniform_d200um.csv", "cir_sim_point_d200um.csv",
+    "cir_sim_uniform_d800um.csv", "cir_sim_point_d800um.csv",
+]
+CIR_GOLDEN_SHA256 = {
+    "cir_small_duct": {
+        "cir_analytic_d200um.csv": "0009029e5d3823645416951f9e1ff5bbc13feb938c78ebd44051bfdcafaaccbe",
+        "cir_analytic_d800um.csv": "e3e4e4b13195e37f6bacfdbdeb876e9c91a64596ce4c49ece9ba0ac892cc782b",
+        "cir_peaks.csv": "a881774c7791240c36fd38fb5c062ecfa7bf7e93a5207a5a15a333d664f408bc",
+        "cir_sim_point_d200um.csv": "bd618c393ca236aacd4feaf654d95cfe4f343d53b0be5c1efe8515a62f5ba35f",
+        "cir_sim_point_d800um.csv": "dff85f8e5773d4c8f90399a0e04f6a7f19a123994cabf1f76cc0984d3dd8b135",
+        "cir_sim_uniform_d200um.csv": "2f9c554c6793959d70a41695ea1b60d616184f51a0a88b1b6c30e2f3dadc87ae",
+        "cir_sim_uniform_d800um.csv": "be7dc303f27a08fd519979d3740c26218e03e06ce9b6f2a1a35b00fc1bc13a38",
+    },
+    "cir_large_duct": {
+        "cir_analytic_d200um.csv": "c3c27ae29efe8e24da864ba8f531c66977f20ba9c358fd0c7ae71f35504d86cc",
+        "cir_analytic_d800um.csv": "f9814d34aa75ef7a3722f6f0e56caa9775cd89c39a2a488d4ecfbd471949f33d",
+        "cir_peaks.csv": "c8df648ae833bf2fc7873dfcfdd4faed047d05470fd6bccc69b55fd9560e6c3f",
+        "cir_sim_point_d200um.csv": "753dcb0ef09dd3050502341365d2722bd19c7c79738ae8ebe059b3dae443c439",
+        "cir_sim_point_d800um.csv": "c79b7fe8b5bdeca53e7074fddb339552fc6388e85173da17cfc3409b60f02ff2",
+        "cir_sim_uniform_d200um.csv": "c83ab897930f960bc815ba8052c55dc914ec435becd8a587089883f31086496b",
+        "cir_sim_uniform_d800um.csv": "b01f915d185798adf09b2b484379e4e835fdba4d3a303d09097958c8400c2a29",
+    },
+}
+
+
+class TestCirPresetGoldenBytes:
+    """The CIR presets end to end, pinned byte for byte at tiny sizes."""
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("name", sorted(CIR_GOLDEN_SHA256))
+    def test_outputs_match_pinned_digests(self, tmp_path, capsys, name, threads):
+        out = tmp_path / "out"
+        rc = main(["preset", name, "--out", str(out), "--threads", threads,
+                   "--seed", "2017", "--set", "release.n_tx=300",
+                   "--set", "grid.t_stop=1.0"])
+        assert rc == 0
+        printed = [Path(line).name for line in capsys.readouterr().out.splitlines()]
+        assert printed == CIR_GOLDEN_ORDER
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in out.iterdir()}
+        assert digests == CIR_GOLDEN_SHA256[name]

@@ -8,6 +8,7 @@ from scipy import stats
 
 from ductflow import (
     FlowModel,
+    ReceiverVolume,
     ReleaseSpec,
     SimConfig,
     cir_flow_uniform,
@@ -263,3 +264,68 @@ class TestObservationPatterns:
         patterns = observation_patterns(cfg, threads=3)
         series = run(cfg, threads=2).series
         assert np.array_equal(patterns.sum(axis=0), series.counts)
+
+
+class TestMultiReceiver:
+    """One pass over the trajectories serves every receiver of the config."""
+
+    RECEIVERS = (make_receiver(10e-6, 20e-6), make_receiver(10e-6, 60e-6),
+                 make_receiver(10e-6, 20e-6, cphi=math.pi))
+    TIMES = np.arange(1, 41) * 2e-3
+    SNAPS = [0.02, 0.08]
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("diffusion", [1e-10, 0.0])
+    def test_counts_match_single_receiver_runs(self, diffusion, threads):
+        channel = make_channel(radius=10e-6, diffusion=diffusion)
+        release = ReleaseSpec.uniform(3000)
+        multi = run(sim_config(channel, self.RECEIVERS, release, self.TIMES),
+                    threads=threads, snapshot_times=self.SNAPS)
+        assert len(multi.all_series) == len(self.RECEIVERS)
+        assert multi.series is multi.all_series[0]
+        for rx, series in zip(self.RECEIVERS, multi.all_series):
+            single = run(sim_config(channel, rx, release, self.TIMES),
+                         threads=threads, snapshot_times=self.SNAPS)
+            assert series.counts.sum() > 0
+            assert np.array_equal(series.counts, single.series.counts)
+            assert np.array_equal(series.times, single.series.times)
+            for t in self.SNAPS:
+                assert np.array_equal(multi.snapshots[t], single.snapshots[t])
+
+    def test_empty_release(self, narrow_channel):
+        cfg = sim_config(narrow_channel, self.RECEIVERS, ReleaseSpec.uniform(0), self.TIMES)
+        result = run(cfg, threads=3, snapshot_times=self.SNAPS)
+        assert len(result.all_series) == len(self.RECEIVERS)
+        for series in result.all_series:
+            assert series.n_tx == 0
+            assert np.array_equal(series.counts, np.zeros(self.TIMES.size, dtype=np.int64))
+        assert all(result.snapshots[t].shape == (0, 2) for t in self.SNAPS)
+
+    def test_single_receiver_keeps_rx(self, narrow_channel):
+        rx = self.RECEIVERS[0]
+        cfg = sim_config(narrow_channel, rx, ReleaseSpec.uniform(10), self.TIMES)
+        assert cfg.rx is rx and cfg.receivers == (rx,)
+        result = run(cfg)
+        assert result.all_series == (result.series,)
+
+    def test_every_receiver_is_validated(self, narrow_channel):
+        too_deep = ReceiverVolume(axial_distance_d=200e-6, extent_cx=5e-6,
+                                  extent_cr=20e-6, extent_cphi=math.pi / 2)
+        with pytest.raises(ValueError):
+            sim_config(narrow_channel, (self.RECEIVERS[0], too_deep),
+                       ReleaseSpec.uniform(10), self.TIMES)
+        with pytest.raises(ValueError):
+            sim_config(narrow_channel, (), ReleaseSpec.uniform(10), self.TIMES)
+
+    def test_observation_patterns_refuse_many_receivers(self, narrow_channel):
+        cfg = sim_config(narrow_channel, self.RECEIVERS[:2], ReleaseSpec.uniform(10),
+                         self.TIMES)
+        with pytest.raises(ValueError, match="single-receiver"):
+            observation_patterns(cfg)
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_threads_below_one_rejected(self, narrow_channel, threads):
+        cfg = sim_config(narrow_channel, self.RECEIVERS[0], ReleaseSpec.uniform(10),
+                         self.TIMES)
+        with pytest.raises(ValueError, match="threads"):
+            run(cfg, threads=threads)

@@ -51,14 +51,10 @@ from .ook import (
 )
 from .particles import (
     ObservationSeries,
-    ParticleEnsemble,
     SimConfig,
     SimResult,
-    initial_positions,
     observation_patterns,
     run,
-    snapshot,
-    step,
 )
 
 __version__ = "0.1.0"
@@ -73,8 +69,7 @@ __all__ = [
     "cir_flow_point", "flow_point_window", "sample_cir_dispersion",
     "sample_cir_flow_uniform", "sample_cir_flow_point",
     "oracle_cir_dispersion", "oracle_cir_flow",
-    "SimConfig", "ParticleEnsemble", "ObservationSeries", "SimResult",
-    "initial_positions", "step", "run", "snapshot", "observation_patterns",
+    "SimConfig", "ObservationSeries", "SimResult", "run", "observation_patterns",
     "OokLinkConfig", "SerMethod", "SerResult", "mean_signal", "detect",
     "symbol_error_prob_poisson", "ser_analytic", "optimal_threshold",
     "ser_monte_carlo",

@@ -22,17 +22,7 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, load_config
-from .ook import SerMethod
-from .presets import (
-    PRESETS,
-    cir_action,
-    discard_partial_outputs,
-    preset_config,
-    regime_action,
-    ser_action,
-    simulate_action,
-    snapshot_action,
-)
+from .presets import ACTIONS, PRESETS, discard_partial_outputs, preset_config
 from .presets import run_preset as _run_preset
 
 EXIT_OK = 0
@@ -92,20 +82,9 @@ def _dispatch(args: argparse.Namespace) -> list[Path]:
                             overrides=overrides, seed=args.seed)
         return _run_preset(args.name, cfg, out, fmt=args.format, threads=args.threads)
     cfg = load_config(file_path=args.config, overrides=overrides, seed=args.seed)
-    if args.command == "regime":
-        action = lambda: regime_action(cfg, out, args.format)  # noqa: E731
-    elif args.command == "cir":
-        action = lambda: cir_action(cfg, out, args.format)  # noqa: E731
-    elif args.command == "simulate":
-        action = lambda: simulate_action(cfg, out, args.format, args.threads)  # noqa: E731
-    elif args.command == "snapshot":
-        action = lambda: snapshot_action(cfg, out, args.format, args.threads)  # noqa: E731
-    elif args.command == "ser":
-        methods = [SerMethod(cfg["ook.method"])]
-        action = lambda: ser_action(cfg, out, args.format, args.threads, methods)  # noqa: E731
-    else:  # pragma: no cover - argparse enforces the choices
-        raise ConfigError(f"unknown command {args.command!r}")
-    return discard_partial_outputs(action, out)
+    action = ACTIONS[args.command]
+    return discard_partial_outputs(
+        lambda: action(cfg, out, args.format, args.threads), out)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -20,8 +20,11 @@ probability over those masks.  Count models:
 * ``BINOMIAL_ANALYTIC`` -- counts are the exact convolution of independent
   ``Binomial(n_tx, P_ob(t0 + j T))`` terms plus Poisson external noise.
 
-Both analytic models treat counts at different sampling instants as
-independent.  ``MONTE_CARLO_COUNTS`` samples that same model; the
+Both analytic models run one code path: the miss and false-alarm tables of
+every count law at the requested thresholds, which :func:`ser_analytic`
+evaluates at one threshold and :func:`optimal_threshold` at all of them.
+Both treat counts at different sampling instants as independent.
+``MONTE_CARLO_COUNTS`` samples that same model; the
 ``MONTE_CARLO_PARTICLES`` mode instead drives the particle engine, so a
 molecule observed at one sampling instant can be observed again at the
 next -- quantifying exactly the correlation the analytic factorisation
@@ -37,8 +40,8 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
-from scipy.special import pdtr
-from scipy.stats import binom, poisson
+from scipy.special import gammaln, pdtr, xlogy
+from scipy.special._ufuncs import _binom_pmf
 
 from .duct import DuctChannelConfig, ReceiverVolume, ReleaseSpec
 from .impulse import ImpulseResponse
@@ -77,7 +80,8 @@ class OokLinkConfig:
     the closed forms, partially applied) or a sampled
     :class:`~ductflow.impulse.ImpulseResponse`; a sampled response is
     interpolated and must cover the full interference horizon
-    ``t0 + (K - 1) T``.  ``P_ob`` is treated as 0 for non-positive delays.
+    ``t0 + (K - 1) T`` (``ValueError`` otherwise).  ``P_ob`` is treated as 0
+    for non-positive delays.
     """
 
     symbol_interval_T: float
@@ -101,6 +105,12 @@ class OokLinkConfig:
             raise ValueError("detection threshold must lie in {0, ..., n_tx}")
         if self.noise_mean_Nn < 0.0:
             raise ValueError("noise mean must be non-negative")
+        if isinstance(self.cir, ImpulseResponse):
+            # pob_at reads 0 past the grid, which would silently drop interference.
+            horizon = self.detection_delay_t0 + self.symbol_interval_T * (self.seq_len_K - 1)
+            if not self.cir.times.size or self.cir.times[-1] < horizon:
+                raise ValueError("sampled impulse response must cover the interference "
+                                 f"horizon t0 + (K-1) T = {horizon:g} s")
 
     def pob(self, tau):
         """Observation probability at delay ``tau`` (0 for ``tau <= 0``)."""
@@ -162,6 +172,19 @@ def mean_signal(link: OokLinkConfig, sequence, t: float) -> float:
     bits = _check_sequence(sequence, link.seq_len_K)
     delays = t - link.symbol_interval_T * np.arange(link.seq_len_K)
     return float(link.n_tx * np.sum(bits * link.pob(delays)) + link.noise_mean_Nn)
+
+
+def _poisson_pmf(k, lam):
+    """``P(Poisson(lam) = k)``: the formula and clip of ``scipy.stats.poisson.pmf``."""
+    return np.clip(np.exp(xlogy(k, lam) - gammaln(k + 1) - lam), 0.0, 1.0)
+
+
+def _binomial_pmf(k, n, p):
+    """``P(Binomial(n, p) = k)``: the kernel and clip of ``scipy.stats.binom.pmf``.
+
+    The clip is part of the result: the raw kernel can exceed 1 by a few ulp.
+    """
+    return np.clip(_binom_pmf(k, n, p), 0.0, 1.0)
 
 
 def _poisson_cdf(k, lam):
@@ -233,14 +256,6 @@ def _per_symbol_from_mask_errors(err: np.ndarray, k: int) -> np.ndarray:
     return cumulative[sizes - 1] / sizes
 
 
-def _poisson_mask_errors(link: OokLinkConfig, xi: int) -> np.ndarray:
-    pvec = link.isi_probabilities()
-    lam = link.noise_mean_Nn + link.n_tx * (_mask_bit_matrix(link.seq_len_K) @ pvec)
-    cdf = _poisson_cdf(xi - 1, lam)
-    odd = (np.arange(lam.size) & 1).astype(bool)
-    return np.where(odd, cdf, 1.0 - cdf)
-
-
 def _trimmed_pmf(pmf: np.ndarray) -> tuple[int, np.ndarray]:
     keep = np.flatnonzero(pmf > _PMF_TAIL)
     if keep.size == 0:
@@ -248,8 +263,8 @@ def _trimmed_pmf(pmf: np.ndarray) -> tuple[int, np.ndarray]:
     return int(keep[0]), pmf[keep[0]: keep[-1] + 1]
 
 
-def _binomial_mask_survivals(link: OokLinkConfig) -> np.ndarray:
-    """``P(C_m >= xi)`` for every mask m and xi in 0..n_tx, shape (2^K, n_tx+1).
+def _binomial_mask_survivals(link: OokLinkConfig, xis: np.ndarray) -> np.ndarray:
+    """``P(C_m >= xi)`` for every mask m and threshold in ``xis``, shape (2^K, len(xis)).
 
     Count distributions are built by subset dynamic programming: the
     distribution of a mask is its lowest-offset binomial convolved onto the
@@ -259,18 +274,17 @@ def _binomial_mask_survivals(link: OokLinkConfig) -> np.ndarray:
     k = link.seq_len_K
     pvec = link.isi_probabilities()
     support = np.arange(link.n_tx + 1)
-    offset_pmfs = [_trimmed_pmf(binom.pmf(support, link.n_tx, p)) for p in pvec]
+    offset_pmfs = [_trimmed_pmf(_binomial_pmf(support, link.n_tx, p)) for p in pvec]
     if link.noise_mean_Nn > 0.0:
         lam = link.noise_mean_Nn
         n_max = int(lam + 12.0 * math.sqrt(lam) + 30.0)
-        noise_pmf = _trimmed_pmf(poisson.pmf(np.arange(n_max + 1), lam))
+        noise_pmf = _trimmed_pmf(_poisson_pmf(np.arange(n_max + 1), lam))
     else:
         noise_pmf = (0, np.array([1.0]))
 
     dists: list[tuple[int, np.ndarray] | None] = [None] * (2 ** k)
     dists[0] = noise_pmf
-    xi_grid = np.arange(link.n_tx + 1)
-    sf = np.zeros((2 ** k, link.n_tx + 1))
+    sf = np.zeros((2 ** k, xis.size))
     for m in range(2 ** k):
         if dists[m] is None:
             low = (m & -m).bit_length() - 1
@@ -279,8 +293,8 @@ def _binomial_mask_survivals(link: OokLinkConfig) -> np.ndarray:
             dists[m] = (s_rest + s_bit, np.convolve(p_rest, p_bit))
         start, pmf = dists[m]
         tail_mass = np.cumsum(pmf[::-1])[::-1]
-        rel = xi_grid - start
-        row = np.zeros(xi_grid.size)
+        rel = xis - start
+        row = np.zeros(xis.size)
         row[rel <= 0] = tail_mass[0]
         inside = (rel > 0) & (rel < pmf.size)
         row[inside] = tail_mass[rel[inside]]
@@ -288,16 +302,43 @@ def _binomial_mask_survivals(link: OokLinkConfig) -> np.ndarray:
     return sf
 
 
-def _mask_errors_at_xi(link: OokLinkConfig, method: SerMethod, xi: int,
-                       sf: np.ndarray | None = None) -> np.ndarray:
+def _threshold_tails(link: OokLinkConfig, method: SerMethod, xis: np.ndarray):
+    """Detection error tables of every count law at the thresholds ``xis``.
+
+    Returns ``(law, miss, false_alarm)``: ``law[m]`` is the count law of mask
+    ``m``, and ``miss[i, l] = P(C < xis[i])`` and ``false_alarm[i, l] =
+    P(C >= xis[i])`` under law ``l``.  Poisson laws are the distinct mask
+    means; binomial laws are the masks themselves.  Each method computes its
+    native side (the Poisson CDF, the binomial survival) and takes the other
+    as its complement.
+    """
     if method is SerMethod.POISSON_ANALYTIC:
-        return _poisson_mask_errors(link, xi)
+        pvec = link.isi_probabilities()
+        lam = link.noise_mean_Nn + link.n_tx * (_mask_bit_matrix(link.seq_len_K) @ pvec)
+        uniq, law = np.unique(lam, return_inverse=True)
+        miss = _poisson_cdf(xis[:, None] - 1.0, uniq[None, :])
+        return law, miss, 1.0 - miss
     if method is SerMethod.BINOMIAL_ANALYTIC:
-        if sf is None:
-            sf = _binomial_mask_survivals(link)
-        odd = (np.arange(sf.shape[0]) & 1).astype(bool)
-        return np.where(odd, 1.0 - sf[:, xi], sf[:, xi])
+        false_alarm = _binomial_mask_survivals(link, xis).T
+        return np.arange(false_alarm.shape[1]), 1.0 - false_alarm, false_alarm
     raise ValueError(f"{method} is not an analytic method")
+
+
+def _ser_result(link: OokLinkConfig, method: SerMethod, tails, row: int, xi: int,
+                **meta) -> SerResult:
+    """The analytic SER of ``tails`` row ``row``, the threshold ``xi``."""
+    law, miss, false_alarm = tails
+    # Odd masks carry a 1 in the current symbol: their error is a miss.
+    odd = (np.arange(law.size) & 1).astype(bool)
+    err = np.where(odd, miss[row, law], false_alarm[row, law])
+    per_symbol = _per_symbol_from_mask_errors(err, link.seq_len_K)
+    return SerResult(
+        ser=float(per_symbol.mean()),
+        per_symbol_errors=per_symbol,
+        threshold_used=xi,
+        method=method,
+        meta={"isi_probabilities": link.isi_probabilities(), **meta},
+    )
 
 
 def ser_analytic(link: OokLinkConfig,
@@ -310,15 +351,8 @@ def ser_analytic(link: OokLinkConfig,
     are refused in favour of :func:`ser_monte_carlo`.
     """
     _guard_enumeration(link.seq_len_K)
-    err = _mask_errors_at_xi(link, method, link.threshold_xi)
-    per_symbol = _per_symbol_from_mask_errors(err, link.seq_len_K)
-    return SerResult(
-        ser=float(per_symbol.mean()),
-        per_symbol_errors=per_symbol,
-        threshold_used=link.threshold_xi,
-        method=method,
-        meta={"isi_probabilities": link.isi_probabilities()},
-    )
+    xi = link.threshold_xi
+    return _ser_result(link, method, _threshold_tails(link, method, np.array([xi])), 0, xi)
 
 
 def optimal_threshold(link: OokLinkConfig,
@@ -327,43 +361,20 @@ def optimal_threshold(link: OokLinkConfig,
     """Exhaustive threshold search over ``xi in {0, ..., n_tx}``.
 
     Returns the SER-minimising threshold (smallest index on ties) together
-    with the analytic SER at that threshold.
+    with the analytic SER at that threshold, the same result
+    :func:`ser_analytic` gives there.
     """
     _guard_enumeration(link.seq_len_K)
+    tails = _threshold_tails(link, method, np.arange(link.n_tx + 1))
+    law, miss, false_alarm = tails
     weights = _mask_weights(link.seq_len_K)
     odd = (np.arange(weights.size) & 1).astype(bool)
-    w_odd = weights * odd
-    w_even = weights * ~odd
-
-    if method is SerMethod.POISSON_ANALYTIC:
-        pvec = link.isi_probabilities()
-        lam = link.noise_mean_Nn + link.n_tx * (_mask_bit_matrix(link.seq_len_K) @ pvec)
-        uniq, inverse = np.unique(lam, return_inverse=True)
-        agg_odd = np.bincount(inverse, weights=w_odd, minlength=uniq.size)
-        agg_even = np.bincount(inverse, weights=w_even, minlength=uniq.size)
-        xi_grid = np.arange(link.n_tx + 1, dtype=float)
-        cdf = _poisson_cdf(xi_grid[:, None] - 1.0, uniq[None, :])
-        ser_by_xi = cdf @ agg_odd + (1.0 - cdf) @ agg_even
-        sf = None
-    elif method is SerMethod.BINOMIAL_ANALYTIC:
-        sf = _binomial_mask_survivals(link)
-        ser_by_xi = (1.0 - sf.T) @ w_odd + sf.T @ w_even
-    else:
-        raise ValueError("threshold search requires an analytic method")
-
+    w_miss = np.bincount(law, weights=weights * odd, minlength=miss.shape[1])
+    w_false = np.bincount(law, weights=weights * ~odd, minlength=miss.shape[1])
+    ser_by_xi = miss @ w_miss + false_alarm @ w_false
     best_xi = int(np.argmin(ser_by_xi))
-    best_link = replace(link, threshold_xi=best_xi)
-    err = _mask_errors_at_xi(best_link, method, best_xi, sf=sf)
-    per_symbol = _per_symbol_from_mask_errors(err, link.seq_len_K)
-    result = SerResult(
-        ser=float(per_symbol.mean()),
-        per_symbol_errors=per_symbol,
-        threshold_used=best_xi,
-        method=method,
-        meta={"isi_probabilities": link.isi_probabilities(),
-              "ser_by_threshold_min": float(ser_by_xi[best_xi])},
-    )
-    return best_xi, result
+    return best_xi, _ser_result(link, method, tails, best_xi, best_xi,
+                                ser_by_threshold_min=float(ser_by_xi[best_xi]))
 
 
 def _mc_counts_errors(link: OokLinkConfig, realizations: int,

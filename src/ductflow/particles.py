@@ -10,6 +10,10 @@ rare multi-width excursion).  Sub-step wall crossings are not interpolated;
 particles are reflected at their end-of-step position only, a known
 ``O(sqrt(dt))`` boundary-layer bias of plain particle schemes.
 
+There is one kinematics path: ``_initial_block`` places the release and
+``_advance_inplace`` takes one step; :func:`run` and
+:func:`observation_patterns` drive both through ``_run_block``.
+
 Reproducibility contract: every random number is drawn from a counter-based
 Philox stream keyed by ``(seed, step)`` at a counter offset fixed by the
 absolute particle index (one 4-word counter block per particle per step).
@@ -29,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import Philox
 from scipy.special import ndtri
 
 from .duct import (
@@ -43,13 +47,9 @@ from .impulse import CirModel, ImpulseResponse
 
 __all__ = [
     "SimConfig",
-    "ParticleEnsemble",
     "ObservationSeries",
     "SimResult",
-    "initial_positions",
-    "step",
     "run",
-    "snapshot",
     "observation_patterns",
 ]
 
@@ -77,32 +77,6 @@ def _to_open_unit(raw: np.ndarray) -> np.ndarray:
 def _counter_normals(seed: int, stream: int, lo: int, n: int) -> np.ndarray:
     """Standard normals for particles ``[lo, lo + n)`` of stream ``stream``, shape (n, 3)."""
     return ndtri(_to_open_unit(_raw_blocks(seed, stream, lo, n)[:, :3]))
-
-
-@dataclass(frozen=True)
-class ParticleEnsemble:
-    """Positions of a fixed-size particle ensemble (treat as immutable).
-
-    The wall is impermeable and the receiver transparent, so the particle
-    count never changes and ``y^2 + z^2 <= a^2`` holds after every step.
-    """
-
-    x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
-
-    def __post_init__(self):
-        if not (self.x.shape == self.y.shape == self.z.shape) or self.x.ndim != 1:
-            raise ValueError("coordinate arrays must be matching 1-D arrays")
-
-    def __len__(self) -> int:
-        return self.x.size
-
-    def radius(self) -> np.ndarray:
-        return np.sqrt(self.y * self.y + self.z * self.z)
-
-    def azimuth(self) -> np.ndarray:
-        return np.arctan2(self.z, self.y)
 
 
 @dataclass(frozen=True)
@@ -225,47 +199,19 @@ class SimResult:
         return self.all_series[0]
 
 
-def _place_initial(release: ReleaseSpec, radius_a: float, u_disk: np.ndarray,
-                   u_angle: np.ndarray, n: int):
+def _initial_block(release: ReleaseSpec, radius_a: float, seed: int,
+                   lo: int, n: int):
+    """Release-plane positions ``(x, y, z)`` of particles ``[lo, lo + n)``."""
     if release.kind is ReleaseKind.POINT:
         y0 = release.r0 * math.cos(release.phi0)
         z0 = release.r0 * math.sin(release.phi0)
         return np.zeros(n), np.full(n, y0), np.full(n, z0)
-    # Uniform over the disk: radius a*sqrt(u) makes r^2 uniform on [0, a^2].
-    r = radius_a * np.sqrt(u_disk)
-    phi = (2.0 * u_angle - 1.0) * math.pi
-    return np.zeros(n), r * np.cos(phi), r * np.sin(phi)
-
-
-def _initial_block(release: ReleaseSpec, radius_a: float, seed: int,
-                   lo: int, n: int):
-    if release.kind is ReleaseKind.POINT:
-        return _place_initial(release, radius_a, None, None, n)
+    # Uniform over the disk from stream 0: radius a*sqrt(u) makes r^2
+    # uniform on [0, a^2], and the azimuth is uniform.
     u = _to_open_unit(_raw_blocks(seed, 0, lo, n)[:, :2])
-    return _place_initial(release, radius_a, u[:, 0], u[:, 1], n)
-
-
-def initial_positions(release: ReleaseSpec, radius_a: float, n: int,
-                      rng: Generator | int) -> ParticleEnsemble:
-    """Draw the release-plane positions of ``n`` particles.
-
-    A uniform release places particles uniformly at random over the duct
-    cross-section at ``x = 0`` (via ``r = a sqrt(u)``, uniform azimuth); a
-    point release puts all of them at the release point.
-
-    ``rng`` may be a :class:`numpy.random.Generator` or an integer seed; a
-    seed reproduces exactly the positions that :func:`run` would use.
-    """
-    if n < 0:
-        raise ValueError("particle count must be non-negative")
-    if release.kind is ReleaseKind.POINT and release.r0 > radius_a:
-        raise ValueError("release radius exceeds duct radius")
-    if isinstance(rng, (int, np.integer)):
-        x, y, z = _initial_block(release, radius_a, int(rng), 0, n)
-    else:
-        u = rng.random((n, 2))
-        x, y, z = _place_initial(release, radius_a, u[:, 0], u[:, 1], n)
-    return ParticleEnsemble(x, y, z)
+    r = radius_a * np.sqrt(u[:, 0])
+    phi = (2.0 * u[:, 1] - 1.0) * math.pi
+    return np.zeros(n), r * np.cos(phi), r * np.sin(phi)
 
 
 def _reflect_inplace(y: np.ndarray, z: np.ndarray, radius_a: float) -> None:
@@ -300,32 +246,6 @@ def _advance_inplace(x: np.ndarray, y: np.ndarray, z: np.ndarray,
         y += sigma * normals[:, 1]
         z += sigma * normals[:, 2]
         _reflect_inplace(y, z, a)
-
-
-def step(ensemble: ParticleEnsemble, config: DuctChannelConfig,
-         time_step: float, rng: Generator) -> ParticleEnsemble:
-    """Advance every particle by one time step and return the new ensemble.
-
-    Advection uses the velocity at each particle's pre-step radius; the
-    diffusive displacement is then drawn from ``rng`` (``N(0, 2 D dt)`` per
-    axis, nothing drawn when ``D = 0``) and the wall reflection applied.
-    Pure function of its inputs; :func:`run` uses the same kinematics with
-    counter-based streams instead of ``rng``.
-    """
-    if time_step <= 0.0:
-        raise ValueError("time step must be positive")
-    x = ensemble.x.copy()
-    y = ensemble.y.copy()
-    z = ensemble.z.copy()
-    normals = rng.standard_normal((x.size, 3)) if config.diffusion_D > 0.0 else None
-    _advance_inplace(x, y, z, config, time_step, normals)
-    return ParticleEnsemble(x, y, z)
-
-
-def snapshot(ensemble: ParticleEnsemble) -> np.ndarray:
-    """Per-particle ``(x, r^2)`` pairs for plotting, shape ``(n, 2)``."""
-    r = ensemble.radius()
-    return np.column_stack((ensemble.x, r * r))
 
 
 def _count_and_mark(rx: ReceiverVolume, radius_a: float, x, y, z,

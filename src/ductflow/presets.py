@@ -15,6 +15,8 @@ files are removed if a runner fails.
 from __future__ import annotations
 
 import logging
+from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +37,7 @@ from .ook import OokLinkConfig, SerMethod, optimal_threshold, ser_analytic, ser_
 from .output import Table, emit_table
 from .particles import SimConfig, run
 
-__all__ = ["PRESETS", "preset_config", "run_preset", "discard_partial_outputs",
+__all__ = ["PRESETS", "ACTIONS", "preset_config", "run_preset", "discard_partial_outputs",
            "regime_action", "cir_action", "simulate_action",
            "snapshot_action", "ser_action"]
 
@@ -116,7 +118,8 @@ def _sim_for_grid(cfg: ResolvedConfig, rx, release, sample_times) -> SimConfig:
     )
 
 
-def regime_action(cfg: ResolvedConfig, out_dir: Path, fmt: str) -> list[Path]:
+def regime_action(cfg: ResolvedConfig, out_dir: Path, fmt: str,
+                  threads: int = 1) -> list[Path]:
     """Regime verdicts for every configured (radius, distance) scenario."""
     channel = cfg.channel()
     rows = []
@@ -173,7 +176,8 @@ def _analytic_cir_tables(cfg: ResolvedConfig, distance: float):
     return columns, rows, peak_rows
 
 
-def cir_action(cfg: ResolvedConfig, out_dir: Path, fmt: str) -> list[Path]:
+def cir_action(cfg: ResolvedConfig, out_dir: Path, fmt: str,
+               threads: int = 1) -> list[Path]:
     """Closed-form impulse-response curves plus peak markers."""
     paths = []
     all_peaks = []
@@ -296,8 +300,6 @@ def _auto_link(cfg: ResolvedConfig, distance: float, symbol_interval: float):
 def ser_action(cfg: ResolvedConfig, out_dir: Path, fmt: str, threads: int = 1,
                methods: list[SerMethod] | None = None) -> list[Path]:
     """SER sweep over the configured distances and symbol intervals."""
-    from dataclasses import replace
-
     if methods is None:
         methods = [SerMethod(cfg["ook.method"])]
     realizations = cfg["ook.realizations"]
@@ -347,16 +349,25 @@ def _log_trend(rows) -> None:
             logger.info("SER trend non-increasing in T for d=%g m (%s)", d, method)
 
 
-_PRESET_RUNNERS = {
-    "snapshot_small_duct": lambda cfg, out, fmt, threads: snapshot_action(cfg, out, fmt, threads),
-    "cir_small_duct": lambda cfg, out, fmt, threads: (
-        cir_action(cfg, out, fmt) + _simulated_cir_paths(cfg, out, fmt, threads)),
-    "cir_large_duct": lambda cfg, out, fmt, threads: (
-        cir_action(cfg, out, fmt) + _simulated_cir_paths(cfg, out, fmt, threads)),
-    "regime_map": lambda cfg, out, fmt, threads: regime_action(cfg, out, fmt),
-    "ser_sweep": lambda cfg, out, fmt, threads: ser_action(
-        cfg, out, fmt, threads,
-        methods=[SerMethod.POISSON_ANALYTIC, SerMethod.MONTE_CARLO_COUNTS]),
+def _cir_preset(cfg: ResolvedConfig, out_dir: Path, fmt: str, threads: int) -> list[Path]:
+    """Analytic curves and peaks, then the simulated responses."""
+    return cir_action(cfg, out_dir, fmt) + _simulated_cir_paths(cfg, out_dir, fmt, threads)
+
+
+#: The runner ``(cfg, out_dir, fmt, threads) -> paths`` of every CLI
+#: subcommand and every runnable preset.
+ACTIONS = {
+    "regime": regime_action,
+    "cir": cir_action,
+    "simulate": simulate_action,
+    "snapshot": snapshot_action,
+    "ser": ser_action,
+    "snapshot_small_duct": snapshot_action,
+    "cir_small_duct": _cir_preset,
+    "cir_large_duct": _cir_preset,
+    "regime_map": regime_action,
+    "ser_sweep": partial(ser_action,
+                         methods=[SerMethod.POISSON_ANALYTIC, SerMethod.MONTE_CARLO_COUNTS]),
 }
 
 
@@ -380,9 +391,8 @@ def run_preset(name: str, cfg: ResolvedConfig, out_dir: str | Path,
     On failure every file written so far is removed, so output directories
     never hold partial results.
     """
-    if name == "custom" or name not in _PRESET_RUNNERS:
-        raise ConfigError(f"preset '{name}' is not runnable "
-                          f"(choose from {sorted(_PRESET_RUNNERS)})")
+    runnable = sorted(PRESETS.keys() & ACTIONS.keys())
+    if name not in runnable:
+        raise ConfigError(f"preset '{name}' is not runnable (choose from {runnable})")
     out = Path(out_dir)
-    return discard_partial_outputs(
-        lambda: _PRESET_RUNNERS[name](cfg, out, fmt, threads), out)
+    return discard_partial_outputs(lambda: ACTIONS[name](cfg, out, fmt, threads), out)

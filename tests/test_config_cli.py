@@ -3,10 +3,14 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import ductflow
 from ductflow.cli import main
 from ductflow.config import ConfigError, load_config, parse_value
 from ductflow.output import Table, emit_table
@@ -283,6 +287,16 @@ class TestCli:
     def test_custom_preset_is_not_runnable(self, tmp_path):
         assert main(["preset", "custom", "--out", str(tmp_path)]) == 2
 
+    def test_import_skips_scipy_stats(self):
+        # scipy.stats alone costs about half a second of every CLI run.
+        src = str(Path(ductflow.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        probe = "import sys, ductflow.cli; print('scipy.stats' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", probe], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "False"
+
     def test_every_output_embeds_config_and_seed(self, tmp_path):
         assert main(["regime", "--out", str(tmp_path), "--seed", "77"]) == 0
         for path in tmp_path.glob("*.csv"):
@@ -310,9 +324,9 @@ class TestRunPresetApi:
 
 
 #: Output of ``preset <name> --seed 2017 --set release.n_tx=300 --set
-#: grid.t_stop=1.0``: printed file names in order, then the SHA-256 of every
-#: CSV.  The digests depend on the engine's random streams and on the float
-#: formatting of the tables; a change that alters the streams on purpose
+#: grid.t_stop=1.0`` (``CIR_ARGS``): printed file names in order, then the
+#: SHA-256 of every CSV.  The digests depend on the engine's random streams
+#: and on the float formatting of the tables; a change that alters the streams on purpose
 #: updates them and says so in CHANGES.md.
 CIR_GOLDEN_ORDER = [
     "cir_analytic_d200um.csv", "cir_analytic_d800um.csv", "cir_peaks.csv",
@@ -341,19 +355,72 @@ CIR_GOLDEN_SHA256 = {
 }
 
 
+CIR_ARGS = ["--seed", "2017", "--set", "release.n_tx=300", "--set", "grid.t_stop=1.0"]
+SER_ARGS = ["--seed", "8", "--set", "channel.radius=200 um", "--set", "channel.diffusion=1e-12",
+            "--set", "ser.distances=200 um, 600 um", "--set", "ser.symbol_intervals=0.1, 0.35",
+            "--set", "ook.realizations=300"]
+SIM_ARGS = ["--seed", "11", "--set", "release.n_tx=1500", "--set", "grid.t_stop=0.3",
+            "--set", "channel.radius=10 um", "--set", "rx.distance=200 um"]
+
+#: Every pinned CLI call: its arguments (before ``--out`` and ``--threads``),
+#: the printed file names in order, and the SHA-256 of every file written.
+#: Refactors keep these bytes; a change of the random streams, the SER
+#: arithmetic or the file formats updates them and says so in CHANGES.md.
+GOLDEN = {name: (["preset", name] + CIR_ARGS, CIR_GOLDEN_ORDER, digests)
+          for name, digests in CIR_GOLDEN_SHA256.items()}
+GOLDEN.update({
+    "ser_sweep": (
+        ["preset", "ser_sweep", "--seed", "5", "--set", "ser.distances=200 um, 800 um",
+         "--set", "ser.symbol_intervals=0.1, 0.5", "--set", "ook.realizations=500"],
+        ["ser_sweep.csv"],
+        {"ser_sweep.csv": "9db660f80df031d04f480783e6eb4dd0cfae0952b28135028f132dfc8f2a3f0d"}),
+    "ser_binomial": (
+        ["ser", "--set", "ook.method=binomial_analytic"] + SER_ARGS,
+        ["ser_sweep.csv"],
+        {"ser_sweep.csv": "7db1be844a1918049d04c7dc753e0fd0e4be4e4134115712872baa424a158c47"}),
+    "ser_json": (
+        ["ser", "--format", "json"] + SER_ARGS,
+        ["ser_sweep.json"],
+        {"ser_sweep.json": "8e08406cd6d5d46b5fc6680ab30bf43610e11c87e41c300c4b22a4142adcdff8"}),
+    "simulate": (
+        ["simulate"] + SIM_ARGS,
+        ["observations.csv"],
+        {"observations.csv": "7f9d36cf5bc78193173d59a350ffe9f140ffaf470168553675a9f2e9ed9d2422"}),
+    "simulate_flow_only": (
+        ["simulate", "--set", "channel.diffusion=0"] + SIM_ARGS,
+        ["observations.csv"],
+        {"observations.csv": "504a17e96590945cf5da349f99531cd0508c364c468b0cbc57570351ee3c6ed2"}),
+    "snapshot_small_duct": (
+        ["preset", "snapshot_small_duct", "--seed", "2", "--set", "release.n_tx=300"],
+        ["snapshot_t0.02s.csv", "snapshot_t0.2s.csv", "snapshot_t0.8s.csv"],
+        {"snapshot_t0.02s.csv": "19b1b0221ef9b0147cdc45f5a7e5747bbc97184f28d86f3939cb32e4613267f9",
+         "snapshot_t0.2s.csv": "309716e0a95f81474dac19287bf32feed8e419109faecee3213f2183f60d0d87",
+         "snapshot_t0.8s.csv": "3ae934d7f81c7f42c6056de98f18f5c7dab31525c91d18e9113d26c3b3fea95e"}),
+    "regime_map": (
+        ["preset", "regime_map"],
+        ["regime_scenarios.csv", "regime_boundary.csv"],
+        {"regime_scenarios.csv": "4605253ec4e99d68c0ed849536bddc77606459024f706da7fb48c87f9160746e",
+         "regime_boundary.csv": "7cefcc3333722308f9ced27bc40b1abe19245bd43578637eb638d1f1e5cb2552"}),
+    "cir_json": (
+        ["cir", "--format", "json", "--set", "rx.distance=800 um"],
+        ["cir_analytic_d800um.json", "cir_peaks.json"],
+        {"cir_analytic_d800um.json": "8be1929c6656fd48bc4eae15579c2f77c1ffc940e673e3ada4b31bb79f7791aa",
+         "cir_peaks.json": "cb061a684d6c4beb4483045c0f8104379e8617377372c552b3ba9c25747d5686"}),
+})
+
+
 class TestCirPresetGoldenBytes:
-    """The CIR presets end to end, pinned byte for byte at tiny sizes."""
+    """CLI calls end to end, pinned byte for byte at tiny sizes."""
 
     @pytest.mark.parametrize("threads", ["1", "2"])
-    @pytest.mark.parametrize("name", sorted(CIR_GOLDEN_SHA256))
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_outputs_match_pinned_digests(self, tmp_path, capsys, name, threads):
+        argv, order, expected = GOLDEN[name]
         out = tmp_path / "out"
-        rc = main(["preset", name, "--out", str(out), "--threads", threads,
-                   "--seed", "2017", "--set", "release.n_tx=300",
-                   "--set", "grid.t_stop=1.0"])
+        rc = main(argv + ["--out", str(out), "--threads", threads])
         assert rc == 0
         printed = [Path(line).name for line in capsys.readouterr().out.splitlines()]
-        assert printed == CIR_GOLDEN_ORDER
+        assert printed == order
         digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                    for p in out.iterdir()}
-        assert digests == CIR_GOLDEN_SHA256[name]
+        assert digests == expected

@@ -6,6 +6,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from scipy.stats import binom, poisson
 
 from ductflow import (
     FlowModel,
@@ -21,6 +22,7 @@ from ductflow import (
     ser_monte_carlo,
     symbol_error_prob_poisson,
 )
+from ductflow.ook import _binomial_pmf, _poisson_pmf
 from conftest import make_channel, make_receiver
 
 
@@ -106,6 +108,27 @@ class TestSymbolErrorPoisson:
         assert got == pytest.approx(poisson_cdf_oracle(49, lam), rel=1e-10)
 
 
+class TestPmfs:
+    """The ``scipy.special`` pmfs equal ``scipy.stats`` bit for bit."""
+
+    # p = 1e-18 drives scipy's raw binomial kernel above 1 for n = 7, 1000
+    # and 3000, so this grid also checks the clip to [0, 1].
+    P_GRID = [0.0, 1e-18, 1e-12, 1e-6, 0.01, 0.3, 0.5, 0.9, 1.0 - 1e-9, 1.0 - 1e-15,
+              np.nextafter(1.0, 0.0), 1.0]
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 100, 1000, 3000])
+    def test_binomial_matches_scipy_stats(self, n):
+        k = np.arange(n + 1)
+        p_grid = self.P_GRID + list(np.random.default_rng(n).random(20))
+        for p in p_grid:
+            assert np.array_equal(_binomial_pmf(k, n, p), binom.pmf(k, n, p)), p
+
+    @pytest.mark.parametrize("lam", [0.0, 1e-18, 1e-6, 0.5, 4.0, 37.3, 1e3])
+    def test_poisson_matches_scipy_stats(self, lam):
+        k = np.arange(int(lam + 12.0 * math.sqrt(lam) + 31.0))
+        assert np.array_equal(_poisson_pmf(k, lam), poisson.pmf(k, lam))
+
+
 class TestSerAnalytic:
     def test_dead_channel_k1(self):
         link = OokLinkConfig(0.1, 1, 0.05, 1, 0.0, 1000, zero_cir)
@@ -177,6 +200,14 @@ class TestSerAnalytic:
         via_samples = replace(link, cir=sampled)
         assert ser_analytic(via_samples).ser == pytest.approx(
             ser_analytic(link).ser, rel=1e-3)
+
+    def test_sampled_impulse_response_must_reach_horizon(self):
+        # a = d = 200 um, T = 50 ms, K = 8: the horizon t0 + 7 T is 0.517 s.
+        # Past the end of a grid that stops at 0.2 s, P_ob would read 0.
+        link, _, _, model = flow_link(T=0.05, K=8)
+        short = sample_cir_flow_uniform(model, np.arange(1, 201) * 1e-3)
+        with pytest.raises(ValueError, match="interference horizon"):
+            replace(link, cir=short)
 
 
 class TestOptimalThreshold:

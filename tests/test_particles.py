@@ -1,4 +1,8 @@
-"""Particle engine: release sampling, stepping, reflection, and full runs."""
+"""Particle engine: release sampling, stepping, reflection, and full runs.
+
+Release and step tests drive the helpers ``run`` itself uses, so they check
+the counter-based Philox + ``ndtri`` streams of every run.
+"""
 
 import math
 
@@ -13,15 +17,18 @@ from ductflow import (
     SimConfig,
     cir_flow_uniform,
     flow_point_window,
-    initial_positions,
     observation_patterns,
     point_in_receiver,
     run,
     rx_area_fraction,
-    snapshot,
-    step,
+    velocity_at,
 )
-from ductflow.particles import _reflect_inplace
+from ductflow.particles import (
+    _advance_inplace,
+    _counter_normals,
+    _initial_block,
+    _reflect_inplace,
+)
 from conftest import make_channel, make_receiver
 
 
@@ -31,19 +38,42 @@ def sim_config(channel, rx, release, sample_times, seed=1234, dt=1e-3):
                      sample_times=sample_times)
 
 
+def released(release, radius, seed):
+    """The positions ``run`` starts from: particles ``[0, n_tx)`` of ``seed``."""
+    return _initial_block(release, radius, seed, 0, release.n_tx)
+
+
+def stepped(positions, channel, dt, seed, j):
+    """Copies of ``positions`` after engine step ``j`` of ``seed``'s streams."""
+    x, y, z = (c.copy() for c in positions)
+    normals = _counter_normals(seed, j, 0, x.size) if channel.diffusion_D > 0.0 else None
+    _advance_inplace(x, y, z, channel, dt, normals)
+    return x, y, z
+
+
+def radius(positions):
+    _, y, z = positions
+    return np.sqrt(y * y + z * z)
+
+
+def azimuth(positions):
+    _, y, z = positions
+    return np.arctan2(z, y)
+
+
 class TestInitialPositions:
     def test_point_release_is_deterministic(self):
         release = ReleaseSpec.point(5, 150e-6, 0.5)
-        ens = initial_positions(release, 200e-6, 5, rng=7)
-        assert np.all(ens.x == 0.0)
-        assert np.unique(ens.y).size == 1 and np.unique(ens.z).size == 1
-        assert ens.radius()[0] == pytest.approx(150e-6, rel=1e-12)
-        assert ens.azimuth()[0] == pytest.approx(0.5, rel=1e-12)
+        pos = released(release, 200e-6, 7)
+        x, y, z = pos
+        assert np.all(x == 0.0)
+        assert np.unique(y).size == 1 and np.unique(z).size == 1
+        assert radius(pos)[0] == pytest.approx(150e-6, rel=1e-12)
+        assert azimuth(pos)[0] == pytest.approx(0.5, rel=1e-12)
 
     def test_uniform_release_r2_mean(self):
         n = 100_000
-        ens = initial_positions(ReleaseSpec.uniform(n), 1e-5, n, rng=99)
-        u = (ens.radius() / 1e-5) ** 2
+        u = (radius(released(ReleaseSpec.uniform(n), 1e-5, 99)) / 1e-5) ** 2
         stderr = math.sqrt(1.0 / 12.0 / n)
         assert abs(u.mean() - 0.5) <= 3.0 * stderr
         assert np.all(u <= 1.0)
@@ -52,53 +82,54 @@ class TestInitialPositions:
         channel = make_channel(radius=200e-6)
         rx = make_receiver(200e-6, 200e-6)
         n = 100_000
-        ens = initial_positions(ReleaseSpec.uniform(n), 200e-6, n, rng=5)
+        pos = released(ReleaseSpec.uniform(n), 200e-6, 5)
         inside = point_in_receiver(rx, np.full(n, rx.axial_distance_d),
-                                   ens.radius(), ens.azimuth(), 200e-6)
+                                   radius(pos), azimuth(pos), 200e-6)
         frac = rx_area_fraction(channel, rx)
         stderr = math.sqrt(frac * (1.0 - frac) / n)
         assert abs(inside.mean() - frac) <= 3.0 * stderr
 
-    def test_seed_matches_engine_stream(self):
+    def test_blocks_concatenate_to_one_draw(self):
+        # Partition independence: any split of the ensemble draws exactly
+        # the release positions and step normals of the one-block draw.
         release = ReleaseSpec.uniform(1000)
-        a = initial_positions(release, 1e-5, 1000, rng=42)
-        b = initial_positions(release, 1e-5, 1000, rng=42)
-        assert np.array_equal(a.y, b.y) and np.array_equal(a.z, b.z)
-
-    def test_generator_route(self):
-        ens = initial_positions(ReleaseSpec.uniform(500), 1e-5, 500,
-                                rng=np.random.default_rng(0))
-        assert np.all(ens.radius() <= 1e-5)
+        whole = _initial_block(release, 1e-5, 42, 0, 1000)
+        head = _initial_block(release, 1e-5, 42, 0, 300)
+        tail = _initial_block(release, 1e-5, 42, 300, 700)
+        for w, h, t in zip(whole, head, tail):
+            assert np.array_equal(w, np.concatenate([h, t]))
+        assert np.array_equal(_counter_normals(42, 3, 0, 1000),
+                              np.concatenate([_counter_normals(42, 3, 0, 300),
+                                              _counter_normals(42, 3, 300, 700)]))
 
 
 class TestStep:
     def test_pure_advection_is_exact(self):
         channel = make_channel(radius=200e-6, diffusion=0.0)
-        release = ReleaseSpec.uniform(2000)
-        ens = initial_positions(release, 200e-6, 2000, rng=3)
-        moved = step(ens, channel, 1e-3, np.random.default_rng(0))
+        before = released(ReleaseSpec.uniform(2000), 200e-6, 3)
+        x0, y0, z0 = before
+        x, y, z = stepped(before, channel, 1e-3, 0, 1)
         a = channel.radius_a
-        r2 = ens.y * ens.y + ens.z * ens.z
-        expected = ens.x + (2.0 * channel.mean_velocity) * (1.0 - r2 / (a * a)) * 1e-3
-        assert np.array_equal(moved.x, expected)
-        assert np.array_equal(moved.y, ens.y) and np.array_equal(moved.z, ens.z)
-        from ductflow import velocity_at
-        assert np.allclose(moved.x - ens.x,
-                           velocity_at(channel, ens.radius()) * 1e-3, rtol=1e-12)
+        r2 = y0 * y0 + z0 * z0
+        expected = x0 + (2.0 * channel.mean_velocity) * (1.0 - r2 / (a * a)) * 1e-3
+        assert np.array_equal(x, expected)
+        assert np.array_equal(y, y0) and np.array_equal(z, z0)
+        assert np.allclose(x - x0, velocity_at(channel, radius(before)) * 1e-3, rtol=1e-12)
 
     def test_brownian_moments_far_from_wall(self):
         # Center release with steps much smaller than the radius: no wall
         # contact, so per-axis mean ~ 0 and variance ~ 2 D dt.
         channel = make_channel(radius=1e-4, diffusion=1e-12, mean_velocity=0.0)
         n = 200_000
-        ens = initial_positions(ReleaseSpec.point(n, 0.0, 0.0), 1e-4, n, rng=1)
+        before = released(ReleaseSpec.point(n, 0.0, 0.0), 1e-4, 1)
         dt = 1e-3
-        moved = step(ens, channel, dt, np.random.default_rng(12))
+        after = stepped(before, channel, dt, 12, 1)
         var = 2.0 * channel.diffusion_D * dt
-        for delta in (moved.x - ens.x, moved.y - ens.y, moved.z - ens.z):
+        for old, new in zip(before, after):
+            delta = new - old
             assert abs(delta.mean()) <= 4.0 * math.sqrt(var / n)
             assert delta.var() == pytest.approx(var, rel=0.02)
-        assert np.all(moved.radius() <= 1e-4)
+        assert np.all(radius(after) <= 1e-4)
 
     def test_reflection_folds_radius_on_same_ray(self):
         y = np.array([1.5e-5, 0.0])
@@ -119,22 +150,20 @@ class TestStep:
         # diffusive steps with reflection.
         channel = make_channel(radius=1e-5, diffusion=1e-10, mean_velocity=0.0)
         n = 20_000
-        ens = initial_positions(ReleaseSpec.uniform(n), 1e-5, n, rng=8)
-        rng = np.random.default_rng(4)
-        for _ in range(50):
-            ens = step(ens, channel, 1e-3, rng)
-        u = (ens.radius() / 1e-5) ** 2
+        pos = released(ReleaseSpec.uniform(n), 1e-5, 8)
+        for j in range(1, 51):
+            pos = stepped(pos, channel, 1e-3, 4, j)
+        u = (radius(pos) / 1e-5) ** 2
         ks = stats.kstest(u, "uniform")
         assert ks.pvalue > 0.01
 
     def test_azimuthal_symmetry(self):
         channel = make_channel(radius=1e-5, diffusion=1e-10)
         n = 20_000
-        ens = initial_positions(ReleaseSpec.uniform(n), 1e-5, n, rng=2)
-        rng = np.random.default_rng(9)
-        for _ in range(20):
-            ens = step(ens, channel, 1e-3, rng)
-        counts, _ = np.histogram(ens.azimuth(), bins=16, range=(-math.pi, math.pi))
+        pos = released(ReleaseSpec.uniform(n), 1e-5, 2)
+        for j in range(1, 21):
+            pos = stepped(pos, channel, 1e-3, 9, j)
+        counts, _ = np.histogram(azimuth(pos), bins=16, range=(-math.pi, math.pi))
         chi = stats.chisquare(counts)
         assert chi.pvalue > 0.01
 
@@ -239,12 +268,6 @@ class TestSnapshots:
         ks = stats.kstest(u, "uniform")
         critical_1pct = 1.63 / math.sqrt(u.size)
         assert ks.statistic < critical_1pct
-
-    def test_snapshot_helper_matches_ensemble(self):
-        ens = initial_positions(ReleaseSpec.uniform(100), 1e-5, 100, rng=0)
-        cloud = snapshot(ens)
-        assert cloud.shape == (100, 2)
-        assert np.allclose(cloud[:, 1], ens.radius() ** 2)
 
 
 class TestObservationPatterns:

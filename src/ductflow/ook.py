@@ -79,7 +79,8 @@ class OokLinkConfig:
     ``cir`` is either a vectorised callable ``t -> P_ob(t)`` (e.g. one of
     the closed forms, partially applied) or a sampled
     :class:`~ductflow.impulse.ImpulseResponse`; a sampled response is
-    interpolated and must cover the full interference horizon
+    interpolated and must cover every positive detection offset
+    ``t0 + j T``, from the first through the interference horizon
     ``t0 + (K - 1) T`` (``ValueError`` otherwise).  ``P_ob`` is treated as 0
     for non-positive delays.
     """
@@ -106,11 +107,17 @@ class OokLinkConfig:
         if self.noise_mean_Nn < 0.0:
             raise ValueError("noise mean must be non-negative")
         if isinstance(self.cir, ImpulseResponse):
-            # pob_at reads 0 past the grid, which would silently drop interference.
-            horizon = self.detection_delay_t0 + self.symbol_interval_T * (self.seq_len_K - 1)
-            if not self.cir.times.size or self.cir.times[-1] < horizon:
+            # pob_at reads 0 off the grid, which would silently drop signal
+            # before its first time and interference after its last.
+            offsets = self.detection_delay_t0 + self.symbol_interval_T * np.arange(self.seq_len_K)
+            times = self.cir.times
+            if not times.size or times[-1] < offsets[-1]:
                 raise ValueError("sampled impulse response must cover the interference "
-                                 f"horizon t0 + (K-1) T = {horizon:g} s")
+                                 f"horizon t0 + (K-1) T = {offsets[-1]:g} s")
+            positive = offsets[offsets > 0.0]
+            if positive.size and times[0] > positive[0]:
+                raise ValueError("sampled impulse response must start by the first "
+                                 f"positive detection offset {positive[0]:g} s")
 
     def pob(self, tau):
         """Observation probability at delay ``tau`` (0 for ``tau <= 0``)."""
@@ -189,15 +196,8 @@ def _binomial_pmf(k, n, p):
 
 def _poisson_cdf(k, lam):
     """``P(Poisson(lam) <= k)`` for scalar/array ``k`` and ``lam`` (0 for k < 0)."""
-    k_arr, lam_arr = np.broadcast_arrays(np.asarray(k, dtype=float),
-                                         np.asarray(lam, dtype=float))
-    out = np.zeros(k_arr.shape)
-    valid = k_arr >= 0.0
-    zero_lam = lam_arr == 0.0
-    out[valid & zero_lam] = 1.0
-    live = valid & ~zero_lam
-    if np.any(live):
-        out[live] = pdtr(k_arr[live], lam_arr[live])
+    k = np.asarray(k, dtype=float)
+    out = np.where(k >= 0.0, pdtr(np.maximum(k, 0.0), lam), 0.0)
     return out if out.ndim else float(out)
 
 

@@ -10,9 +10,11 @@ rare multi-width excursion).  Sub-step wall crossings are not interpolated;
 particles are reflected at their end-of-step position only, a known
 ``O(sqrt(dt))`` boundary-layer bias of plain particle schemes.
 
-There is one kinematics path: ``_initial_block`` places the release and
-``_advance_inplace`` takes one step; :func:`run` and
-:func:`observation_patterns` drive both through ``_run_block``.
+There is one step loop, ``_run_block``: ``_initial_block`` places a block
+of particles, ``_advance_inplace`` moves it before every step but step 0,
+and ``_hits`` tests every receiver at each sample step, for any ``D``.
+:func:`run` and :func:`observation_patterns` run one contiguous block per
+worker thread on a thread pool (one empty block when ``n_tx = 0``).
 
 Reproducibility contract: every random number is drawn from a counter-based
 Philox stream keyed by ``(seed, step)`` at a counter offset fixed by the
@@ -120,6 +122,14 @@ class ObservationSeries:
         return ImpulseResponse(self.times, pob, CirModel.SIMULATED_MC, meta)
 
 
+def _to_steps(times, time_step: float, horizon: float, what: str) -> np.ndarray:
+    """Nearest step of each time in ``[0, horizon]`` (or half a step past it)."""
+    t = np.asarray(times, dtype=float)
+    if np.any(t < 0.0) or np.any(t > horizon + 0.5 * time_step):
+        raise ValueError(f"{what} must lie within [0, horizon]")
+    return np.rint(t / time_step).astype(np.int64)
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Full specification of one simulation run.
@@ -163,9 +173,7 @@ class SimConfig:
         requested = np.asarray(self.sample_times, dtype=float)
         if requested.ndim != 1 or requested.size == 0:
             raise ValueError("at least one sample time is required")
-        if np.any(requested < 0.0) or np.any(requested > self.horizon + 0.5 * self.time_step):
-            raise ValueError("sample times must lie within [0, horizon]")
-        steps = np.rint(requested / self.time_step).astype(np.int64)
+        steps = _to_steps(requested, self.time_step, self.horizon, "sample times")
         if np.any(np.diff(steps) <= 0):
             raise ValueError("sample times must snap to distinct, increasing steps")
         object.__setattr__(self, "requested_sample_times", requested)
@@ -248,124 +256,59 @@ def _advance_inplace(x: np.ndarray, y: np.ndarray, z: np.ndarray,
         _reflect_inplace(y, z, a)
 
 
-def _count_and_mark(rx: ReceiverVolume, radius_a: float, x, y, z,
-                    patterns: np.ndarray | None, col: int) -> int:
+def _hits(rx: ReceiverVolume, radius_a: float, x, y, z) -> np.ndarray:
+    """Indices of the particles inside ``rx``."""
     # Axial prefilter first: the receiver window is narrow, so the radial
     # and angular tests run on a small candidate set.
     cand = np.flatnonzero(np.abs(x - rx.axial_distance_d) <= rx.extent_cx / 2.0)
-    if cand.size == 0:
-        return 0
     yc = y[cand]
     zc = z[cand]
-    rr = np.sqrt(yc * yc + zc * zc)
-    inside = rr >= radius_a - rx.extent_cr
-    sub = cand[inside]
-    if sub.size:
-        phi = np.arctan2(z[sub], y[sub])
-        sub = sub[np.abs(phi) <= rx.extent_cphi / 2.0]
-    if patterns is not None and sub.size:
-        patterns[sub, col] = True
-    return int(sub.size)
+    cand = cand[np.sqrt(yc * yc + zc * zc) >= radius_a - rx.extent_cr]
+    return cand[np.abs(np.arctan2(z[cand], y[cand])) <= rx.extent_cphi / 2.0]
 
 
 def _run_block(config: SimConfig, lo: int, hi: int,
                snapshot_steps: Sequence[int], record_patterns: bool):
     ch = config.channel
-    receivers = config.receivers
-    a = ch.radius_a
-    dt = config.time_step
     n = hi - lo
-    diffusive = ch.diffusion_D > 0.0
-
-    x, y, z = _initial_block(config.release, a, config.seed, lo, n)
-
-    sample_steps = config.sample_steps
-    counts = np.zeros((len(receivers), sample_steps.size), dtype=np.int64)
-    patterns = np.zeros((n, sample_steps.size), dtype=bool) if record_patterns else None
+    x, y, z = _initial_block(config.release, ch.radius_a, config.seed, lo, n)
+    columns = {int(s): col for col, s in enumerate(config.sample_steps)}
+    counts = np.zeros((len(config.receivers), len(columns)), dtype=np.int64)
+    patterns = np.zeros((n, len(columns)), dtype=bool) if record_patterns else None
+    snapshot_set = set(snapshot_steps)
     snaps: dict[int, np.ndarray] = {}
 
-    # Flow-only transport never changes (r, phi), so each receiver's band
-    # membership is fixed at release time and only the axial window needs
-    # re-testing.
-    static_bands = None
-    if not diffusive:
-        rr = np.sqrt(y * y + z * z)
-        phi = np.arctan2(z, y)
-        static_bands = [(rr >= a - rx.extent_cr) & (np.abs(phi) <= rx.extent_cphi / 2.0)
-                        for rx in receivers]
-
-    def observe(col: int) -> None:
-        for k, rx in enumerate(receivers):
-            if static_bands is not None:
-                hit = static_bands[k] & (np.abs(x - rx.axial_distance_d) <= rx.extent_cx / 2.0)
-                counts[k, col] = int(np.count_nonzero(hit))
+    for j in range(max([config.n_steps, *snapshot_steps]) + 1):
+        if j:
+            normals = (_counter_normals(config.seed, j, lo, n)
+                       if ch.diffusion_D > 0.0 else None)
+            _advance_inplace(x, y, z, ch, config.time_step, normals)
+        col = columns.get(j)
+        if col is not None:
+            for k, rx in enumerate(config.receivers):
+                hits = _hits(rx, ch.radius_a, x, y, z)
+                counts[k, col] = hits.size
                 if patterns is not None:
-                    patterns[:, col] = hit
-            else:
-                counts[k, col] = _count_and_mark(rx, a, x, y, z, patterns, col)
-
-    def capture(step_idx: int) -> None:
-        snaps[step_idx] = np.column_stack((x.copy(), y * y + z * z))
-
-    next_sample = 0
-    snapshot_set = set(int(s) for s in snapshot_steps)
-    if next_sample < sample_steps.size and sample_steps[next_sample] == 0:
-        observe(next_sample)
-        next_sample += 1
-    if 0 in snapshot_set:
-        capture(0)
-
-    last_step = max(int(sample_steps[-1]), max(snapshot_set, default=0))
-    for j in range(1, last_step + 1):
-        normals = _counter_normals(config.seed, j, lo, n) if diffusive else None
-        _advance_inplace(x, y, z, ch, dt, normals)
-        if next_sample < sample_steps.size and sample_steps[next_sample] == j:
-            observe(next_sample)
-            next_sample += 1
+                    patterns[hits, col] = True
         if j in snapshot_set:
-            capture(j)
+            snaps[j] = np.column_stack((x, y * y + z * z))
     return counts, snaps, patterns
-
-
-def _partition(n: int, workers: int) -> list[tuple[int, int]]:
-    workers = min(workers, max(n, 1))
-    bounds = np.linspace(0, n, workers + 1).astype(int)
-    return [(int(bounds[i]), int(bounds[i + 1])) for i in range(workers)
-            if bounds[i + 1] > bounds[i]]
 
 
 def _run_partitioned(config: SimConfig, threads: int,
                      snapshot_steps: Sequence[int], record_patterns: bool):
     if threads < 1:
         raise ValueError("threads must be at least 1")
-    blocks = _partition(config.release.n_tx, threads)
-    if config.release.n_tx == 0:
-        empty_patterns = (np.zeros((0, config.sample_steps.size), dtype=bool)
-                          if record_patterns else None)
-        return (np.zeros((len(config.receivers), config.sample_steps.size), dtype=np.int64),
-                {int(s): np.zeros((0, 2)) for s in snapshot_steps}, empty_patterns)
-    if len(blocks) == 1:
-        results = [_run_block(config, *blocks[0], snapshot_steps, record_patterns)]
-    else:
-        with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
-            futures = [pool.submit(_run_block, config, lo, hi, snapshot_steps,
-                                   record_patterns) for lo, hi in blocks]
-            results = [f.result() for f in futures]
+    n = config.release.n_tx
+    bounds = np.linspace(0, n, min(threads, max(n, 1)) + 1).astype(int)
+    with ThreadPoolExecutor(max_workers=bounds.size - 1) as pool:
+        futures = [pool.submit(_run_block, config, int(lo), int(hi), snapshot_steps,
+                               record_patterns) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        results = [f.result() for f in futures]
     counts = np.sum([r[0] for r in results], axis=0)
-    snaps = {int(s): np.concatenate([r[1][int(s)] for r in results], axis=0)
-             for s in snapshot_steps}
-    patterns = (np.concatenate([r[2] for r in results], axis=0)
-                if record_patterns else None)
+    snaps = {s: np.concatenate([r[1][s] for r in results]) for s in snapshot_steps}
+    patterns = np.concatenate([r[2] for r in results]) if record_patterns else None
     return counts, snaps, patterns
-
-
-def _snap_steps(times: Sequence[float], config: SimConfig) -> list[int]:
-    steps = []
-    for t in times:
-        if t < 0.0 or t > config.horizon + 0.5 * config.time_step:
-            raise ValueError(f"snapshot time {t!r} outside [0, horizon]")
-        steps.append(int(round(t / config.time_step)))
-    return steps
 
 
 def run(config: SimConfig, *, threads: int = 1,
@@ -379,11 +322,12 @@ def run(config: SimConfig, *, threads: int = 1,
     config : SimConfig
     threads : int
         Number of worker threads (at least 1) the ensemble is partitioned
-        across.  Has no effect on the results (see the module
-        reproducibility contract).
+        across.  Has no effect on the results, meta data included (see the
+        module reproducibility contract).
     snapshot_times : sequence of float
         Optional times at which to capture per-particle ``(x, r^2)`` pairs;
-        snapped to step boundaries like the sample times.
+        snapped to step boundaries like the sample times and refused
+        (``ValueError``) outside ``[0, horizon]``.
 
     Returns
     -------
@@ -392,13 +336,13 @@ def run(config: SimConfig, *, threads: int = 1,
         in receiver order; ``series`` is the first), plus any snapshots.  No
         partial results are returned on failure.
     """
-    snap_steps = sorted(set(_snap_steps(snapshot_times, config)))
+    snap_steps = sorted(set(_to_steps(snapshot_times, config.time_step, config.horizon,
+                                      "snapshot times").tolist()))
     counts, snaps, _ = _run_partitioned(config, threads, snap_steps, False)
     meta = {
         "seed": config.seed,
         "time_step": config.time_step,
         "requested_sample_times": config.requested_sample_times,
-        "threads_hint": threads,
     }
     all_series = tuple(ObservationSeries(config.sample_times, c, config.release.n_tx, dict(meta))
                        for c in counts)

@@ -22,7 +22,7 @@ from ductflow import (
     ser_monte_carlo,
     symbol_error_prob_poisson,
 )
-from ductflow.ook import _binomial_pmf, _poisson_pmf
+from ductflow.ook import _binomial_pmf, _poisson_cdf, _poisson_pmf
 from conftest import make_channel, make_receiver
 
 
@@ -109,7 +109,7 @@ class TestSymbolErrorPoisson:
 
 
 class TestPmfs:
-    """The ``scipy.special`` pmfs equal ``scipy.stats`` bit for bit."""
+    """The ``scipy.special`` pmfs and Poisson CDF equal ``scipy.stats`` bit for bit."""
 
     # p = 1e-18 drives scipy's raw binomial kernel above 1 for n = 7, 1000
     # and 3000, so this grid also checks the clip to [0, 1].
@@ -127,6 +127,8 @@ class TestPmfs:
     def test_poisson_matches_scipy_stats(self, lam):
         k = np.arange(int(lam + 12.0 * math.sqrt(lam) + 31.0))
         assert np.array_equal(_poisson_pmf(k, lam), poisson.pmf(k, lam))
+        k = np.arange(-2, k.size)
+        assert np.array_equal(_poisson_cdf(k, lam), poisson.cdf(k, lam))
 
 
 class TestSerAnalytic:
@@ -208,6 +210,20 @@ class TestSerAnalytic:
         short = sample_cir_flow_uniform(model, np.arange(1, 201) * 1e-3)
         with pytest.raises(ValueError, match="interference horizon"):
             replace(link, cir=short)
+
+    def test_sampled_impulse_response_must_start_by_first_offset(self):
+        # a = d = 200 um, T = 0.1 s, K = 4, xi = 40: t0 = 0.167 s.  Before the
+        # start of a grid sampled from 0.3 s, P_ob would read 0 at t0 and the
+        # SER would be 0.5, not 0.217.
+        link, _, _, model = flow_link(T=0.1, K=4, xi=40)
+        late = sample_cir_flow_uniform(model, np.arange(300, 1001) * 1e-3)
+        with pytest.raises(ValueError, match="first positive detection offset"):
+            replace(link, cir=late)
+        # t0 = 0 puts the first positive offset at T.
+        at_zero = replace(link, detection_delay_t0=0.0, cir=lambda t: 0.0 * t)
+        with pytest.raises(ValueError, match="first positive detection offset 0.1 s"):
+            replace(at_zero, cir=late)
+        replace(at_zero, cir=sample_cir_flow_uniform(model, np.arange(100, 1001) * 1e-3))
 
 
 class TestOptimalThreshold:
@@ -296,6 +312,28 @@ class TestSerMonteCarlo:
         counts = ser_monte_carlo(link, 6000, seed=6)
         assert particles.ser == pytest.approx(counts.ser, abs=0.02)
         assert particles.method is SerMethod.MONTE_CARLO_PARTICLES
+
+    # Pinned particle-mode SERs: they depend on every bit of the pattern
+    # pool the multinomial draws come from.  A change to the engine's
+    # streams on purpose updates them.
+    PINNED_PARTICLE_SER = {
+        1e-10: (0.17833333333333334, [0.101, 0.203, 0.231]),
+        0.0: (0.16233333333333333, [0.0925, 0.1665, 0.228]),
+    }
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("diffusion", [1e-10, 0.0])
+    def test_particle_mode_pinned(self, diffusion, threads):
+        channel = make_channel(radius=10e-6, diffusion=diffusion)
+        link = OokLinkConfig(0.01, 3, 0.015, 6, 0.5, 200, zero_cir)
+        result = ser_monte_carlo(
+            link, 2000, seed=7, method=SerMethod.MONTE_CARLO_PARTICLES,
+            channel=channel, rx=make_receiver(10e-6, 20e-6),
+            release=ReleaseSpec.uniform(200), time_step=1e-4, pool_particles=2000,
+            threads=threads)
+        ser, per_symbol = self.PINNED_PARTICLE_SER[diffusion]
+        assert result.ser == ser
+        assert result.per_symbol_errors.tolist() == per_symbol
 
     def test_particle_mode_needs_channel(self):
         link, *_ = flow_link()

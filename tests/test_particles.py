@@ -4,6 +4,7 @@ Release and step tests drive the helpers ``run`` itself uses, so they check
 the counter-based Philox + ``ndtri`` streams of every run.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -205,9 +206,13 @@ class TestRun:
         times = np.arange(1, 60) * 2e-3
         cfg = sim_config(narrow_channel, rx, ReleaseSpec.uniform(5_000), times)
         results = [run(cfg, threads=t, snapshot_times=[0.05]) for t in (1, 2, 7)]
+        meta = results[0].series.meta
         for other in results[1:]:
             assert np.array_equal(results[0].series.counts, other.series.counts)
             assert np.array_equal(results[0].snapshots[0.05], other.snapshots[0.05])
+            # The whole result is thread-independent, meta data included.
+            assert other.series.meta.keys() == meta.keys()
+            assert all(np.array_equal(other.series.meta[key], meta[key]) for key in meta)
 
     def test_mean_axial_position_tracks_mean_velocity(self, narrow_channel):
         rx = make_receiver(10e-6, 800e-6)
@@ -287,6 +292,25 @@ class TestObservationPatterns:
         patterns = observation_patterns(cfg, threads=3)
         series = run(cfg, threads=2).series
         assert np.array_equal(patterns.sum(axis=0), series.counts)
+
+    # SHA-256 of the patterns' bytes: they pin the random streams and the
+    # receiver test for D > 0 and D = 0.  Samples start at t = 0, so step 0
+    # is observed too.  A change to the streams on purpose updates them.
+    PATTERN_SHA256 = {
+        1e-10: "e3ae95bfd787b7729dd8c4511858b94804ef028394cfa769f6cff571b51204d3",
+        0.0: "8b0f1862e7b52ca22833aaa50814ac79ceb4ddd2ec2fb6f772fbbd1058a7ce68",
+    }
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("diffusion", [1e-10, 0.0])
+    def test_pinned_bytes(self, diffusion, threads):
+        channel = make_channel(radius=10e-6, diffusion=diffusion)
+        cfg = sim_config(channel, make_receiver(10e-6, 20e-6), ReleaseSpec.uniform(1500),
+                         np.arange(0, 41) * 1e-3, seed=2017, dt=1e-4)
+        patterns = observation_patterns(cfg, threads=threads)
+        assert patterns.shape == (1500, 41) and patterns.sum() > 0
+        digest = hashlib.sha256(patterns.tobytes()).hexdigest()
+        assert digest == self.PATTERN_SHA256[diffusion]
 
 
 class TestMultiReceiver:

@@ -216,7 +216,8 @@ class ResolvedConfig:
 
     # -- domain-object builders (invariant violations become ConfigError) --
 
-    def _build(self, factory, *args, **kwargs):
+    def build(self, factory, *args, **kwargs):
+        """``factory(*args, **kwargs)``, with its ValueError raised as a ConfigError."""
         try:
             return factory(*args, **kwargs)
         except ValueError as exc:
@@ -231,14 +232,14 @@ class ResolvedConfig:
                     "(with channel.viscosity), not both")
             if self.values["channel.viscosity"] is None:
                 raise ConfigError("channel.pressure_gradient requires channel.viscosity")
-            return self._build(
+            return self.build(
                 DuctChannelConfig,
                 radius_a=self.values["channel.radius"],
                 diffusion_D=self.values["channel.diffusion"],
                 pressure_gradient=grad,
                 viscosity_eta=self.values["channel.viscosity"],
             )
-        return self._build(
+        return self.build(
             DuctChannelConfig,
             radius_a=self.values["channel.radius"],
             diffusion_D=self.values["channel.diffusion"],
@@ -246,7 +247,7 @@ class ResolvedConfig:
         )
 
     def receiver(self, distance: float | None = None) -> ReceiverVolume:
-        return self._build(
+        return self.build(
             ReceiverVolume,
             axial_distance_d=self.values["rx.distance"] if distance is None else distance,
             extent_cx=self.values["rx.extent_x"],
@@ -258,9 +259,9 @@ class ResolvedConfig:
         kind = kind or self.values["release.kind"]
         n_tx = self.values["release.n_tx"]
         if kind == "point":
-            return self._build(ReleaseSpec, ReleaseKind.POINT, n_tx,
-                               self.values["release.r0"], self.values["release.phi0"])
-        return self._build(ReleaseSpec, ReleaseKind.UNIFORM_CROSS_SECTION, n_tx)
+            return self.build(ReleaseSpec, ReleaseKind.POINT, n_tx,
+                              self.values["release.r0"], self.values["release.phi0"])
+        return self.build(ReleaseSpec, ReleaseKind.UNIFORM_CROSS_SECTION, n_tx)
 
     def time_grid(self):
         import numpy as np

@@ -22,9 +22,22 @@ probability over those masks.  Count models:
 
 Both analytic models run one code path: the miss and false-alarm tables of
 every count law at the requested thresholds, which :func:`ser_analytic`
-evaluates at one threshold and :func:`optimal_threshold` at all of them.
-Both treat counts at different sampling instants as independent.
-``MONTE_CARLO_COUNTS`` samples that same model; the
+evaluates at one threshold and :func:`optimal_threshold` scans upward from
+``xi = 0``.  The scan stops at the first threshold where every law misses
+with probability exactly 1 (so false alarms are exactly 0): every higher
+threshold gives that same SER, so the smallest minimiser is already found.
+Poisson tables are built in chunks of ``_SCAN_ROWS`` thresholds; a binomial
+table ends where the widest law's tail-trimmed support does, past which its
+survival is exactly 0.  Exact enumeration refuses sequence lengths above
+``_MAX_ENUM_K`` and tables whose estimated size exceeds ``_MEMORY_BUDGET``.
+
+Both analytic models treat counts at different sampling instants as
+independent.  ``MONTE_CARLO_COUNTS`` samples that same model: it draws the
+bits of every realization, then the Poisson noise of every sampling instant,
+then, for each offset ``j`` with ``P_ob(t0 + j T) > 0``, one
+``Binomial(n_tx, P_ob(t0 + j T))`` count per transmitted 1 whose
+offset-``j`` instant lies in the sequence, in C order of
+``(realization, symbol)``.  The
 ``MONTE_CARLO_PARTICLES`` mode instead drives the particle engine, so a
 molecule observed at one sampling instant can be observed again at the
 next -- quantifying exactly the correlation the analytic factorisation
@@ -61,6 +74,10 @@ __all__ = [
 
 _MAX_ENUM_K = 20
 _PMF_TAIL = 1e-18
+#: Thresholds per table chunk of the Poisson threshold scan.
+_SCAN_ROWS = 64
+#: Largest estimated table memory, in bytes, an exact enumeration may ask for.
+_MEMORY_BUDGET = 1 << 30
 
 
 class SerMethod(Enum):
@@ -228,11 +245,35 @@ def symbol_error_prob_poisson(link: OokLinkConfig, sequence, i: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _guard_enumeration(k: int) -> None:
+def _guard_enumeration(link: OokLinkConfig, method: SerMethod, rows: int,
+                       terms=()) -> None:
+    """Refuse an enumeration too long, or with tables too large, to run.
+
+    The size estimate counts the 8-byte cells held at once.  Poisson laws:
+    the mask bit matrix (int64, then float) and a ``rows``-threshold CDF
+    table with its complement and the CDF routine's output.  Binomial laws
+    (``terms`` from :func:`_binomial_terms`): the subset-DP pmfs of every
+    mask and the survival table with its complement.
+    """
+    k = link.seq_len_K
     if k > _MAX_ENUM_K:
         raise ValueError(
             f"sequence length {k} is too large for exact enumeration "
             f"(limit {_MAX_ENUM_K}); use ser_monte_carlo instead")
+    masks = 2 ** k
+    if method is SerMethod.BINOMIAL_ANALYTIC:
+        (_, noise), *offsets = terms
+        # Mask m's pmf spans the noise's cells plus size - 1 more per offset
+        # in m, and each offset lies in half of the masks.
+        cells = (masks * (noise.size + 2 * rows)
+                 + masks // 2 * sum(pmf.size - 1 for _, pmf in offsets))
+    else:
+        cells = masks * (2 * k + 3 * rows)
+    if 8 * cells > _MEMORY_BUDGET:
+        raise ValueError(
+            f"exact enumeration needs about {8 * cells / 2**20:.0f} MiB for K = {k} "
+            f"at {rows} threshold(s) per table, over the {_MEMORY_BUDGET >> 20} MiB "
+            "budget; use ser_monte_carlo instead")
 
 
 def _mask_bit_matrix(k: int) -> np.ndarray:
@@ -263,8 +304,21 @@ def _trimmed_pmf(pmf: np.ndarray) -> tuple[int, np.ndarray]:
     return int(keep[0]), pmf[keep[0]: keep[-1] + 1]
 
 
+def _binomial_terms(link: OokLinkConfig) -> list[tuple[int, np.ndarray]]:
+    """Tail-trimmed ``(start, pmf)`` of the external noise, then of each offset's count."""
+    if link.noise_mean_Nn > 0.0:
+        lam = link.noise_mean_Nn
+        n_max = int(lam + 12.0 * math.sqrt(lam) + 30.0)
+        noise_pmf = _trimmed_pmf(_poisson_pmf(np.arange(n_max + 1), lam))
+    else:
+        noise_pmf = (0, np.array([1.0]))
+    support = np.arange(link.n_tx + 1)
+    return [noise_pmf] + [_trimmed_pmf(_binomial_pmf(support, link.n_tx, p))
+                          for p in link.isi_probabilities()]
+
+
 def _binomial_mask_survivals(link: OokLinkConfig, xis: np.ndarray) -> np.ndarray:
-    """``P(C_m >= xi)`` for every mask m and threshold in ``xis``, shape (2^K, len(xis)).
+    """``P(C_m >= xi)`` for every threshold in ``xis`` and mask m, shape (len(xis), 2^K).
 
     Count distributions are built by subset dynamic programming: the
     distribution of a mask is its lowest-offset binomial convolved onto the
@@ -272,16 +326,9 @@ def _binomial_mask_survivals(link: OokLinkConfig, xis: np.ndarray) -> np.ndarray
     convolution of tail-trimmed PMFs.
     """
     k = link.seq_len_K
-    pvec = link.isi_probabilities()
-    support = np.arange(link.n_tx + 1)
-    offset_pmfs = [_trimmed_pmf(_binomial_pmf(support, link.n_tx, p)) for p in pvec]
-    if link.noise_mean_Nn > 0.0:
-        lam = link.noise_mean_Nn
-        n_max = int(lam + 12.0 * math.sqrt(lam) + 30.0)
-        noise_pmf = _trimmed_pmf(_poisson_pmf(np.arange(n_max + 1), lam))
-    else:
-        noise_pmf = (0, np.array([1.0]))
-
+    terms = _binomial_terms(link)
+    _guard_enumeration(link, SerMethod.BINOMIAL_ANALYTIC, xis.size, terms)
+    noise_pmf, *offset_pmfs = terms
     dists: list[tuple[int, np.ndarray] | None] = [None] * (2 ** k)
     dists[0] = noise_pmf
     sf = np.zeros((2 ** k, xis.size))
@@ -294,12 +341,11 @@ def _binomial_mask_survivals(link: OokLinkConfig, xis: np.ndarray) -> np.ndarray
         start, pmf = dists[m]
         tail_mass = np.cumsum(pmf[::-1])[::-1]
         rel = xis - start
-        row = np.zeros(xis.size)
+        row = sf[m]
         row[rel <= 0] = tail_mass[0]
         inside = (rel > 0) & (rel < pmf.size)
         row[inside] = tail_mass[rel[inside]]
-        sf[m] = row
-    return sf
+    return np.ascontiguousarray(sf.T)
 
 
 def _threshold_tails(link: OokLinkConfig, method: SerMethod, xis: np.ndarray):
@@ -310,16 +356,18 @@ def _threshold_tails(link: OokLinkConfig, method: SerMethod, xis: np.ndarray):
     P(C >= xis[i])`` under law ``l``.  Poisson laws are the distinct mask
     means; binomial laws are the masks themselves.  Each method computes its
     native side (the Poisson CDF, the binomial survival) and takes the other
-    as its complement.
+    as its complement.  Both tables are row-major (one row per threshold),
+    and :func:`_guard_enumeration` vets their size before they are built.
     """
     if method is SerMethod.POISSON_ANALYTIC:
+        _guard_enumeration(link, method, xis.size)
         pvec = link.isi_probabilities()
         lam = link.noise_mean_Nn + link.n_tx * (_mask_bit_matrix(link.seq_len_K) @ pvec)
         uniq, law = np.unique(lam, return_inverse=True)
         miss = _poisson_cdf(xis[:, None] - 1.0, uniq[None, :])
         return law, miss, 1.0 - miss
     if method is SerMethod.BINOMIAL_ANALYTIC:
-        false_alarm = _binomial_mask_survivals(link, xis).T
+        false_alarm = _binomial_mask_survivals(link, xis)
         return np.arange(false_alarm.shape[1]), 1.0 - false_alarm, false_alarm
     raise ValueError(f"{method} is not an analytic method")
 
@@ -332,9 +380,11 @@ def _ser_result(link: OokLinkConfig, method: SerMethod, tails, row: int, xi: int
     odd = (np.arange(law.size) & 1).astype(bool)
     err = np.where(odd, miss[row, law], false_alarm[row, law])
     per_symbol = _per_symbol_from_mask_errors(err, link.seq_len_K)
+    # A trimmed pmf's summed mass can round a few ulp above 1, so a mask
+    # error can fall a few ulp outside [0, 1]; results are clipped back.
     return SerResult(
-        ser=float(per_symbol.mean()),
-        per_symbol_errors=per_symbol,
+        ser=min(max(float(per_symbol.mean()), 0.0), 1.0),
+        per_symbol_errors=np.clip(per_symbol, 0.0, 1.0),
         threshold_used=xi,
         method=method,
         meta={"isi_probabilities": link.isi_probabilities(), **meta},
@@ -347,10 +397,10 @@ def ser_analytic(link: OokLinkConfig,
 
     The outer average over sequences of per-sequence mean symbol errors is
     evaluated exactly through the interference-mask reorganisation (a
-    bijective regrouping, not an approximation).  Sequence lengths above 20
-    are refused in favour of :func:`ser_monte_carlo`.
+    bijective regrouping, not an approximation).  Sequence lengths above 20,
+    and tables over the memory budget, are refused in favour of
+    :func:`ser_monte_carlo`.
     """
-    _guard_enumeration(link.seq_len_K)
     xi = link.threshold_xi
     return _ser_result(link, method, _threshold_tails(link, method, np.array([xi])), 0, xi)
 
@@ -358,41 +408,57 @@ def ser_analytic(link: OokLinkConfig,
 def optimal_threshold(link: OokLinkConfig,
                       method: SerMethod = SerMethod.POISSON_ANALYTIC
                       ) -> tuple[int, SerResult]:
-    """Exhaustive threshold search over ``xi in {0, ..., n_tx}``.
+    """Threshold search over ``xi in {0, ..., n_tx}``.
 
     Returns the SER-minimising threshold (smallest index on ties) together
     with the analytic SER at that threshold, the same result
-    :func:`ser_analytic` gives there.
+    :func:`ser_analytic` gives there.  The scan stops at saturation (see the
+    module notes), which leaves the result equal to an exhaustive search's.
     """
-    _guard_enumeration(link.seq_len_K)
-    tails = _threshold_tails(link, method, np.arange(link.n_tx + 1))
-    law, miss, false_alarm = tails
-    weights = _mask_weights(link.seq_len_K)
-    odd = (np.arange(weights.size) & 1).astype(bool)
-    w_miss = np.bincount(law, weights=weights * odd, minlength=miss.shape[1])
-    w_false = np.bincount(law, weights=weights * ~odd, minlength=miss.shape[1])
-    ser_by_xi = miss @ w_miss + false_alarm @ w_false
-    best_xi = int(np.argmin(ser_by_xi))
-    return best_xi, _ser_result(link, method, tails, best_xi, best_xi,
-                                ser_by_threshold_min=float(ser_by_xi[best_xi]))
+    stop, rows = link.n_tx, _SCAN_ROWS
+    if method is SerMethod.BINOMIAL_ANALYTIC:
+        # Survivals are exactly 0 past the widest law's support end, and each
+        # table rebuilds the subset DP, so one table reaches saturation.
+        end = sum(start + pmf.size - 1 for start, pmf in _binomial_terms(link))
+        stop = min(stop, end + 1)
+        rows = stop + 1
+    best = None
+    for lo in range(0, stop + 1, rows):
+        xis = np.arange(lo, min(lo + rows, stop + 1))
+        tails = law, miss, false_alarm = _threshold_tails(link, method, xis)
+        if lo == 0:
+            weights = _mask_weights(link.seq_len_K)
+            odd = (np.arange(weights.size) & 1).astype(bool)
+            w_miss = np.bincount(law, weights=weights * odd, minlength=miss.shape[1])
+            w_false = np.bincount(law, weights=weights * ~odd, minlength=miss.shape[1])
+        # Row-major tables: each row's sum is one dot product, whatever the chunk.
+        ser_by_xi = miss @ w_miss + false_alarm @ w_false
+        row = int(np.argmin(ser_by_xi))
+        if lo == 0 or ser_by_xi[row] < best[0]:
+            best = (float(ser_by_xi[row]), tails, row, int(xis[row]))
+        if np.all(miss == 1.0, axis=1).any():
+            break
+    ser_min, tails, row, best_xi = best
+    return best_xi, _ser_result(link, method, tails, row, best_xi,
+                                ser_by_threshold_min=ser_min)
 
 
 def _mc_counts_errors(link: OokLinkConfig, realizations: int,
                       rng: np.random.Generator) -> np.ndarray:
     k = link.seq_len_K
-    pvec = link.isi_probabilities()
     bits = rng.integers(0, 2, size=(realizations, k), dtype=np.int64)
     counts = rng.poisson(link.noise_mean_Nn, size=(realizations, k)).astype(np.int64)
-    for i in range(k):
-        for j in range(i + 1):
-            p = pvec[j]
-            if p <= 0.0:
-                continue
-            active = bits[:, i - j] == 1
-            draws = rng.binomial(link.n_tx, p, size=realizations)
-            counts[:, i] += np.where(active, draws, 0)
+    sent = bits == 1
+    for j, p in enumerate(link.isi_probabilities()):
+        if p <= 0.0:
+            continue
+        # A 1 sent at symbol s adds a Binomial(n_tx, p_j) count at symbol s + j.
+        active = sent[:, :k - j]
+        draws = np.zeros(active.shape, dtype=np.int64)
+        draws[active] = rng.binomial(link.n_tx, p, size=np.count_nonzero(active))
+        counts[:, j:] += draws
     detected = counts >= link.threshold_xi
-    return detected != (bits == 1)
+    return detected != sent
 
 
 def _mc_particle_errors(link: OokLinkConfig, realizations: int, seed: int,

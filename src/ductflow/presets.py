@@ -285,7 +285,8 @@ def _auto_link(cfg: ResolvedConfig, distance: float, symbol_interval: float):
     delay = cfg["ook.detection_delay"]
     t0 = auto_delay if delay == "auto" else float(delay)
     threshold = cfg["ook.threshold"]
-    link = OokLinkConfig(
+    link = cfg.build(
+        OokLinkConfig,
         symbol_interval_T=symbol_interval,
         seq_len_K=cfg["ook.seq_len"],
         detection_delay_t0=t0,

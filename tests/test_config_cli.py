@@ -270,6 +270,17 @@ class TestCli:
         assert "error" in capsys.readouterr().err
         assert list(tmp_path.rglob("*.csv")) == []
 
+    @pytest.mark.parametrize("setting", ["ook.seq_len=0", "ook.noise_mean=-1",
+                                         "ook.threshold=2000"])
+    def test_link_invariant_is_config_error(self, tmp_path, capsys, setting):
+        rc = main(["ser", "--out", str(tmp_path),
+                   "--set", "channel.radius=200 um",
+                   "--set", "channel.diffusion=1e-12",
+                   "--set", "release.n_tx=1000", "--set", setting])
+        assert rc == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*.csv")) == []
+
     def test_preset_runs_when_shrunk(self, tmp_path):
         rc = main(["preset", "snapshot_small_duct", "--out", str(tmp_path),
                    "--seed", "2", "--set", "release.n_tx=300",
@@ -373,7 +384,7 @@ GOLDEN.update({
         ["preset", "ser_sweep", "--seed", "5", "--set", "ser.distances=200 um, 800 um",
          "--set", "ser.symbol_intervals=0.1, 0.5", "--set", "ook.realizations=500"],
         ["ser_sweep.csv"],
-        {"ser_sweep.csv": "9db660f80df031d04f480783e6eb4dd0cfae0952b28135028f132dfc8f2a3f0d"}),
+        {"ser_sweep.csv": "0ae1255b1e3294e8aa822009892cf9359390875fb6d4ef9308a162373d497861"}),
     "ser_binomial": (
         ["ser", "--set", "ook.method=binomial_analytic"] + SER_ARGS,
         ["ser_sweep.csv"],

@@ -1,11 +1,14 @@
 """OOK detection, exact SER enumeration, threshold search, and Monte Carlo."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import binom, poisson
 
 from ductflow import (
@@ -22,7 +25,15 @@ from ductflow import (
     ser_monte_carlo,
     symbol_error_prob_poisson,
 )
-from ductflow.ook import _binomial_pmf, _poisson_cdf, _poisson_pmf
+from ductflow.ook import (
+    _binomial_pmf,
+    _mask_weights,
+    _poisson_cdf,
+    _poisson_pmf,
+    _ser_result,
+    _threshold_tails,
+)
+from ductflow.presets import _auto_link, preset_config
 from conftest import make_channel, make_receiver
 
 
@@ -53,6 +64,60 @@ def flow_link(distance=200e-6, T=0.1, K=8, xi=30, noise=4.0, n_tx=1000,
                          noise_mean_Nn=noise, n_tx=n_tx,
                          cir=lambda t: cir_flow_uniform(model, t))
     return link, channel, rx, model
+
+
+def table_link(pvec, noise, n_tx, xi=0):
+    """A link whose ``P_ob(t0 + j T)`` is ``pvec[j]`` (T = t0 = 0.1 s)."""
+    offsets = 0.1 + 0.1 * np.arange(len(pvec))
+    pob = np.asarray(pvec, dtype=float)
+    return OokLinkConfig(0.1, len(pvec), 0.1, xi, noise, n_tx,
+                         lambda t: np.interp(t, offsets, pob, left=0.0, right=0.0))
+
+
+def full_table_search(link, method):
+    """The exhaustive threshold search: one table over every xi in 0..n_tx."""
+    tails = law, miss, false_alarm = _threshold_tails(link, method, np.arange(link.n_tx + 1))
+    weights = _mask_weights(link.seq_len_K)
+    odd = (np.arange(weights.size) & 1).astype(bool)
+    ser_by_xi = (miss @ np.bincount(law, weights * odd, minlength=miss.shape[1])
+                 + false_alarm @ np.bincount(law, weights * ~odd, minlength=miss.shape[1]))
+    xi = int(np.argmin(ser_by_xi))
+    return xi, _ser_result(link, method, tails, xi, xi,
+                           ser_by_threshold_min=float(ser_by_xi[xi]))
+
+
+def assert_search_matches_full_table(link, method):
+    xi, result = optimal_threshold(link, method)
+    ref_xi, ref = full_table_search(link, method)
+    assert xi == ref_xi == result.threshold_used
+    assert result.ser == ref.ser
+    assert np.array_equal(result.per_symbol_errors, ref.per_symbol_errors)
+    assert result.meta["ser_by_threshold_min"] == ref.meta["ser_by_threshold_min"]
+    return result
+
+
+def _scan_links() -> dict:
+    """Links the saturating scan is checked on, keyed by test id."""
+    cfg = preset_config("ser_sweep")
+    links = {f"sweep-d{d * 1e6:g}um-T{T:g}": _auto_link(cfg, d, T)[0]
+             for d in cfg["ser.distances"] for T in cfg["ser.symbol_intervals"]}
+    rng = np.random.default_rng(2017)
+    for i in range(40):
+        k = int(rng.integers(1, 9))
+        pvec = rng.random(k) ** rng.uniform(1.0, 8.0)
+        links[f"random{i}"] = table_link(pvec, float(rng.choice([0.0, 0.5, 4.0, 30.0])),
+                                         int(rng.choice([20, 100, 400, 1000])))
+    links["dead-channel"] = OokLinkConfig(0.1, 3, 0.05, 0, 4.0, 1000, zero_cir)
+    links["dead-channel-no-noise"] = OokLinkConfig(0.1, 1, 0.05, 0, 0.0, 1000, zero_cir)
+    links["no-noise"] = flow_link(T=0.2, noise=0.0)[0]
+    # The all-ones mean, 4 + 50 x 3.25, lies far above n_tx = 50, so no
+    # threshold up to n_tx saturates and the scan runs to the end.
+    links["never-saturates"] = table_link([0.95, 0.9, 0.8, 0.6], 4.0, 50)
+    return links
+
+
+SCAN_LINKS = _scan_links()
+ANALYTIC = [SerMethod.POISSON_ANALYTIC, SerMethod.BINOMIAL_ANALYTIC]
 
 
 class TestDetect:
@@ -267,6 +332,26 @@ class TestOptimalThreshold:
         assert abs(xi_p - xi_b) <= 3
         assert rp.ser == pytest.approx(rb.ser, rel=0.05)
 
+    @pytest.mark.parametrize("method", ANALYTIC, ids=lambda m: m.value)
+    @pytest.mark.parametrize("name", sorted(SCAN_LINKS))
+    def test_saturating_scan_equals_full_table(self, name, method):
+        assert_search_matches_full_table(SCAN_LINKS[name], method)
+
+    @pytest.mark.parametrize("method", ANALYTIC, ids=lambda m: m.value)
+    def test_unsaturated_link_never_saturates(self, method):
+        link = SCAN_LINKS["never-saturates"]
+        _, miss, _ = _threshold_tails(link, method, np.arange(link.n_tx + 1))
+        assert not np.all(miss == 1.0, axis=1).any()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(pvec=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+           noise=st.floats(0.0, 60.0), n_tx=st.integers(1, 400),
+           method=st.sampled_from(ANALYTIC))
+    def test_scan_property(self, pvec, noise, n_tx, method):
+        result = assert_search_matches_full_table(table_link(pvec, noise, n_tx), method)
+        assert 0.0 <= result.ser <= 1.0
+        assert np.all((result.per_symbol_errors >= 0.0) & (result.per_symbol_errors <= 1.0))
+
     def test_ser_non_increasing_in_n_tx(self):
         sers = []
         for n_tx in (200, 500, 1000, 2000):
@@ -285,6 +370,27 @@ class TestSerMonteCarlo:
         mc = ser_monte_carlo(link, 10_000, seed=17, method=SerMethod.MONTE_CARLO_COUNTS)
         bound = 3.0 * math.sqrt(exact * (1.0 - exact) / (10_000 * link.seq_len_K))
         assert abs(mc.ser - exact) <= bound
+
+    # Pinned count-mode SER of the draw order bits, noise, then one binomial
+    # per active (realization, symbol) cell for each offset.  A change of
+    # that stream on purpose updates it.
+    def test_counts_mode_pinned(self):
+        link, *_ = flow_link(T=0.25, xi=70)
+        result = ser_monte_carlo(link, 2000, seed=17)
+        assert result.ser == 0.05975
+        assert result.per_symbol_errors.tolist() == [
+            0.07, 0.036, 0.023, 0.0335, 0.0425, 0.0675, 0.0935, 0.112]
+
+    def test_counts_mode_unbiased_over_seeds(self):
+        # Seeds 1-40 at 1e4 realizations: each standardised deviation is
+        # about N(0, 1), so their mean lies within 4 / sqrt(40) of 0.
+        link, *_ = flow_link(T=0.25)
+        xi, _ = optimal_threshold(link)
+        link = replace(link, threshold_xi=xi)
+        exact = ser_analytic(link, SerMethod.BINOMIAL_ANALYTIC).ser
+        sd = math.sqrt(exact * (1.0 - exact) / (10_000 * link.seq_len_K))
+        z = [(ser_monte_carlo(link, 10_000, seed=s).ser - exact) / sd for s in range(1, 41)]
+        assert abs(np.mean(z)) <= 4.0 / math.sqrt(40)
 
     def test_zero_threshold_empirical_half(self):
         link, *_ = flow_link(xi=0)
@@ -339,6 +445,32 @@ class TestSerMonteCarlo:
         link, *_ = flow_link()
         with pytest.raises(ValueError):
             ser_monte_carlo(link, 10, seed=1, method=SerMethod.MONTE_CARLO_PARTICLES)
+
+
+class TestEnumerationMemoryGuard:
+    def test_refuses_k20_before_allocating(self):
+        # n_tx = 1000, K = 20.  The Poisson scan's estimate is 2^20 masks x
+        # (2 K mask-matrix cells + 3 x 64 CDF-chunk cells) x 8 B = 1856 MiB,
+        # over the 1024 MiB budget; the binomial tables are larger still.
+        link, *_ = flow_link(T=0.05, K=20)
+        expected_mib = 8 * 2 ** 20 * (2 * 20 + 3 * 64) // 2 ** 20
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"about {expected_mib} MiB.*ser_monte_carlo"):
+                optimal_threshold(link)
+            with pytest.raises(ValueError, match="MiB"):
+                optimal_threshold(link, SerMethod.BINOMIAL_ANALYTIC)
+            with pytest.raises(ValueError, match="MiB"):
+                ser_analytic(link, SerMethod.BINOMIAL_ANALYTIC)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
+
+    def test_sweep_sized_tables_pass(self):
+        link, *_ = flow_link(K=12)
+        optimal_threshold(link)
+        ser_analytic(link, SerMethod.BINOMIAL_ANALYTIC)
 
 
 class TestLinkValidation:

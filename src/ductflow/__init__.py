@@ -33,11 +33,8 @@ from .impulse import (
     effective_diffusion,
     flow_point_window,
     flow_transit_times,
-    sample_cir_dispersion,
-    sample_cir_flow_point,
     sample_cir_flow_uniform,
 )
-from .oracles import oracle_cir_dispersion, oracle_cir_flow
 from .ook import (
     OokLinkConfig,
     SerMethod,
@@ -66,8 +63,7 @@ __all__ = [
     "CirModel", "ImpulseResponse", "DispersionModel", "FlowModel",
     "effective_diffusion", "cir_dispersion", "dispersion_peak_time",
     "dispersion_peak_value", "flow_transit_times", "cir_flow_uniform",
-    "cir_flow_point", "flow_point_window", "sample_cir_dispersion",
-    "sample_cir_flow_uniform", "sample_cir_flow_point",
+    "cir_flow_point", "flow_point_window", "sample_cir_flow_uniform",
     "oracle_cir_dispersion", "oracle_cir_flow",
     "SimConfig", "ObservationSeries", "SimResult", "run", "observation_patterns",
     "OokLinkConfig", "SerMethod", "SerResult", "mean_signal", "detect",
@@ -75,3 +71,12 @@ __all__ = [
     "ser_monte_carlo",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    # The quadrature oracles pull in scipy.integrate, which no CLI run needs,
+    # so they are imported on first use.
+    if name in ("oracle_cir_dispersion", "oracle_cir_flow"):
+        from . import oracles
+        return getattr(oracles, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

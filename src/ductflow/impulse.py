@@ -56,20 +56,15 @@ __all__ = [
     "cir_flow_uniform",
     "cir_flow_point",
     "flow_point_window",
-    "sample_cir_dispersion",
     "sample_cir_flow_uniform",
-    "sample_cir_flow_point",
 ]
 
 
 class CirModel(Enum):
     """Provenance tag of an impulse response."""
 
-    DISPERSION_UNIFORM = "dispersion_uniform"
     FLOW_UNIFORM = "flow_uniform"
-    FLOW_POINT = "flow_point"
     SIMULATED_MC = "simulated_mc"
-    QUADRATURE_ORACLE = "quadrature_oracle"
 
 
 @dataclass(frozen=True)
@@ -329,26 +324,6 @@ def cir_flow_point(config: DuctChannelConfig, rx: ReceiverVolume,
     return float(out[0]) if np.ndim(t) == 0 else out
 
 
-def _analytic_meta(**params) -> dict:
-    meta = {"provenance": "analytic"}
-    meta.update(params)
-    return meta
-
-
-def sample_cir_dispersion(model: DispersionModel, rx: ReceiverVolume,
-                          times) -> ImpulseResponse:
-    """Sample the dispersion-regime response on a caller-supplied grid."""
-    t = np.asarray(times, dtype=float)
-    return ImpulseResponse(
-        times=t,
-        values=cir_dispersion(model, rx, t),
-        model_tag=CirModel.DISPERSION_UNIFORM,
-        meta=_analytic_meta(d_eff=model.d_eff, mean_velocity=model.mean_velocity,
-                            rx_fraction=model.rx_fraction,
-                            axial_distance_d=rx.axial_distance_d),
-    )
-
-
 def sample_cir_flow_uniform(model: FlowModel, times) -> ImpulseResponse:
     """Sample the flow-dominated uniform-release response on a grid."""
     t = np.asarray(times, dtype=float)
@@ -356,21 +331,7 @@ def sample_cir_flow_uniform(model: FlowModel, times) -> ImpulseResponse:
         times=t,
         values=cir_flow_uniform(model, t),
         model_tag=CirModel.FLOW_UNIFORM,
-        meta=_analytic_meta(t1=model.t1, t2=model.t2,
-                            rx_fraction=model.rx_fraction,
-                            axial_distance_d=model.axial_distance_d),
-    )
-
-
-def sample_cir_flow_point(config: DuctChannelConfig, rx: ReceiverVolume,
-                          release: ReleaseSpec, times) -> ImpulseResponse:
-    """Sample the flow-dominated point-release response on a grid."""
-    t = np.asarray(times, dtype=float)
-    window = flow_point_window(config, rx, release)
-    return ImpulseResponse(
-        times=t,
-        values=cir_flow_point(config, rx, release, t),
-        model_tag=CirModel.FLOW_POINT,
-        meta=_analytic_meta(r0=release.r0, phi0=release.phi0, window=window,
-                            axial_distance_d=rx.axial_distance_d),
+        meta={"provenance": "analytic", "t1": model.t1, "t2": model.t2,
+              "rx_fraction": model.rx_fraction,
+              "axial_distance_d": model.axial_distance_d},
     )

@@ -7,42 +7,47 @@ impulse response decays slowly, molecules from earlier symbols leak into
 later detection instants (intersymbol interference), so the error
 probability of symbol ``i`` depends on the transmitted prefix ``a[j <= i]``.
 
-The exact average SER enumerates the uniform ensemble of binary sequences.
-The per-symbol error depends on the prefix only through the set of past
-offsets ``j`` with ``a[i - j] = 1``, so the enumeration is organised by that
-offset mask (an exact reorganisation of the sequence average): mask ``m``
-occurs under symbol index ``i`` iff it fits in ``i + 1`` bits, with uniform
-probability over those masks.  Count models:
+The exact average SER is the mean over the uniform ensemble of binary
+sequences, and it needs no enumeration of that ensemble.  The bits are iid
+fair and every count term is independent, so the count at detection instant
+``i`` is ``N + a[i] X_0 + S_i`` with ``S_i = sum_{j=1..i} a[i-j] X_j``: the
+law of ``S_i`` is the convolution of the mixtures ``(delta_0 + X_j) / 2``
+for ``j = 1..i``.  Symbol ``i`` therefore errs with probability
+``P(N + X_0 + S_i < xi) / 2 + P(N + S_i >= xi) / 2``, a miss of a 1 or a
+false alarm on a 0.  ``X_j`` is the count that offset ``j`` contributes and
+``N`` is Poisson with mean ``Nn``.  Count models:
 
-* ``POISSON_ANALYTIC`` -- counts are Poisson with the mean signal
+* ``POISSON_ANALYTIC`` -- ``X_j`` is ``Poisson(n_tx P_ob(t0 + j T))``, so
+  the count is Poisson with the mean signal
   ``n_tx * sum_j a[i-j] P_ob(t0 + j T) + Nn`` (good for large ``n_tx`` and
   small ``P_ob``);
-* ``BINOMIAL_ANALYTIC`` -- counts are the exact convolution of independent
-  ``Binomial(n_tx, P_ob(t0 + j T))`` terms plus Poisson external noise.
+* ``BINOMIAL_ANALYTIC`` -- ``X_j`` is ``Binomial(n_tx, P_ob(t0 + j T))``,
+  the exact count of one release.
 
-Both analytic models run one code path: the miss and false-alarm tables of
-every count law at the requested thresholds, which :func:`ser_analytic`
-evaluates at one threshold and :func:`optimal_threshold` scans upward from
-``xi = 0``.  The scan stops at the first threshold where every law misses
-with probability exactly 1 (so false alarms are exactly 0): every higher
-threshold gives that same SER, so the smallest minimiser is already found.
-Poisson tables are built in chunks of ``_SCAN_ROWS`` thresholds; a binomial
-table ends where the widest law's tail-trimmed support does, past which its
-survival is exactly 0.  Exact enumeration refuses sequence lengths above
-``_MAX_ENUM_K`` and tables whose estimated size exceeds ``_MEMORY_BUDGET``.
+Both run one code path: walking ``i = 0..K-1``, it keeps the law of
+``N + S_i`` and its convolution with ``X_0``, and cumulative sums of the two
+give symbol ``i``'s miss and false alarm at every threshold ``0..n_tx`` at
+once.  That takes two convolutions of tail-trimmed pmfs on ``0..n_tx`` per
+symbol, so time and memory grow linearly in ``K``, with no limit on it.
+:func:`ser_analytic` reads one threshold of that table and
+:func:`optimal_threshold` its minimum.
 
 Both analytic models treat counts at different sampling instants as
-independent.  ``MONTE_CARLO_COUNTS`` samples that same model: it draws the
-bits of every realization, then the Poisson noise of every sampling instant,
-then, for each offset ``j`` with ``P_ob(t0 + j T) > 0``, one
+independent, and for the SER that loses nothing: the SER is a mean of
+single-instant errors, and one instant's count sums independent releases.
+``MONTE_CARLO_COUNTS`` samples that same model: it draws the bits of every
+realization, then the Poisson noise of every sampling instant, then, for
+each offset ``j`` with ``P_ob(t0 + j T) > 0``, one
 ``Binomial(n_tx, P_ob(t0 + j T))`` count per transmitted 1 whose
 offset-``j`` instant lies in the sequence, in C order of
-``(realization, symbol)``.  The
-``MONTE_CARLO_PARTICLES`` mode instead drives the particle engine, so a
-molecule observed at one sampling instant can be observed again at the
-next -- quantifying exactly the correlation the analytic factorisation
-ignores.  External noise molecules are modelled as Poisson with mean ``Nn``,
-independent across sampling instants.
+``(realization, symbol)``.  The ``MONTE_CARLO_PARTICLES`` mode instead
+drives the particle engine and draws every release's observations from
+the pool's joint observation patterns.  A molecule seen at one instant can
+be seen again at the next, but that correlation couples the counts of
+different symbols, never the count of one, so the mode estimates the
+binomial SER on the pool's empirical ``P_ob(t0 + j T)``.  External noise
+molecules are modelled as Poisson with mean ``Nn``, independent across
+sampling instants.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -72,12 +78,7 @@ __all__ = [
     "ser_monte_carlo",
 ]
 
-_MAX_ENUM_K = 20
 _PMF_TAIL = 1e-18
-#: Thresholds per table chunk of the Poisson threshold scan.
-_SCAN_ROWS = 64
-#: Largest estimated table memory, in bytes, an exact enumeration may ask for.
-_MEMORY_BUDGET = 1 << 30
 
 
 class SerMethod(Enum):
@@ -235,159 +236,97 @@ def symbol_error_prob_poisson(link: OokLinkConfig, sequence, i: int) -> float:
     return float(cdf) if bits[i] == 1 else float(1.0 - cdf)
 
 
-# ---------------------------------------------------------------------------
-# Exact enumeration, organised by interference mask.
-#
-# Mask m encodes which past offsets j carry a 1 (bit j of m <-> a[i-j] = 1);
-# bit 0 is the current symbol.  Under symbol index i, the admissible masks
-# are exactly those below 2**(i+1), each with probability 2**-(i+1) over the
-# uniform sequence ensemble.
-# ---------------------------------------------------------------------------
+def _trimmed_pmf(pmf_at, mean: float, var: float,
+                 top: int | None = None) -> tuple[int, np.ndarray]:
+    """``(start, pmf)``: ``pmf_at(k)`` over the cells ``k`` where it exceeds ``_PMF_TAIL``.
 
-
-def _guard_enumeration(link: OokLinkConfig, method: SerMethod, rows: int,
-                       terms=()) -> None:
-    """Refuse an enumeration too long, or with tables too large, to run.
-
-    The size estimate counts the 8-byte cells held at once.  Poisson laws:
-    the mask bit matrix (int64, then float) and a ``rows``-threshold CDF
-    table with its complement and the CDF routine's output.  Binomial laws
-    (``terms`` from :func:`_binomial_terms`): the subset-DP pmfs of every
-    mask and the survival table with its complement.
+    Only ``mean +- (12 sd + 30)``, and no cell above ``top``, is evaluated;
+    the Poisson and binomial pmfs lie far below the tail outside that span.
     """
-    k = link.seq_len_K
-    if k > _MAX_ENUM_K:
-        raise ValueError(
-            f"sequence length {k} is too large for exact enumeration "
-            f"(limit {_MAX_ENUM_K}); use ser_monte_carlo instead")
-    masks = 2 ** k
-    if method is SerMethod.BINOMIAL_ANALYTIC:
-        (_, noise), *offsets = terms
-        # Mask m's pmf spans the noise's cells plus size - 1 more per offset
-        # in m, and each offset lies in half of the masks.
-        cells = (masks * (noise.size + 2 * rows)
-                 + masks // 2 * sum(pmf.size - 1 for _, pmf in offsets))
-    else:
-        cells = masks * (2 * k + 3 * rows)
-    if 8 * cells > _MEMORY_BUDGET:
-        raise ValueError(
-            f"exact enumeration needs about {8 * cells / 2**20:.0f} MiB for K = {k} "
-            f"at {rows} threshold(s) per table, over the {_MEMORY_BUDGET >> 20} MiB "
-            "budget; use ser_monte_carlo instead")
-
-
-def _mask_bit_matrix(k: int) -> np.ndarray:
-    masks = np.arange(2 ** k, dtype=np.int64)
-    return ((masks[:, None] >> np.arange(k)) & 1).astype(float)
-
-
-def _mask_weights(k: int) -> np.ndarray:
-    """Probability weight of each mask in the sequence-and-symbol average."""
-    masks = np.arange(2 ** k, dtype=np.int64)
-    bitlen = np.zeros(masks.size, dtype=np.int64)
-    nz = masks > 0
-    bitlen[nz] = np.floor(np.log2(masks[nz])).astype(np.int64) + 1
-    bitlen = np.maximum(bitlen, 1)
-    return (2.0 ** (1.0 - bitlen) - 2.0 ** (-k)) / k
-
-
-def _per_symbol_from_mask_errors(err: np.ndarray, k: int) -> np.ndarray:
-    cumulative = np.cumsum(err)
-    sizes = 2 ** np.arange(1, k + 1)
-    return cumulative[sizes - 1] / sizes
-
-
-def _trimmed_pmf(pmf: np.ndarray) -> tuple[int, np.ndarray]:
+    half = 12.0 * math.sqrt(var) + 30.0
+    low = max(int(mean - half), 0)
+    high = int(mean + half) if top is None else min(int(mean + half), top)
+    pmf = pmf_at(np.arange(low, high + 1))
     keep = np.flatnonzero(pmf > _PMF_TAIL)
-    if keep.size == 0:
-        return 0, np.array([1.0])
-    return int(keep[0]), pmf[keep[0]: keep[-1] + 1]
+    return low + int(keep[0]), pmf[keep[0]: keep[-1] + 1]
 
 
-def _binomial_terms(link: OokLinkConfig) -> list[tuple[int, np.ndarray]]:
-    """Tail-trimmed ``(start, pmf)`` of the external noise, then of each offset's count."""
-    if link.noise_mean_Nn > 0.0:
-        lam = link.noise_mean_Nn
-        n_max = int(lam + 12.0 * math.sqrt(lam) + 30.0)
-        noise_pmf = _trimmed_pmf(_poisson_pmf(np.arange(n_max + 1), lam))
-    else:
-        noise_pmf = (0, np.array([1.0]))
-    support = np.arange(link.n_tx + 1)
-    return [noise_pmf] + [_trimmed_pmf(_binomial_pmf(support, link.n_tx, p))
-                          for p in link.isi_probabilities()]
+def _count_terms(link: OokLinkConfig, method: SerMethod) -> list[tuple[int, np.ndarray]]:
+    """Tail-trimmed ``(start, pmf)`` of the external noise, then of each offset's count.
 
-
-def _binomial_mask_survivals(link: OokLinkConfig, xis: np.ndarray) -> np.ndarray:
-    """``P(C_m >= xi)`` for every threshold in ``xis`` and mask m, shape (len(xis), 2^K).
-
-    Count distributions are built by subset dynamic programming: the
-    distribution of a mask is its lowest-offset binomial convolved onto the
-    distribution of the remaining bits, so each of the 2^K masks costs one
-    convolution of tail-trimmed PMFs.
+    Offset ``j`` contributes ``Poisson(n_tx p_j)`` under ``POISSON_ANALYTIC``
+    and ``Binomial(n_tx, p_j)`` under ``BINOMIAL_ANALYTIC``, both on
+    ``0..n_tx``.
     """
-    k = link.seq_len_K
-    terms = _binomial_terms(link)
-    _guard_enumeration(link, SerMethod.BINOMIAL_ANALYTIC, xis.size, terms)
-    noise_pmf, *offset_pmfs = terms
-    dists: list[tuple[int, np.ndarray] | None] = [None] * (2 ** k)
-    dists[0] = noise_pmf
-    sf = np.zeros((2 ** k, xis.size))
-    for m in range(2 ** k):
-        if dists[m] is None:
-            low = (m & -m).bit_length() - 1
-            s_rest, p_rest = dists[m ^ (1 << low)]
-            s_bit, p_bit = offset_pmfs[low]
-            dists[m] = (s_rest + s_bit, np.convolve(p_rest, p_bit))
-        start, pmf = dists[m]
-        tail_mass = np.cumsum(pmf[::-1])[::-1]
-        rel = xis - start
-        row = sf[m]
-        row[rel <= 0] = tail_mass[0]
-        inside = (rel > 0) & (rel < pmf.size)
-        row[inside] = tail_mass[rel[inside]]
-    return np.ascontiguousarray(sf.T)
-
-
-def _threshold_tails(link: OokLinkConfig, method: SerMethod, xis: np.ndarray):
-    """Detection error tables of every count law at the thresholds ``xis``.
-
-    Returns ``(law, miss, false_alarm)``: ``law[m]`` is the count law of mask
-    ``m``, and ``miss[i, l] = P(C < xis[i])`` and ``false_alarm[i, l] =
-    P(C >= xis[i])`` under law ``l``.  Poisson laws are the distinct mask
-    means; binomial laws are the masks themselves.  Each method computes its
-    native side (the Poisson CDF, the binomial survival) and takes the other
-    as its complement.  Both tables are row-major (one row per threshold),
-    and :func:`_guard_enumeration` vets their size before they are built.
-    """
+    lam, n, pvec = link.noise_mean_Nn, link.n_tx, link.isi_probabilities()
     if method is SerMethod.POISSON_ANALYTIC:
-        _guard_enumeration(link, method, xis.size)
-        pvec = link.isi_probabilities()
-        lam = link.noise_mean_Nn + link.n_tx * (_mask_bit_matrix(link.seq_len_K) @ pvec)
-        uniq, law = np.unique(lam, return_inverse=True)
-        miss = _poisson_cdf(xis[:, None] - 1.0, uniq[None, :])
-        return law, miss, 1.0 - miss
-    if method is SerMethod.BINOMIAL_ANALYTIC:
-        false_alarm = _binomial_mask_survivals(link, xis)
-        return np.arange(false_alarm.shape[1]), 1.0 - false_alarm, false_alarm
-    raise ValueError(f"{method} is not an analytic method")
+        offsets = [_trimmed_pmf(partial(_poisson_pmf, lam=n * p), n * p, n * p, n)
+                   for p in pvec]
+    elif method is SerMethod.BINOMIAL_ANALYTIC:
+        offsets = [_trimmed_pmf(partial(_binomial_pmf, n=n, p=p), n * p, n * p * (1.0 - p), n)
+                   for p in pvec]
+    else:
+        raise ValueError(f"{method} is not an analytic method")
+    return [_trimmed_pmf(partial(_poisson_pmf, lam=lam), lam, lam)] + offsets
 
 
-def _ser_result(link: OokLinkConfig, method: SerMethod, tails, row: int, xi: int,
-                **meta) -> SerResult:
-    """The analytic SER of ``tails`` row ``row``, the threshold ``xi``."""
-    law, miss, false_alarm = tails
-    # Odd masks carry a 1 in the current symbol: their error is a miss.
-    odd = (np.arange(law.size) & 1).astype(bool)
-    err = np.where(odd, miss[row, law], false_alarm[row, law])
-    per_symbol = _per_symbol_from_mask_errors(err, link.seq_len_K)
-    # A trimmed pmf's summed mass can round a few ulp above 1, so a mask
-    # error can fall a few ulp outside [0, 1]; results are clipped back.
+def _add(law: np.ndarray, term: tuple[int, np.ndarray], n: int) -> np.ndarray:
+    """The pmf on ``0..n-1`` of a count with pmf ``law`` plus an independent ``term``."""
+    start, pmf = term
+    out = np.zeros(min(n, start + law.size + pmf.size - 1))
+    if start < out.size:
+        out[start:] = np.convolve(law[:n - start], pmf[:n - start])[:out.size - start]
+    return out
+
+
+def _below(pmf: np.ndarray, size: int) -> np.ndarray:
+    """``P(C < xi)`` for ``xi = 0..size-1`` from the pmf of ``C`` on ``0..size-2``."""
+    cdf = np.zeros(size)
+    np.cumsum(pmf, out=cdf[1:pmf.size + 1])
+    cdf[pmf.size + 1:] = cdf[pmf.size]
+    return cdf
+
+
+def _error_table(link: OokLinkConfig, method: SerMethod) -> np.ndarray:
+    """Error probability of symbol ``i`` at threshold ``xi``, shape ``(K, W + 1)``.
+
+    Walks ``i = 0..K-1`` keeping the law of ``N + S_i`` (see the module
+    notes), cut at ``n_tx - 1``: no threshold in ``0..n_tx`` reads a count
+    above that, so the cut is exact.  A false alarm is the complement of
+    ``P(N + S_i < xi)`` rather than a tail sum, which the cut would bias.
+    Past the widest law's last cell ``W - 1`` (``W <= n_tx``), every
+    threshold has column ``W``'s errors, so the table stops there.
+    """
+    n = link.n_tx
+    noise, signal, *interference = _count_terms(link, method)
+    law = _add(np.array([1.0]), noise, n)
+    laws = []
+    for i in range(link.seq_len_K):
+        if i:
+            with_bit = _add(law, interference[i - 1], n)
+            mixed = np.zeros(max(law.size, with_bit.size))
+            mixed[:law.size] = law
+            mixed[:with_bit.size] += with_bit
+            law = 0.5 * mixed
+        laws.append((_add(law, signal, n), law))
+    # Laws only widen with i, and adding the signal widens them further.
+    size = laws[-1][0].size + 1
+    return np.array([0.5 * _below(with_signal, size) + 0.5 * (1.0 - _below(without, size))
+                     for with_signal, without in laws])
+
+
+def _ser_result(link: OokLinkConfig, method: SerMethod, table: np.ndarray,
+                xi: int) -> SerResult:
+    """The analytic SER at threshold ``xi`` from an :func:`_error_table`."""
+    per_symbol = table[:, min(xi, table.shape[1] - 1)]
+    # A trimmed pmf's summed mass can round a few ulp above 1, so an error
+    # can fall a few ulp outside [0, 1]; results are clipped back.
     return SerResult(
         ser=min(max(float(per_symbol.mean()), 0.0), 1.0),
         per_symbol_errors=np.clip(per_symbol, 0.0, 1.0),
         threshold_used=xi,
         method=method,
-        meta={"isi_probabilities": link.isi_probabilities(), **meta},
+        meta={"isi_probabilities": link.isi_probabilities()},
     )
 
 
@@ -395,14 +334,11 @@ def ser_analytic(link: OokLinkConfig,
                  method: SerMethod = SerMethod.POISSON_ANALYTIC) -> SerResult:
     """Exact average SER over all ``2^K`` equiprobable binary sequences.
 
-    The outer average over sequences of per-sequence mean symbol errors is
-    evaluated exactly through the interference-mask reorganisation (a
-    bijective regrouping, not an approximation).  Sequence lengths above 20,
-    and tables over the memory budget, are refused in favour of
-    :func:`ser_monte_carlo`.
+    Evaluated without enumerating them: symbol ``i``'s error averages a
+    miss and a false alarm over the convolved interference law (see the
+    module notes), two convolutions per symbol for any sequence length.
     """
-    xi = link.threshold_xi
-    return _ser_result(link, method, _threshold_tails(link, method, np.array([xi])), 0, xi)
+    return _ser_result(link, method, _error_table(link, method), link.threshold_xi)
 
 
 def optimal_threshold(link: OokLinkConfig,
@@ -412,35 +348,12 @@ def optimal_threshold(link: OokLinkConfig,
 
     Returns the SER-minimising threshold (smallest index on ties) together
     with the analytic SER at that threshold, the same result
-    :func:`ser_analytic` gives there.  The scan stops at saturation (see the
-    module notes), which leaves the result equal to an exhaustive search's.
+    :func:`ser_analytic` gives there: both read one error table that holds
+    every threshold at once.
     """
-    stop, rows = link.n_tx, _SCAN_ROWS
-    if method is SerMethod.BINOMIAL_ANALYTIC:
-        # Survivals are exactly 0 past the widest law's support end, and each
-        # table rebuilds the subset DP, so one table reaches saturation.
-        end = sum(start + pmf.size - 1 for start, pmf in _binomial_terms(link))
-        stop = min(stop, end + 1)
-        rows = stop + 1
-    best = None
-    for lo in range(0, stop + 1, rows):
-        xis = np.arange(lo, min(lo + rows, stop + 1))
-        tails = law, miss, false_alarm = _threshold_tails(link, method, xis)
-        if lo == 0:
-            weights = _mask_weights(link.seq_len_K)
-            odd = (np.arange(weights.size) & 1).astype(bool)
-            w_miss = np.bincount(law, weights=weights * odd, minlength=miss.shape[1])
-            w_false = np.bincount(law, weights=weights * ~odd, minlength=miss.shape[1])
-        # Row-major tables: each row's sum is one dot product, whatever the chunk.
-        ser_by_xi = miss @ w_miss + false_alarm @ w_false
-        row = int(np.argmin(ser_by_xi))
-        if lo == 0 or ser_by_xi[row] < best[0]:
-            best = (float(ser_by_xi[row]), tails, row, int(xis[row]))
-        if np.all(miss == 1.0, axis=1).any():
-            break
-    ser_min, tails, row, best_xi = best
-    return best_xi, _ser_result(link, method, tails, row, best_xi,
-                                ser_by_threshold_min=ser_min)
+    table = _error_table(link, method)
+    xi = int(np.argmin(table.mean(axis=0)))
+    return xi, _ser_result(link, method, table, xi)
 
 
 def _mc_counts_errors(link: OokLinkConfig, realizations: int,
@@ -478,10 +391,11 @@ def _mc_particle_errors(link: OokLinkConfig, realizations: int, seed: int,
     )
     patterns = observation_patterns(pool, threads=threads)
     codes = patterns @ (1 << np.arange(k, dtype=np.int64))
-    weights = np.bincount(codes, minlength=2 ** k).astype(float)
+    live, weights = np.unique(codes, return_counts=True)
     probs = weights / weights.sum()
-    live = np.flatnonzero(probs > 0.0)
-    probs = probs[live] / probs[live].sum()
+    # Renormalising moves probs by an ulp at most, but the multinomial
+    # draws, and so the pinned particle-mode streams, depend on it.
+    probs = probs / probs.sum()
     live_bits = ((live[:, None] >> np.arange(k)) & 1).astype(np.int64)
 
     rng = np.random.default_rng([seed, 1])
@@ -489,8 +403,7 @@ def _mc_particle_errors(link: OokLinkConfig, realizations: int, seed: int,
     counts = rng.poisson(link.noise_mean_Nn, size=(realizations, k)).astype(np.int64)
     for rel in range(k):
         # Each release is an independent draw of n_tx particles from the
-        # pool's empirical joint observation pattern; sampling the pattern
-        # multinomially preserves the cross-instant correlation.
+        # pool's empirical joint observation patterns.
         draw = rng.multinomial(link.n_tx, probs, size=realizations)
         seen = draw @ live_bits  # column m: particles observed at offset m
         active = bits[:, rel] == 1
@@ -513,10 +426,12 @@ def ser_monte_carlo(link: OokLinkConfig, realizations: int, seed: int,
     ``MONTE_CARLO_COUNTS`` draws per-symbol counts from the factorised
     binomial-plus-Poisson model (so it estimates exactly what
     ``BINOMIAL_ANALYTIC`` computes).  ``MONTE_CARLO_PARTICLES`` drives the
-    particle engine with superposed releases and therefore captures the
-    correlation of individual molecules across sampling instants; it needs
-    the physical channel (``channel``, ``rx``, ``release``, ``time_step``).
-    Results are reproducible for a fixed seed.
+    particle engine with superposed releases; it needs the physical channel
+    (``channel``, ``rx``, ``release``, ``time_step``).  Each symbol's count
+    sums independent releases, so it estimates the binomial SER on the
+    pool's empirical observation probabilities, and the correlation of one
+    molecule across sampling instants does not enter it.  Results are
+    reproducible for a fixed seed.
     """
     if realizations < 1:
         raise ValueError("need at least one realization")

@@ -304,6 +304,9 @@ def ser_action(cfg: ResolvedConfig, out_dir: Path, fmt: str, threads: int = 1,
     if methods is None:
         methods = [SerMethod(cfg["ook.method"])]
     realizations = cfg["ook.realizations"]
+    analytic = (SerMethod.POISSON_ANALYTIC, SerMethod.BINOMIAL_ANALYTIC)
+    if realizations < 1 and any(m not in analytic for m in methods):
+        raise ConfigError(f"ook.realizations must be at least 1, got {realizations}")
     seed = cfg["seed"]
     rows = []
     for distance in cfg["ser.distances"]:
@@ -315,7 +318,7 @@ def ser_action(cfg: ResolvedConfig, out_dir: Path, fmt: str, threads: int = 1,
             else:
                 xi_opt = link.threshold_xi
             for method in methods:
-                if method in (SerMethod.POISSON_ANALYTIC, SerMethod.BINOMIAL_ANALYTIC):
+                if method in analytic:
                     result = ser_analytic(link, method)
                     used = 0
                 else:

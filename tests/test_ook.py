@@ -1,4 +1,4 @@
-"""OOK detection, exact SER enumeration, threshold search, and Monte Carlo."""
+"""OOK detection, exact SER, threshold search, and Monte Carlo."""
 
 import math
 import tracemalloc
@@ -25,14 +25,7 @@ from ductflow import (
     ser_monte_carlo,
     symbol_error_prob_poisson,
 )
-from ductflow.ook import (
-    _binomial_pmf,
-    _mask_weights,
-    _poisson_cdf,
-    _poisson_pmf,
-    _ser_result,
-    _threshold_tails,
-)
+from ductflow.ook import _binomial_pmf, _error_table, _poisson_cdf, _poisson_pmf
 from ductflow.presets import _auto_link, preset_config
 from conftest import make_channel, make_receiver
 
@@ -74,30 +67,94 @@ def table_link(pvec, noise, n_tx, xi=0):
                          lambda t: np.interp(t, offsets, pob, left=0.0, right=0.0))
 
 
-def full_table_search(link, method):
-    """The exhaustive threshold search: one table over every xi in 0..n_tx."""
-    tails = law, miss, false_alarm = _threshold_tails(link, method, np.arange(link.n_tx + 1))
-    weights = _mask_weights(link.seq_len_K)
-    odd = (np.arange(weights.size) & 1).astype(bool)
-    ser_by_xi = (miss @ np.bincount(law, weights * odd, minlength=miss.shape[1])
-                 + false_alarm @ np.bincount(law, weights * ~odd, minlength=miss.shape[1]))
-    xi = int(np.argmin(ser_by_xi))
-    return xi, _ser_result(link, method, tails, xi, xi,
-                           ser_by_threshold_min=float(ser_by_xi[xi]))
+def brute_force_errors(link, method):
+    """Per-symbol error at every threshold ``0..n_tx``, sequence by sequence.
+
+    Averages over all ``2^K`` bit sequences.  Symbol ``i``'s count is the
+    noise plus the count of every offset ``j`` with ``a[i - j] = 1``: Poisson
+    with the summed mean (``scipy.stats.poisson.cdf``), or the convolution of
+    the ``scipy.stats.binom`` pmfs with the Poisson noise's, cut where they
+    fall below 1e-30.  Each distinct set of offsets is evaluated once.
+    """
+    k, n = link.seq_len_K, link.n_tx
+    pvec = link.isi_probabilities()
+    sequences = list(product((0, 1), repeat=k))
+    offsets = [[tuple(j for j in range(i + 1) if bits[i - j]) for i in range(k)]
+               for bits in sequences]
+    distinct = sorted({key for row in offsets for key in row})
+    if method is SerMethod.POISSON_ANALYTIC:
+        lams = np.array([link.noise_mean_Nn + n * sum(pvec[j] for j in key)
+                         for key in distinct])
+        rows = poisson.cdf(np.arange(n + 1)[None, :] - 1, lams[:, None])
+    else:
+        def cut(pmf):
+            return pmf[:np.flatnonzero(pmf > 1e-30).max(initial=0) + 1]
+
+        counts = [cut(binom.pmf(np.arange(n), n, p)) for p in pvec]
+        # Sorted, every key follows its prefix key[:-1].
+        laws = {(): cut(poisson.pmf(np.arange(n), link.noise_mean_Nn))}
+        rows = np.zeros((len(distinct), n + 1))
+        for row, key in zip(rows, distinct):
+            if key not in laws:
+                laws[key] = np.convolve(laws[key[:-1]], counts[key[-1]])[:n]
+            pmf = laws[key]
+            row[1:pmf.size + 1] = np.cumsum(pmf)
+            row[pmf.size + 1:] = row[pmf.size]
+    below = dict(zip(distinct, rows))
+    errors = np.zeros((k, n + 1))
+    for bits, row in zip(sequences, offsets):
+        for i, key in enumerate(row):
+            errors[i] += below[key] if bits[i] else 1.0 - below[key]
+    return errors / 2 ** k
 
 
-def assert_search_matches_full_table(link, method):
-    xi, result = optimal_threshold(link, method)
-    ref_xi, ref = full_table_search(link, method)
-    assert xi == ref_xi == result.threshold_used
-    assert result.ser == ref.ser
-    assert np.array_equal(result.per_symbol_errors, ref.per_symbol_errors)
-    assert result.meta["ser_by_threshold_min"] == ref.meta["ser_by_threshold_min"]
-    return result
+def rounding_tolerance(link):
+    """Bound on ``|_error_table - brute_force_errors|`` from rounding and trimming.
+
+    With ``eps`` the double epsilon and ``m = n_tx + Nn + 30``, which bounds
+    every count and every mean a pmf is evaluated at:
+
+    * each of the ``K + 1`` pmfs (noise and offsets) carries a relative
+      error of at most ``6 m log(m) eps`` in its values, and hence in its
+      mass: the Poisson pmf is ``exp`` of terms as large as ``m log m``
+      (``k log lam``, ``log k!``, ``lam``), and the binomial kernel and the
+      oracle's scipy pmfs and CDFs do better;
+    * each of the ``2 K`` convolutions and the cumulative sum, and each of the
+      oracle's ``K`` convolutions and its cumulative sum, adds at most
+      ``(n_tx + 1) eps`` to a probability;
+    * trimming drops at most ``n_tx + 1`` cells of at most 1e-18 from each pmf
+      (1e-30 in the oracle).
+    """
+    k, n = link.seq_len_K, link.n_tx
+    m = n + link.noise_mean_Nn + 30.0
+    eps = np.finfo(float).eps
+    return ((k + 1) * (6.0 * m * math.log(m) * eps + (n + 1) * (1e-18 + 1e-30))
+            + (3 * k + 2) * (n + 1) * eps)
+
+
+def assert_matches_brute_force(link, method):
+    """The error table, the SER at ``link``'s threshold and the optimum, against the oracle."""
+    table = _error_table(link, method)
+    # Thresholds past the table's last column share that column's errors.
+    table = np.pad(table, ((0, 0), (0, link.n_tx + 1 - table.shape[1])), mode="edge")
+    oracle = brute_force_errors(link, method)
+    tol = rounding_tolerance(link)
+    assert np.max(np.abs(table - oracle)) <= tol
+    result = ser_analytic(link, method)
+    assert np.array_equal(result.per_symbol_errors,
+                          np.clip(table[:, link.threshold_xi], 0.0, 1.0))
+    xi, best = optimal_threshold(link, method)
+    assert best.threshold_used == xi
+    assert best.ser <= 1.0 and np.all(best.per_symbol_errors <= 1.0)
+    assert best.ser >= 0.0 and np.all(best.per_symbol_errors >= 0.0)
+    # The table is within tol of the oracle at every threshold, so the
+    # table's minimiser is within 2 tol of the oracle's minimum.
+    assert oracle[:, xi].mean() <= oracle.mean(axis=0).min() + 2.0 * tol
+    return best
 
 
 def _scan_links() -> dict:
-    """Links the saturating scan is checked on, keyed by test id."""
+    """Links the error table is checked on against brute force, keyed by test id."""
     cfg = preset_config("ser_sweep")
     links = {f"sweep-d{d * 1e6:g}um-T{T:g}": _auto_link(cfg, d, T)[0]
              for d in cfg["ser.distances"] for T in cfg["ser.symbol_intervals"]}
@@ -110,8 +167,8 @@ def _scan_links() -> dict:
     links["dead-channel"] = OokLinkConfig(0.1, 3, 0.05, 0, 4.0, 1000, zero_cir)
     links["dead-channel-no-noise"] = OokLinkConfig(0.1, 1, 0.05, 0, 0.0, 1000, zero_cir)
     links["no-noise"] = flow_link(T=0.2, noise=0.0)[0]
-    # The all-ones mean, 4 + 50 x 3.25, lies far above n_tx = 50, so no
-    # threshold up to n_tx saturates and the scan runs to the end.
+    # The all-ones mean, 4 + 50 x 3.25, lies far above n_tx = 50, so much of
+    # the count's mass lies past n_tx, where the error table cuts its laws.
     links["never-saturates"] = table_link([0.95, 0.9, 0.8, 0.6], 4.0, 50)
     return links
 
@@ -254,12 +311,6 @@ class TestSerAnalytic:
         assert np.allclose(ser_analytic(full).per_symbol_errors,
                            ser_analytic(single).ser, atol=1e-14)
 
-    def test_k_guard_advises_monte_carlo(self):
-        link, *_ = flow_link(K=8)
-        link = replace(link, seq_len_K=21)
-        with pytest.raises(ValueError, match="ser_monte_carlo"):
-            ser_analytic(link)
-
     def test_sampled_impulse_response_input(self):
         link, channel, rx, model = flow_link(K=4, xi=40)
         grid = np.arange(1, 2000) * 1e-3
@@ -332,25 +383,19 @@ class TestOptimalThreshold:
         assert abs(xi_p - xi_b) <= 3
         assert rp.ser == pytest.approx(rb.ser, rel=0.05)
 
+    # Checks the error table against brute force; it keeps its earlier name
+    # so that its 208 ids stay comparable across versions.
     @pytest.mark.parametrize("method", ANALYTIC, ids=lambda m: m.value)
     @pytest.mark.parametrize("name", sorted(SCAN_LINKS))
     def test_saturating_scan_equals_full_table(self, name, method):
-        assert_search_matches_full_table(SCAN_LINKS[name], method)
-
-    @pytest.mark.parametrize("method", ANALYTIC, ids=lambda m: m.value)
-    def test_unsaturated_link_never_saturates(self, method):
-        link = SCAN_LINKS["never-saturates"]
-        _, miss, _ = _threshold_tails(link, method, np.arange(link.n_tx + 1))
-        assert not np.all(miss == 1.0, axis=1).any()
+        assert_matches_brute_force(SCAN_LINKS[name], method)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(pvec=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
            noise=st.floats(0.0, 60.0), n_tx=st.integers(1, 400),
-           method=st.sampled_from(ANALYTIC))
-    def test_scan_property(self, pvec, noise, n_tx, method):
-        result = assert_search_matches_full_table(table_link(pvec, noise, n_tx), method)
-        assert 0.0 <= result.ser <= 1.0
-        assert np.all((result.per_symbol_errors >= 0.0) & (result.per_symbol_errors <= 1.0))
+           xi=st.integers(0, 400), method=st.sampled_from(ANALYTIC))
+    def test_scan_property(self, pvec, noise, n_tx, xi, method):
+        assert_matches_brute_force(table_link(pvec, noise, n_tx, min(xi, n_tx)), method)
 
     def test_ser_non_increasing_in_n_tx(self):
         sers = []
@@ -447,25 +492,43 @@ class TestSerMonteCarlo:
             ser_monte_carlo(link, 10, seed=1, method=SerMethod.MONTE_CARLO_PARTICLES)
 
 
-class TestEnumerationMemoryGuard:
-    def test_refuses_k20_before_allocating(self):
-        # n_tx = 1000, K = 20.  The Poisson scan's estimate is 2^20 masks x
-        # (2 K mask-matrix cells + 3 x 64 CDF-chunk cells) x 8 B = 1856 MiB,
-        # over the 1024 MiB budget; the binomial tables are larger still.
-        link, *_ = flow_link(T=0.05, K=20)
-        expected_mib = 8 * 2 ** 20 * (2 * 20 + 3 * 64) // 2 ** 20
+class TestLongSequences:
+    """Links longer than the presets' K = 8, up to lengths whose ``2^K``
+    sequences no enumeration could visit."""
+
+    @pytest.mark.parametrize("k", [20, 25])
+    def test_long_links_run_in_bounded_memory(self, k):
+        # n_tx = 1000: the error table is K x 1001 doubles (200 kB at K = 25),
+        # and each law it is built from spans at most 1000 cells.
+        link, *_ = flow_link(T=0.05, K=k)
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match=f"about {expected_mib} MiB.*ser_monte_carlo"):
-                optimal_threshold(link)
-            with pytest.raises(ValueError, match="MiB"):
-                optimal_threshold(link, SerMethod.BINOMIAL_ANALYTIC)
-            with pytest.raises(ValueError, match="MiB"):
-                ser_analytic(link, SerMethod.BINOMIAL_ANALYTIC)
+            for method in ANALYTIC:
+                xi, result = optimal_threshold(link, method)
+                assert result.per_symbol_errors.shape == (k,)
+                assert 0.0 < result.ser < 0.5
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 5e6
+
+    def test_k25_binomial_matches_count_monte_carlo(self):
+        # Symbol i's errors are iid over realizations, so each per-symbol
+        # estimate lies within 4 standard errors of its exact value; so does
+        # the SER, whose per-realization mean error has variance at most
+        # ser (1 - ser) because it lies in [0, 1].  The 26 checks at 4
+        # standard errors fail together with probability below 2e-3.
+        link, *_ = flow_link(T=0.05, K=25)
+        xi, _ = optimal_threshold(link)
+        link = replace(link, threshold_xi=xi)
+        exact = ser_analytic(link, SerMethod.BINOMIAL_ANALYTIC)
+        realizations = 20_000
+        mc = ser_monte_carlo(link, realizations, seed=25)
+        p = exact.per_symbol_errors
+        assert np.all(np.abs(mc.per_symbol_errors - p)
+                      <= 4.0 * np.sqrt(p * (1.0 - p) / realizations))
+        assert abs(mc.ser - exact.ser) <= 4.0 * math.sqrt(
+            exact.ser * (1.0 - exact.ser) / realizations)
 
     def test_sweep_sized_tables_pass(self):
         link, *_ = flow_link(K=12)

@@ -50,7 +50,6 @@ from .particles import (
     ObservationSeries,
     SimConfig,
     SimResult,
-    observation_patterns,
     run,
 )
 
@@ -65,7 +64,7 @@ __all__ = [
     "dispersion_peak_value", "flow_transit_times", "cir_flow_uniform",
     "cir_flow_point", "flow_point_window", "sample_cir_flow_uniform",
     "oracle_cir_dispersion", "oracle_cir_flow",
-    "SimConfig", "ObservationSeries", "SimResult", "run", "observation_patterns",
+    "SimConfig", "ObservationSeries", "SimResult", "run",
     "OokLinkConfig", "SerMethod", "SerResult", "mean_signal", "detect",
     "symbol_error_prob_poisson", "ser_analytic", "optimal_threshold",
     "ser_monte_carlo",

@@ -92,7 +92,7 @@ KEY_REGISTRY: dict[str, KeySpec] = {
     "ook.noise_mean": KeySpec("float", default=4.0),
     "ook.realizations": KeySpec("int", default=10_000),
     "ook.method": KeySpec("enum", choices=("poisson_analytic", "binomial_analytic",
-                                           "monte_carlo_counts", "monte_carlo_particles"),
+                                           "monte_carlo_counts", "particle_binomial"),
                           default="poisson_analytic"),
     "ser.distances": KeySpec("quantity_list", "length", default=_DERIVED),
     "ser.symbol_intervals": KeySpec("quantity_list", "time", default=_DERIVED),

@@ -40,20 +40,21 @@ realization, then the Poisson noise of every sampling instant, then, for
 each offset ``j`` with ``P_ob(t0 + j T) > 0``, one
 ``Binomial(n_tx, P_ob(t0 + j T))`` count per transmitted 1 whose
 offset-``j`` instant lies in the sequence, in C order of
-``(realization, symbol)``.  The ``MONTE_CARLO_PARTICLES`` mode instead
-drives the particle engine and draws every release's observations from
-the pool's joint observation patterns.  A molecule seen at one instant can
-be seen again at the next, but that correlation couples the counts of
-different symbols, never the count of one, so the mode estimates the
-binomial SER on the pool's empirical ``P_ob(t0 + j T)``.  External noise
-molecules are modelled as Poisson with mean ``Nn``, independent across
-sampling instants.
+``(realization, symbol)``, one block of realizations after another.
+``PARTICLE_BINOMIAL`` is ``BINOMIAL_ANALYTIC`` on the empirical
+``P_ob(t0 + j T)`` of one particle-engine run of 100 000 particles, which
+the CLI's SER action makes; this module only sees the sampled impulse
+response it yields.  A molecule seen at one instant can be seen again at
+the next, but that correlation couples the counts of different symbols,
+never the count of one, so the method is exact given the pool.  External
+noise molecules are modelled as Poisson with mean ``Nn``, independent
+across sampling instants.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 from typing import Callable
@@ -62,9 +63,7 @@ import numpy as np
 from scipy.special import gammaln, pdtr, xlogy
 from scipy.special._ufuncs import _binom_pmf
 
-from .duct import DuctChannelConfig, ReceiverVolume, ReleaseSpec
 from .impulse import ImpulseResponse
-from .particles import SimConfig, observation_patterns
 
 __all__ = [
     "SerMethod",
@@ -79,6 +78,8 @@ __all__ = [
 ]
 
 _PMF_TAIL = 1e-18
+#: Realizations the count Monte Carlo draws at a time.
+_MC_BLOCK = 1 << 16
 
 
 class SerMethod(Enum):
@@ -87,7 +88,7 @@ class SerMethod(Enum):
     POISSON_ANALYTIC = "poisson_analytic"
     BINOMIAL_ANALYTIC = "binomial_analytic"
     MONTE_CARLO_COUNTS = "monte_carlo_counts"
-    MONTE_CARLO_PARTICLES = "monte_carlo_particles"
+    PARTICLE_BINOMIAL = "particle_binomial"
 
 
 @dataclass(frozen=True)
@@ -356,12 +357,11 @@ def optimal_threshold(link: OokLinkConfig,
     return xi, _ser_result(link, method, table, xi)
 
 
-def _mc_counts_errors(link: OokLinkConfig, realizations: int,
-                      rng: np.random.Generator) -> np.ndarray:
+def _mc_counts_block(link: OokLinkConfig, realizations: int,
+                     rng: np.random.Generator) -> np.ndarray:
     k = link.seq_len_K
-    bits = rng.integers(0, 2, size=(realizations, k), dtype=np.int64)
-    counts = rng.poisson(link.noise_mean_Nn, size=(realizations, k)).astype(np.int64)
-    sent = bits == 1
+    sent = rng.integers(0, 2, size=(realizations, k), dtype=np.int64) == 1
+    counts = rng.poisson(link.noise_mean_Nn, size=(realizations, k))
     for j, p in enumerate(link.isi_probabilities()):
         if p <= 0.0:
             continue
@@ -370,84 +370,36 @@ def _mc_counts_errors(link: OokLinkConfig, realizations: int,
         draws = np.zeros(active.shape, dtype=np.int64)
         draws[active] = rng.binomial(link.n_tx, p, size=np.count_nonzero(active))
         counts[:, j:] += draws
-    detected = counts >= link.threshold_xi
-    return detected != sent
+    return (counts >= link.threshold_xi) != sent
 
 
-def _mc_particle_errors(link: OokLinkConfig, realizations: int, seed: int,
-                        channel: DuctChannelConfig, rx: ReceiverVolume,
-                        release: ReleaseSpec, time_step: float,
-                        pool_particles: int, threads: int) -> np.ndarray:
-    k = link.seq_len_K
-    offsets = link.detection_delay_t0 + link.symbol_interval_T * np.arange(k)
-    pool = SimConfig(
-        channel=channel,
-        rx=rx,
-        release=replace(release, n_tx=pool_particles),
-        time_step=time_step,
-        horizon=float(offsets[-1]),
-        seed=seed,
-        sample_times=offsets,
-    )
-    patterns = observation_patterns(pool, threads=threads)
-    codes = patterns @ (1 << np.arange(k, dtype=np.int64))
-    live, weights = np.unique(codes, return_counts=True)
-    probs = weights / weights.sum()
-    # Renormalising moves probs by an ulp at most, but the multinomial
-    # draws, and so the pinned particle-mode streams, depend on it.
-    probs = probs / probs.sum()
-    live_bits = ((live[:, None] >> np.arange(k)) & 1).astype(np.int64)
-
-    rng = np.random.default_rng([seed, 1])
-    bits = rng.integers(0, 2, size=(realizations, k), dtype=np.int64)
-    counts = rng.poisson(link.noise_mean_Nn, size=(realizations, k)).astype(np.int64)
-    for rel in range(k):
-        # Each release is an independent draw of n_tx particles from the
-        # pool's empirical joint observation patterns.
-        draw = rng.multinomial(link.n_tx, probs, size=realizations)
-        seen = draw @ live_bits  # column m: particles observed at offset m
-        active = bits[:, rel] == 1
-        span = k - rel
-        counts[:, rel:] += np.where(active[:, None], seen[:, :span], 0)
-    detected = counts >= link.threshold_xi
-    return detected != (bits == 1)
+def _mc_counts_errors(link: OokLinkConfig, realizations: int,
+                      rng: np.random.Generator) -> np.ndarray:
+    """Errors of each symbol summed over ``realizations``, drawn ``_MC_BLOCK`` at a time."""
+    errors = np.zeros(link.seq_len_K, dtype=np.int64)
+    for start in range(0, realizations, _MC_BLOCK):
+        errors += _mc_counts_block(link, min(_MC_BLOCK, realizations - start), rng).sum(axis=0)
+    return errors
 
 
 def ser_monte_carlo(link: OokLinkConfig, realizations: int, seed: int,
-                    method: SerMethod = SerMethod.MONTE_CARLO_COUNTS,
-                    *, channel: DuctChannelConfig | None = None,
-                    rx: ReceiverVolume | None = None,
-                    release: ReleaseSpec | None = None,
-                    time_step: float = 1e-3,
-                    pool_particles: int = 100_000,
-                    threads: int = 1) -> SerResult:
+                    method: SerMethod = SerMethod.MONTE_CARLO_COUNTS) -> SerResult:
     """Monte Carlo SER over uniformly random K-bit sequences.
 
-    ``MONTE_CARLO_COUNTS`` draws per-symbol counts from the factorised
-    binomial-plus-Poisson model (so it estimates exactly what
-    ``BINOMIAL_ANALYTIC`` computes).  ``MONTE_CARLO_PARTICLES`` drives the
-    particle engine with superposed releases; it needs the physical channel
-    (``channel``, ``rx``, ``release``, ``time_step``).  Each symbol's count
-    sums independent releases, so it estimates the binomial SER on the
-    pool's empirical observation probabilities, and the correlation of one
-    molecule across sampling instants does not enter it.  Results are
-    reproducible for a fixed seed.
+    ``MONTE_CARLO_COUNTS``, the one Monte Carlo method, draws per-symbol
+    counts from the factorised binomial-plus-Poisson model, so it estimates
+    exactly what ``BINOMIAL_ANALYTIC`` computes.  Realizations are drawn in
+    blocks of ``_MC_BLOCK``, so memory does not grow with ``realizations``.
+    Results are reproducible for a fixed seed.
     """
     if realizations < 1:
         raise ValueError("need at least one realization")
-    if method is SerMethod.MONTE_CARLO_COUNTS:
-        errors = _mc_counts_errors(link, realizations, np.random.default_rng([seed, 0]))
-    elif method is SerMethod.MONTE_CARLO_PARTICLES:
-        if channel is None or rx is None or release is None:
-            raise ValueError("particle-based SER needs channel, rx and release")
-        errors = _mc_particle_errors(link, realizations, seed, channel, rx,
-                                     release, time_step, pool_particles, threads)
-    else:
+    if method is not SerMethod.MONTE_CARLO_COUNTS:
         raise ValueError(f"{method} is not a Monte Carlo method")
-    per_symbol = errors.mean(axis=0)
+    errors = _mc_counts_errors(link, realizations, np.random.default_rng([seed, 0]))
     return SerResult(
-        ser=float(errors.mean()),
-        per_symbol_errors=per_symbol,
+        ser=float(errors.sum() / (realizations * link.seq_len_K)),
+        per_symbol_errors=errors / realizations,
         threshold_used=link.threshold_xi,
         method=method,
         meta={"realizations": realizations, "seed": seed},

@@ -12,9 +12,9 @@ particles are reflected at their end-of-step position only, a known
 
 There is one step loop, ``_run_block``: ``_initial_block`` places a block
 of particles, ``_advance_inplace`` moves it before every step but step 0,
-and ``_hits`` tests every receiver at each sample step, for any ``D``.
-:func:`run` and :func:`observation_patterns` run one contiguous block per
-worker thread on a thread pool (one empty block when ``n_tx = 0``).
+and ``_hits`` counts every receiver at each sample step, for any ``D``.
+:func:`run` runs one contiguous block per worker thread on a thread pool
+(one empty block when ``n_tx = 0``).
 
 Reproducibility contract: every random number is drawn from a counter-based
 Philox stream keyed by ``(seed, step)`` at a counter offset fixed by the
@@ -52,7 +52,6 @@ __all__ = [
     "ObservationSeries",
     "SimResult",
     "run",
-    "observation_patterns",
 ]
 
 # One Philox counter block (4 x 64-bit words) per particle per stream; the
@@ -256,25 +255,23 @@ def _advance_inplace(x: np.ndarray, y: np.ndarray, z: np.ndarray,
         _reflect_inplace(y, z, a)
 
 
-def _hits(rx: ReceiverVolume, radius_a: float, x, y, z) -> np.ndarray:
-    """Indices of the particles inside ``rx``."""
+def _hits(rx: ReceiverVolume, radius_a: float, x, y, z) -> int:
+    """Number of particles inside ``rx``."""
     # Axial prefilter first: the receiver window is narrow, so the radial
     # and angular tests run on a small candidate set.
     cand = np.flatnonzero(np.abs(x - rx.axial_distance_d) <= rx.extent_cx / 2.0)
     yc = y[cand]
     zc = z[cand]
     cand = cand[np.sqrt(yc * yc + zc * zc) >= radius_a - rx.extent_cr]
-    return cand[np.abs(np.arctan2(z[cand], y[cand])) <= rx.extent_cphi / 2.0]
+    return int(np.count_nonzero(np.abs(np.arctan2(z[cand], y[cand])) <= rx.extent_cphi / 2.0))
 
 
-def _run_block(config: SimConfig, lo: int, hi: int,
-               snapshot_steps: Sequence[int], record_patterns: bool):
+def _run_block(config: SimConfig, lo: int, hi: int, snapshot_steps: Sequence[int]):
     ch = config.channel
     n = hi - lo
     x, y, z = _initial_block(config.release, ch.radius_a, config.seed, lo, n)
     columns = {int(s): col for col, s in enumerate(config.sample_steps)}
     counts = np.zeros((len(config.receivers), len(columns)), dtype=np.int64)
-    patterns = np.zeros((n, len(columns)), dtype=bool) if record_patterns else None
     snapshot_set = set(snapshot_steps)
     snaps: dict[int, np.ndarray] = {}
 
@@ -286,29 +283,24 @@ def _run_block(config: SimConfig, lo: int, hi: int,
         col = columns.get(j)
         if col is not None:
             for k, rx in enumerate(config.receivers):
-                hits = _hits(rx, ch.radius_a, x, y, z)
-                counts[k, col] = hits.size
-                if patterns is not None:
-                    patterns[hits, col] = True
+                counts[k, col] = _hits(rx, ch.radius_a, x, y, z)
         if j in snapshot_set:
             snaps[j] = np.column_stack((x, y * y + z * z))
-    return counts, snaps, patterns
+    return counts, snaps
 
 
-def _run_partitioned(config: SimConfig, threads: int,
-                     snapshot_steps: Sequence[int], record_patterns: bool):
+def _run_partitioned(config: SimConfig, threads: int, snapshot_steps: Sequence[int]):
     if threads < 1:
         raise ValueError("threads must be at least 1")
     n = config.release.n_tx
     bounds = np.linspace(0, n, min(threads, max(n, 1)) + 1).astype(int)
     with ThreadPoolExecutor(max_workers=bounds.size - 1) as pool:
-        futures = [pool.submit(_run_block, config, int(lo), int(hi), snapshot_steps,
-                               record_patterns) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        futures = [pool.submit(_run_block, config, int(lo), int(hi), snapshot_steps)
+                   for lo, hi in zip(bounds[:-1], bounds[1:])]
         results = [f.result() for f in futures]
     counts = np.sum([r[0] for r in results], axis=0)
     snaps = {s: np.concatenate([r[1][s] for r in results]) for s in snapshot_steps}
-    patterns = np.concatenate([r[2] for r in results]) if record_patterns else None
-    return counts, snaps, patterns
+    return counts, snaps
 
 
 def run(config: SimConfig, *, threads: int = 1,
@@ -338,7 +330,7 @@ def run(config: SimConfig, *, threads: int = 1,
     """
     snap_steps = sorted(set(_to_steps(snapshot_times, config.time_step, config.horizon,
                                       "snapshot times").tolist()))
-    counts, snaps, _ = _run_partitioned(config, threads, snap_steps, False)
+    counts, snaps = _run_partitioned(config, threads, snap_steps)
     meta = {
         "seed": config.seed,
         "time_step": config.time_step,
@@ -349,18 +341,3 @@ def run(config: SimConfig, *, threads: int = 1,
     snapshots = {s * config.time_step: snaps[s] for s in snap_steps}
     return SimResult(all_series, snapshots)
 
-
-def observation_patterns(config: SimConfig, *, threads: int = 1) -> np.ndarray:
-    """Per-particle receiver membership at every sample time.
-
-    Returns a boolean array of shape ``(n_tx, len(sample_times))`` whose
-    column sums reproduce :func:`run`'s counts.  This exposes the joint
-    observation behaviour of individual particles across sampling instants,
-    which drives the particle-based link Monte Carlo where a molecule seen
-    at one detection instant may be seen again at the next.  Patterns are
-    per receiver, so ``config`` must have exactly one.
-    """
-    if len(config.receivers) != 1:
-        raise ValueError("observation patterns need a single-receiver config")
-    _, _, patterns = _run_partitioned(config, threads, (), True)
-    return patterns

@@ -45,6 +45,9 @@ logger = logging.getLogger(__name__)
 
 _UM = 1e-6
 
+#: Particles in the engine pool behind a ``particle_binomial`` SER point.
+_POOL_PARTICLES = 100_000
+
 #: Named presets: overrides applied on top of the built-in defaults.
 PRESETS: dict[str, dict] = {
     "custom": {},
@@ -275,13 +278,13 @@ def _auto_link(cfg: ResolvedConfig, distance: float, symbol_interval: float):
     rx = cfg.receiver(distance=distance)
     verdict = classify_regime(channel, rx)
     if verdict.regime is Regime.DISPERSION:
-        model = DispersionModel.for_channel(channel, rx)
+        model = cfg.build(DispersionModel.for_channel, channel, rx)
         pob = lambda t: cir_dispersion(model, rx, t)  # noqa: E731
-        auto_delay = dispersion_peak_time(model, rx.axial_distance_d)
+        auto_delay = cfg.build(dispersion_peak_time, model, rx.axial_distance_d)
     else:
-        model = FlowModel.for_channel(channel, rx)
+        model = cfg.build(FlowModel.for_channel, channel, rx)
         pob = lambda t: cir_flow_uniform(model, t)  # noqa: E731
-        auto_delay = flow_transit_times(channel, rx)[1]
+        auto_delay = cfg.build(flow_transit_times, channel, rx)[1]
     delay = cfg["ook.detection_delay"]
     t0 = auto_delay if delay == "auto" else float(delay)
     threshold = cfg["ook.threshold"]
@@ -295,7 +298,22 @@ def _auto_link(cfg: ResolvedConfig, distance: float, symbol_interval: float):
         n_tx=cfg["release.n_tx"],
         cir=pob,
     )
-    return link, channel, rx, threshold == "optimal"
+    return link, rx, threshold == "optimal"
+
+
+def _particle_link(cfg: ResolvedConfig, link: OokLinkConfig, rx,
+                   threads: int) -> OokLinkConfig:
+    """``link`` on the empirical ``P_ob(t0 + j T)`` of one engine run.
+
+    The run releases ``_POOL_PARTICLES`` particles of the configured kind
+    and counts those inside ``rx`` at the (step-snapped) detection offsets.
+    The counts, placed at the exact offsets, become ``link``'s impulse
+    response, so ``isi_probabilities`` returns the pool's fractions as they are.
+    """
+    offsets = link.detection_delay_t0 + link.symbol_interval_T * np.arange(link.seq_len_K)
+    pool = replace(cfg.release(), n_tx=_POOL_PARTICLES)
+    series = run(cfg.build(_sim_for_grid, cfg, rx, pool, offsets), threads=threads).series
+    return replace(link, cir=replace(series, times=offsets).to_impulse_response())
 
 
 def ser_action(cfg: ResolvedConfig, out_dir: Path, fmt: str, threads: int = 1,
@@ -304,29 +322,32 @@ def ser_action(cfg: ResolvedConfig, out_dir: Path, fmt: str, threads: int = 1,
     if methods is None:
         methods = [SerMethod(cfg["ook.method"])]
     realizations = cfg["ook.realizations"]
-    analytic = (SerMethod.POISSON_ANALYTIC, SerMethod.BINOMIAL_ANALYTIC)
-    if realizations < 1 and any(m not in analytic for m in methods):
+    if realizations < 1 and SerMethod.MONTE_CARLO_COUNTS in methods:
         raise ConfigError(f"ook.realizations must be at least 1, got {realizations}")
     seed = cfg["seed"]
     rows = []
     for distance in cfg["ser.distances"]:
         for symbol_interval in cfg["ser.symbol_intervals"]:
-            link, channel, rx, search = _auto_link(cfg, distance, symbol_interval)
+            link, rx, search = _auto_link(cfg, distance, symbol_interval)
+            searched = None
             if search:
-                xi_opt, _ = optimal_threshold(link, SerMethod.POISSON_ANALYTIC)
+                xi_opt, searched = optimal_threshold(link, SerMethod.POISSON_ANALYTIC)
                 link = replace(link, threshold_xi=xi_opt)
             else:
                 xi_opt = link.threshold_xi
             for method in methods:
-                if method in analytic:
-                    result = ser_analytic(link, method)
-                    used = 0
-                else:
-                    result = ser_monte_carlo(
-                        link, realizations, seed, method,
-                        channel=channel, rx=rx, release=cfg.release(),
-                        time_step=cfg["sim.time_step"], threads=threads)
+                used = 0
+                if method is SerMethod.MONTE_CARLO_COUNTS:
+                    result = ser_monte_carlo(link, realizations, seed, method)
                     used = realizations
+                elif method is SerMethod.PARTICLE_BINOMIAL:
+                    result = ser_analytic(_particle_link(cfg, link, rx, threads),
+                                          SerMethod.BINOMIAL_ANALYTIC)
+                elif method is SerMethod.POISSON_ANALYTIC and searched is not None:
+                    # The search's table holds every threshold, xi_opt's included.
+                    result = searched
+                else:
+                    result = ser_analytic(link, method)
                 rows.append((symbol_interval, distance, xi_opt, result.ser,
                              method.value, used, seed))
     _log_trend(rows)

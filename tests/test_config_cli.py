@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import ductflow
+from ductflow import SerMethod
 from ductflow.cli import main
 from ductflow.config import ConfigError, load_config, parse_value
 from ductflow.output import Table, emit_table
@@ -275,7 +276,8 @@ class TestCli:
 
     @pytest.mark.parametrize("setting", [
         "ook.seq_len=0", "ook.noise_mean=-1", "ook.threshold=2000",
-        "ook.method=monte_carlo_counts ook.realizations=0"])
+        "ook.method=monte_carlo_counts ook.realizations=0",
+        "channel.diffusion=0 channel.mean_velocity=0"])
     def test_link_invariant_is_config_error(self, tmp_path, capsys, setting):
         flags = [arg for item in setting.split() for arg in ("--set", item)]
         rc = main(["ser", "--out", str(tmp_path),
@@ -292,6 +294,12 @@ class TestCli:
                    "--set", "snapshot.times=0.02"])
         assert rc == 0
         assert (tmp_path / "snapshot_t0.02s.csv").exists()
+
+    def test_particle_monte_carlo_is_gone(self, tmp_path, capsys):
+        rc = main(["ser", "--out", str(tmp_path), "--set", "ook.method=monte_carlo_particles"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "ook.method" in err and all(m.value in err for m in SerMethod)
 
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_threads_below_one_is_config_error(self, tmp_path, capsys, threads):
@@ -409,6 +417,11 @@ GOLDEN.update({
         ["ser", "--format", "json"] + SER_ARGS,
         ["ser_sweep.json"],
         {"ser_sweep.json": "c88cafba5ef3caab69b85fa807227bd55cf61d31b1f5cfc3c685af0619c74d4c"}),
+    "ser_particle": (
+        ["ser", "--set", "ook.method=particle_binomial", "--set", "ook.realizations=0",
+         "--set", "channel.radius=10 um", "--set", "channel.diffusion=0"],
+        ["ser_sweep.csv"],
+        {"ser_sweep.csv": "ab96ef494e3409bd9f80ea18a2637f30031ef614659aaed9037ac62687b99544"}),
     "simulate": (
         ["simulate"] + SIM_ARGS,
         ["observations.csv"],

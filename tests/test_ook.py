@@ -16,17 +16,21 @@ from ductflow import (
     OokLinkConfig,
     ReleaseSpec,
     SerMethod,
+    SimConfig,
     cir_flow_uniform,
     detect,
     mean_signal,
     optimal_threshold,
+    run,
     sample_cir_flow_uniform,
     ser_analytic,
     ser_monte_carlo,
     symbol_error_prob_poisson,
 )
-from ductflow.ook import _binomial_pmf, _error_table, _poisson_cdf, _poisson_pmf
-from ductflow.presets import _auto_link, preset_config
+from ductflow import presets
+from ductflow.config import load_config
+from ductflow.ook import _MC_BLOCK, _binomial_pmf, _error_table, _poisson_cdf, _poisson_pmf
+from ductflow.presets import _auto_link, _particle_link, preset_config
 from conftest import make_channel, make_receiver
 
 
@@ -406,6 +410,17 @@ class TestOptimalThreshold:
         assert all(a >= b - 1e-12 for a, b in zip(sers, sers[1:]))
 
 
+def particle_cfg(diffusion):
+    """A 10 um duct whose receiver, at 20 um, matches ``make_receiver(10e-6, 20e-6)``."""
+    return load_config({"channel.radius": 10e-6, "channel.diffusion": diffusion,
+                        "rx.distance": 20e-6, "release.n_tx": 200,
+                        "sim.time_step": 1e-4, "seed": 7})
+
+
+#: Three symbols 10 ms apart on n_tx = 200 at threshold 6, on any response.
+PARTICLE_LINK = OokLinkConfig(0.01, 3, 0.015, 6, 0.5, 200, zero_cir)
+
+
 class TestSerMonteCarlo:
     def test_counts_mode_matches_binomial_analytic(self):
         link, *_ = flow_link(T=0.25)
@@ -449,24 +464,45 @@ class TestSerMonteCarlo:
         assert one.ser == two.ser
         assert np.array_equal(one.per_symbol_errors, two.per_symbol_errors)
 
-    def test_particle_mode_agrees_on_flow_only_channel(self, wide_flow_only):
-        # With D = 0 the pool is exact and cheap; particle correlations are
-        # mild for this geometry, so both modes land close together.
-        rx = make_receiver(200e-6, 200e-6)
-        model = FlowModel.for_channel(wide_flow_only, rx)
-        link = OokLinkConfig(0.1, 3, model.t2, 40, 4.0, 1000,
-                             lambda t: cir_flow_uniform(model, t))
-        particles = ser_monte_carlo(
-            link, 6000, seed=5, method=SerMethod.MONTE_CARLO_PARTICLES,
-            channel=wide_flow_only, rx=rx, release=ReleaseSpec.uniform(1000),
-            time_step=1e-3, pool_particles=50_000)
-        counts = ser_monte_carlo(link, 6000, seed=6)
-        assert particles.ser == pytest.approx(counts.ser, abs=0.02)
-        assert particles.method is SerMethod.MONTE_CARLO_PARTICLES
+    def test_blocks_bound_memory(self):
+        # 3e5 realizations span five blocks of _MC_BLOCK.  A block holds its
+        # counts and one offset's draws (8 bytes a cell each), its bits (1
+        # byte) and the binomial draws themselves (at most 8), so the peak
+        # stays under 32 bytes a cell of one block, 16.8 MB: below even one
+        # unblocked (realizations, K) int64 array (19.2 MB).  Drawn
+        # unblocked, the peak was 77 MB.  Summing the blocks' errors must
+        # keep every per-symbol rate within 4 standard errors of the
+        # binomial-analytic value.
+        link, *_ = flow_link(T=0.25)
+        xi, _ = optimal_threshold(link)
+        link = replace(link, threshold_xi=xi)
+        realizations = 300_000
+        bound = 32 * _MC_BLOCK * link.seq_len_K
+        assert realizations > 4 * _MC_BLOCK and bound < 8 * realizations * link.seq_len_K
+        tracemalloc.start()
+        try:
+            mc = ser_monte_carlo(link, realizations, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+        p = ser_analytic(link, SerMethod.BINOMIAL_ANALYTIC).per_symbol_errors
+        assert np.all(np.abs(mc.per_symbol_errors - p)
+                      <= 4.0 * np.sqrt(p * (1.0 - p) / realizations))
 
-    # Pinned particle-mode SERs: they depend on every bit of the pattern
-    # pool the multinomial draws come from.  A change to the engine's
-    # streams on purpose updates them.
+    def test_refuses_analytic_methods(self):
+        link, *_ = flow_link()
+        for method in (*ANALYTIC, SerMethod.PARTICLE_BINOMIAL):
+            with pytest.raises(ValueError, match="not a Monte Carlo method"):
+                ser_monte_carlo(link, 10, seed=1, method=method)
+
+    # The particle Monte Carlo that ``particle_binomial`` replaced drew every
+    # release from a pool's per-particle observation patterns.  On this
+    # 2000-particle pool (seed 7, 2000 realizations) it gave these SERs and
+    # per-symbol errors.  Its expectation is the binomial SER on the same
+    # pool's P_ob, so each per-symbol error lies within 4 binomial standard
+    # errors of that exact value (|z| <= 1.91 here), which is the same on 1
+    # and 3 threads bit for bit.
     PINNED_PARTICLE_SER = {
         1e-10: (0.17833333333333334, [0.101, 0.203, 0.231]),
         0.0: (0.16233333333333333, [0.0925, 0.1665, 0.228]),
@@ -474,22 +510,38 @@ class TestSerMonteCarlo:
 
     @pytest.mark.parametrize("threads", [1, 3])
     @pytest.mark.parametrize("diffusion", [1e-10, 0.0])
-    def test_particle_mode_pinned(self, diffusion, threads):
-        channel = make_channel(radius=10e-6, diffusion=diffusion)
-        link = OokLinkConfig(0.01, 3, 0.015, 6, 0.5, 200, zero_cir)
-        result = ser_monte_carlo(
-            link, 2000, seed=7, method=SerMethod.MONTE_CARLO_PARTICLES,
-            channel=channel, rx=make_receiver(10e-6, 20e-6),
-            release=ReleaseSpec.uniform(200), time_step=1e-4, pool_particles=2000,
-            threads=threads)
-        ser, per_symbol = self.PINNED_PARTICLE_SER[diffusion]
-        assert result.ser == ser
-        assert result.per_symbol_errors.tolist() == per_symbol
+    def test_particle_mode_pinned(self, monkeypatch, diffusion, threads):
+        monkeypatch.setattr(presets, "_POOL_PARTICLES", 2000)
+        cfg = particle_cfg(diffusion)
+        exact, other = (
+            ser_analytic(_particle_link(cfg, PARTICLE_LINK, cfg.receiver(), t),
+                         SerMethod.BINOMIAL_ANALYTIC)
+            for t in (threads, 4 - threads))
+        assert exact.ser == other.ser
+        assert np.array_equal(exact.per_symbol_errors, other.per_symbol_errors)
+        _, per_symbol = self.PINNED_PARTICLE_SER[diffusion]
+        e = exact.per_symbol_errors
+        assert np.all(np.abs(np.array(per_symbol) - e) <= 4.0 * np.sqrt(e * (1.0 - e) / 2000))
 
-    def test_particle_mode_needs_channel(self):
-        link, *_ = flow_link()
-        with pytest.raises(ValueError):
-            ser_monte_carlo(link, 10, seed=1, method=SerMethod.MONTE_CARLO_PARTICLES)
+
+class TestParticleBinomial:
+    """``particle_binomial``: the binomial SER on a pool's empirical ``P_ob``."""
+
+    def test_is_binomial_on_pool_fractions(self, monkeypatch):
+        monkeypatch.setattr(presets, "_POOL_PARTICLES", 2000)
+        cfg = particle_cfg(1e-10)
+        link = _particle_link(cfg, PARTICLE_LINK, cfg.receiver(), threads=2)
+        offsets = 0.015 + 0.01 * np.arange(3)
+        pool = SimConfig(channel=make_channel(radius=10e-6, diffusion=1e-10),
+                         rx=make_receiver(10e-6, 20e-6), release=ReleaseSpec.uniform(2000),
+                         time_step=1e-4, horizon=float(offsets[-1]), seed=7,
+                         sample_times=offsets)
+        counts = run(pool).series.counts
+        assert np.all(counts > 0)
+        assert np.array_equal(link.isi_probabilities(), counts / 2000)
+        result = ser_analytic(link, SerMethod.BINOMIAL_ANALYTIC)
+        oracle = brute_force_errors(link, SerMethod.BINOMIAL_ANALYTIC)[:, link.threshold_xi]
+        assert np.max(np.abs(result.per_symbol_errors - oracle)) <= rounding_tolerance(link)
 
 
 class TestLongSequences:

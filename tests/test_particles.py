@@ -18,7 +18,6 @@ from ductflow import (
     SimConfig,
     cir_flow_uniform,
     flow_point_window,
-    observation_patterns,
     point_in_receiver,
     run,
     rx_area_fraction,
@@ -243,6 +242,24 @@ class TestRun:
         assert response.meta["ci_half_width"].shape == response.values.shape
         assert np.all(response.values <= 1.0)
 
+    # SHA-256 of the counts' bytes: they pin the random streams and the
+    # receiver test for D > 0 and D = 0.  Samples start at t = 0, so step 0
+    # is observed too.  A change to the streams on purpose updates them.
+    COUNTS_SHA256 = {
+        1e-10: "4b1a65aa065166e881882aa81ff575c389c4559b1b58d411847cb5896ab76e4a",
+        0.0: "33c27a6878059b422efb47ba7c76cffed78f6adc98d3cdb4f28666a79956a7b4",
+    }
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("diffusion", [1e-10, 0.0])
+    def test_pinned_counts(self, diffusion, threads):
+        channel = make_channel(radius=10e-6, diffusion=diffusion)
+        cfg = sim_config(channel, make_receiver(10e-6, 20e-6), ReleaseSpec.uniform(1500),
+                         np.arange(0, 41) * 1e-3, seed=2017, dt=1e-4)
+        counts = run(cfg, threads=threads).series.counts
+        assert counts.dtype == np.int64 and counts.sum() > 0
+        assert hashlib.sha256(counts.tobytes()).hexdigest() == self.COUNTS_SHA256[diffusion]
+
 
 class TestSnapshots:
     def test_at_release_plane(self, narrow_channel):
@@ -273,44 +290,6 @@ class TestSnapshots:
         ks = stats.kstest(u, "uniform")
         critical_1pct = 1.63 / math.sqrt(u.size)
         assert ks.statistic < critical_1pct
-
-
-class TestObservationPatterns:
-    def test_column_sums_match_counts(self, wide_flow_only):
-        rx = make_receiver(200e-6, 200e-6)
-        times = np.arange(1, 50) * 5e-3
-        cfg = sim_config(wide_flow_only, rx, ReleaseSpec.uniform(3000), times)
-        patterns = observation_patterns(cfg)
-        series = run(cfg).series
-        assert patterns.shape == (3000, times.size)
-        assert np.array_equal(patterns.sum(axis=0), series.counts)
-
-    def test_diffusive_patterns_consistent(self, narrow_channel):
-        rx = make_receiver(10e-6, 200e-6)
-        times = [0.1, 0.2]
-        cfg = sim_config(narrow_channel, rx, ReleaseSpec.uniform(2000), times, seed=5)
-        patterns = observation_patterns(cfg, threads=3)
-        series = run(cfg, threads=2).series
-        assert np.array_equal(patterns.sum(axis=0), series.counts)
-
-    # SHA-256 of the patterns' bytes: they pin the random streams and the
-    # receiver test for D > 0 and D = 0.  Samples start at t = 0, so step 0
-    # is observed too.  A change to the streams on purpose updates them.
-    PATTERN_SHA256 = {
-        1e-10: "e3ae95bfd787b7729dd8c4511858b94804ef028394cfa769f6cff571b51204d3",
-        0.0: "8b0f1862e7b52ca22833aaa50814ac79ceb4ddd2ec2fb6f772fbbd1058a7ce68",
-    }
-
-    @pytest.mark.parametrize("threads", [1, 3])
-    @pytest.mark.parametrize("diffusion", [1e-10, 0.0])
-    def test_pinned_bytes(self, diffusion, threads):
-        channel = make_channel(radius=10e-6, diffusion=diffusion)
-        cfg = sim_config(channel, make_receiver(10e-6, 20e-6), ReleaseSpec.uniform(1500),
-                         np.arange(0, 41) * 1e-3, seed=2017, dt=1e-4)
-        patterns = observation_patterns(cfg, threads=threads)
-        assert patterns.shape == (1500, 41) and patterns.sum() > 0
-        digest = hashlib.sha256(patterns.tobytes()).hexdigest()
-        assert digest == self.PATTERN_SHA256[diffusion]
 
 
 class TestMultiReceiver:
@@ -363,12 +342,6 @@ class TestMultiReceiver:
                        ReleaseSpec.uniform(10), self.TIMES)
         with pytest.raises(ValueError):
             sim_config(narrow_channel, (), ReleaseSpec.uniform(10), self.TIMES)
-
-    def test_observation_patterns_refuse_many_receivers(self, narrow_channel):
-        cfg = sim_config(narrow_channel, self.RECEIVERS[:2], ReleaseSpec.uniform(10),
-                         self.TIMES)
-        with pytest.raises(ValueError, match="single-receiver"):
-            observation_patterns(cfg)
 
     @pytest.mark.parametrize("threads", [0, -1])
     def test_threads_below_one_rejected(self, narrow_channel, threads):

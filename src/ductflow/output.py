@@ -2,13 +2,16 @@
 
 Every output file embeds the fully resolved configuration and the seed as a
 reproducibility header, and identical inputs produce byte-identical files:
-column order is fixed by the caller, floats are rendered with 17 significant
-digits (round-trippable), and newlines are always ``\\n``.
+column order is fixed by the caller, CSV floats are rendered with 17
+significant digits and JSON is written by the stdlib encoder (floats by
+``repr``, infinity as ``Infinity``), both round-trippable, and newlines are
+always ``\\n``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -42,36 +45,11 @@ class Table:
                 raise ValueError("row width does not match column count")
 
 
-def _json_escape(text: str) -> str:
-    out = []
-    for ch in text:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    return "".join(out)
-
-
-def _json_value(value) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.17g}"
-    if isinstance(value, (list, tuple, np.ndarray)):
-        return "[" + ", ".join(_json_value(v) for v in value) + "]"
-    if isinstance(value, dict):
-        inner = ", ".join(f'"{_json_escape(str(k))}": {_json_value(v)}'
-                          for k, v in value.items())
-        return "{" + inner + "}"
-    return f'"{_json_escape(str(value))}"'
+def _json_default(value):
+    """Numpy scalars and arrays as their Python values; anything else as text."""
+    if isinstance(value, (np.generic, np.ndarray)):
+        return value.tolist()
+    return str(value)
 
 
 def _csv_text(table: Table) -> str:
@@ -88,7 +66,7 @@ def _json_text(table: Table) -> str:
         "columns": list(table.columns),
         "rows": [list(row) for row in table.rows],
     }
-    return _json_value(body) + "\n"
+    return json.dumps(body, ensure_ascii=False, default=_json_default) + "\n"
 
 
 def emit_table(table: Table, path: str | Path, fmt: str = "csv") -> Path:

@@ -202,6 +202,15 @@ class TestEmission:
         assert loaded["rows"][0][0] == 0.30000000000000004
         assert loaded["meta"]["note"] == 'quote " and backslash \\'
 
+    def test_json_round_trips_infinity(self, tmp_path):
+        # D = 0 puts the Peclet number, and so the margin, at infinity.
+        out = tmp_path / "out"
+        assert main(["regime", "--format", "json", "--set", "channel.diffusion=0",
+                     "--out", str(out)]) == 0
+        loaded = json.loads((out / "regime_scenarios.json").read_text())
+        peclet = loaded["columns"].index("peclet")
+        assert loaded["rows"] and all(row[peclet] == math.inf for row in loaded["rows"])
+
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):
             emit_table(Table(("x",), []), tmp_path / "t.xml", fmt="xml")
@@ -416,7 +425,7 @@ GOLDEN.update({
     "ser_json": (
         ["ser", "--format", "json"] + SER_ARGS,
         ["ser_sweep.json"],
-        {"ser_sweep.json": "c88cafba5ef3caab69b85fa807227bd55cf61d31b1f5cfc3c685af0619c74d4c"}),
+        {"ser_sweep.json": "5514f83dd8b0674a6fc6e983684e6395ddde4eb1fdc804be6a472f40fcf0e8aa"}),
     "ser_particle": (
         ["ser", "--set", "ook.method=particle_binomial", "--set", "ook.realizations=0",
          "--set", "channel.radius=10 um", "--set", "channel.diffusion=0"],
@@ -444,8 +453,8 @@ GOLDEN.update({
     "cir_json": (
         ["cir", "--format", "json", "--set", "rx.distance=800 um"],
         ["cir_analytic_d800um.json", "cir_peaks.json"],
-        {"cir_analytic_d800um.json": "8be1929c6656fd48bc4eae15579c2f77c1ffc940e673e3ada4b31bb79f7791aa",
-         "cir_peaks.json": "cb061a684d6c4beb4483045c0f8104379e8617377372c552b3ba9c25747d5686"}),
+        {"cir_analytic_d800um.json": "95c02d871284bbb44b6d92277d78d9e00887704181c27ab4ee4a8f4281a393b3",
+         "cir_peaks.json": "a663a56ab60f5396ac7c82338f4dc6ebfa0ff171d1f9b0e321fa0a1b58664cf8"}),
 })
 
 

@@ -21,6 +21,7 @@ from ductflow import (
     ReceiverVolume,
     SerMethod,
     cir_flow_uniform,
+    detection_offsets,
     optimal_threshold,
     ser_monte_carlo,
 )
@@ -40,10 +41,8 @@ def main():
         print(f"\n  d = {distance * 1e6:.0f} um (detects at t2 = {model.t2:.3f}s)")
         print(f"  {'T':>6} {'xi*':>5} {'analytic':>12} {'monte carlo':>12}")
         for T in (0.1, 0.2, 0.3, 0.45, 0.6, 0.75):
-            link = OokLinkConfig(symbol_interval_T=T, seq_len_K=8,
-                                 detection_delay_t0=model.t2, threshold_xi=0,
-                                 noise_mean_Nn=4.0, n_tx=1000,
-                                 cir=lambda t, m=model: cir_flow_uniform(m, t))
+            pob = cir_flow_uniform(model, detection_offsets(T, 8, model.t2))
+            link = OokLinkConfig(pob=pob, threshold_xi=0, noise_mean_Nn=4.0, n_tx=1000)
             xi, analytic = optimal_threshold(link)
             mc = ser_monte_carlo(replace(link, threshold_xi=xi), 4000, seed=2,
                                  method=SerMethod.MONTE_CARLO_COUNTS)

@@ -21,10 +21,8 @@ from .duct import (
     velocity_at,
 )
 from .impulse import (
-    CirModel,
     DispersionModel,
     FlowModel,
-    ImpulseResponse,
     cir_dispersion,
     cir_flow_point,
     cir_flow_uniform,
@@ -33,13 +31,13 @@ from .impulse import (
     effective_diffusion,
     flow_point_window,
     flow_transit_times,
-    sample_cir_flow_uniform,
 )
 from .ook import (
     OokLinkConfig,
     SerMethod,
     SerResult,
     detect,
+    detection_offsets,
     mean_signal,
     optimal_threshold,
     ser_analytic,
@@ -59,14 +57,14 @@ __all__ = [
     "DuctChannelConfig", "ReceiverVolume", "ReleaseKind", "ReleaseSpec",
     "Regime", "RegimeVerdict", "velocity_at", "mean_velocity_from_pressure",
     "peclet_number", "classify_regime", "rx_area_fraction", "point_in_receiver",
-    "CirModel", "ImpulseResponse", "DispersionModel", "FlowModel",
+    "DispersionModel", "FlowModel",
     "effective_diffusion", "cir_dispersion", "dispersion_peak_time",
     "dispersion_peak_value", "flow_transit_times", "cir_flow_uniform",
-    "cir_flow_point", "flow_point_window", "sample_cir_flow_uniform",
+    "cir_flow_point", "flow_point_window",
     "oracle_cir_dispersion", "oracle_cir_flow",
     "SimConfig", "ObservationSeries", "SimResult", "run",
-    "OokLinkConfig", "SerMethod", "SerResult", "mean_signal", "detect",
-    "symbol_error_prob_poisson", "ser_analytic", "optimal_threshold",
+    "OokLinkConfig", "SerMethod", "SerResult", "detection_offsets", "mean_signal",
+    "detect", "symbol_error_prob_poisson", "ser_analytic", "optimal_threshold",
     "ser_monte_carlo",
     "__version__",
 ]

@@ -31,7 +31,6 @@ __all__ = [
     "ReleaseSpec",
     "Regime",
     "RegimeVerdict",
-    "REGIME_THRESHOLD_FACTOR",
     "velocity_at",
     "mean_velocity_from_pressure",
     "peclet_number",
@@ -42,13 +41,6 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
-
-#: Default hysteresis factor for regime classification.  With the factor at
-#: 1.0 the comparison against the separating line Pe = 4 d / a is strict and
-#: ``Regime.BOUNDARY`` is returned only on exact equality.  Callers wanting a
-#: safety band around the line can pass a larger factor or apply their own
-#: policy using :attr:`RegimeVerdict.margin`.
-REGIME_THRESHOLD_FACTOR = 1.0
 
 
 def mean_velocity_from_pressure(pressure_gradient: float, radius_a: float,
@@ -269,25 +261,24 @@ def validate_receiver(config: DuctChannelConfig, rx: ReceiverVolume) -> None:
             f"{config.radius_a!r}")
 
 
-def classify_regime(config: DuctChannelConfig, rx: ReceiverVolume,
-                    threshold_factor: float = REGIME_THRESHOLD_FACTOR) -> RegimeVerdict:
+def classify_regime(config: DuctChannelConfig, rx: ReceiverVolume) -> RegimeVerdict:
     """Classify the channel as dispersion-, flow-dominated, or boundary.
 
     The two closed-form solution families apply when the Peclet number is
     far below respectively far above ``4 d / a``; the verdict compares the
-    margin ``Pe / (4 d / a)`` against ``threshold_factor``.  Results for
-    parameters close to the separating line should be treated with care, so
-    the verdict reports the raw numbers rather than hiding them.
+    margin ``Pe / (4 d / a)`` against 1 and is ``BOUNDARY`` only on exact
+    equality.  Results for parameters close to the separating line should
+    be treated with care, so the verdict reports the raw numbers (callers
+    wanting a safety band can apply their own policy to
+    :attr:`RegimeVerdict.margin`).
     """
-    if threshold_factor < 1.0:
-        raise ValueError("threshold factor must be >= 1")
     validate_receiver(config, rx)
     pe = peclet_number(config)
     ratio = rx.axial_distance_d / config.radius_a
     margin = pe / (4.0 * ratio)
-    if margin < 1.0 / threshold_factor:
+    if margin < 1.0:
         regime = Regime.DISPERSION
-    elif margin > threshold_factor:
+    elif margin > 1.0:
         regime = Regime.FLOW_DOMINATED
     else:
         regime = Regime.BOUNDARY

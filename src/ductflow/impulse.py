@@ -25,8 +25,7 @@ axial extent; :mod:`ductflow.oracles` certifies this by quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
@@ -44,8 +43,6 @@ from .duct import (
 )
 
 __all__ = [
-    "CirModel",
-    "ImpulseResponse",
     "DispersionModel",
     "FlowModel",
     "effective_diffusion",
@@ -56,53 +53,7 @@ __all__ = [
     "cir_flow_uniform",
     "cir_flow_point",
     "flow_point_window",
-    "sample_cir_flow_uniform",
 ]
-
-
-class CirModel(Enum):
-    """Provenance tag of an impulse response."""
-
-    FLOW_UNIFORM = "flow_uniform"
-    SIMULATED_MC = "simulated_mc"
-
-
-@dataclass(frozen=True)
-class ImpulseResponse:
-    """Sampled observation probability ``P_ob(t)`` with provenance.
-
-    ``times`` must be strictly increasing, ``values`` are probabilities.
-    Simulated responses must carry per-point confidence half-widths in
-    ``meta["ci_half_width"]`` (plus ``meta["stderr"]`` for rescaling).
-    """
-
-    times: np.ndarray
-    values: np.ndarray
-    model_tag: CirModel
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if t.ndim != 1 or v.shape != t.shape:
-            raise ValueError("times and values must be matching 1-D arrays")
-        if t.size and np.any(np.diff(t) <= 0.0):
-            raise ValueError("times must be strictly increasing")
-        if np.any(v < 0.0) or np.any(v > 1.0):
-            raise ValueError("impulse-response values must lie in [0, 1]")
-        if self.model_tag is CirModel.SIMULATED_MC and "ci_half_width" not in self.meta:
-            raise ValueError("simulated impulse responses must carry "
-                             "per-point confidence half-widths in meta['ci_half_width']")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "values", v)
-
-    def pob_at(self, t):
-        """Linearly interpolated ``P_ob(t)``; zero outside the sampled span.
-
-        The grid must therefore cover the full delay range of interest
-        (e.g. the intersymbol-interference horizon of a link).
-        """
-        return np.interp(t, self.times, self.values, left=0.0, right=0.0)
 
 
 def effective_diffusion(config: DuctChannelConfig) -> float:
@@ -322,16 +273,3 @@ def cir_flow_point(config: DuctChannelConfig, rx: ReceiverVolume,
     else:
         out = ((t_arr >= window[0]) & (t_arr <= window[1])).astype(float)
     return float(out[0]) if np.ndim(t) == 0 else out
-
-
-def sample_cir_flow_uniform(model: FlowModel, times) -> ImpulseResponse:
-    """Sample the flow-dominated uniform-release response on a grid."""
-    t = np.asarray(times, dtype=float)
-    return ImpulseResponse(
-        times=t,
-        values=cir_flow_uniform(model, t),
-        model_tag=CirModel.FLOW_UNIFORM,
-        meta={"provenance": "analytic", "t1": model.t1, "t2": model.t2,
-              "rx_fraction": model.rx_fraction,
-              "axial_distance_d": model.axial_distance_d},
-    )

@@ -43,12 +43,16 @@ offset-``j`` instant lies in the sequence, in C order of
 ``(realization, symbol)``, one block of realizations after another.
 ``PARTICLE_BINOMIAL`` is ``BINOMIAL_ANALYTIC`` on the empirical
 ``P_ob(t0 + j T)`` of one particle-engine run of 100 000 particles, which
-the CLI's SER action makes; this module only sees the sampled impulse
-response it yields.  A molecule seen at one instant can be seen again at
-the next, but that correlation couples the counts of different symbols,
-never the count of one, so the method is exact given the pool.  External
-noise molecules are modelled as Poisson with mean ``Nn``, independent
-across sampling instants.
+the CLI's SER action makes.  A molecule seen at one instant can be seen
+again at the next, but that correlation couples the counts of different
+symbols, never the count of one, so the method is exact given the pool.
+External noise molecules are modelled as Poisson with mean ``Nn``,
+independent across sampling instants.
+
+Every method sees the channel only through the ``K`` values
+``P_ob(t0 + j T)`` at the :func:`detection_offsets`, which a link holds as
+``pob``, whether a closed form or a particle pool gave them; this module
+never evaluates an impulse response itself.
 """
 
 from __future__ import annotations
@@ -57,18 +61,16 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
-from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln, pdtr, xlogy
+from scipy.special import gammaln, pdtr, xlog1py, xlogy
 from scipy.special._ufuncs import _binom_pmf
-
-from .impulse import ImpulseResponse
 
 __all__ = [
     "SerMethod",
     "OokLinkConfig",
     "SerResult",
+    "detection_offsets",
     "mean_signal",
     "detect",
     "symbol_error_prob_poisson",
@@ -91,69 +93,59 @@ class SerMethod(Enum):
     PARTICLE_BINOMIAL = "particle_binomial"
 
 
+def detection_offsets(symbol_interval_T: float, seq_len_K: int,
+                      detection_delay_t0: float) -> np.ndarray:
+    """Delays ``t0 + j T``, ``j = 0 .. K-1``, at which a link observes a release.
+
+    Symbol ``i`` is detected at ``t0 + i T``, so the release of symbol
+    ``i - j`` is seen there ``t0 + j T`` after it was sent.
+    """
+    if not symbol_interval_T > 0.0:
+        raise ValueError("symbol interval must be positive")
+    if seq_len_K < 1:
+        raise ValueError("sequence length must be at least 1")
+    if detection_delay_t0 < 0.0:
+        raise ValueError("detection delay must be non-negative")
+    return detection_delay_t0 + symbol_interval_T * np.arange(seq_len_K)
+
+
 @dataclass(frozen=True)
 class OokLinkConfig:
     """Configuration of one OOK link.
 
-    ``cir`` is either a vectorised callable ``t -> P_ob(t)`` (e.g. one of
-    the closed forms, partially applied) or a sampled
-    :class:`~ductflow.impulse.ImpulseResponse`; a sampled response is
-    interpolated and must cover every positive detection offset
-    ``t0 + j T``, from the first through the interference horizon
-    ``t0 + (K - 1) T`` (``ValueError`` otherwise).  ``P_ob`` is treated as 0
-    for non-positive delays.
+    ``pob`` holds ``P_ob(t0 + j T)`` for ``j = 0 .. K-1``, the channel's
+    observation probabilities at the :func:`detection_offsets`: the SER
+    depends on the channel only through them.  ``seq_len_K`` is their
+    number ``K``.  ``pob`` is stored as a read-only copy.
     """
 
-    symbol_interval_T: float
-    seq_len_K: int
-    detection_delay_t0: float
+    pob: np.ndarray
     threshold_xi: int
     noise_mean_Nn: float
     n_tx: int
-    cir: ImpulseResponse | Callable
 
     def __post_init__(self):
-        if not self.symbol_interval_T > 0.0:
-            raise ValueError("symbol interval must be positive")
-        if self.seq_len_K < 1:
+        pob = np.array(self.pob, dtype=float)
+        if pob.ndim != 1 or pob.size < 1:
             raise ValueError("sequence length must be at least 1")
-        if self.detection_delay_t0 < 0.0:
-            raise ValueError("detection delay must be non-negative")
+        if not np.all((pob >= 0.0) & (pob <= 1.0)):
+            raise ValueError("observation probabilities must lie in [0, 1]")
         if self.n_tx < 1:
             raise ValueError("per-symbol particle count must be at least 1")
         if not 0 <= self.threshold_xi <= self.n_tx:
             raise ValueError("detection threshold must lie in {0, ..., n_tx}")
         if self.noise_mean_Nn < 0.0:
             raise ValueError("noise mean must be non-negative")
-        if isinstance(self.cir, ImpulseResponse):
-            # pob_at reads 0 off the grid, which would silently drop signal
-            # before its first time and interference after its last.
-            offsets = self.detection_delay_t0 + self.symbol_interval_T * np.arange(self.seq_len_K)
-            times = self.cir.times
-            if not times.size or times[-1] < offsets[-1]:
-                raise ValueError("sampled impulse response must cover the interference "
-                                 f"horizon t0 + (K-1) T = {offsets[-1]:g} s")
-            positive = offsets[offsets > 0.0]
-            if positive.size and times[0] > positive[0]:
-                raise ValueError("sampled impulse response must start by the first "
-                                 f"positive detection offset {positive[0]:g} s")
+        pob.flags.writeable = False
+        object.__setattr__(self, "pob", pob)
 
-    def pob(self, tau):
-        """Observation probability at delay ``tau`` (0 for ``tau <= 0``)."""
-        tau_arr = np.atleast_1d(np.asarray(tau, dtype=float))
-        vals = np.zeros_like(tau_arr)
-        pos = tau_arr > 0.0
-        if np.any(pos):
-            if isinstance(self.cir, ImpulseResponse):
-                vals[pos] = self.cir.pob_at(tau_arr[pos])
-            else:
-                vals[pos] = np.asarray(self.cir(tau_arr[pos]), dtype=float)
-        return float(vals[0]) if np.ndim(tau) == 0 else vals
+    @property
+    def seq_len_K(self) -> int:
+        return self.pob.size
 
     def isi_probabilities(self) -> np.ndarray:
-        """``P_ob(t0 + j T)`` for offsets ``j = 0 .. K-1``."""
-        offsets = self.detection_delay_t0 + self.symbol_interval_T * np.arange(self.seq_len_K)
-        return np.atleast_1d(self.pob(offsets))
+        """The ISI vector ``P_ob(t0 + j T)``, ``j = 0 .. K-1``: the array ``pob``."""
+        return self.pob
 
 
 @dataclass(frozen=True)
@@ -189,15 +181,17 @@ def _check_sequence(sequence, k: int) -> np.ndarray:
     return bits
 
 
-def mean_signal(link: OokLinkConfig, sequence, t: float) -> float:
-    """Expected receiver count at time ``t`` for a transmitted sequence.
+def mean_signal(link: OokLinkConfig, sequence, i: int) -> float:
+    """Expected receiver count at detection instant ``i`` for a transmitted sequence.
 
-    ``n_tx * sum_k a[k] P_ob(t - k T) + Nn``; releases later than ``t``
-    contribute nothing because ``P_ob`` vanishes for non-positive delays.
+    ``n_tx * sum_{j <= i} a[i - j] P_ob(t0 + j T) + Nn``; the symbols after
+    ``i`` are released after the instant and contribute nothing.
     """
     bits = _check_sequence(sequence, link.seq_len_K)
-    delays = t - link.symbol_interval_T * np.arange(link.seq_len_K)
-    return float(link.n_tx * np.sum(bits * link.pob(delays)) + link.noise_mean_Nn)
+    if not 0 <= i < link.seq_len_K:
+        raise ValueError("symbol index out of range")
+    return link.noise_mean_Nn + link.n_tx * float(
+        np.sum(bits[: i + 1][::-1] * link.pob[: i + 1]))
 
 
 def _poisson_pmf(k, lam):
@@ -209,8 +203,14 @@ def _binomial_pmf(k, n, p):
     """``P(Binomial(n, p) = k)``: the kernel and clip of ``scipy.stats.binom.pmf``.
 
     The clip is part of the result: the raw kernel can exceed 1 by a few ulp.
+    The kernel raises ``OverflowError`` for ``p`` below about 1e-303, where
+    the pmf is computed from its logarithm instead.
     """
-    return np.clip(_binom_pmf(k, n, p), 0.0, 1.0)
+    try:
+        return np.clip(_binom_pmf(k, n, p), 0.0, 1.0)
+    except OverflowError:
+        return np.exp(gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
+                      + xlogy(k, p) + xlog1py(n - k, -p))
 
 
 def _poisson_cdf(k, lam):
@@ -223,17 +223,12 @@ def _poisson_cdf(k, lam):
 def symbol_error_prob_poisson(link: OokLinkConfig, sequence, i: int) -> float:
     """Poisson-model error probability of symbol ``i`` given ``a[j <= i]``.
 
-    With ``lam`` the mean signal at the detection instant ``t0 + i T``:
-    a transmitted 1 is missed with probability ``P(N < xi)``, a transmitted
-    0 is falsely detected with probability ``P(N >= xi)``.
+    With ``N`` Poisson with the :func:`mean_signal` at instant ``i``, a
+    transmitted 1 is missed with probability ``P(N < xi)``, a transmitted 0
+    is falsely detected with probability ``P(N >= xi)``.
     """
     bits = _check_sequence(sequence, link.seq_len_K)
-    if not 0 <= i < link.seq_len_K:
-        raise ValueError("symbol index out of range")
-    pvec = link.isi_probabilities()
-    lam = link.noise_mean_Nn + link.n_tx * float(
-        np.sum(bits[: i + 1][::-1] * pvec[: i + 1]))
-    cdf = _poisson_cdf(link.threshold_xi - 1, lam)
+    cdf = _poisson_cdf(link.threshold_xi - 1, mean_signal(link, bits, i))
     return float(cdf) if bits[i] == 1 else float(1.0 - cdf)
 
 
@@ -259,7 +254,7 @@ def _count_terms(link: OokLinkConfig, method: SerMethod) -> list[tuple[int, np.n
     and ``Binomial(n_tx, p_j)`` under ``BINOMIAL_ANALYTIC``, both on
     ``0..n_tx``.
     """
-    lam, n, pvec = link.noise_mean_Nn, link.n_tx, link.isi_probabilities()
+    lam, n, pvec = link.noise_mean_Nn, link.n_tx, link.pob
     if method is SerMethod.POISSON_ANALYTIC:
         offsets = [_trimmed_pmf(partial(_poisson_pmf, lam=n * p), n * p, n * p, n)
                    for p in pvec]
@@ -327,7 +322,7 @@ def _ser_result(link: OokLinkConfig, method: SerMethod, table: np.ndarray,
         per_symbol_errors=np.clip(per_symbol, 0.0, 1.0),
         threshold_used=xi,
         method=method,
-        meta={"isi_probabilities": link.isi_probabilities()},
+        meta={"isi_probabilities": link.pob},
     )
 
 
@@ -362,7 +357,7 @@ def _mc_counts_block(link: OokLinkConfig, realizations: int,
     k = link.seq_len_K
     sent = rng.integers(0, 2, size=(realizations, k), dtype=np.int64) == 1
     counts = rng.poisson(link.noise_mean_Nn, size=(realizations, k))
-    for j, p in enumerate(link.isi_probabilities()):
+    for j, p in enumerate(link.pob):
         if p <= 0.0:
             continue
         # A 1 sent at symbol s adds a Binomial(n_tx, p_j) count at symbol s + j.

@@ -45,7 +45,6 @@ from .duct import (
     ReleaseSpec,
     validate_receiver,
 )
-from .impulse import CirModel, ImpulseResponse
 
 __all__ = [
     "SimConfig",
@@ -100,25 +99,10 @@ class ObservationSeries:
         object.__setattr__(self, "counts", c)
 
     def probabilities(self) -> np.ndarray:
+        """Empirical ``P_ob`` at the sampled times: ``counts / n_tx`` (0 if ``n_tx = 0``)."""
         if self.n_tx == 0:
             return np.zeros_like(self.times)
         return self.counts / float(self.n_tx)
-
-    def to_impulse_response(self) -> ImpulseResponse:
-        """Empirical impulse response with binomial confidence half-widths."""
-        pob = self.probabilities()
-        if self.n_tx > 0:
-            stderr = np.sqrt(pob * (1.0 - pob) / self.n_tx)
-        else:
-            stderr = np.zeros_like(pob)
-        meta = dict(self.meta)
-        meta.update({
-            "n_tx": self.n_tx,
-            "stderr": stderr,
-            "ci_half_width": 1.96 * stderr,
-            "ci_level": 0.95,
-        })
-        return ImpulseResponse(self.times, pob, CirModel.SIMULATED_MC, meta)
 
 
 def _to_steps(times, time_step: float, horizon: float, what: str) -> np.ndarray:

@@ -33,7 +33,8 @@ from .impulse import (
     dispersion_peak_value,
     flow_transit_times,
 )
-from .ook import OokLinkConfig, SerMethod, optimal_threshold, ser_analytic, ser_monte_carlo
+from .ook import (OokLinkConfig, SerMethod, detection_offsets, optimal_threshold, ser_analytic,
+                  ser_monte_carlo)
 from .output import Table, emit_table
 from .particles import SimConfig, run
 
@@ -236,13 +237,17 @@ def _simulated_cir_paths(cfg: ResolvedConfig, out_dir: Path, fmt: str,
     for k, distance in enumerate(distances):
         for label in labels:
             series = results[label].all_series[k]
-            response = series.to_impulse_response()
+            # Binomial standard errors and 95 % confidence half-widths.
+            pob = series.probabilities()
+            if series.n_tx > 0:
+                stderr = np.sqrt(pob * (1.0 - pob) / series.n_tx)
+            else:
+                stderr = np.zeros_like(pob)
             table = Table(
                 columns=("t_s", "pob", "stderr", "ci_half_width", "count", "n_tx"),
                 rows=[(float(t), float(p), float(se), float(hw), int(c), series.n_tx)
                       for t, p, se, hw, c in zip(
-                          response.times, response.values, response.meta["stderr"],
-                          response.meta["ci_half_width"], series.counts)],
+                          series.times, pob, stderr, 1.96 * stderr, series.counts)],
                 meta=cfg.header(content="simulated impulse response",
                                 release=label, rx_distance_m=distance,
                                 seed=cfg["seed"]),
@@ -273,47 +278,48 @@ def snapshot_action(cfg: ResolvedConfig, out_dir: Path, fmt: str,
 
 
 def _auto_link(cfg: ResolvedConfig, distance: float, symbol_interval: float):
-    """Build the OOK link for one sweep point, resolving auto delay/threshold."""
+    """Build the OOK link for one sweep point, resolving auto delay/threshold.
+
+    Returns ``(link, rx, offsets, search)``: the link holds the regime's
+    closed form at the detection ``offsets``, and ``search`` says whether
+    its threshold is still to be optimised.
+    """
     channel = cfg.channel()
     rx = cfg.receiver(distance=distance)
     verdict = classify_regime(channel, rx)
     if verdict.regime is Regime.DISPERSION:
         model = cfg.build(DispersionModel.for_channel, channel, rx)
-        pob = lambda t: cir_dispersion(model, rx, t)  # noqa: E731
+        closed_form = partial(cir_dispersion, model, rx)
         auto_delay = cfg.build(dispersion_peak_time, model, rx.axial_distance_d)
     else:
         model = cfg.build(FlowModel.for_channel, channel, rx)
-        pob = lambda t: cir_flow_uniform(model, t)  # noqa: E731
+        closed_form = partial(cir_flow_uniform, model)
         auto_delay = cfg.build(flow_transit_times, channel, rx)[1]
     delay = cfg["ook.detection_delay"]
     t0 = auto_delay if delay == "auto" else float(delay)
+    offsets = cfg.build(detection_offsets, symbol_interval, cfg["ook.seq_len"], t0)
     threshold = cfg["ook.threshold"]
     link = cfg.build(
         OokLinkConfig,
-        symbol_interval_T=symbol_interval,
-        seq_len_K=cfg["ook.seq_len"],
-        detection_delay_t0=t0,
+        pob=closed_form(offsets),
         threshold_xi=0 if threshold == "optimal" else int(threshold),
         noise_mean_Nn=cfg["ook.noise_mean"],
         n_tx=cfg["release.n_tx"],
-        cir=pob,
     )
-    return link, rx, threshold == "optimal"
+    return link, rx, offsets, threshold == "optimal"
 
 
-def _particle_link(cfg: ResolvedConfig, link: OokLinkConfig, rx,
+def _particle_link(cfg: ResolvedConfig, link: OokLinkConfig, rx, offsets,
                    threads: int) -> OokLinkConfig:
-    """``link`` on the empirical ``P_ob(t0 + j T)`` of one engine run.
+    """``link`` on the empirical ``P_ob`` at the detection ``offsets`` of one engine run.
 
     The run releases ``_POOL_PARTICLES`` particles of the configured kind
-    and counts those inside ``rx`` at the (step-snapped) detection offsets.
-    The counts, placed at the exact offsets, become ``link``'s impulse
-    response, so ``isi_probabilities`` returns the pool's fractions as they are.
+    and counts those inside ``rx`` at the (step-snapped) offsets; the
+    pool's fractions become ``link.pob`` as they are.
     """
-    offsets = link.detection_delay_t0 + link.symbol_interval_T * np.arange(link.seq_len_K)
     pool = replace(cfg.release(), n_tx=_POOL_PARTICLES)
     series = run(cfg.build(_sim_for_grid, cfg, rx, pool, offsets), threads=threads).series
-    return replace(link, cir=replace(series, times=offsets).to_impulse_response())
+    return replace(link, pob=series.probabilities())
 
 
 def ser_action(cfg: ResolvedConfig, out_dir: Path, fmt: str, threads: int = 1,
@@ -328,7 +334,7 @@ def ser_action(cfg: ResolvedConfig, out_dir: Path, fmt: str, threads: int = 1,
     rows = []
     for distance in cfg["ser.distances"]:
         for symbol_interval in cfg["ser.symbol_intervals"]:
-            link, rx, search = _auto_link(cfg, distance, symbol_interval)
+            link, rx, offsets, search = _auto_link(cfg, distance, symbol_interval)
             searched = None
             if search:
                 xi_opt, searched = optimal_threshold(link, SerMethod.POISSON_ANALYTIC)
@@ -341,7 +347,7 @@ def ser_action(cfg: ResolvedConfig, out_dir: Path, fmt: str, threads: int = 1,
                     result = ser_monte_carlo(link, realizations, seed, method)
                     used = realizations
                 elif method is SerMethod.PARTICLE_BINOMIAL:
-                    result = ser_analytic(_particle_link(cfg, link, rx, threads),
+                    result = ser_analytic(_particle_link(cfg, link, rx, offsets, threads),
                                           SerMethod.BINOMIAL_ANALYTIC)
                 elif method is SerMethod.POISSON_ANALYTIC and searched is not None:
                     # The search's table holds every threshold, xi_opt's included.

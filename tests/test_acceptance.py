@@ -24,6 +24,7 @@ from ductflow import (
     SimConfig,
     cir_dispersion,
     cir_flow_uniform,
+    detection_offsets,
     dispersion_peak_time,
     effective_diffusion,
     flow_point_window,
@@ -62,10 +63,8 @@ def quarter_receiver(radius: float, distance: float) -> ReceiverVolume:
 def flow_sweep_link(channel, distance, T, K=8, n_tx=1000, noise=4.0):
     rx = quarter_receiver(channel.radius_a, distance)
     model = FlowModel.for_channel(channel, rx)
-    link = OokLinkConfig(symbol_interval_T=T, seq_len_K=K,
-                         detection_delay_t0=model.t2, threshold_xi=0,
-                         noise_mean_Nn=noise, n_tx=n_tx,
-                         cir=lambda t: cir_flow_uniform(model, t))
+    link = OokLinkConfig(pob=cir_flow_uniform(model, detection_offsets(T, K, model.t2)),
+                         threshold_xi=0, noise_mean_Nn=noise, n_tx=n_tx)
     return link, model, rx
 
 

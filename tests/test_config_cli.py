@@ -1,5 +1,6 @@
 """Configuration resolution, preset defaults, emission, and the CLI surface."""
 
+import ast
 import hashlib
 import json
 import math
@@ -341,6 +342,30 @@ class TestCli:
         assert not self._cli_imports("scipy.integrate")
         assert ductflow.oracle_cir_flow is ductflow.oracles.oracle_cir_flow
 
+    @staticmethod
+    def _package_imports(module: str) -> set[str]:
+        """The ``ductflow`` modules that ``ductflow/<module>.py`` imports, by AST."""
+        source = Path(ductflow.__file__).with_name(f"{module}.py").read_text()
+        found = set()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom):
+                if node.level:
+                    found |= ({node.module} if node.module
+                              else {alias.name for alias in node.names})
+                elif (node.module or "").startswith("ductflow"):
+                    found.add(node.module)
+            elif isinstance(node, ast.Import):
+                found |= {alias.name for alias in node.names
+                          if alias.name.startswith("ductflow")}
+        return {name.removeprefix("ductflow.") for name in found}
+
+    def test_layering(self):
+        # The link layer sees the channel only through its observation
+        # probabilities, and the engine needs only the duct geometry.
+        assert self._package_imports("ook") == set()
+        assert self._package_imports("particles") == {"duct"}
+        assert self._package_imports("presets") >= {"ook", "particles", "impulse"}
+
     def test_every_output_embeds_config_and_seed(self, tmp_path):
         assert main(["regime", "--out", str(tmp_path), "--seed", "77"]) == 0
         for path in tmp_path.glob("*.csv"):
@@ -413,6 +438,17 @@ SIM_ARGS = ["--seed", "11", "--set", "release.n_tx=1500", "--set", "grid.t_stop=
 GOLDEN = {name: (["preset", name] + CIR_ARGS, CIR_GOLDEN_ORDER, digests)
           for name, digests in CIR_GOLDEN_SHA256.items()}
 GOLDEN.update({
+    # No particles released: every simulated pob, stderr and half-width is 0.
+    "cir_no_release": (
+        ["preset", "cir_small_duct", "--set", "release.n_tx=0", "--set", "grid.t_stop=0.1"],
+        CIR_GOLDEN_ORDER,
+        {"cir_analytic_d200um.csv": "08683ba0f8f840733fe2e2ef7ae2c13316a2c247f64af45bd93a5e9750b6ac03",
+         "cir_analytic_d800um.csv": "7398e65fd5731145b805d64c78c40270d597dcd742c8cf0cc55833466656ecd0",
+         "cir_peaks.csv": "0aa559a2681746bb5c4dfb7660e7ca2dc21fc9e92372c3c2af65f67111d75756",
+         "cir_sim_point_d200um.csv": "50e514ed43f64b610cac939a3b2c69a1bc5c583a7b05f37c6e3631d6477702f6",
+         "cir_sim_point_d800um.csv": "a81d954e1c93101e89c12f1e6726431235e9671ecbb1cafe566743679ca37ccc",
+         "cir_sim_uniform_d200um.csv": "e2894d1bb3c1f486ebbc2e4c717da6199ec4bf9ccf3a17bad7bd77d6ed03712d",
+         "cir_sim_uniform_d800um.csv": "8dc072ce67a252dc502efcd9764a17ae2aa4e3719f88ac361a8b4ac8d670367a"}),
     "ser_sweep": (
         ["preset", "ser_sweep", "--seed", "5", "--set", "ser.distances=200 um, 800 um",
          "--set", "ser.symbol_intervals=0.1, 0.5", "--set", "ook.realizations=500"],

@@ -6,10 +6,8 @@ import numpy as np
 import pytest
 
 from ductflow import (
-    CirModel,
     DispersionModel,
     FlowModel,
-    ImpulseResponse,
     ReceiverVolume,
     ReleaseSpec,
     cir_dispersion,
@@ -22,7 +20,6 @@ from ductflow import (
     flow_transit_times,
     oracle_cir_dispersion,
     oracle_cir_flow,
-    sample_cir_flow_uniform,
 )
 from conftest import make_channel, make_receiver
 
@@ -256,11 +253,6 @@ class TestFlowUniformCir:
                 assert cir_flow_uniform(model, model.t2 / alpha) == pytest.approx(
                     alpha * peak, rel=1e-12)
 
-    def test_sampling_tags_model(self, model):
-        response = sample_cir_flow_uniform(model, np.linspace(0.01, 1.0, 100))
-        assert response.model_tag is CirModel.FLOW_UNIFORM
-        assert response.values.max() <= model.rx_fraction
-
 
 class TestFlowPointCir:
     @pytest.fixture
@@ -324,22 +316,3 @@ class TestFlowOracle:
             assert oracle_cir_flow(wide_flow_only, rx, release, t) == \
                 cir_flow_point(wide_flow_only, rx, release, t)
 
-
-class TestImpulseResponseType:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ImpulseResponse(np.array([0.2, 0.1]), np.array([0.0, 0.0]),
-                            CirModel.FLOW_UNIFORM)
-        with pytest.raises(ValueError):
-            ImpulseResponse(np.array([0.1, 0.2]), np.array([0.0, 1.5]),
-                            CirModel.FLOW_UNIFORM)
-        with pytest.raises(ValueError):
-            ImpulseResponse(np.array([0.1, 0.2]), np.array([0.0, 0.5]),
-                            CirModel.SIMULATED_MC, meta={})
-
-    def test_interpolation_is_zero_outside_span(self):
-        response = ImpulseResponse(np.array([1.0, 2.0]), np.array([0.2, 0.4]),
-                                   CirModel.FLOW_UNIFORM)
-        assert response.pob_at(0.5) == 0.0
-        assert response.pob_at(1.5) == pytest.approx(0.3)
-        assert response.pob_at(2.5) == 0.0

@@ -14,15 +14,17 @@ from scipy.stats import binom, poisson
 from ductflow import (
     FlowModel,
     OokLinkConfig,
+    Regime,
     ReleaseSpec,
     SerMethod,
     SimConfig,
     cir_flow_uniform,
+    classify_regime,
     detect,
+    detection_offsets,
     mean_signal,
     optimal_threshold,
     run,
-    sample_cir_flow_uniform,
     ser_analytic,
     ser_monte_carlo,
     symbol_error_prob_poisson,
@@ -47,28 +49,24 @@ def poisson_cdf_oracle(k: int, lam: float) -> float:
     return total
 
 
-def zero_cir(t):
-    return np.zeros_like(np.asarray(t, dtype=float))
-
-
 def flow_link(distance=200e-6, T=0.1, K=8, xi=30, noise=4.0, n_tx=1000,
               diffusion=1e-12):
     channel = make_channel(radius=200e-6, diffusion=diffusion)
     rx = make_receiver(200e-6, distance)
     model = FlowModel.for_channel(channel, rx)
-    link = OokLinkConfig(symbol_interval_T=T, seq_len_K=K,
-                         detection_delay_t0=model.t2, threshold_xi=xi,
-                         noise_mean_Nn=noise, n_tx=n_tx,
-                         cir=lambda t: cir_flow_uniform(model, t))
+    link = OokLinkConfig(pob=cir_flow_uniform(model, detection_offsets(T, K, model.t2)),
+                         threshold_xi=xi, noise_mean_Nn=noise, n_tx=n_tx)
     return link, channel, rx, model
 
 
-def table_link(pvec, noise, n_tx, xi=0):
-    """A link whose ``P_ob(t0 + j T)`` is ``pvec[j]`` (T = t0 = 0.1 s)."""
-    offsets = 0.1 + 0.1 * np.arange(len(pvec))
-    pob = np.asarray(pvec, dtype=float)
-    return OokLinkConfig(0.1, len(pvec), 0.1, xi, noise, n_tx,
-                         lambda t: np.interp(t, offsets, pob, left=0.0, right=0.0))
+def binom_pmf_oracle(n, p):
+    """``scipy.stats.binom.pmf`` on ``0..n-1``, or ``exp`` of ``binom.logpmf``
+    where the former overflows (p below about 1e-303)."""
+    k = np.arange(n)
+    try:
+        return binom.pmf(k, n, p)
+    except OverflowError:
+        return np.exp(binom.logpmf(k, n, p))
 
 
 def brute_force_errors(link, method):
@@ -94,7 +92,7 @@ def brute_force_errors(link, method):
         def cut(pmf):
             return pmf[:np.flatnonzero(pmf > 1e-30).max(initial=0) + 1]
 
-        counts = [cut(binom.pmf(np.arange(n), n, p)) for p in pvec]
+        counts = [cut(binom_pmf_oracle(n, p)) for p in pvec]
         # Sorted, every key follows its prefix key[:-1].
         laws = {(): cut(poisson.pmf(np.arange(n), link.noise_mean_Nn))}
         rows = np.zeros((len(distinct), n + 1))
@@ -166,14 +164,14 @@ def _scan_links() -> dict:
     for i in range(40):
         k = int(rng.integers(1, 9))
         pvec = rng.random(k) ** rng.uniform(1.0, 8.0)
-        links[f"random{i}"] = table_link(pvec, float(rng.choice([0.0, 0.5, 4.0, 30.0])),
-                                         int(rng.choice([20, 100, 400, 1000])))
-    links["dead-channel"] = OokLinkConfig(0.1, 3, 0.05, 0, 4.0, 1000, zero_cir)
-    links["dead-channel-no-noise"] = OokLinkConfig(0.1, 1, 0.05, 0, 0.0, 1000, zero_cir)
+        links[f"random{i}"] = OokLinkConfig(pvec, 0, float(rng.choice([0.0, 0.5, 4.0, 30.0])),
+                                            int(rng.choice([20, 100, 400, 1000])))
+    links["dead-channel"] = OokLinkConfig(np.zeros(3), 0, 4.0, 1000)
+    links["dead-channel-no-noise"] = OokLinkConfig(np.zeros(1), 0, 0.0, 1000)
     links["no-noise"] = flow_link(T=0.2, noise=0.0)[0]
     # The all-ones mean, 4 + 50 x 3.25, lies far above n_tx = 50, so much of
     # the count's mass lies past n_tx, where the error table cuts its laws.
-    links["never-saturates"] = table_link([0.95, 0.9, 0.8, 0.6], 4.0, 50)
+    links["never-saturates"] = OokLinkConfig([0.95, 0.9, 0.8, 0.6], 0, 4.0, 50)
     return links
 
 
@@ -197,20 +195,24 @@ class TestDetect:
 class TestMeanSignal:
     def test_all_zero_sequence_is_noise(self):
         link, *_ = flow_link()
-        for t in (0.0, 0.3, 1.0):
-            assert mean_signal(link, [0] * 8, t) == 4.0
+        for i in range(8):
+            assert mean_signal(link, [0] * 8, i) == 4.0
 
     def test_single_one_at_detection_instant(self):
         link, _, _, model = flow_link()
         expected = 1000 * cir_flow_uniform(model, model.t2) + 4.0
-        got = mean_signal(link, [1, 0, 0, 0, 0, 0, 0, 0], model.t2)
+        got = mean_signal(link, [1, 0, 0, 0, 0, 0, 0, 0], 0)
         assert got == pytest.approx(expected, rel=1e-12)
         assert got == pytest.approx(79.0, rel=1e-12)
+        # One symbol later the release is seen T = 0.1 s past its peak.
+        assert mean_signal(link, [1, 0, 0, 0, 0, 0, 0, 0], 1) == pytest.approx(
+            1000 * cir_flow_uniform(model, model.t2 + 0.1) + 4.0, rel=1e-12)
 
     def test_future_releases_do_not_contribute(self):
-        link, _, _, model = flow_link()
+        link, *_ = flow_link()
         lone_last = [0] * 7 + [1]
-        assert mean_signal(link, lone_last, model.t2) == 4.0
+        for i in range(7):
+            assert mean_signal(link, lone_last, i) == 4.0
 
 
 class TestSymbolErrorPoisson:
@@ -220,7 +222,7 @@ class TestSymbolErrorPoisson:
         assert symbol_error_prob_poisson(link, [1] + [0] * 7, 0) == 0.0
 
     def test_noise_only_false_alarm(self):
-        link = OokLinkConfig(0.1, 1, 0.05, 5, 4.0, 1000, zero_cir)
+        link = OokLinkConfig(np.zeros(1), 5, 4.0, 1000)
         got = symbol_error_prob_poisson(link, [0], 0)
         assert got == pytest.approx(1.0 - poisson_cdf_oracle(4, 4.0), rel=1e-12)
         assert got == pytest.approx(0.3712, abs=1e-4)
@@ -259,7 +261,7 @@ class TestPmfs:
 
 class TestSerAnalytic:
     def test_dead_channel_k1(self):
-        link = OokLinkConfig(0.1, 1, 0.05, 1, 0.0, 1000, zero_cir)
+        link = OokLinkConfig(np.zeros(1), 1, 0.0, 1000)
         assert ser_analytic(link).ser == pytest.approx(0.5, abs=1e-15)
 
     @pytest.mark.parametrize("k", [1, 3, 8])
@@ -303,47 +305,27 @@ class TestSerAnalytic:
         rb = ser_analytic(link, SerMethod.BINOMIAL_ANALYTIC).ser
         assert rp == pytest.approx(rb, rel=0.05)
 
+    def test_binomial_kernel_overflow(self):
+        # scipy's binomial kernel raises OverflowError at these p (n = 1000).
+        # Their counts are 0 to double precision, as on a dead channel.
+        tiny = OokLinkConfig([np.finfo(float).tiny, 1e-305], 1, 0.5, 1000)
+        dead = replace(tiny, pob=np.zeros(2))
+        for method in ANALYTIC:
+            assert np.allclose(ser_analytic(tiny, method).per_symbol_errors,
+                               ser_analytic(dead, method).per_symbol_errors,
+                               rtol=0.0, atol=rounding_tolerance(tiny))
+            assert_matches_brute_force(tiny, method)
+
     def test_isi_free_channel_reduces_to_single_symbol(self):
         # P_ob supported strictly inside one symbol interval: no memory.
         def pulse(t):
-            t = np.asarray(t, dtype=float)
             return np.where((t > 0.02) & (t < 0.08), 0.05, 0.0)
 
-        full = OokLinkConfig(0.1, 6, 0.05, 30, 4.0, 1000, pulse)
-        single = OokLinkConfig(0.1, 1, 0.05, 30, 4.0, 1000, pulse)
+        full = OokLinkConfig(pulse(detection_offsets(0.1, 6, 0.05)), 30, 4.0, 1000)
+        single = OokLinkConfig(pulse(detection_offsets(0.1, 1, 0.05)), 30, 4.0, 1000)
         assert ser_analytic(full).ser == pytest.approx(ser_analytic(single).ser, abs=1e-14)
         assert np.allclose(ser_analytic(full).per_symbol_errors,
                            ser_analytic(single).ser, atol=1e-14)
-
-    def test_sampled_impulse_response_input(self):
-        link, channel, rx, model = flow_link(K=4, xi=40)
-        grid = np.arange(1, 2000) * 1e-3
-        sampled = sample_cir_flow_uniform(model, grid)
-        via_samples = replace(link, cir=sampled)
-        assert ser_analytic(via_samples).ser == pytest.approx(
-            ser_analytic(link).ser, rel=1e-3)
-
-    def test_sampled_impulse_response_must_reach_horizon(self):
-        # a = d = 200 um, T = 50 ms, K = 8: the horizon t0 + 7 T is 0.517 s.
-        # Past the end of a grid that stops at 0.2 s, P_ob would read 0.
-        link, _, _, model = flow_link(T=0.05, K=8)
-        short = sample_cir_flow_uniform(model, np.arange(1, 201) * 1e-3)
-        with pytest.raises(ValueError, match="interference horizon"):
-            replace(link, cir=short)
-
-    def test_sampled_impulse_response_must_start_by_first_offset(self):
-        # a = d = 200 um, T = 0.1 s, K = 4, xi = 40: t0 = 0.167 s.  Before the
-        # start of a grid sampled from 0.3 s, P_ob would read 0 at t0 and the
-        # SER would be 0.5, not 0.217.
-        link, _, _, model = flow_link(T=0.1, K=4, xi=40)
-        late = sample_cir_flow_uniform(model, np.arange(300, 1001) * 1e-3)
-        with pytest.raises(ValueError, match="first positive detection offset"):
-            replace(link, cir=late)
-        # t0 = 0 puts the first positive offset at T.
-        at_zero = replace(link, detection_delay_t0=0.0, cir=lambda t: 0.0 * t)
-        with pytest.raises(ValueError, match="first positive detection offset 0.1 s"):
-            replace(at_zero, cir=late)
-        replace(at_zero, cir=sample_cir_flow_uniform(model, np.arange(100, 1001) * 1e-3))
 
 
 class TestOptimalThreshold:
@@ -351,7 +333,7 @@ class TestOptimalThreshold:
         # With no signal and no noise every threshold errs on exactly half
         # the symbols (xi = 0 flags all zeros, xi >= 1 misses all ones), so
         # the whole domain ties and the smallest threshold wins.
-        link = OokLinkConfig(0.1, 1, 0.05, 0, 0.0, 1000, zero_cir)
+        link = OokLinkConfig(np.zeros(1), 0, 0.0, 1000)
         xi, result = optimal_threshold(link)
         assert xi == 0
         assert result.ser == pytest.approx(0.5, abs=1e-15)
@@ -374,8 +356,7 @@ class TestOptimalThreshold:
 
     def test_strong_isolated_channel_is_reliable(self):
         # Single-shot link with a strong pulse and weak noise.
-        link = OokLinkConfig(1.0, 1, 0.05,  0, 1.0, 2000,
-                             lambda t: np.where(np.asarray(t) > 0, 0.2, 0.0))
+        link = OokLinkConfig(np.array([0.2]), 0, 1.0, 2000)
         xi, result = optimal_threshold(link)
         assert result.ser < 1e-3
         assert 1 < xi < 400
@@ -399,7 +380,7 @@ class TestOptimalThreshold:
            noise=st.floats(0.0, 60.0), n_tx=st.integers(1, 400),
            xi=st.integers(0, 400), method=st.sampled_from(ANALYTIC))
     def test_scan_property(self, pvec, noise, n_tx, xi, method):
-        assert_matches_brute_force(table_link(pvec, noise, n_tx, min(xi, n_tx)), method)
+        assert_matches_brute_force(OokLinkConfig(pvec, min(xi, n_tx), noise, n_tx), method)
 
     def test_ser_non_increasing_in_n_tx(self):
         sers = []
@@ -417,8 +398,9 @@ def particle_cfg(diffusion):
                         "sim.time_step": 1e-4, "seed": 7})
 
 
-#: Three symbols 10 ms apart on n_tx = 200 at threshold 6, on any response.
-PARTICLE_LINK = OokLinkConfig(0.01, 3, 0.015, 6, 0.5, 200, zero_cir)
+#: Three symbols 10 ms apart, detected from 15 ms on, on n_tx = 200 at threshold 6.
+PARTICLE_OFFSETS = detection_offsets(0.01, 3, 0.015)
+PARTICLE_LINK = OokLinkConfig(np.zeros(3), 6, 0.5, 200)
 
 
 class TestSerMonteCarlo:
@@ -514,7 +496,7 @@ class TestSerMonteCarlo:
         monkeypatch.setattr(presets, "_POOL_PARTICLES", 2000)
         cfg = particle_cfg(diffusion)
         exact, other = (
-            ser_analytic(_particle_link(cfg, PARTICLE_LINK, cfg.receiver(), t),
+            ser_analytic(_particle_link(cfg, PARTICLE_LINK, cfg.receiver(), PARTICLE_OFFSETS, t),
                          SerMethod.BINOMIAL_ANALYTIC)
             for t in (threads, 4 - threads))
         assert exact.ser == other.ser
@@ -530,15 +512,16 @@ class TestParticleBinomial:
     def test_is_binomial_on_pool_fractions(self, monkeypatch):
         monkeypatch.setattr(presets, "_POOL_PARTICLES", 2000)
         cfg = particle_cfg(1e-10)
-        link = _particle_link(cfg, PARTICLE_LINK, cfg.receiver(), threads=2)
+        link = _particle_link(cfg, PARTICLE_LINK, cfg.receiver(), PARTICLE_OFFSETS, threads=2)
         offsets = 0.015 + 0.01 * np.arange(3)
+        assert np.array_equal(PARTICLE_OFFSETS, offsets)
         pool = SimConfig(channel=make_channel(radius=10e-6, diffusion=1e-10),
                          rx=make_receiver(10e-6, 20e-6), release=ReleaseSpec.uniform(2000),
                          time_step=1e-4, horizon=float(offsets[-1]), seed=7,
                          sample_times=offsets)
         counts = run(pool).series.counts
         assert np.all(counts > 0)
-        assert np.array_equal(link.isi_probabilities(), counts / 2000)
+        assert np.array_equal(link.pob, counts / 2000)
         result = ser_analytic(link, SerMethod.BINOMIAL_ANALYTIC)
         oracle = brute_force_errors(link, SerMethod.BINOMIAL_ANALYTIC)[:, link.threshold_xi]
         assert np.max(np.abs(result.per_symbol_errors - oracle)) <= rounding_tolerance(link)
@@ -591,18 +574,42 @@ class TestLongSequences:
 class TestLinkValidation:
     def test_threshold_domain(self):
         with pytest.raises(ValueError):
-            OokLinkConfig(0.1, 4, 0.05, 1001, 4.0, 1000, zero_cir)
+            OokLinkConfig(np.zeros(4), 1001, 4.0, 1000)
         with pytest.raises(ValueError):
-            OokLinkConfig(0.1, 4, 0.05, -1, 4.0, 1000, zero_cir)
+            OokLinkConfig(np.zeros(4), -1, 4.0, 1000)
 
     def test_basic_invariants(self):
-        with pytest.raises(ValueError):
-            OokLinkConfig(0.0, 4, 0.05, 10, 4.0, 1000, zero_cir)
-        with pytest.raises(ValueError):
-            OokLinkConfig(0.1, 0, 0.05, 10, 4.0, 1000, zero_cir)
+        with pytest.raises(ValueError, match="symbol interval must be positive"):
+            detection_offsets(0.0, 4, 0.05)
+        with pytest.raises(ValueError, match="sequence length must be at least 1"):
+            detection_offsets(0.1, 0, 0.05)
+        with pytest.raises(ValueError, match="detection delay must be non-negative"):
+            detection_offsets(0.1, 4, -0.05)
+        with pytest.raises(ValueError, match="sequence length must be at least 1"):
+            OokLinkConfig(np.zeros(0), 0, 4.0, 1000)
+        with pytest.raises(ValueError, match="observation probabilities"):
+            OokLinkConfig([0.5, 1.5], 0, 4.0, 1000)
+        with pytest.raises(ValueError, match="observation probabilities"):
+            OokLinkConfig([np.nan], 0, 4.0, 1000)
 
-    def test_pob_zero_for_non_positive_delay(self):
-        link, *_ = flow_link()
-        assert link.pob(0.0) == 0.0
-        assert link.pob(-0.5) == 0.0
-        assert np.all(link.pob(np.array([-1.0, 0.0])) == 0.0)
+    def test_link_is_its_probabilities(self):
+        pvec = np.array([0.3, 0.1, 0.05])
+        link = OokLinkConfig(pvec, 2, 4.0, 100)
+        assert link.seq_len_K == 3
+        assert np.array_equal(link.pob, pvec) and link.isi_probabilities() is link.pob
+        pvec[0] = 0.9
+        assert link.pob[0] == 0.3
+        with pytest.raises(ValueError):
+            link.pob[0] = 0.9
+
+    def test_pob_zero_at_zero_delay(self):
+        # At t0 = 0 the first offset is the release instant, where neither
+        # closed form has seen a molecule arrive.
+        for diffusion, regime in [(1e-9, Regime.DISPERSION), (1e-12, Regime.FLOW_DOMINATED)]:
+            cfg = load_config({"channel.radius": 10e-6, "channel.diffusion": diffusion,
+                               "ook.detection_delay": 0.0})
+            link, rx, offsets, _ = _auto_link(cfg, 200e-6, 0.1)
+            assert classify_regime(cfg.channel(), rx).regime is regime
+            assert offsets[0] == 0.0 and offsets[1] == 0.1
+            assert link.pob[0] == 0.0
+            assert np.any(link.pob > 0.0)

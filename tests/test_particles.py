@@ -233,15 +233,6 @@ class TestRun:
             sim_config(wide_flow_only, rx, ReleaseSpec.uniform(10),
                        [0.0101, 0.0102], dt=1e-3)  # collide on the same step
 
-    def test_series_to_impulse_response_carries_ci(self, wide_flow_only):
-        rx = make_receiver(200e-6, 200e-6)
-        cfg = sim_config(wide_flow_only, rx, ReleaseSpec.uniform(1000),
-                         np.arange(1, 30) * 5e-3)
-        response = run(cfg).series.to_impulse_response()
-        assert "ci_half_width" in response.meta
-        assert response.meta["ci_half_width"].shape == response.values.shape
-        assert np.all(response.values <= 1.0)
-
     # SHA-256 of the counts' bytes: they pin the random streams and the
     # receiver test for D > 0 and D = 0.  Samples start at t = 0, so step 0
     # is observed too.  A change to the streams on purpose updates them.

@@ -37,7 +37,7 @@ N_TX = 30_000
 def simulate(channel, rx, release, t_stop, seed):
     times = np.arange(1, int(round(t_stop / 1e-3)) + 1) * 1e-3
     cfg = SimConfig(channel=channel, rx=rx, release=release, time_step=1e-3,
-                    horizon=t_stop, seed=seed, sample_times=times)
+                    seed=seed, sample_times=times)
     return run(cfg, threads=4).series
 
 

@@ -27,8 +27,7 @@ def main():
     rx = ReceiverVolume(axial_distance_d=800e-6, extent_cx=RADIUS / 2,
                         extent_cr=RADIUS / 2, extent_cphi=math.pi / 2)
     cfg = SimConfig(channel=channel, rx=rx, release=ReleaseSpec.uniform(1000),
-                    time_step=1e-3, horizon=max(TIMES), seed=7,
-                    sample_times=TIMES)
+                    time_step=1e-3, seed=7, sample_times=TIMES)
     result = run(cfg, snapshot_times=TIMES)
 
     print("snapshot statistics after a uniform release (1000 particles)")

@@ -23,7 +23,6 @@ from pathlib import Path
 
 from .config import ConfigError, load_config
 from .presets import ACTIONS, PRESETS, discard_partial_outputs, preset_config
-from .presets import run_preset as _run_preset
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -76,15 +75,15 @@ def _dispatch(args: argparse.Namespace) -> list[Path]:
     if args.threads < 1:
         raise ConfigError(f"--threads must be at least 1, got {args.threads}")
     overrides = _parse_overrides(args.overrides)
-    out = Path(args.out)
     if args.command == "preset":
+        runner = PRESETS[args.name][0]
         cfg = preset_config(args.name, file_path=args.config,
                             overrides=overrides, seed=args.seed)
-        return _run_preset(args.name, cfg, out, fmt=args.format, threads=args.threads)
-    cfg = load_config(file_path=args.config, overrides=overrides, seed=args.seed)
-    action = ACTIONS[args.command]
-    return discard_partial_outputs(
-        lambda: action(cfg, out, args.format, args.threads), out)
+    else:
+        runner = ACTIONS[args.command]
+        cfg = load_config(file_path=args.config, overrides=overrides, seed=args.seed)
+    out = Path(args.out)
+    return discard_partial_outputs(lambda: runner(cfg, out, args.format, args.threads), out)
 
 
 def main(argv: list[str] | None = None) -> int:

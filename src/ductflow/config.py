@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
-from .duct import DuctChannelConfig, ReceiverVolume, ReleaseKind, ReleaseSpec
+from .duct import (DuctChannelConfig, ReceiverVolume, ReleaseKind, ReleaseSpec,
+                   mean_velocity_from_pressure, validate_receiver)
 from .output import format_value, short_digest
 
 __all__ = ["ConfigError", "KeySpec", "ResolvedConfig", "load_config", "KEY_REGISTRY"]
@@ -137,7 +138,7 @@ def parse_value(key: str, text: str):
     spec = KEY_REGISTRY[key]
     text = text.strip()
     if spec.kind == "quantity":
-        if text.lower() == "none":
+        if spec.default is None and text.lower() == "none":
             return None
         return _parse_scalar(text, spec, key)
     if spec.kind == "quantity_list":
@@ -224,6 +225,9 @@ class ResolvedConfig:
             raise ConfigError(str(exc)) from exc
 
     def channel(self) -> DuctChannelConfig:
+        """The duct; a pressure gradient and viscosity give its mean velocity."""
+        radius = self.values["channel.radius"]
+        velocity = self.values["channel.mean_velocity"]
         grad = self.values["channel.pressure_gradient"]
         if grad is not None:
             if self.provenance["channel.mean_velocity"] != "default":
@@ -232,28 +236,23 @@ class ResolvedConfig:
                     "(with channel.viscosity), not both")
             if self.values["channel.viscosity"] is None:
                 raise ConfigError("channel.pressure_gradient requires channel.viscosity")
-            return self.build(
-                DuctChannelConfig,
-                radius_a=self.values["channel.radius"],
-                diffusion_D=self.values["channel.diffusion"],
-                pressure_gradient=grad,
-                viscosity_eta=self.values["channel.viscosity"],
-            )
-        return self.build(
-            DuctChannelConfig,
-            radius_a=self.values["channel.radius"],
-            diffusion_D=self.values["channel.diffusion"],
-            mean_velocity=self.values["channel.mean_velocity"],
-        )
+            velocity = self.build(mean_velocity_from_pressure, grad, radius,
+                                  self.values["channel.viscosity"])
+        return self.build(DuctChannelConfig, radius_a=radius,
+                          diffusion_D=self.values["channel.diffusion"],
+                          mean_velocity=velocity)
 
     def receiver(self, distance: float | None = None) -> ReceiverVolume:
-        return self.build(
+        """The receiver at ``distance`` (default ``rx.distance``), checked to fit the duct."""
+        rx = self.build(
             ReceiverVolume,
             axial_distance_d=self.values["rx.distance"] if distance is None else distance,
             extent_cx=self.values["rx.extent_x"],
             extent_cr=self.values["rx.extent_r"],
             extent_cphi=self.values["rx.extent_phi"],
         )
+        self.build(validate_receiver, self.channel(), rx)
+        return rx
 
     def release(self, kind: str | None = None) -> ReleaseSpec:
         kind = kind or self.values["release.kind"]

@@ -70,10 +70,9 @@ def mean_velocity_from_pressure(pressure_gradient: float, radius_a: float,
 class DuctChannelConfig:
     """Physical description of the duct channel.
 
-    Exactly one of ``mean_velocity`` or the pair
-    ``(pressure_gradient, viscosity_eta)`` must be given; in the latter case
-    the mean velocity is derived at construction and stored, so downstream
-    code always reads ``mean_velocity``.
+    A flow given as a pressure gradient and a viscosity enters through
+    :func:`mean_velocity_from_pressure`, as the configuration layer does for
+    ``channel.pressure_gradient``.
 
     ``diffusion_D = 0`` is a legal configuration and represents flow-only
     transport; it is kept exact rather than replaced by a small epsilon.
@@ -86,15 +85,11 @@ class DuctChannelConfig:
         Particle diffusion coefficient [m^2/s], >= 0.
     mean_velocity : float
         Cross-sectional mean flow velocity [m/s], >= 0.
-    pressure_gradient, viscosity_eta : float or None
-        Alternative flow specification [Pa/m], [Pa s].
     """
 
     radius_a: float
     diffusion_D: float
-    mean_velocity: float | None = None
-    pressure_gradient: float | None = None
-    viscosity_eta: float | None = None
+    mean_velocity: float
 
     def __post_init__(self):
         if not self.radius_a > 0.0:
@@ -102,19 +97,6 @@ class DuctChannelConfig:
         if self.diffusion_D < 0.0:
             raise ValueError(
                 f"diffusion coefficient must be non-negative, got {self.diffusion_D!r}")
-        has_v = self.mean_velocity is not None
-        has_p = self.pressure_gradient is not None or self.viscosity_eta is not None
-        if has_v and has_p:
-            raise ValueError(
-                "give either mean_velocity or (pressure_gradient, viscosity_eta), not both")
-        if not has_v:
-            if self.pressure_gradient is None or self.viscosity_eta is None:
-                raise ValueError(
-                    "flow specification incomplete: need mean_velocity or both "
-                    "pressure_gradient and viscosity_eta")
-            v = mean_velocity_from_pressure(
-                self.pressure_gradient, self.radius_a, self.viscosity_eta)
-            object.__setattr__(self, "mean_velocity", v)
         if self.mean_velocity < 0.0:
             raise ValueError(
                 f"mean velocity must be non-negative, got {self.mean_velocity!r}")

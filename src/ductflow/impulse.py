@@ -176,8 +176,6 @@ class FlowModel:
     mean_velocity: float
     axial_distance_d: float
     extent_cx: float
-    extent_cr: float
-    radius_a: float
 
     def __post_init__(self):
         if not 0.0 < self.t1 < self.t2:
@@ -198,8 +196,6 @@ class FlowModel:
             mean_velocity=config.mean_velocity,
             axial_distance_d=rx.axial_distance_d,
             extent_cx=rx.extent_cx,
-            extent_cr=rx.extent_cr,
-            radius_a=config.radius_a,
         )
 
 

@@ -238,12 +238,17 @@ def _trimmed_pmf(pmf_at, mean: float, var: float,
 
     Only ``mean +- (12 sd + 30)``, and no cell above ``top``, is evaluated;
     the Poisson and binomial pmfs lie far below the tail outside that span.
+    A pmf kept only at ``k = 0`` is exactly 1: its mass ``P(X >= 1)`` lies
+    below the tail and so rounds away next to 1, while a kernel can return
+    ``P(X = 0)`` a few ulp short, which would show as a false SER floor.
     """
     half = 12.0 * math.sqrt(var) + 30.0
     low = max(int(mean - half), 0)
     high = int(mean + half) if top is None else min(int(mean + half), top)
     pmf = pmf_at(np.arange(low, high + 1))
     keep = np.flatnonzero(pmf > _PMF_TAIL)
+    if keep.size == 1 and low + keep[0] == 0:
+        return 0, np.ones(1)
     return low + int(keep[0]), pmf[keep[0]: keep[-1] + 1]
 
 

@@ -105,11 +105,11 @@ class ObservationSeries:
         return self.counts / float(self.n_tx)
 
 
-def _to_steps(times, time_step: float, horizon: float, what: str) -> np.ndarray:
-    """Nearest step of each time in ``[0, horizon]`` (or half a step past it)."""
+def _to_steps(times, time_step: float, what: str) -> np.ndarray:
+    """Nearest step of each non-negative time."""
     t = np.asarray(times, dtype=float)
-    if np.any(t < 0.0) or np.any(t > horizon + 0.5 * time_step):
-        raise ValueError(f"{what} must lie within [0, horizon]")
+    if np.any(t < 0.0):
+        raise ValueError(f"{what} must be non-negative")
     return np.rint(t / time_step).astype(np.int64)
 
 
@@ -123,15 +123,14 @@ class SimConfig:
 
     Sample times are snapped to the nearest step boundary at construction
     (recorded in ``requested_sample_times``) so no silent interpolation
-    happens later; after snapping they must be strictly increasing and lie
-    within ``[0, horizon]``.
+    happens later; they must be non-negative and, after snapping, strictly
+    increasing.  A run lasts until the last sample or snapshot step.
     """
 
     channel: DuctChannelConfig
     rx: ReceiverVolume | tuple[ReceiverVolume, ...]
     release: ReleaseSpec
     time_step: float
-    horizon: float
     seed: int
     sample_times: Sequence[float]
     receivers: tuple[ReceiverVolume, ...] = field(init=False)
@@ -141,8 +140,6 @@ class SimConfig:
     def __post_init__(self):
         if not self.time_step > 0.0:
             raise ValueError("time step must be positive")
-        if self.horizon < 0.0:
-            raise ValueError("horizon must be non-negative")
         if not 0 <= self.seed < _MAX_SEED:
             raise ValueError("seed must fit in 64 bits")
         receivers = (self.rx,) if isinstance(self.rx, ReceiverVolume) else tuple(self.rx)
@@ -156,7 +153,7 @@ class SimConfig:
         requested = np.asarray(self.sample_times, dtype=float)
         if requested.ndim != 1 or requested.size == 0:
             raise ValueError("at least one sample time is required")
-        steps = _to_steps(requested, self.time_step, self.horizon, "sample times")
+        steps = _to_steps(requested, self.time_step, "sample times")
         if np.any(np.diff(steps) <= 0):
             raise ValueError("sample times must snap to distinct, increasing steps")
         object.__setattr__(self, "requested_sample_times", requested)
@@ -303,7 +300,8 @@ def run(config: SimConfig, *, threads: int = 1,
     snapshot_times : sequence of float
         Optional times at which to capture per-particle ``(x, r^2)`` pairs;
         snapped to step boundaries like the sample times and refused
-        (``ValueError``) outside ``[0, horizon]``.
+        (``ValueError``) if negative.  The run lasts until the later of the
+        last sample and the last snapshot.
 
     Returns
     -------
@@ -312,7 +310,7 @@ def run(config: SimConfig, *, threads: int = 1,
         in receiver order; ``series`` is the first), plus any snapshots.  No
         partial results are returned on failure.
     """
-    snap_steps = sorted(set(_to_steps(snapshot_times, config.time_step, config.horizon,
+    snap_steps = sorted(set(_to_steps(snapshot_times, config.time_step,
                                       "snapshot times").tolist()))
     counts, snaps = _run_partitioned(config, threads, snap_steps)
     meta = {

@@ -8,8 +8,8 @@ symbol-error-rate sweep versus symbol interval.  Exact figure-axis grids are
 a choice of this package: uniform time grids spanning the visible ranges,
 recorded in the emitted headers.
 
-All writers embed the resolved configuration and seed; partially written
-files are removed if a runner fails.
+Every table goes through one writer that embeds the resolved configuration
+and seed; partially written files are removed if a runner fails.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .ook import (OokLinkConfig, SerMethod, detection_offsets, optimal_threshold
 from .output import Table, emit_table
 from .particles import SimConfig, run
 
-__all__ = ["PRESETS", "ACTIONS", "preset_config", "run_preset", "discard_partial_outputs",
+__all__ = ["PRESETS", "ACTIONS", "preset_config", "discard_partial_outputs",
            "regime_action", "cir_action", "simulate_action",
            "snapshot_action", "ser_action"]
 
@@ -49,61 +49,12 @@ _UM = 1e-6
 #: Particles in the engine pool behind a ``particle_binomial`` SER point.
 _POOL_PARTICLES = 100_000
 
-#: Named presets: overrides applied on top of the built-in defaults.
-PRESETS: dict[str, dict] = {
-    "custom": {},
-    "snapshot_small_duct": {
-        "channel.radius": 10e-6,
-        "channel.diffusion": 1e-10,
-        "release.kind": "uniform",
-        "release.n_tx": 1_000,
-        "snapshot.times": (0.02, 0.2, 0.8),
-    },
-    "cir_small_duct": {
-        "channel.radius": 10e-6,
-        "channel.diffusion": 1e-10,
-        "release.n_tx": 1_000_000,
-        "cir.distances": (200e-6, 800e-6),
-        "grid.t_stop": 1.4,
-        "grid.t_step": 2e-3,
-    },
-    "cir_large_duct": {
-        "channel.radius": 200e-6,
-        "channel.diffusion": 1e-10,
-        "release.n_tx": 1_000_000,
-        "cir.distances": (200e-6, 800e-6),
-        "grid.t_stop": 1.5,
-        "grid.t_step": 2e-3,
-    },
-    "regime_map": {
-        "regime.radii": (10e-6, 200e-6),
-        "regime.distances": (200e-6, 800e-6),
-    },
-    "ser_sweep": {
-        "channel.radius": 200e-6,
-        "channel.diffusion": 1e-12,
-        "release.n_tx": 1_000,
-        "ser.distances": (200e-6, 400e-6, 600e-6, 800e-6),
-        "ser.symbol_intervals": (0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4,
-                                 0.45, 0.5, 0.55, 0.6, 0.65, 0.7, 0.75),
-        "ook.seq_len": 8,
-        "ook.noise_mean": 4.0,
-        "ook.realizations": 10_000,
-        "ook.detection_delay": "auto",
-        "ook.threshold": "optimal",
-    },
-}
 
-
-def preset_config(name: str, file_path=None, overrides=None, seed=None) -> ResolvedConfig:
-    """Resolve a named preset with optional file/flag overrides."""
-    if name not in PRESETS:
-        raise ConfigError(f"unknown preset '{name}' (choose from {sorted(PRESETS)})")
-    return load_config(PRESETS[name], file_path=file_path, overrides=overrides, seed=seed)
-
-
-def _fname(stem: str, fmt: str) -> str:
-    return f"{stem}.{fmt}"
+def _write(cfg: ResolvedConfig, out_dir: Path, fmt: str, stem: str, columns, rows,
+           **header) -> Path:
+    """Emit one table as ``out_dir/<stem>.<fmt>``, headed by ``cfg.header(**header)``."""
+    table = Table(tuple(columns), rows, meta=cfg.header(**header))
+    return emit_table(table, out_dir / f"{stem}.{fmt}", fmt)
 
 
 def _um_label(length_m: float) -> str:
@@ -111,15 +62,9 @@ def _um_label(length_m: float) -> str:
 
 
 def _sim_for_grid(cfg: ResolvedConfig, rx, release, sample_times) -> SimConfig:
-    return SimConfig(
-        channel=cfg.channel(),
-        rx=rx,
-        release=release,
-        time_step=cfg["sim.time_step"],
-        horizon=float(np.max(sample_times)),
-        seed=cfg["seed"],
-        sample_times=sample_times,
-    )
+    return cfg.build(SimConfig, channel=cfg.channel(), rx=rx, release=release,
+                     time_step=cfg["sim.time_step"], seed=cfg["seed"],
+                     sample_times=sample_times)
 
 
 def regime_action(cfg: ResolvedConfig, out_dir: Path, fmt: str,
@@ -136,20 +81,14 @@ def regime_action(cfg: ResolvedConfig, out_dir: Path, fmt: str,
             verdict = classify_regime(scenario.channel(), scenario.receiver())
             rows.append((radius, distance, verdict.distance_ratio, verdict.peclet,
                          verdict.margin, verdict.regime.value))
-    scenarios = Table(
-        columns=("radius_a_m", "d_m", "distance_ratio", "peclet", "margin", "regime"),
-        rows=rows,
-        meta=cfg.header(content="transport-regime classification"),
-    )
     ratios = np.logspace(-1, 3, 201)
-    boundary = Table(
-        columns=("distance_ratio", "peclet_boundary"),
-        rows=[(float(r), float(4.0 * r)) for r in ratios],
-        meta=cfg.header(content="separating line peclet = 4 d / a"),
-    )
     return [
-        emit_table(scenarios, out_dir / _fname("regime_scenarios", fmt), fmt),
-        emit_table(boundary, out_dir / _fname("regime_boundary", fmt), fmt),
+        _write(cfg, out_dir, fmt, "regime_scenarios",
+               ("radius_a_m", "d_m", "distance_ratio", "peclet", "margin", "regime"), rows,
+               content="transport-regime classification"),
+        _write(cfg, out_dir, fmt, "regime_boundary", ("distance_ratio", "peclet_boundary"),
+               [(float(r), float(4.0 * r)) for r in ratios],
+               content="separating line peclet = 4 d / a"),
     ]
 
 
@@ -188,38 +127,22 @@ def cir_action(cfg: ResolvedConfig, out_dir: Path, fmt: str,
     for distance in cfg["cir.distances"]:
         columns, rows, peak_rows = _analytic_cir_tables(cfg, distance)
         all_peaks.extend(peak_rows)
-        table = Table(tuple(columns), rows,
-                      meta=cfg.header(content="analytic impulse responses",
-                                      rx_distance_m=distance))
-        paths.append(emit_table(
-            table, out_dir / _fname(f"cir_analytic_d{_um_label(distance)}", fmt), fmt))
-    peaks = Table(("d_m", "model", "t_peak_s", "pob_peak"), all_peaks,
-                  meta=cfg.header(content="impulse-response peak markers"))
-    paths.append(emit_table(peaks, out_dir / _fname("cir_peaks", fmt), fmt))
+        paths.append(_write(cfg, out_dir, fmt, f"cir_analytic_d{_um_label(distance)}",
+                            columns, rows, content="analytic impulse responses",
+                            rx_distance_m=distance))
+    paths.append(_write(cfg, out_dir, fmt, "cir_peaks", ("d_m", "model", "t_peak_s", "pob_peak"),
+                        all_peaks, content="impulse-response peak markers"))
     return paths
-
-
-def _emit_series(cfg: ResolvedConfig, series, out_path: Path, fmt: str,
-                 **extra) -> Path:
-    table = Table(
-        columns=("t_s", "count", "n_tx"),
-        rows=[(float(t), int(c), series.n_tx)
-              for t, c in zip(series.times, series.counts)],
-        meta=cfg.header(**extra),
-    )
-    return emit_table(table, out_path, fmt)
 
 
 def simulate_action(cfg: ResolvedConfig, out_dir: Path, fmt: str,
                     threads: int = 1) -> list[Path]:
     """Particle-simulated observation series on the configured time grid."""
-    rx = cfg.receiver()
-    release = cfg.release()
-    sim = _sim_for_grid(cfg, rx, release, cfg.time_grid())
-    result = run(sim, threads=threads)
-    path = _emit_series(cfg, result.series, out_dir / _fname("observations", fmt), fmt,
-                        content="simulated observation series")
-    return [path]
+    sim = _sim_for_grid(cfg, cfg.receiver(), cfg.release(), cfg.time_grid())
+    series = run(sim, threads=threads).series
+    rows = [(float(t), int(c), series.n_tx) for t, c in zip(series.times, series.counts)]
+    return [_write(cfg, out_dir, fmt, "observations", ("t_s", "count", "n_tx"), rows,
+                   content="simulated observation series")]
 
 
 def _simulated_cir_paths(cfg: ResolvedConfig, out_dir: Path, fmt: str,
@@ -243,38 +166,27 @@ def _simulated_cir_paths(cfg: ResolvedConfig, out_dir: Path, fmt: str,
                 stderr = np.sqrt(pob * (1.0 - pob) / series.n_tx)
             else:
                 stderr = np.zeros_like(pob)
-            table = Table(
-                columns=("t_s", "pob", "stderr", "ci_half_width", "count", "n_tx"),
-                rows=[(float(t), float(p), float(se), float(hw), int(c), series.n_tx)
-                      for t, p, se, hw, c in zip(
-                          series.times, pob, stderr, 1.96 * stderr, series.counts)],
-                meta=cfg.header(content="simulated impulse response",
-                                release=label, rx_distance_m=distance,
-                                seed=cfg["seed"]),
-            )
-            stem = f"cir_sim_{label}_d{_um_label(distance)}"
-            paths.append(emit_table(table, out_dir / _fname(stem, fmt), fmt))
+            rows = [(float(t), float(p), float(se), float(hw), int(c), series.n_tx)
+                    for t, p, se, hw, c in zip(
+                        series.times, pob, stderr, 1.96 * stderr, series.counts)]
+            paths.append(_write(
+                cfg, out_dir, fmt, f"cir_sim_{label}_d{_um_label(distance)}",
+                ("t_s", "pob", "stderr", "ci_half_width", "count", "n_tx"), rows,
+                content="simulated impulse response", release=label,
+                rx_distance_m=distance, seed=cfg["seed"]))
     return paths
 
 
 def snapshot_action(cfg: ResolvedConfig, out_dir: Path, fmt: str,
                     threads: int = 1) -> list[Path]:
     """Per-particle (x, r^2) clouds at the configured snapshot times."""
-    rx = cfg.receiver()
-    release = cfg.release()
     times = np.asarray(cfg["snapshot.times"], dtype=float)
-    sim = _sim_for_grid(cfg, rx, release, np.sort(times))
+    sim = _sim_for_grid(cfg, cfg.receiver(), cfg.release(), np.sort(times))
     result = run(sim, threads=threads, snapshot_times=times)
-    paths = []
-    for t in sorted(result.snapshots):
-        cloud = result.snapshots[t]
-        table = Table(
-            columns=("particle_id", "x_m", "r2_m2"),
-            rows=[(i, float(x), float(r2)) for i, (x, r2) in enumerate(cloud)],
-            meta=cfg.header(content="particle position snapshot", snapshot_t_s=t),
-        )
-        paths.append(emit_table(table, out_dir / _fname(f"snapshot_t{t:g}s", fmt), fmt))
-    return paths
+    return [_write(cfg, out_dir, fmt, f"snapshot_t{t:g}s", ("particle_id", "x_m", "r2_m2"),
+                   [(i, float(x), float(r2)) for i, (x, r2) in enumerate(result.snapshots[t])],
+                   content="particle position snapshot", snapshot_t_s=t)
+            for t in sorted(result.snapshots)]
 
 
 def _auto_link(cfg: ResolvedConfig, distance: float, symbol_interval: float):
@@ -318,7 +230,7 @@ def _particle_link(cfg: ResolvedConfig, link: OokLinkConfig, rx, offsets,
     pool's fractions become ``link.pob`` as they are.
     """
     pool = replace(cfg.release(), n_tx=_POOL_PARTICLES)
-    series = run(cfg.build(_sim_for_grid, cfg, rx, pool, offsets), threads=threads).series
+    series = run(_sim_for_grid(cfg, rx, pool, offsets), threads=threads).series
     return replace(link, pob=series.probabilities())
 
 
@@ -357,12 +269,9 @@ def ser_action(cfg: ResolvedConfig, out_dir: Path, fmt: str, threads: int = 1,
                 rows.append((symbol_interval, distance, xi_opt, result.ser,
                              method.value, used, seed))
     _log_trend(rows)
-    table = Table(
-        columns=("T_s", "d_m", "xi_opt", "ser", "method", "realizations", "seed"),
-        rows=rows,
-        meta=cfg.header(content="symbol error rate sweep"),
-    )
-    return [emit_table(table, out_dir / _fname("ser_sweep", fmt), fmt)]
+    return [_write(cfg, out_dir, fmt, "ser_sweep",
+                   ("T_s", "d_m", "xi_opt", "ser", "method", "realizations", "seed"), rows,
+                   content="symbol error rate sweep")]
 
 
 def _log_trend(rows) -> None:
@@ -385,21 +294,67 @@ def _cir_preset(cfg: ResolvedConfig, out_dir: Path, fmt: str, threads: int) -> l
     return cir_action(cfg, out_dir, fmt) + _simulated_cir_paths(cfg, out_dir, fmt, threads)
 
 
-#: The runner ``(cfg, out_dir, fmt, threads) -> paths`` of every CLI
-#: subcommand and every runnable preset.
+#: The runner ``(cfg, out_dir, fmt, threads) -> paths`` of every CLI subcommand.
 ACTIONS = {
     "regime": regime_action,
     "cir": cir_action,
     "simulate": simulate_action,
     "snapshot": snapshot_action,
     "ser": ser_action,
-    "snapshot_small_duct": snapshot_action,
-    "cir_small_duct": _cir_preset,
-    "cir_large_duct": _cir_preset,
-    "regime_map": regime_action,
-    "ser_sweep": partial(ser_action,
-                         methods=[SerMethod.POISSON_ANALYTIC, SerMethod.MONTE_CARLO_COUNTS]),
 }
+
+#: Named presets: ``name -> (runner, overrides)``, the overrides applied on
+#: top of the built-in defaults.
+PRESETS: dict[str, tuple] = {
+    "snapshot_small_duct": (snapshot_action, {
+        "channel.radius": 10e-6,
+        "channel.diffusion": 1e-10,
+        "release.kind": "uniform",
+        "release.n_tx": 1_000,
+        "snapshot.times": (0.02, 0.2, 0.8),
+    }),
+    "cir_small_duct": (_cir_preset, {
+        "channel.radius": 10e-6,
+        "channel.diffusion": 1e-10,
+        "release.n_tx": 1_000_000,
+        "cir.distances": (200e-6, 800e-6),
+        "grid.t_stop": 1.4,
+        "grid.t_step": 2e-3,
+    }),
+    "cir_large_duct": (_cir_preset, {
+        "channel.radius": 200e-6,
+        "channel.diffusion": 1e-10,
+        "release.n_tx": 1_000_000,
+        "cir.distances": (200e-6, 800e-6),
+        "grid.t_stop": 1.5,
+        "grid.t_step": 2e-3,
+    }),
+    "regime_map": (regime_action, {
+        "regime.radii": (10e-6, 200e-6),
+        "regime.distances": (200e-6, 800e-6),
+    }),
+    "ser_sweep": (partial(ser_action, methods=[SerMethod.POISSON_ANALYTIC,
+                                             SerMethod.MONTE_CARLO_COUNTS]), {
+        "channel.radius": 200e-6,
+        "channel.diffusion": 1e-12,
+        "release.n_tx": 1_000,
+        "ser.distances": (200e-6, 400e-6, 600e-6, 800e-6),
+        "ser.symbol_intervals": (0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4,
+                                 0.45, 0.5, 0.55, 0.6, 0.65, 0.7, 0.75),
+        "ook.seq_len": 8,
+        "ook.noise_mean": 4.0,
+        "ook.realizations": 10_000,
+        "ook.detection_delay": "auto",
+        "ook.threshold": "optimal",
+    }),
+}
+
+
+def preset_config(name: str, file_path=None, overrides=None, seed=None) -> ResolvedConfig:
+    """Resolve a named preset with optional file/flag overrides."""
+    if name not in PRESETS:
+        raise ConfigError(f"unknown preset '{name}' (choose from {sorted(PRESETS)})")
+    return load_config(PRESETS[name][1], file_path=file_path, overrides=overrides, seed=seed)
 
 
 def discard_partial_outputs(action, out_dir: str | Path):
@@ -414,16 +369,3 @@ def discard_partial_outputs(action, out_dir: str | Path):
             path.unlink(missing_ok=True)
         raise
 
-
-def run_preset(name: str, cfg: ResolvedConfig, out_dir: str | Path,
-               fmt: str = "csv", threads: int = 1) -> list[Path]:
-    """Run a named preset, returning the written files.
-
-    On failure every file written so far is removed, so output directories
-    never hold partial results.
-    """
-    runnable = sorted(PRESETS.keys() & ACTIONS.keys())
-    if name not in runnable:
-        raise ConfigError(f"preset '{name}' is not runnable (choose from {runnable})")
-    out = Path(out_dir)
-    return discard_partial_outputs(lambda: ACTIONS[name](cfg, out, fmt, threads), out)

@@ -78,7 +78,7 @@ def _run_uniform(channel, distance, t_stop, n_tx, seed, snapshot_times=(), threa
     rx = quarter_receiver(channel.radius_a, distance)
     times = np.arange(1, int(round(t_stop / 1e-3)) + 1) * 1e-3
     cfg = SimConfig(channel=channel, rx=rx, release=ReleaseSpec.uniform(n_tx),
-                    time_step=1e-3, horizon=t_stop, seed=seed, sample_times=times)
+                    time_step=1e-3, seed=seed, sample_times=times)
     return rx, run(cfg, threads=threads, snapshot_times=snapshot_times)
 
 
@@ -122,7 +122,7 @@ def test_criterion_03_flow_only_exactness():
     release = ReleaseSpec.point(100_000, 150e-6, 0.0)
     times = np.arange(1, 401) * 1e-3
     cfg = SimConfig(channel=WIDE_FLOW_ONLY, rx=rx, release=release,
-                    time_step=1e-3, horizon=0.4, seed=302, sample_times=times)
+                    time_step=1e-3, seed=302, sample_times=times)
     point = run(cfg, threads=4).series
     window = flow_point_window(WIDE_FLOW_ONLY, rx, release)
     full = np.flatnonzero(point.counts == release.n_tx)
@@ -192,7 +192,7 @@ def test_criterion_05_wide_duct_reproduction():
     release = ReleaseSpec.point(100_000, 150e-6, 0.0)
     times = np.arange(1, 401) * 1e-3
     cfg = SimConfig(channel=WIDE, rx=rx, release=release, time_step=1e-3,
-                    horizon=0.4, seed=20241, sample_times=times)
+                    seed=20241, sample_times=times)
     series = run(cfg, threads=4).series
     window = flow_point_window(WIDE, rx, release)
     width = window[1] - window[0]

@@ -16,7 +16,7 @@ from ductflow import SerMethod
 from ductflow.cli import main
 from ductflow.config import ConfigError, load_config, parse_value
 from ductflow.output import Table, emit_table
-from ductflow.presets import PRESETS, preset_config, run_preset
+from ductflow.presets import PRESETS, preset_config
 
 
 class TestParsing:
@@ -319,7 +319,37 @@ class TestCli:
         assert list(tmp_path.rglob("*.csv")) == []
 
     def test_custom_preset_is_not_runnable(self, tmp_path):
-        assert main(["preset", "custom", "--out", str(tmp_path)]) == 2
+        # Only runnable presets are choices, so argparse refuses the name.
+        with pytest.raises(SystemExit) as exc:
+            main(["preset", "custom", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--set", "sim.time_step=0"],
+        *([command, "--set", "rx.extent_r=30um", "--set", "channel.radius=20um"]
+          for command in ("simulate", "cir", "ser")),
+        # Two sample times snap to one engine step.
+        ["simulate", "--set", "grid.t_step=1e-4", "--set", "release.n_tx=10"],
+        ["snapshot", "--set", "snapshot.times=-1"],
+        # Only keys without a value by default take "none".
+        *(["cir", "--set", f"{key}=none"] for key in ("channel.mean_velocity", "channel.radius")),
+    ])
+    def test_invalid_setting_is_config_error(self, tmp_path, capsys, argv):
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*")) == []
+
+    def test_binomial_ser_has_no_false_floor(self, tmp_path):
+        # At T = 0.3 s three offsets have p below 1e-38: each P(X = 0) is 1
+        # to double precision, and every symbol is decided without error.
+        assert main(["ser", "--out", str(tmp_path), "--set", "channel.radius=10 um",
+                     "--set", "channel.diffusion=1e-9",
+                     "--set", "ser.symbol_intervals=0.05, 0.3",
+                     "--set", "ook.method=binomial_analytic"]) == 0
+        body = [line.split(",") for line in (tmp_path / "ser_sweep.csv").read_text().splitlines()
+                if not line.startswith("#")]
+        ser = {float(row[0]): float(row[3]) for row in body[1:]}
+        assert ser[0.3] == 0.0
 
     @staticmethod
     def _cli_imports(module: str) -> bool:
@@ -378,7 +408,8 @@ class TestCli:
 class TestRunPresetApi:
     def test_regime_map_outputs(self, tmp_path):
         cfg = preset_config("regime_map")
-        paths = run_preset("regime_map", cfg, tmp_path)
+        runner, _ = PRESETS["regime_map"]
+        paths = runner(cfg, tmp_path, "csv", 1)
         names = sorted(p.name for p in paths)
         assert names == ["regime_boundary.csv", "regime_scenarios.csv"]
         body = [line for line in (tmp_path / "regime_scenarios.csv").read_text().splitlines()
@@ -388,7 +419,8 @@ class TestRunPresetApi:
         assert dots == {(100.0, 20.0), (100.0, 80.0), (2000.0, 1.0), (2000.0, 4.0)}
 
     def test_all_presets_resolve(self):
-        for name in PRESETS:
+        for name, (runner, _) in PRESETS.items():
+            assert callable(runner)
             preset_config(name)
 
 
@@ -486,6 +518,23 @@ GOLDEN.update({
         ["regime_scenarios.csv", "regime_boundary.csv"],
         {"regime_scenarios.csv": "4605253ec4e99d68c0ed849536bddc77606459024f706da7fb48c87f9160746e",
          "regime_boundary.csv": "7cefcc3333722308f9ced27bc40b1abe19245bd43578637eb638d1f1e5cb2552"}),
+    "regime": (
+        ["regime"],
+        ["regime_scenarios.csv", "regime_boundary.csv"],
+        {"regime_scenarios.csv": "b5af483a70730698f737ef65e5dad5c79165a5ad09129db153bda86f4a9ebbf9",
+         "regime_boundary.csv": "05ed45ec69e97c62b621ff94f02a5589f4c43cd7c7434046db67da8c4be496b3"}),
+    "snapshot": (
+        ["snapshot", "--set", "release.n_tx=300"],
+        ["snapshot_t0.02s.csv", "snapshot_t0.2s.csv", "snapshot_t0.8s.csv"],
+        {"snapshot_t0.02s.csv": "76b1d4f4f4004578efa10bd1cdd5abb46266a3035f6f2e2a207c33023d096dec",
+         "snapshot_t0.2s.csv": "63e3f7fab4da0687d83836e218833afa8436654c8602eb178b3d30d6b66e6932",
+         "snapshot_t0.8s.csv": "b34bd1c2e5011c5bc925bcce67c67f1a2e969257924bcaa8e1edefe3e8127178"}),
+    # The pressure-gradient route: mean velocity |grad p| a^2 / (8 eta) = 1e-5 m/s.
+    "cir_pressure": (
+        ["cir", "--set", "channel.pressure_gradient=800 Pa/m", "--set", "channel.viscosity=1 mPa.s"],
+        ["cir_analytic_d200um.csv", "cir_peaks.csv"],
+        {"cir_analytic_d200um.csv": "e7a34306f8e1920a013dd36f4c5b407e2dc127d550ac35a4e5569fd4c58bf4ef",
+         "cir_peaks.csv": "7fb70cf9102c287f3fc559e519cb43c9ac5f3dc4437dbe898280fa0dd884f4f7"}),
     "cir_json": (
         ["cir", "--format", "json", "--set", "rx.distance=800 um"],
         ["cir_analytic_d800um.json", "cir_peaks.json"],

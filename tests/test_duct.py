@@ -66,20 +66,17 @@ class TestMeanVelocityFromPressure:
         with pytest.raises(ValueError):
             mean_velocity_from_pressure(1.0, radius, eta)
 
-    def test_config_derives_mean_velocity(self):
-        cfg = DuctChannelConfig(radius_a=10e-6, diffusion_D=1e-10,
-                                pressure_gradient=800.0, viscosity_eta=1e-3)
-        assert cfg.mean_velocity == pytest.approx(1e-5, rel=1e-12)
-
-    def test_exactly_one_flow_spec(self):
-        with pytest.raises(ValueError):
-            DuctChannelConfig(radius_a=1e-5, diffusion_D=1e-10,
-                              mean_velocity=1e-3, pressure_gradient=1.0,
-                              viscosity_eta=1e-3)
-        with pytest.raises(ValueError):
+    def test_channel_takes_only_a_mean_velocity(self):
+        # The pressure-gradient route is resolved by the configuration layer.
+        with pytest.raises(TypeError):
             DuctChannelConfig(radius_a=1e-5, diffusion_D=1e-10)
-        with pytest.raises(ValueError):
-            DuctChannelConfig(radius_a=1e-5, diffusion_D=1e-10, pressure_gradient=1.0)
+        with pytest.raises(TypeError):
+            DuctChannelConfig(radius_a=1e-5, diffusion_D=1e-10, pressure_gradient=1.0,
+                              viscosity_eta=1e-3)
+        with pytest.raises(ValueError, match="mean velocity"):
+            DuctChannelConfig(radius_a=1e-5, diffusion_D=1e-10, mean_velocity=-1e-3)
+        assert DuctChannelConfig(radius_a=1e-5, diffusion_D=1e-10,
+                                 mean_velocity=0.0).mean_velocity == 0.0
 
 
 class TestPeclet:

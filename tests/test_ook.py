@@ -517,8 +517,7 @@ class TestParticleBinomial:
         assert np.array_equal(PARTICLE_OFFSETS, offsets)
         pool = SimConfig(channel=make_channel(radius=10e-6, diffusion=1e-10),
                          rx=make_receiver(10e-6, 20e-6), release=ReleaseSpec.uniform(2000),
-                         time_step=1e-4, horizon=float(offsets[-1]), seed=7,
-                         sample_times=offsets)
+                         time_step=1e-4, seed=7, sample_times=offsets)
         counts = run(pool).series.counts
         assert np.all(counts > 0)
         assert np.array_equal(link.pob, counts / 2000)

@@ -33,8 +33,7 @@ from conftest import make_channel, make_receiver
 
 
 def sim_config(channel, rx, release, sample_times, seed=1234, dt=1e-3):
-    return SimConfig(channel=channel, rx=rx, release=release, time_step=dt,
-                     horizon=float(np.max(sample_times)), seed=seed,
+    return SimConfig(channel=channel, rx=rx, release=release, time_step=dt, seed=seed,
                      sample_times=sample_times)
 
 

@@ -36,13 +36,10 @@ from .ook import (
     OokLinkConfig,
     SerMethod,
     SerResult,
-    detect,
     detection_offsets,
-    mean_signal,
     optimal_threshold,
     ser_analytic,
     ser_monte_carlo,
-    symbol_error_prob_poisson,
 )
 from .particles import (
     ObservationSeries,
@@ -63,9 +60,8 @@ __all__ = [
     "cir_flow_point", "flow_point_window",
     "oracle_cir_dispersion", "oracle_cir_flow",
     "SimConfig", "ObservationSeries", "SimResult", "run",
-    "OokLinkConfig", "SerMethod", "SerResult", "detection_offsets", "mean_signal",
-    "detect", "symbol_error_prob_poisson", "ser_analytic", "optimal_threshold",
-    "ser_monte_carlo",
+    "OokLinkConfig", "SerMethod", "SerResult", "detection_offsets", "ser_analytic",
+    "optimal_threshold", "ser_monte_carlo",
     "__version__",
 ]
 

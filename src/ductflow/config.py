@@ -20,7 +20,8 @@ from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
 from .duct import (DuctChannelConfig, ReceiverVolume, ReleaseKind, ReleaseSpec,
-                   mean_velocity_from_pressure, validate_receiver)
+                   mean_velocity_from_pressure, validate_receiver, validate_release)
+from .ook import SerMethod
 from .output import format_value, short_digest
 
 __all__ = ["ConfigError", "KeySpec", "ResolvedConfig", "load_config", "KEY_REGISTRY"]
@@ -92,9 +93,8 @@ KEY_REGISTRY: dict[str, KeySpec] = {
     "ook.threshold": KeySpec("special", default="optimal"),
     "ook.noise_mean": KeySpec("float", default=4.0),
     "ook.realizations": KeySpec("int", default=10_000),
-    "ook.method": KeySpec("enum", choices=("poisson_analytic", "binomial_analytic",
-                                           "monte_carlo_counts", "particle_binomial"),
-                          default="poisson_analytic"),
+    "ook.method": KeySpec("enum", choices=tuple(m.value for m in SerMethod),
+                          default=SerMethod.POISSON_ANALYTIC.value),
     "ser.distances": KeySpec("quantity_list", "length", default=_DERIVED),
     "ser.symbol_intervals": KeySpec("quantity_list", "time", default=_DERIVED),
     "seed": KeySpec("int", default=1),
@@ -258,8 +258,10 @@ class ResolvedConfig:
         kind = kind or self.values["release.kind"]
         n_tx = self.values["release.n_tx"]
         if kind == "point":
-            return self.build(ReleaseSpec, ReleaseKind.POINT, n_tx,
-                              self.values["release.r0"], self.values["release.phi0"])
+            release = self.build(ReleaseSpec, ReleaseKind.POINT, n_tx,
+                                 self.values["release.r0"], self.values["release.phi0"])
+            self.build(validate_release, self.channel(), release)
+            return release
         return self.build(ReleaseSpec, ReleaseKind.UNIFORM_CROSS_SECTION, n_tx)
 
     def time_grid(self):

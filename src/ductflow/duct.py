@@ -38,6 +38,7 @@ __all__ = [
     "rx_area_fraction",
     "point_in_receiver",
     "validate_receiver",
+    "validate_release",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -241,6 +242,12 @@ def validate_receiver(config: DuctChannelConfig, rx: ReceiverVolume) -> None:
         raise ValueError(
             f"receiver radial extent {rx.extent_cr!r} exceeds duct radius "
             f"{config.radius_a!r}")
+
+
+def validate_release(config: DuctChannelConfig, release: ReleaseSpec) -> None:
+    """Check that a point release lies inside the duct (``r0 <= a``)."""
+    if release.kind is ReleaseKind.POINT and release.r0 > config.radius_a:
+        raise ValueError(f"release radius {release.r0!r} exceeds duct radius")
 
 
 def classify_regime(config: DuctChannelConfig, rx: ReceiverVolume) -> RegimeVerdict:

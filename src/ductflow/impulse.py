@@ -39,6 +39,7 @@ from .duct import (
     peclet_number,
     rx_area_fraction,
     validate_receiver,
+    validate_release,
     velocity_at,
 )
 
@@ -238,8 +239,7 @@ def flow_point_window(config: DuctChannelConfig, rx: ReceiverVolume,
     if release.kind is not ReleaseKind.POINT:
         raise ValueError("point-release window requires a point release")
     validate_receiver(config, rx)
-    if release.r0 > config.radius_a:
-        raise ValueError(f"release radius {release.r0!r} exceeds duct radius")
+    validate_release(config, release)
     aligned = (release.r0 >= config.radius_a - rx.extent_cr
                and abs(release.phi0) <= rx.extent_cphi / 2.0)
     if not aligned:

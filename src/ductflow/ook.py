@@ -1,4 +1,4 @@
-"""On-off-keying link layer: signal model, detection, and symbol error rates.
+"""On-off-keying link layer: exact and Monte Carlo symbol error rates.
 
 A transmitter releases ``n_tx`` particles for a 1 and nothing for a 0, once
 per symbol interval ``T``; the receiver samples its particle count once per
@@ -58,12 +58,12 @@ never evaluates an impulse response itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 
 import numpy as np
-from scipy.special import gammaln, pdtr, xlog1py, xlogy
+from scipy.special import gammaln, xlog1py, xlogy
 from scipy.special._ufuncs import _binom_pmf
 
 __all__ = [
@@ -71,9 +71,6 @@ __all__ = [
     "OokLinkConfig",
     "SerResult",
     "detection_offsets",
-    "mean_signal",
-    "detect",
-    "symbol_error_prob_poisson",
     "ser_analytic",
     "optimal_threshold",
     "ser_monte_carlo",
@@ -158,40 +155,10 @@ class SerResult:
 
     ser: float
     per_symbol_errors: np.ndarray
-    threshold_used: int
-    method: SerMethod
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not 0.0 <= self.ser <= 1.0:
             raise ValueError("symbol error rate must lie in [0, 1]")
-
-
-def detect(count: int, xi: int):
-    """Threshold detection: 1 iff ``count >= xi`` (boundary inclusive)."""
-    return (np.asarray(count) >= xi).astype(int) if np.ndim(count) else int(count >= xi)
-
-
-def _check_sequence(sequence, k: int) -> np.ndarray:
-    bits = np.asarray(sequence, dtype=np.int64)
-    if bits.shape != (k,):
-        raise ValueError(f"sequence must have length {k}")
-    if np.any((bits != 0) & (bits != 1)):
-        raise ValueError("sequence must be binary")
-    return bits
-
-
-def mean_signal(link: OokLinkConfig, sequence, i: int) -> float:
-    """Expected receiver count at detection instant ``i`` for a transmitted sequence.
-
-    ``n_tx * sum_{j <= i} a[i - j] P_ob(t0 + j T) + Nn``; the symbols after
-    ``i`` are released after the instant and contribute nothing.
-    """
-    bits = _check_sequence(sequence, link.seq_len_K)
-    if not 0 <= i < link.seq_len_K:
-        raise ValueError("symbol index out of range")
-    return link.noise_mean_Nn + link.n_tx * float(
-        np.sum(bits[: i + 1][::-1] * link.pob[: i + 1]))
 
 
 def _poisson_pmf(k, lam):
@@ -211,25 +178,6 @@ def _binomial_pmf(k, n, p):
     except OverflowError:
         return np.exp(gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
                       + xlogy(k, p) + xlog1py(n - k, -p))
-
-
-def _poisson_cdf(k, lam):
-    """``P(Poisson(lam) <= k)`` for scalar/array ``k`` and ``lam`` (0 for k < 0)."""
-    k = np.asarray(k, dtype=float)
-    out = np.where(k >= 0.0, pdtr(np.maximum(k, 0.0), lam), 0.0)
-    return out if out.ndim else float(out)
-
-
-def symbol_error_prob_poisson(link: OokLinkConfig, sequence, i: int) -> float:
-    """Poisson-model error probability of symbol ``i`` given ``a[j <= i]``.
-
-    With ``N`` Poisson with the :func:`mean_signal` at instant ``i``, a
-    transmitted 1 is missed with probability ``P(N < xi)``, a transmitted 0
-    is falsely detected with probability ``P(N >= xi)``.
-    """
-    bits = _check_sequence(sequence, link.seq_len_K)
-    cdf = _poisson_cdf(link.threshold_xi - 1, mean_signal(link, bits, i))
-    return float(cdf) if bits[i] == 1 else float(1.0 - cdf)
 
 
 def _trimmed_pmf(pmf_at, mean: float, var: float,
@@ -316,8 +264,7 @@ def _error_table(link: OokLinkConfig, method: SerMethod) -> np.ndarray:
                      for with_signal, without in laws])
 
 
-def _ser_result(link: OokLinkConfig, method: SerMethod, table: np.ndarray,
-                xi: int) -> SerResult:
+def _ser_result(table: np.ndarray, xi: int) -> SerResult:
     """The analytic SER at threshold ``xi`` from an :func:`_error_table`."""
     per_symbol = table[:, min(xi, table.shape[1] - 1)]
     # A trimmed pmf's summed mass can round a few ulp above 1, so an error
@@ -325,9 +272,6 @@ def _ser_result(link: OokLinkConfig, method: SerMethod, table: np.ndarray,
     return SerResult(
         ser=min(max(float(per_symbol.mean()), 0.0), 1.0),
         per_symbol_errors=np.clip(per_symbol, 0.0, 1.0),
-        threshold_used=xi,
-        method=method,
-        meta={"isi_probabilities": link.pob},
     )
 
 
@@ -339,7 +283,7 @@ def ser_analytic(link: OokLinkConfig,
     miss and a false alarm over the convolved interference law (see the
     module notes), two convolutions per symbol for any sequence length.
     """
-    return _ser_result(link, method, _error_table(link, method), link.threshold_xi)
+    return _ser_result(_error_table(link, method), link.threshold_xi)
 
 
 def optimal_threshold(link: OokLinkConfig,
@@ -354,7 +298,7 @@ def optimal_threshold(link: OokLinkConfig,
     """
     table = _error_table(link, method)
     xi = int(np.argmin(table.mean(axis=0)))
-    return xi, _ser_result(link, method, table, xi)
+    return xi, _ser_result(table, xi)
 
 
 def _mc_counts_block(link: OokLinkConfig, realizations: int,
@@ -397,10 +341,5 @@ def ser_monte_carlo(link: OokLinkConfig, realizations: int, seed: int,
     if method is not SerMethod.MONTE_CARLO_COUNTS:
         raise ValueError(f"{method} is not a Monte Carlo method")
     errors = _mc_counts_errors(link, realizations, np.random.default_rng([seed, 0]))
-    return SerResult(
-        ser=float(errors.sum() / (realizations * link.seq_len_K)),
-        per_symbol_errors=errors / realizations,
-        threshold_used=link.threshold_xi,
-        method=method,
-        meta={"realizations": realizations, "seed": seed},
-    )
+    return SerResult(ser=float(errors.sum() / (realizations * link.seq_len_K)),
+                     per_symbol_errors=errors / realizations)

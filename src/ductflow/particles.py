@@ -44,6 +44,7 @@ from .duct import (
     ReleaseKind,
     ReleaseSpec,
     validate_receiver,
+    validate_release,
 )
 
 __all__ = [
@@ -86,7 +87,6 @@ class ObservationSeries:
     times: np.ndarray
     counts: np.ndarray
     n_tx: int
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -119,12 +119,13 @@ class SimConfig:
 
     ``rx`` is one receiver or a tuple of receivers; ``receivers`` always
     holds the tuple, in the given order, and every receiver is validated
-    against the duct.  One run counts all of them on the same trajectories.
+    against the duct, as is a point release.  One run counts all of them on
+    the same trajectories.
 
-    Sample times are snapped to the nearest step boundary at construction
-    (recorded in ``requested_sample_times``) so no silent interpolation
-    happens later; they must be non-negative and, after snapping, strictly
-    increasing.  A run lasts until the last sample or snapshot step.
+    Sample times are snapped to the nearest step boundary at construction so
+    no silent interpolation happens later; they must be non-negative and,
+    after snapping, strictly increasing.  A run lasts until the last sample
+    or snapshot step.
     """
 
     channel: DuctChannelConfig
@@ -134,7 +135,6 @@ class SimConfig:
     seed: int
     sample_times: Sequence[float]
     receivers: tuple[ReceiverVolume, ...] = field(init=False)
-    requested_sample_times: np.ndarray = field(init=False)
     sample_steps: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -148,15 +148,13 @@ class SimConfig:
         for rx in receivers:
             validate_receiver(self.channel, rx)
         object.__setattr__(self, "receivers", receivers)
-        if self.release.kind is ReleaseKind.POINT and self.release.r0 > self.channel.radius_a:
-            raise ValueError("release radius exceeds duct radius")
+        validate_release(self.channel, self.release)
         requested = np.asarray(self.sample_times, dtype=float)
         if requested.ndim != 1 or requested.size == 0:
             raise ValueError("at least one sample time is required")
         steps = _to_steps(requested, self.time_step, "sample times")
         if np.any(np.diff(steps) <= 0):
             raise ValueError("sample times must snap to distinct, increasing steps")
-        object.__setattr__(self, "requested_sample_times", requested)
         object.__setattr__(self, "sample_steps", steps)
         object.__setattr__(self, "sample_times", steps * self.time_step)
 
@@ -295,8 +293,8 @@ def run(config: SimConfig, *, threads: int = 1,
     config : SimConfig
     threads : int
         Number of worker threads (at least 1) the ensemble is partitioned
-        across.  Has no effect on the results, meta data included (see the
-        module reproducibility contract).
+        across.  Has no effect on the results (see the module
+        reproducibility contract).
     snapshot_times : sequence of float
         Optional times at which to capture per-particle ``(x, r^2)`` pairs;
         snapped to step boundaries like the sample times and refused
@@ -313,12 +311,7 @@ def run(config: SimConfig, *, threads: int = 1,
     snap_steps = sorted(set(_to_steps(snapshot_times, config.time_step,
                                       "snapshot times").tolist()))
     counts, snaps = _run_partitioned(config, threads, snap_steps)
-    meta = {
-        "seed": config.seed,
-        "time_step": config.time_step,
-        "requested_sample_times": config.requested_sample_times,
-    }
-    all_series = tuple(ObservationSeries(config.sample_times, c, config.release.n_tx, dict(meta))
+    all_series = tuple(ObservationSeries(config.sample_times, c, config.release.n_tx)
                        for c in counts)
     snapshots = {s * config.time_step: snaps[s] for s in snap_steps}
     return SimResult(all_series, snapshots)

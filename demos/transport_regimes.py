@@ -1,51 +1,30 @@
 """Where does a duct channel sit between dispersion and flow-dominated?
 
-The ratio of the Peclet number to 4 d / a decides which closed-form channel
-model applies: well below one, cross-sectional diffusion has time to mix the
-ensemble and the channel behaves like 1-D advection-diffusion with the
-Taylor-Aris effective diffusivity; well above one, particles simply ride
-their streamline.  This script classifies a grid of scenarios, prints the
-verdicts, and writes the boundary-line data for plotting.
+Well below Pe / (4 d / a) = 1 the Taylor-Aris model (D_eff = D (1 + Pe^2 / 48))
+applies; well above it, particles ride their streamline.  Runs ``regime_map``
+(v = 1 mm/s, D = 1e-10 m^2/s) over a grid of radii and distances.
 """
 
-import math
+import csv
 from pathlib import Path
 
-from ductflow import DuctChannelConfig, ReceiverVolume, classify_regime, effective_diffusion
-from ductflow.output import Table, emit_table
+from ductflow import cli
 
 OUT = Path(__file__).resolve().parent / "demo_out"
 
 
-def receiver(radius, distance):
-    return ReceiverVolume(axial_distance_d=distance, extent_cx=radius / 2,
-                          extent_cr=radius / 2, extent_cphi=math.pi / 2)
-
-
 def main():
-    print("scenario classification (v = 1 mm/s, D = 1e-10 m^2/s)")
-    print(f"{'radius':>10} {'distance':>10} {'Pe':>8} {'d/a':>6} {'margin':>10} regime")
-    rows = []
-    for radius in (5e-6, 10e-6, 50e-6, 200e-6):
-        for distance in (200e-6, 800e-6, 5e-3):
-            channel = DuctChannelConfig(radius_a=radius, diffusion_D=1e-10,
-                                        mean_velocity=1e-3)
-            verdict = classify_regime(channel, receiver(radius, distance))
-            print(f"{radius * 1e6:>8.0f}um {distance * 1e6:>8.0f}um "
-                  f"{verdict.peclet:>8.0f} {verdict.distance_ratio:>6.0f} "
-                  f"{verdict.margin:>10.3g} {verdict.regime.value}")
-            rows.append((radius, distance, verdict.peclet, verdict.distance_ratio,
-                         verdict.margin, verdict.regime.value))
-
-    channel = DuctChannelConfig(radius_a=10e-6, diffusion_D=1e-10, mean_velocity=1e-3)
-    print("\nin the narrow duct the effective axial diffusivity is "
-          f"{effective_diffusion(channel):.3g} m^2/s, "
-          f"{effective_diffusion(channel) / channel.diffusion_D:.0f}x the molecular value.")
-
-    table = Table(("radius_a_m", "d_m", "peclet", "distance_ratio", "margin", "regime"),
-                  rows, meta={"content": "regime grid from demos/transport_regimes.py"})
-    path = emit_table(table, OUT / "transport_regimes.csv")
-    print(f"\nwrote {path}")
+    if cli.main(["preset", "regime_map", "--out", str(OUT),
+                 "--set", "regime.radii=5um,10um,50um,200um",
+                 "--set", "regime.distances=200um,800um,5mm"]) != 0:
+        raise SystemExit("ductflow preset regime_map failed")
+    lines = (OUT / "regime_scenarios.csv").read_text().splitlines()
+    print("\n  radius   distance     Pe    d/a   margin  D_eff/D regime")
+    for row in csv.DictReader(s for s in lines if s[:1] != "#"):
+        a, d, pe, ratio, margin = (float(row[key]) for key in (
+            "radius_a_m", "d_m", "peclet", "distance_ratio", "margin"))
+        print(f"{a * 1e6:>6.0f}um {d * 1e6:>8.0f}um {pe:>6.0f} {ratio:>6.0f} "
+              f"{margin:>8.3g} {1.0 + pe * pe / 48.0:>8.3g} {row['regime']}")
 
 
 if __name__ == "__main__":

@@ -16,7 +16,6 @@ from .duct import (
     classify_regime,
     mean_velocity_from_pressure,
     peclet_number,
-    point_in_receiver,
     rx_area_fraction,
     velocity_at,
 )
@@ -53,7 +52,7 @@ __version__ = "0.1.0"
 __all__ = [
     "DuctChannelConfig", "ReceiverVolume", "ReleaseKind", "ReleaseSpec",
     "Regime", "RegimeVerdict", "velocity_at", "mean_velocity_from_pressure",
-    "peclet_number", "classify_regime", "rx_area_fraction", "point_in_receiver",
+    "peclet_number", "classify_regime", "rx_area_fraction",
     "DispersionModel", "FlowModel",
     "effective_diffusion", "cir_dispersion", "dispersion_peak_time",
     "dispersion_peak_value", "flow_transit_times", "cir_flow_uniform",

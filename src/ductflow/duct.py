@@ -36,7 +36,6 @@ __all__ = [
     "peclet_number",
     "classify_regime",
     "rx_area_fraction",
-    "point_in_receiver",
     "validate_receiver",
     "validate_release",
 ]
@@ -285,29 +284,3 @@ def rx_area_fraction(config: DuctChannelConfig, rx: ReceiverVolume) -> float:
     a = config.radius_a
     cr = rx.extent_cr
     return (rx.extent_cphi / TWO_PI) * (2.0 * a * cr - cr * cr) / (a * a)
-
-
-def point_in_receiver(rx: ReceiverVolume, x, r, phi, radius_a: float):
-    """Whether the point(s) ``(x, r, phi)`` lie inside the receiver volume.
-
-    The duct radius is passed explicitly because the radial band
-    ``a - c_r <= r <= a`` is anchored at the wall.  Accepts scalars or
-    broadcastable arrays; azimuths must lie in ``[-pi, pi]`` (the closed
-    lower end tolerates ``arctan2`` returning exactly ``-pi``).
-    """
-    x_arr = np.asarray(x, dtype=float)
-    r_arr = np.asarray(r, dtype=float)
-    phi_arr = np.asarray(phi, dtype=float)
-    if np.any(r_arr < 0.0):
-        raise ValueError("radial position must be non-negative")
-    if np.any(phi_arr < -math.pi) or np.any(phi_arr > math.pi):
-        raise ValueError("azimuth must lie in [-pi, pi]")
-    inside = (
-        (np.abs(x_arr - rx.axial_distance_d) <= rx.extent_cx / 2.0)
-        & (r_arr >= radius_a - rx.extent_cr)
-        & (r_arr <= radius_a)
-        & (np.abs(phi_arr) <= rx.extent_cphi / 2.0)
-    )
-    if np.ndim(x) == 0 and np.ndim(r) == 0 and np.ndim(phi) == 0:
-        return bool(inside)
-    return inside

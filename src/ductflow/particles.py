@@ -13,8 +13,8 @@ particles are reflected at their end-of-step position only, a known
 There is one step loop, ``_run_block``: ``_initial_block`` places a block
 of particles, ``_advance_inplace`` moves it before every step but step 0,
 and ``_hits`` counts every receiver at each sample step, for any ``D``.
-:func:`run` runs one contiguous block per worker thread on a thread pool
-(one empty block when ``n_tx = 0``).
+:func:`run` runs one contiguous block per requested thread (one empty block
+when ``n_tx = 0``) on a pool of at most ``os.cpu_count()`` worker threads.
 
 Reproducibility contract: every random number is drawn from a counter-based
 Philox stream keyed by ``(seed, step)`` at a counter offset fixed by the
@@ -30,6 +30,7 @@ alone, and adding a receiver never changes another receiver's counts.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -273,7 +274,7 @@ def _run_partitioned(config: SimConfig, threads: int, snapshot_steps: Sequence[i
         raise ValueError("threads must be at least 1")
     n = config.release.n_tx
     bounds = np.linspace(0, n, min(threads, max(n, 1)) + 1).astype(int)
-    with ThreadPoolExecutor(max_workers=bounds.size - 1) as pool:
+    with ThreadPoolExecutor(max_workers=min(bounds.size - 1, os.cpu_count() or 1)) as pool:
         futures = [pool.submit(_run_block, config, int(lo), int(hi), snapshot_steps)
                    for lo, hi in zip(bounds[:-1], bounds[1:])]
         results = [f.result() for f in futures]

@@ -14,7 +14,6 @@ and seed; partially written files are removed if a runner fails.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -41,8 +40,6 @@ from .particles import SimConfig, run
 __all__ = ["PRESETS", "ACTIONS", "preset_config", "discard_partial_outputs",
            "regime_action", "cir_action", "simulate_action",
            "snapshot_action", "ser_action"]
-
-logger = logging.getLogger(__name__)
 
 _UM = 1e-6
 
@@ -160,12 +157,9 @@ def _simulated_cir_paths(cfg: ResolvedConfig, out_dir: Path, fmt: str,
     for k, distance in enumerate(distances):
         for label in labels:
             series = results[label].all_series[k]
-            # Binomial standard errors and 95 % confidence half-widths.
+            # Binomial standard errors (0 if n_tx = 0) and 95 % CI half-widths.
             pob = series.probabilities()
-            if series.n_tx > 0:
-                stderr = np.sqrt(pob * (1.0 - pob) / series.n_tx)
-            else:
-                stderr = np.zeros_like(pob)
+            stderr = np.sqrt(pob * (1.0 - pob) / max(series.n_tx, 1))
             rows = [(float(t), float(p), float(se), float(hw), int(c), series.n_tx)
                     for t, p, se, hw, c in zip(
                         series.times, pob, stderr, 1.96 * stderr, series.counts)]
@@ -268,25 +262,9 @@ def ser_action(cfg: ResolvedConfig, out_dir: Path, fmt: str, threads: int = 1,
                     result = ser_analytic(link, method)
                 rows.append((symbol_interval, distance, xi_opt, result.ser,
                              method.value, used, seed))
-    _log_trend(rows)
     return [_write(cfg, out_dir, fmt, "ser_sweep",
                    ("T_s", "d_m", "xi_opt", "ser", "method", "realizations", "seed"), rows,
                    content="symbol error rate sweep")]
-
-
-def _log_trend(rows) -> None:
-    # Soft sanity: longer symbol intervals should not hurt; Monte Carlo
-    # noise and threshold granularity can wiggle, so this is logged only.
-    by_curve: dict[tuple, list] = {}
-    for T, d, _, ser, method, _, _ in rows:
-        by_curve.setdefault((d, method), []).append((T, ser))
-    for (d, method), points in by_curve.items():
-        points.sort()
-        sers = [s for _, s in points]
-        if any(b > a * 1.02 + 1e-12 for a, b in zip(sers, sers[1:])):
-            logger.warning("SER not non-increasing in T for d=%g m (%s)", d, method)
-        else:
-            logger.info("SER trend non-increasing in T for d=%g m (%s)", d, method)
 
 
 def _cir_preset(cfg: ResolvedConfig, out_dir: Path, fmt: str, threads: int) -> list[Path]:

@@ -1,16 +1,14 @@
-"""Every demo script still imports against the package's public names, and
-the fast ones run end to end."""
+"""Every demo runs its preset through the CLI end to end, and only through it."""
 
+import ast
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+from ductflow import cli
 
-#: Demos whose ``main()`` takes under a second; ``impulse_responses`` runs
-#: particle ensembles for about 9 s and is only imported.
-FAST = ["error_rate_sweep", "particle_snapshots", "transport_regimes"]
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 
 
 def load_demo(path):
@@ -22,8 +20,8 @@ def load_demo(path):
 
 
 def test_demos_exist():
-    assert len(DEMOS) >= 4
-    assert set(FAST) <= {p.stem for p in DEMOS}
+    assert {p.stem for p in DEMOS} >= {"error_rate_sweep", "impulse_responses",
+                                       "particle_snapshots", "transport_regimes"}
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
@@ -31,12 +29,35 @@ def test_demo_imports(path):
     assert callable(load_demo(path).main)
 
 
-@pytest.mark.parametrize("name", FAST)
-def test_demo_runs(name, tmp_path, monkeypatch, capsys):
-    module = load_demo(next(p for p in DEMOS if p.stem == name))
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
+def test_demo_uses_only_the_cli(path):
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("ductflow"):
+            imported |= {f"{node.module}.{alias.name}" for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {a.name for a in node.names if a.name.startswith("ductflow")}
+    assert imported == {"ductflow.cli"}
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
+def test_demo_fails_when_the_cli_fails(path, tmp_path, monkeypatch):
+    module = load_demo(path)
+    monkeypatch.setattr(module, "OUT", tmp_path)
+    monkeypatch.setattr(cli, "main", lambda argv: cli.EXIT_CONFIG)
+    with pytest.raises(SystemExit):
+        module.main()
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(path, tmp_path, monkeypatch, capsys):
+    module = load_demo(path)
     monkeypatch.setattr(module, "OUT", tmp_path)
     module.main()
-    written = sorted(tmp_path.glob("*.csv"))
+    written = sorted(tmp_path.rglob("*.csv"))
     assert written
-    printed = capsys.readouterr().out
-    assert all(str(path) in printed for path in written)
+    printed = capsys.readouterr().out.splitlines()
+    for table in written:
+        assert str(table) in printed
+        assert any(line.startswith("# config_digest = ")
+                   for line in table.read_text().splitlines())

@@ -14,11 +14,10 @@ from ductflow import (
     classify_regime,
     mean_velocity_from_pressure,
     peclet_number,
-    point_in_receiver,
     rx_area_fraction,
     velocity_at,
 )
-from conftest import make_channel, make_receiver
+from conftest import make_channel, make_receiver, point_in_receiver
 
 
 class TestVelocity:

@@ -6,6 +6,8 @@ the counter-based Philox + ``ndtri`` streams of every run.
 
 import hashlib
 import math
+import os
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -18,18 +20,18 @@ from ductflow import (
     SimConfig,
     cir_flow_uniform,
     flow_point_window,
-    point_in_receiver,
     run,
     rx_area_fraction,
     velocity_at,
 )
+from ductflow import particles
 from ductflow.particles import (
     _advance_inplace,
     _counter_normals,
     _initial_block,
     _reflect_inplace,
 )
-from conftest import make_channel, make_receiver
+from conftest import make_channel, make_receiver, point_in_receiver
 
 
 def sim_config(channel, rx, release, sample_times, seed=1234, dt=1e-3):
@@ -207,6 +209,37 @@ class TestRun:
         for other in results[1:]:
             assert np.array_equal(results[0].series.counts, other.series.counts)
             assert np.array_equal(results[0].snapshots[0.05], other.snapshots[0.05])
+
+    def test_workers_capped_at_cpu_count(self, narrow_channel, monkeypatch):
+        # One block per requested thread, but no more pool workers than CPUs;
+        # the fake pool runs each block inline, so no thread is started.
+        pools = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                self.max_workers, self.blocks = max_workers, 0
+                pools.append(self)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                self.blocks += 1
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        cfg = sim_config(narrow_channel, make_receiver(10e-6, 20e-6),
+                         ReleaseSpec.uniform(64), np.arange(1, 21) * 1e-3)
+        monkeypatch.setattr(particles, "ThreadPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        expected = run(cfg, threads=1).series.counts
+        counts = run(cfg, threads=64).series.counts
+        assert [(p.max_workers, p.blocks) for p in pools] == [(1, 1), (4, 64)]
+        assert np.array_equal(counts, expected)
 
     def test_mean_axial_position_tracks_mean_velocity(self, narrow_channel):
         rx = make_receiver(10e-6, 800e-6)

@@ -10,21 +10,25 @@ rare multi-width excursion).  Sub-step wall crossings are not interpolated;
 particles are reflected at their end-of-step position only, a known
 ``O(sqrt(dt))`` boundary-layer bias of plain particle schemes.
 
-There is one step loop, ``_run_block``: ``_initial_block`` places a block
-of particles, ``_advance_inplace`` moves it before every step but step 0,
-and ``_hits`` counts every receiver at each sample step, for any ``D``.
-:func:`run` runs one contiguous block per requested thread (one empty block
-when ``n_tx = 0``) on a pool of at most ``os.cpu_count()`` worker threads.
+One step loop, ``_run_block``, serves every run: ``_initial_block`` places
+a block of particles, ``_draw_normals`` and ``_advance_inplace`` move it,
+and ``_hits`` counts every receiver at each sample step.  ``x`` never feeds
+back into the cross-sectional motion, so the axial increments of the ``k``
+steps since the last sample or snapshot step are drawn at that step as one
+``N(0, 2 D k dt)``, exact in distribution.
 
-Reproducibility contract: every random number is drawn from a counter-based
-Philox stream keyed by ``(seed, step)`` at a counter offset fixed by the
-absolute particle index (one 4-word counter block per particle per step).
-A run is therefore a deterministic function of ``(config, seed)`` and
-bit-identical for any partitioning of the ensemble across workers; the only
-cross-partition reduction is an associative integer sum of receiver counts.
-Receivers are transparent, so every receiver of a run observes the same
-trajectories: a receiver's counts equal those of a run with that receiver
-alone, and adding a receiver never changes another receiver's counts.
+Reproducibility contract: particles form blocks of ``_BLOCK`` by index, and
+:func:`run` gives each of ``min(threads, os.cpu_count(), blocks)`` worker
+threads a run of whole blocks.  Block ``b`` owns two generators built from
+``SeedSequence(seed, spawn_key=(b, axis))``: axis 0 draws its release
+positions, then each step's ``y`` and ``z`` normals; axis 1 draws one ``x``
+normal per particle at each sample or snapshot step, so the sample grid
+leaves the ``y, z`` streams alone.  Normals are numpy's ziggurat
+``standard_normal`` (Marsaglia & Tsang, 2000) on SFC64, chosen over Philox
+for speed (13.5 against 22.5 ns a normal on a 2-vCPU Xeon, numpy 2.4).  A
+run is thus a function of ``(config, seed)``, bit-identical for any thread
+count.  Receivers are transparent: a receiver's counts equal those of a run
+with that receiver alone.
 """
 
 from __future__ import annotations
@@ -36,8 +40,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from numpy.random import Philox
-from scipy.special import ndtri
+from numpy.random import SFC64, Generator, SeedSequence
 
 from .duct import (
     DuctChannelConfig,
@@ -48,37 +51,20 @@ from .duct import (
     validate_release,
 )
 
-__all__ = [
-    "SimConfig",
-    "ObservationSeries",
-    "SimResult",
-    "run",
-]
+__all__ = ["SimConfig", "ObservationSeries", "SimResult", "run"]
 
-# One Philox counter block (4 x 64-bit words) per particle per stream; the
-# first 3 words become the per-axis normals, the 4th is discarded.  Philox
-# ``advance`` skips whole blocks, which is what makes per-particle offsets
-# partition-independent.
-_WORDS_PER_PARTICLE = 4
+#: Particles per random-stream block; part of the reproducibility contract.
+_BLOCK = 2048
 _MAX_SEED = 2 ** 64
 
 
-def _raw_blocks(seed: int, stream: int, lo: int, n: int) -> np.ndarray:
-    bits = Philox(key=np.array([seed, stream], dtype=np.uint64))
-    if lo:
-        bits.advance(int(lo))
-    return bits.random_raw(_WORDS_PER_PARTICLE * int(n)).reshape(int(n), _WORDS_PER_PARTICLE)
-
-
-def _to_open_unit(raw: np.ndarray) -> np.ndarray:
-    # 53-bit mantissa shifted into (0, 1): never exactly 0 or 1, so the
-    # Gaussian inverse CDF stays finite.
-    return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
-
-
-def _counter_normals(seed: int, stream: int, lo: int, n: int) -> np.ndarray:
-    """Standard normals for particles ``[lo, lo + n)`` of stream ``stream``, shape (n, 3)."""
-    return ndtri(_to_open_unit(_raw_blocks(seed, stream, lo, n)[:, :3]))
+def _streams(seed: int, lo: int, hi: int):
+    """Spans (offsets from ``lo``) and axis-0 and axis-1 generators of ``[lo, hi)``'s blocks."""
+    starts = range(lo, hi, _BLOCK)
+    spans = [(s - lo, min(s + _BLOCK, hi) - lo) for s in starts]
+    cross, axial = ([Generator(SFC64(SeedSequence(seed, spawn_key=(s // _BLOCK, axis))))
+                     for s in starts] for axis in (0, 1))
+    return spans, cross, axial
 
 
 @dataclass(frozen=True)
@@ -186,86 +172,95 @@ class SimResult:
         return self.all_series[0]
 
 
-def _initial_block(release: ReleaseSpec, radius_a: float, seed: int,
-                   lo: int, n: int):
-    """Release-plane positions ``(x, y, z)`` of particles ``[lo, lo + n)``."""
+def _initial_block(release: ReleaseSpec, radius_a: float, spans, gens):
+    """Release-plane positions ``(x, y, z)`` of the blocks at ``spans``."""
+    n = spans[-1][1] if spans else 0
     if release.kind is ReleaseKind.POINT:
         y0 = release.r0 * math.cos(release.phi0)
         z0 = release.r0 * math.sin(release.phi0)
         return np.zeros(n), np.full(n, y0), np.full(n, z0)
-    # Uniform over the disk from stream 0: radius a*sqrt(u) makes r^2
-    # uniform on [0, a^2], and the azimuth is uniform.
-    u = _to_open_unit(_raw_blocks(seed, 0, lo, n)[:, :2])
+    # Uniform over the disk: r = a*sqrt(u) makes r^2 uniform on [0, a^2].
+    u = np.empty((n, 2))
+    for g, (s, e) in zip(gens, spans):
+        g.random(out=u[s:e])
     r = radius_a * np.sqrt(u[:, 0])
     phi = (2.0 * u[:, 1] - 1.0) * math.pi
     return np.zeros(n), r * np.cos(phi), r * np.sin(phi)
 
 
-def _reflect_inplace(y: np.ndarray, z: np.ndarray, radius_a: float) -> None:
-    """Fold cross-sectional excursions back inside the wall circle.
+def _reflect_inplace(y: np.ndarray, z: np.ndarray, r2: np.ndarray, radius_a: float) -> None:
+    """Fold radii ``r > a`` to ``2a - r`` along the same ray until every ``r <= a``.
 
-    Radius ``r > a`` maps to ``2a - r`` along the same ray; a negative scale
-    factor (excursion beyond ``2a``, astronomically rare at sane time steps)
-    passes the point through the axis, i.e. folds again with the azimuth
-    flipped.  Iterates until every particle satisfies ``r <= a``.
+    ``r2`` holds ``y*y + z*z`` and is kept so; only folded particles take a
+    square root.  Past ``2a`` (astronomically rare at sane time steps) the
+    fold passes through the axis and flips the azimuth.
     """
-    rr = np.sqrt(y * y + z * z)
-    idx = np.flatnonzero(rr > radius_a)
+    idx = np.flatnonzero(r2 > radius_a * radius_a)
+    rr = np.sqrt(r2[idx])
     while idx.size:
-        r_out = rr[idx]
-        scale = (2.0 * radius_a - r_out) / r_out
+        scale = (2.0 * radius_a - rr) / rr
         y[idx] *= scale
         z[idx] *= scale
-        r_new = np.abs(2.0 * radius_a - r_out)
-        rr[idx] = r_new
-        idx = idx[r_new > radius_a]
+        r2[idx] = y[idx] ** 2 + z[idx] ** 2
+        rr = np.abs(2.0 * radius_a - rr)
+        idx, rr = idx[rr > radius_a], rr[rr > radius_a]
 
 
-def _advance_inplace(x: np.ndarray, y: np.ndarray, z: np.ndarray,
-                     channel: DuctChannelConfig, dt: float,
-                     normals: np.ndarray | None) -> None:
+def _draw_normals(spans, gens, *outs: np.ndarray) -> None:
+    """Fill each of ``outs`` with standard normals, block after block."""
+    for g, (s, e) in zip(gens, spans):
+        for out in outs:
+            g.standard_normal(out=out[s:e])
+
+
+def _advance_inplace(x, y, z, r2, channel: DuctChannelConfig, dt: float, normals) -> None:
+    """Advect ``x`` at the pre-step radius, then diffuse (``normals``) and reflect."""
     a = channel.radius_a
-    r2 = y * y + z * z
     x += (2.0 * channel.mean_velocity) * (1.0 - r2 / (a * a)) * dt
     if normals is not None:
         sigma = math.sqrt(2.0 * channel.diffusion_D * dt)
-        x += sigma * normals[:, 0]
-        y += sigma * normals[:, 1]
-        z += sigma * normals[:, 2]
-        _reflect_inplace(y, z, a)
+        y += sigma * normals[0]
+        z += sigma * normals[1]
+        np.multiply(y, y, out=r2)
+        r2 += np.multiply(z, z, out=normals[0])
+        _reflect_inplace(y, z, r2, a)
 
 
-def _hits(rx: ReceiverVolume, radius_a: float, x, y, z) -> int:
+def _hits(rx: ReceiverVolume, radius_a: float, x, y, z, r2) -> int:
     """Number of particles inside ``rx``."""
-    # Axial prefilter first: the receiver window is narrow, so the radial
-    # and angular tests run on a small candidate set.
+    # Axial prefilter first: the radial and angular tests see few candidates.
     cand = np.flatnonzero(np.abs(x - rx.axial_distance_d) <= rx.extent_cx / 2.0)
-    yc = y[cand]
-    zc = z[cand]
-    cand = cand[np.sqrt(yc * yc + zc * zc) >= radius_a - rx.extent_cr]
+    cand = cand[np.sqrt(r2[cand]) >= radius_a - rx.extent_cr]
     return int(np.count_nonzero(np.abs(np.arctan2(z[cand], y[cand])) <= rx.extent_cphi / 2.0))
 
 
 def _run_block(config: SimConfig, lo: int, hi: int, snapshot_steps: Sequence[int]):
+    """Counts and snapshots of particles ``[lo, hi)``; ``lo`` starts a block."""
     ch = config.channel
-    n = hi - lo
-    x, y, z = _initial_block(config.release, ch.radius_a, config.seed, lo, n)
+    dt = config.time_step
+    spans, cross, axial = _streams(config.seed, lo, hi)
+    x, y, z = _initial_block(config.release, ch.radius_a, spans, cross)
+    r2 = y * y + z * z
+    normals = (np.empty(hi - lo), np.empty(hi - lo)) if ch.diffusion_D > 0.0 else None
     columns = {int(s): col for col, s in enumerate(config.sample_steps)}
     counts = np.zeros((len(config.receivers), len(columns)), dtype=np.int64)
-    snapshot_set = set(snapshot_steps)
     snaps: dict[int, np.ndarray] = {}
-
-    for j in range(max([config.n_steps, *snapshot_steps]) + 1):
-        if j:
-            normals = (_counter_normals(config.seed, j, lo, n)
-                       if ch.diffusion_D > 0.0 else None)
-            _advance_inplace(x, y, z, ch, config.time_step, normals)
-        col = columns.get(j)
-        if col is not None:
+    last = 0
+    for j in sorted(columns.keys() | set(snapshot_steps)):
+        for _ in range(last, j):
+            if normals is not None:
+                _draw_normals(spans, cross, *normals)
+            _advance_inplace(x, y, z, r2, ch, dt, normals)
+        if normals is not None and j > last:
+            # The axial increments of steps last+1..j: one N(0, 2 D (j - last) dt).
+            _draw_normals(spans, axial, normals[0])
+            x += math.sqrt(2.0 * ch.diffusion_D * dt * (j - last)) * normals[0]
+        last = j
+        if j in columns:
             for k, rx in enumerate(config.receivers):
-                counts[k, col] = _hits(rx, ch.radius_a, x, y, z)
-        if j in snapshot_set:
-            snaps[j] = np.column_stack((x, y * y + z * z))
+                counts[k, columns[j]] = _hits(rx, ch.radius_a, x, y, z, r2)
+        if j in snapshot_steps:
+            snaps[j] = np.column_stack((x, r2))
     return counts, snaps
 
 
@@ -273,8 +268,11 @@ def _run_partitioned(config: SimConfig, threads: int, snapshot_steps: Sequence[i
     if threads < 1:
         raise ValueError("threads must be at least 1")
     n = config.release.n_tx
-    bounds = np.linspace(0, n, min(threads, max(n, 1)) + 1).astype(int)
-    with ThreadPoolExecutor(max_workers=min(bounds.size - 1, os.cpu_count() or 1)) as pool:
+    blocks = -(-n // _BLOCK)
+    parts = min(threads, os.cpu_count() or 1, max(blocks, 1))
+    # Partition bounds fall on block boundaries, so no block is ever split.
+    bounds = np.minimum(np.linspace(0, blocks, parts + 1).astype(int) * _BLOCK, n)
+    with ThreadPoolExecutor(max_workers=parts) as pool:
         futures = [pool.submit(_run_block, config, int(lo), int(hi), snapshot_steps)
                    for lo, hi in zip(bounds[:-1], bounds[1:])]
         results = [f.result() for f in futures]
@@ -293,9 +291,9 @@ def run(config: SimConfig, *, threads: int = 1,
     ----------
     config : SimConfig
     threads : int
-        Number of worker threads (at least 1) the ensemble is partitioned
-        across.  Has no effect on the results (see the module
-        reproducibility contract).
+        Requested worker threads (at least 1); at most ``os.cpu_count()``
+        and one per block run.  Has no effect on the results (see the
+        module reproducibility contract).
     snapshot_times : sequence of float
         Optional times at which to capture per-particle ``(x, r^2)`` pairs;
         snapped to step boundaries like the sample times and refused

@@ -446,19 +446,19 @@ CIR_GOLDEN_SHA256 = {
         "cir_analytic_d200um.csv": "0009029e5d3823645416951f9e1ff5bbc13feb938c78ebd44051bfdcafaaccbe",
         "cir_analytic_d800um.csv": "e3e4e4b13195e37f6bacfdbdeb876e9c91a64596ce4c49ece9ba0ac892cc782b",
         "cir_peaks.csv": "a881774c7791240c36fd38fb5c062ecfa7bf7e93a5207a5a15a333d664f408bc",
-        "cir_sim_point_d200um.csv": "bd618c393ca236aacd4feaf654d95cfe4f343d53b0be5c1efe8515a62f5ba35f",
-        "cir_sim_point_d800um.csv": "dff85f8e5773d4c8f90399a0e04f6a7f19a123994cabf1f76cc0984d3dd8b135",
-        "cir_sim_uniform_d200um.csv": "2f9c554c6793959d70a41695ea1b60d616184f51a0a88b1b6c30e2f3dadc87ae",
-        "cir_sim_uniform_d800um.csv": "be7dc303f27a08fd519979d3740c26218e03e06ce9b6f2a1a35b00fc1bc13a38",
+        "cir_sim_point_d200um.csv": "945f5d0d192da1f3ea62fcd84dee7505395682be3221c24bd5fa89cfd9c72913",
+        "cir_sim_point_d800um.csv": "f15a31a1855abb27bccf2ac0e760eb6af14d9ebbe4b00178969d0c1098edf8c9",
+        "cir_sim_uniform_d200um.csv": "d0a853c7850fe1b1d03e25907d57d7887a9aaaedc0a47c54cb4486bcd806deb1",
+        "cir_sim_uniform_d800um.csv": "7432faa412b37008f48fceefb772c624bcde84cb79b2f620b394cdfd3e76b11b",
     },
     "cir_large_duct": {
         "cir_analytic_d200um.csv": "c3c27ae29efe8e24da864ba8f531c66977f20ba9c358fd0c7ae71f35504d86cc",
         "cir_analytic_d800um.csv": "f9814d34aa75ef7a3722f6f0e56caa9775cd89c39a2a488d4ecfbd471949f33d",
         "cir_peaks.csv": "c8df648ae833bf2fc7873dfcfdd4faed047d05470fd6bccc69b55fd9560e6c3f",
-        "cir_sim_point_d200um.csv": "753dcb0ef09dd3050502341365d2722bd19c7c79738ae8ebe059b3dae443c439",
-        "cir_sim_point_d800um.csv": "c79b7fe8b5bdeca53e7074fddb339552fc6388e85173da17cfc3409b60f02ff2",
-        "cir_sim_uniform_d200um.csv": "c83ab897930f960bc815ba8052c55dc914ec435becd8a587089883f31086496b",
-        "cir_sim_uniform_d800um.csv": "b01f915d185798adf09b2b484379e4e835fdba4d3a303d09097958c8400c2a29",
+        "cir_sim_point_d200um.csv": "6d4d9e09e6db8cc10664ba7fd93a0b363afe04cf0055df5102669f8517c7a4de",
+        "cir_sim_point_d800um.csv": "19548c321948fcc4f53a18c0a53c18076cafbe318ed7ff90a9f3dd02bd02e592",
+        "cir_sim_uniform_d200um.csv": "a88f054bbde5f0dc604067f242e2ee123256b9c358ed4fd7bef79eebd389c2e1",
+        "cir_sim_uniform_d800um.csv": "3ff7f9221f4c763f2a98f2642c1221b578685386e1e4029034282a3c39803055",
     },
 }
 
@@ -511,21 +511,21 @@ GOLDEN.update({
         ["ser", "--set", "ook.method=particle_binomial", "--set", "ook.realizations=0",
          "--set", "channel.radius=10 um", "--set", "channel.diffusion=0"],
         ["ser_sweep.csv"],
-        {"ser_sweep.csv": "ab96ef494e3409bd9f80ea18a2637f30031ef614659aaed9037ac62687b99544"}),
+        {"ser_sweep.csv": "9fedccc705d51cbf2ef995ceec16784f413b107737faa02d1dbe0fa3ff3d09c9"}),
     "simulate": (
         ["simulate"] + SIM_ARGS,
         ["observations.csv"],
-        {"observations.csv": "7f9d36cf5bc78193173d59a350ffe9f140ffaf470168553675a9f2e9ed9d2422"}),
+        {"observations.csv": "79089524d6cbf2f44c084b37ea7fb9d4ab14e74e5dc45a63596d7ec6a0151b4f"}),
     "simulate_flow_only": (
         ["simulate", "--set", "channel.diffusion=0"] + SIM_ARGS,
         ["observations.csv"],
-        {"observations.csv": "504a17e96590945cf5da349f99531cd0508c364c468b0cbc57570351ee3c6ed2"}),
+        {"observations.csv": "fffaed4df227736e50928c6f5594a003d68d809eee0c59bc360b32bd4ac36f9e"}),
     "snapshot_small_duct": (
         ["preset", "snapshot_small_duct", "--seed", "2", "--set", "release.n_tx=300"],
         ["snapshot_t0.02s.csv", "snapshot_t0.2s.csv", "snapshot_t0.8s.csv"],
-        {"snapshot_t0.02s.csv": "19b1b0221ef9b0147cdc45f5a7e5747bbc97184f28d86f3939cb32e4613267f9",
-         "snapshot_t0.2s.csv": "309716e0a95f81474dac19287bf32feed8e419109faecee3213f2183f60d0d87",
-         "snapshot_t0.8s.csv": "3ae934d7f81c7f42c6056de98f18f5c7dab31525c91d18e9113d26c3b3fea95e"}),
+        {"snapshot_t0.02s.csv": "9e8e5cfaa9c6ea8e1f80499b2037df95b9782e30b369ec90b1055a8e912760ce",
+         "snapshot_t0.2s.csv": "4b6e7f3182a17e14477096832a945391b187db4f87632846b98d1b99dc7cad18",
+         "snapshot_t0.8s.csv": "4a18af7d350e2a9debaa8f4a5b559ac90cae29a830549fd0e47d40df7afaada5"}),
     "regime_map": (
         ["preset", "regime_map"],
         ["regime_scenarios.csv", "regime_boundary.csv"],
@@ -539,9 +539,9 @@ GOLDEN.update({
     "snapshot": (
         ["snapshot", "--set", "release.n_tx=300"],
         ["snapshot_t0.02s.csv", "snapshot_t0.2s.csv", "snapshot_t0.8s.csv"],
-        {"snapshot_t0.02s.csv": "76b1d4f4f4004578efa10bd1cdd5abb46266a3035f6f2e2a207c33023d096dec",
-         "snapshot_t0.2s.csv": "63e3f7fab4da0687d83836e218833afa8436654c8602eb178b3d30d6b66e6932",
-         "snapshot_t0.8s.csv": "b34bd1c2e5011c5bc925bcce67c67f1a2e969257924bcaa8e1edefe3e8127178"}),
+        {"snapshot_t0.02s.csv": "947b7f92beee3ac724a87a8ea3d78b36f6dbaee0dcba710a98ac0de6a038e541",
+         "snapshot_t0.2s.csv": "abb92f00da1e939df0a1e4ec5fc86373a693cabd66971eb9fc7b08d3f8b7a99f",
+         "snapshot_t0.8s.csv": "141d5df3f520047423a004a066a65f9066f41e57c0bb9110f3ebad0224a620e6"}),
     # The pressure-gradient route: mean velocity |grad p| a^2 / (8 eta) = 1e-5 m/s.
     "cir_pressure": (
         ["cir", "--set", "channel.pressure_gradient=800 Pa/m", "--set", "channel.viscosity=1 mPa.s"],

@@ -390,31 +390,57 @@ class TestSerMonteCarlo:
                 ser_monte_carlo(link, 10, seed=1, method=method)
 
     # The particle Monte Carlo that ``particle_binomial`` replaced drew every
-    # release from a pool's per-particle observation patterns.  On this
-    # 2000-particle pool (seed 7, 2000 realizations) it gave these SERs and
-    # per-symbol errors.  Its expectation is the binomial SER on the same
-    # pool's P_ob, so each per-symbol error lies within 4 binomial standard
-    # errors of that exact value (|z| <= 1.91 here), which is the same on 1
-    # and 3 threads bit for bit.
-    PINNED_PARTICLE_SER = {
+    # release from a pool's per-particle observation patterns.  On a
+    # 2000-particle pool of the engine's earlier streams (seed 7, 2000
+    # realizations) it gave these SERs and per-symbol errors.
+    MC_PARTICLE_SER = {
         1e-10: (0.17833333333333334, [0.101, 0.203, 0.231]),
         0.0: (0.16233333333333333, [0.0925, 0.1665, 0.228]),
     }
+    # The exact binomial SER and per-symbol errors on the same-sized pool of
+    # the block-keyed streams: they pin the pool bit for bit.
+    PINNED_PARTICLE_SER = {
+        1e-10: (0.22554450773727788,
+                [0.18299466003105097, 0.21608056170274342, 0.2775583014780392]),
+        0.0: (0.13603852607525938,
+              [0.04962502937837393, 0.1396283865950368, 0.21886216225236738]),
+    }
+
+    @staticmethod
+    def pool_sd(link, n_pool):
+        """Bound on the standard deviation of each per-symbol error from the
+        pool's sampling error: ``sum_j |de/dp_j| sd(p_j)``, which holds for
+        any correlation between offsets (gradient by central differences)."""
+        p = link.pob
+        bound = 0.0
+        for j, step in enumerate(1e-6 * np.eye(p.size)):
+            up, down = (ser_analytic(replace(link, pob=p + sign * step),
+                                     SerMethod.BINOMIAL_ANALYTIC).per_symbol_errors
+                        for sign in (1.0, -1.0))
+            bound = bound + np.abs(up - down) / 2e-6 * math.sqrt(p[j] * (1.0 - p[j]) / n_pool)
+        return bound
 
     @pytest.mark.parametrize("threads", [1, 3])
     @pytest.mark.parametrize("diffusion", [1e-10, 0.0])
     def test_particle_mode_pinned(self, monkeypatch, diffusion, threads):
         monkeypatch.setattr(presets, "_POOL_PARTICLES", 2000)
         cfg = particle_cfg(diffusion)
-        exact, other = (
-            ser_analytic(_particle_link(cfg, PARTICLE_LINK, cfg.receiver(), PARTICLE_OFFSETS, t),
-                         SerMethod.BINOMIAL_ANALYTIC)
-            for t in (threads, 4 - threads))
-        assert exact.ser == other.ser
-        assert np.array_equal(exact.per_symbol_errors, other.per_symbol_errors)
-        _, per_symbol = self.PINNED_PARTICLE_SER[diffusion]
+        link, other = (_particle_link(cfg, PARTICLE_LINK, cfg.receiver(), PARTICLE_OFFSETS, t)
+                       for t in (threads, 4 - threads))
+        exact, again = (ser_analytic(k, SerMethod.BINOMIAL_ANALYTIC) for k in (link, other))
+        assert exact.ser == again.ser
+        assert np.array_equal(exact.per_symbol_errors, again.per_symbol_errors)
+        ser, per_symbol = self.PINNED_PARTICLE_SER[diffusion]
+        assert exact.ser == pytest.approx(ser, rel=1e-12)
+        assert np.allclose(exact.per_symbol_errors, per_symbol, rtol=1e-12, atol=0.0)
+        # The retired Monte Carlo estimated the exact SER of its own pool.
+        # Against this pool's, it differs by its 2000 realizations' binomial
+        # error plus the sampling error of two independent 2000-particle
+        # pools; 4 standard deviations of both together.
+        _, mc = self.MC_PARTICLE_SER[diffusion]
         e = exact.per_symbol_errors
-        assert np.all(np.abs(np.array(per_symbol) - e) <= 4.0 * np.sqrt(e * (1.0 - e) / 2000))
+        sd = np.sqrt(e * (1.0 - e) / 2000 + 2.0 * self.pool_sd(link, 2000) ** 2)
+        assert np.all(np.abs(np.array(mc) - e) <= 4.0 * sd)
 
 
 class TestParticleBinomial:

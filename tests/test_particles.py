@@ -1,7 +1,10 @@
 """Particle engine: release sampling, stepping, reflection, and full runs.
 
-Release and step tests drive the helpers ``run`` itself uses, so they check
-the counter-based Philox + ``ndtri`` streams of every run.
+Release and step tests drive the helpers ``run`` itself uses
+(``_streams``, ``_initial_block``, ``_draw_normals``, ``_advance_inplace``),
+so they check the block-keyed ziggurat streams of every run.  Tests that
+compare thread counts patch ``os.cpu_count`` (``several_cpus``), so they
+split the ensemble into several partitions on any host.
 """
 
 import hashlib
@@ -26,10 +29,12 @@ from ductflow import (
 )
 from ductflow import particles
 from ductflow.particles import (
+    _BLOCK,
     _advance_inplace,
-    _counter_normals,
+    _draw_normals,
     _initial_block,
     _reflect_inplace,
+    _streams,
 )
 from conftest import make_channel, make_receiver, point_in_receiver
 
@@ -39,17 +44,34 @@ def sim_config(channel, rx, release, sample_times, seed=1234, dt=1e-3):
                      sample_times=sample_times)
 
 
-def released(release, radius, seed):
-    """The positions ``run`` starts from: particles ``[0, n_tx)`` of ``seed``."""
-    return _initial_block(release, radius, seed, 0, release.n_tx)
+@pytest.fixture
+def several_cpus(monkeypatch):
+    """Eight CPUs as far as the engine can tell, so threads > 1 split the ensemble."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
 
 
-def stepped(positions, channel, dt, seed, j):
-    """Copies of ``positions`` after engine step ``j`` of ``seed``'s streams."""
-    x, y, z = (c.copy() for c in positions)
-    normals = _counter_normals(seed, j, 0, x.size) if channel.diffusion_D > 0.0 else None
-    _advance_inplace(x, y, z, channel, dt, normals)
-    return x, y, z
+def released(release, radius, seed, lo=0, hi=None):
+    """The positions ``run`` starts particles ``[lo, hi)`` of ``seed`` from."""
+    spans, cross, _ = _streams(seed, lo, release.n_tx if hi is None else hi)
+    return _initial_block(release, radius, spans, cross)
+
+
+def walked(release, channel, seed, steps, dt=1e-3):
+    """Release positions and ``(x, y, z)`` after ``steps`` engine steps.
+
+    ``x`` carries the advection only: ``run`` adds the axial noise at the
+    sample and snapshot steps.
+    """
+    n = release.n_tx
+    spans, cross, _ = _streams(seed, 0, n)
+    start = _initial_block(release, channel.radius_a, spans, cross)
+    x, y, z = (c.copy() for c in start)
+    r2 = y * y + z * z
+    normals = (np.empty(n), np.empty(n))
+    for _ in range(steps):
+        _draw_normals(spans, cross, *normals)
+        _advance_inplace(x, y, z, r2, channel, dt, normals)
+    return start, (x, y, z)
 
 
 def radius(positions):
@@ -91,82 +113,128 @@ class TestInitialPositions:
         assert abs(inside.mean() - frac) <= 3.0 * stderr
 
     def test_blocks_concatenate_to_one_draw(self):
-        # Partition independence: any split of the ensemble draws exactly
-        # the release positions and step normals of the one-block draw.
-        release = ReleaseSpec.uniform(1000)
-        whole = _initial_block(release, 1e-5, 42, 0, 1000)
-        head = _initial_block(release, 1e-5, 42, 0, 300)
-        tail = _initial_block(release, 1e-5, 42, 300, 700)
+        # Partition independence: runs of whole blocks draw exactly the
+        # release positions and step normals of the one-partition draw.
+        n = 3 * _BLOCK + 77
+        release = ReleaseSpec.uniform(n)
+        whole = released(release, 1e-5, 42)
+        head = released(release, 1e-5, 42, 0, 2 * _BLOCK)
+        tail = released(release, 1e-5, 42, 2 * _BLOCK, n)
         for w, h, t in zip(whole, head, tail):
             assert np.array_equal(w, np.concatenate([h, t]))
-        assert np.array_equal(_counter_normals(42, 3, 0, 1000),
-                              np.concatenate([_counter_normals(42, 3, 0, 300),
-                                              _counter_normals(42, 3, 300, 700)]))
+        draws = []
+        for lo, hi in ((0, n), (0, 2 * _BLOCK), (2 * _BLOCK, n)):
+            spans, cross, axial = _streams(42, lo, hi)
+            _initial_block(release, 1e-5, spans, cross)  # a run draws the release first
+            out = (np.empty(hi - lo), np.empty(hi - lo), np.empty(hi - lo))
+            _draw_normals(spans, cross, *out[:2])
+            _draw_normals(spans, axial, out[2])
+            draws.append(out)
+        for w, h, t in zip(*draws):
+            assert np.array_equal(w, np.concatenate([h, t]))
 
 
 class TestStep:
     def test_pure_advection_is_exact(self):
         channel = make_channel(radius=200e-6, diffusion=0.0)
-        before = released(ReleaseSpec.uniform(2000), 200e-6, 3)
-        x0, y0, z0 = before
-        x, y, z = stepped(before, channel, 1e-3, 0, 1)
-        a = channel.radius_a
+        x0, y0, z0 = released(ReleaseSpec.uniform(2000), 200e-6, 3)
+        x, y, z = x0.copy(), y0.copy(), z0.copy()
         r2 = y0 * y0 + z0 * z0
+        _advance_inplace(x, y, z, r2, channel, 1e-3, None)
+        a = channel.radius_a
         expected = x0 + (2.0 * channel.mean_velocity) * (1.0 - r2 / (a * a)) * 1e-3
         assert np.array_equal(x, expected)
         assert np.array_equal(y, y0) and np.array_equal(z, z0)
-        assert np.allclose(x - x0, velocity_at(channel, radius(before)) * 1e-3, rtol=1e-12)
+        assert np.allclose(x - x0, velocity_at(channel, np.sqrt(r2)) * 1e-3,
+                           rtol=1e-12, atol=1e-12 * 2.0 * channel.mean_velocity * 1e-3)
 
     def test_brownian_moments_far_from_wall(self):
         # Center release with steps much smaller than the radius: no wall
-        # contact, so per-axis mean ~ 0 and variance ~ 2 D dt.
+        # contact, so the cross-sectional mean ~ 0 and variance ~ 2 D dt.
         channel = make_channel(radius=1e-4, diffusion=1e-12, mean_velocity=0.0)
         n = 200_000
-        before = released(ReleaseSpec.point(n, 0.0, 0.0), 1e-4, 1)
         dt = 1e-3
-        after = stepped(before, channel, dt, 12, 1)
+        before, after = walked(ReleaseSpec.point(n, 0.0, 0.0), channel, 12, 1, dt)
         var = 2.0 * channel.diffusion_D * dt
-        for old, new in zip(before, after):
+        for old, new in zip(before[1:], after[1:]):
             delta = new - old
             assert abs(delta.mean()) <= 4.0 * math.sqrt(var / n)
             assert delta.var() == pytest.approx(var, rel=0.02)
         assert np.all(radius(after) <= 1e-4)
+        assert np.array_equal(after[0], before[0])  # no flow, and x's noise comes from run
 
     def test_reflection_folds_radius_on_same_ray(self):
-        y = np.array([1.5e-5, 0.0])
-        z = np.array([0.0, -1.2e-5])
-        _reflect_inplace(y, z, 1e-5)
+        y = np.array([1.5e-5, 0.0, 0.5e-5])
+        z = np.array([0.0, -1.2e-5, 0.0])
+        r2 = y * y + z * z
+        _reflect_inplace(y, z, r2, 1e-5)
         assert y[0] == pytest.approx(0.5e-5, rel=1e-12) and z[0] == 0.0
         assert z[1] == pytest.approx(-0.8e-5, rel=1e-12) and y[1] == 0.0
+        assert y[2] == 0.5e-5 and z[2] == 0.0  # inside: untouched
+        assert np.array_equal(r2, y * y + z * z)
 
     def test_reflection_through_axis_for_huge_excursion(self):
         y = np.array([2.5e-5])
         z = np.array([0.0])
-        _reflect_inplace(y, z, 1e-5)
+        r2 = y * y + z * z
+        _reflect_inplace(y, z, r2, 1e-5)
         # 2a - r is negative: the fold passes through the axis.
         assert y[0] == pytest.approx(-0.5e-5, rel=1e-12)
+        assert np.array_equal(r2, y * y + z * z)
 
     def test_wall_keeps_cross_section_uniform(self):
         # Zero-flux sanity: a uniform disk stays uniform in r^2 under many
         # diffusive steps with reflection.
         channel = make_channel(radius=1e-5, diffusion=1e-10, mean_velocity=0.0)
-        n = 20_000
-        pos = released(ReleaseSpec.uniform(n), 1e-5, 8)
-        for j in range(1, 51):
-            pos = stepped(pos, channel, 1e-3, 4, j)
-        u = (radius(pos) / 1e-5) ** 2
+        cfg = sim_config(channel, make_receiver(1e-5, 200e-6), ReleaseSpec.uniform(20_000),
+                         [0.05], seed=4)
+        u = run(cfg, snapshot_times=[0.05]).snapshots[0.05][:, 1] / (1e-5) ** 2
         ks = stats.kstest(u, "uniform")
         assert ks.pvalue > 0.01
 
     def test_azimuthal_symmetry(self):
         channel = make_channel(radius=1e-5, diffusion=1e-10)
-        n = 20_000
-        pos = released(ReleaseSpec.uniform(n), 1e-5, 2)
-        for j in range(1, 21):
-            pos = stepped(pos, channel, 1e-3, 9, j)
+        _, pos = walked(ReleaseSpec.uniform(20_000), channel, 2, 20)
         counts, _ = np.histogram(azimuth(pos), bins=16, range=(-math.pi, math.pi))
         chi = stats.chisquare(counts)
         assert chi.pvalue > 0.01
+
+    def test_flow_only_advection_matches_profile(self):
+        # D = 0: every step adds the same u(r) dt, so x = u(r) t after any
+        # number of steps, to the rounding of the step sum.
+        channel = make_channel(radius=10e-6, diffusion=0.0)
+        t = 0.4
+        cfg = sim_config(channel, make_receiver(10e-6, 200e-6), ReleaseSpec.uniform(3000),
+                         [0.1, t], dt=1e-3)
+        cloud = run(cfg, snapshot_times=[t]).snapshots[t]
+        x, r2 = cloud[:, 0], cloud[:, 1]
+        u = 2.0 * channel.mean_velocity * (1.0 - r2 / (10e-6) ** 2)
+        np.testing.assert_allclose(x, u * t, rtol=1e-12, atol=0.0)
+
+    def test_axial_variance_on_sparse_grid(self):
+        # v = 0: x is the sum of the axial increments alone, drawn in one
+        # N(0, 2 D k dt) per sample interval.  sum(x^2) / (2 D t) is then
+        # chi-square with n degrees of freedom; test it two-sided at 1e-3.
+        channel = make_channel(radius=10e-6, diffusion=1e-10, mean_velocity=0.0)
+        n = 20_000
+        for times in ([0.3], [0.01, 0.3], np.arange(1, 301) * 1e-3):
+            cfg = sim_config(channel, make_receiver(10e-6, 200e-6), ReleaseSpec.uniform(n),
+                             times, seed=31)
+            x = run(cfg, snapshot_times=[0.3]).snapshots[0.3][:, 0]
+            stat = np.sum(x * x) / (2.0 * channel.diffusion_D * 0.3)
+            assert stats.chi2.ppf(5e-4, n) <= stat <= stats.chi2.ppf(1.0 - 5e-4, n)
+
+    def test_sample_grid_leaves_cross_section_alone(self):
+        # The axial draws come from their own streams: a dense or a sparse
+        # sample grid gives the same r^2 at a shared snapshot step.
+        channel = make_channel(radius=10e-6, diffusion=1e-10)
+        rx = make_receiver(10e-6, 20e-6)
+        release = ReleaseSpec.uniform(_BLOCK + 500)
+        clouds = [run(sim_config(channel, rx, release, times, seed=6), threads=2,
+                      snapshot_times=[0.05]).snapshots[0.05]
+                  for times in ([0.08], np.arange(1, 81) * 1e-3)]
+        assert np.array_equal(clouds[0][:, 1], clouds[1][:, 1])
+        assert not np.array_equal(clouds[0][:, 0], clouds[1][:, 0])
 
 
 class TestRun:
@@ -201,7 +269,7 @@ class TestRun:
         series = run(cfg).series
         assert np.all(series.counts == 0)
 
-    def test_deterministic_across_thread_counts(self, narrow_channel):
+    def test_deterministic_across_thread_counts(self, narrow_channel, several_cpus):
         rx = make_receiver(10e-6, 200e-6)
         times = np.arange(1, 60) * 2e-3
         cfg = sim_config(narrow_channel, rx, ReleaseSpec.uniform(5_000), times)
@@ -210,9 +278,22 @@ class TestRun:
             assert np.array_equal(results[0].series.counts, other.series.counts)
             assert np.array_equal(results[0].snapshots[0.05], other.snapshots[0.05])
 
+    @pytest.mark.parametrize("n_tx", [_BLOCK // 3, 3 * _BLOCK + 77])
+    def test_counts_identical_across_partitions(self, narrow_channel, several_cpus, n_tx):
+        # Below one block there is one partition whatever the thread count;
+        # a ragged last block must not shift any other block's streams.
+        cfg = sim_config(narrow_channel, make_receiver(10e-6, 20e-6), ReleaseSpec.uniform(n_tx),
+                         np.arange(0, 41) * 1e-3, dt=1e-4)
+        results = [run(cfg, threads=t, snapshot_times=[0.02]) for t in (1, 2, 3, 4)]
+        assert results[0].series.counts.sum() > 0
+        for other in results[1:]:
+            assert np.array_equal(results[0].series.counts, other.series.counts)
+            assert np.array_equal(results[0].snapshots[0.02], other.snapshots[0.02])
+
     def test_workers_capped_at_cpu_count(self, narrow_channel, monkeypatch):
-        # One block per requested thread, but no more pool workers than CPUs;
-        # the fake pool runs each block inline, so no thread is started.
+        # One partition, and one pool worker, per requested thread, but no
+        # more than there are CPUs or blocks; the fake pool runs each
+        # partition inline, so no thread is started.
         pools = []
 
         class InlinePool:
@@ -232,14 +313,15 @@ class TestRun:
                 future.set_result(fn(*args))
                 return future
 
-        cfg = sim_config(narrow_channel, make_receiver(10e-6, 20e-6),
-                         ReleaseSpec.uniform(64), np.arange(1, 21) * 1e-3)
         monkeypatch.setattr(particles, "ThreadPoolExecutor", InlinePool)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        expected = run(cfg, threads=1).series.counts
-        counts = run(cfg, threads=64).series.counts
-        assert [(p.max_workers, p.blocks) for p in pools] == [(1, 1), (4, 64)]
-        assert np.array_equal(counts, expected)
+        for n_tx, parts in ((64, [1, 1, 1]), (10 * _BLOCK + 5, [1, 2, 4])):
+            pools.clear()
+            cfg = sim_config(narrow_channel, make_receiver(10e-6, 20e-6),
+                             ReleaseSpec.uniform(n_tx), np.arange(1, 21) * 1e-3)
+            counts = [run(cfg, threads=t).series.counts for t in (1, 2, 64)]
+            assert [(p.max_workers, p.blocks) for p in pools] == [(k, k) for k in parts]
+            assert all(np.array_equal(c, counts[0]) for c in counts)
 
     def test_mean_axial_position_tracks_mean_velocity(self, narrow_channel):
         rx = make_receiver(10e-6, 800e-6)
@@ -264,13 +346,13 @@ class TestRun:
     # receiver test for D > 0 and D = 0.  Samples start at t = 0, so step 0
     # is observed too.  A change to the streams on purpose updates them.
     COUNTS_SHA256 = {
-        1e-10: "4b1a65aa065166e881882aa81ff575c389c4559b1b58d411847cb5896ab76e4a",
-        0.0: "33c27a6878059b422efb47ba7c76cffed78f6adc98d3cdb4f28666a79956a7b4",
+        1e-10: "9a30a916e7de4aaac2e67acd8a8077f24cb1330aba4c47781b51edfbed7ace02",
+        0.0: "115b2f5c8f0182976d2f056a730dd5ddf652b10339cca57f80e94f3eb56d032a",
     }
 
     @pytest.mark.parametrize("threads", [1, 3])
     @pytest.mark.parametrize("diffusion", [1e-10, 0.0])
-    def test_pinned_counts(self, diffusion, threads):
+    def test_pinned_counts(self, diffusion, threads, several_cpus):
         channel = make_channel(radius=10e-6, diffusion=diffusion)
         cfg = sim_config(channel, make_receiver(10e-6, 20e-6), ReleaseSpec.uniform(1500),
                          np.arange(0, 41) * 1e-3, seed=2017, dt=1e-4)
@@ -320,7 +402,7 @@ class TestMultiReceiver:
 
     @pytest.mark.parametrize("threads", [1, 3])
     @pytest.mark.parametrize("diffusion", [1e-10, 0.0])
-    def test_counts_match_single_receiver_runs(self, diffusion, threads):
+    def test_counts_match_single_receiver_runs(self, diffusion, threads, several_cpus):
         channel = make_channel(radius=10e-6, diffusion=diffusion)
         release = ReleaseSpec.uniform(3000)
         multi = run(sim_config(channel, self.RECEIVERS, release, self.TIMES),

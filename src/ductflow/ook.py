@@ -35,12 +35,14 @@ symbol, so time and memory grow linearly in ``K``, with no limit on it.
 Both analytic models treat counts at different sampling instants as
 independent, and for the SER that loses nothing: the SER is a mean of
 single-instant errors, and one instant's count sums independent releases.
-``MONTE_CARLO_COUNTS`` samples that same model: it draws the bits of every
-realization, then the Poisson noise of every sampling instant, then, for
-each offset ``j`` with ``P_ob(t0 + j T) > 0``, one
-``Binomial(n_tx, P_ob(t0 + j T))`` count per transmitted 1 whose
-offset-``j`` instant lies in the sequence, in C order of
-``(realization, symbol)``, one block of realizations after another.
+``MONTE_CARLO_COUNTS`` samples that same model from the trimmed pmfs that
+``BINOMIAL_ANALYTIC`` convolves, by inverse CDF on one uniform per count:
+block by block of realizations, the bits, then the noise of every sampling
+instant, then for ``j = 0..K-1`` offset ``j``'s count for every transmitted
+1 whose offset-``j`` instant lies in the sequence, each in C order of
+``(realization, symbol)``.  Trimming drops only tail cells below 1e-18,
+about ``max(1, sd / 4) 1e-18`` of a term's mass, so a count's law is off by
+at most the sum over its ``K + 1`` terms, which no Monte Carlo run resolves.
 ``PARTICLE_BINOMIAL`` is ``BINOMIAL_ANALYTIC`` on the empirical
 ``P_ob(t0 + j T)`` of one particle-engine run of 100 000 particles, which
 the CLI's SER action makes.  A molecule seen at one instant can be seen
@@ -63,18 +65,11 @@ from enum import Enum
 from functools import partial
 
 import numpy as np
-from scipy.special import gammaln, xlog1py, xlogy
+from scipy.special import gammaln, xlogy
 from scipy.special._ufuncs import _binom_pmf
 
-__all__ = [
-    "SerMethod",
-    "OokLinkConfig",
-    "SerResult",
-    "detection_offsets",
-    "ser_analytic",
-    "optimal_threshold",
-    "ser_monte_carlo",
-]
+__all__ = ["SerMethod", "OokLinkConfig", "SerResult", "detection_offsets", "ser_analytic",
+           "optimal_threshold", "ser_monte_carlo"]
 
 _PMF_TAIL = 1e-18
 #: Realizations the count Monte Carlo draws at a time.
@@ -171,25 +166,25 @@ def _binomial_pmf(k, n, p):
 
     The clip is part of the result: the raw kernel can exceed 1 by a few ulp.
     The kernel raises ``OverflowError`` for ``p`` below about 1e-303, where
-    the pmf is computed from its logarithm instead.
+    :func:`_trimmed_pmf` never calls it: there ``n p`` lies below the tail.
     """
-    try:
-        return np.clip(_binom_pmf(k, n, p), 0.0, 1.0)
-    except OverflowError:
-        return np.exp(gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
-                      + xlogy(k, p) + xlog1py(n - k, -p))
+    return np.clip(_binom_pmf(k, n, p), 0.0, 1.0)
 
 
 def _trimmed_pmf(pmf_at, mean: float, var: float,
                  top: int | None = None) -> tuple[int, np.ndarray]:
     """``(start, pmf)``: ``pmf_at(k)`` over the cells ``k`` where it exceeds ``_PMF_TAIL``.
 
-    Only ``mean +- (12 sd + 30)``, and no cell above ``top``, is evaluated;
-    the Poisson and binomial pmfs lie far below the tail outside that span.
-    A pmf kept only at ``k = 0`` is exactly 1: its mass ``P(X >= 1)`` lies
-    below the tail and so rounds away next to 1, while a kernel can return
-    ``P(X = 0)`` a few ulp short, which would show as a false SER floor.
+    A mean at most the tail gives ``(0, [1.0])`` unevaluated: by Markov's
+    inequality no cell ``k >= 1`` exceeds the mean, so trimming keeps only
+    ``k = 0``.  Otherwise only ``mean +- (12 sd + 30)``, and no cell above
+    ``top``, is evaluated; the pmfs lie far below the tail outside it.  A
+    pmf kept only at ``k = 0`` (also for means a few ulp above the tail) is
+    exactly 1: ``P(X >= 1)`` lies below the tail and rounds away next to 1,
+    while a kernel can return ``P(X = 0)`` a few ulp short, a false SER floor.
     """
+    if mean <= _PMF_TAIL:
+        return 0, np.ones(1)
     half = 12.0 * math.sqrt(var) + 30.0
     low = max(int(mean - half), 0)
     high = int(mean + half) if top is None else min(int(mean + half), top)
@@ -301,45 +296,50 @@ def optimal_threshold(link: OokLinkConfig,
     return xi, _ser_result(table, xi)
 
 
-def _mc_counts_block(link: OokLinkConfig, realizations: int,
-                     rng: np.random.Generator) -> np.ndarray:
+def _inverse_cdf(term: tuple[int, np.ndarray], u: np.ndarray) -> np.ndarray:
+    """Counts drawn from the trimmed pmf ``term = (start, pmf)``, one per uniform in ``u``.
+
+    ``u`` in ``[cdf[k - 1], cdf[k])`` draws cell ``k``; trimming can leave the
+    cumulative sum a few 1e-18 below 1, and ``u`` above it draws the last cell.
+    """
+    start, pmf = term
+    cells = np.searchsorted(np.cumsum(pmf), u, side="right")
+    np.minimum(cells, pmf.size - 1, out=cells)
+    cells += start
+    return cells
+
+
+def _mc_counts_block(link: OokLinkConfig, terms: list[tuple[int, np.ndarray]],
+                     realizations: int, rng: np.random.Generator) -> np.ndarray:
     k = link.seq_len_K
     sent = rng.integers(0, 2, size=(realizations, k), dtype=np.int64) == 1
-    counts = rng.poisson(link.noise_mean_Nn, size=(realizations, k))
-    for j, p in enumerate(link.pob):
-        if p <= 0.0:
-            continue
-        # A 1 sent at symbol s adds a Binomial(n_tx, p_j) count at symbol s + j.
+    counts = _inverse_cdf(terms[0], rng.random((realizations, k)))
+    for j, term in enumerate(terms[1:]):
+        # A 1 sent at symbol s adds offset j's count at symbol s + j.
         active = sent[:, :k - j]
-        draws = np.zeros(active.shape, dtype=np.int64)
-        draws[active] = rng.binomial(link.n_tx, p, size=np.count_nonzero(active))
-        counts[:, j:] += draws
+        counts[:, j:][active] += _inverse_cdf(term, rng.random(np.count_nonzero(active)))
     return (counts >= link.threshold_xi) != sent
-
-
-def _mc_counts_errors(link: OokLinkConfig, realizations: int,
-                      rng: np.random.Generator) -> np.ndarray:
-    """Errors of each symbol summed over ``realizations``, drawn ``_MC_BLOCK`` at a time."""
-    errors = np.zeros(link.seq_len_K, dtype=np.int64)
-    for start in range(0, realizations, _MC_BLOCK):
-        errors += _mc_counts_block(link, min(_MC_BLOCK, realizations - start), rng).sum(axis=0)
-    return errors
 
 
 def ser_monte_carlo(link: OokLinkConfig, realizations: int, seed: int,
                     method: SerMethod = SerMethod.MONTE_CARLO_COUNTS) -> SerResult:
     """Monte Carlo SER over uniformly random K-bit sequences.
 
-    ``MONTE_CARLO_COUNTS``, the one Monte Carlo method, draws per-symbol
-    counts from the factorised binomial-plus-Poisson model, so it estimates
-    exactly what ``BINOMIAL_ANALYTIC`` computes.  Realizations are drawn in
-    blocks of ``_MC_BLOCK``, so memory does not grow with ``realizations``.
-    Results are reproducible for a fixed seed.
+    ``MONTE_CARLO_COUNTS``, the one method, samples per-symbol counts from the
+    trimmed pmfs that ``BINOMIAL_ANALYTIC`` convolves: it estimates what that
+    method computes, so it no longer checks the pmf kernels (the pmf tests
+    and the brute-force SER do).  Blocks of ``_MC_BLOCK`` realizations keep
+    memory flat in ``realizations``; a fixed seed reproduces the result.
     """
     if realizations < 1:
         raise ValueError("need at least one realization")
     if method is not SerMethod.MONTE_CARLO_COUNTS:
         raise ValueError(f"{method} is not a Monte Carlo method")
-    errors = _mc_counts_errors(link, realizations, np.random.default_rng([seed, 0]))
+    terms = _count_terms(link, SerMethod.BINOMIAL_ANALYTIC)
+    rng = np.random.default_rng([seed, 0])
+    errors = np.zeros(link.seq_len_K, dtype=np.int64)
+    for start in range(0, realizations, _MC_BLOCK):
+        errors += _mc_counts_block(link, terms, min(_MC_BLOCK, realizations - start),
+                                   rng).sum(axis=0)
     return SerResult(ser=float(errors.sum() / (realizations * link.seq_len_K)),
                      per_symbol_errors=errors / realizations)

@@ -234,8 +234,6 @@ def ser_action(cfg: ResolvedConfig, out_dir: Path, fmt: str, threads: int = 1,
     if methods is None:
         methods = [SerMethod(cfg["ook.method"])]
     realizations = cfg["ook.realizations"]
-    if realizations < 1 and SerMethod.MONTE_CARLO_COUNTS in methods:
-        raise ConfigError(f"ook.realizations must be at least 1, got {realizations}")
     seed = cfg["seed"]
     rows = []
     for distance in cfg["ser.distances"]:
@@ -250,7 +248,7 @@ def ser_action(cfg: ResolvedConfig, out_dir: Path, fmt: str, threads: int = 1,
             for method in methods:
                 used = 0
                 if method is SerMethod.MONTE_CARLO_COUNTS:
-                    result = ser_monte_carlo(link, realizations, seed, method)
+                    result = cfg.build(ser_monte_carlo, link, realizations, seed, method)
                     used = realizations
                 elif method is SerMethod.PARTICLE_BINOMIAL:
                     result = ser_analytic(_particle_link(cfg, link, rx, offsets, threads),

@@ -8,6 +8,7 @@ the full gate takes on the order of a minute.
 
 import math
 from dataclasses import replace
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -169,15 +170,25 @@ def test_criterion_04_quadrature_oracles():
           f"max |dispersion dev|={worst_disp:.2e} (<1e-9)")
 
 
+def radial_blur(channel, rx, t2):
+    """Relative shift of the flow model's ``t2`` by a radius error of ``sqrt(2 D t2)``.
+
+    ``u(r) = 2 vbar (1 - r^2 / a^2)`` changes by ``|u'(r_in)| / u(r_in) =
+    2 r_in / (a^2 - r_in^2)`` per unit radius at the receiver's inner radius
+    ``r_in = a - c_r``.
+    """
+    a = channel.radius_a
+    r_in = a - rx.extent_cr
+    return math.sqrt(2.0 * channel.diffusion_D * t2) * 2.0 * r_in / (a * a - r_in * r_in)
+
+
 def peak_location_allowance(channel, rx, t2, p2, n_tx):
     """Relative allowance of the smoothed-argmax peak time about the flow model's ``t2``.
 
     Physics: ``t2`` is when the layer at the receiver's inner radius
     ``r_in = a - c_r`` reaches its far end, a kink that radial diffusion
     blurs.  By ``t2`` a particle's radius spreads by about
-    ``sqrt(2 D t2)``, and ``u(r) = 2 vbar (1 - r^2 / a^2)`` changes by
-    ``|u'(r_in)| / u(r_in) = 2 r_in / (a^2 - r_in^2)`` per unit radius, so
-    the kink moves by about ``sqrt(2 D t2) 2 r_in / (a^2 - r_in^2)`` of
+    ``sqrt(2 D t2)``, so the kink moves by about :func:`radial_blur` of
     ``t2`` (7.1 % at a = 200 um, d = 800 um; +6.1 % measured over 1e6
     particles, +5.9 % at dt / 4).
 
@@ -187,10 +198,38 @@ def peak_location_allowance(channel, rx, t2, p2, n_tx):
     receiver for many steps, so neighbouring counts hold mostly the same
     particles and the 5-step smoothing does not average this error down.
     """
-    a = channel.radius_a
-    r_in = a - rx.extent_cr
-    blur = math.sqrt(2.0 * channel.diffusion_D * t2) * 2.0 * r_in / (a * a - r_in * r_in)
-    return blur + 3.0 * math.sqrt((1.0 - p2) / (n_tx * p2))
+    return radial_blur(channel, rx, t2) + 3.0 * math.sqrt((1.0 - p2) / (n_tx * p2))
+
+
+def peak_value_allowance(channel, rx, t2, p2, n_tx):
+    """Allowance of the simulated peak value about the flow model's ``p2 = P(t2)``.
+
+    Physics: a particle now at radius ``r`` has moved at the speed of its
+    path's mean radius, which differs from ``r`` by ``sigma``, about
+    ``N(0, 2 D t2 / 3)`` (a Brownian path's mean about its end point);
+    axial diffusion moves it by a further ``sqrt(2 D t2)``.  So the layers
+    just above ``r_in`` leave the receiver's far end ``f = d + c_x / 2``
+    over a spread of times of relative width
+    ``s = sqrt(b^2 / 3 + 2 D t2 / f^2)``, with ``b`` the :func:`radial_blur`.
+    At ``t = t2 (1 + s tau)`` they hold ``k G(tau) p2`` fewer particles than
+    the model, with ``G(tau) = phi(tau) - tau Phi(-tau)`` (the one-sided
+    Gaussian blur of the layers' cut-off at ``r_in``) and
+    ``k = 2 r_in sigma / (r_lo^2 - r_in^2) = s f / c_x``, where the band
+    ``r_in < r < r_lo`` inside the receiver at ``t2`` gives ``p2``.  Past
+    ``t2`` the model falls as ``(1 - s tau) p2``, so the blurred curve peaks
+    where ``Phi(-tau) = s / k = c_x / f``, ``k phi(tau) p2`` below ``p2``:
+    7.2 % at a = 200 um, d = 800 um, against 7.6-7.8 % measured over 2e6
+    particles (3.1 % against 3.1 % at d = 200 um, and 14.5 % against 14.4 %
+    at ``t2`` itself).
+
+    Sampling: 3 binomial standard deviations of the count at the peak.
+    """
+    far = rx.axial_distance_d + rx.extent_cx / 2.0
+    s = math.sqrt(radial_blur(channel, rx, t2) ** 2 / 3.0
+                  + 2.0 * channel.diffusion_D * t2 / far ** 2)
+    tau = NormalDist().inv_cdf(1.0 - rx.extent_cx / far)
+    drop = s * far / rx.extent_cx * NormalDist().pdf(tau)
+    return 3.0 * math.sqrt(p2 * (1.0 - p2) / n_tx) + drop * p2
 
 
 def test_criterion_05_wide_duct_reproduction():
@@ -206,17 +245,22 @@ def test_criterion_05_wide_duct_reproduction():
         p_ref = cir_flow_uniform(model, model.t2)
         if distance == 200e-6:
             loc_ok = abs(t_peak - model.t2) <= 0.05 * model.t2
+            tol = 3.0 * math.sqrt(p_ref * (1.0 - p_ref) / series.n_tx) + 0.05 * p_ref
+            val_ok = True
         else:
             allowance = peak_location_allowance(WIDE, rx, model.t2, p_ref, series.n_tx)
             loc_ok = abs(t_peak - model.t2) <= allowance * model.t2
-            # The allowance still tells the model's t2 from one computed
-            # with the mean velocity in place of u(r_in).
+            tol = peak_value_allowance(WIDE, rx, model.t2, p_ref, series.n_tx)
+            # The allowances still tell the model's t2 and P(t2) from those
+            # computed with the mean velocity in place of u(r_in).
             t2_mean = (distance + rx.extent_cx / 2.0) / WIDE.mean_velocity
+            p_mean = cir_flow_uniform(model, t2_mean)
             loc_ok &= abs(t_peak - t2_mean) > peak_location_allowance(
                 WIDE, rx, t2_mean, p_ref, series.n_tx) * t2_mean
+            val_ok = abs(p_peak - p_mean) > peak_value_allowance(
+                WIDE, rx, t2_mean, p_mean, series.n_tx)
             details.append(f"d={distance * 1e6:.0f}um location allowance {allowance:.1%}")
-        tol = 3.0 * math.sqrt(p_ref * (1.0 - p_ref) / series.n_tx) + 0.05 * p_ref
-        val_ok = abs(p_peak - p_ref) <= tol
+        val_ok &= abs(p_peak - p_ref) <= tol
         ok = ok and loc_ok and val_ok
         details.append(f"d={distance * 1e6:.0f}um peak t dev "
                        f"{(t_peak - model.t2) / model.t2:+.1%}, value dev "

@@ -492,7 +492,7 @@ GOLDEN.update({
         ["preset", "ser_sweep", "--seed", "5", "--set", "ser.distances=200 um, 800 um",
          "--set", "ser.symbol_intervals=0.1, 0.5", "--set", "ook.realizations=500"],
         ["ser_sweep.csv"],
-        {"ser_sweep.csv": "45ed8151ab68128521fcf71ab3f57f91a97024997f1807c552048102addb7974"}),
+        {"ser_sweep.csv": "c2fad17440ec62bb1a63fdc3fc2c78755402c5fae21fdb34bd87b4d69de2bf06"}),
     "ser_binomial": (
         ["ser", "--set", "ook.method=binomial_analytic"] + SER_ARGS,
         ["ser_sweep.csv"],

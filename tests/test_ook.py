@@ -28,7 +28,7 @@ from ductflow import (
 )
 from ductflow import presets
 from ductflow.config import load_config
-from ductflow.ook import _MC_BLOCK, _binomial_pmf, _error_table, _poisson_pmf
+from ductflow.ook import _MC_BLOCK, _binomial_pmf, _error_table, _inverse_cdf, _poisson_pmf
 from ductflow.presets import _auto_link, _particle_link, preset_config
 from conftest import make_channel, make_receiver
 
@@ -217,15 +217,20 @@ class TestSerAnalytic:
         assert rp == pytest.approx(rb, rel=0.05)
 
     def test_binomial_kernel_overflow(self):
-        # scipy's binomial kernel raises OverflowError at these p (n = 1000).
-        # Their counts are 0 to double precision, as on a dead channel.
-        tiny = OokLinkConfig([np.finfo(float).tiny, 1e-305], 1, 0.5, 1000)
-        dead = replace(tiny, pob=np.zeros(2))
-        for method in ANALYTIC:
-            assert np.allclose(ser_analytic(tiny, method).per_symbol_errors,
-                               ser_analytic(dead, method).per_symbol_errors,
-                               rtol=0.0, atol=rounding_tolerance(tiny))
-            assert_matches_brute_force(tiny, method)
+        # scipy's binomial kernel raises OverflowError at p below about
+        # 1e-303.  Every count here has a mean n p below the pmf tail, so
+        # it is 0 exactly, as on a dead channel, and no kernel is called.
+        pvec = [np.finfo(float).tiny, 1e-305, 1e-300, 1e-30]
+        for n in (1000, 10**7):
+            tiny = OokLinkConfig(pvec, 1, 0.5, n)
+            dead = replace(tiny, pob=np.zeros(len(pvec)))
+            for method in ANALYTIC:
+                assert np.array_equal(ser_analytic(tiny, method).per_symbol_errors,
+                                      ser_analytic(dead, method).per_symbol_errors)
+                if n == 1000:  # the oracle's tables are n_tx wide
+                    assert_matches_brute_force(tiny, method)
+            assert np.array_equal(ser_monte_carlo(tiny, 100, seed=1).per_symbol_errors,
+                                  ser_monte_carlo(dead, 100, seed=1).per_symbol_errors)
 
     def test_isi_free_channel_reduces_to_single_symbol(self):
         # P_ob supported strictly inside one symbol interval: no memory.
@@ -324,15 +329,25 @@ class TestSerMonteCarlo:
         bound = 3.0 * math.sqrt(exact * (1.0 - exact) / (10_000 * link.seq_len_K))
         assert abs(mc.ser - exact) <= bound
 
-    # Pinned count-mode SER of the draw order bits, noise, then one binomial
-    # per active (realization, symbol) cell for each offset.  A change of
-    # that stream on purpose updates it.
+    # Pinned count-mode SER of the draw order bits, one noise uniform per
+    # cell, then one uniform per active (realization, symbol) cell for each
+    # offset, each turned into a count by inverse CDF.  A change of that
+    # stream on purpose updates it.
     def test_counts_mode_pinned(self):
         link, *_ = flow_link(T=0.25, xi=70)
         result = ser_monte_carlo(link, 2000, seed=17)
-        assert result.ser == 0.05975
+        assert result.ser == 0.059125
         assert result.per_symbol_errors.tolist() == [
-            0.07, 0.036, 0.023, 0.0335, 0.0425, 0.0675, 0.0935, 0.112]
+            0.0715, 0.0305, 0.023, 0.033, 0.044, 0.0655, 0.093, 0.1125]
+
+    def test_inverse_cdf_cells(self):
+        # Cumulative sums 0.25, 0.75 and 1 - 2^-53, the largest uniform
+        # Generator.random returns; u on an edge draws the next cell.
+        term = (3, np.array([0.25, 0.5, 0.25 - 2.0 ** -53]))
+        u = np.array([0.0, np.nextafter(0.25, 0.0), 0.25, 0.5, 0.75, 1.0 - 2.0 ** -53])
+        assert _inverse_cdf(term, u).tolist() == [3, 3, 4, 4, 5, 5]
+        # A u above the last cumulative sum draws the last cell.
+        assert _inverse_cdf((0, np.array([0.5, 0.25])), np.array([0.8, 0.99])).tolist() == [1, 1]
 
     def test_counts_mode_unbiased_over_seeds(self):
         # Seeds 1-40 at 1e4 realizations: each standardised deviation is
@@ -359,8 +374,9 @@ class TestSerMonteCarlo:
 
     def test_blocks_bound_memory(self):
         # 3e5 realizations span five blocks of _MC_BLOCK.  A block holds its
-        # counts and one offset's draws (8 bytes a cell each), its bits (1
-        # byte) and the binomial draws themselves (at most 8), so the peak
+        # counts (8 bytes a cell) and its bits (1 byte); one offset's draw
+        # adds the uniforms, the drawn counts and the sums they are added to
+        # (8 bytes each per active cell, about half the cells), so the peak
         # stays under 32 bytes a cell of one block, 16.8 MB: below even one
         # unblocked (realizations, K) int64 array (19.2 MB).  Drawn
         # unblocked, the peak was 77 MB.  Summing the blocks' errors must

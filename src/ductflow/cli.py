@@ -11,7 +11,9 @@ Subcommands::
 
 Common flags: ``--config`` (key = value file), ``--set key=value``
 (repeatable, highest precedence), ``--seed``, ``--out``, ``--format``,
-``--threads`` (at least 1).  The thread count never changes results.
+``--threads`` (at least 1): the number of forked worker processes of the
+particle engine, capped at ``os.cpu_count()``; above 1 it needs a POSIX
+``fork``.  The worker count never changes results.
 Exit codes: 0 success, 2 configuration error, 3 runtime error.
 """
 
@@ -38,7 +40,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", metavar="DIR", default="out", help="output directory")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads (does not change results)")
+                        help="particle-engine worker processes (does not change results)")
 
 
 def _build_parser() -> argparse.ArgumentParser:

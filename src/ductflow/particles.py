@@ -18,24 +18,41 @@ steps since the last sample or snapshot step are drawn at that step as one
 ``N(0, 2 D k dt)``, exact in distribution.
 
 Reproducibility contract: particles form blocks of ``_BLOCK`` by index, and
-:func:`run` gives each of ``min(threads, os.cpu_count(), blocks)`` worker
-threads a run of whole blocks.  Block ``b`` owns two generators built from
+each run is cut into ``min(threads, os.cpu_count(), blocks)`` partitions of
+whole blocks.  Block ``b`` owns two generators built from
 ``SeedSequence(seed, spawn_key=(b, axis))``: axis 0 draws its release
 positions, then each step's ``y`` and ``z`` normals; axis 1 draws one ``x``
 normal per particle at each sample or snapshot step, so the sample grid
 leaves the ``y, z`` streams alone.  Normals are numpy's ziggurat
 ``standard_normal`` (Marsaglia & Tsang, 2000) on SFC64, chosen over Philox
 for speed (13.5 against 22.5 ns a normal on a 2-vCPU Xeon, numpy 2.4).  A
-run is thus a function of ``(config, seed)``, bit-identical for any thread
+run is thus a function of ``(config, seed)``, bit-identical for any worker
 count.  Receivers are transparent: a receiver's counts equal those of a run
 with that receiver alone.
+
+Workers are processes, not threads: each step makes a few dozen small NumPy
+calls, and threads handed the GIL back and forth around every one of them,
+so two threads ran no faster than one.  :func:`run_many` sends the
+partitions of all its runs, largest first, to one pool of
+``min(threads, os.cpu_count(), partitions)`` workers and reassembles each
+run's counts and snapshots in block order; :func:`run` is its one-run case,
+and one worker runs inline, with no pool.  The pool forks, so the workers
+inherit the parent's imports (no ~0.4 s re-import of numpy and scipy per
+worker) and its module state; ``threads > 1`` therefore needs a POSIX
+``fork``.  ``import numpy`` starts OpenBLAS's thread pool, which OpenBLAS
+shuts down before a fork (3 OS threads before the first fork, 1 after, with
+numpy 2.4), and the executor forks its workers before it starts its own
+threads; the workers make no BLAS calls.  Python 3.12 and later warn
+(``DeprecationWarning``) at a fork while another OS thread lives, such as
+an earlier pool's thread that is still exiting.
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -51,7 +68,7 @@ from .duct import (
     validate_release,
 )
 
-__all__ = ["SimConfig", "ObservationSeries", "SimResult", "run"]
+__all__ = ["SimConfig", "ObservationSeries", "SimResult", "run", "run_many"]
 
 #: Particles per random-stream block; part of the reproducibility contract.
 _BLOCK = 2048
@@ -264,21 +281,68 @@ def _run_block(config: SimConfig, lo: int, hi: int, snapshot_steps: Sequence[int
     return counts, snaps
 
 
-def _run_partitioned(config: SimConfig, threads: int, snapshot_steps: Sequence[int]):
-    if threads < 1:
-        raise ValueError("threads must be at least 1")
+def _partitions(config: SimConfig, threads: int) -> list[tuple[int, int]]:
+    """``[lo, hi)`` of ``min(threads, os.cpu_count(), blocks)`` runs of whole blocks."""
     n = config.release.n_tx
     blocks = -(-n // _BLOCK)
     parts = min(threads, os.cpu_count() or 1, max(blocks, 1))
     # Partition bounds fall on block boundaries, so no block is ever split.
     bounds = np.minimum(np.linspace(0, blocks, parts + 1).astype(int) * _BLOCK, n)
-    with ThreadPoolExecutor(max_workers=parts) as pool:
-        futures = [pool.submit(_run_block, config, int(lo), int(hi), snapshot_steps)
-                   for lo, hi in zip(bounds[:-1], bounds[1:])]
-        results = [f.result() for f in futures]
-    counts = np.sum([r[0] for r in results], axis=0)
-    snaps = {s: np.concatenate([r[1][s] for r in results]) for s in snapshot_steps}
-    return counts, snaps
+    return list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+
+
+def _particle_steps(config: SimConfig, lo: int, hi: int, snapshot_steps: Sequence[int]) -> int:
+    return (hi - lo) * max([config.n_steps, *snapshot_steps])
+
+
+def _run_partitioned(jobs, threads: int):
+    """Counts and snapshots of each ``(config, snapshot_steps)`` job, in job order.
+
+    Every job's partitions go to one set of ``min(threads, os.cpu_count(),
+    partitions)`` workers, largest (in particle-steps) first, and each job's
+    results are put back together in block order.  One worker runs the
+    partitions inline, without a pool.
+    """
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
+    tasks = [(j, (config, lo, hi, snaps)) for j, (config, snaps) in enumerate(jobs)
+             for lo, hi in _partitions(config, threads)]
+    order = sorted(range(len(tasks)), key=lambda i: -_particle_steps(*tasks[i][1]))
+    ordered = [tasks[i][1] for i in order]
+    workers = min(threads, os.cpu_count() or 1, len(tasks))
+    if workers <= 1:
+        outputs = [_run_block(*task) for task in ordered]
+    else:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=multiprocessing.get_context("fork")) as pool:
+            outputs = list(pool.map(_run_block, *zip(*ordered)))
+    done = dict(zip(order, outputs))
+    parts: list[list] = [[] for _ in jobs]
+    for i, (j, _) in enumerate(tasks):
+        parts[j].append(done[i])
+    return [(np.sum([counts for counts, _ in part], axis=0),
+             {s: np.concatenate([snaps[s] for _, snaps in part]) for s in snap_steps})
+            for part, (_, snap_steps) in zip(parts, jobs)]
+
+
+def run_many(configs: Sequence[SimConfig], *, threads: int = 1,
+             snapshot_times: Sequence[float] = ()) -> list[SimResult]:
+    """:func:`run` of each of ``configs``, in order, on one set of workers.
+
+    The partitions of every config share the ``threads`` workers, so
+    independent runs overlap; each result equals that config's own
+    :func:`run` with the same ``snapshot_times``.
+    """
+    jobs = [(config, sorted(set(_to_steps(snapshot_times, config.time_step,
+                                          "snapshot times").tolist())))
+            for config in configs]
+    results = []
+    for (config, snap_steps), (counts, snaps) in zip(jobs, _run_partitioned(jobs, threads)):
+        all_series = tuple(ObservationSeries(config.sample_times, c, config.release.n_tx)
+                           for c in counts)
+        results.append(SimResult(all_series, {s * config.time_step: snaps[s]
+                                              for s in snap_steps}))
+    return results
 
 
 def run(config: SimConfig, *, threads: int = 1,
@@ -291,7 +355,7 @@ def run(config: SimConfig, *, threads: int = 1,
     ----------
     config : SimConfig
     threads : int
-        Requested worker threads (at least 1); at most ``os.cpu_count()``
+        Requested worker processes (at least 1); at most ``os.cpu_count()``
         and one per block run.  Has no effect on the results (see the
         module reproducibility contract).
     snapshot_times : sequence of float
@@ -305,13 +369,7 @@ def run(config: SimConfig, *, threads: int = 1,
     SimResult
         One series of counts at every sample time per receiver (``all_series``,
         in receiver order; ``series`` is the first), plus any snapshots.  No
-        partial results are returned on failure.
+        partial results are returned on failure: a worker that raises or
+        dies raises here.
     """
-    snap_steps = sorted(set(_to_steps(snapshot_times, config.time_step,
-                                      "snapshot times").tolist()))
-    counts, snaps = _run_partitioned(config, threads, snap_steps)
-    all_series = tuple(ObservationSeries(config.sample_times, c, config.release.n_tx)
-                       for c in counts)
-    snapshots = {s * config.time_step: snaps[s] for s in snap_steps}
-    return SimResult(all_series, snapshots)
-
+    return run_many([config], threads=threads, snapshot_times=snapshot_times)[0]

@@ -35,7 +35,7 @@ from .impulse import (
 from .ook import (OokLinkConfig, SerMethod, detection_offsets, optimal_threshold, ser_analytic,
                   ser_monte_carlo)
 from .output import Table, emit_table
-from .particles import SimConfig, run
+from .particles import SimConfig, run, run_many
 
 __all__ = ["PRESETS", "ACTIONS", "preset_config", "discard_partial_outputs",
            "regime_action", "cir_action", "simulate_action",
@@ -144,15 +144,15 @@ def simulate_action(cfg: ResolvedConfig, out_dir: Path, fmt: str,
 
 def _simulated_cir_paths(cfg: ResolvedConfig, out_dir: Path, fmt: str,
                          threads: int) -> list[Path]:
-    # One engine pass per release kind counts every distance's receiver;
-    # files are then written distance by distance.
+    # One engine pass per release kind counts every distance's receiver, both
+    # passes on one set of workers; files are then written distance by distance.
     distances = cfg["cir.distances"]
     receivers = tuple(cfg.receiver(distance=d) for d in distances)
     grid = cfg.time_grid()
     labels = ("uniform", "point")
-    results = {label: run(_sim_for_grid(cfg, receivers, cfg.release(label), grid),
-                          threads=threads)
-               for label in labels}
+    results = dict(zip(labels, run_many(
+        [_sim_for_grid(cfg, receivers, cfg.release(label), grid) for label in labels],
+        threads=threads)))
     paths = []
     for k, distance in enumerate(distances):
         for label in labels:
@@ -215,51 +215,55 @@ def _auto_link(cfg: ResolvedConfig, distance: float, symbol_interval: float):
     return link, rx, offsets, threshold == "optimal"
 
 
-def _particle_link(cfg: ResolvedConfig, link: OokLinkConfig, rx, offsets,
-                   threads: int) -> OokLinkConfig:
-    """``link`` on the empirical ``P_ob`` at the detection ``offsets`` of one engine run.
+def _particle_pobs(cfg: ResolvedConfig, points, threads: int) -> list[np.ndarray]:
+    """The empirical ``P_ob`` of one engine run per ``(rx, offsets)`` point.
 
-    The run releases ``_POOL_PARTICLES`` particles of the configured kind
-    and counts those inside ``rx`` at the (step-snapped) offsets; the
-    pool's fractions become ``link.pob`` as they are.
+    Each run releases ``_POOL_PARTICLES`` particles of the configured kind
+    and counts those inside ``rx`` at the (step-snapped) detection
+    ``offsets``; the runs share one set of workers.
     """
     pool = replace(cfg.release(), n_tx=_POOL_PARTICLES)
-    series = run(_sim_for_grid(cfg, rx, pool, offsets), threads=threads).series
-    return replace(link, pob=series.probabilities())
+    results = run_many([_sim_for_grid(cfg, rx, pool, offsets) for rx, offsets in points],
+                       threads=threads)
+    return [result.series.probabilities() for result in results]
 
 
 def ser_action(cfg: ResolvedConfig, out_dir: Path, fmt: str, threads: int = 1,
                methods: list[SerMethod] | None = None) -> list[Path]:
-    """SER sweep over the configured distances and symbol intervals."""
+    """SER sweep over the configured distances and symbol intervals.
+
+    ``particle_binomial`` takes the link's ``P_ob`` from an engine pool as
+    it is (:func:`_particle_pobs`).
+    """
     if methods is None:
         methods = [SerMethod(cfg["ook.method"])]
     realizations = cfg["ook.realizations"]
     seed = cfg["seed"]
+    points = [(distance, symbol_interval, *_auto_link(cfg, distance, symbol_interval))
+              for distance in cfg["ser.distances"]
+              for symbol_interval in cfg["ser.symbol_intervals"]]
+    pobs = (_particle_pobs(cfg, [(rx, offsets) for *_, rx, offsets, _ in points], threads)
+            if SerMethod.PARTICLE_BINOMIAL in methods else [None] * len(points))
     rows = []
-    for distance in cfg["ser.distances"]:
-        for symbol_interval in cfg["ser.symbol_intervals"]:
-            link, rx, offsets, search = _auto_link(cfg, distance, symbol_interval)
-            searched = None
-            if search:
-                xi_opt, searched = optimal_threshold(link, SerMethod.POISSON_ANALYTIC)
-                link = replace(link, threshold_xi=xi_opt)
+    for (distance, symbol_interval, link, _, _, search), pob in zip(points, pobs):
+        searched = None
+        if search:
+            xi_opt, searched = optimal_threshold(link, SerMethod.POISSON_ANALYTIC)
+            link = replace(link, threshold_xi=xi_opt)
+        for method in methods:
+            used = 0
+            if method is SerMethod.MONTE_CARLO_COUNTS:
+                result = cfg.build(ser_monte_carlo, link, realizations, seed, method)
+                used = realizations
+            elif method is SerMethod.PARTICLE_BINOMIAL:
+                result = ser_analytic(replace(link, pob=pob), SerMethod.BINOMIAL_ANALYTIC)
+            elif method is SerMethod.POISSON_ANALYTIC and searched is not None:
+                # The search's table holds every threshold, xi_opt's included.
+                result = searched
             else:
-                xi_opt = link.threshold_xi
-            for method in methods:
-                used = 0
-                if method is SerMethod.MONTE_CARLO_COUNTS:
-                    result = cfg.build(ser_monte_carlo, link, realizations, seed, method)
-                    used = realizations
-                elif method is SerMethod.PARTICLE_BINOMIAL:
-                    result = ser_analytic(_particle_link(cfg, link, rx, offsets, threads),
-                                          SerMethod.BINOMIAL_ANALYTIC)
-                elif method is SerMethod.POISSON_ANALYTIC and searched is not None:
-                    # The search's table holds every threshold, xi_opt's included.
-                    result = searched
-                else:
-                    result = ser_analytic(link, method)
-                rows.append((symbol_interval, distance, xi_opt, result.ser,
-                             method.value, used, seed))
+                result = ser_analytic(link, method)
+            rows.append((symbol_interval, distance, link.threshold_xi, result.ser,
+                         method.value, used, seed))
     return [_write(cfg, out_dir, fmt, "ser_sweep",
                    ("T_s", "d_m", "xi_opt", "ser", "method", "realizations", "seed"), rows,
                    content="symbol error rate sweep")]

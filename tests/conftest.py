@@ -2,6 +2,7 @@
 acceptance-line terminal summary."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -55,6 +56,16 @@ def point_in_receiver(rx: ReceiverVolume, x, r, phi, radius_a: float):
     if np.ndim(x) == 0 and np.ndim(r) == 0 and np.ndim(phi) == 0:
         return bool(inside)
     return inside
+
+
+def raise_in_worker(*args):
+    """Stands in for ``particles._run_block``: a worker that raises."""
+    raise RuntimeError("worker failed")
+
+
+def exit_in_worker(*args):
+    """Stands in for ``particles._run_block``: a worker process that dies."""
+    os._exit(1)
 
 
 @pytest.fixture

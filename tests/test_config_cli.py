@@ -12,11 +12,12 @@ from pathlib import Path
 import pytest
 
 import ductflow
-from ductflow import SerMethod
+from ductflow import SerMethod, particles
 from ductflow.cli import main
 from ductflow.config import ConfigError, load_config, parse_value
 from ductflow.output import Table, emit_table
 from ductflow.presets import PRESETS, preset_config
+from conftest import exit_in_worker, raise_in_worker
 
 
 class TestParsing:
@@ -283,6 +284,18 @@ class TestCli:
         assert rc == 3
         assert "error" in capsys.readouterr().err
         assert list(tmp_path.rglob("*.csv")) == []
+
+    @pytest.mark.parametrize("fault", [raise_in_worker, exit_in_worker])
+    def test_worker_failure_exit_code_and_cleanup(self, tmp_path, capsys, monkeypatch, fault):
+        # The analytic tables are written before the engine's two runs fail
+        # in their shared pool of forked workers, which inherit the patch.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(particles, "_run_block", fault)
+        rc = main(["preset", "cir_small_duct", "--out", str(tmp_path), "--threads", "2",
+                   "--set", "release.n_tx=300", "--set", "grid.t_stop=0.05"])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("ductflow: error: ")
+        assert list(tmp_path.rglob("*")) == []
 
     @pytest.mark.parametrize("setting", [
         "ook.seq_len=0", "ook.noise_mean=-1", "ook.threshold=2000",

@@ -29,7 +29,7 @@ from ductflow import (
 from ductflow import presets
 from ductflow.config import load_config
 from ductflow.ook import _MC_BLOCK, _binomial_pmf, _error_table, _inverse_cdf, _poisson_pmf
-from ductflow.presets import _auto_link, _particle_link, preset_config
+from ductflow.presets import _auto_link, _particle_pobs, preset_config
 from conftest import make_channel, make_receiver
 
 
@@ -319,6 +319,12 @@ PARTICLE_OFFSETS = detection_offsets(0.01, 3, 0.015)
 PARTICLE_LINK = OokLinkConfig(np.zeros(3), 6, 0.5, 200)
 
 
+def particle_link(cfg, threads):
+    """``PARTICLE_LINK`` on the pool's ``P_ob`` at ``PARTICLE_OFFSETS``, as the sweep builds it."""
+    (pob,) = _particle_pobs(cfg, [(cfg.receiver(), PARTICLE_OFFSETS)], threads)
+    return replace(PARTICLE_LINK, pob=pob)
+
+
 class TestSerMonteCarlo:
     def test_counts_mode_matches_binomial_analytic(self):
         link, *_ = flow_link(T=0.25)
@@ -441,8 +447,7 @@ class TestSerMonteCarlo:
     def test_particle_mode_pinned(self, monkeypatch, diffusion, threads):
         monkeypatch.setattr(presets, "_POOL_PARTICLES", 2000)
         cfg = particle_cfg(diffusion)
-        link, other = (_particle_link(cfg, PARTICLE_LINK, cfg.receiver(), PARTICLE_OFFSETS, t)
-                       for t in (threads, 4 - threads))
+        link, other = (particle_link(cfg, t) for t in (threads, 4 - threads))
         exact, again = (ser_analytic(k, SerMethod.BINOMIAL_ANALYTIC) for k in (link, other))
         assert exact.ser == again.ser
         assert np.array_equal(exact.per_symbol_errors, again.per_symbol_errors)
@@ -465,7 +470,7 @@ class TestParticleBinomial:
     def test_is_binomial_on_pool_fractions(self, monkeypatch):
         monkeypatch.setattr(presets, "_POOL_PARTICLES", 2000)
         cfg = particle_cfg(1e-10)
-        link = _particle_link(cfg, PARTICLE_LINK, cfg.receiver(), PARTICLE_OFFSETS, threads=2)
+        link = particle_link(cfg, threads=2)
         offsets = 0.015 + 0.01 * np.arange(3)
         assert np.array_equal(PARTICLE_OFFSETS, offsets)
         pool = SimConfig(channel=make_channel(radius=10e-6, diffusion=1e-10),

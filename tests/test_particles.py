@@ -3,14 +3,16 @@
 Release and step tests drive the helpers ``run`` itself uses
 (``_streams``, ``_initial_block``, ``_draw_normals``, ``_advance_inplace``),
 so they check the block-keyed ziggurat streams of every run.  Tests that
-compare thread counts patch ``os.cpu_count`` (``several_cpus``), so they
+compare worker counts patch ``os.cpu_count`` (``several_cpus``), so they
 split the ensemble into several partitions on any host.
 """
 
 import hashlib
 import math
 import os
-from concurrent.futures import Future
+import sys
+import warnings
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -35,8 +37,10 @@ from ductflow.particles import (
     _initial_block,
     _reflect_inplace,
     _streams,
+    run_many,
 )
-from conftest import make_channel, make_receiver, point_in_receiver
+from conftest import (exit_in_worker, make_channel, make_receiver, point_in_receiver,
+                      raise_in_worker)
 
 
 def sim_config(channel, rx, release, sample_times, seed=1234, dt=1e-3):
@@ -281,24 +285,36 @@ class TestRun:
     @pytest.mark.parametrize("n_tx", [_BLOCK // 3, 3 * _BLOCK + 77])
     def test_counts_identical_across_partitions(self, narrow_channel, several_cpus, n_tx):
         # Below one block there is one partition whatever the thread count;
-        # a ragged last block must not shift any other block's streams.
-        cfg = sim_config(narrow_channel, make_receiver(10e-6, 20e-6), ReleaseSpec.uniform(n_tx),
-                         np.arange(0, 41) * 1e-3, dt=1e-4)
-        results = [run(cfg, threads=t, snapshot_times=[0.02]) for t in (1, 2, 3, 4)]
-        assert results[0].series.counts.sum() > 0
-        for other in results[1:]:
-            assert np.array_equal(results[0].series.counts, other.series.counts)
-            assert np.array_equal(results[0].snapshots[0.02], other.snapshots[0.02])
+        # a ragged last block must not shift any other block's streams.  A
+        # many-config call gives each config the results of its own run,
+        # whatever the other configs' partitions are.
+        rx, times = make_receiver(10e-6, 20e-6), np.arange(0, 41) * 1e-3
+        cfgs = [sim_config(narrow_channel, rx, release, times, seed=seed, dt=1e-4)
+                for release, seed in ((ReleaseSpec.uniform(n_tx), 1234),
+                                      (ReleaseSpec.uniform(0), 1234),
+                                      (ReleaseSpec.point(_BLOCK + 5, 8e-6, 0.3), 99))]
+        alone = [run(cfg, snapshot_times=[0.02]) for cfg in cfgs]
+        assert alone[0].series.counts.sum() > 0
+        for t in (1, 2, 3, 4):
+            results = [run(cfgs[0], threads=t, snapshot_times=[0.02]),
+                       *run_many(cfgs, threads=t, snapshot_times=[0.02])]
+            for result, reference in zip(results, [alone[0], *alone]):
+                assert np.array_equal(result.series.counts, reference.series.counts)
+                assert np.array_equal(result.snapshots[0.02], reference.snapshots[0.02])
 
-    def test_workers_capped_at_cpu_count(self, narrow_channel, monkeypatch):
-        # One partition, and one pool worker, per requested thread, but no
-        # more than there are CPUs or blocks; the fake pool runs each
-        # partition inline, so no thread is started.
+    @pytest.fixture
+    def inline_pool(self, monkeypatch):
+        """Replaces ``ProcessPoolExecutor`` with a pool that maps in this process.
+
+        Returns the list of pools made, each with its ``max_workers`` and the
+        ``(n_tx, lo, hi)`` of every task in submission order.
+        """
         pools = []
 
         class InlinePool:
-            def __init__(self, max_workers):
-                self.max_workers, self.blocks = max_workers, 0
+            def __init__(self, max_workers, mp_context):
+                assert mp_context.get_start_method() == "fork"
+                self.max_workers, self.tasks = max_workers, []
                 pools.append(self)
 
             def __enter__(self):
@@ -307,21 +323,81 @@ class TestRun:
             def __exit__(self, *exc):
                 return False
 
-            def submit(self, fn, *args):
-                self.blocks += 1
-                future = Future()
-                future.set_result(fn(*args))
-                return future
+            def map(self, fn, *iterables):
+                tasks = list(zip(*iterables))
+                self.tasks = [(cfg.release.n_tx, lo, hi) for cfg, lo, hi, _ in tasks]
+                return [fn(*task) for task in tasks]
 
-        monkeypatch.setattr(particles, "ThreadPoolExecutor", InlinePool)
+        monkeypatch.setattr(particles, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        return pools
+
+    def test_workers_capped_at_cpu_count(self, narrow_channel, inline_pool, monkeypatch):
+        # One partition, and one worker, per requested thread, but no more
+        # than there are CPUs or partitions; one worker runs inline, with no
+        # pool.
+        calls = []
+        run_block = particles._run_block
+        monkeypatch.setattr(particles, "_run_block",
+                            lambda *args: calls.append(args) or run_block(*args))
         for n_tx, parts in ((64, [1, 1, 1]), (10 * _BLOCK + 5, [1, 2, 4])):
-            pools.clear()
             cfg = sim_config(narrow_channel, make_receiver(10e-6, 20e-6),
                              ReleaseSpec.uniform(n_tx), np.arange(1, 21) * 1e-3)
-            counts = [run(cfg, threads=t).series.counts for t in (1, 2, 64)]
-            assert [(p.max_workers, p.blocks) for p in pools] == [(k, k) for k in parts]
+            counts, seen = [], []
+            for t in (1, 2, 64):
+                inline_pool.clear()
+                calls.clear()
+                counts.append(run(cfg, threads=t).series.counts)
+                workers = inline_pool[0].max_workers if inline_pool else 1
+                seen.append((workers, len(calls)))
+                assert len(inline_pool) == (workers > 1)
+            assert seen == [(k, k) for k in parts]
             assert all(np.array_equal(c, counts[0]) for c in counts)
+        # Two runs' partitions share the CPUs' workers.
+        inline_pool.clear()
+        calls.clear()
+        run_many([cfg, cfg], threads=64)
+        assert (inline_pool[0].max_workers, len(calls)) == (4, 8)
+
+    def test_partitions_submitted_largest_first(self, narrow_channel, inline_pool):
+        # Partitions of every config share one pool and are submitted by
+        # particle-steps, largest first: 200 steps of 3 blocks outweigh
+        # 20 steps of 11.
+        rx = make_receiver(10e-6, 20e-6)
+        long = sim_config(narrow_channel, rx, ReleaseSpec.uniform(3 * _BLOCK),
+                          np.arange(1, 201) * 1e-3)
+        wide = sim_config(narrow_channel, rx, ReleaseSpec.uniform(10 * _BLOCK + 5),
+                          np.arange(1, 21) * 1e-3)
+        results = run_many([long, wide], threads=2)
+        (pool,) = inline_pool
+        assert pool.max_workers == 2
+        n_long, n_wide = 3 * _BLOCK, 10 * _BLOCK + 5
+        assert pool.tasks == [(n_long, _BLOCK, n_long), (n_long, 0, _BLOCK),
+                              (n_wide, 5 * _BLOCK, n_wide), (n_wide, 0, 5 * _BLOCK)]
+        for cfg, result in zip([long, wide], results):
+            assert np.array_equal(result.series.counts, run(cfg).series.counts)
+
+    @pytest.mark.parametrize("fault,error", [(raise_in_worker, RuntimeError),
+                                             (exit_in_worker, BrokenProcessPool)])
+    def test_worker_failure_raises(self, narrow_channel, several_cpus, monkeypatch,
+                                   fault, error):
+        # Forked workers inherit the patched module.
+        monkeypatch.setattr(particles, "_run_block", fault)
+        cfg = sim_config(narrow_channel, make_receiver(10e-6, 20e-6),
+                         ReleaseSpec.uniform(2 * _BLOCK), np.arange(1, 21) * 1e-3)
+        with pytest.raises(error):
+            run(cfg, threads=2)
+
+    @pytest.mark.skipif(sys.version_info >= (3, 12),
+                        reason="Python 3.12 and later warn at a fork while another OS "
+                               "thread lives, such as an earlier pool's exiting thread")
+    def test_fork_emits_no_warning(self, narrow_channel, several_cpus):
+        cfg = sim_config(narrow_channel, make_receiver(10e-6, 20e-6),
+                         ReleaseSpec.uniform(2 * _BLOCK), np.arange(1, 21) * 1e-3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            counts = run(cfg, threads=2).series.counts
+        assert np.array_equal(counts, run(cfg).series.counts)
 
     def test_mean_axial_position_tracks_mean_velocity(self, narrow_channel):
         rx = make_receiver(10e-6, 800e-6)

@@ -40,9 +40,13 @@ single-instant errors, and one instant's count sums independent releases.
 block by block of realizations, the bits, then the noise of every sampling
 instant, then for ``j = 0..K-1`` offset ``j``'s count for every transmitted
 1 whose offset-``j`` instant lies in the sequence, each in C order of
-``(realization, symbol)``.  Trimming drops only tail cells below 1e-18,
-about ``max(1, sd / 4) 1e-18`` of a term's mass, so a count's law is off by
-at most the sum over its ``K + 1`` terms, which no Monte Carlo run resolves.
+``(realization, symbol)``.  A guide table (Chen & Asau, 1974) turns each
+uniform into the cell a binary search of the cumulative sum would find, and
+offset ``j`` adds its counts at the flat indices of those 1s shifted by
+``j``: a block makes no binary search per draw and reads no boolean mask.
+Trimming drops only tail cells below 1e-18, about ``max(1, sd / 4) 1e-18``
+of a term's mass, so a count's law is off by at most the sum over its
+``K + 1`` terms, which no Monte Carlo run resolves.
 ``PARTICLE_BINOMIAL`` is ``BINOMIAL_ANALYTIC`` on the empirical
 ``P_ob(t0 + j T)`` of one particle-engine run of 100 000 particles, which
 the CLI's SER action makes.  A molecule seen at one instant can be seen
@@ -301,12 +305,32 @@ def _inverse_cdf(term: tuple[int, np.ndarray], u: np.ndarray) -> np.ndarray:
 
     ``u`` in ``[cdf[k - 1], cdf[k])`` draws cell ``k``; trimming can leave the
     cumulative sum a few 1e-18 below 1, and ``u`` above it draws the last cell.
+    That is the cell a binary search of ``cdf`` would find; a guide table
+    (Chen & Asau, 1974) finds it without one.  ``m``, a power of two at
+    least four times the pmf's width, cuts ``[0, 1)`` into buckets
+    ``[i / m, (i + 1) / m)``, and ``guide[i]`` is the cell of ``u = i / m``.
+    With ``m`` a power of two, ``u m`` and ``i / m`` are exact, so ``u``
+    lies in bucket ``floor(u m)``, whose guide cell is at most ``u``'s own.
+    Walking forward while ``cdf[c] <= u`` ends on it, and the last cell's
+    edge, set to ``inf``, keeps the walk inside the pmf.  One dense step
+    checks every draw; only the draws that moved step again.
     """
     start, pmf = term
-    cells = np.searchsorted(np.cumsum(pmf), u, side="right")
-    np.minimum(cells, pmf.size - 1, out=cells)
+    width = pmf.size
+    cdf = np.cumsum(pmf)
+    m = 1 << (4 * width - 1).bit_length()
+    guide = np.minimum(np.searchsorted(cdf, np.arange(m) / m, side="right"), width - 1)
+    cdf[-1] = np.inf
+    flat_u = u.reshape(-1)
+    cells = np.empty(flat_u.size, dtype=np.intp)
+    np.multiply(flat_u, m, out=cells, casting="unsafe")
+    np.take(guide, cells, out=cells, mode="clip")
+    moved = np.flatnonzero(np.take(cdf, cells) <= flat_u)
+    while moved.size:
+        cells[moved] += 1
+        moved = moved[np.take(cdf, cells[moved]) <= flat_u[moved]]
     cells += start
-    return cells
+    return cells.reshape(u.shape)
 
 
 def _mc_counts_block(link: OokLinkConfig, terms: list[tuple[int, np.ndarray]],
@@ -314,10 +338,20 @@ def _mc_counts_block(link: OokLinkConfig, terms: list[tuple[int, np.ndarray]],
     k = link.seq_len_K
     sent = rng.integers(0, 2, size=(realizations, k), dtype=np.int64) == 1
     counts = _inverse_cdf(terms[0], rng.random((realizations, k)))
+    flat = counts.reshape(-1)
+    # A 1 sent at symbol s of realization r adds offset j's count at flat
+    # index r k + s + j.  Ascending, these targets are the C order of
+    # (r, s) in which offset j draws; at j = k - s the target would wrap
+    # into row r + 1, and the 1 leaves.
+    targets = np.flatnonzero(sent)
     for j, term in enumerate(terms[1:]):
-        # A 1 sent at symbol s adds offset j's count at symbol s + j.
-        active = sent[:, :k - j]
-        counts[:, j:][active] += _inverse_cdf(term, rng.random(np.count_nonzero(active)))
+        if j:
+            targets += 1
+            targets = targets[targets % k != 0]
+        draws = _inverse_cdf(term, rng.random(targets.size))
+        draws += np.take(flat, targets, mode="clip")
+        flat[targets] = draws
+        del draws  # before the next offset's targets and uniforms
     return (counts >= link.threshold_xi) != sent
 
 

@@ -28,7 +28,8 @@ from ductflow import (
 )
 from ductflow import presets
 from ductflow.config import load_config
-from ductflow.ook import _MC_BLOCK, _binomial_pmf, _error_table, _inverse_cdf, _poisson_pmf
+from ductflow.ook import (_MC_BLOCK, _binomial_pmf, _count_terms, _error_table, _inverse_cdf,
+                          _mc_counts_block, _poisson_pmf)
 from ductflow.presets import _auto_link, _particle_pobs, preset_config
 from conftest import make_channel, make_receiver
 
@@ -325,6 +326,69 @@ def particle_link(cfg, threads):
     return replace(PARTICLE_LINK, pob=pob)
 
 
+def binary_search_cells(term, u):
+    """The count of each uniform in ``u`` by binary search of the term's cumulative sum."""
+    start, pmf = term
+    return np.minimum(np.searchsorted(np.cumsum(pmf), u, side="right"), pmf.size - 1) + start
+
+
+def mask_counts_block(link, terms, realizations, rng):
+    """One block of the count Monte Carlo by boolean masks and binary search.
+
+    The form the flat-index scatter and the guide table replaced: offset
+    ``j`` adds its counts through the mask ``sent[:, :K - j]`` on the view
+    ``counts[:, j:]``, drawing one uniform per masked cell in C order.
+    """
+    k = link.seq_len_K
+    sent = rng.integers(0, 2, size=(realizations, k), dtype=np.int64) == 1
+    counts = binary_search_cells(terms[0], rng.random((realizations, k)))
+    for j, term in enumerate(terms[1:]):
+        active = sent[:, :k - j]
+        counts[:, j:][active] += binary_search_cells(term, rng.random(np.count_nonzero(active)))
+    return (counts >= link.threshold_xi) != sent
+
+
+def adversarial_uniforms(pmf):
+    """Uniforms on and next to every edge a guide table or a binary search can meet.
+
+    Every cumulative sum and its neighbouring doubles, every bucket edge
+    ``i / m`` and the double below it for each power of two ``m`` up to
+    eight times the pmf's width, and the ends ``0`` and ``1 - 2^-53`` of
+    ``Generator.random``'s range.
+    """
+    cdf = np.cumsum(pmf)
+    edges = [cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0), [0.0, 1.0 - 2.0 ** -53]]
+    m = 1
+    while m <= 8 * pmf.size:
+        buckets = np.arange(m) / m
+        edges += [buckets, np.nextafter(buckets, -1.0)]
+        m *= 2
+    u = np.concatenate(edges)
+    return np.unique(u[(u >= 0.0) & (u < 1.0)])
+
+
+def _inverse_cdf_terms() -> dict:
+    """Trimmed pmfs the guide table is checked on, keyed by test id."""
+    link, *_ = flow_link(T=0.1, K=8)
+    terms = {f"flow-{i}": term
+             for i, term in enumerate(_count_terms(link, SerMethod.BINOMIAL_ANALYTIC))}
+    terms["point-mass"] = (0, np.ones(1))
+    terms["point-mass-start"] = (7, np.ones(1))
+    terms["two-cells"] = (3, np.array([0.25, 0.75]))
+    # Cumulative sums that fall on bucket edges i / m.
+    terms["quarters"] = (0, np.full(4, 0.25))
+    # Cells of 1e-19 vanish when added to a sum near 1, so the cumulative
+    # sum runs flat across them, in the middle and at the top.
+    terms["flat-runs"] = (2, np.array([0.5, 1e-19, 1e-19, 0.25, 0.25 - 1e-17, 1e-17, 1e-19, 1e-19]))
+    # Short of 1 by more than a cell: the top uniforms draw the last cell.
+    terms["short-mass"] = (1, np.array([0.3, 0.3, 0.3]))
+    terms["wide-poisson"] = (0, _poisson_pmf(np.arange(400), 200.0))
+    return terms
+
+
+INVERSE_CDF_TERMS = _inverse_cdf_terms()
+
+
 class TestSerMonteCarlo:
     def test_counts_mode_matches_binomial_analytic(self):
         link, *_ = flow_link(T=0.25)
@@ -345,6 +409,45 @@ class TestSerMonteCarlo:
         assert result.ser == 0.059125
         assert result.per_symbol_errors.tolist() == [
             0.0715, 0.0305, 0.023, 0.033, 0.044, 0.0655, 0.093, 0.1125]
+
+    # Two blocks, the second of 5 realizations: the errors of each symbol,
+    # summed over 65 541 realizations, that the boolean-mask, binary-search
+    # draw gave.
+    def test_counts_mode_pinned_two_blocks(self):
+        link, *_ = flow_link(T=0.25, xi=70)
+        realizations = _MC_BLOCK + 5
+        result = ser_monte_carlo(link, realizations, seed=17)
+        errors = np.array([4442, 2205, 1233, 2003, 3266, 4756, 6110, 7403])
+        assert result.ser == 0.059920507773759936
+        assert result.per_symbol_errors.tolist() == (errors / realizations).tolist()
+
+    @pytest.mark.parametrize("name", INVERSE_CDF_TERMS)
+    def test_inverse_cdf_is_binary_search(self, name):
+        # The guide table draws the cell a binary search would, on every
+        # uniform next to an edge and on random ones, for 1-D and 2-D u.
+        term = INVERSE_CDF_TERMS[name]
+        u = np.concatenate([adversarial_uniforms(term[1]),
+                            np.random.default_rng(5).random(10_000)])
+        assert np.array_equal(_inverse_cdf(term, u), binary_search_cells(term, u))
+        u = u[:u.size // 4 * 4].reshape(-1, 4)
+        cells = _inverse_cdf(term, u)
+        assert cells.shape == u.shape
+        assert np.array_equal(cells, binary_search_cells(term, u))
+
+    @pytest.mark.parametrize("k", [1, 2, 8, 25])
+    @pytest.mark.parametrize("xi", ["zero", "own", "n_tx"])
+    def test_block_matches_boolean_masks(self, k, xi):
+        # The same uniforms give the same counts, so the same errors, and the
+        # generators end in the same state.
+        link, *_ = flow_link(T=0.1, K=k)
+        links = [link, OokLinkConfig(np.where(np.arange(k) % 2, 0.0, link.pob), 0, 0.0, 1000)]
+        for link in links:
+            link = replace(link, threshold_xi={"zero": 0, "own": 30, "n_tx": link.n_tx}[xi])
+            terms = _count_terms(link, SerMethod.BINOMIAL_ANALYTIC)
+            fast, slow = np.random.default_rng(k), np.random.default_rng(k)
+            assert np.array_equal(_mc_counts_block(link, terms, 3001, fast),
+                                  mask_counts_block(link, terms, 3001, slow))
+            assert fast.random() == slow.random()
 
     def test_inverse_cdf_cells(self):
         # Cumulative sums 0.25, 0.75 and 1 - 2^-53, the largest uniform
@@ -380,14 +483,17 @@ class TestSerMonteCarlo:
 
     def test_blocks_bound_memory(self):
         # 3e5 realizations span five blocks of _MC_BLOCK.  A block holds its
-        # counts (8 bytes a cell) and its bits (1 byte); one offset's draw
-        # adds the uniforms, the drawn counts and the sums they are added to
-        # (8 bytes each per active cell, about half the cells), so the peak
-        # stays under 32 bytes a cell of one block, 16.8 MB: below even one
-        # unblocked (realizations, K) int64 array (19.2 MB).  Drawn
-        # unblocked, the peak was 77 MB.  Summing the blocks' errors must
-        # keep every per-symbol rate within 4 standard errors of the
-        # binomial-analytic value.
+        # bits (1 byte a cell); its noise draw holds the uniforms, the counts
+        # and the cumulative sums the guide table's dense step compares them
+        # with (8 bytes each) and the step's flags (1 byte): 26 bytes a cell,
+        # 13.7 MB measured.  One offset's draw holds the counts (8 bytes a
+        # cell) and, per target (at most about half the cells), the target,
+        # its uniform, its drawn count and the sum gathered or compared with
+        # it (8 bytes each): about 25.5 bytes a cell.  The peak stays under
+        # 32 bytes a cell of one block, 16.8 MB: below even one unblocked
+        # (realizations, K) int64 array (19.2 MB).  Drawn unblocked, the peak
+        # was 77 MB.  Summing the blocks' errors must keep every per-symbol
+        # rate within 4 standard errors of the binomial-analytic value.
         link, *_ = flow_link(T=0.25)
         xi, _ = optimal_threshold(link)
         link = replace(link, threshold_xi=xi)

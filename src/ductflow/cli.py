@@ -12,8 +12,9 @@ Subcommands::
 Common flags: ``--config`` (key = value file), ``--set key=value``
 (repeatable, highest precedence), ``--seed``, ``--out``, ``--format``,
 ``--threads`` (at least 1): the number of forked worker processes of the
-particle engine, capped at ``os.cpu_count()``; above 1 it needs a POSIX
-``fork``.  The worker count never changes results.
+particle engine, capped at ``os.cpu_count()`` and shared by every engine run
+of the call; above 1 it needs a POSIX ``fork``.  The worker count never
+changes results.  ``ser`` writes one row per method listed in ``ook.method``.
 Exit codes: 0 success, 2 configuration error, 3 runtime error.
 """
 

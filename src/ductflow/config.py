@@ -8,7 +8,7 @@ is recorded and echoed into every output-file header.
 
 The file format is one ``key = value`` pair per line; ``#`` starts a
 comment; list-valued keys take comma-separated entries, each with its own
-optional unit.
+optional unit (``ook.method`` lists ``SerMethod`` names).
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ _DERIVED = object()
 
 @dataclass(frozen=True)
 class KeySpec:
-    kind: str                 # quantity | quantity_list | int | float | enum | special
+    kind: str                 # quantity | quantity_list | int | float | enum | enum_list | special
     dimension: str = "dimensionless"
     choices: tuple = ()
     default: object = None
@@ -93,8 +93,8 @@ KEY_REGISTRY: dict[str, KeySpec] = {
     "ook.threshold": KeySpec("special", default="optimal"),
     "ook.noise_mean": KeySpec("float", default=4.0),
     "ook.realizations": KeySpec("int", default=10_000),
-    "ook.method": KeySpec("enum", choices=tuple(m.value for m in SerMethod),
-                          default=SerMethod.POISSON_ANALYTIC.value),
+    "ook.method": KeySpec("enum_list", choices=tuple(m.value for m in SerMethod),
+                          default=(SerMethod.POISSON_ANALYTIC.value,)),
     "ser.distances": KeySpec("quantity_list", "length", default=_DERIVED),
     "ser.symbol_intervals": KeySpec("quantity_list", "time", default=_DERIVED),
     "seed": KeySpec("int", default=1),
@@ -131,6 +131,13 @@ def _parse_int(text: str, key: str) -> int:
     return int(value)
 
 
+def _parse_choice(text: str, spec: KeySpec, key: str) -> str:
+    value = text.strip().lower()
+    if value not in spec.choices:
+        raise ConfigError(f"key '{key}': expected one of {spec.choices}, got {text!r}")
+    return value
+
+
 def parse_value(key: str, text: str):
     """Parse one textual value for ``key`` according to the registry."""
     if key not in KEY_REGISTRY:
@@ -141,11 +148,15 @@ def parse_value(key: str, text: str):
         if spec.default is None and text.lower() == "none":
             return None
         return _parse_scalar(text, spec, key)
-    if spec.kind == "quantity_list":
+    if spec.kind in ("quantity_list", "enum_list"):
         items = [item for item in text.split(",") if item.strip()]
         if not items:
             raise ConfigError(f"key '{key}': expected a non-empty list")
-        return tuple(_parse_scalar(item, spec, key) for item in items)
+        parse = _parse_choice if spec.kind == "enum_list" else _parse_scalar
+        values = tuple(parse(item, spec, key) for item in items)
+        if spec.kind == "enum_list" and len(set(values)) < len(values):
+            raise ConfigError(f"key '{key}': an entry is listed twice in {text!r}")
+        return values
     if spec.kind == "int":
         return _parse_int(text, key)
     if spec.kind == "float":
@@ -154,10 +165,7 @@ def parse_value(key: str, text: str):
         except ValueError:
             raise ConfigError(f"key '{key}': cannot parse number from {text!r}") from None
     if spec.kind == "enum":
-        value = text.lower()
-        if value not in spec.choices:
-            raise ConfigError(f"key '{key}': expected one of {spec.choices}, got {text!r}")
-        return value
+        return _parse_choice(text, spec, key)
     if spec.kind == "special":
         lowered = text.lower()
         if key == "ook.detection_delay":
@@ -329,9 +337,9 @@ def load_config(preset_values: dict | None = None, file_path: str | Path | None 
         parsed = {key: parse_value(key, text) for key, text in overrides.items()}
         _apply_layer(values, provenance, parsed, "flag")
     if seed is not None:
-        if not 0 <= seed < 2 ** 64:
-            raise ConfigError("seed must fit in 64 bits")
         values["seed"] = int(seed)
         provenance["seed"] = "flag"
+    if not 0 <= values["seed"] < 2 ** 64:
+        raise ConfigError(f"seed must fit in 64 bits, got {values['seed']}")
     _derive_defaults(values, provenance)
     return ResolvedConfig(values=values, provenance=provenance)

@@ -18,33 +18,32 @@ steps since the last sample or snapshot step are drawn at that step as one
 ``N(0, 2 D k dt)``, exact in distribution.
 
 Reproducibility contract: particles form blocks of ``_BLOCK`` by index, and
-each run is cut into ``min(threads, os.cpu_count(), blocks)`` partitions of
-whole blocks.  Block ``b`` owns two generators built from
-``SeedSequence(seed, spawn_key=(b, axis))``: axis 0 draws its release
-positions, then each step's ``y`` and ``z`` normals; axis 1 draws one ``x``
-normal per particle at each sample or snapshot step, so the sample grid
-leaves the ``y, z`` streams alone.  Normals are numpy's ziggurat
-``standard_normal`` (Marsaglia & Tsang, 2000) on SFC64, chosen over Philox
-for speed (13.5 against 22.5 ns a normal on a 2-vCPU Xeon, numpy 2.4).  A
-run is thus a function of ``(config, seed)``, bit-identical for any worker
-count.  Receivers are transparent: a receiver's counts equal those of a run
-with that receiver alone.
+:func:`run_many` cuts each run into partitions of whole blocks.  Block ``b``
+owns two generators built from ``SeedSequence(seed, spawn_key=(b, axis))``:
+axis 0 draws its release positions, then each step's ``y`` and ``z``
+normals; axis 1 draws one ``x`` normal per particle at each sample or
+snapshot step, so the sample grid leaves the ``y, z`` streams alone.
+Normals are numpy's ziggurat ``standard_normal`` (Marsaglia & Tsang, 2000)
+on SFC64, chosen over Philox for speed (13.5 against 22.5 ns a normal on a
+2-vCPU Xeon, numpy 2.4).  A run is thus a function of its :class:`SimConfig`
+alone, bit-identical for any worker count and partition.  Receivers are
+transparent: a receiver's counts equal those of a run with that receiver
+alone.
 
 Workers are processes, not threads: each step makes a few dozen small NumPy
 calls, and threads handed the GIL back and forth around every one of them,
-so two threads ran no faster than one.  :func:`run_many` sends the
-partitions of all its runs, largest first, to one pool of
-``min(threads, os.cpu_count(), partitions)`` workers and reassembles each
-run's counts and snapshots in block order; :func:`run` is its one-run case,
-and one worker runs inline, with no pool.  The pool forks, so the workers
-inherit the parent's imports (no ~0.4 s re-import of numpy and scipy per
-worker) and its module state; ``threads > 1`` therefore needs a POSIX
-``fork``.  ``import numpy`` starts OpenBLAS's thread pool, which OpenBLAS
-shuts down before a fork (3 OS threads before the first fork, 1 after, with
-numpy 2.4), and the executor forks its workers before it starts its own
-threads; the workers make no BLAS calls.  Python 3.12 and later warn
-(``DeprecationWarning``) at a fork while another OS thread lives, such as
-an earlier pool's thread that is still exiting.
+so two threads ran no faster than one.  :func:`run_many`, the one scheduler,
+sends the partitions of all its runs, largest first, to one pool of workers
+and reassembles each run's counts and snapshots in block order; :func:`run`
+is its one-run case, and one worker runs inline, with no pool.  The pool
+forks, so the workers inherit the parent's imports (no ~0.4 s re-import of
+numpy and scipy per worker) and its module state; ``threads > 1`` therefore
+needs a POSIX ``fork``.  ``import numpy`` starts OpenBLAS's thread pool,
+which OpenBLAS shuts down before a fork (3 OS threads before the first
+fork, 1 after, with numpy 2.4), and the executor forks its workers before
+it starts its own threads; the workers make no BLAS calls.  Python 3.12 and
+later warn (``DeprecationWarning``) at a fork while another OS thread
+lives, such as an earlier pool's thread that is still exiting.
 """
 
 from __future__ import annotations
@@ -126,10 +125,11 @@ class SimConfig:
     against the duct, as is a point release.  One run counts all of them on
     the same trajectories.
 
-    Sample times are snapped to the nearest step boundary at construction so
-    no silent interpolation happens later; they must be non-negative and,
-    after snapping, strictly increasing.  A run lasts until the last sample
-    or snapshot step.
+    Sample and snapshot times are snapped to the nearest step boundary at
+    construction so no silent interpolation happens later; both must be
+    non-negative.  Sample times must be strictly increasing after snapping;
+    snapshot times are sorted, and those that snap to one step collapse.  A
+    run lasts until the last sample or snapshot step.
     """
 
     channel: DuctChannelConfig
@@ -138,8 +138,10 @@ class SimConfig:
     time_step: float
     seed: int
     sample_times: Sequence[float]
+    snapshot_times: Sequence[float] = ()
     receivers: tuple[ReceiverVolume, ...] = field(init=False)
     sample_steps: np.ndarray = field(init=False)
+    snapshot_steps: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if not self.time_step > 0.0:
@@ -159,12 +161,14 @@ class SimConfig:
         steps = _to_steps(requested, self.time_step, "sample times")
         if np.any(np.diff(steps) <= 0):
             raise ValueError("sample times must snap to distinct, increasing steps")
-        object.__setattr__(self, "sample_steps", steps)
-        object.__setattr__(self, "sample_times", steps * self.time_step)
+        snaps = np.unique(_to_steps(self.snapshot_times, self.time_step, "snapshot times"))
+        for name, grid in (("sample", steps), ("snapshot", snaps)):
+            object.__setattr__(self, f"{name}_steps", grid)
+            object.__setattr__(self, f"{name}_times", grid * self.time_step)
 
     @property
     def n_steps(self) -> int:
-        return int(self.sample_steps[-1])
+        return int(self.snapshot_steps.max(initial=self.sample_steps[-1]))
 
 
 @dataclass(frozen=True)
@@ -251,7 +255,7 @@ def _hits(rx: ReceiverVolume, radius_a: float, x, y, z, r2) -> int:
     return int(np.count_nonzero(np.abs(np.arctan2(z[cand], y[cand])) <= rx.extent_cphi / 2.0))
 
 
-def _run_block(config: SimConfig, lo: int, hi: int, snapshot_steps: Sequence[int]):
+def _run_block(config: SimConfig, lo: int, hi: int):
     """Counts and snapshots of particles ``[lo, hi)``; ``lo`` starts a block."""
     ch = config.channel
     dt = config.time_step
@@ -260,10 +264,11 @@ def _run_block(config: SimConfig, lo: int, hi: int, snapshot_steps: Sequence[int
     r2 = y * y + z * z
     normals = (np.empty(hi - lo), np.empty(hi - lo)) if ch.diffusion_D > 0.0 else None
     columns = {int(s): col for col, s in enumerate(config.sample_steps)}
+    snapshots = dict(zip(config.snapshot_steps.tolist(), config.snapshot_times.tolist()))
     counts = np.zeros((len(config.receivers), len(columns)), dtype=np.int64)
-    snaps: dict[int, np.ndarray] = {}
+    snaps: dict[float, np.ndarray] = {}
     last = 0
-    for j in sorted(columns.keys() | set(snapshot_steps)):
+    for j in sorted(columns.keys() | snapshots.keys()):
         for _ in range(last, j):
             if normals is not None:
                 _draw_normals(spans, cross, *normals)
@@ -276,100 +281,77 @@ def _run_block(config: SimConfig, lo: int, hi: int, snapshot_steps: Sequence[int
         if j in columns:
             for k, rx in enumerate(config.receivers):
                 counts[k, columns[j]] = _hits(rx, ch.radius_a, x, y, z, r2)
-        if j in snapshot_steps:
-            snaps[j] = np.column_stack((x, r2))
+        if j in snapshots:
+            snaps[snapshots[j]] = np.column_stack((x, r2))
     return counts, snaps
 
 
-def _partitions(config: SimConfig, threads: int) -> list[tuple[int, int]]:
-    """``[lo, hi)`` of ``min(threads, os.cpu_count(), blocks)`` runs of whole blocks."""
+def _partitions(config: SimConfig, parts: int) -> list[tuple[int, int]]:
+    """``[lo, hi)`` of ``parts`` runs of whole blocks, or of one block each if fewer."""
     n = config.release.n_tx
     blocks = -(-n // _BLOCK)
-    parts = min(threads, os.cpu_count() or 1, max(blocks, 1))
+    parts = min(parts, max(blocks, 1))
     # Partition bounds fall on block boundaries, so no block is ever split.
     bounds = np.minimum(np.linspace(0, blocks, parts + 1).astype(int) * _BLOCK, n)
     return list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
 
 
-def _particle_steps(config: SimConfig, lo: int, hi: int, snapshot_steps: Sequence[int]) -> int:
-    return (hi - lo) * max([config.n_steps, *snapshot_steps])
+def run_many(configs: Sequence[SimConfig], *, threads: int = 1) -> list[SimResult]:
+    """:func:`run` of each of ``configs``, in order, on one set of workers.
 
-
-def _run_partitioned(jobs, threads: int):
-    """Counts and snapshots of each ``(config, snapshot_steps)`` job, in job order.
-
-    Every job's partitions go to one set of ``min(threads, os.cpu_count(),
-    partitions)`` workers, largest (in particle-steps) first, and each job's
-    results are put back together in block order.  One worker runs the
-    partitions inline, without a pool.
+    With ``workers = min(threads, os.cpu_count())``, each of the ``n`` runs
+    is cut into ``lcm(workers, n) / n`` partitions (fewer if it has fewer
+    blocks), so equal runs keep every worker busy.  All partitions go to one
+    pool, largest (in particle-steps) first; each result equals that
+    config's own :func:`run`.
     """
     if threads < 1:
         raise ValueError("threads must be at least 1")
-    tasks = [(j, (config, lo, hi, snaps)) for j, (config, snaps) in enumerate(jobs)
-             for lo, hi in _partitions(config, threads)]
-    order = sorted(range(len(tasks)), key=lambda i: -_particle_steps(*tasks[i][1]))
-    ordered = [tasks[i][1] for i in order]
-    workers = min(threads, os.cpu_count() or 1, len(tasks))
+    workers = min(threads, os.cpu_count() or 1)
+    share = math.lcm(workers, len(configs)) // len(configs) if configs else 1
+    bounds = [_partitions(config, share) for config in configs]
+    tasks = [(config, lo, hi) for config, parts in zip(configs, bounds) for lo, hi in parts]
+    order = sorted(range(len(tasks)),
+                   key=lambda i: -(tasks[i][2] - tasks[i][1]) * tasks[i][0].n_steps)
+    ordered = [tasks[i] for i in order]
+    workers = min(workers, len(tasks))
     if workers <= 1:
         outputs = [_run_block(*task) for task in ordered]
     else:
         with ProcessPoolExecutor(max_workers=workers,
                                  mp_context=multiprocessing.get_context("fork")) as pool:
             outputs = list(pool.map(_run_block, *zip(*ordered)))
-    done = dict(zip(order, outputs))
-    parts: list[list] = [[] for _ in jobs]
-    for i, (j, _) in enumerate(tasks):
-        parts[j].append(done[i])
-    return [(np.sum([counts for counts, _ in part], axis=0),
-             {s: np.concatenate([snaps[s] for _, snaps in part]) for s in snap_steps})
-            for part, (_, snap_steps) in zip(parts, jobs)]
-
-
-def run_many(configs: Sequence[SimConfig], *, threads: int = 1,
-             snapshot_times: Sequence[float] = ()) -> list[SimResult]:
-    """:func:`run` of each of ``configs``, in order, on one set of workers.
-
-    The partitions of every config share the ``threads`` workers, so
-    independent runs overlap; each result equals that config's own
-    :func:`run` with the same ``snapshot_times``.
-    """
-    jobs = [(config, sorted(set(_to_steps(snapshot_times, config.time_step,
-                                          "snapshot times").tolist())))
-            for config in configs]
+    blocks = map(dict(zip(order, outputs)).get, range(len(tasks)))
     results = []
-    for (config, snap_steps), (counts, snaps) in zip(jobs, _run_partitioned(jobs, threads)):
-        all_series = tuple(ObservationSeries(config.sample_times, c, config.release.n_tx)
-                           for c in counts)
-        results.append(SimResult(all_series, {s * config.time_step: snaps[s]
-                                              for s in snap_steps}))
+    for config, parts in zip(configs, bounds):
+        part = [next(blocks) for _ in parts]
+        counts = np.sum([c for c, _ in part], axis=0)
+        results.append(SimResult(
+            tuple(ObservationSeries(config.sample_times, c, config.release.n_tx) for c in counts),
+            {t: np.concatenate([snaps[t] for _, snaps in part]) for t in part[0][1]}))
     return results
 
 
-def run(config: SimConfig, *, threads: int = 1,
-        snapshot_times: Sequence[float] = ()) -> SimResult:
+def run(config: SimConfig, *, threads: int = 1) -> SimResult:
     """Simulate the configured release and return receiver counts over time.
 
-    One pass over the trajectories counts every receiver of ``config``.
+    One pass over the trajectories counts every receiver of ``config`` and
+    captures per-particle ``(x, r^2)`` pairs at its snapshot times.
 
     Parameters
     ----------
     config : SimConfig
     threads : int
         Requested worker processes (at least 1); at most ``os.cpu_count()``
-        and one per block run.  Has no effect on the results (see the
-        module reproducibility contract).
-    snapshot_times : sequence of float
-        Optional times at which to capture per-particle ``(x, r^2)`` pairs;
-        snapped to step boundaries like the sample times and refused
-        (``ValueError``) if negative.  The run lasts until the later of the
-        last sample and the last snapshot.
+        and one per block.  Has no effect on the results (see the module
+        reproducibility contract).
 
     Returns
     -------
     SimResult
         One series of counts at every sample time per receiver (``all_series``,
-        in receiver order; ``series`` is the first), plus any snapshots.  No
-        partial results are returned on failure: a worker that raises or
-        dies raises here.
+        in receiver order; ``series`` is the first), plus a snapshot at each
+        of ``config.snapshot_times``.  No partial results are returned on
+        failure: a worker that raises or dies raises here.
     """
-    return run_many([config], threads=threads, snapshot_times=snapshot_times)[0]
+    return run_many([config], threads=threads)[0]

@@ -58,10 +58,11 @@ def _um_label(length_m: float) -> str:
     return f"{length_m / _UM:g}um"
 
 
-def _sim_for_grid(cfg: ResolvedConfig, rx, release, sample_times) -> SimConfig:
+def _sim_for_grid(cfg: ResolvedConfig, rx, release, sample_times,
+                  snapshot_times=()) -> SimConfig:
     return cfg.build(SimConfig, channel=cfg.channel(), rx=rx, release=release,
                      time_step=cfg["sim.time_step"], seed=cfg["seed"],
-                     sample_times=sample_times)
+                     sample_times=sample_times, snapshot_times=snapshot_times)
 
 
 def regime_action(cfg: ResolvedConfig, out_dir: Path, fmt: str,
@@ -175,8 +176,8 @@ def snapshot_action(cfg: ResolvedConfig, out_dir: Path, fmt: str,
                     threads: int = 1) -> list[Path]:
     """Per-particle (x, r^2) clouds at the configured snapshot times."""
     times = np.asarray(cfg["snapshot.times"], dtype=float)
-    sim = _sim_for_grid(cfg, cfg.receiver(), cfg.release(), np.sort(times))
-    result = run(sim, threads=threads, snapshot_times=times)
+    sim = _sim_for_grid(cfg, cfg.receiver(), cfg.release(), np.sort(times), times)
+    result = run(sim, threads=threads)
     return [_write(cfg, out_dir, fmt, f"snapshot_t{t:g}s", ("particle_id", "x_m", "r2_m2"),
                    [(i, float(x), float(r2)) for i, (x, r2) in enumerate(result.snapshots[t])],
                    content="particle position snapshot", snapshot_t_s=t)
@@ -228,15 +229,15 @@ def _particle_pobs(cfg: ResolvedConfig, points, threads: int) -> list[np.ndarray
     return [result.series.probabilities() for result in results]
 
 
-def ser_action(cfg: ResolvedConfig, out_dir: Path, fmt: str, threads: int = 1,
-               methods: list[SerMethod] | None = None) -> list[Path]:
+def ser_action(cfg: ResolvedConfig, out_dir: Path, fmt: str,
+               threads: int = 1) -> list[Path]:
     """SER sweep over the configured distances and symbol intervals.
 
+    Each point writes one row per ``ook.method`` entry, in the listed order.
     ``particle_binomial`` takes the link's ``P_ob`` from an engine pool as
     it is (:func:`_particle_pobs`).
     """
-    if methods is None:
-        methods = [SerMethod(cfg["ook.method"])]
+    methods = [SerMethod(method) for method in cfg["ook.method"]]
     realizations = cfg["ook.realizations"]
     seed = cfg["seed"]
     points = [(distance, symbol_interval, *_auto_link(cfg, distance, symbol_interval))
@@ -313,8 +314,7 @@ PRESETS: dict[str, tuple] = {
         "regime.radii": (10e-6, 200e-6),
         "regime.distances": (200e-6, 800e-6),
     }),
-    "ser_sweep": (partial(ser_action, methods=[SerMethod.POISSON_ANALYTIC,
-                                             SerMethod.MONTE_CARLO_COUNTS]), {
+    "ser_sweep": (ser_action, {
         "channel.radius": 200e-6,
         "channel.diffusion": 1e-12,
         "release.n_tx": 1_000,
@@ -326,6 +326,7 @@ PRESETS: dict[str, tuple] = {
         "ook.realizations": 10_000,
         "ook.detection_delay": "auto",
         "ook.threshold": "optimal",
+        "ook.method": (SerMethod.POISSON_ANALYTIC.value, SerMethod.MONTE_CARLO_COUNTS.value),
     }),
 }
 

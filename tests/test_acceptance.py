@@ -79,8 +79,9 @@ def _run_uniform(channel, distance, t_stop, n_tx, seed, snapshot_times=(), threa
     rx = quarter_receiver(channel.radius_a, distance)
     times = np.arange(1, int(round(t_stop / 1e-3)) + 1) * 1e-3
     cfg = SimConfig(channel=channel, rx=rx, release=ReleaseSpec.uniform(n_tx),
-                    time_step=1e-3, seed=seed, sample_times=times)
-    return rx, run(cfg, threads=threads, snapshot_times=snapshot_times)
+                    time_step=1e-3, seed=seed, sample_times=times,
+                    snapshot_times=snapshot_times)
+    return rx, run(cfg, threads=threads)
 
 
 @pytest.fixture(scope="module")

@@ -51,6 +51,21 @@ class TestParsing:
         with pytest.raises(ConfigError, match="unknown configuration key"):
             parse_value("channel.bogus", "1")
 
+    def test_method_list(self):
+        # ook.method lists SerMethod names in order; one name is a list of one.
+        assert parse_value("ook.method", "poisson_analytic, Monte_Carlo_Counts") == \
+            ("poisson_analytic", "monte_carlo_counts")
+        assert parse_value("ook.method", "binomial_analytic") == ("binomial_analytic",)
+        for text in ("poisson_analytic, nope", " , ", "poisson_analytic, Poisson_Analytic"):
+            with pytest.raises(ConfigError, match="ook.method"):
+                parse_value("ook.method", text)
+
+    def test_default_method_renders_as_one_name(self):
+        # The one-entry default keeps the header line and digest of a scalar.
+        cfg = load_config()
+        assert cfg["ook.method"] == ("poisson_analytic",)
+        assert cfg.header()["config.ook.method"] == "poisson_analytic [default]"
+
     def test_specials(self):
         assert parse_value("ook.detection_delay", "auto") == "auto"
         assert parse_value("ook.detection_delay", "50 ms") == 0.05
@@ -171,6 +186,7 @@ class TestPresetDefaults:
         assert cfg["ser.symbol_intervals"][-1] == 0.75
         assert cfg["ook.detection_delay"] == "auto"
         assert cfg["ook.threshold"] == "optimal"
+        assert cfg["ook.method"] == ("poisson_analytic", "monte_carlo_counts")
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
@@ -253,6 +269,34 @@ class TestCli:
         lines = (tmp_path / "ser_sweep.csv").read_text().splitlines()
         header = [line for line in lines if not line.startswith("#")][0]
         assert header == "T_s,d_m,xi_opt,ser,method,realizations,seed"
+
+    def test_ser_writes_one_row_per_method(self, tmp_path):
+        rc = main(["ser", "--out", str(tmp_path), "--set", "channel.radius=200 um",
+                   "--set", "channel.diffusion=1e-12", "--set", "ser.symbol_intervals=0.1, 0.3",
+                   "--set", "ook.method=binomial_analytic, poisson_analytic"])
+        assert rc == 0
+        lines = (tmp_path / "ser_sweep.csv").read_text().splitlines()
+        assert "# config.ook.method = binomial_analytic;poisson_analytic [flag]" in lines
+        rows = [line.split(",") for line in lines if not line.startswith("#")][1:]
+        assert [(row[0], row[4]) for row in rows] == [
+            ("0.10000000000000001", "binomial_analytic"),
+            ("0.10000000000000001", "poisson_analytic"),
+            ("0.29999999999999999", "binomial_analytic"),
+            ("0.29999999999999999", "poisson_analytic")]
+
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    @pytest.mark.parametrize("layer", ["set", "file", "flag"])
+    @pytest.mark.parametrize("command", [["regime"], ["ser"], ["simulate"],
+                                         ["preset", "regime_map"]])
+    def test_seed_out_of_range_is_config_error(self, tmp_path, capsys, command, layer, seed):
+        # The seed's range is checked once, whichever layer set it.
+        argv = {"set": ["--set", f"seed={seed}"], "file": ["--config", str(tmp_path / "c.cfg")],
+                "flag": ["--seed", seed]}[layer]
+        (tmp_path / "c.cfg").write_text(f"seed = {seed}\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(command + argv + ["--out", str(out)]) == 2
+        assert "seed must fit in 64 bits" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_threads_do_not_change_bytes(self, tmp_path):
         base = ["simulate", "--seed", "11"] + SMALL_SIM
@@ -505,7 +549,7 @@ GOLDEN.update({
         ["preset", "ser_sweep", "--seed", "5", "--set", "ser.distances=200 um, 800 um",
          "--set", "ser.symbol_intervals=0.1, 0.5", "--set", "ook.realizations=500"],
         ["ser_sweep.csv"],
-        {"ser_sweep.csv": "c2fad17440ec62bb1a63fdc3fc2c78755402c5fae21fdb34bd87b4d69de2bf06"}),
+        {"ser_sweep.csv": "38ce3f06fc413834214ac136298414108c8644bba29a2a2bbdcddc1d86741ba2"}),
     "ser_binomial": (
         ["ser", "--set", "ook.method=binomial_analytic"] + SER_ARGS,
         ["ser_sweep.csv"],

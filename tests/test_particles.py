@@ -13,6 +13,7 @@ import os
 import sys
 import warnings
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -43,9 +44,9 @@ from conftest import (exit_in_worker, make_channel, make_receiver, point_in_rece
                       raise_in_worker)
 
 
-def sim_config(channel, rx, release, sample_times, seed=1234, dt=1e-3):
+def sim_config(channel, rx, release, sample_times, seed=1234, dt=1e-3, snapshot_times=()):
     return SimConfig(channel=channel, rx=rx, release=release, time_step=dt, seed=seed,
-                     sample_times=sample_times)
+                     sample_times=sample_times, snapshot_times=snapshot_times)
 
 
 @pytest.fixture
@@ -191,8 +192,8 @@ class TestStep:
         # diffusive steps with reflection.
         channel = make_channel(radius=1e-5, diffusion=1e-10, mean_velocity=0.0)
         cfg = sim_config(channel, make_receiver(1e-5, 200e-6), ReleaseSpec.uniform(20_000),
-                         [0.05], seed=4)
-        u = run(cfg, snapshot_times=[0.05]).snapshots[0.05][:, 1] / (1e-5) ** 2
+                         [0.05], seed=4, snapshot_times=[0.05])
+        u = run(cfg).snapshots[0.05][:, 1] / (1e-5) ** 2
         ks = stats.kstest(u, "uniform")
         assert ks.pvalue > 0.01
 
@@ -209,8 +210,8 @@ class TestStep:
         channel = make_channel(radius=10e-6, diffusion=0.0)
         t = 0.4
         cfg = sim_config(channel, make_receiver(10e-6, 200e-6), ReleaseSpec.uniform(3000),
-                         [0.1, t], dt=1e-3)
-        cloud = run(cfg, snapshot_times=[t]).snapshots[t]
+                         [0.1, t], dt=1e-3, snapshot_times=[t])
+        cloud = run(cfg).snapshots[t]
         x, r2 = cloud[:, 0], cloud[:, 1]
         u = 2.0 * channel.mean_velocity * (1.0 - r2 / (10e-6) ** 2)
         np.testing.assert_allclose(x, u * t, rtol=1e-12, atol=0.0)
@@ -223,8 +224,8 @@ class TestStep:
         n = 20_000
         for times in ([0.3], [0.01, 0.3], np.arange(1, 301) * 1e-3):
             cfg = sim_config(channel, make_receiver(10e-6, 200e-6), ReleaseSpec.uniform(n),
-                             times, seed=31)
-            x = run(cfg, snapshot_times=[0.3]).snapshots[0.3][:, 0]
+                             times, seed=31, snapshot_times=[0.3])
+            x = run(cfg).snapshots[0.3][:, 0]
             stat = np.sum(x * x) / (2.0 * channel.diffusion_D * 0.3)
             assert stats.chi2.ppf(5e-4, n) <= stat <= stats.chi2.ppf(1.0 - 5e-4, n)
 
@@ -234,8 +235,8 @@ class TestStep:
         channel = make_channel(radius=10e-6, diffusion=1e-10)
         rx = make_receiver(10e-6, 20e-6)
         release = ReleaseSpec.uniform(_BLOCK + 500)
-        clouds = [run(sim_config(channel, rx, release, times, seed=6), threads=2,
-                      snapshot_times=[0.05]).snapshots[0.05]
+        clouds = [run(sim_config(channel, rx, release, times, seed=6, snapshot_times=[0.05]),
+                      threads=2).snapshots[0.05]
                   for times in ([0.08], np.arange(1, 81) * 1e-3)]
         assert np.array_equal(clouds[0][:, 1], clouds[1][:, 1])
         assert not np.array_equal(clouds[0][:, 0], clouds[1][:, 0])
@@ -276,8 +277,9 @@ class TestRun:
     def test_deterministic_across_thread_counts(self, narrow_channel, several_cpus):
         rx = make_receiver(10e-6, 200e-6)
         times = np.arange(1, 60) * 2e-3
-        cfg = sim_config(narrow_channel, rx, ReleaseSpec.uniform(5_000), times)
-        results = [run(cfg, threads=t, snapshot_times=[0.05]) for t in (1, 2, 7)]
+        cfg = sim_config(narrow_channel, rx, ReleaseSpec.uniform(5_000), times,
+                         snapshot_times=[0.05])
+        results = [run(cfg, threads=t) for t in (1, 2, 7)]
         for other in results[1:]:
             assert np.array_equal(results[0].series.counts, other.series.counts)
             assert np.array_equal(results[0].snapshots[0.05], other.snapshots[0.05])
@@ -289,15 +291,15 @@ class TestRun:
         # many-config call gives each config the results of its own run,
         # whatever the other configs' partitions are.
         rx, times = make_receiver(10e-6, 20e-6), np.arange(0, 41) * 1e-3
-        cfgs = [sim_config(narrow_channel, rx, release, times, seed=seed, dt=1e-4)
+        cfgs = [sim_config(narrow_channel, rx, release, times, seed=seed, dt=1e-4,
+                           snapshot_times=[0.02])
                 for release, seed in ((ReleaseSpec.uniform(n_tx), 1234),
                                       (ReleaseSpec.uniform(0), 1234),
                                       (ReleaseSpec.point(_BLOCK + 5, 8e-6, 0.3), 99))]
-        alone = [run(cfg, snapshot_times=[0.02]) for cfg in cfgs]
+        alone = [run(cfg) for cfg in cfgs]
         assert alone[0].series.counts.sum() > 0
         for t in (1, 2, 3, 4):
-            results = [run(cfgs[0], threads=t, snapshot_times=[0.02]),
-                       *run_many(cfgs, threads=t, snapshot_times=[0.02])]
+            results = [run(cfgs[0], threads=t), *run_many(cfgs, threads=t)]
             for result, reference in zip(results, [alone[0], *alone]):
                 assert np.array_equal(result.series.counts, reference.series.counts)
                 assert np.array_equal(result.snapshots[0.02], reference.snapshots[0.02])
@@ -325,7 +327,7 @@ class TestRun:
 
             def map(self, fn, *iterables):
                 tasks = list(zip(*iterables))
-                self.tasks = [(cfg.release.n_tx, lo, hi) for cfg, lo, hi, _ in tasks]
+                self.tasks = [(cfg.release.n_tx, lo, hi) for cfg, lo, hi in tasks]
                 return [fn(*task) for task in tasks]
 
         monkeypatch.setattr(particles, "ProcessPoolExecutor", InlinePool)
@@ -353,24 +355,30 @@ class TestRun:
                 assert len(inline_pool) == (workers > 1)
             assert seen == [(k, k) for k in parts]
             assert all(np.array_equal(c, counts[0]) for c in counts)
-        # Two runs' partitions share the CPUs' workers.
+        # The runs of one call share the CPUs' workers, each cut into
+        # lcm(workers, runs) / runs partitions: 2 runs on 4 workers take 2
+        # each, 2 runs on 2 workers 1 each, and 3 runs on 2 workers 2 each,
+        # so no worker idles at the end.
+        for runs, t, expected in ((2, 64, (4, 4)), (2, 2, (2, 2)), (3, 2, (2, 6))):
+            inline_pool.clear()
+            calls.clear()
+            run_many([cfg] * runs, threads=t)
+            assert (inline_pool[0].max_workers, len(calls)) == expected
         inline_pool.clear()
-        calls.clear()
-        run_many([cfg, cfg], threads=64)
-        assert (inline_pool[0].max_workers, len(calls)) == (4, 8)
+        assert run_many([], threads=4) == [] and not inline_pool
 
     def test_partitions_submitted_largest_first(self, narrow_channel, inline_pool):
         # Partitions of every config share one pool and are submitted by
         # particle-steps, largest first: 200 steps of 3 blocks outweigh
-        # 20 steps of 11.
+        # 20 steps of 11.  Two runs on 4 workers take 2 partitions each.
         rx = make_receiver(10e-6, 20e-6)
         long = sim_config(narrow_channel, rx, ReleaseSpec.uniform(3 * _BLOCK),
                           np.arange(1, 201) * 1e-3)
         wide = sim_config(narrow_channel, rx, ReleaseSpec.uniform(10 * _BLOCK + 5),
                           np.arange(1, 21) * 1e-3)
-        results = run_many([long, wide], threads=2)
+        results = run_many([long, wide], threads=4)
         (pool,) = inline_pool
-        assert pool.max_workers == 2
+        assert pool.max_workers == 4
         n_long, n_wide = 3 * _BLOCK, 10 * _BLOCK + 5
         assert pool.tasks == [(n_long, _BLOCK, n_long), (n_long, 0, _BLOCK),
                               (n_wide, 5 * _BLOCK, n_wide), (n_wide, 0, 5 * _BLOCK)]
@@ -402,8 +410,9 @@ class TestRun:
     def test_mean_axial_position_tracks_mean_velocity(self, narrow_channel):
         rx = make_receiver(10e-6, 800e-6)
         times = [0.1, 0.2, 0.3]
-        cfg = sim_config(narrow_channel, rx, ReleaseSpec.uniform(20_000), times, seed=77)
-        result = run(cfg, snapshot_times=times)
+        cfg = sim_config(narrow_channel, rx, ReleaseSpec.uniform(20_000), times, seed=77,
+                         snapshot_times=times)
+        result = run(cfg)
         for t in times:
             x = result.snapshots[t][:, 0]
             stderr = x.std() / math.sqrt(x.size)
@@ -440,8 +449,9 @@ class TestRun:
 class TestSnapshots:
     def test_at_release_plane(self, narrow_channel):
         rx = make_receiver(10e-6, 200e-6)
-        cfg = sim_config(narrow_channel, rx, ReleaseSpec.uniform(500), [0.01])
-        result = run(cfg, snapshot_times=[0.0])
+        cfg = sim_config(narrow_channel, rx, ReleaseSpec.uniform(500), [0.01],
+                         snapshot_times=[0.0])
+        result = run(cfg)
         cloud = result.snapshots[0.0]
         assert np.all(cloud[:, 0] == 0.0)
         assert np.all(cloud[:, 1] <= (10e-6) ** 2)
@@ -450,8 +460,8 @@ class TestSnapshots:
         channel = make_channel(radius=10e-6, diffusion=0.0)
         rx = make_receiver(10e-6, 200e-6)
         t = 0.02
-        cfg = sim_config(channel, rx, ReleaseSpec.uniform(2000), [t])
-        cloud = run(cfg, snapshot_times=[t]).snapshots[t]
+        cfg = sim_config(channel, rx, ReleaseSpec.uniform(2000), [t], snapshot_times=[t])
+        cloud = run(cfg).snapshots[t]
         a2 = (10e-6) ** 2
         line = a2 * (1.0 - cloud[:, 0] / (2.0 * channel.mean_velocity * t))
         assert np.allclose(cloud[:, 1], line, rtol=1e-9, atol=1e-24)
@@ -460,12 +470,51 @@ class TestSnapshots:
         # After long times the cross-wise positions decouple from x and r^2
         # is uniform on [0, a^2].
         rx = make_receiver(10e-6, 800e-6)
-        cfg = sim_config(narrow_channel, rx, ReleaseSpec.uniform(1000), [0.8], seed=15)
-        cloud = run(cfg, snapshot_times=[0.8]).snapshots[0.8]
+        cfg = sim_config(narrow_channel, rx, ReleaseSpec.uniform(1000), [0.8], seed=15,
+                         snapshot_times=[0.8])
+        cloud = run(cfg).snapshots[0.8]
         u = cloud[:, 1] / (10e-6) ** 2
         ks = stats.kstest(u, "uniform")
         critical_1pct = 1.63 / math.sqrt(u.size)
         assert ks.statistic < critical_1pct
+
+    def test_negative_time_refused(self, narrow_channel):
+        with pytest.raises(ValueError, match="snapshot times must be non-negative"):
+            sim_config(narrow_channel, make_receiver(10e-6, 200e-6), ReleaseSpec.uniform(10),
+                       [0.01], snapshot_times=[0.02, -1e-3])
+
+    def test_duplicates_collapse(self, narrow_channel):
+        # Times that snap to one step give one snapshot; order does not matter.
+        cfg = sim_config(narrow_channel, make_receiver(10e-6, 200e-6), ReleaseSpec.uniform(10),
+                         [0.01], snapshot_times=[0.02, 0.0051, 0.005, 0.02])
+        assert cfg.snapshot_steps.tolist() == [5, 20]
+        assert np.array_equal(cfg.snapshot_times, [5e-3, 20e-3])
+        assert sorted(run(cfg).snapshots) == [5e-3, 20e-3]
+
+    def test_run_reaches_snapshot_after_last_sample(self, narrow_channel):
+        cfg = sim_config(narrow_channel, make_receiver(10e-6, 200e-6), ReleaseSpec.uniform(10),
+                         [0.01, 0.02], snapshot_times=[0.05])
+        assert cfg.n_steps == 50
+        assert sim_config(narrow_channel, make_receiver(10e-6, 200e-6),
+                          ReleaseSpec.uniform(10), [0.01, 0.02]).n_steps == 20
+        assert run(cfg).snapshots[0.05].shape == (10, 2)
+
+    #: SHA-256 of the snapshots (in time order) and of the counts of the run
+    #: below: they pin the snapshot path for a config made by ``replace``,
+    #: which snaps and sorts the times again.
+    SNAPSHOTS_SHA256 = "4477dbd652d78cbeba9a4efbe0f3f789a9cb4813d317ea226d40f56375071549"
+    COUNTS_SHA256 = "e4f5c2746d20c2059be2f8b02c00ada7fd055490c96b741f558aa6d82b8acaa8"
+
+    def test_replace_matches_pinned_snapshots(self, narrow_channel):
+        cfg = sim_config(narrow_channel, make_receiver(10e-6, 20e-6), ReleaseSpec.uniform(2500),
+                         np.arange(0, 21) * 1e-3, seed=2017, dt=1e-4)
+        result = run(replace(cfg, snapshot_times=[0.03, 0.0101, 0.01, 0.0]))
+        assert sorted(result.snapshots) == [k * 1e-4 for k in (0, 100, 101, 300)]
+        digest = hashlib.sha256()
+        for t in sorted(result.snapshots):
+            digest.update(result.snapshots[t].tobytes())
+        assert digest.hexdigest() == self.SNAPSHOTS_SHA256
+        assert hashlib.sha256(result.series.counts.tobytes()).hexdigest() == self.COUNTS_SHA256
 
 
 class TestMultiReceiver:
@@ -481,13 +530,13 @@ class TestMultiReceiver:
     def test_counts_match_single_receiver_runs(self, diffusion, threads, several_cpus):
         channel = make_channel(radius=10e-6, diffusion=diffusion)
         release = ReleaseSpec.uniform(3000)
-        multi = run(sim_config(channel, self.RECEIVERS, release, self.TIMES),
-                    threads=threads, snapshot_times=self.SNAPS)
+        multi = run(sim_config(channel, self.RECEIVERS, release, self.TIMES,
+                               snapshot_times=self.SNAPS), threads=threads)
         assert len(multi.all_series) == len(self.RECEIVERS)
         assert multi.series is multi.all_series[0]
         for rx, series in zip(self.RECEIVERS, multi.all_series):
-            single = run(sim_config(channel, rx, release, self.TIMES),
-                         threads=threads, snapshot_times=self.SNAPS)
+            single = run(sim_config(channel, rx, release, self.TIMES,
+                                    snapshot_times=self.SNAPS), threads=threads)
             assert series.counts.sum() > 0
             assert np.array_equal(series.counts, single.series.counts)
             assert np.array_equal(series.times, single.series.times)
@@ -495,8 +544,9 @@ class TestMultiReceiver:
                 assert np.array_equal(multi.snapshots[t], single.snapshots[t])
 
     def test_empty_release(self, narrow_channel):
-        cfg = sim_config(narrow_channel, self.RECEIVERS, ReleaseSpec.uniform(0), self.TIMES)
-        result = run(cfg, threads=3, snapshot_times=self.SNAPS)
+        cfg = sim_config(narrow_channel, self.RECEIVERS, ReleaseSpec.uniform(0), self.TIMES,
+                         snapshot_times=self.SNAPS)
+        result = run(cfg, threads=3)
         assert len(result.all_series) == len(self.RECEIVERS)
         for series in result.all_series:
             assert series.n_tx == 0

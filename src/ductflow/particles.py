@@ -18,11 +18,12 @@ steps since the last sample or snapshot step are drawn at that step as one
 ``N(0, 2 D k dt)``, exact in distribution.
 
 Reproducibility contract: particles form blocks of ``_BLOCK`` by index, and
-:func:`run_many` cuts each run into partitions of whole blocks.  Block ``b``
-owns two generators built from ``SeedSequence(seed, spawn_key=(b, axis))``:
-axis 0 draws its release positions, then each step's ``y`` and ``z``
-normals; axis 1 draws one ``x`` normal per particle at each sample or
-snapshot step, so the sample grid leaves the ``y, z`` streams alone.
+each run is cut into ``min(threads, os.cpu_count(), blocks)`` partitions of
+whole blocks.  Block ``b`` owns two generators built from
+``SeedSequence(seed, spawn_key=(b, axis))``: axis 0 draws its release
+positions, then each step's ``y`` and ``z`` normals; axis 1 draws one ``x``
+normal per particle at each sample or snapshot step, so the sample grid
+leaves the ``y, z`` streams alone.
 Normals are numpy's ziggurat ``standard_normal`` (Marsaglia & Tsang, 2000)
 on SFC64, chosen over Philox for speed (13.5 against 22.5 ns a normal on a
 2-vCPU Xeon, numpy 2.4).  A run is thus a function of its :class:`SimConfig`
@@ -162,9 +163,10 @@ class SimConfig:
         if np.any(np.diff(steps) <= 0):
             raise ValueError("sample times must snap to distinct, increasing steps")
         snaps = np.unique(_to_steps(self.snapshot_times, self.time_step, "snapshot times"))
-        for name, grid in (("sample", steps), ("snapshot", snaps)):
-            object.__setattr__(self, f"{name}_steps", grid)
-            object.__setattr__(self, f"{name}_times", grid * self.time_step)
+        object.__setattr__(self, "sample_steps", steps)
+        object.__setattr__(self, "sample_times", steps * self.time_step)
+        object.__setattr__(self, "snapshot_steps", snaps)
+        object.__setattr__(self, "snapshot_times", snaps * self.time_step)
 
     @property
     def n_steps(self) -> int:
@@ -286,11 +288,11 @@ def _run_block(config: SimConfig, lo: int, hi: int):
     return counts, snaps
 
 
-def _partitions(config: SimConfig, parts: int) -> list[tuple[int, int]]:
-    """``[lo, hi)`` of ``parts`` runs of whole blocks, or of one block each if fewer."""
+def _partitions(config: SimConfig, workers: int) -> list[tuple[int, int]]:
+    """``[lo, hi)`` of ``min(workers, blocks)`` runs of whole blocks."""
     n = config.release.n_tx
     blocks = -(-n // _BLOCK)
-    parts = min(parts, max(blocks, 1))
+    parts = min(workers, max(blocks, 1))
     # Partition bounds fall on block boundaries, so no block is ever split.
     bounds = np.minimum(np.linspace(0, blocks, parts + 1).astype(int) * _BLOCK, n)
     return list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
@@ -299,21 +301,20 @@ def _partitions(config: SimConfig, parts: int) -> list[tuple[int, int]]:
 def run_many(configs: Sequence[SimConfig], *, threads: int = 1) -> list[SimResult]:
     """:func:`run` of each of ``configs``, in order, on one set of workers.
 
-    With ``workers = min(threads, os.cpu_count())``, each of the ``n`` runs
-    is cut into ``lcm(workers, n) / n`` partitions (fewer if it has fewer
-    blocks), so equal runs keep every worker busy.  All partitions go to one
-    pool, largest (in particle-steps) first; each result equals that
+    With ``workers = min(threads, os.cpu_count())``, each run is cut into
+    ``workers`` partitions (fewer if it has fewer blocks), so a run longer
+    than the others still spreads over every worker.  All partitions go to
+    one pool, largest (in particle-steps) first; each result equals that
     config's own :func:`run`.
     """
     if threads < 1:
         raise ValueError("threads must be at least 1")
     workers = min(threads, os.cpu_count() or 1)
-    share = math.lcm(workers, len(configs)) // len(configs) if configs else 1
-    bounds = [_partitions(config, share) for config in configs]
-    tasks = [(config, lo, hi) for config, parts in zip(configs, bounds) for lo, hi in parts]
+    tasks = [(k, config, lo, hi) for k, config in enumerate(configs)
+             for lo, hi in _partitions(config, workers)]
     order = sorted(range(len(tasks)),
-                   key=lambda i: -(tasks[i][2] - tasks[i][1]) * tasks[i][0].n_steps)
-    ordered = [tasks[i] for i in order]
+                   key=lambda i: -(tasks[i][3] - tasks[i][2]) * tasks[i][1].n_steps)
+    ordered = [tasks[i][1:] for i in order]
     workers = min(workers, len(tasks))
     if workers <= 1:
         outputs = [_run_block(*task) for task in ordered]
@@ -321,10 +322,12 @@ def run_many(configs: Sequence[SimConfig], *, threads: int = 1) -> list[SimResul
         with ProcessPoolExecutor(max_workers=workers,
                                  mp_context=multiprocessing.get_context("fork")) as pool:
             outputs = list(pool.map(_run_block, *zip(*ordered)))
-    blocks = map(dict(zip(order, outputs)).get, range(len(tasks)))
+    done = dict(zip(order, outputs))
+    parts: list[list] = [[] for _ in configs]
+    for i, (k, *_) in enumerate(tasks):
+        parts[k].append(done[i])
     results = []
-    for config, parts in zip(configs, bounds):
-        part = [next(blocks) for _ in parts]
+    for config, part in zip(configs, parts):
         counts = np.sum([c for c, _ in part], axis=0)
         results.append(SimResult(
             tuple(ObservationSeries(config.sample_times, c, config.release.n_tx) for c in counts),

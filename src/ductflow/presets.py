@@ -176,7 +176,9 @@ def snapshot_action(cfg: ResolvedConfig, out_dir: Path, fmt: str,
                     threads: int = 1) -> list[Path]:
     """Per-particle (x, r^2) clouds at the configured snapshot times."""
     times = np.asarray(cfg["snapshot.times"], dtype=float)
-    sim = _sim_for_grid(cfg, cfg.receiver(), cfg.release(), np.sort(times), times)
+    # A sample at step 0 draws nothing, so the snapshots alone set the run,
+    # and times that snap to one step collapse into one snapshot.
+    sim = _sim_for_grid(cfg, cfg.receiver(), cfg.release(), [0.0], times)
     result = run(sim, threads=threads)
     return [_write(cfg, out_dir, fmt, f"snapshot_t{t:g}s", ("particle_id", "x_m", "r2_m2"),
                    [(i, float(x), float(r2)) for i, (x, r2) in enumerate(result.snapshots[t])],

@@ -260,6 +260,12 @@ class TestCli:
         header = [line for line in lines if not line.startswith("#")][0]
         assert header == "particle_id,x_m,r2_m2"
 
+    def test_snapshot_times_on_one_step_collapse(self, tmp_path):
+        rc = main(["snapshot", "--out", str(tmp_path), "--set", "release.n_tx=50",
+                   "--set", "snapshot.times=0.02,0.0201"])
+        assert rc == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["snapshot_t0.02s.csv"]
+
     def test_ser_interface_columns(self, tmp_path):
         rc = main(["ser", "--out", str(tmp_path), "--seed", "8",
                    "--set", "channel.radius=200 um", "--set", "channel.diffusion=1e-12",

@@ -2,8 +2,9 @@
 
 Every ``ductflow ...`` line in the README's ``sh`` blocks and every preset
 call in its demo table goes through the CLI's own argument parser and
-configuration resolution, without running the engine, so an unknown key, a
-bad unit or bad list syntax fails here instead of reaching a reader.
+dispatch (``cli._dispatch``), with the action dropped, so the engine never
+runs and an unknown key, a bad unit or bad list syntax fails here instead
+of reaching a reader.
 """
 
 import re
@@ -13,8 +14,6 @@ from pathlib import Path
 import pytest
 
 from ductflow import cli
-from ductflow.config import load_config
-from ductflow.presets import preset_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -57,11 +56,7 @@ def test_examples_found():
 
 
 @pytest.mark.parametrize("argv", COMMANDS + DEMO_COMMANDS)
-def test_example_resolves(argv):
-    args = cli._build_parser().parse_args(argv)
-    assert args.threads >= 1
-    overrides = cli._parse_overrides(args.overrides)
-    if args.command == "preset":
-        preset_config(args.name, file_path=args.config, overrides=overrides, seed=args.seed)
-    else:
-        load_config(file_path=args.config, overrides=overrides, seed=args.seed)
+def test_example_resolves(argv, monkeypatch):
+    # The CLI's own dispatch resolves the configuration; the action is dropped.
+    monkeypatch.setattr(cli, "discard_partial_outputs", lambda action, out_dir: [])
+    assert cli._dispatch(cli._build_parser().parse_args(argv)) == []

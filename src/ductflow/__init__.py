@@ -66,8 +66,8 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    # The quadrature oracles pull in scipy.integrate, which no CLI run needs,
-    # so they are imported on first use.
+    # The quadrature oracles need scipy (the ``oracles`` extra), which no CLI
+    # run needs, so they are imported on first use.
     if name in ("oracle_cir_dispersion", "oracle_cir_flow"):
         from . import oracles
         return getattr(oracles, name)

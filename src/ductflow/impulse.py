@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .duct import (
     DuctChannelConfig,
@@ -116,8 +115,28 @@ def cir_dispersion(model: DispersionModel, rx: ReceiverVolume, t):
         half = rx.extent_cx / 2.0
         hi = (d + half - center) / sigma
         lo = (d - half - center) / sigma
-        out[pos] = model.rx_fraction * np.maximum(ndtr(hi) - ndtr(lo), 0.0)
+        out[pos] = model.rx_fraction * np.maximum(_phi_diff(lo, hi), 0.0)
     return float(out[0]) if np.ndim(t) == 0 else out
+
+
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def _phi_diff(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """``Phi(hi) - Phi(lo)`` for ``lo <= hi``, elementwise, without cancellation in either tail.
+
+    With ``Q(x) = erfc(x / sqrt 2) / 2`` the upper tail, it is ``Q(lo) - Q(hi)``
+    for ``lo >= 0``, its mirror image ``Q(-hi) - Q(-lo)`` for ``hi <= 0``, and
+    ``1 - Q(hi) - Q(-lo)`` when the interval straddles 0: each tail is taken
+    on the side away from the mean, where it is small and accurate, rather
+    than as a difference of two values near 1.
+    """
+    flip = hi <= 0.0
+    near = np.where(flip, -hi, lo)
+    far = np.where(flip, -lo, hi)
+    tails = 0.5 * _erfc(np.concatenate([np.abs(near), far]) * math.sqrt(0.5)).astype(float)
+    q_near, q_far = tails[:near.size], tails[near.size:]
+    return np.where(near < 0.0, 1.0 - q_far - q_near, q_near - q_far)
 
 
 def dispersion_peak_time(model: DispersionModel, d: float) -> float:

@@ -22,7 +22,12 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import quad
+
+try:
+    from scipy.integrate import quad
+except ImportError as exc:
+    raise ImportError("the quadrature oracles need scipy: "
+                      "pip install ductflow[oracles]") from exc
 
 from .duct import (
     DuctChannelConfig,

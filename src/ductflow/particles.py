@@ -37,8 +37,8 @@ so two threads ran no faster than one.  :func:`run_many`, the one scheduler,
 sends the partitions of all its runs, largest first, to one pool of workers
 and reassembles each run's counts and snapshots in block order; :func:`run`
 is its one-run case, and one worker runs inline, with no pool.  The pool
-forks, so the workers inherit the parent's imports (no ~0.4 s re-import of
-numpy and scipy per worker) and its module state; ``threads > 1`` therefore
+forks, so the workers inherit the parent's imports (no re-import of numpy
+per worker) and its module state; ``threads > 1`` therefore
 needs a POSIX ``fork``.  ``import numpy`` starts OpenBLAS's thread pool,
 which OpenBLAS shuts down before a fork (3 OS threads before the first
 fork, 1 after, with numpy 2.4), and the executor forks its workers before

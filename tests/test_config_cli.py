@@ -1,6 +1,7 @@
 """Configuration resolution, preset defaults, emission, and the CLI surface."""
 
 import ast
+import importlib
 import hashlib
 import json
 import math
@@ -421,26 +422,24 @@ class TestCli:
         # A stale export would break ``from ductflow import *``.
         assert [name for name in ductflow.__all__ if not hasattr(ductflow, name)] == []
 
-    @staticmethod
-    def _cli_imports(module: str) -> bool:
-        """Whether a fresh ``import ductflow.cli`` puts ``module`` in ``sys.modules``."""
+    def test_import_loads_no_scipy(self):
+        # scipy.special alone cost about 0.3 s of every CLI run.  Only the
+        # quadrature oracles need scipy, and ductflow imports them on first use.
         src = str(Path(ductflow.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
-        probe = f"import sys, ductflow.cli; print({module!r} in sys.modules)"
+        probe = ("import sys, ductflow.cli; print(sorted(m for m in sys.modules "
+                 "if m == 'scipy' or m.startswith('scipy.')))")
         result = subprocess.run([sys.executable, "-c", probe], env=env,
                                 capture_output=True, text=True, check=True)
-        return result.stdout.strip() == "True"
-
-    def test_import_skips_scipy_stats(self):
-        # scipy.stats alone costs about half a second of every CLI run.
-        assert not self._cli_imports("scipy.stats")
-
-    def test_import_skips_scipy_integrate(self):
-        # Only the quadrature oracles need scipy.integrate, and ductflow
-        # imports them on first use.
-        assert not self._cli_imports("scipy.integrate")
+        assert result.stdout.strip() == "[]"
         assert ductflow.oracle_cir_flow is ductflow.oracles.oracle_cir_flow
+
+    def test_oracles_name_their_extra_without_scipy(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "scipy.integrate", None)
+        monkeypatch.delitem(sys.modules, "ductflow.oracles", raising=False)
+        with pytest.raises(ImportError, match=r"pip install ductflow\[oracles\]"):
+            importlib.import_module("ductflow.oracles")
 
     @staticmethod
     def _package_imports(module: str) -> set[str]:
@@ -506,18 +505,18 @@ CIR_GOLDEN_ORDER = [
 ]
 CIR_GOLDEN_SHA256 = {
     "cir_small_duct": {
-        "cir_analytic_d200um.csv": "0009029e5d3823645416951f9e1ff5bbc13feb938c78ebd44051bfdcafaaccbe",
-        "cir_analytic_d800um.csv": "e3e4e4b13195e37f6bacfdbdeb876e9c91a64596ce4c49ece9ba0ac892cc782b",
-        "cir_peaks.csv": "a881774c7791240c36fd38fb5c062ecfa7bf7e93a5207a5a15a333d664f408bc",
+        "cir_analytic_d200um.csv": "b3d6d2973914f4448dc4d9a551fb30c25a7419138f79464f7f70534281d65e08",
+        "cir_analytic_d800um.csv": "d4f8cdfdb890faf619526dfdd89199d2bf3cb7efd21c9533d9402e3aa0eb0952",
+        "cir_peaks.csv": "538a6cc7038328f1d01392a39ef2645e5f8ad2a6c065ee625fa44d5affcfd4ec",
         "cir_sim_point_d200um.csv": "945f5d0d192da1f3ea62fcd84dee7505395682be3221c24bd5fa89cfd9c72913",
         "cir_sim_point_d800um.csv": "f15a31a1855abb27bccf2ac0e760eb6af14d9ebbe4b00178969d0c1098edf8c9",
         "cir_sim_uniform_d200um.csv": "d0a853c7850fe1b1d03e25907d57d7887a9aaaedc0a47c54cb4486bcd806deb1",
         "cir_sim_uniform_d800um.csv": "7432faa412b37008f48fceefb772c624bcde84cb79b2f620b394cdfd3e76b11b",
     },
     "cir_large_duct": {
-        "cir_analytic_d200um.csv": "c3c27ae29efe8e24da864ba8f531c66977f20ba9c358fd0c7ae71f35504d86cc",
-        "cir_analytic_d800um.csv": "f9814d34aa75ef7a3722f6f0e56caa9775cd89c39a2a488d4ecfbd471949f33d",
-        "cir_peaks.csv": "c8df648ae833bf2fc7873dfcfdd4faed047d05470fd6bccc69b55fd9560e6c3f",
+        "cir_analytic_d200um.csv": "1a2e8704911ad491540f62055fd047603c8e3780a7e22b10734135b2a5659e27",
+        "cir_analytic_d800um.csv": "1d93783d3cab45cdcce91d77b210e2dd7b02c3b415e7f2a6650fb98bb12d2183",
+        "cir_peaks.csv": "c4d7d26d8ccc1f7cb5c95718c0b0f97df2b57ac22a3feaa409c2343c9c4950ce",
         "cir_sim_point_d200um.csv": "6d4d9e09e6db8cc10664ba7fd93a0b363afe04cf0055df5102669f8517c7a4de",
         "cir_sim_point_d800um.csv": "19548c321948fcc4f53a18c0a53c18076cafbe318ed7ff90a9f3dd02bd02e592",
         "cir_sim_uniform_d200um.csv": "a88f054bbde5f0dc604067f242e2ee123256b9c358ed4fd7bef79eebd389c2e1",
@@ -544,9 +543,9 @@ GOLDEN.update({
     "cir_no_release": (
         ["preset", "cir_small_duct", "--set", "release.n_tx=0", "--set", "grid.t_stop=0.1"],
         CIR_GOLDEN_ORDER,
-        {"cir_analytic_d200um.csv": "08683ba0f8f840733fe2e2ef7ae2c13316a2c247f64af45bd93a5e9750b6ac03",
-         "cir_analytic_d800um.csv": "7398e65fd5731145b805d64c78c40270d597dcd742c8cf0cc55833466656ecd0",
-         "cir_peaks.csv": "0aa559a2681746bb5c4dfb7660e7ca2dc21fc9e92372c3c2af65f67111d75756",
+        {"cir_analytic_d200um.csv": "9ad5abc9277601d1d944d23aa3d465ea7dc92bada6fa285598c316a1f354185c",
+         "cir_analytic_d800um.csv": "957387854b8c3ed21869c6a7b9f7945b3b306a1d8a964d56d4773bb3bac3b590",
+         "cir_peaks.csv": "d606ed36eafb783994d3fdda210fd0fe492e767b874083ca95510fed08a26548",
          "cir_sim_point_d200um.csv": "50e514ed43f64b610cac939a3b2c69a1bc5c583a7b05f37c6e3631d6477702f6",
          "cir_sim_point_d800um.csv": "a81d954e1c93101e89c12f1e6726431235e9671ecbb1cafe566743679ca37ccc",
          "cir_sim_uniform_d200um.csv": "e2894d1bb3c1f486ebbc2e4c717da6199ec4bf9ccf3a17bad7bd77d6ed03712d",
@@ -555,26 +554,26 @@ GOLDEN.update({
         ["preset", "ser_sweep", "--seed", "5", "--set", "ser.distances=200 um, 800 um",
          "--set", "ser.symbol_intervals=0.1, 0.5", "--set", "ook.realizations=500"],
         ["ser_sweep.csv"],
-        {"ser_sweep.csv": "38ce3f06fc413834214ac136298414108c8644bba29a2a2bbdcddc1d86741ba2"}),
+        {"ser_sweep.csv": "48e8d6f0a0f8174a2cf859786aa667b160f5eeca8e65463e4ad8d462d00aa66d"}),
     "ser_binomial": (
         ["ser", "--set", "ook.method=binomial_analytic"] + SER_ARGS,
         ["ser_sweep.csv"],
-        {"ser_sweep.csv": "8f33e6b70e88332318ffee4b20260b6ff8621f5806caae71f5471029e0aacf0c"}),
+        {"ser_sweep.csv": "b05d8f3457c162b2cab9c2be0a2831fde6fb4ecb5853cee863a087116c9fc2bb"}),
     "ser_json": (
         ["ser", "--format", "json"] + SER_ARGS,
         ["ser_sweep.json"],
-        {"ser_sweep.json": "5514f83dd8b0674a6fc6e983684e6395ddde4eb1fdc804be6a472f40fcf0e8aa"}),
+        {"ser_sweep.json": "b022fcfd68e8999c9bbe46675707c74e61a9198c992295b8fe5affdcd7bf0e05"}),
     # A fixed threshold: the one route into ser_analytic's Poisson branch,
     # where no threshold search runs.
     "ser_fixed_threshold": (
         ["ser", "--set", "ook.threshold=20"] + SER_ARGS,
         ["ser_sweep.csv"],
-        {"ser_sweep.csv": "1f8cf3fd51b4e6e45956ace75879b7a7e70fa6e85095328a0d051eb370326e49"}),
+        {"ser_sweep.csv": "b862a89ca80e82a9d63789b2bf0a778f64d426aef3b76913c10b077c63bbba8f"}),
     "ser_particle": (
         ["ser", "--set", "ook.method=particle_binomial", "--set", "ook.realizations=0",
          "--set", "channel.radius=10 um", "--set", "channel.diffusion=0"],
         ["ser_sweep.csv"],
-        {"ser_sweep.csv": "9fedccc705d51cbf2ef995ceec16784f413b107737faa02d1dbe0fa3ff3d09c9"}),
+        {"ser_sweep.csv": "548a3322c99ee21c877a5a6878fffe3a8c7674207ab0f3158021c5d011e775cb"}),
     "simulate": (
         ["simulate"] + SIM_ARGS,
         ["observations.csv"],
@@ -609,13 +608,13 @@ GOLDEN.update({
     "cir_pressure": (
         ["cir", "--set", "channel.pressure_gradient=800 Pa/m", "--set", "channel.viscosity=1 mPa.s"],
         ["cir_analytic_d200um.csv", "cir_peaks.csv"],
-        {"cir_analytic_d200um.csv": "e7a34306f8e1920a013dd36f4c5b407e2dc127d550ac35a4e5569fd4c58bf4ef",
+        {"cir_analytic_d200um.csv": "c6f630d5c164ccbba5e76ea33a74396e8a21f0e34ed97d480ff0ad69f1d5e62b",
          "cir_peaks.csv": "7fb70cf9102c287f3fc559e519cb43c9ac5f3dc4437dbe898280fa0dd884f4f7"}),
     "cir_json": (
         ["cir", "--format", "json", "--set", "rx.distance=800 um"],
         ["cir_analytic_d800um.json", "cir_peaks.json"],
-        {"cir_analytic_d800um.json": "95c02d871284bbb44b6d92277d78d9e00887704181c27ab4ee4a8f4281a393b3",
-         "cir_peaks.json": "a663a56ab60f5396ac7c82338f4dc6ebfa0ff171d1f9b0e321fa0a1b58664cf8"}),
+        {"cir_analytic_d800um.json": "f63623f857d83165f9426b5617af3955893aa53c63c560e9e52a87b5e7a73368",
+         "cir_peaks.json": "bcadc6955860face737e45dadce17b62e50dcde05796cbf84527d4272d6ed3b5"}),
 })
 
 

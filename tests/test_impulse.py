@@ -88,6 +88,25 @@ class TestDispersionCir:
         assert cir_dispersion(model, rx, t) == pytest.approx(expected, rel=1e-12)
         assert cir_dispersion(model, rx, t) == pytest.approx(2.0e-3, rel=0.05)
 
+    def test_tails_without_cancellation(self):
+        # Before the front arrives (lo > 0) both CDFs sit near 1 and their
+        # difference cancels, to 0 at t = 0.05 s; after it has passed
+        # (hi < 0) both sit near 0.  Either way the response is the
+        # difference of two upper tails, evaluated where they are small.
+        from scipy.special import ndtr
+        model = DispersionModel(d_eff=2e-9, mean_velocity=1e-3, rx_fraction=1.0)
+        rx = ReceiverVolume(axial_distance_d=200e-6, extent_cx=20e-6,
+                            extent_cr=10e-6, extent_cphi=math.pi)
+        for t in (0.02, 0.05, 0.08, 0.12, 0.18, 0.22, 0.3, 0.5, 1.0):
+            sigma = math.sqrt(2.0 * model.d_eff * t)
+            lo = (rx.axial_distance_d - 10e-6 - model.mean_velocity * t) / sigma
+            hi = (rx.axial_distance_d + 10e-6 - model.mean_velocity * t) / sigma
+            assert lo > 0.0 or hi < 0.0
+            expected = ndtr(-lo) - ndtr(-hi) if lo > 0.0 else ndtr(hi) - ndtr(lo)
+            value = cir_dispersion(model, rx, t)
+            assert value > 0.0
+            assert value == pytest.approx(expected, rel=1e-12), t
+
     def test_bounded_by_rx_fraction(self, setup):
         model, rx = setup
         t = np.linspace(1e-3, 3.0, 800)

@@ -5,6 +5,7 @@ import tracemalloc
 from dataclasses import replace
 from itertools import product
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -164,25 +165,100 @@ SCAN_LINKS = _scan_links()
 ANALYTIC = [SerMethod.POISSON_ANALYTIC, SerMethod.BINOMIAL_ANALYTIC]
 
 
-class TestPmfs:
-    """The ``scipy.special`` pmfs equal ``scipy.stats`` bit for bit."""
+def _pmf_window(mean, var, top=None):
+    """The cells ``_trimmed_pmf`` evaluates around ``mean``, as ``(low, high)``."""
+    half = 12.0 * math.sqrt(var) + 30.0
+    high = int(mean + half)
+    return max(int(mean - half), 0), high if top is None else min(high, top)
 
-    # p = 1e-18 drives scipy's raw binomial kernel above 1 for n = 7, 1000
-    # and 3000, so this grid also checks the clip to [0, 1].
+
+class TestPmfs:
+    """The pmfs against exact values (mpmath, 40 digits) and against ``scipy.stats``.
+
+    Each pmf is its value at the mode, from Loader's saddle-point form, times
+    running products of the ratios of neighbouring cells.  With ``eps`` the
+    double epsilon, a cell ``s`` steps from the mode is off by at most
+    ``eps (8 + c s)`` relative:
+
+    * the anchor sums five terms of magnitude at most 1 (``stirlerr`` and
+      ``bd0`` at the mode), then takes ``exp``, a square root and the final
+      product with the ratios: a few ulp, budgeted as ``8 eps``;
+    * each binomial step rounds ``(n - k) / (k + 1)``, its product with
+      ``p / q`` and the running product, and carries the two roundings of the
+      shared ``q = 1 - p`` and ``p / q``: five half-ulps, ``c = 2.5``; each
+      Poisson step rounds ``lam / (k + 1)`` and the running product, ``c = 1``.
+
+    Cells near the underflow threshold lose their relative precision, so an
+    absolute ``1e-300`` is allowed on top.
+    """
+
     P_GRID = [0.0, 1e-18, 1e-12, 1e-6, 0.01, 0.3, 0.5, 0.9, 1.0 - 1e-9, 1.0 - 1e-15,
               np.nextafter(1.0, 0.0), 1.0]
+    N_GRID = [0, 1, 7, 100, 1000, 3000]
+    LAM_GRID = [0.0, 1e-18, 1e-6, 0.5, 4.0, 37.3, 1e3]
 
-    @pytest.mark.parametrize("n", [0, 1, 7, 100, 1000, 3000])
+    @staticmethod
+    def _assert_accurate(pmf, low, exact, per_step):
+        """``pmf`` on ``low..`` within the bound above of ``exact(k)``, at sampled cells."""
+        eps = np.finfo(float).eps
+        mode = low + int(np.argmax(pmf))
+        high = low + pmf.size - 1
+        cells = set(np.linspace(low, high, 41).astype(int)) | {mode - 1, mode, mode + 1}
+        assert np.all(pmf >= 0.0) and np.all(pmf <= 1.0)
+        for k in sorted(int(c) for c in cells if low <= c <= high):
+            # argmax can sit one cell off the mode the pmf is anchored at on ties.
+            tol = eps * (8.0 + per_step * (abs(k - mode) + 1))
+            ref = exact(k)
+            assert abs(mpmath.mpf(float(pmf[k - low])) - ref) <= tol * ref + 1e-300, k
+
+    @pytest.mark.parametrize("n", N_GRID + [10**7])
+    def test_binomial_accuracy(self, n):
+        mpmath.mp.dps = 40
+        for p in self.P_GRID + list(np.random.default_rng(n).random(20)):
+            low, high = (0, n) if n <= 3000 else _pmf_window(n * p, n * p * (1.0 - p), n)
+            exact_p = mpmath.mpf(float(p))
+
+            def exact(k):
+                return (mpmath.binomial(n, k) * exact_p ** k
+                        * (1 - exact_p) ** (n - k))
+
+            self._assert_accurate(_binomial_pmf(low, high, n, p), low, exact, 2.5)
+
+    @pytest.mark.parametrize("lam", LAM_GRID + [1e7])
+    def test_poisson_accuracy(self, lam):
+        mpmath.mp.dps = 40
+        low, high = _pmf_window(lam, lam)
+        exact_lam = mpmath.mpf(lam)
+
+        def exact(k):
+            if lam == 0.0:
+                return mpmath.mpf(k == 0)
+            return mpmath.exp(k * mpmath.log(exact_lam) - mpmath.loggamma(k + 1) - exact_lam)
+
+        self._assert_accurate(_poisson_pmf(low, high, lam), low, exact, 1.0)
+
+    # scipy.stats evaluates these pmfs in log space: its Poisson pmf,
+    # exp(k log lam - lgamma(k + 1) - lam), carries a relative error up to
+    # about 6 m log(m) eps (m = lam + 12 sd + 31) and its binomial pmf less,
+    # so every cell agrees within that plus the bound above.
+
+    @pytest.mark.parametrize("n", N_GRID)
     def test_binomial_matches_scipy_stats(self, n):
         k = np.arange(n + 1)
-        p_grid = self.P_GRID + list(np.random.default_rng(n).random(20))
-        for p in p_grid:
-            assert np.array_equal(_binomial_pmf(k, n, p), binom.pmf(k, n, p)), p
+        m = n + 31.0
+        eps = np.finfo(float).eps
+        for p in self.P_GRID + list(np.random.default_rng(n).random(20)):
+            tol = eps * (8.0 + 2.5 * (n + 1) + 6.0 * m * math.log(m))
+            assert np.allclose(_binomial_pmf(0, n, n, p), binom.pmf(k, n, p),
+                               rtol=tol, atol=1e-300), p
 
-    @pytest.mark.parametrize("lam", [0.0, 1e-18, 1e-6, 0.5, 4.0, 37.3, 1e3])
+    @pytest.mark.parametrize("lam", LAM_GRID)
     def test_poisson_matches_scipy_stats(self, lam):
-        k = np.arange(int(lam + 12.0 * math.sqrt(lam) + 31.0))
-        assert np.array_equal(_poisson_pmf(k, lam), poisson.pmf(k, lam))
+        high = int(lam + 12.0 * math.sqrt(lam) + 30.0)
+        m = high + 1.0
+        tol = np.finfo(float).eps * (8.0 + high + 6.0 * m * math.log(m))
+        assert np.allclose(_poisson_pmf(0, high, lam), poisson.pmf(np.arange(high + 1), lam),
+                           rtol=tol, atol=1e-300)
 
 
 class TestSerAnalytic:
@@ -218,9 +294,9 @@ class TestSerAnalytic:
         assert rp == pytest.approx(rb, rel=0.05)
 
     def test_binomial_kernel_overflow(self):
-        # scipy's binomial kernel raises OverflowError at p below about
-        # 1e-303.  Every count here has a mean n p below the pmf tail, so
-        # it is 0 exactly, as on a dead channel, and no kernel is called.
+        # p from the smallest normal double up to 1e-30.  Every count here
+        # has a mean n p below the pmf tail, so it is 0 exactly, as on a
+        # dead channel, and no pmf is evaluated.
         pvec = [np.finfo(float).tiny, 1e-305, 1e-300, 1e-30]
         for n in (1000, 10**7):
             tiny = OokLinkConfig(pvec, 1, 0.5, n)
@@ -382,7 +458,7 @@ def _inverse_cdf_terms() -> dict:
     terms["flat-runs"] = (2, np.array([0.5, 1e-19, 1e-19, 0.25, 0.25 - 1e-17, 1e-17, 1e-19, 1e-19]))
     # Short of 1 by more than a cell: the top uniforms draw the last cell.
     terms["short-mass"] = (1, np.array([0.3, 0.3, 0.3]))
-    terms["wide-poisson"] = (0, _poisson_pmf(np.arange(400), 200.0))
+    terms["wide-poisson"] = (0, _poisson_pmf(0, 399, 200.0))
     return terms
 
 

@@ -162,7 +162,10 @@ class SimConfig:
         steps = _to_steps(requested, self.time_step, "sample times")
         if np.any(np.diff(steps) <= 0):
             raise ValueError("sample times must snap to distinct, increasing steps")
-        snaps = np.unique(_to_steps(self.snapshot_times, self.time_step, "snapshot times"))
+        # Sorted and deduplicated without np.unique, whose first call imports
+        # numpy.ma (about 30 ms, nothing else on the CLI path loads it).
+        snaps = np.array(sorted(set(_to_steps(self.snapshot_times, self.time_step,
+                                              "snapshot times").tolist())), dtype=np.int64)
         object.__setattr__(self, "sample_steps", steps)
         object.__setattr__(self, "sample_times", steps * self.time_step)
         object.__setattr__(self, "snapshot_steps", snaps)

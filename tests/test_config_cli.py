@@ -422,17 +422,31 @@ class TestCli:
         # A stale export would break ``from ductflow import *``.
         assert [name for name in ductflow.__all__ if not hasattr(ductflow, name)] == []
 
-    def test_import_loads_no_scipy(self):
-        # scipy.special alone cost about 0.3 s of every CLI run.  Only the
-        # quadrature oracles need scipy, and ductflow imports them on first use.
+    @staticmethod
+    def _cli_scipy_modules() -> list[str]:
+        """The ``scipy`` modules that a fresh ``import ductflow.cli`` loads."""
         src = str(Path(ductflow.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
-        probe = ("import sys, ductflow.cli; print(sorted(m for m in sys.modules "
-                 "if m == 'scipy' or m.startswith('scipy.')))")
+        probe = ("import sys, ductflow.cli; print('\\n'.join(sorted(m for m in sys.modules "
+                 "if m == 'scipy' or m.startswith('scipy.'))))")
         result = subprocess.run([sys.executable, "-c", probe], env=env,
                                 capture_output=True, text=True, check=True)
-        assert result.stdout.strip() == "[]"
+        return result.stdout.split()
+
+    def test_import_loads_no_scipy(self):
+        # scipy.special alone cost about 0.3 s of every CLI run.  Only the
+        # quadrature oracles need scipy, and ductflow imports them on first use.
+        assert self._cli_scipy_modules() == []
+
+    def test_import_skips_scipy_stats(self):
+        # scipy.stats alone costs about half a second of every CLI run.
+        assert "scipy.stats" not in self._cli_scipy_modules()
+
+    def test_import_skips_scipy_integrate(self):
+        # Only the quadrature oracles need scipy.integrate, and ductflow
+        # imports them on first use.
+        assert "scipy.integrate" not in self._cli_scipy_modules()
         assert ductflow.oracle_cir_flow is ductflow.oracles.oracle_cir_flow
 
     def test_oracles_name_their_extra_without_scipy(self, monkeypatch):

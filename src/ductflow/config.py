@@ -9,6 +9,11 @@ is recorded and echoed into every output-file header.
 The file format is one ``key = value`` pair per line; ``#`` starts a
 comment; list-valued keys take comma-separated entries, each with its own
 optional unit (``ook.method`` lists ``SerMethod`` names).
+
+Each key has one reader, built from a few small ones (a number with a unit,
+an integer, a choice, a list, a word such as ``auto``).  A number that is
+not finite as a double (``nan``, ``inf``, ``1e400``) is refused, and integer
+keys are read exactly, so ``seed = 18446744073709551615`` keeps every digit.
 """
 
 from __future__ import annotations
@@ -16,15 +21,17 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
 from pathlib import Path
+
+import numpy as np
 
 from .duct import (DuctChannelConfig, ReceiverVolume, ReleaseKind, ReleaseSpec,
                    mean_velocity_from_pressure, validate_receiver, validate_release)
 from .ook import SerMethod
 from .output import format_value, short_digest
 
-__all__ = ["ConfigError", "KeySpec", "ResolvedConfig", "load_config", "KEY_REGISTRY"]
+__all__ = ["ConfigError", "ResolvedConfig", "load_config", "parse_value", "KEY_REGISTRY"]
 
 
 class ConfigError(ValueError):
@@ -53,126 +60,121 @@ _UNIT_SCALES = {
 
 _NUMBER_RE = re.compile(r"^([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)\s*(.*)$")
 
-#: Sentinel for defaults computed from other resolved values.
-_DERIVED = object()
 
+def _number(text: str, key: str, dimension: str) -> Decimal | float:
+    """``text`` in SI, unrounded: a Decimal, or a float for an irrational unit scale.
 
-@dataclass(frozen=True)
-class KeySpec:
-    kind: str                 # quantity | quantity_list | int | float | enum | enum_list | special
-    dimension: str = "dimensionless"
-    choices: tuple = ()
-    default: object = None
-
-
-KEY_REGISTRY: dict[str, KeySpec] = {
-    "channel.radius": KeySpec("quantity", "length", default=10e-6),
-    "channel.diffusion": KeySpec("quantity", "diffusivity", default=1e-10),
-    "channel.mean_velocity": KeySpec("quantity", "velocity", default=1e-3),
-    "channel.pressure_gradient": KeySpec("quantity", "pressure_gradient", default=None),
-    "channel.viscosity": KeySpec("quantity", "viscosity", default=None),
-    "rx.distance": KeySpec("quantity", "length", default=200e-6),
-    "rx.extent_x": KeySpec("quantity", "length", default=_DERIVED),
-    "rx.extent_r": KeySpec("quantity", "length", default=_DERIVED),
-    "rx.extent_phi": KeySpec("quantity", "angle", default=math.pi / 2.0),
-    "release.kind": KeySpec("enum", choices=("uniform", "point"), default="uniform"),
-    "release.n_tx": KeySpec("int", default=10_000),
-    "release.r0": KeySpec("quantity", "length", default=_DERIVED),
-    "release.phi0": KeySpec("quantity", "angle", default=0.0),
-    "sim.time_step": KeySpec("quantity", "time", default=1e-3),
-    "grid.t_start": KeySpec("quantity", "time", default=_DERIVED),
-    "grid.t_stop": KeySpec("quantity", "time", default=1.0),
-    "grid.t_step": KeySpec("quantity", "time", default=1e-2),
-    "snapshot.times": KeySpec("quantity_list", "time", default=(0.02, 0.2, 0.8)),
-    "cir.distances": KeySpec("quantity_list", "length", default=_DERIVED),
-    "regime.radii": KeySpec("quantity_list", "length", default=_DERIVED),
-    "regime.distances": KeySpec("quantity_list", "length", default=_DERIVED),
-    "ook.symbol_interval": KeySpec("quantity", "time", default=0.1),
-    "ook.seq_len": KeySpec("int", default=8),
-    "ook.detection_delay": KeySpec("special", "time", default="auto"),
-    "ook.threshold": KeySpec("special", default="optimal"),
-    "ook.noise_mean": KeySpec("float", default=4.0),
-    "ook.realizations": KeySpec("int", default=10_000),
-    "ook.method": KeySpec("enum_list", choices=tuple(m.value for m in SerMethod),
-                          default=(SerMethod.POISSON_ANALYTIC.value,)),
-    "ser.distances": KeySpec("quantity_list", "length", default=_DERIVED),
-    "ser.symbol_intervals": KeySpec("quantity_list", "time", default=_DERIVED),
-    "seed": KeySpec("int", default=1),
-}
-
-
-def _parse_scalar(text: str, spec: KeySpec, key: str) -> float:
-    text = text.strip()
+    A value that is not finite as a double, such as ``1e400``, is refused.
+    """
     match = _NUMBER_RE.match(text)
     if not match:
         raise ConfigError(f"key '{key}': cannot parse number from {text!r}")
-    number_text, unit = match.group(1), match.group(2).strip()
-    if not unit:
-        return float(number_text)
-    scales = _UNIT_SCALES.get(spec.dimension, {})
-    if unit not in scales:
-        raise ConfigError(f"key '{key}': unknown unit {unit!r} for {spec.dimension}")
-    scale = scales[unit]
-    if isinstance(scale, Decimal):
-        try:
-            return float(Decimal(number_text) * scale)
-        except InvalidOperation:  # pragma: no cover - regex already vetted it
-            raise ConfigError(f"key '{key}': cannot parse number from {text!r}") from None
-    return float(number_text) * scale
-
-
-def _parse_int(text: str, key: str) -> int:
+    digits, unit = match.group(1), match.group(2).strip()
+    if unit and unit not in _UNIT_SCALES[dimension]:
+        raise ConfigError(f"key '{key}': unknown unit {unit!r} for {dimension}")
+    scale = _UNIT_SCALES[dimension].get(unit)
     try:
-        value = float(text.strip())
-    except ValueError:
-        raise ConfigError(f"key '{key}': cannot parse integer from {text!r}") from None
+        if isinstance(scale, float):
+            value = float(digits) * scale
+        else:
+            value = Decimal(digits) if scale is None else Decimal(digits) * scale
+        if math.isfinite(value):
+            return value
+    except ArithmeticError:  # an exponent beyond Decimal's range
+        pass
+    raise ConfigError(f"key '{key}': expected a finite number, got {text!r}")
+
+
+def _quantity(dimension: str):
+    """Reader of a number with an optional unit of ``dimension``, as an SI float."""
+    return lambda text, key: float(_number(text, key, dimension))
+
+
+def _integer(text: str, key: str) -> int:
+    """Reader of an exact integer; ``1e6`` is one, ``1.5`` is not."""
+    value = _number(text, key, "dimensionless")
     if value != int(value):
         raise ConfigError(f"key '{key}': expected an integer, got {text!r}")
     return int(value)
 
 
-def _parse_choice(text: str, spec: KeySpec, key: str) -> str:
-    value = text.strip().lower()
-    if value not in spec.choices:
-        raise ConfigError(f"key '{key}': expected one of {spec.choices}, got {text!r}")
-    return value
+def _choice(choices: tuple):
+    """Reader of one of ``choices``, case-insensitively."""
+    def parse(text: str, key: str) -> str:
+        value = text.lower()
+        if value not in choices:
+            raise ConfigError(f"key '{key}': expected one of {choices}, got {text!r}")
+        return value
+    return parse
+
+
+def _list(item, distinct: bool = False):
+    """Reader of a non-empty comma-separated tuple of ``item`` values."""
+    def parse(text: str, key: str) -> tuple:
+        values = tuple(item(part.strip(), key) for part in text.split(",") if part.strip())
+        if not values:
+            raise ConfigError(f"key '{key}': expected a non-empty list")
+        if distinct and len(set(values)) < len(values):
+            raise ConfigError(f"key '{key}': an entry is listed twice in {text!r}")
+        return values
+    return parse
+
+
+def _or_word(word: str, other):
+    """Reader of ``word`` itself (``none`` reads as None), else of ``other``."""
+    def parse(text: str, key: str):
+        if text.lower() == word:
+            return None if word == "none" else word
+        return other(text, key)
+    return parse
+
+
+_LENGTH, _TIME, _ANGLE = _quantity("length"), _quantity("time"), _quantity("angle")
+_LENGTHS, _TIMES = _list(_LENGTH), _list(_TIME)
+
+#: ``key -> (default, parse)``: ``parse(text, key)`` reads the key's text; a
+#: callable default is derived from the resolved values once every layer is in.
+KEY_REGISTRY: dict[str, tuple] = {
+    "channel.radius": (10e-6, _LENGTH),
+    "channel.diffusion": (1e-10, _quantity("diffusivity")),
+    "channel.mean_velocity": (1e-3, _quantity("velocity")),
+    "channel.pressure_gradient": (None, _or_word("none", _quantity("pressure_gradient"))),
+    "channel.viscosity": (None, _or_word("none", _quantity("viscosity"))),
+    "rx.distance": (200e-6, _LENGTH),
+    "rx.extent_x": (lambda v: v["channel.radius"] / 2.0, _LENGTH),
+    "rx.extent_r": (lambda v: v["channel.radius"] / 2.0, _LENGTH),
+    "rx.extent_phi": (math.pi / 2.0, _ANGLE),
+    "release.kind": ("uniform", _choice(("uniform", "point"))),
+    "release.n_tx": (10_000, _integer),
+    "release.r0": (lambda v: 0.75 * v["channel.radius"], _LENGTH),
+    "release.phi0": (0.0, _ANGLE),
+    "sim.time_step": (1e-3, _TIME),
+    "grid.t_start": (lambda v: v["grid.t_step"], _TIME),
+    "grid.t_stop": (1.0, _TIME),
+    "grid.t_step": (1e-2, _TIME),
+    "snapshot.times": ((0.02, 0.2, 0.8), _TIMES),
+    "cir.distances": (lambda v: (v["rx.distance"],), _LENGTHS),
+    "regime.radii": (lambda v: (v["channel.radius"],), _LENGTHS),
+    "regime.distances": (lambda v: (v["rx.distance"],), _LENGTHS),
+    "ook.symbol_interval": (0.1, _TIME),
+    "ook.seq_len": (8, _integer),
+    "ook.detection_delay": ("auto", _or_word("auto", _TIME)),
+    "ook.threshold": ("optimal", _or_word("optimal", _integer)),
+    "ook.noise_mean": (4.0, _quantity("dimensionless")),
+    "ook.realizations": (10_000, _integer),
+    "ook.method": ((SerMethod.POISSON_ANALYTIC.value,),
+                   _list(_choice(tuple(m.value for m in SerMethod)), distinct=True)),
+    "ser.distances": (lambda v: (v["rx.distance"],), _LENGTHS),
+    "ser.symbol_intervals": (lambda v: (v["ook.symbol_interval"],), _TIMES),
+    "seed": (1, _integer),
+}
 
 
 def parse_value(key: str, text: str):
-    """Parse one textual value for ``key`` according to the registry."""
+    """Parse one textual value for ``key`` with its registered reader."""
     if key not in KEY_REGISTRY:
         raise ConfigError(f"unknown configuration key '{key}'")
-    spec = KEY_REGISTRY[key]
-    text = text.strip()
-    if spec.kind == "quantity":
-        if spec.default is None and text.lower() == "none":
-            return None
-        return _parse_scalar(text, spec, key)
-    if spec.kind in ("quantity_list", "enum_list"):
-        items = [item for item in text.split(",") if item.strip()]
-        if not items:
-            raise ConfigError(f"key '{key}': expected a non-empty list")
-        parse = _parse_choice if spec.kind == "enum_list" else _parse_scalar
-        values = tuple(parse(item, spec, key) for item in items)
-        if spec.kind == "enum_list" and len(set(values)) < len(values):
-            raise ConfigError(f"key '{key}': an entry is listed twice in {text!r}")
-        return values
-    if spec.kind == "int":
-        return _parse_int(text, key)
-    if spec.kind == "float":
-        try:
-            return float(text)
-        except ValueError:
-            raise ConfigError(f"key '{key}': cannot parse number from {text!r}") from None
-    if spec.kind == "enum":
-        return _parse_choice(text, spec, key)
-    if spec.kind == "special":
-        lowered = text.lower()
-        if key == "ook.detection_delay":
-            return "auto" if lowered == "auto" else _parse_scalar(text, spec, key)
-        if key == "ook.threshold":
-            return "optimal" if lowered == "optimal" else _parse_int(text, key)
-    raise ConfigError(f"key '{key}': unsupported value {text!r}")
+    return KEY_REGISTRY[key][1](text.strip(), key)
 
 
 def _read_config_file(path: str | Path) -> dict[str, object]:
@@ -201,26 +203,18 @@ class ResolvedConfig:
     def __getitem__(self, key: str):
         return self.values[key]
 
-    def digest(self) -> str:
-        printable = {k: v for k, v in self.values.items() if v is not None}
-        return short_digest({k: format_value(v) if not isinstance(v, tuple)
-                             else ";".join(format_value(x) for x in v)
-                             for k, v in printable.items()})
-
     def header(self, **extra) -> dict:
-        """Reproducibility header echoed into every output file."""
-        meta: dict = {"generator": "ductflow"}
-        meta.update(extra)
-        meta["config_digest"] = self.digest()
-        for key in KEY_REGISTRY:
-            value = self.values[key]
-            if value is None:
-                continue
-            if isinstance(value, tuple):
-                rendered = ";".join(format_value(v) for v in value)
-            else:
-                rendered = format_value(value)
-            meta[f"config.{key}"] = f"{rendered} [{self.provenance[key]}]"
+        """Reproducibility header echoed into every output file.
+
+        Each set value is rendered once (list entries joined by ``;``); the
+        digest is taken over those renderings.
+        """
+        rendered = {key: ";".join(map(format_value, value)) if isinstance(value, tuple)
+                    else format_value(value)
+                    for key, value in self.values.items() if value is not None}
+        meta = {"generator": "ductflow", **extra, "config_digest": short_digest(rendered)}
+        for key, text in rendered.items():
+            meta[f"config.{key}"] = f"{text} [{self.provenance[key]}]"
         return meta
 
     # -- domain-object builders (invariant violations become ConfigError) --
@@ -273,8 +267,6 @@ class ResolvedConfig:
         return self.build(ReleaseSpec, ReleaseKind.UNIFORM_CROSS_SECTION, n_tx)
 
     def time_grid(self):
-        import numpy as np
-
         start = self.values["grid.t_start"]
         stop = self.values["grid.t_stop"]
         step = self.values["grid.t_step"]
@@ -282,32 +274,6 @@ class ResolvedConfig:
             raise ConfigError("grid requires t_step > 0 and t_stop >= t_start")
         n = int(round((stop - start) / step))
         return start + step * np.arange(n + 1)
-
-
-def _apply_layer(values: dict, provenance: dict, layer: dict, origin: str) -> None:
-    for key, value in layer.items():
-        if key not in KEY_REGISTRY:
-            raise ConfigError(f"unknown configuration key '{key}'")
-        values[key] = value
-        provenance[key] = origin
-
-
-def _derive_defaults(values: dict, provenance: dict) -> None:
-    radius = values["channel.radius"]
-    derived = {
-        "rx.extent_x": lambda: radius / 2.0,
-        "rx.extent_r": lambda: radius / 2.0,
-        "release.r0": lambda: 0.75 * radius,
-        "grid.t_start": lambda: values["grid.t_step"],
-        "cir.distances": lambda: (values["rx.distance"],),
-        "regime.radii": lambda: (values["channel.radius"],),
-        "regime.distances": lambda: (values["rx.distance"],),
-        "ser.distances": lambda: (values["rx.distance"],),
-        "ser.symbol_intervals": lambda: (values["ook.symbol_interval"],),
-    }
-    for key, compute in derived.items():
-        if values[key] is _DERIVED:
-            values[key] = compute()
 
 
 def load_config(preset_values: dict | None = None, file_path: str | Path | None = None,
@@ -327,19 +293,23 @@ def load_config(preset_values: dict | None = None, file_path: str | Path | None 
     seed : int, optional
         Convenience override for the ``seed`` key.
     """
-    values = {key: spec.default for key, spec in KEY_REGISTRY.items()}
-    provenance = {key: "default" for key in KEY_REGISTRY}
-    if preset_values:
-        _apply_layer(values, provenance, preset_values, "preset")
-    if file_path is not None:
-        _apply_layer(values, provenance, _read_config_file(file_path), "file")
-    if overrides:
-        parsed = {key: parse_value(key, text) for key, text in overrides.items()}
-        _apply_layer(values, provenance, parsed, "flag")
-    if seed is not None:
-        values["seed"] = int(seed)
-        provenance["seed"] = "flag"
+    layers = (
+        (preset_values or {}, "preset"),
+        (_read_config_file(file_path) if file_path is not None else {}, "file"),
+        ({key: parse_value(key, text) for key, text in (overrides or {}).items()}, "flag"),
+        ({} if seed is None else {"seed": int(seed)}, "flag"),
+    )
+    values = {key: default for key, (default, _) in KEY_REGISTRY.items()}
+    provenance = dict.fromkeys(KEY_REGISTRY, "default")
+    for layer, origin in layers:
+        for key, value in layer.items():
+            if key not in KEY_REGISTRY:
+                raise ConfigError(f"unknown configuration key '{key}'")
+            values[key] = value
+            provenance[key] = origin
     if not 0 <= values["seed"] < 2 ** 64:
         raise ConfigError(f"seed must fit in 64 bits, got {values['seed']}")
-    _derive_defaults(values, provenance)
+    for key, value in values.items():
+        if callable(value):
+            values[key] = value(values)
     return ResolvedConfig(values=values, provenance=provenance)

@@ -80,11 +80,11 @@ class DuctChannelConfig:
     Attributes
     ----------
     radius_a : float
-        Duct radius [m], > 0.
+        Duct radius [m], > 0 and finite.
     diffusion_D : float
-        Particle diffusion coefficient [m^2/s], >= 0.
+        Particle diffusion coefficient [m^2/s], >= 0 and finite.
     mean_velocity : float
-        Cross-sectional mean flow velocity [m/s], >= 0.
+        Cross-sectional mean flow velocity [m/s], >= 0 and finite.
     """
 
     radius_a: float
@@ -92,14 +92,15 @@ class DuctChannelConfig:
     mean_velocity: float
 
     def __post_init__(self):
-        if not self.radius_a > 0.0:
-            raise ValueError(f"duct radius must be positive, got {self.radius_a!r}")
-        if self.diffusion_D < 0.0:
+        # Chained comparisons with nan are false, so nan is refused too.
+        if not 0.0 < self.radius_a < math.inf:
+            raise ValueError(f"duct radius must be positive and finite, got {self.radius_a!r}")
+        if not 0.0 <= self.diffusion_D < math.inf:
+            raise ValueError(f"diffusion coefficient must be non-negative and finite, "
+                             f"got {self.diffusion_D!r}")
+        if not 0.0 <= self.mean_velocity < math.inf:
             raise ValueError(
-                f"diffusion coefficient must be non-negative, got {self.diffusion_D!r}")
-        if self.mean_velocity < 0.0:
-            raise ValueError(
-                f"mean velocity must be non-negative, got {self.mean_velocity!r}")
+                f"mean velocity must be non-negative and finite, got {self.mean_velocity!r}")
 
 
 @dataclass(frozen=True)

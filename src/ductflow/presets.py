@@ -30,7 +30,6 @@ from .impulse import (
     cir_flow_uniform,
     dispersion_peak_time,
     dispersion_peak_value,
-    flow_transit_times,
 )
 from .ook import (OokLinkConfig, SerMethod, detection_offsets, optimal_threshold, ser_analytic,
                   ser_monte_carlo)
@@ -203,7 +202,7 @@ def _auto_link(cfg: ResolvedConfig, distance: float, symbol_interval: float):
     else:
         model = cfg.build(FlowModel.for_channel, channel, rx)
         closed_form = partial(cir_flow_uniform, model)
-        auto_delay = cfg.build(flow_transit_times, channel, rx)[1]
+        auto_delay = model.t2
     delay = cfg["ook.detection_delay"]
     t0 = auto_delay if delay == "auto" else float(delay)
     offsets = cfg.build(detection_offsets, symbol_interval, cfg["ook.seq_len"], t0)

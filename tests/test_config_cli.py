@@ -15,8 +15,8 @@ import pytest
 import ductflow
 from ductflow import SerMethod, particles
 from ductflow.cli import main
-from ductflow.config import ConfigError, load_config, parse_value
-from ductflow.output import Table, emit_table
+from ductflow.config import KEY_REGISTRY, ConfigError, load_config, parse_value
+from ductflow.output import Table, emit_table, format_value
 from ductflow.presets import PRESETS, preset_config
 from conftest import exit_in_worker, raise_in_worker
 
@@ -66,6 +66,29 @@ class TestParsing:
         cfg = load_config()
         assert cfg["ook.method"] == ("poisson_analytic",)
         assert cfg.header()["config.ook.method"] == "poisson_analytic [default]"
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "1e400", "-1e400"])
+    @pytest.mark.parametrize("key", ["release.n_tx", "ook.threshold", "ook.noise_mean",
+                                     "channel.diffusion", "ser.distances"])
+    def test_non_finite_is_refused(self, key, text):
+        with pytest.raises(ConfigError, match=key):
+            parse_value(key, text)
+
+    @pytest.mark.parametrize("key", [key for key, (default, _) in KEY_REGISTRY.items()
+                                     if not callable(default)])
+    def test_default_survives_render_and_parse(self, key):
+        default = KEY_REGISTRY[key][0]
+        text = (",".join(map(format_value, default)) if isinstance(default, tuple)
+                else format_value(default))
+        assert parse_value(key, text) == default
+
+    def test_integers_are_read_exactly(self):
+        # 2^53 + 1 is the first integer a double cannot hold.
+        assert parse_value("release.n_tx", "9007199254740993") == 2 ** 53 + 1
+        assert parse_value("release.n_tx", "1e6") == 1_000_000
+        for text in ("1.5", "1_000"):
+            with pytest.raises(ConfigError, match="release.n_tx"):
+                parse_value("release.n_tx", text)
 
     def test_specials(self):
         assert parse_value("ook.detection_delay", "auto") == "auto"
@@ -305,6 +328,17 @@ class TestCli:
         assert "seed must fit in 64 bits" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed", [str(2 ** 53 + 1), str(2 ** 64 - 1)])
+    @pytest.mark.parametrize("layer", ["set", "file"])
+    def test_large_seed_is_kept_exactly(self, tmp_path, layer, seed):
+        (tmp_path / "c.cfg").write_text(f"seed = {seed}\n", encoding="utf-8")
+        argv = {"set": ["--set", f"seed={seed}"], "file": ["--config", str(tmp_path / "c.cfg")]}
+        out = tmp_path / "out"
+        assert main(["regime"] + argv[layer] + ["--out", str(out)]) == 0
+        origin = {"set": "flag", "file": "file"}[layer]
+        assert f"# config.seed = {seed} [{origin}]" in \
+            (out / "regime_scenarios.csv").read_text().splitlines()
+
     def test_threads_do_not_change_bytes(self, tmp_path):
         base = ["simulate", "--seed", "11"] + SMALL_SIM
         assert main(base + ["--out", str(tmp_path / "t1"), "--threads", "1"]) == 0
@@ -400,6 +434,8 @@ class TestCli:
         # A point release at r0 = 20 um lies outside the default 10 um duct.
         *(argv + ["--set", "release.r0=20um"] for argv in (
             ["cir"], ["preset", "cir_small_duct"], ["simulate", "--set", "release.kind=point"])),
+        # Non-finite numbers are refused where they are read.
+        ["ser", "--set", "ook.noise_mean=nan"], ["ser", "--set", "release.n_tx=inf"],
     ])
     def test_invalid_setting_is_config_error(self, tmp_path, capsys, argv):
         assert main(argv + ["--out", str(tmp_path)]) == 2

@@ -234,3 +234,11 @@ class TestValidation:
             DuctChannelConfig(radius_a=1e-5, diffusion_D=-1e-10, mean_velocity=1e-3)
         with pytest.raises(ValueError):
             DuctChannelConfig(radius_a=1e-5, diffusion_D=1e-10, mean_velocity=-1e-3)
+
+    @pytest.mark.parametrize("field", ["radius_a", "diffusion_D", "mean_velocity"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_channel_refuses_non_finite(self, field, value):
+        # An infinite D or radius would keep the engine's wall fold looping forever.
+        fields = {"radius_a": 1e-5, "diffusion_D": 1e-10, "mean_velocity": 1e-3, field: value}
+        with pytest.raises(ValueError, match="finite"):
+            DuctChannelConfig(**fields)

@@ -1,13 +1,7 @@
 """Command-line interface.
 
-Subcommands::
-
-    regime     classify the configured scenarios against the regime boundary
-    cir        emit closed-form impulse-response curves and peak markers
-    simulate   run the particle engine and emit the observation series
-    snapshot   capture per-particle (x, r^2) clouds at chosen times
-    ser        sweep the OOK symbol error rate
-    preset     run a named experiment preset end to end
+Subcommands: one per ``presets.ACTIONS`` entry, which gives its runner and
+help text, plus ``preset NAME``, which runs a named experiment preset end to end.
 
 Common flags: ``--config`` (key = value file), ``--set key=value``
 (repeatable, highest precedence), ``--seed``, ``--out``, ``--format``,
@@ -49,15 +43,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="ductflow",
         description="Molecular-communication channel models for laminar duct flow")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("regime", "classify transport regimes"),
-        ("cir", "emit analytic impulse responses"),
-        ("simulate", "run the particle simulator"),
-        ("snapshot", "emit particle position snapshots"),
-        ("ser", "sweep the OOK symbol error rate"),
-    ]:
-        cmd = sub.add_parser(name, help=help_text)
-        _add_common(cmd)
+    for name, (_, help_text) in ACTIONS.items():
+        _add_common(sub.add_parser(name, help=help_text))
     preset = sub.add_parser("preset", help="run a named experiment preset")
     preset.add_argument("name", choices=sorted(PRESETS))
     _add_common(preset)
@@ -83,7 +70,7 @@ def _dispatch(args: argparse.Namespace) -> list[Path]:
         cfg = preset_config(args.name, file_path=args.config,
                             overrides=overrides, seed=args.seed)
     else:
-        runner = ACTIONS[args.command]
+        runner = ACTIONS[args.command][0]
         cfg = load_config(file_path=args.config, overrides=overrides, seed=args.seed)
     out = Path(args.out)
     return discard_partial_outputs(lambda: runner(cfg, out, args.format, args.threads), out)

@@ -270,8 +270,8 @@ class ResolvedConfig:
         start = self.values["grid.t_start"]
         stop = self.values["grid.t_stop"]
         step = self.values["grid.t_step"]
-        if step <= 0 or stop < start:
-            raise ConfigError("grid requires t_step > 0 and t_stop >= t_start")
+        if start < 0 or step <= 0 or stop < start:
+            raise ConfigError("grid requires t_start >= 0, t_step > 0 and t_stop >= t_start")
         n = int(round((stop - start) / step))
         return start + step * np.arange(n + 1)
 

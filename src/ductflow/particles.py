@@ -215,21 +215,25 @@ def _initial_block(release: ReleaseSpec, radius_a: float, spans, gens):
 
 
 def _reflect_inplace(y: np.ndarray, z: np.ndarray, r2: np.ndarray, radius_a: float) -> None:
-    """Fold radii ``r > a`` to ``2a - r`` along the same ray until every ``r <= a``.
+    """Reflect radii ``r > a`` back into the disk along the same diameter.
 
     ``r2`` holds ``y*y + z*z`` and is kept so; only folded particles take a
-    square root.  Past ``2a`` (astronomically rare at sane time steps) the
-    fold passes through the axis and flips the azimuth.
+    square root.  The single fold ``2a - r`` covers ``r <= 3a``, passing
+    through the axis (and flipping the azimuth) past ``2a``.  Beyond ``3a``
+    (astronomically rare at sane time steps) the signed position on the
+    diameter is folded in closed form, ``|fmod(r - a, 4a) - 2a| - a``.
     """
     idx = np.flatnonzero(r2 > radius_a * radius_a)
     rr = np.sqrt(r2[idx])
-    while idx.size:
-        scale = (2.0 * radius_a - rr) / rr
-        y[idx] *= scale
-        z[idx] *= scale
-        r2[idx] = y[idx] ** 2 + z[idx] ** 2
-        rr = np.abs(2.0 * radius_a - rr)
-        idx, rr = idx[rr > radius_a], rr[rr > radius_a]
+    folded = 2.0 * radius_a - rr
+    far = rr > 3.0 * radius_a
+    if far.any():
+        folded[far] = np.abs(np.fmod(rr[far] - radius_a, 4.0 * radius_a)
+                             - 2.0 * radius_a) - radius_a
+    scale = folded / rr
+    y[idx] *= scale
+    z[idx] *= scale
+    r2[idx] = y[idx] ** 2 + z[idx] ** 2
 
 
 def _draw_normals(spans, gens, *outs: np.ndarray) -> None:

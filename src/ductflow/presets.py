@@ -8,6 +8,7 @@ symbol-error-rate sweep versus symbol interval.  Exact figure-axis grids are
 a choice of this package: uniform time grids spanning the visible ranges,
 recorded in the emitted headers.
 
+``ACTIONS`` is the CLI's command table: each subcommand's runner and help.
 Every table goes through one writer that embeds the resolved configuration
 and seed; partially written files are removed if a runner fails.
 """
@@ -188,33 +189,28 @@ def snapshot_action(cfg: ResolvedConfig, out_dir: Path, fmt: str,
 def _auto_link(cfg: ResolvedConfig, distance: float, symbol_interval: float):
     """Build the OOK link for one sweep point, resolving auto delay/threshold.
 
-    Returns ``(link, rx, offsets, search)``: the link holds the regime's
-    closed form at the detection ``offsets``, and ``search`` says whether
-    its threshold is still to be optimised.
+    Returns ``(link, rx, offsets)``: the link holds the regime's closed form
+    at the detection ``offsets``, and threshold 0 if it is to be optimised.
+    An invalid link raises ``ValueError``, which the caller's ``cfg.build`` reports.
     """
     channel = cfg.channel()
     rx = cfg.receiver(distance=distance)
-    verdict = classify_regime(channel, rx)
-    if verdict.regime is Regime.DISPERSION:
-        model = cfg.build(DispersionModel.for_channel, channel, rx)
+    if classify_regime(channel, rx).regime is Regime.DISPERSION:
+        model = DispersionModel.for_channel(channel, rx)
         closed_form = partial(cir_dispersion, model, rx)
-        auto_delay = cfg.build(dispersion_peak_time, model, rx.axial_distance_d)
+        auto_delay = dispersion_peak_time(model, rx.axial_distance_d)
     else:
-        model = cfg.build(FlowModel.for_channel, channel, rx)
+        model = FlowModel.for_channel(channel, rx)
         closed_form = partial(cir_flow_uniform, model)
         auto_delay = model.t2
     delay = cfg["ook.detection_delay"]
-    t0 = auto_delay if delay == "auto" else float(delay)
-    offsets = cfg.build(detection_offsets, symbol_interval, cfg["ook.seq_len"], t0)
+    offsets = detection_offsets(symbol_interval, cfg["ook.seq_len"],
+                                auto_delay if delay == "auto" else float(delay))
     threshold = cfg["ook.threshold"]
-    link = cfg.build(
-        OokLinkConfig,
-        pob=closed_form(offsets),
-        threshold_xi=0 if threshold == "optimal" else int(threshold),
-        noise_mean_Nn=cfg["ook.noise_mean"],
-        n_tx=cfg["release.n_tx"],
-    )
-    return link, rx, offsets, threshold == "optimal"
+    link = OokLinkConfig(pob=closed_form(offsets),
+                         threshold_xi=0 if threshold == "optimal" else int(threshold),
+                         noise_mean_Nn=cfg["ook.noise_mean"], n_tx=cfg["release.n_tx"])
+    return link, rx, offsets
 
 
 def _particle_pobs(cfg: ResolvedConfig, points, threads: int) -> list[np.ndarray]:
@@ -241,13 +237,15 @@ def ser_action(cfg: ResolvedConfig, out_dir: Path, fmt: str,
     methods = [SerMethod(method) for method in cfg["ook.method"]]
     realizations = cfg["ook.realizations"]
     seed = cfg["seed"]
-    points = [(distance, symbol_interval, *_auto_link(cfg, distance, symbol_interval))
-              for distance in cfg["ser.distances"]
-              for symbol_interval in cfg["ser.symbol_intervals"]]
-    pobs = (_particle_pobs(cfg, [(rx, offsets) for *_, rx, offsets, _ in points], threads)
+    grid = [(d, t) for d in cfg["ser.distances"] for t in cfg["ser.symbol_intervals"]]
+    # Every link is checked before a particle_binomial pool starts the engine.
+    points = [cfg.build(_auto_link, cfg, distance, symbol_interval)
+              for distance, symbol_interval in grid]
+    pobs = (_particle_pobs(cfg, [(rx, offsets) for _, rx, offsets in points], threads)
             if SerMethod.PARTICLE_BINOMIAL in methods else [None] * len(points))
+    search = cfg["ook.threshold"] == "optimal"
     rows = []
-    for (distance, symbol_interval, link, _, _, search), pob in zip(points, pobs):
+    for (distance, symbol_interval), (link, _, _), pob in zip(grid, points, pobs):
         searched = None
         if search:
             xi_opt, searched = optimal_threshold(link, SerMethod.POISSON_ANALYTIC)
@@ -276,13 +274,14 @@ def _cir_preset(cfg: ResolvedConfig, out_dir: Path, fmt: str, threads: int) -> l
     return cir_action(cfg, out_dir, fmt) + _simulated_cir_paths(cfg, out_dir, fmt, threads)
 
 
-#: The runner ``(cfg, out_dir, fmt, threads) -> paths`` of every CLI subcommand.
+#: Every CLI subcommand but ``preset``: ``name -> (runner, help)``, the
+#: runner called as ``runner(cfg, out_dir, fmt, threads) -> paths``.
 ACTIONS = {
-    "regime": regime_action,
-    "cir": cir_action,
-    "simulate": simulate_action,
-    "snapshot": snapshot_action,
-    "ser": ser_action,
+    "regime": (regime_action, "classify transport regimes"),
+    "cir": (cir_action, "emit analytic impulse responses"),
+    "simulate": (simulate_action, "run the particle simulator"),
+    "snapshot": (snapshot_action, "emit particle position snapshots"),
+    "ser": (ser_action, "sweep the OOK symbol error rate"),
 }
 
 #: Named presets: ``name -> (runner, overrides)``, the overrides applied on

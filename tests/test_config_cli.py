@@ -1,5 +1,6 @@
 """Configuration resolution, preset defaults, emission, and the CLI surface."""
 
+import argparse
 import ast
 import importlib
 import hashlib
@@ -13,11 +14,11 @@ from pathlib import Path
 import pytest
 
 import ductflow
-from ductflow import SerMethod, particles
-from ductflow.cli import main
+from ductflow import SerMethod, particles, presets
+from ductflow.cli import _build_parser, main
 from ductflow.config import KEY_REGISTRY, ConfigError, load_config, parse_value
 from ductflow.output import Table, emit_table, format_value
-from ductflow.presets import PRESETS, preset_config
+from ductflow.presets import ACTIONS, PRESETS, preset_config
 from conftest import exit_in_worker, raise_in_worker
 
 
@@ -396,6 +397,28 @@ class TestCli:
         assert "configuration error" in capsys.readouterr().err
         assert list(tmp_path.rglob("*.csv")) == []
 
+    def test_every_link_is_checked_before_the_engine(self, tmp_path, capsys, monkeypatch):
+        # A refused link must not wait behind a 100 000-particle pool.
+        def engine(*args, **kwargs):
+            raise AssertionError("the engine ran before every link was checked")
+        monkeypatch.setattr(presets, "run_many", engine)
+        monkeypatch.setattr(particles, "run_many", engine)
+        rc = main(["ser", "--out", str(tmp_path), "--set", "ook.method=particle_binomial",
+                   "--set", "release.n_tx=100", "--set", "ook.threshold=500"])
+        assert rc == 2
+        assert "detection threshold must lie in" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*")) == []
+
+    def test_command_table_is_the_parser(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        for name, (_, help_text) in ACTIONS.items():
+            assert f"{name} {help_text}" in text
+        subparsers = next(action for action in _build_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        assert set(subparsers.choices) == set(ACTIONS) | {"preset"}
+
     def test_preset_runs_when_shrunk(self, tmp_path):
         rc = main(["preset", "snapshot_small_duct", "--out", str(tmp_path),
                    "--seed", "2", "--set", "release.n_tx=300",
@@ -436,6 +459,8 @@ class TestCli:
             ["cir"], ["preset", "cir_small_duct"], ["simulate", "--set", "release.kind=point"])),
         # Non-finite numbers are refused where they are read.
         ["ser", "--set", "ook.noise_mean=nan"], ["ser", "--set", "release.n_tx=inf"],
+        # A grid that starts before the release, for the closed forms and the engine.
+        *([command, "--set", "grid.t_start=-0.1"] for command in ("cir", "simulate")),
     ])
     def test_invalid_setting_is_config_error(self, tmp_path, capsys, argv):
         assert main(argv + ["--out", str(tmp_path)]) == 2

@@ -747,7 +747,7 @@ class TestLinkValidation:
         for diffusion, regime in [(1e-9, Regime.DISPERSION), (1e-12, Regime.FLOW_DOMINATED)]:
             cfg = load_config({"channel.radius": 10e-6, "channel.diffusion": diffusion,
                                "ook.detection_delay": 0.0})
-            link, rx, offsets, _ = _auto_link(cfg, 200e-6, 0.1)
+            link, rx, offsets = _auto_link(cfg, 200e-6, 0.1)
             assert classify_regime(cfg.channel(), rx).regime is regime
             assert offsets[0] == 0.0 and offsets[1] == 0.1
             assert link.pob[0] == 0.0

@@ -10,13 +10,17 @@ split the ensemble into several partitions on any host.
 import hashlib
 import math
 import os
+import subprocess
 import sys
 import warnings
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from ductflow import (
@@ -186,6 +190,46 @@ class TestStep:
         # 2a - r is negative: the fold passes through the axis.
         assert y[0] == pytest.approx(-0.5e-5, rel=1e-12)
         assert np.array_equal(r2, y * y + z * z)
+
+    def test_reflection_past_three_radii_in_closed_form(self):
+        # The diameter reflects with period 4a: 3.5a lands at -0.5a, 5.5a at +0.5a.
+        y = np.array([3.5e-5, 0.0])
+        z = np.array([0.0, 5.5e-5])
+        r2 = y * y + z * z
+        _reflect_inplace(y, z, r2, 1e-5)
+        assert y[0] == pytest.approx(-0.5e-5, rel=1e-12) and z[0] == 0.0
+        assert z[1] == pytest.approx(0.5e-5, rel=1e-12) and y[1] == 0.0
+        assert np.array_equal(r2, y * y + z * z)
+
+    # Radii past about 1e150 a are left out: r^2 overflows to inf there.
+    @settings(deadline=None, max_examples=300)
+    @given(ratio=st.floats(min_value=1.0, max_value=1e150, exclude_min=True),
+           phi=st.floats(min_value=-math.pi, max_value=math.pi))
+    def test_reflection_lands_inside(self, ratio, phi):
+        a = 1e-5
+        y = np.array([ratio * a * math.cos(phi)])
+        z = np.array([ratio * a * math.sin(phi)])
+        r2 = y * y + z * z
+        rr = np.sqrt(r2)
+        scale = (2.0 * a - rr) / rr if r2[0] > a * a else 1.0
+        single = (y * scale).tobytes(), (z * scale).tobytes()
+        _reflect_inplace(y, z, r2, a)
+        assert math.sqrt(r2[0]) <= a * (1.0 + 4.0 * np.finfo(float).eps)
+        assert r2[0] == y[0] * y[0] + z[0] * z[0]
+        if rr[0] <= 3.0 * a:
+            # Up to 3a the single fold 2a - r keeps every engine byte.
+            assert (y.tobytes(), z.tobytes()) == single
+
+    @pytest.mark.parametrize("diffusion", ["1e10", "1e30"])
+    def test_huge_diffusion_run_ends(self, tmp_path, diffusion):
+        # A step that lands many radii past the wall still takes one fold.
+        src = str(Path(particles.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-m", "ductflow.cli", "simulate", "--out", str(tmp_path),
+                        "--set", f"channel.diffusion={diffusion}", "--set", "release.n_tx=10",
+                        "--set", "grid.t_stop=0.01"],
+                       env=env, capture_output=True, check=True, timeout=60)
 
     def test_wall_keeps_cross_section_uniform(self):
         # Zero-flux sanity: a uniform disk stays uniform in r^2 under many

@@ -25,10 +25,13 @@ false alarm on a 0.  ``X_j`` is the count that offset ``j`` contributes and
   the exact count of one release.
 
 Both run one code path: walking ``i = 0..K-1``, it keeps the law of
-``N + S_i`` and its convolution with ``X_0``, and cumulative sums of the two
-give symbol ``i``'s miss and false alarm at every threshold ``0..n_tx`` at
-once.  That takes two convolutions of tail-trimmed pmfs on ``0..n_tx`` per
-symbol, so time and memory grow linearly in ``K``, with no limit on it.
+``N + S_i`` and its convolution with ``X_0``, both censored at ``n_tx``.
+Symbol ``i``'s miss and false alarm at every threshold ``0..n_tx`` are a
+forward cumulative sum of the latter and a reverse one of the former: sums
+of nonnegative cells from the error's own side, accurate to a few ulp
+relative however small (Higham, *Accuracy and Stability of Numerical
+Algorithms*, 2002, sec. 4.2).  That takes two convolutions of tail-trimmed
+pmfs per symbol, so time and memory grow linearly in ``K``, without limit.
 :func:`ser_analytic` reads one threshold of that table and
 :func:`optimal_threshold` its minimum.
 
@@ -136,8 +139,9 @@ class OokLinkConfig:
             raise ValueError("sequence length must be at least 1")
         if not np.all((pob >= 0.0) & (pob <= 1.0)):
             raise ValueError("observation probabilities must lie in [0, 1]")
-        if self.n_tx < 1:
-            raise ValueError("per-symbol particle count must be at least 1")
+        # Past 2^53 not every count is a double: n_tx p and the pmf ratios lose their meaning.
+        if not 1 <= self.n_tx <= 2 ** 53:
+            raise ValueError("per-symbol particle count must lie in 1..2**53")
         if not 0 <= self.threshold_xi <= self.n_tx:
             raise ValueError("detection threshold must lie in {0, ..., n_tx}")
         if self.noise_mean_Nn < 0.0:
@@ -268,9 +272,7 @@ def _trimmed_pmf(pmf_at, mean: float, var: float,
     A mean at most the tail gives ``(0, [1.0])`` unevaluated: by Markov's
     inequality no cell ``k >= 1`` exceeds the mean, so trimming keeps only
     ``k = 0``.  Otherwise only ``mean +- (12 sd + 30)``, and no cell above
-    ``top``, is evaluated; the pmfs lie far below the tail outside it.  Near
-    the tail, ``P(X = 0)`` is ``exp`` of minus a mean below an ulp, exactly 1
-    as it must be: a value a few ulp short would be a false SER floor.
+    ``top``, is evaluated; the pmfs lie far below the tail outside it.
     """
     if mean <= _PMF_TAIL:
         return 0, np.ones(1)
@@ -285,13 +287,13 @@ def _trimmed_pmf(pmf_at, mean: float, var: float,
 def _count_terms(link: OokLinkConfig, method: SerMethod) -> list[tuple[int, np.ndarray]]:
     """Tail-trimmed ``(start, pmf)`` of the external noise, then of each offset's count.
 
-    Offset ``j`` contributes ``Poisson(n_tx p_j)`` under ``POISSON_ANALYTIC``
-    and ``Binomial(n_tx, p_j)`` under ``BINOMIAL_ANALYTIC``, both on
-    ``0..n_tx``.
+    Offset ``j`` contributes ``Poisson(n_tx p_j)`` under ``POISSON_ANALYTIC``,
+    whose mass past ``n_tx`` the censored laws keep, and
+    ``Binomial(n_tx, p_j)``, on ``0..n_tx``, under ``BINOMIAL_ANALYTIC``.
     """
     lam, n, pvec = link.noise_mean_Nn, link.n_tx, link.pob
     if method is SerMethod.POISSON_ANALYTIC:
-        offsets = [_trimmed_pmf(partial(_poisson_pmf, lam=n * p), n * p, n * p, n)
+        offsets = [_trimmed_pmf(partial(_poisson_pmf, lam=n * p), n * p, n * p)
                    for p in pvec]
     elif method is SerMethod.BINOMIAL_ANALYTIC:
         offsets = [_trimmed_pmf(partial(_binomial_pmf, n=n, p=p), n * p, n * p * (1.0 - p), n)
@@ -302,39 +304,30 @@ def _count_terms(link: OokLinkConfig, method: SerMethod) -> list[tuple[int, np.n
 
 
 def _add(law: np.ndarray, term: tuple[int, np.ndarray], n: int) -> np.ndarray:
-    """The pmf on ``0..n-1`` of a count with pmf ``law`` plus an independent ``term``."""
-    start, pmf = term
-    out = np.zeros(min(n, start + law.size + pmf.size - 1))
-    if start < out.size:
-        out[start:] = np.convolve(law[:n - start], pmf[:n - start])[:out.size - start]
-    return out
+    """The pmf on ``0..n`` of ``min(C + X, n)``, ``C ~ law`` and ``X ~ term`` independent.
 
-
-def _below(pmfs: np.ndarray) -> np.ndarray:
-    """``P(C < xi)`` for ``xi = 0..W`` along the last axis, from pmfs of ``C`` on ``0..W-1``.
-
-    The prefix sums are compensated: the rounding error of each partial sum
-    (Knuth's TwoSum) is summed apart and added back, so a sum near 1 rounds
-    as its exact value does.  A false alarm ``1 - P(C < xi)`` whose exact
-    value lies below half an ulp of 1 then reads 0, not an ulp of rounding.
+    ``law`` may itself be censored at ``n``: ``X >= 0``, so censoring
+    ``min(C, n) + X`` again gives ``min(C + X, n)``.  Cell ``n`` sums the
+    mass at or past ``n``; none is dropped.
     """
-    cdf = np.zeros(pmfs.shape[:-1] + (pmfs.shape[-1] + 1,))
-    sums, previous = cdf[..., 1:], cdf[..., :-1]
-    np.cumsum(pmfs, axis=-1, out=sums)
-    step = sums - previous
-    sums += np.cumsum((previous - (sums - step)) + (pmfs - step), axis=-1)
-    return cdf
+    start, pmf = term
+    full = np.convolve(law, pmf)
+    if start + full.size <= n + 1:
+        return np.concatenate((np.zeros(start), full))
+    below = max(n - start, 0)
+    return np.concatenate((np.zeros(n - below), full[:below], [full[below:].sum()]))
 
 
 def _error_table(link: OokLinkConfig, method: SerMethod) -> np.ndarray:
     """Error probability of symbol ``i`` at threshold ``xi``, shape ``(K, W + 1)``.
 
     Walks ``i = 0..K-1`` keeping the law of ``N + S_i`` (see the module
-    notes), cut at ``n_tx - 1``: no threshold in ``0..n_tx`` reads a count
-    above that, so the cut is exact.  A false alarm is the complement of
-    ``P(N + S_i < xi)`` rather than a tail sum, which the cut would bias.
-    Past the widest law's last cell ``W - 1`` (``W <= n_tx``), every
-    threshold has column ``W``'s errors, so the table stops there.
+    notes), censored at ``n_tx``.  A miss is the forward cumulative sum of
+    the law with the signal, a false alarm the reverse cumulative sum of the
+    law without it: both add nonnegative cells from the error's own side,
+    with no complement.  Past the widest law's last cell ``W - 1``, every
+    threshold has column ``W``'s errors, so the table stops there, or at
+    ``n_tx`` if ``W`` is ``n_tx + 1``.
     """
     n = link.n_tx
     noise, signal, *interference = _count_terms(link, method)
@@ -349,22 +342,24 @@ def _error_table(link: OokLinkConfig, method: SerMethod) -> np.ndarray:
             law = 0.5 * mixed
         laws.append((_add(law, signal, n), law))
     # Laws only widen with i, and adding the signal widens them further.
-    pmfs = np.zeros((2, link.seq_len_K, laws[-1][0].size))
+    width = laws[-1][0].size
+    miss, false_alarm = np.zeros((2, link.seq_len_K, width + 1))
     for i, (with_signal, without) in enumerate(laws):
-        pmfs[0, i, :with_signal.size] = with_signal
-        pmfs[1, i, :without.size] = without
-    with_signal, without = _below(pmfs)
-    return 0.5 * with_signal + 0.5 * (1.0 - without)
+        miss[i, 1:with_signal.size + 1] = with_signal
+        false_alarm[i, :without.size] = without
+    np.cumsum(miss, axis=1, out=miss)
+    false_alarm = np.cumsum(false_alarm[:, ::-1], axis=1)[:, ::-1]
+    return (0.5 * miss + 0.5 * false_alarm)[:, :n + 1]
 
 
 def _ser_result(table: np.ndarray, xi: int) -> SerResult:
     """The analytic SER at threshold ``xi`` from an :func:`_error_table`."""
     per_symbol = table[:, min(xi, table.shape[1] - 1)]
     # A trimmed pmf's summed mass can round a few ulp above 1, so an error
-    # can fall a few ulp outside [0, 1]; results are clipped back.
+    # can too; results are clipped back.
     return SerResult(
-        ser=min(max(float(per_symbol.mean()), 0.0), 1.0),
-        per_symbol_errors=np.clip(per_symbol, 0.0, 1.0),
+        ser=min(float(per_symbol.mean()), 1.0),
+        per_symbol_errors=np.minimum(per_symbol, 1.0),
     )
 
 

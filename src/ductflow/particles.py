@@ -5,10 +5,11 @@ first-order advection along the Poiseuille profile (evaluated at each
 particle's pre-step radius) plus Euler-Maruyama diffusion with per-axis
 increments ``N(0, 2 D dt)``, and a reflecting wall.  Boundary handling is a
 specular reflection in the cross-sectional plane about the circle ``r = a``
-(radius folded to ``2a - r`` along the same ray, applied iteratively for the
-rare multi-width excursion).  Sub-step wall crossings are not interpolated;
-particles are reflected at their end-of-step position only, a known
-``O(sqrt(dt))`` boundary-layer bias of plain particle schemes.
+(radius folded once to ``2a - r`` along the same diameter up to ``3a``, in
+closed form beyond, for the rare multi-width excursion).  Sub-step wall
+crossings are not interpolated; particles are reflected at their
+end-of-step position only, a known ``O(sqrt(dt))`` boundary-layer bias of
+plain particle schemes.
 
 One step loop, ``_run_block``, serves every run: ``_initial_block`` places
 a block of particles, ``_draw_normals`` and ``_advance_inplace`` move it,

@@ -459,6 +459,8 @@ class TestCli:
             ["cir"], ["preset", "cir_small_duct"], ["simulate", "--set", "release.kind=point"])),
         # Non-finite numbers are refused where they are read.
         ["ser", "--set", "ook.noise_mean=nan"], ["ser", "--set", "release.n_tx=inf"],
+        # Past 2**53 a particle count is not an exact double.
+        *(["ser", "--set", f"release.n_tx={n}"] for n in ("1e20", "1e300")),
         # A grid that starts before the release, for the closed forms and the engine.
         *([command, "--set", "grid.t_start=-0.1"] for command in ("cir", "simulate")),
     ])
@@ -469,15 +471,19 @@ class TestCli:
 
     def test_binomial_ser_has_no_false_floor(self, tmp_path):
         # At T = 0.3 s three offsets have p below 1e-38: each P(X = 0) is 1
-        # to double precision, and every symbol is decided without error.
+        # to double precision, so no rounding floor of about 1e-15 may show.
+        # The errors are tiny but not 0: at xi = 31 the exact SER is 5.9e-18,
+        # mostly false alarms P(Poisson(4) >= 31) / 2, and its minimum,
+        # 4.8e-19, lies at xi = 33 (40-digit mpmath).
         assert main(["ser", "--out", str(tmp_path), "--set", "channel.radius=10 um",
                      "--set", "channel.diffusion=1e-9",
                      "--set", "ser.symbol_intervals=0.05, 0.3",
                      "--set", "ook.method=binomial_analytic"]) == 0
         body = [line.split(",") for line in (tmp_path / "ser_sweep.csv").read_text().splitlines()
                 if not line.startswith("#")]
-        ser = {float(row[0]): float(row[3]) for row in body[1:]}
-        assert ser[0.3] == 0.0
+        rows = {float(row[0]): (int(row[2]), float(row[3])) for row in body[1:]}
+        xi, ser = rows[0.3]
+        assert xi == 33 and 0.0 < ser <= 5.9e-18
 
     def test_public_names_resolve(self):
         # A stale export would break ``from ductflow import *``.
@@ -629,26 +635,26 @@ GOLDEN.update({
         ["preset", "ser_sweep", "--seed", "5", "--set", "ser.distances=200 um, 800 um",
          "--set", "ser.symbol_intervals=0.1, 0.5", "--set", "ook.realizations=500"],
         ["ser_sweep.csv"],
-        {"ser_sweep.csv": "48e8d6f0a0f8174a2cf859786aa667b160f5eeca8e65463e4ad8d462d00aa66d"}),
+        {"ser_sweep.csv": "1a757759ee918f80731d21992bd71146bb954cd6cc46ff9874fbf88f46377dde"}),
     "ser_binomial": (
         ["ser", "--set", "ook.method=binomial_analytic"] + SER_ARGS,
         ["ser_sweep.csv"],
-        {"ser_sweep.csv": "b05d8f3457c162b2cab9c2be0a2831fde6fb4ecb5853cee863a087116c9fc2bb"}),
+        {"ser_sweep.csv": "01af4438fd6a8fcf3d0a0e7fc10159f2720399c7c8fcf25729e914b5a9f43823"}),
     "ser_json": (
         ["ser", "--format", "json"] + SER_ARGS,
         ["ser_sweep.json"],
-        {"ser_sweep.json": "b022fcfd68e8999c9bbe46675707c74e61a9198c992295b8fe5affdcd7bf0e05"}),
+        {"ser_sweep.json": "b7f69bf7f332f08c2bbc6da6156e3fbb9d6c7945409524844b25e870d74bb0dd"}),
     # A fixed threshold: the one route into ser_analytic's Poisson branch,
     # where no threshold search runs.
     "ser_fixed_threshold": (
         ["ser", "--set", "ook.threshold=20"] + SER_ARGS,
         ["ser_sweep.csv"],
-        {"ser_sweep.csv": "b862a89ca80e82a9d63789b2bf0a778f64d426aef3b76913c10b077c63bbba8f"}),
+        {"ser_sweep.csv": "b8d8e1d6f76ddbb26e70f5fdc54f17e35c6eeeb77e9a7334b10a047123893226"}),
     "ser_particle": (
         ["ser", "--set", "ook.method=particle_binomial", "--set", "ook.realizations=0",
          "--set", "channel.radius=10 um", "--set", "channel.diffusion=0"],
         ["ser_sweep.csv"],
-        {"ser_sweep.csv": "548a3322c99ee21c877a5a6878fffe3a8c7674207ab0f3158021c5d011e775cb"}),
+        {"ser_sweep.csv": "288855775c24dedaf8a7f768ff9af1c74154a0495c046060cf3d4028807c3a08"}),
     "simulate": (
         ["simulate"] + SIM_ARGS,
         ["observations.csv"],

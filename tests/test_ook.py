@@ -156,7 +156,7 @@ def _scan_links() -> dict:
     links["dead-channel-no-noise"] = OokLinkConfig(np.zeros(1), 0, 0.0, 1000)
     links["no-noise"] = flow_link(T=0.2, noise=0.0)[0]
     # The all-ones mean, 4 + 50 x 3.25, lies far above n_tx = 50, so much of
-    # the count's mass lies past n_tx, where the error table cuts its laws.
+    # the count's mass lies past n_tx, which the error table censors into cell n_tx.
     links["never-saturates"] = OokLinkConfig([0.95, 0.9, 0.8, 0.6], 0, 4.0, 50)
     return links
 
@@ -319,6 +319,32 @@ class TestSerAnalytic:
         assert ser_analytic(full).ser == pytest.approx(ser_analytic(single).ser, abs=1e-14)
         assert np.allclose(ser_analytic(full).per_symbol_errors,
                            ser_analytic(single).ser, atol=1e-14)
+
+    @pytest.mark.parametrize("method", ANALYTIC, ids=lambda m: m.value)
+    @pytest.mark.parametrize("xi", [28, 30, 32])
+    def test_tiny_error_matches_mpmath(self, xi, method):
+        # One symbol with n_tx p = 200 signal molecules over Poisson(4) noise:
+        # the SER is about P(Poisson(4) >= xi) / 2, 2.5e-15 down to 7.3e-19, far
+        # below an ulp of 1.  Exact to 40 digits, with the miss P(N + X_0 < xi) / 2.
+        mpmath.mp.dps = 40
+        noise = [mpmath.exp(-4) * mpmath.mpf(4) ** k / mpmath.factorial(k) for k in range(100)]
+        p = mpmath.mpf(0.2)
+        if method is SerMethod.POISSON_ANALYTIC:
+            signal = [mpmath.exp(-1000 * p) * (1000 * p) ** b / mpmath.factorial(b)
+                      for b in range(xi)]
+        else:
+            signal = [mpmath.binomial(1000, b) * p ** b * (1 - p) ** (1000 - b) for b in range(xi)]
+        miss = sum(noise[k - b] * signal[b] for k in range(xi) for b in range(k + 1))
+        exact = (miss + mpmath.gammainc(xi, 0, 4, regularized=True)) / 2
+        # Trimming keeps the noise cells above 1e-18, k <= top, so every false
+        # alarm loses P(N > top), and the miss may read as low as 0.  Each kept
+        # cell is off by at most (8 + |k - 4| + 1) eps relative (TestPmfs), a
+        # sum of them by top eps more, and halving and adding by 2 eps.
+        top = max(k for k, cell in enumerate(noise) if cell > 1e-18)
+        tol = ((mpmath.gammainc(top + 1, 0, 4, regularized=True) + miss) / 2
+               + (2 * top + 7) * np.finfo(float).eps * exact)
+        result = ser_analytic(OokLinkConfig([0.2], xi, 4.0, 1000), method)
+        assert abs(mpmath.mpf(result.ser) - exact) <= tol
 
 
 class TestOptimalThreshold:

@@ -202,7 +202,7 @@ class TestStep:
         assert np.array_equal(r2, y * y + z * z)
 
     # Radii past about 1e150 a are left out: r^2 overflows to inf there.
-    @settings(deadline=None, max_examples=300)
+    @settings(deadline=None, max_examples=300, derandomize=True)
     @given(ratio=st.floats(min_value=1.0, max_value=1e150, exclude_min=True),
            phi=st.floats(min_value=-math.pi, max_value=math.pi))
     def test_reflection_lands_inside(self, ratio, phi):
@@ -347,6 +347,23 @@ class TestRun:
             for result, reference in zip(results, [alone[0], *alone]):
                 assert np.array_equal(result.series.counts, reference.series.counts)
                 assert np.array_equal(result.snapshots[0.02], reference.snapshots[0.02])
+
+    # Every block-aligned cut of 3 or 4 full blocks and a ragged last one.
+    @settings(deadline=None, max_examples=40, derandomize=True)
+    @given(full=st.integers(3, 4), ragged=st.integers(1, _BLOCK - 1),
+           cuts=st.sets(st.integers(1, 4)), seed=st.integers(0, 2 ** 64 - 1))
+    def test_counts_independent_of_cut_points(self, full, ragged, cuts, seed):
+        n_tx = full * _BLOCK + ragged
+        cfg = sim_config(make_channel(radius=10e-6), make_receiver(10e-6, 20e-6),
+                         ReleaseSpec.uniform(n_tx), np.arange(1, 41) * 1e-3, seed=seed,
+                         snapshot_times=[0.02])
+        bounds = [0, *sorted(c * _BLOCK for c in cuts if c <= full), n_tx]
+        parts = [particles._run_block(cfg, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        counts, snaps = particles._run_block(cfg, 0, n_tx)
+        assert counts.sum() > 0
+        assert np.array_equal(sum(c for c, _ in parts), counts)
+        (t,) = snaps
+        assert np.array_equal(np.concatenate([s[t] for _, s in parts]), snaps[t])
 
     @pytest.fixture
     def inline_pool(self, monkeypatch):

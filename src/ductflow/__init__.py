@@ -14,7 +14,6 @@ from .duct import (
     ReleaseKind,
     ReleaseSpec,
     classify_regime,
-    mean_velocity_from_pressure,
     peclet_number,
     rx_area_fraction,
     velocity_at,
@@ -51,8 +50,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DuctChannelConfig", "ReceiverVolume", "ReleaseKind", "ReleaseSpec",
-    "Regime", "RegimeVerdict", "velocity_at", "mean_velocity_from_pressure",
-    "peclet_number", "classify_regime", "rx_area_fraction",
+    "Regime", "RegimeVerdict", "velocity_at", "peclet_number",
+    "classify_regime", "rx_area_fraction",
     "DispersionModel", "FlowModel",
     "effective_diffusion", "cir_dispersion", "dispersion_peak_time",
     "dispersion_peak_value", "flow_transit_times", "cir_flow_uniform",

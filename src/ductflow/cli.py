@@ -4,11 +4,12 @@ Subcommands: one per ``presets.ACTIONS`` entry, which gives its runner and
 help text, plus ``preset NAME``, which runs a named experiment preset end to end.
 
 Common flags: ``--config`` (key = value file), ``--set key=value``
-(repeatable, highest precedence), ``--seed``, ``--out``, ``--format``,
-``--threads`` (at least 1): the number of forked worker processes of the
-particle engine, capped at ``os.cpu_count()`` and shared by every engine run
-of the call; above 1 it needs a POSIX ``fork``.  The worker count never
-changes results.  ``ser`` writes one row per method listed in ``ook.method``.
+(repeatable, highest precedence), ``--seed``, ``--out`` (the directory the
+CSV tables are written to), ``--threads`` (at least 1): the number of forked
+worker processes of the particle engine, capped at ``os.cpu_count()`` and
+shared by every engine run of the call; above 1 it needs a POSIX ``fork``.
+The worker count never changes results.  ``ser`` writes one row per method
+listed in ``ook.method``.
 Exit codes: 0 success, 2 configuration error, 3 runtime error.
 """
 
@@ -33,7 +34,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         dest="overrides", help="override one configuration key")
     parser.add_argument("--seed", type=int, default=None, help="64-bit RNG seed")
     parser.add_argument("--out", metavar="DIR", default="out", help="output directory")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--threads", type=int, default=1,
                         help="particle-engine worker processes (does not change results)")
 
@@ -73,7 +73,7 @@ def _dispatch(args: argparse.Namespace) -> list[Path]:
         runner = ACTIONS[args.command][0]
         cfg = load_config(file_path=args.config, overrides=overrides, seed=args.seed)
     out = Path(args.out)
-    return discard_partial_outputs(lambda: runner(cfg, out, args.format, args.threads), out)
+    return discard_partial_outputs(lambda: runner(cfg, out, args.threads), out)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -8,7 +8,8 @@ is recorded and echoed into every output-file header.
 
 The file format is one ``key = value`` pair per line; ``#`` starts a
 comment; list-valued keys take comma-separated entries, each with its own
-optional unit (``ook.method`` lists ``SerMethod`` names).
+optional unit (``ook.method`` lists ``SerMethod`` names).  The flow is
+given one way, by ``channel.mean_velocity``.
 
 Each key has one reader, built from a few small ones (a number with a unit,
 an integer, a choice, a list, a word such as ``auto``).  A number that is
@@ -27,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .duct import (DuctChannelConfig, ReceiverVolume, ReleaseKind, ReleaseSpec,
-                   mean_velocity_from_pressure, validate_receiver, validate_release)
+                   validate_receiver, validate_release)
 from .ook import SerMethod
 from .output import format_value, short_digest
 
@@ -52,9 +53,6 @@ _UNIT_SCALES = {
                     "mm2/s": _D("1e-6"), "um^2/s": _D("1e-12"),
                     "um2/s": _D("1e-12"), "µm^2/s": _D("1e-12")},
     "angle": {"rad": _D(1), "deg": math.pi / 180.0},
-    "pressure_gradient": {"Pa/m": _D(1), "kPa/m": _D("1e3"), "MPa/m": _D("1e6")},
-    "viscosity": {"Pa.s": _D(1), "Pa*s": _D(1), "mPa.s": _D("1e-3"),
-                  "mPa*s": _D("1e-3")},
     "dimensionless": {},
 }
 
@@ -121,10 +119,10 @@ def _list(item, distinct: bool = False):
 
 
 def _or_word(word: str, other):
-    """Reader of ``word`` itself (``none`` reads as None), else of ``other``."""
+    """Reader of ``word`` itself, else of ``other``."""
     def parse(text: str, key: str):
         if text.lower() == word:
-            return None if word == "none" else word
+            return word
         return other(text, key)
     return parse
 
@@ -138,8 +136,6 @@ KEY_REGISTRY: dict[str, tuple] = {
     "channel.radius": (10e-6, _LENGTH),
     "channel.diffusion": (1e-10, _quantity("diffusivity")),
     "channel.mean_velocity": (1e-3, _quantity("velocity")),
-    "channel.pressure_gradient": (None, _or_word("none", _quantity("pressure_gradient"))),
-    "channel.viscosity": (None, _or_word("none", _quantity("viscosity"))),
     "rx.distance": (200e-6, _LENGTH),
     "rx.extent_x": (lambda v: v["channel.radius"] / 2.0, _LENGTH),
     "rx.extent_r": (lambda v: v["channel.radius"] / 2.0, _LENGTH),
@@ -211,7 +207,7 @@ class ResolvedConfig:
         """
         rendered = {key: ";".join(map(format_value, value)) if isinstance(value, tuple)
                     else format_value(value)
-                    for key, value in self.values.items() if value is not None}
+                    for key, value in self.values.items()}
         meta = {"generator": "ductflow", **extra, "config_digest": short_digest(rendered)}
         for key, text in rendered.items():
             meta[f"config.{key}"] = f"{text} [{self.provenance[key]}]"
@@ -227,22 +223,10 @@ class ResolvedConfig:
             raise ConfigError(str(exc)) from exc
 
     def channel(self) -> DuctChannelConfig:
-        """The duct; a pressure gradient and viscosity give its mean velocity."""
-        radius = self.values["channel.radius"]
-        velocity = self.values["channel.mean_velocity"]
-        grad = self.values["channel.pressure_gradient"]
-        if grad is not None:
-            if self.provenance["channel.mean_velocity"] != "default":
-                raise ConfigError(
-                    "give either channel.mean_velocity or channel.pressure_gradient "
-                    "(with channel.viscosity), not both")
-            if self.values["channel.viscosity"] is None:
-                raise ConfigError("channel.pressure_gradient requires channel.viscosity")
-            velocity = self.build(mean_velocity_from_pressure, grad, radius,
-                                  self.values["channel.viscosity"])
-        return self.build(DuctChannelConfig, radius_a=radius,
+        """The duct, given by its radius, diffusivity and mean velocity."""
+        return self.build(DuctChannelConfig, radius_a=self.values["channel.radius"],
                           diffusion_D=self.values["channel.diffusion"],
-                          mean_velocity=velocity)
+                          mean_velocity=self.values["channel.mean_velocity"])
 
     def receiver(self, distance: float | None = None) -> ReceiverVolume:
         """The receiver at ``distance`` (default ``rx.distance``), checked to fit the duct."""

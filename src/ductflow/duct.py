@@ -32,7 +32,6 @@ __all__ = [
     "Regime",
     "RegimeVerdict",
     "velocity_at",
-    "mean_velocity_from_pressure",
     "peclet_number",
     "classify_regime",
     "rx_area_fraction",
@@ -43,36 +42,12 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 
 
-def mean_velocity_from_pressure(pressure_gradient: float, radius_a: float,
-                                viscosity_eta: float) -> float:
-    """Cross-sectional mean velocity of pressure-driven Poiseuille flow.
-
-    For a Newtonian fluid of dynamic viscosity ``eta`` in a duct of radius
-    ``a``, the mean velocity is ``|grad p| * a**2 / (8 * eta)``.
-
-    Parameters
-    ----------
-    pressure_gradient : float
-        Applied axial pressure gradient [Pa/m].  Only its magnitude matters.
-    radius_a : float
-        Duct radius [m], must be positive.
-    viscosity_eta : float
-        Dynamic viscosity [Pa s], must be positive.
-    """
-    if radius_a <= 0.0:
-        raise ValueError(f"duct radius must be positive, got {radius_a!r}")
-    if viscosity_eta <= 0.0:
-        raise ValueError(f"viscosity must be positive, got {viscosity_eta!r}")
-    return abs(pressure_gradient) * radius_a * radius_a / (8.0 * viscosity_eta)
-
-
 @dataclass(frozen=True)
 class DuctChannelConfig:
     """Physical description of the duct channel.
 
-    A flow given as a pressure gradient and a viscosity enters through
-    :func:`mean_velocity_from_pressure`, as the configuration layer does for
-    ``channel.pressure_gradient``.
+    The flow is given by its mean velocity alone; a pressure-driven flow of
+    a fluid of dynamic viscosity ``eta`` has ``|grad p| * a**2 / (8 * eta)``.
 
     ``diffusion_D = 0`` is a legal configuration and represents flow-only
     transport; it is kept exact rather than replaced by a small epsilon.

@@ -1,17 +1,15 @@
-"""Deterministic CSV/JSON emission of simulation and analysis tables.
+"""Deterministic CSV emission of simulation and analysis tables.
 
 Every output file embeds the fully resolved configuration and the seed as a
-reproducibility header, and identical inputs produce byte-identical files:
-column order is fixed by the caller, CSV floats are rendered with 17
-significant digits and JSON is written by the stdlib encoder (floats by
-``repr``, infinity as ``Infinity``), both round-trippable, and newlines are
-always ``\\n``.
+``# key = value`` reproducibility header, and identical inputs produce
+byte-identical files: column order is fixed by the caller, floats are
+rendered with 17 significant digits (round-trippable, infinity as ``inf``)
+and newlines are always ``\\n``.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -45,13 +43,6 @@ class Table:
                 raise ValueError("row width does not match column count")
 
 
-def _json_default(value):
-    """Numpy scalars and arrays as their Python values; anything else as text."""
-    if isinstance(value, (np.generic, np.ndarray)):
-        return value.tolist()
-    return str(value)
-
-
 def _csv_text(table: Table) -> str:
     lines = [f"# {key} = {format_value(val)}" for key, val in table.meta.items()]
     lines.append(",".join(table.columns))
@@ -60,26 +51,11 @@ def _csv_text(table: Table) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_text(table: Table) -> str:
-    body = {
-        "meta": table.meta,
-        "columns": list(table.columns),
-        "rows": [list(row) for row in table.rows],
-    }
-    return json.dumps(body, ensure_ascii=False, default=_json_default) + "\n"
-
-
-def emit_table(table: Table, path: str | Path, fmt: str = "csv") -> Path:
-    """Write ``table`` to ``path`` in the requested format and return the path."""
-    if fmt == "csv":
-        text = _csv_text(table)
-    elif fmt == "json":
-        text = _json_text(table)
-    else:
-        raise ValueError(f"unknown output format {fmt!r} (expected csv or json)")
+def emit_table(table: Table, path: str | Path) -> Path:
+    """Write ``table`` to ``path`` as CSV and return the path."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(text.encode("utf-8"))
+    path.write_bytes(_csv_text(table).encode("utf-8"))
     return path
 
 

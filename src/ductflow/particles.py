@@ -111,11 +111,15 @@ class ObservationSeries:
 
 
 def _to_steps(times, time_step: float, what: str) -> np.ndarray:
-    """Nearest step of each non-negative time."""
+    """Nearest step of each non-negative time; the step must fit in int64."""
     t = np.asarray(times, dtype=float)
     if np.any(t < 0.0):
         raise ValueError(f"{what} must be non-negative")
-    return np.rint(t / time_step).astype(np.int64)
+    with np.errstate(over="ignore"):  # an overflow to inf is refused below
+        steps = np.rint(t / time_step)
+    if not np.all(steps < 2.0 ** 63):  # nan fails too
+        raise ValueError(f"{what} must round to fewer than 2**63 steps of {time_step:g} s")
+    return steps.astype(np.int64)
 
 
 @dataclass(frozen=True)

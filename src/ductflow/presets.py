@@ -1,7 +1,7 @@
 """Experiment presets and the data-emission actions behind the CLI.
 
 Each preset resolves to a complete configuration (duct, receiver, release,
-grids) and a runner that writes the CSV/JSON tables needed to re-plot the
+grids) and a runner that writes the CSV tables needed to re-plot the
 corresponding study: particle-position snapshots, impulse-response
 comparisons for a narrow and a wide duct, the transport-regime map, and the
 symbol-error-rate sweep versus symbol interval.  Exact figure-axis grids are
@@ -47,11 +47,10 @@ _UM = 1e-6
 _POOL_PARTICLES = 100_000
 
 
-def _write(cfg: ResolvedConfig, out_dir: Path, fmt: str, stem: str, columns, rows,
-           **header) -> Path:
-    """Emit one table as ``out_dir/<stem>.<fmt>``, headed by ``cfg.header(**header)``."""
+def _write(cfg: ResolvedConfig, out_dir: Path, stem: str, columns, rows, **header) -> Path:
+    """Emit one table as ``out_dir/<stem>.csv``, headed by ``cfg.header(**header)``."""
     table = Table(tuple(columns), rows, meta=cfg.header(**header))
-    return emit_table(table, out_dir / f"{stem}.{fmt}", fmt)
+    return emit_table(table, out_dir / f"{stem}.csv")
 
 
 def _um_label(length_m: float) -> str:
@@ -65,8 +64,7 @@ def _sim_for_grid(cfg: ResolvedConfig, rx, release, sample_times,
                      sample_times=sample_times, snapshot_times=snapshot_times)
 
 
-def regime_action(cfg: ResolvedConfig, out_dir: Path, fmt: str,
-                  threads: int = 1) -> list[Path]:
+def regime_action(cfg: ResolvedConfig, out_dir: Path, threads: int = 1) -> list[Path]:
     """Regime verdicts for every configured (radius, distance) scenario."""
     channel = cfg.channel()
     rows = []
@@ -81,10 +79,10 @@ def regime_action(cfg: ResolvedConfig, out_dir: Path, fmt: str,
                          verdict.margin, verdict.regime.value))
     ratios = np.logspace(-1, 3, 201)
     return [
-        _write(cfg, out_dir, fmt, "regime_scenarios",
+        _write(cfg, out_dir, "regime_scenarios",
                ("radius_a_m", "d_m", "distance_ratio", "peclet", "margin", "regime"), rows,
                content="transport-regime classification"),
-        _write(cfg, out_dir, fmt, "regime_boundary", ("distance_ratio", "peclet_boundary"),
+        _write(cfg, out_dir, "regime_boundary", ("distance_ratio", "peclet_boundary"),
                [(float(r), float(4.0 * r)) for r in ratios],
                content="separating line peclet = 4 d / a"),
     ]
@@ -117,34 +115,31 @@ def _analytic_cir_tables(cfg: ResolvedConfig, distance: float):
     return columns, rows, peak_rows
 
 
-def cir_action(cfg: ResolvedConfig, out_dir: Path, fmt: str,
-               threads: int = 1) -> list[Path]:
+def cir_action(cfg: ResolvedConfig, out_dir: Path, threads: int = 1) -> list[Path]:
     """Closed-form impulse-response curves plus peak markers."""
     paths = []
     all_peaks = []
     for distance in cfg["cir.distances"]:
         columns, rows, peak_rows = _analytic_cir_tables(cfg, distance)
         all_peaks.extend(peak_rows)
-        paths.append(_write(cfg, out_dir, fmt, f"cir_analytic_d{_um_label(distance)}",
+        paths.append(_write(cfg, out_dir, f"cir_analytic_d{_um_label(distance)}",
                             columns, rows, content="analytic impulse responses",
                             rx_distance_m=distance))
-    paths.append(_write(cfg, out_dir, fmt, "cir_peaks", ("d_m", "model", "t_peak_s", "pob_peak"),
+    paths.append(_write(cfg, out_dir, "cir_peaks", ("d_m", "model", "t_peak_s", "pob_peak"),
                         all_peaks, content="impulse-response peak markers"))
     return paths
 
 
-def simulate_action(cfg: ResolvedConfig, out_dir: Path, fmt: str,
-                    threads: int = 1) -> list[Path]:
+def simulate_action(cfg: ResolvedConfig, out_dir: Path, threads: int = 1) -> list[Path]:
     """Particle-simulated observation series on the configured time grid."""
     sim = _sim_for_grid(cfg, cfg.receiver(), cfg.release(), cfg.time_grid())
     series = run(sim, threads=threads).series
     rows = [(float(t), int(c), series.n_tx) for t, c in zip(series.times, series.counts)]
-    return [_write(cfg, out_dir, fmt, "observations", ("t_s", "count", "n_tx"), rows,
+    return [_write(cfg, out_dir, "observations", ("t_s", "count", "n_tx"), rows,
                    content="simulated observation series")]
 
 
-def _simulated_cir_paths(cfg: ResolvedConfig, out_dir: Path, fmt: str,
-                         threads: int) -> list[Path]:
+def _simulated_cir_paths(cfg: ResolvedConfig, out_dir: Path, threads: int) -> list[Path]:
     # One engine pass per release kind counts every distance's receiver, both
     # passes on one set of workers; files are then written distance by distance.
     distances = cfg["cir.distances"]
@@ -165,22 +160,21 @@ def _simulated_cir_paths(cfg: ResolvedConfig, out_dir: Path, fmt: str,
                     for t, p, se, hw, c in zip(
                         series.times, pob, stderr, 1.96 * stderr, series.counts)]
             paths.append(_write(
-                cfg, out_dir, fmt, f"cir_sim_{label}_d{_um_label(distance)}",
+                cfg, out_dir, f"cir_sim_{label}_d{_um_label(distance)}",
                 ("t_s", "pob", "stderr", "ci_half_width", "count", "n_tx"), rows,
                 content="simulated impulse response", release=label,
                 rx_distance_m=distance, seed=cfg["seed"]))
     return paths
 
 
-def snapshot_action(cfg: ResolvedConfig, out_dir: Path, fmt: str,
-                    threads: int = 1) -> list[Path]:
+def snapshot_action(cfg: ResolvedConfig, out_dir: Path, threads: int = 1) -> list[Path]:
     """Per-particle (x, r^2) clouds at the configured snapshot times."""
     times = np.asarray(cfg["snapshot.times"], dtype=float)
     # A sample at step 0 draws nothing, so the snapshots alone set the run,
     # and times that snap to one step collapse into one snapshot.
     sim = _sim_for_grid(cfg, cfg.receiver(), cfg.release(), [0.0], times)
     result = run(sim, threads=threads)
-    return [_write(cfg, out_dir, fmt, f"snapshot_t{t:g}s", ("particle_id", "x_m", "r2_m2"),
+    return [_write(cfg, out_dir, f"snapshot_t{t:g}s", ("particle_id", "x_m", "r2_m2"),
                    [(i, float(x), float(r2)) for i, (x, r2) in enumerate(result.snapshots[t])],
                    content="particle position snapshot", snapshot_t_s=t)
             for t in sorted(result.snapshots)]
@@ -226,8 +220,7 @@ def _particle_pobs(cfg: ResolvedConfig, points, threads: int) -> list[np.ndarray
     return [result.series.probabilities() for result in results]
 
 
-def ser_action(cfg: ResolvedConfig, out_dir: Path, fmt: str,
-               threads: int = 1) -> list[Path]:
+def ser_action(cfg: ResolvedConfig, out_dir: Path, threads: int = 1) -> list[Path]:
     """SER sweep over the configured distances and symbol intervals.
 
     Each point writes one row per ``ook.method`` entry, in the listed order.
@@ -264,18 +257,18 @@ def ser_action(cfg: ResolvedConfig, out_dir: Path, fmt: str,
                 result = ser_analytic(link, method)
             rows.append((symbol_interval, distance, link.threshold_xi, result.ser,
                          method.value, used, seed))
-    return [_write(cfg, out_dir, fmt, "ser_sweep",
+    return [_write(cfg, out_dir, "ser_sweep",
                    ("T_s", "d_m", "xi_opt", "ser", "method", "realizations", "seed"), rows,
                    content="symbol error rate sweep")]
 
 
-def _cir_preset(cfg: ResolvedConfig, out_dir: Path, fmt: str, threads: int) -> list[Path]:
+def _cir_preset(cfg: ResolvedConfig, out_dir: Path, threads: int) -> list[Path]:
     """Analytic curves and peaks, then the simulated responses."""
-    return cir_action(cfg, out_dir, fmt) + _simulated_cir_paths(cfg, out_dir, fmt, threads)
+    return cir_action(cfg, out_dir) + _simulated_cir_paths(cfg, out_dir, threads)
 
 
 #: Every CLI subcommand but ``preset``: ``name -> (runner, help)``, the
-#: runner called as ``runner(cfg, out_dir, fmt, threads) -> paths``.
+#: runner called as ``runner(cfg, out_dir, threads) -> paths``.
 ACTIONS = {
     "regime": (regime_action, "classify transport regimes"),
     "cir": (cir_action, "emit analytic impulse responses"),

@@ -4,7 +4,6 @@ import argparse
 import ast
 import importlib
 import hashlib
-import json
 import math
 import os
 import subprocess
@@ -117,6 +116,13 @@ class TestParsing:
         with pytest.raises(ConfigError, match="bad.cfg:1"):
             load_config(file_path=path)
 
+    def test_file_with_removed_key_is_refused(self, tmp_path):
+        # The flow is given by its mean velocity only.
+        path = tmp_path / "run.cfg"
+        path.write_text("channel.viscosity = 1 mPa.s\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="unknown configuration key 'channel.viscosity'"):
+            load_config(file_path=path)
+
 
 class TestResolution:
     def test_receiver_extents_follow_radius(self):
@@ -137,23 +143,6 @@ class TestResolution:
         cfg = load_config(file_path=path, overrides={"channel.radius": "10 um"})
         assert cfg["channel.radius"] == 10e-6
         assert cfg.provenance["channel.radius"] == "flag"
-
-    def test_pressure_route(self):
-        cfg = load_config(overrides={"channel.pressure_gradient": "800 Pa/m",
-                                     "channel.viscosity": "1 mPa.s"})
-        assert cfg.channel().mean_velocity == pytest.approx(1e-5, rel=1e-12)
-
-    def test_pressure_needs_viscosity(self):
-        cfg = load_config(overrides={"channel.pressure_gradient": "800 Pa/m"})
-        with pytest.raises(ConfigError, match="viscosity"):
-            cfg.channel()
-
-    def test_pressure_and_velocity_conflict(self):
-        cfg = load_config(overrides={"channel.pressure_gradient": "800 Pa/m",
-                                     "channel.viscosity": "1 mPa.s",
-                                     "channel.mean_velocity": "1 mm/s"})
-        with pytest.raises(ConfigError, match="not both"):
-            cfg.channel()
 
     def test_invariant_violations_become_config_errors(self):
         cfg = load_config(overrides={"rx.distance": "1 um"})
@@ -236,27 +225,16 @@ class TestEmission:
         line = emit_table(table, tmp_path / "f.csv").read_text().splitlines()[-1]
         assert float(line) == value
 
-    def test_json_round_trip(self, tmp_path):
-        table = Table(("x", "name"), [(0.30000000000000004, "tail"), (2.0, "peak")],
-                      meta={"seed": 7, "note": 'quote " and backslash \\'})
-        path = emit_table(table, tmp_path / "t.json", fmt="json")
-        loaded = json.loads(path.read_text())
-        assert loaded["columns"] == ["x", "name"]
-        assert loaded["rows"][0][0] == 0.30000000000000004
-        assert loaded["meta"]["note"] == 'quote " and backslash \\'
-
     def test_json_round_trips_infinity(self, tmp_path):
-        # D = 0 puts the Peclet number, and so the margin, at infinity.
+        # Tables are CSV only.  D = 0 puts the Peclet number, and so the
+        # margin, at infinity, which must read back from its cell.
         out = tmp_path / "out"
-        assert main(["regime", "--format", "json", "--set", "channel.diffusion=0",
-                     "--out", str(out)]) == 0
-        loaded = json.loads((out / "regime_scenarios.json").read_text())
-        peclet = loaded["columns"].index("peclet")
-        assert loaded["rows"] and all(row[peclet] == math.inf for row in loaded["rows"])
-
-    def test_unknown_format(self, tmp_path):
-        with pytest.raises(ValueError):
-            emit_table(Table(("x",), []), tmp_path / "t.xml", fmt="xml")
+        assert main(["regime", "--set", "channel.diffusion=0", "--out", str(out)]) == 0
+        lines = [line for line in (out / "regime_scenarios.csv").read_text().splitlines()
+                 if not line.startswith("#")]
+        columns, rows = lines[0].split(","), [line.split(",") for line in lines[1:]]
+        cells = [row[columns.index(name)] for row in rows for name in ("peclet", "margin")]
+        assert rows and all(cell == "inf" and float(cell) == math.inf for cell in cells)
 
 
 SMALL_SIM = ["--set", "release.n_tx=1500", "--set", "grid.t_stop=0.04",
@@ -445,6 +423,14 @@ class TestCli:
             main(["preset", "custom", "--out", str(tmp_path)])
         assert exc.value.code == 2
 
+    def test_format_flag_is_refused(self, tmp_path, capsys):
+        # Tables are written as CSV only; argparse refuses the flag.
+        with pytest.raises(SystemExit) as exc:
+            main(["regime", "--format", "json", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format json" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*")) == []
+
     @pytest.mark.parametrize("argv", [
         ["simulate", "--set", "sim.time_step=0"],
         *([command, "--set", "rx.extent_r=30um", "--set", "channel.radius=20um"]
@@ -452,8 +438,11 @@ class TestCli:
         # Two sample times snap to one engine step.
         ["simulate", "--set", "grid.t_step=1e-4", "--set", "release.n_tx=10"],
         ["snapshot", "--set", "snapshot.times=-1"],
-        # Only keys without a value by default take "none".
+        # No key reads "none".
         *(["cir", "--set", f"{key}=none"] for key in ("channel.mean_velocity", "channel.radius")),
+        # The flow is given by its mean velocity only.
+        *(["cir", "--set", setting] for setting in ("channel.pressure_gradient=800 Pa/m",
+                                                     "channel.viscosity=1 mPa.s")),
         # A point release at r0 = 20 um lies outside the default 10 um duct.
         *(argv + ["--set", "release.r0=20um"] for argv in (
             ["cir"], ["preset", "cir_small_duct"], ["simulate", "--set", "release.kind=point"])),
@@ -559,7 +548,7 @@ class TestRunPresetApi:
     def test_regime_map_outputs(self, tmp_path):
         cfg = preset_config("regime_map")
         runner, _ = PRESETS["regime_map"]
-        paths = runner(cfg, tmp_path, "csv", 1)
+        paths = runner(cfg, tmp_path, 1)
         names = sorted(p.name for p in paths)
         assert names == ["regime_boundary.csv", "regime_scenarios.csv"]
         body = [line for line in (tmp_path / "regime_scenarios.csv").read_text().splitlines()
@@ -640,10 +629,6 @@ GOLDEN.update({
         ["ser", "--set", "ook.method=binomial_analytic"] + SER_ARGS,
         ["ser_sweep.csv"],
         {"ser_sweep.csv": "01af4438fd6a8fcf3d0a0e7fc10159f2720399c7c8fcf25729e914b5a9f43823"}),
-    "ser_json": (
-        ["ser", "--format", "json"] + SER_ARGS,
-        ["ser_sweep.json"],
-        {"ser_sweep.json": "b7f69bf7f332f08c2bbc6da6156e3fbb9d6c7945409524844b25e870d74bb0dd"}),
     # A fixed threshold: the one route into ser_analytic's Poisson branch,
     # where no threshold search runs.
     "ser_fixed_threshold": (
@@ -685,17 +670,6 @@ GOLDEN.update({
         {"snapshot_t0.02s.csv": "947b7f92beee3ac724a87a8ea3d78b36f6dbaee0dcba710a98ac0de6a038e541",
          "snapshot_t0.2s.csv": "abb92f00da1e939df0a1e4ec5fc86373a693cabd66971eb9fc7b08d3f8b7a99f",
          "snapshot_t0.8s.csv": "141d5df3f520047423a004a066a65f9066f41e57c0bb9110f3ebad0224a620e6"}),
-    # The pressure-gradient route: mean velocity |grad p| a^2 / (8 eta) = 1e-5 m/s.
-    "cir_pressure": (
-        ["cir", "--set", "channel.pressure_gradient=800 Pa/m", "--set", "channel.viscosity=1 mPa.s"],
-        ["cir_analytic_d200um.csv", "cir_peaks.csv"],
-        {"cir_analytic_d200um.csv": "c6f630d5c164ccbba5e76ea33a74396e8a21f0e34ed97d480ff0ad69f1d5e62b",
-         "cir_peaks.csv": "7fb70cf9102c287f3fc559e519cb43c9ac5f3dc4437dbe898280fa0dd884f4f7"}),
-    "cir_json": (
-        ["cir", "--format", "json", "--set", "rx.distance=800 um"],
-        ["cir_analytic_d800um.json", "cir_peaks.json"],
-        {"cir_analytic_d800um.json": "f63623f857d83165f9426b5617af3955893aa53c63c560e9e52a87b5e7a73368",
-         "cir_peaks.json": "bcadc6955860face737e45dadce17b62e50dcde05796cbf84527d4272d6ed3b5"}),
 })
 
 

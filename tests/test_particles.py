@@ -482,6 +482,37 @@ class TestRun:
             sim_config(wide_flow_only, rx, ReleaseSpec.uniform(10),
                        [0.0101, 0.0102], dt=1e-3)  # collide on the same step
 
+    @pytest.mark.parametrize("what", ["sample_times", "snapshot_times"])
+    def test_time_step_count_must_fit_int64(self, wide_flow_only, what):
+        # At dt = 1 ms, 1e16 s is 1e19 steps, past 2**63 - 1; 1e15 s still fits.
+        rx = make_receiver(200e-6, 200e-6)
+        times = {"sample_times": [0.01], "snapshot_times": ()}
+        with pytest.raises(ValueError, match="2\\*\\*63 steps"):
+            sim_config(wide_flow_only, rx, ReleaseSpec.uniform(10), **{**times, what: [1e16]})
+        cfg = sim_config(wide_flow_only, rx, ReleaseSpec.uniform(10), **{**times, what: [1e15]})
+        assert cfg.n_steps == 10 ** 18
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--set", "grid.t_start=1e300", "--set", "grid.t_stop=1e300",
+         "--set", "release.n_tx=1"],
+        ["snapshot", "--set", "snapshot.times=1e300", "--set", "release.n_tx=10"],
+        # t / dt overflows to inf.
+        ["snapshot", "--set", "snapshot.times=1e300", "--set", "sim.time_step=1e-10",
+         "--set", "release.n_tx=10"],
+    ])
+    def test_huge_time_is_config_error(self, tmp_path, argv):
+        # In a subprocess with a timeout: a step wrapped to -2**63 would
+        # make a snapshot run loop for ever.
+        src = str(Path(particles.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "ductflow.cli", *argv, "--out", str(tmp_path)],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2
+        assert "configuration error" in done.stderr and "2**63" in done.stderr
+        assert "Warning" not in done.stderr
+        assert list(tmp_path.rglob("*.csv")) == []
+
     # SHA-256 of the counts' bytes: they pin the random streams and the
     # receiver test for D > 0 and D = 0.  Samples start at t = 0, so step 0
     # is observed too.  A change to the streams on purpose updates them.

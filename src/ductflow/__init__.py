@@ -20,12 +20,10 @@ from .duct import (
 )
 from .impulse import (
     DispersionModel,
-    FlowModel,
     cir_dispersion,
     cir_flow_point,
     cir_flow_uniform,
     dispersion_peak_time,
-    dispersion_peak_value,
     effective_diffusion,
     flow_point_window,
     flow_transit_times,
@@ -52,10 +50,8 @@ __all__ = [
     "DuctChannelConfig", "ReceiverVolume", "ReleaseKind", "ReleaseSpec",
     "Regime", "RegimeVerdict", "velocity_at", "peclet_number",
     "classify_regime", "rx_area_fraction",
-    "DispersionModel", "FlowModel",
-    "effective_diffusion", "cir_dispersion", "dispersion_peak_time",
-    "dispersion_peak_value", "flow_transit_times", "cir_flow_uniform",
-    "cir_flow_point", "flow_point_window",
+    "DispersionModel", "effective_diffusion", "cir_dispersion", "dispersion_peak_time",
+    "flow_transit_times", "cir_flow_uniform", "cir_flow_point", "flow_point_window",
     "oracle_cir_dispersion", "oracle_cir_flow",
     "SimConfig", "ObservationSeries", "SimResult", "run",
     "OokLinkConfig", "SerMethod", "SerResult", "detection_offsets", "ser_analytic",

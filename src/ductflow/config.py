@@ -34,6 +34,9 @@ from .output import format_value, short_digest
 
 __all__ = ["ConfigError", "ResolvedConfig", "load_config", "parse_value", "KEY_REGISTRY"]
 
+#: Most points a time grid may hold; a larger grid is refused before it is allocated.
+MAX_GRID_POINTS = 1_000_000
+
 
 class ConfigError(ValueError):
     """A configuration problem the user must fix (CLI exit code 2)."""
@@ -256,8 +259,12 @@ class ResolvedConfig:
         step = self.values["grid.t_step"]
         if start < 0 or step <= 0 or stop < start:
             raise ConfigError("grid requires t_start >= 0, t_step > 0 and t_stop >= t_start")
-        n = int(round((stop - start) / step))
-        return start + step * np.arange(n + 1)
+        # Counted in floats, so an overflowing count is refused, not converted.
+        points = round((stop - start) / step, 0) + 1.0
+        if points > MAX_GRID_POINTS:
+            raise ConfigError(f"time grid has {points:.6g} points, more than the "
+                              f"{MAX_GRID_POINTS} allowed")
+        return start + step * np.arange(int(points))
 
 
 def load_config(preset_values: dict | None = None, file_path: str | Path | None = None,

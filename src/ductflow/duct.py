@@ -254,9 +254,13 @@ def rx_area_fraction(config: DuctChannelConfig, rx: ReceiverVolume) -> float:
 
     Equals the probability that a point placed uniformly on the disk of
     radius ``a`` falls inside the receiver's ``(r, phi)`` window:
-    ``(c_phi / 2 pi) * (2 a c_r - c_r^2) / a^2``, in ``(0, 1]``.
+    ``(c_phi / 2 pi) * (2 a c_r - c_r^2) / a^2``.  Raises ``ValueError``
+    unless it lies in ``(0, 1]`` (it underflows to 0 for a tiny ``c_phi``).
     """
     validate_receiver(config, rx)
     a = config.radius_a
     cr = rx.extent_cr
-    return (rx.extent_cphi / TWO_PI) * (2.0 * a * cr - cr * cr) / (a * a)
+    fraction = (rx.extent_cphi / TWO_PI) * (2.0 * a * cr - cr * cr) / (a * a)
+    if not 0.0 < fraction <= 1.0:
+        raise ValueError("receiver area fraction must lie in (0, 1]")
+    return fraction

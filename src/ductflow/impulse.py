@@ -14,7 +14,8 @@ closed forms:
   form that switches branches at the transit times ``t1 < t2`` of the band
   edges and decays like ``1/t``; a point release gives a rectangular pulse
   (or nothing, if the release point is not radially/angularly aligned with
-  the receiver).
+  the receiver).  Both flow forms depend on the duct and the receiver
+  alone, so both take ``(config, rx, ...)`` directly.
 
 The Gaussian axial standard deviation used throughout is
 ``sigma(t) = sqrt(2 D_eff t)``, i.e. the observation probability is
@@ -44,11 +45,9 @@ from .duct import (
 
 __all__ = [
     "DispersionModel",
-    "FlowModel",
     "effective_diffusion",
     "cir_dispersion",
     "dispersion_peak_time",
-    "dispersion_peak_value",
     "flow_transit_times",
     "cir_flow_uniform",
     "cir_flow_point",
@@ -156,24 +155,14 @@ def dispersion_peak_time(model: DispersionModel, d: float) -> float:
     return d * d / (model.d_eff * (1.0 + math.sqrt(1.0 + s * s)))
 
 
-def dispersion_peak_value(model: DispersionModel, rx: ReceiverVolume) -> float:
-    """Peak height of the dispersion-regime response at its peak time.
-
-    The peak time maximizes the axial density rather than the windowed
-    probability itself, so this is an (excellent) approximation of the true
-    maximum; the receiver distance is taken from ``rx``.
-    """
-    tmax = dispersion_peak_time(model, rx.axial_distance_d)
-    return cir_dispersion(model, rx, tmax)
-
-
 def flow_transit_times(config: DuctChannelConfig, rx: ReceiverVolume) -> tuple[float, float]:
     """Band-edge transit times ``(t1, t2)`` of the flow-dominated response.
 
     ``t_{1,2} = (d -/+ c_x/2) / (2 vbar (1 - (1 - c_r/a)^2))``: the times at
     which the slowest observable streamline (radius ``a - c_r``) reaches the
     near and far axial edges of the receiver.  The uniform-release response
-    is zero until ``t1`` and maximal at ``t2``.
+    is zero until ``t1`` and maximal at ``t2``.  Raises ``ValueError`` unless
+    ``0 < t1 < t2`` (a ``vbar`` so small that both times overflow fails it).
     """
     validate_receiver(config, rx)
     if config.mean_velocity <= 0.0:
@@ -182,45 +171,17 @@ def flow_transit_times(config: DuctChannelConfig, rx: ReceiverVolume) -> tuple[f
     denom = 2.0 * config.mean_velocity * band
     t1 = (rx.axial_distance_d - rx.extent_cx / 2.0) / denom
     t2 = (rx.axial_distance_d + rx.extent_cx / 2.0) / denom
+    if not 0.0 < t1 < t2:
+        raise ValueError("transit times must satisfy 0 < t1 < t2")
     return t1, t2
 
 
-@dataclass(frozen=True)
-class FlowModel:
-    """Parameters of the flow-dominated uniform-release impulse response."""
-
-    t1: float
-    t2: float
-    rx_fraction: float
-    angle_fraction: float
-    mean_velocity: float
-    axial_distance_d: float
-    extent_cx: float
-
-    def __post_init__(self):
-        if not 0.0 < self.t1 < self.t2:
-            raise ValueError("transit times must satisfy 0 < t1 < t2")
-        if not 0.0 < self.rx_fraction <= 1.0:
-            raise ValueError("receiver area fraction must lie in (0, 1]")
-        if not 0.0 < self.angle_fraction <= 1.0:
-            raise ValueError("angular fraction must lie in (0, 1]")
-
-    @classmethod
-    def for_channel(cls, config: DuctChannelConfig, rx: ReceiverVolume) -> "FlowModel":
-        t1, t2 = flow_transit_times(config, rx)
-        return cls(
-            t1=t1,
-            t2=t2,
-            rx_fraction=rx_area_fraction(config, rx),
-            angle_fraction=rx.extent_cphi / TWO_PI,
-            mean_velocity=config.mean_velocity,
-            axial_distance_d=rx.axial_distance_d,
-            extent_cx=rx.extent_cx,
-        )
-
-
-def cir_flow_uniform(model: FlowModel, t):
+def cir_flow_uniform(config: DuctChannelConfig, rx: ReceiverVolume, t):
     """Flow-dominated observation probability after a uniform release.
+
+    Depends on the duct and the receiver only: ``t1, t2`` from
+    :func:`flow_transit_times`, ``A_rx/a^2`` from :func:`rx_area_fraction`
+    (both refuse invalid inputs), ``c_phi/2pi``, ``vbar``, ``d`` and ``c_x``.
 
     Piecewise in time::
 
@@ -235,15 +196,18 @@ def cir_flow_uniform(model: FlowModel, t):
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(t_arr < 0.0):
         raise ValueError("time must be non-negative")
+    t1, t2 = flow_transit_times(config, rx)
+    rx_fraction = rx_area_fraction(config, rx)
+    angle_fraction = rx.extent_cphi / TWO_PI
     out = np.zeros_like(t_arr)
-    v2 = 2.0 * model.mean_velocity
-    mid = (t_arr > model.t1) & (t_arr < model.t2)
+    v2 = 2.0 * config.mean_velocity
+    mid = (t_arr > t1) & (t_arr < t2)
     if np.any(mid):
-        out[mid] = model.rx_fraction - model.angle_fraction * (
-            model.axial_distance_d - model.extent_cx / 2.0) / (v2 * t_arr[mid])
-    tail = t_arr >= model.t2
+        out[mid] = rx_fraction - angle_fraction * (
+            rx.axial_distance_d - rx.extent_cx / 2.0) / (v2 * t_arr[mid])
+    tail = t_arr >= t2
     if np.any(tail):
-        out[tail] = model.angle_fraction * model.extent_cx / (v2 * t_arr[tail])
+        out[tail] = angle_fraction * rx.extent_cx / (v2 * t_arr[tail])
     return float(out[0]) if np.ndim(t) == 0 else out
 
 

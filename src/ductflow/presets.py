@@ -23,15 +23,8 @@ import numpy as np
 
 from .config import ConfigError, ResolvedConfig, load_config
 from .duct import Regime, classify_regime
-from .impulse import (
-    DispersionModel,
-    FlowModel,
-    cir_dispersion,
-    cir_flow_point,
-    cir_flow_uniform,
-    dispersion_peak_time,
-    dispersion_peak_value,
-)
+from .impulse import (DispersionModel, cir_dispersion, cir_flow_point, cir_flow_uniform,
+                      dispersion_peak_time, flow_transit_times)
 from .ook import (OokLinkConfig, SerMethod, detection_offsets, optimal_threshold, ser_analytic,
                   ser_monte_carlo)
 from .output import Table, emit_table
@@ -100,14 +93,12 @@ def _analytic_cir_tables(cfg: ResolvedConfig, distance: float):
         columns.append("pob_dispersion")
         series.append(cir_dispersion(disp, rx, grid))
         tmax = dispersion_peak_time(disp, rx.axial_distance_d)
-        peak_rows.append((distance, "dispersion_uniform", tmax,
-                          dispersion_peak_value(disp, rx)))
+        peak_rows.append((distance, "dispersion_uniform", tmax, cir_dispersion(disp, rx, tmax)))
     if channel.mean_velocity > 0.0:
-        flow = FlowModel.for_channel(channel, rx)
+        t2 = flow_transit_times(channel, rx)[1]
         columns.append("pob_flow_uniform")
-        series.append(cir_flow_uniform(flow, grid))
-        peak_rows.append((distance, "flow_uniform", flow.t2,
-                          float(cir_flow_uniform(flow, flow.t2))))
+        series.append(cir_flow_uniform(channel, rx, grid))
+        peak_rows.append((distance, "flow_uniform", t2, cir_flow_uniform(channel, rx, t2)))
         point = cfg.release("point")
         columns.append("pob_flow_point")
         series.append(cir_flow_point(channel, rx, point, grid))
@@ -120,7 +111,7 @@ def cir_action(cfg: ResolvedConfig, out_dir: Path, threads: int = 1) -> list[Pat
     paths = []
     all_peaks = []
     for distance in cfg["cir.distances"]:
-        columns, rows, peak_rows = _analytic_cir_tables(cfg, distance)
+        columns, rows, peak_rows = cfg.build(_analytic_cir_tables, cfg, distance)
         all_peaks.extend(peak_rows)
         paths.append(_write(cfg, out_dir, f"cir_analytic_d{_um_label(distance)}",
                             columns, rows, content="analytic impulse responses",
@@ -194,9 +185,8 @@ def _auto_link(cfg: ResolvedConfig, distance: float, symbol_interval: float):
         closed_form = partial(cir_dispersion, model, rx)
         auto_delay = dispersion_peak_time(model, rx.axial_distance_d)
     else:
-        model = FlowModel.for_channel(channel, rx)
-        closed_form = partial(cir_flow_uniform, model)
-        auto_delay = model.t2
+        closed_form = partial(cir_flow_uniform, channel, rx)
+        auto_delay = flow_transit_times(channel, rx)[1]
     delay = cfg["ook.detection_delay"]
     offsets = detection_offsets(symbol_interval, cfg["ook.seq_len"],
                                 auto_delay if delay == "auto" else float(delay))

@@ -17,7 +17,6 @@ import conftest
 from ductflow import (
     DispersionModel,
     DuctChannelConfig,
-    FlowModel,
     OokLinkConfig,
     ReceiverVolume,
     ReleaseSpec,
@@ -29,11 +28,13 @@ from ductflow import (
     dispersion_peak_time,
     effective_diffusion,
     flow_point_window,
+    flow_transit_times,
     optimal_threshold,
     oracle_cir_dispersion,
     oracle_cir_flow,
     peclet_number,
     run,
+    rx_area_fraction,
     ser_analytic,
     ser_monte_carlo,
 )
@@ -63,10 +64,9 @@ def quarter_receiver(radius: float, distance: float) -> ReceiverVolume:
 
 def flow_sweep_link(channel, distance, T, K=8, n_tx=1000, noise=4.0):
     rx = quarter_receiver(channel.radius_a, distance)
-    model = FlowModel.for_channel(channel, rx)
-    link = OokLinkConfig(pob=cir_flow_uniform(model, detection_offsets(T, K, model.t2)),
+    t2 = flow_transit_times(channel, rx)[1]
+    return OokLinkConfig(pob=cir_flow_uniform(channel, rx, detection_offsets(T, K, t2)),
                          threshold_xi=0, noise_mean_Nn=noise, n_tx=n_tx)
-    return link, model, rx
 
 
 NARROW = DuctChannelConfig(radius_a=10e-6, diffusion_D=1e-10, mean_velocity=1e-3)
@@ -115,8 +115,7 @@ def test_criterion_02_regime_map_values():
 def test_criterion_03_flow_only_exactness():
     rx, result = _run_uniform(WIDE_FLOW_ONLY, 200e-6, 0.5, 100_000, seed=301)
     series = result.series
-    model = FlowModel.for_channel(WIDE_FLOW_ONLY, rx)
-    p = cir_flow_uniform(model, series.times)
+    p = cir_flow_uniform(WIDE_FLOW_ONLY, rx, series.times)
     bound = 3.0 * np.sqrt(p * (1.0 - p) / series.n_tx)
     inside = np.abs(series.probabilities() - p) <= bound + 1e-12
     uniform_ok = inside.mean() >= 0.99
@@ -143,10 +142,10 @@ def test_criterion_04_quadrature_oracles():
     worst_flow = 0.0
     for _ in range(100):
         channel, rx = random_flow_setup(rng)
-        model = FlowModel.for_channel(channel, rx)
-        t = rng.uniform(0.5 * model.t1, 3.0 * model.t2)
+        t1, t2 = flow_transit_times(channel, rx)
+        t = rng.uniform(0.5 * t1, 3.0 * t2)
         numeric = oracle_cir_flow(channel, rx, ReleaseSpec.uniform(1), t)
-        worst_flow = max(worst_flow, abs(numeric - cir_flow_uniform(model, t)))
+        worst_flow = max(worst_flow, abs(numeric - cir_flow_uniform(channel, rx, t)))
     flow_ok = worst_flow < 1e-6
 
     worst_disp = 0.0
@@ -239,23 +238,23 @@ def test_criterion_05_wide_duct_reproduction():
     for distance, t_stop in ((200e-6, 0.30), (800e-6, 0.85)):
         rx, result = _run_uniform(WIDE, distance, t_stop, 100_000, seed=20240)
         series = result.series
-        model = FlowModel.for_channel(WIDE, rx)
+        t2 = flow_transit_times(WIDE, rx)[1]
         idx = smoothed_argmax(series.counts, 5)
         t_peak = series.times[idx]
         p_peak = series.counts[idx] / series.n_tx
-        p_ref = cir_flow_uniform(model, model.t2)
+        p_ref = cir_flow_uniform(WIDE, rx, t2)
         if distance == 200e-6:
-            loc_ok = abs(t_peak - model.t2) <= 0.05 * model.t2
+            loc_ok = abs(t_peak - t2) <= 0.05 * t2
             tol = 3.0 * math.sqrt(p_ref * (1.0 - p_ref) / series.n_tx) + 0.05 * p_ref
             val_ok = True
         else:
-            allowance = peak_location_allowance(WIDE, rx, model.t2, p_ref, series.n_tx)
-            loc_ok = abs(t_peak - model.t2) <= allowance * model.t2
-            tol = peak_value_allowance(WIDE, rx, model.t2, p_ref, series.n_tx)
+            allowance = peak_location_allowance(WIDE, rx, t2, p_ref, series.n_tx)
+            loc_ok = abs(t_peak - t2) <= allowance * t2
+            tol = peak_value_allowance(WIDE, rx, t2, p_ref, series.n_tx)
             # The allowances still tell the model's t2 and P(t2) from those
             # computed with the mean velocity in place of u(r_in).
             t2_mean = (distance + rx.extent_cx / 2.0) / WIDE.mean_velocity
-            p_mean = cir_flow_uniform(model, t2_mean)
+            p_mean = cir_flow_uniform(WIDE, rx, t2_mean)
             loc_ok &= abs(t_peak - t2_mean) > peak_location_allowance(
                 WIDE, rx, t2_mean, p_ref, series.n_tx) * t2_mean
             val_ok = abs(p_peak - p_mean) > peak_value_allowance(
@@ -264,7 +263,7 @@ def test_criterion_05_wide_duct_reproduction():
         val_ok &= abs(p_peak - p_ref) <= tol
         ok = ok and loc_ok and val_ok
         details.append(f"d={distance * 1e6:.0f}um peak t dev "
-                       f"{(t_peak - model.t2) / model.t2:+.1%}, value dev "
+                       f"{(t_peak - t2) / t2:+.1%}, value dev "
                        f"{abs(p_peak - p_ref):.1e}<= {tol:.1e}")
 
     rx = quarter_receiver(200e-6, 200e-6)
@@ -314,28 +313,29 @@ def test_criterion_08_flow_cir_structure():
     worst = 0.0
     for _ in range(50):
         channel, rx = random_flow_setup(rng)
-        model = FlowModel.for_channel(channel, rx)
-        peak = cir_flow_uniform(model, model.t2)
-        mid_at_t1 = model.rx_fraction - model.angle_fraction * (
-            model.axial_distance_d - model.extent_cx / 2) / (2 * model.mean_velocity * model.t1)
-        mid_at_t2 = model.rx_fraction - model.angle_fraction * (
-            model.axial_distance_d - model.extent_cx / 2) / (2 * model.mean_velocity * model.t2)
-        cont = max(abs(mid_at_t1) / model.rx_fraction, abs(mid_at_t2 - peak) / peak)
+        t1, t2 = flow_transit_times(channel, rx)
+        rx_fraction = rx_area_fraction(channel, rx)
+        angle_fraction = rx.extent_cphi / (2 * math.pi)
+        peak = cir_flow_uniform(channel, rx, t2)
+        mid_at_t1 = rx_fraction - angle_fraction * (
+            rx.axial_distance_d - rx.extent_cx / 2) / (2 * channel.mean_velocity * t1)
+        mid_at_t2 = rx_fraction - angle_fraction * (
+            rx.axial_distance_d - rx.extent_cx / 2) / (2 * channel.mean_velocity * t2)
+        cont = max(abs(mid_at_t1) / rx_fraction, abs(mid_at_t2 - peak) / peak)
         worst = max(worst, cont)
         ok &= cont < 1e-12
-        early = np.linspace(0.0, model.t1, 64)
-        ok &= bool(np.all(cir_flow_uniform(model, early) == 0.0))
-        grid = np.unique(np.concatenate([np.linspace(0.0, 5.0 * model.t2, 2501),
-                                         [model.t1, model.t2]]))
-        values = cir_flow_uniform(model, grid)
+        early = np.linspace(0.0, t1, 64)
+        ok &= bool(np.all(cir_flow_uniform(channel, rx, early) == 0.0))
+        grid = np.unique(np.concatenate([np.linspace(0.0, 5.0 * t2, 2501), [t1, t2]]))
+        values = cir_flow_uniform(channel, rx, grid)
         t_at_max = grid[int(np.argmax(values))]
-        ok &= abs(t_at_max - model.t2) <= 1e-9 * model.t2  # maximiser is t2 (up to float ties)
+        ok &= abs(t_at_max - t2) <= 1e-9 * t2  # maximiser is t2 (up to float ties)
         ok &= values.max() <= peak + 1e-15
-        tail = np.linspace(model.t2, 6.0 * model.t2, 64)
-        products = cir_flow_uniform(model, tail) * tail
+        tail = np.linspace(t2, 6.0 * t2, 64)
+        products = cir_flow_uniform(channel, rx, tail) * tail
         ok &= bool(np.allclose(products, products[0], rtol=1e-12))
         for alpha in rng.uniform(0.02, 1.0, size=8):
-            ok &= abs(cir_flow_uniform(model, model.t2 / alpha) - alpha * peak) \
+            ok &= abs(cir_flow_uniform(channel, rx, t2 / alpha) - alpha * peak) \
                 <= 1e-12 * peak
     check(8, "flow response: continuity, dead time, peak at t2, 1/t tail, "
              "alpha-fraction law", ok, f"worst branch mismatch {worst:.1e} rel")
@@ -348,7 +348,7 @@ def test_criterion_09_ser_pipeline():
     scenarios = [(400e-6, T) for T in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.75)]
     scenarios += [(200e-6, T) for T in (0.1, 0.2, 0.3)]
     for distance, T in scenarios:
-        link, _, _ = flow_sweep_link(WIDE_SER, distance, T)
+        link = flow_sweep_link(WIDE_SER, distance, T)
         xi, _ = optimal_threshold(link)
         link = replace(link, threshold_xi=xi)
         rp = ser_analytic(link, SerMethod.POISSON_ANALYTIC).ser
@@ -357,7 +357,7 @@ def test_criterion_09_ser_pipeline():
     a_ok = worst_rel <= 0.05
 
     # (b) count-model Monte Carlo against the exact binomial computation.
-    link, _, _ = flow_sweep_link(WIDE_SER, 200e-6, 0.25)
+    link = flow_sweep_link(WIDE_SER, 200e-6, 0.25)
     xi, _ = optimal_threshold(link)
     link = replace(link, threshold_xi=xi)
     exact = ser_analytic(link, SerMethod.BINOMIAL_ANALYTIC).ser
@@ -367,9 +367,9 @@ def test_criterion_09_ser_pipeline():
 
     # (c) long-interval behaviour: the far link stays interference-limited
     # while the near link becomes reliable.
-    link_far, _, _ = flow_sweep_link(WIDE_SER, 800e-6, 0.75)
+    link_far = flow_sweep_link(WIDE_SER, 800e-6, 0.75)
     _, far = optimal_threshold(link_far)
-    link_near, _, _ = flow_sweep_link(WIDE_SER, 200e-6, 0.75)
+    link_near = flow_sweep_link(WIDE_SER, 200e-6, 0.75)
     _, near = optimal_threshold(link_near)
     c_ok = far.ser > 1e-2 and near.ser < 1e-2
 

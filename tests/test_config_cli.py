@@ -15,7 +15,7 @@ import pytest
 import ductflow
 from ductflow import SerMethod, particles, presets
 from ductflow.cli import _build_parser, main
-from ductflow.config import KEY_REGISTRY, ConfigError, load_config, parse_value
+from ductflow.config import KEY_REGISTRY, MAX_GRID_POINTS, ConfigError, load_config, parse_value
 from ductflow.output import Table, emit_table, format_value
 from ductflow.presets import ACTIONS, PRESETS, preset_config
 from conftest import exit_in_worker, raise_in_worker
@@ -143,6 +143,13 @@ class TestResolution:
         cfg = load_config(file_path=path, overrides={"channel.radius": "10 um"})
         assert cfg["channel.radius"] == 10e-6
         assert cfg.provenance["channel.radius"] == "flag"
+
+    def test_time_grid_size_is_bounded(self):
+        grid = load_config(overrides={"grid.t_step": "1e-6"}).time_grid()
+        assert grid.size == MAX_GRID_POINTS
+        for key, value in (("grid.t_step", "1e-7"), ("grid.t_stop", "1e300")):
+            with pytest.raises(ConfigError, match="points, more than the 1000000 allowed"):
+                load_config(overrides={key: value}).time_grid()
 
     def test_invariant_violations_become_config_errors(self):
         cfg = load_config(overrides={"rx.distance": "1 um"})
@@ -452,10 +459,26 @@ class TestCli:
         *(["ser", "--set", f"release.n_tx={n}"] for n in ("1e20", "1e300")),
         # A grid that starts before the release, for the closed forms and the engine.
         *([command, "--set", "grid.t_start=-0.1"] for command in ("cir", "simulate")),
+        # A grid of 1e302 points is refused before it is allocated.
+        ["cir", "--set", "grid.t_stop=1e300"],
     ])
     def test_invalid_setting_is_config_error(self, tmp_path, capsys, argv):
         assert main(argv + ["--out", str(tmp_path)]) == 2
         assert "configuration error" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*")) == []
+
+    @pytest.mark.parametrize("command", ["cir", "ser"])
+    @pytest.mark.parametrize("setting, message", [
+        # d / (2 vbar band) overflows, so both transit times are inf.
+        ("channel.mean_velocity=5e-324", "transit times must satisfy 0 < t1 < t2"),
+        # c_phi / 2 pi underflows to 0, so the receiver covers no area.
+        ("rx.extent_phi=5e-324", "receiver area fraction must lie in (0, 1]"),
+    ])
+    def test_degenerate_flow_form_is_config_error(self, tmp_path, capsys, command, setting,
+                                                  message):
+        argv = [command, "--out", str(tmp_path), "--set", setting, "--set", "channel.diffusion=0"]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
         assert list(tmp_path.rglob("*")) == []
 
     def test_binomial_ser_has_no_false_floor(self, tmp_path):

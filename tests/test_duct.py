@@ -147,6 +147,12 @@ class TestRxAreaFraction:
         with pytest.raises(ValueError):
             rx_area_fraction(narrow_channel, rx)
 
+    def test_vanishing_fraction_refused(self, narrow_channel):
+        # c_phi / 2 pi underflows to 0 for the smallest subnormal angle.
+        rx = make_receiver(10e-6, cphi=5e-324)
+        with pytest.raises(ValueError, match=r"area fraction must lie in \(0, 1\]"):
+            rx_area_fraction(narrow_channel, rx)
+
     def test_matches_indicator_quadrature(self):
         rng = np.random.default_rng(21)
         for _ in range(20):

@@ -7,19 +7,18 @@ import pytest
 
 from ductflow import (
     DispersionModel,
-    FlowModel,
     ReceiverVolume,
     ReleaseSpec,
     cir_dispersion,
     cir_flow_point,
     cir_flow_uniform,
     dispersion_peak_time,
-    dispersion_peak_value,
     effective_diffusion,
     flow_point_window,
     flow_transit_times,
     oracle_cir_dispersion,
     oracle_cir_flow,
+    rx_area_fraction,
 )
 from conftest import make_channel, make_receiver
 
@@ -176,8 +175,8 @@ class TestDispersionPeak:
 
     def test_peak_value_is_near_stationary(self, setup):
         model, rx = setup
-        peak = dispersion_peak_value(model, rx)
         tmax = dispersion_peak_time(model, rx.axial_distance_d)
+        peak = cir_dispersion(model, rx, tmax)
         for factor in (0.99, 1.01):
             assert peak >= cir_dispersion(model, rx, tmax * factor) * (1.0 - 1e-4)
 
@@ -197,7 +196,7 @@ class TestDispersionPeak:
         rx = make_receiver(10e-6, 800e-6)
         model = DispersionModel.for_channel(channel, rx)
         tmax = dispersion_peak_time(model, rx.axial_distance_d)
-        value = dispersion_peak_value(model, rx)
+        value = cir_dispersion(model, rx, tmax)
         assert value == pytest.approx(oracle_cir_dispersion(model, rx, tmax), abs=1e-12)
         from scipy.special import ndtr
         d, half = rx.axial_distance_d, rx.extent_cx / 2.0
@@ -229,47 +228,60 @@ class TestFlowTransitTimes:
         with pytest.raises(ValueError):
             flow_transit_times(channel, make_receiver(200e-6, 200e-6))
 
+    def test_overflowing_times_refused(self):
+        # d / (2 vbar band) overflows, so t1 = t2 = inf.
+        channel = make_channel(radius=200e-6, diffusion=0.0, mean_velocity=5e-324)
+        with pytest.raises(ValueError, match="0 < t1 < t2"):
+            flow_transit_times(channel, make_receiver(200e-6, 200e-6))
+
 
 class TestFlowUniformCir:
-    @pytest.fixture
-    def model(self, wide_flow_only):
-        return FlowModel.for_channel(wide_flow_only, make_receiver(200e-6, 200e-6))
+    def test_reference_values(self, wide_flow_only):
+        rx = make_receiver(200e-6, 200e-6)
+        t1, t2 = flow_transit_times(wide_flow_only, rx)
+        assert cir_flow_uniform(wide_flow_only, rx, t2) == pytest.approx(0.075, rel=1e-12)
+        assert cir_flow_uniform(wide_flow_only, rx, 2.0 * t2) == pytest.approx(
+            0.0375, rel=1e-12)
+        assert cir_flow_uniform(wide_flow_only, rx, t1) == 0.0
 
-    def test_reference_values(self, model):
-        assert cir_flow_uniform(model, model.t2) == pytest.approx(0.075, rel=1e-12)
-        assert cir_flow_uniform(model, 2.0 * model.t2) == pytest.approx(0.0375, rel=1e-12)
-        assert cir_flow_uniform(model, model.t1) == 0.0
+    def test_vanishing_area_fraction_refused_at_any_time(self, wide_flow_only):
+        rx = make_receiver(200e-6, 200e-6, cphi=5e-324)
+        t1, t2 = flow_transit_times(wide_flow_only, rx)
+        for t in (0.0, 2.0 * t2):
+            with pytest.raises(ValueError, match=r"area fraction must lie in \(0, 1\]"):
+                cir_flow_uniform(wide_flow_only, rx, t)
 
     def test_structure_over_random_geometries(self):
         rng = np.random.default_rng(42)
         for _ in range(40):
             channel, rx = random_flow_setup(rng)
-            model = FlowModel.for_channel(channel, rx)
-            mid_at_t1 = model.rx_fraction - model.angle_fraction * (
-                model.axial_distance_d - model.extent_cx / 2) / (2 * model.mean_velocity * model.t1)
-            mid_at_t2 = model.rx_fraction - model.angle_fraction * (
-                model.axial_distance_d - model.extent_cx / 2) / (2 * model.mean_velocity * model.t2)
-            peak = cir_flow_uniform(model, model.t2)
+            t1, t2 = flow_transit_times(channel, rx)
+            rx_fraction = rx_area_fraction(channel, rx)
+            angle_fraction = rx.extent_cphi / (2 * math.pi)
+            mid_at_t1 = rx_fraction - angle_fraction * (
+                rx.axial_distance_d - rx.extent_cx / 2) / (2 * channel.mean_velocity * t1)
+            mid_at_t2 = rx_fraction - angle_fraction * (
+                rx.axial_distance_d - rx.extent_cx / 2) / (2 * channel.mean_velocity * t2)
+            peak = cir_flow_uniform(channel, rx, t2)
             # continuity at the two branch points
-            assert abs(mid_at_t1) <= 1e-12 * model.rx_fraction
+            assert abs(mid_at_t1) <= 1e-12 * rx_fraction
             assert abs(mid_at_t2 - peak) <= 1e-12 * peak
             # zero before the first transit
-            early = np.linspace(0.0, model.t1, 50)
-            assert np.all(cir_flow_uniform(model, early) == 0.0)
+            early = np.linspace(0.0, t1, 50)
+            assert np.all(cir_flow_uniform(channel, rx, early) == 0.0)
             # global maximum at t2 (a grid point one ulp away may tie)
-            grid = np.unique(np.concatenate([
-                np.linspace(0.0, 4.0 * model.t2, 4001), [model.t1, model.t2]]))
-            values = cir_flow_uniform(model, grid)
-            assert grid[np.argmax(values)] == pytest.approx(model.t2, rel=1e-9)
+            grid = np.unique(np.concatenate([np.linspace(0.0, 4.0 * t2, 4001), [t1, t2]]))
+            values = cir_flow_uniform(channel, rx, grid)
+            assert grid[np.argmax(values)] == pytest.approx(t2, rel=1e-9)
             assert values.max() <= peak + 1e-15
-            assert np.all(values <= model.rx_fraction + 1e-15)
+            assert np.all(values <= rx_fraction + 1e-15)
             # polynomial tail: P(t) * t constant beyond t2
-            tail = np.linspace(model.t2, 5.0 * model.t2, 100)
-            products = cir_flow_uniform(model, tail) * tail
+            tail = np.linspace(t2, 5.0 * t2, 100)
+            products = cir_flow_uniform(channel, rx, tail) * tail
             assert np.allclose(products, products[0], rtol=1e-12)
             # the alpha fraction of the peak is seen at t2 / alpha
             for alpha in rng.uniform(0.05, 1.0, size=5):
-                assert cir_flow_uniform(model, model.t2 / alpha) == pytest.approx(
+                assert cir_flow_uniform(channel, rx, t2 / alpha) == pytest.approx(
                     alpha * peak, rel=1e-12)
 
 
@@ -316,17 +328,17 @@ class TestFlowOracle:
         rng = np.random.default_rng(11)
         for _ in range(8):
             channel, rx = random_flow_setup(rng)
-            model = FlowModel.for_channel(channel, rx)
-            t = rng.uniform(0.5 * model.t1, 3.0 * model.t2)
+            t1, t2 = flow_transit_times(channel, rx)
+            t = rng.uniform(0.5 * t1, 3.0 * t2)
             numeric = oracle_cir_flow(channel, rx, ReleaseSpec.uniform(1), t,
                                       n_radial_cells=2_000_000, n_angular_cells=2_000_000)
-            assert abs(numeric - cir_flow_uniform(model, t)) < 2e-6
+            assert abs(numeric - cir_flow_uniform(channel, rx, t)) < 2e-6
 
     def test_zero_before_first_transit(self, wide_flow_only):
         rx = make_receiver(200e-6, 200e-6)
-        model = FlowModel.for_channel(wide_flow_only, rx)
+        t1 = flow_transit_times(wide_flow_only, rx)[0]
         assert oracle_cir_flow(wide_flow_only, rx, ReleaseSpec.uniform(1),
-                               0.5 * model.t1, 100_000, 100_000) == 0.0
+                               0.5 * t1, 100_000, 100_000) == 0.0
 
     def test_point_release_is_exact(self, wide_flow_only):
         rx = make_receiver(200e-6, 200e-6)

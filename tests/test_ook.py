@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from scipy.stats import binom, poisson
 
 from ductflow import (
-    FlowModel,
     OokLinkConfig,
     Regime,
     ReleaseSpec,
@@ -22,6 +21,7 @@ from ductflow import (
     cir_flow_uniform,
     classify_regime,
     detection_offsets,
+    flow_transit_times,
     optimal_threshold,
     run,
     ser_analytic,
@@ -39,10 +39,10 @@ def flow_link(distance=200e-6, T=0.1, K=8, xi=30, noise=4.0, n_tx=1000,
               diffusion=1e-12):
     channel = make_channel(radius=200e-6, diffusion=diffusion)
     rx = make_receiver(200e-6, distance)
-    model = FlowModel.for_channel(channel, rx)
-    link = OokLinkConfig(pob=cir_flow_uniform(model, detection_offsets(T, K, model.t2)),
+    t2 = flow_transit_times(channel, rx)[1]
+    link = OokLinkConfig(pob=cir_flow_uniform(channel, rx, detection_offsets(T, K, t2)),
                          threshold_xi=xi, noise_mean_Nn=noise, n_tx=n_tx)
-    return link, channel, rx, model
+    return link, channel, rx
 
 
 def binom_pmf_oracle(n, p):

@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from ductflow import (
-    FlowModel,
     ReceiverVolume,
     ReleaseSpec,
     SimConfig,
@@ -292,8 +291,7 @@ class TestRun:
         times = np.arange(1, 301) * 1e-3
         cfg = sim_config(wide_flow_only, rx, ReleaseSpec.uniform(50_000), times, seed=7)
         series = run(cfg).series
-        model = FlowModel.for_channel(wide_flow_only, rx)
-        p = cir_flow_uniform(model, series.times)
+        p = cir_flow_uniform(wide_flow_only, rx, series.times)
         bound = 3.0 * np.sqrt(p * (1.0 - p) / cfg.release.n_tx)
         inside = np.abs(series.probabilities() - p) <= bound + 1e-12
         assert inside.mean() >= 0.99

@@ -1,10 +1,10 @@
-"""The README's command-line examples still parse and resolve.
+"""The README's examples still parse, resolve and run.
 
 Every ``ductflow ...`` line in the README's ``sh`` blocks and every preset
 call in its demo table goes through the CLI's own argument parser and
 dispatch (``cli._dispatch``), with the action dropped, so the engine never
 runs and an unknown key, a bad unit or bad list syntax fails here instead
-of reaching a reader.
+of reaching a reader.  The ``python`` quick start is executed as written.
 """
 
 import re
@@ -44,8 +44,10 @@ def _demo_table_commands(text: str) -> list[list[str]]:
     return commands
 
 
-COMMANDS = _sh_commands(README.read_text(encoding="utf-8"))
-DEMO_COMMANDS = _demo_table_commands(README.read_text(encoding="utf-8"))
+TEXT = README.read_text(encoding="utf-8")
+COMMANDS = _sh_commands(TEXT)
+DEMO_COMMANDS = _demo_table_commands(TEXT)
+PYTHON_BLOCKS = re.findall(r"^```python\n(.*?)^```", TEXT, flags=re.M | re.S)
 
 
 def test_examples_found():
@@ -60,3 +62,11 @@ def test_example_resolves(argv, monkeypatch):
     # The CLI's own dispatch resolves the configuration; the action is dropped.
     monkeypatch.setattr(cli, "discard_partial_outputs", lambda action, out_dir: [])
     assert cli._dispatch(cli._build_parser().parse_args(argv)) == []
+
+
+def test_python_quick_start_runs():
+    assert len(PYTHON_BLOCKS) == 1
+    namespace = {}
+    exec(compile(PYTHON_BLOCKS[0], str(README), "exec"), namespace)
+    assert 0 <= namespace["xi"] <= 1000
+    assert namespace["flow"].shape == namespace["analytic"].shape

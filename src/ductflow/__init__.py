@@ -36,6 +36,7 @@ from .ook import (
     optimal_threshold,
     ser_analytic,
     ser_monte_carlo,
+    ser_monte_carlo_many,
 )
 from .particles import (
     ObservationSeries,
@@ -55,7 +56,7 @@ __all__ = [
     "oracle_cir_dispersion", "oracle_cir_flow",
     "SimConfig", "ObservationSeries", "SimResult", "run",
     "OokLinkConfig", "SerMethod", "SerResult", "detection_offsets", "ser_analytic",
-    "optimal_threshold", "ser_monte_carlo",
+    "optimal_threshold", "ser_monte_carlo", "ser_monte_carlo_many",
     "__version__",
 ]
 

@@ -39,14 +39,21 @@ Both analytic models treat counts at different sampling instants as
 independent, and for the SER that loses nothing: the SER is a mean of
 single-instant errors, and one instant's count sums independent releases.
 ``MONTE_CARLO_COUNTS`` samples that same model from the trimmed pmfs that
-``BINOMIAL_ANALYTIC`` convolves, by inverse CDF on one uniform per count:
-block by block of realizations, the bits, then the noise of every sampling
-instant, then for ``j = 0..K-1`` offset ``j``'s count for every transmitted
-1 whose offset-``j`` instant lies in the sequence, each in C order of
-``(realization, symbol)``.  A guide table (Chen & Asau, 1974) turns each
-uniform into the cell a binary search of the cumulative sum would find, and
-offset ``j`` adds its counts at the flat indices of those 1s shifted by
-``j``: a block makes no binary search per draw and reads no boolean mask.
+``BINOMIAL_ANALYTIC`` convolves, by inverse CDF on one uniform per count.
+It draws block by block of realizations, at most ``_MC_BLOCK`` of them and
+at most ``_MC_CELLS`` cells ``(realization, symbol)``, each draw in C order
+of ``(realization, symbol)``.  A block first draws the bits, then the noise
+of every sampling instant: links of one sequence length and noise mean
+share these common random numbers, so a sweep draws them once per block
+for all its links.  Each link then restarts from the generator state after
+the noise and draws, for ``j = 0..K-1``, offset ``j``'s count for every
+transmitted 1 whose offset-``j`` instant lies in the sequence.  That is
+one uniform per such 1 whatever the link, so every link leaves the
+generator in one state, from which the next block draws its bits: each
+link gets the result it would get run alone.  A guide table (Chen & Asau,
+1974) turns each uniform into the cell a binary search of the cumulative
+sum would find, and offset ``j`` adds its counts at the flat indices of
+those 1s shifted by ``j``: a block makes no binary search per draw.
 Trimming drops only tail cells below 1e-18, about ``max(1, sd / 4) 1e-18``
 of a term's mass, so a count's law is off by at most the sum over its
 ``K + 1`` terms, which no Monte Carlo run resolves.
@@ -86,11 +93,13 @@ from functools import partial
 import numpy as np
 
 __all__ = ["SerMethod", "OokLinkConfig", "SerResult", "detection_offsets", "ser_analytic",
-           "optimal_threshold", "ser_monte_carlo"]
+           "optimal_threshold", "ser_monte_carlo", "ser_monte_carlo_many"]
 
 _PMF_TAIL = 1e-18
-#: Realizations the count Monte Carlo draws at a time.
+#: Realizations the count Monte Carlo draws at a time, at most.
 _MC_BLOCK = 1 << 16
+#: Cells ``(realization, symbol)`` one count Monte Carlo block holds, at most.
+_MC_CELLS = 8 * _MC_BLOCK
 
 
 class SerMethod(Enum):
@@ -422,26 +431,66 @@ def _inverse_cdf(term: tuple[int, np.ndarray], u: np.ndarray) -> np.ndarray:
     return cells.reshape(u.shape)
 
 
-def _mc_counts_block(link: OokLinkConfig, terms: list[tuple[int, np.ndarray]],
+def _mc_block_errors(links: list[OokLinkConfig], terms: list[list[tuple[int, np.ndarray]]],
                      realizations: int, rng: np.random.Generator) -> np.ndarray:
-    k = link.seq_len_K
+    """Errors of each link at each symbol over one block, shape ``(len(links), K)``.
+
+    ``terms[m]`` is link ``m``'s :func:`_count_terms`; the links share their
+    noise term, so the bits and the noise counts are drawn once.
+    """
+    k = links[0].seq_len_K
     sent = rng.integers(0, 2, size=(realizations, k), dtype=np.int64) == 1
-    counts = _inverse_cdf(terms[0], rng.random((realizations, k)))
-    flat = counts.reshape(-1)
-    # A 1 sent at symbol s of realization r adds offset j's count at flat
-    # index r k + s + j.  Ascending, these targets are the C order of
-    # (r, s) in which offset j draws; at j = k - s the target would wrap
-    # into row r + 1, and the 1 leaves.
-    targets = np.flatnonzero(sent)
-    for j, term in enumerate(terms[1:]):
-        if j:
-            targets += 1
-            targets = targets[targets % k != 0]
-        draws = _inverse_cdf(term, rng.random(targets.size))
-        draws += np.take(flat, targets, mode="clip")
-        flat[targets] = draws
-        del draws  # before the next offset's targets and uniforms
-    return (counts >= link.threshold_xi) != sent
+    noise = _inverse_cdf(terms[0][0], rng.random((realizations, k)))
+    shared = rng.bit_generator.state
+    errors = np.empty((len(links), k), dtype=np.int64)
+    for m, (link, link_terms) in enumerate(zip(links, terms)):
+        rng.bit_generator.state = shared
+        counts = noise if m == len(links) - 1 else noise.copy()
+        flat = counts.reshape(-1)
+        # A 1 sent at symbol s < k - j of realization r adds offset j's count
+        # at flat index r k + s + j: the 1s left once the last j columns are
+        # cleared, shifted by j.  Ascending, these targets are the C order of
+        # (r, s) in which offset j draws.
+        active = sent.copy()
+        for j, term in enumerate(link_terms[1:]):
+            if j:
+                active[:, k - j] = False
+            targets = np.flatnonzero(active)
+            targets += j
+            draws = _inverse_cdf(term, rng.random(targets.size))
+            draws += np.take(flat, targets, mode="clip")
+            flat[targets] = draws
+            del targets, draws  # before the next offset's targets and uniforms
+        errors[m] = np.count_nonzero((counts >= link.threshold_xi) != sent, axis=0)
+    return errors
+
+
+def ser_monte_carlo_many(links: list[OokLinkConfig], realizations: int,
+                         seed: int) -> list[SerResult]:
+    """:func:`ser_monte_carlo` of each link, drawing what the links share once.
+
+    All links must share ``seq_len_K`` and ``noise_mean_Nn``, as the points
+    of a sweep do.  Each block then draws the bits and the noise counts once
+    for every link, and each link only its own offsets' counts (see the
+    module notes), so each result is bit for bit ``ser_monte_carlo(link,
+    realizations, seed)``.  Links may differ in ``pob``, threshold and
+    ``n_tx``; ``[]`` gives ``[]``.
+    """
+    if realizations < 1:
+        raise ValueError("need at least one realization")
+    if not links:
+        return []
+    k, noise = links[0].seq_len_K, links[0].noise_mean_Nn
+    if any(link.seq_len_K != k or link.noise_mean_Nn != noise for link in links):
+        raise ValueError("Monte Carlo links must share their sequence length and noise mean")
+    terms = [_count_terms(link, SerMethod.BINOMIAL_ANALYTIC) for link in links]
+    rng = np.random.default_rng([seed, 0])
+    block = min(_MC_BLOCK, max(1, _MC_CELLS // k))
+    errors = np.zeros((len(links), k), dtype=np.int64)
+    for start in range(0, realizations, block):
+        errors += _mc_block_errors(links, terms, min(block, realizations - start), rng)
+    return [SerResult(ser=float(e.sum() / (realizations * k)), per_symbol_errors=e / realizations)
+            for e in errors]
 
 
 def ser_monte_carlo(link: OokLinkConfig, realizations: int, seed: int,
@@ -451,18 +500,11 @@ def ser_monte_carlo(link: OokLinkConfig, realizations: int, seed: int,
     ``MONTE_CARLO_COUNTS``, the one method, samples per-symbol counts from the
     trimmed pmfs that ``BINOMIAL_ANALYTIC`` convolves: it estimates what that
     method computes, so it no longer checks the pmf kernels (the pmf tests
-    and the brute-force SER do).  Blocks of ``_MC_BLOCK`` realizations keep
-    memory flat in ``realizations``; a fixed seed reproduces the result.
+    and the brute-force SER do).  Blocks of at most ``_MC_BLOCK``
+    realizations and ``_MC_CELLS`` cells keep memory flat in
+    ``realizations`` and ``K``; a fixed seed reproduces the result.  This is
+    :func:`ser_monte_carlo_many` of the one link.
     """
-    if realizations < 1:
-        raise ValueError("need at least one realization")
     if method is not SerMethod.MONTE_CARLO_COUNTS:
         raise ValueError(f"{method} is not a Monte Carlo method")
-    terms = _count_terms(link, SerMethod.BINOMIAL_ANALYTIC)
-    rng = np.random.default_rng([seed, 0])
-    errors = np.zeros(link.seq_len_K, dtype=np.int64)
-    for start in range(0, realizations, _MC_BLOCK):
-        errors += _mc_counts_block(link, terms, min(_MC_BLOCK, realizations - start),
-                                   rng).sum(axis=0)
-    return SerResult(ser=float(errors.sum() / (realizations * link.seq_len_K)),
-                     per_symbol_errors=errors / realizations)
+    return ser_monte_carlo_many([link], realizations, seed)[0]

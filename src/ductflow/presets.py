@@ -26,7 +26,7 @@ from .duct import Regime, classify_regime
 from .impulse import (DispersionModel, cir_dispersion, cir_flow_point, cir_flow_uniform,
                       dispersion_peak_time, flow_transit_times)
 from .ook import (OokLinkConfig, SerMethod, detection_offsets, optimal_threshold, ser_analytic,
-                  ser_monte_carlo)
+                  ser_monte_carlo_many)
 from .output import Table, emit_table
 from .particles import SimConfig, run, run_many
 
@@ -215,10 +215,15 @@ def ser_action(cfg: ResolvedConfig, out_dir: Path, threads: int = 1) -> list[Pat
 
     Each point writes one row per ``ook.method`` entry, in the listed order.
     ``particle_binomial`` takes the link's ``P_ob`` from an engine pool as
-    it is (:func:`_particle_pobs`).
+    it is (:func:`_particle_pobs`).  ``monte_carlo_counts`` runs once over
+    every point's link (:func:`ser_monte_carlo_many`), each row the one a
+    sweep of that point alone would write.
     """
     methods = [SerMethod(method) for method in cfg["ook.method"]]
     realizations = cfg["ook.realizations"]
+    run_mc = SerMethod.MONTE_CARLO_COUNTS in methods
+    if run_mc and realizations < 1:
+        raise ConfigError("need at least one realization")
     seed = cfg["seed"]
     grid = [(d, t) for d in cfg["ser.distances"] for t in cfg["ser.symbol_intervals"]]
     # Every link is checked before a particle_binomial pool starts the engine.
@@ -226,18 +231,20 @@ def ser_action(cfg: ResolvedConfig, out_dir: Path, threads: int = 1) -> list[Pat
               for distance, symbol_interval in grid]
     pobs = (_particle_pobs(cfg, [(rx, offsets) for _, rx, offsets in points], threads)
             if SerMethod.PARTICLE_BINOMIAL in methods else [None] * len(points))
-    search = cfg["ook.threshold"] == "optimal"
+    links, searches = [link for link, _, _ in points], [None] * len(points)
+    if cfg["ook.threshold"] == "optimal":
+        for i, link in enumerate(links):
+            xi_opt, searches[i] = optimal_threshold(link, SerMethod.POISSON_ANALYTIC)
+            links[i] = replace(link, threshold_xi=xi_opt)
+    mc_results = (cfg.build(ser_monte_carlo_many, links, realizations, seed) if run_mc
+                  else [None] * len(links))
     rows = []
-    for (distance, symbol_interval), (link, _, _), pob in zip(grid, points, pobs):
-        searched = None
-        if search:
-            xi_opt, searched = optimal_threshold(link, SerMethod.POISSON_ANALYTIC)
-            link = replace(link, threshold_xi=xi_opt)
+    for (distance, symbol_interval), link, searched, pob, mc_result in zip(
+            grid, links, searches, pobs, mc_results):
         for method in methods:
             used = 0
             if method is SerMethod.MONTE_CARLO_COUNTS:
-                result = cfg.build(ser_monte_carlo, link, realizations, seed, method)
-                used = realizations
+                result, used = mc_result, realizations
             elif method is SerMethod.PARTICLE_BINOMIAL:
                 result = ser_analytic(replace(link, pob=pob), SerMethod.BINOMIAL_ANALYTIC)
             elif method is SerMethod.POISSON_ANALYTIC and searched is not None:

@@ -394,6 +394,20 @@ class TestCli:
         assert "detection threshold must lie in" in capsys.readouterr().err
         assert list(tmp_path.rglob("*")) == []
 
+    def test_realizations_are_checked_before_any_ser_work(self, tmp_path, capsys, monkeypatch):
+        # The count Monte Carlo runs after every point's threshold search and
+        # engine pool, so its realization count is refused before either.
+        def work(*args, **kwargs):
+            raise AssertionError("SER work ran before ook.realizations was checked")
+        for name in ("optimal_threshold", "ser_analytic", "run_many"):
+            monkeypatch.setattr(presets, name, work)
+        rc = main(["ser", "--out", str(tmp_path),
+                   "--set", "ook.method=particle_binomial,monte_carlo_counts",
+                   "--set", "ook.realizations=0"])
+        assert rc == 2
+        assert "need at least one realization" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*")) == []
+
     def test_command_table_is_the_parser(self, capsys):
         with pytest.raises(SystemExit):
             main(["--help"])

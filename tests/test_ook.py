@@ -26,11 +26,12 @@ from ductflow import (
     run,
     ser_analytic,
     ser_monte_carlo,
+    ser_monte_carlo_many,
 )
 from ductflow import presets
 from ductflow.config import load_config
-from ductflow.ook import (_MC_BLOCK, _binomial_pmf, _count_terms, _error_table, _inverse_cdf,
-                          _mc_counts_block, _poisson_pmf)
+from ductflow.ook import (_MC_BLOCK, _MC_CELLS, _binomial_pmf, _count_terms, _error_table,
+                          _inverse_cdf, _mc_block_errors, _poisson_pmf)
 from ductflow.presets import _auto_link, _particle_pobs, preset_config
 from conftest import make_channel, make_receiver
 
@@ -539,17 +540,43 @@ class TestSerMonteCarlo:
     @pytest.mark.parametrize("k", [1, 2, 8, 25])
     @pytest.mark.parametrize("xi", ["zero", "own", "n_tx"])
     def test_block_matches_boolean_masks(self, k, xi):
-        # The same uniforms give the same counts, so the same errors, and the
-        # generators end in the same state.
+        # The same uniforms give the same counts, so the same errors of each
+        # symbol, and the generators end in the same state.
         link, *_ = flow_link(T=0.1, K=k)
         links = [link, OokLinkConfig(np.where(np.arange(k) % 2, 0.0, link.pob), 0, 0.0, 1000)]
         for link in links:
             link = replace(link, threshold_xi={"zero": 0, "own": 30, "n_tx": link.n_tx}[xi])
             terms = _count_terms(link, SerMethod.BINOMIAL_ANALYTIC)
             fast, slow = np.random.default_rng(k), np.random.default_rng(k)
-            assert np.array_equal(_mc_counts_block(link, terms, 3001, fast),
-                                  mask_counts_block(link, terms, 3001, slow))
+            assert np.array_equal(_mc_block_errors([link], [terms], 3001, fast)[0],
+                                  mask_counts_block(link, terms, 3001, slow).sum(axis=0))
             assert fast.random() == slow.random()
+
+    @pytest.mark.parametrize("k", [1, 8, 25])
+    @pytest.mark.parametrize("realizations", [3001, _MC_BLOCK + 5])
+    def test_many_is_one_link_at_a_time(self, k, realizations):
+        # Links that differ in pob (zero entries included), in threshold and
+        # in n_tx: each result equals, bit for bit, a run of that link alone.
+        link, *_ = flow_link(T=0.1, K=k)
+        links = [link, replace(link, threshold_xi=0), replace(link, threshold_xi=link.n_tx),
+                 replace(link, pob=np.where(np.arange(k) % 2, 0.0, link.pob[::-1])),
+                 replace(link, pob=np.zeros(k)),
+                 replace(link, n_tx=300, threshold_xi=12)]
+        many = ser_monte_carlo_many(links, realizations, seed=29)
+        assert len(many) == len(links)
+        for one, got in zip(links, many):
+            alone = ser_monte_carlo(one, realizations, seed=29)
+            assert got.ser == alone.ser
+            assert np.array_equal(got.per_symbol_errors, alone.per_symbol_errors)
+
+    def test_many_refuses_mixed_links(self):
+        link, *_ = flow_link(K=8)
+        for other in (flow_link(K=9)[0], replace(link, noise_mean_Nn=5.0)):
+            with pytest.raises(ValueError, match="share their sequence length and noise mean"):
+                ser_monte_carlo_many([link, other], 10, seed=1)
+        assert ser_monte_carlo_many([], 10, seed=1) == []
+        with pytest.raises(ValueError, match="at least one realization"):
+            ser_monte_carlo_many([link], 0, seed=1)
 
     def test_inverse_cdf_cells(self):
         # Cumulative sums 0.25, 0.75 and 1 - 2^-53, the largest uniform
@@ -602,6 +629,30 @@ class TestSerMonteCarlo:
         realizations = 300_000
         bound = 32 * _MC_BLOCK * link.seq_len_K
         assert realizations > 4 * _MC_BLOCK and bound < 8 * realizations * link.seq_len_K
+        tracemalloc.start()
+        try:
+            mc = ser_monte_carlo(link, realizations, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+        p = ser_analytic(link, SerMethod.BINOMIAL_ANALYTIC).per_symbol_errors
+        assert np.all(np.abs(mc.per_symbol_errors - p)
+                      <= 4.0 * np.sqrt(p * (1.0 - p) / realizations))
+
+    def test_blocks_bound_memory_for_long_links(self):
+        # At K = 64 a block holds _MC_CELLS // 64 = 8192 realizations, so
+        # 40 000 span five blocks.  Per cell of one block the peak is the one
+        # test_blocks_bound_memory counts, under 32 bytes; one unblocked
+        # (realizations, K) int64 array would be 20.5 MB, and drawn as one
+        # block they peak at 66.6 MB.  Every per-symbol rate lies within 4
+        # standard errors of the binomial-analytic value.
+        link, *_ = flow_link(T=0.05, K=64)
+        xi, _ = optimal_threshold(link)
+        link = replace(link, threshold_xi=xi)
+        realizations = 40_000
+        bound = 32 * _MC_CELLS
+        assert realizations > 3 * (_MC_CELLS // 64) and bound < 8 * realizations * 64
         tracemalloc.start()
         try:
             mc = ser_monte_carlo(link, realizations, seed=3)

@@ -18,11 +18,11 @@ back into the cross-sectional motion, so the axial increments of the ``k``
 steps since the last sample or snapshot step are drawn at that step as one
 ``N(0, 2 D k dt)``, exact in distribution.
 
-Reproducibility contract: particles form blocks of ``_BLOCK`` by index, and
-each run is cut into ``min(threads, os.cpu_count(), blocks)`` partitions of
-whole blocks.  Block ``b`` owns two generators built from
-``SeedSequence(seed, spawn_key=(b, axis))``: axis 0 draws its release
-positions, then each step's ``y`` and ``z`` normals; axis 1 draws one ``x``
+Reproducibility contract: particles form blocks of ``_BLOCK`` by index.
+Block ``b`` owns two generators built from
+``SeedSequence(seed, spawn_key=(b, axis))``: axis 0 draws two release
+uniforms per particle, for every release kind (a point release ignores
+them), then each step's ``y`` and ``z`` normals; axis 1 draws one ``x``
 normal per particle at each sample or snapshot step, so the sample grid
 leaves the ``y, z`` streams alone.
 Normals are numpy's ziggurat ``standard_normal`` (Marsaglia & Tsang, 2000)
@@ -32,10 +32,20 @@ alone, bit-identical for any worker count and partition.  Receivers are
 transparent: a receiver's counts equal those of a run with that receiver
 alone.
 
+Runs that share a seed, particle count, channel, time step, sample grid and
+snapshot times (the stream key) therefore draw the same normals, common
+random numbers across their releases (Glasserman, *Monte Carlo Methods in
+Financial Engineering*, 2003, sec. 4.2).  :func:`run_many` steps such a
+group as one ``(G, n)`` state, one row per distinct release, and applies
+each draw to every row; the rows round as they would alone, so each run
+keeps its own bytes.  A group's state memory grows with ``G``.  Each group
+is cut into ``min(threads, os.cpu_count(), blocks)`` partitions of whole
+blocks.
+
 Workers are processes, not threads: each step makes a few dozen small NumPy
 calls, and threads handed the GIL back and forth around every one of them,
 so two threads ran no faster than one.  :func:`run_many`, the one scheduler,
-sends the partitions of all its runs, largest first, to one pool of workers
+sends the partitions of all its groups, largest first, to one pool of workers
 and reassembles each run's counts and snapshots in block order; :func:`run`
 is its one-run case, and one worker runs inline, with no pool.  The pool
 forks, so the workers inherit the parent's imports (no re-import of numpy
@@ -203,20 +213,27 @@ class SimResult:
         return self.all_series[0]
 
 
-def _initial_block(release: ReleaseSpec, radius_a: float, spans, gens):
-    """Release-plane positions ``(x, y, z)`` of the blocks at ``spans``."""
+def _initial_block(releases: Sequence[ReleaseSpec], radius_a: float, spans, gens):
+    """Release-plane positions ``(x, y, z)`` of the blocks at ``spans``, one row per release.
+
+    Every release kind takes two uniforms per particle from ``gens``, so all
+    of them leave the generators in one state; a point release ignores them.
+    """
     n = spans[-1][1] if spans else 0
-    if release.kind is ReleaseKind.POINT:
-        y0 = release.r0 * math.cos(release.phi0)
-        z0 = release.r0 * math.sin(release.phi0)
-        return np.zeros(n), np.full(n, y0), np.full(n, z0)
-    # Uniform over the disk: r = a*sqrt(u) makes r^2 uniform on [0, a^2].
     u = np.empty((n, 2))
     for g, (s, e) in zip(gens, spans):
         g.random(out=u[s:e])
+    # Uniform over the disk: r = a*sqrt(u) makes r^2 uniform on [0, a^2].
     r = radius_a * np.sqrt(u[:, 0])
     phi = (2.0 * u[:, 1] - 1.0) * math.pi
-    return np.zeros(n), r * np.cos(phi), r * np.sin(phi)
+    y, z = np.empty((2, len(releases), n))
+    for row, release in enumerate(releases):
+        if release.kind is ReleaseKind.POINT:
+            y[row] = release.r0 * math.cos(release.phi0)
+            z[row] = release.r0 * math.sin(release.phi0)
+        else:
+            y[row], z[row] = r * np.cos(phi), r * np.sin(phi)
+    return np.zeros_like(y), y, z
 
 
 def _reflect_inplace(y: np.ndarray, z: np.ndarray, r2: np.ndarray, radius_a: float) -> None:
@@ -249,16 +266,20 @@ def _draw_normals(spans, gens, *outs: np.ndarray) -> None:
 
 
 def _advance_inplace(x, y, z, r2, channel: DuctChannelConfig, dt: float, normals) -> None:
-    """Advect ``x`` at the pre-step radius, then diffuse (``normals``) and reflect."""
+    """Advect ``x`` at the pre-step radius, then diffuse (``normals``) and reflect.
+
+    ``x, y, z, r2`` are ``(n,)`` or ``(G, n)``; ``normals`` is ``(2, n)``
+    (scaled in place), and each of its columns moves that particle of every row.
+    """
     a = channel.radius_a
     x += (2.0 * channel.mean_velocity) * (1.0 - r2 / (a * a)) * dt
     if normals is not None:
-        sigma = math.sqrt(2.0 * channel.diffusion_D * dt)
-        y += sigma * normals[0]
-        z += sigma * normals[1]
+        normals *= math.sqrt(2.0 * channel.diffusion_D * dt)
+        y += normals[0]
+        z += normals[1]
         np.multiply(y, y, out=r2)
-        r2 += np.multiply(z, z, out=normals[0])
-        _reflect_inplace(y, z, r2, a)
+        r2 += z * z
+        _reflect_inplace(y.reshape(-1), z.reshape(-1), r2.reshape(-1), a)
 
 
 def _hits(rx: ReceiverVolume, radius_a: float, x, y, z, r2) -> int:
@@ -269,18 +290,32 @@ def _hits(rx: ReceiverVolume, radius_a: float, x, y, z, r2) -> int:
     return int(np.count_nonzero(np.abs(np.arctan2(z[cand], y[cand])) <= rx.extent_cphi / 2.0))
 
 
-def _run_block(config: SimConfig, lo: int, hi: int):
-    """Counts and snapshots of particles ``[lo, hi)``; ``lo`` starts a block."""
-    ch = config.channel
-    dt = config.time_step
-    spans, cross, axial = _streams(config.seed, lo, hi)
-    x, y, z = _initial_block(config.release, ch.radius_a, spans, cross)
+def _stream_key(config: SimConfig) -> tuple:
+    """What fixes a run's random streams and steps; runs sharing it step as one state."""
+    return (config.channel, config.time_step, config.seed, config.release.n_tx,
+            config.sample_steps.tobytes(), config.snapshot_steps.tobytes())
+
+
+def _run_block(configs: Sequence[SimConfig], lo: int, hi: int):
+    """``(counts, snapshots)`` of particles ``[lo, hi)`` of each of ``configs``.
+
+    The configs share one :func:`_stream_key`; ``lo`` starts a block.  Each
+    distinct release is one row of the ``(G, n)`` state, moved by the
+    normals drawn once per step for all rows.
+    """
+    first = configs[0]
+    ch = first.channel
+    dt = first.time_step
+    releases = list(dict.fromkeys(config.release for config in configs))
+    spans, cross, axial = _streams(first.seed, lo, hi)
+    x, y, z = _initial_block(releases, ch.radius_a, spans, cross)
     r2 = y * y + z * z
-    normals = (np.empty(hi - lo), np.empty(hi - lo)) if ch.diffusion_D > 0.0 else None
-    columns = {int(s): col for col, s in enumerate(config.sample_steps)}
-    snapshots = dict(zip(config.snapshot_steps.tolist(), config.snapshot_times.tolist()))
-    counts = np.zeros((len(config.receivers), len(columns)), dtype=np.int64)
-    snaps: dict[float, np.ndarray] = {}
+    normals = np.empty((2, hi - lo)) if ch.diffusion_D > 0.0 else None
+    columns = {int(s): col for col, s in enumerate(first.sample_steps)}
+    snapshots = dict(zip(first.snapshot_steps.tolist(), first.snapshot_times.tolist()))
+    outputs = [(releases.index(config.release), config.receivers,
+                np.zeros((len(config.receivers), len(columns)), dtype=np.int64), {})
+               for config in configs]
     last = 0
     for j in sorted(columns.keys() | snapshots.keys()):
         for _ in range(last, j):
@@ -292,12 +327,14 @@ def _run_block(config: SimConfig, lo: int, hi: int):
             _draw_normals(spans, axial, normals[0])
             x += math.sqrt(2.0 * ch.diffusion_D * dt * (j - last)) * normals[0]
         last = j
-        if j in columns:
-            for k, rx in enumerate(config.receivers):
-                counts[k, columns[j]] = _hits(rx, ch.radius_a, x, y, z, r2)
-        if j in snapshots:
-            snaps[snapshots[j]] = np.column_stack((x, r2))
-    return counts, snaps
+        for row, receivers, counts, snaps in outputs:
+            if j in columns:
+                for k, rx in enumerate(receivers):
+                    counts[k, columns[j]] = _hits(rx, ch.radius_a, x[row], y[row], z[row],
+                                                  r2[row])
+            if j in snapshots:
+                snaps[snapshots[j]] = np.column_stack((x[row], r2[row]))
+    return [(counts, snaps) for _, _, counts, snaps in outputs]
 
 
 def _partitions(config: SimConfig, workers: int) -> list[tuple[int, int]]:
@@ -310,22 +347,33 @@ def _partitions(config: SimConfig, workers: int) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
 
 
+def _weight(group: Sequence[SimConfig], lo: int, hi: int) -> int:
+    """Particle-steps of a task times its rows, the distinct releases of ``group``."""
+    return (hi - lo) * group[0].n_steps * len({config.release for config in group})
+
+
 def run_many(configs: Sequence[SimConfig], *, threads: int = 1) -> list[SimResult]:
     """:func:`run` of each of ``configs``, in order, on one set of workers.
 
-    With ``workers = min(threads, os.cpu_count())``, each run is cut into
-    ``workers`` partitions (fewer if it has fewer blocks), so a run longer
+    Configs that share a seed, particle count, channel, time step, sample
+    grid and snapshot times (the :func:`_stream_key`) form a group, whatever
+    their releases and receivers: the group steps as one ``(G, n)`` state,
+    one row per distinct release, on normals drawn once for all rows.  With
+    ``workers = min(threads, os.cpu_count())``, each group is cut into
+    ``workers`` partitions (fewer if it has fewer blocks), so a group longer
     than the others still spreads over every worker.  All partitions go to
-    one pool, largest (in particle-steps) first; each result equals that
-    config's own :func:`run`.
+    one pool, largest (in particle-steps times ``G``) first; each result
+    equals that config's own :func:`run`.
     """
     if threads < 1:
         raise ValueError("threads must be at least 1")
     workers = min(threads, os.cpu_count() or 1)
-    tasks = [(k, config, lo, hi) for k, config in enumerate(configs)
-             for lo, hi in _partitions(config, workers)]
-    order = sorted(range(len(tasks)),
-                   key=lambda i: -(tasks[i][3] - tasks[i][2]) * tasks[i][1].n_steps)
+    groups: dict[tuple, list[int]] = {}
+    for k, config in enumerate(configs):
+        groups.setdefault(_stream_key(config), []).append(k)
+    tasks = [(members, [configs[k] for k in members], lo, hi) for members in groups.values()
+             for lo, hi in _partitions(configs[members[0]], workers)]
+    order = sorted(range(len(tasks)), key=lambda i: -_weight(*tasks[i][1:]))
     ordered = [tasks[i][1:] for i in order]
     workers = min(workers, len(tasks))
     if workers <= 1:
@@ -336,8 +384,9 @@ def run_many(configs: Sequence[SimConfig], *, threads: int = 1) -> list[SimResul
             outputs = list(pool.map(_run_block, *zip(*ordered)))
     done = dict(zip(order, outputs))
     parts: list[list] = [[] for _ in configs]
-    for i, (k, *_) in enumerate(tasks):
-        parts[k].append(done[i])
+    for i, (members, *_) in enumerate(tasks):
+        for k, part in zip(members, done[i]):
+            parts[k].append(part)
     results = []
     for config, part in zip(configs, parts):
         counts = np.sum([c for c, _ in part], axis=0)

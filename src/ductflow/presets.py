@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, ResolvedConfig, load_config
+from .config import MAX_GRID_POINTS, ConfigError, ResolvedConfig, load_config
 from .duct import Regime, classify_regime
 from .impulse import (DispersionModel, cir_dispersion, cir_flow_point, cir_flow_uniform,
                       dispersion_peak_time, flow_transit_times)
@@ -131,8 +131,9 @@ def simulate_action(cfg: ResolvedConfig, out_dir: Path, threads: int = 1) -> lis
 
 
 def _simulated_cir_paths(cfg: ResolvedConfig, out_dir: Path, threads: int) -> list[Path]:
-    # One engine pass per release kind counts every distance's receiver, both
-    # passes on one set of workers; files are then written distance by distance.
+    # Both release kinds share their stream, so one engine pass moves them
+    # together and counts every distance's receiver; files are then written
+    # distance by distance.
     distances = cfg["cir.distances"]
     receivers = tuple(cfg.receiver(distance=d) for d in distances)
     grid = cfg.time_grid()
@@ -224,6 +225,10 @@ def ser_action(cfg: ResolvedConfig, out_dir: Path, threads: int = 1) -> list[Pat
     run_mc = SerMethod.MONTE_CARLO_COUNTS in methods
     if run_mc and realizations < 1:
         raise ConfigError("need at least one realization")
+    # The detection offsets are a time grid, refused like one before they exist.
+    if cfg["ook.seq_len"] > MAX_GRID_POINTS:
+        raise ConfigError(f"ook.seq_len gives {cfg['ook.seq_len']} detection offsets, "
+                          f"more than the {MAX_GRID_POINTS} allowed")
     seed = cfg["seed"]
     grid = [(d, t) for d in cfg["ser.distances"] for t in cfg["ser.symbol_intervals"]]
     # Every link is checked before a particle_binomial pool starts the engine.

@@ -360,10 +360,11 @@ class TestCli:
     def test_worker_failure_exit_code_and_cleanup(self, tmp_path, capsys, monkeypatch, fault):
         # The analytic tables are written before the engine's two runs fail
         # in their shared pool of forked workers, which inherit the patch.
+        # The runs step as one group, so two blocks make the two partitions.
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(particles, "_run_block", fault)
         rc = main(["preset", "cir_small_duct", "--out", str(tmp_path), "--threads", "2",
-                   "--set", "release.n_tx=300", "--set", "grid.t_stop=0.05"])
+                   "--set", "release.n_tx=2100", "--set", "grid.t_stop=0.05"])
         assert rc == 3
         assert capsys.readouterr().err.startswith("ductflow: error: ")
         assert list(tmp_path.rglob("*")) == []
@@ -381,6 +382,19 @@ class TestCli:
         assert rc == 2
         assert "configuration error" in capsys.readouterr().err
         assert list(tmp_path.rglob("*.csv")) == []
+
+    def test_huge_sequence_length_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # 1e9 detection offsets would take 7.45 GiB; they are refused as a
+        # time grid past MAX_GRID_POINTS is, before any is made.
+        def offsets(*args, **kwargs):
+            raise AssertionError("detection offsets were made for a refused sequence length")
+        monkeypatch.setattr(presets, "detection_offsets", offsets)
+        rc = main(["ser", "--out", str(tmp_path), "--set", "ook.seq_len=1e9"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "1000000000 detection offsets" in err
+        assert str(MAX_GRID_POINTS) in err
+        assert list(tmp_path.rglob("*")) == []
 
     def test_every_link_is_checked_before_the_engine(self, tmp_path, capsys, monkeypatch):
         # A refused link must not wait behind a 100 000-particle pool.
@@ -615,8 +629,8 @@ CIR_GOLDEN_SHA256 = {
         "cir_analytic_d200um.csv": "b3d6d2973914f4448dc4d9a551fb30c25a7419138f79464f7f70534281d65e08",
         "cir_analytic_d800um.csv": "d4f8cdfdb890faf619526dfdd89199d2bf3cb7efd21c9533d9402e3aa0eb0952",
         "cir_peaks.csv": "538a6cc7038328f1d01392a39ef2645e5f8ad2a6c065ee625fa44d5affcfd4ec",
-        "cir_sim_point_d200um.csv": "945f5d0d192da1f3ea62fcd84dee7505395682be3221c24bd5fa89cfd9c72913",
-        "cir_sim_point_d800um.csv": "f15a31a1855abb27bccf2ac0e760eb6af14d9ebbe4b00178969d0c1098edf8c9",
+        "cir_sim_point_d200um.csv": "3ed04523e70fcfdf89fd546640513df572ec518fa16195c2dad8c91702ca3240",
+        "cir_sim_point_d800um.csv": "e4b59ef9334aeac6e8521f63771a143d8a22c41ffd7b95a2f93423de632f8db9",
         "cir_sim_uniform_d200um.csv": "d0a853c7850fe1b1d03e25907d57d7887a9aaaedc0a47c54cb4486bcd806deb1",
         "cir_sim_uniform_d800um.csv": "7432faa412b37008f48fceefb772c624bcde84cb79b2f620b394cdfd3e76b11b",
     },
@@ -624,8 +638,8 @@ CIR_GOLDEN_SHA256 = {
         "cir_analytic_d200um.csv": "1a2e8704911ad491540f62055fd047603c8e3780a7e22b10734135b2a5659e27",
         "cir_analytic_d800um.csv": "1d93783d3cab45cdcce91d77b210e2dd7b02c3b415e7f2a6650fb98bb12d2183",
         "cir_peaks.csv": "c4d7d26d8ccc1f7cb5c95718c0b0f97df2b57ac22a3feaa409c2343c9c4950ce",
-        "cir_sim_point_d200um.csv": "6d4d9e09e6db8cc10664ba7fd93a0b363afe04cf0055df5102669f8517c7a4de",
-        "cir_sim_point_d800um.csv": "19548c321948fcc4f53a18c0a53c18076cafbe318ed7ff90a9f3dd02bd02e592",
+        "cir_sim_point_d200um.csv": "315a7b14ae27ea31af16623373cab9be2c3ca82eb4c4387dfc2bf427362d6d0e",
+        "cir_sim_point_d800um.csv": "a6eecd9f6f83fa79f625e19b4ceeb23687c3f1a04f3da0f8fcf190d27863c530",
         "cir_sim_uniform_d200um.csv": "a88f054bbde5f0dc604067f242e2ee123256b9c358ed4fd7bef79eebd389c2e1",
         "cir_sim_uniform_d800um.csv": "3ff7f9221f4c763f2a98f2642c1221b578685386e1e4029034282a3c39803055",
     },

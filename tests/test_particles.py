@@ -61,7 +61,7 @@ def several_cpus(monkeypatch):
 def released(release, radius, seed, lo=0, hi=None):
     """The positions ``run`` starts particles ``[lo, hi)`` of ``seed`` from."""
     spans, cross, _ = _streams(seed, lo, release.n_tx if hi is None else hi)
-    return _initial_block(release, radius, spans, cross)
+    return tuple(row for row, in _initial_block([release], radius, spans, cross))
 
 
 def walked(release, channel, seed, steps, dt=1e-3):
@@ -72,10 +72,10 @@ def walked(release, channel, seed, steps, dt=1e-3):
     """
     n = release.n_tx
     spans, cross, _ = _streams(seed, 0, n)
-    start = _initial_block(release, channel.radius_a, spans, cross)
+    start = tuple(row for row, in _initial_block([release], channel.radius_a, spans, cross))
     x, y, z = (c.copy() for c in start)
     r2 = y * y + z * z
-    normals = (np.empty(n), np.empty(n))
+    normals = np.empty((2, n))
     for _ in range(steps):
         _draw_normals(spans, cross, *normals)
         _advance_inplace(x, y, z, r2, channel, dt, normals)
@@ -133,7 +133,7 @@ class TestInitialPositions:
         draws = []
         for lo, hi in ((0, n), (0, 2 * _BLOCK), (2 * _BLOCK, n)):
             spans, cross, axial = _streams(42, lo, hi)
-            _initial_block(release, 1e-5, spans, cross)  # a run draws the release first
+            _initial_block([release], 1e-5, spans, cross)  # a run draws the release first
             out = (np.empty(hi - lo), np.empty(hi - lo), np.empty(hi - lo))
             _draw_normals(spans, cross, *out[:2])
             _draw_normals(spans, axial, out[2])
@@ -356,8 +356,8 @@ class TestRun:
                          ReleaseSpec.uniform(n_tx), np.arange(1, 41) * 1e-3, seed=seed,
                          snapshot_times=[0.02])
         bounds = [0, *sorted(c * _BLOCK for c in cuts if c <= full), n_tx]
-        parts = [particles._run_block(cfg, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-        counts, snaps = particles._run_block(cfg, 0, n_tx)
+        parts = [particles._run_block([cfg], lo, hi)[0] for lo, hi in zip(bounds, bounds[1:])]
+        (counts, snaps), = particles._run_block([cfg], 0, n_tx)
         assert counts.sum() > 0
         assert np.array_equal(sum(c for c, _ in parts), counts)
         (t,) = snaps
@@ -367,15 +367,16 @@ class TestRun:
     def inline_pool(self, monkeypatch):
         """Replaces ``ProcessPoolExecutor`` with a pool that maps in this process.
 
-        Returns the list of pools made, each with its ``max_workers`` and the
-        ``(n_tx, lo, hi)`` of every task in submission order.
+        Returns the list of pools made, each with its ``max_workers``, the
+        ``(n_tx, lo, hi)`` of every task in submission order, and the number
+        of configs in each task's group (``sizes``).
         """
         pools = []
 
         class InlinePool:
             def __init__(self, max_workers, mp_context):
                 assert mp_context.get_start_method() == "fork"
-                self.max_workers, self.tasks = max_workers, []
+                self.max_workers, self.tasks, self.sizes = max_workers, [], []
                 pools.append(self)
 
             def __enter__(self):
@@ -386,7 +387,8 @@ class TestRun:
 
             def map(self, fn, *iterables):
                 tasks = list(zip(*iterables))
-                self.tasks = [(cfg.release.n_tx, lo, hi) for cfg, lo, hi in tasks]
+                self.tasks = [(group[0].release.n_tx, lo, hi) for group, lo, hi in tasks]
+                self.sizes = [len(group) for group, _, _ in tasks]
                 return [fn(*task) for task in tasks]
 
         monkeypatch.setattr(particles, "ProcessPoolExecutor", InlinePool)
@@ -414,10 +416,10 @@ class TestRun:
                 assert len(inline_pool) == (workers > 1)
             assert seen == [(k, k) for k in parts]
             assert all(np.array_equal(c, counts[0]) for c in counts)
-        # Two runs' partitions share the CPUs' workers.
+        # Two runs' partitions share the CPUs' workers (other seeds: no group).
         inline_pool.clear()
         calls.clear()
-        run_many([cfg, cfg], threads=64)
+        run_many([cfg, replace(cfg, seed=cfg.seed + 1)], threads=64)
         assert (inline_pool[0].max_workers, len(calls)) == (4, 8)
 
     def test_partitions_submitted_largest_first(self, narrow_channel, inline_pool):
@@ -436,6 +438,21 @@ class TestRun:
         assert pool.tasks == [(n_long, _BLOCK, n_long), (n_long, 0, _BLOCK),
                               (n_wide, 5 * _BLOCK, n_wide), (n_wide, 0, 5 * _BLOCK)]
         for cfg, result in zip([long, wide], results):
+            assert np.array_equal(result.series.counts, run(cfg).series.counts)
+
+    def test_group_outweighs_single_run_of_same_size(self, narrow_channel, inline_pool):
+        # A group of two releases steps twice the particles of one config
+        # of the same particle count and steps, so its partitions go first.
+        rx = make_receiver(10e-6, 20e-6)
+        n, times = 2 * _BLOCK, np.arange(1, 21) * 1e-3
+        single = sim_config(narrow_channel, rx, ReleaseSpec.uniform(n), times, seed=5)
+        pair = [sim_config(narrow_channel, rx, release, times, seed=6)
+                for release in (ReleaseSpec.uniform(n), ReleaseSpec.point(n, 8e-6))]
+        results = run_many([single, *pair], threads=2)
+        (pool,) = inline_pool
+        assert pool.tasks == [(n, 0, _BLOCK), (n, _BLOCK, n), (n, 0, _BLOCK), (n, _BLOCK, n)]
+        assert pool.sizes == [2, 2, 1, 1]
+        for cfg, result in zip([single, *pair], results):
             assert np.array_equal(result.series.counts, run(cfg).series.counts)
 
     @pytest.mark.parametrize("fault,error", [(raise_in_worker, RuntimeError),
@@ -528,6 +545,70 @@ class TestRun:
         counts = run(cfg, threads=threads).series.counts
         assert counts.dtype == np.int64 and counts.sum() > 0
         assert hashlib.sha256(counts.tobytes()).hexdigest() == self.COUNTS_SHA256[diffusion]
+
+
+class TestGrouping:
+    """Runs sharing a stream key step as one state on shared normals."""
+
+    TIMES = np.arange(0, 41) * 1e-3
+    SNAPS = [0.02]
+
+    def configs(self, diffusion, n_tx=_BLOCK + 700):
+        channel = make_channel(radius=10e-6, diffusion=diffusion)
+        near, wide = (make_receiver(10e-6, 20e-6, cphi=cphi) for cphi in (math.pi / 2, math.pi))
+        far = make_receiver(10e-6, 40e-6)
+        return [sim_config(channel, rx, release, self.TIMES, seed=21, dt=1e-4,
+                           snapshot_times=self.SNAPS)
+                for rx, release in (((near, far), ReleaseSpec.uniform(n_tx)),
+                                    (wide, ReleaseSpec.point(n_tx, 8e-6, 0.3)),
+                                    (near, ReleaseSpec.point(n_tx, 6e-6, -0.5)),
+                                    (wide, ReleaseSpec.uniform(n_tx)))]
+
+    @staticmethod
+    def assert_same(result, reference):
+        assert len(result.all_series) == len(reference.all_series)
+        for series, expected in zip(result.all_series, reference.all_series):
+            assert np.array_equal(series.counts, expected.counts)
+        assert result.snapshots.keys() == reference.snapshots.keys()
+        for t, cloud in reference.snapshots.items():
+            assert np.array_equal(result.snapshots[t], cloud)
+
+    @pytest.mark.parametrize("diffusion", [1e-10, 0.0])
+    def test_group_matches_each_run(self, diffusion, several_cpus):
+        cfgs = self.configs(diffusion)
+        assert len({particles._stream_key(cfg) for cfg in cfgs}) == 1
+        alone = [run(cfg) for cfg in cfgs]
+        assert all(r.series.counts.sum() > 0 for r in alone)
+        for t in (1, 2, 3, 4):
+            for result, reference in zip(run_many(cfgs, threads=t), alone):
+                self.assert_same(result, reference)
+
+    def test_different_stream_keys_are_not_grouped(self, several_cpus, monkeypatch):
+        base = self.configs(1e-10)[:2]
+        cfgs = [*base, replace(base[1], seed=22),
+                *self.configs(1e-10, n_tx=_BLOCK + 701)[1:2],
+                replace(base[1], sample_times=self.TIMES[:-1])]
+        alone = [run(cfg) for cfg in cfgs]
+        groups = []
+        run_block = particles._run_block
+        monkeypatch.setattr(particles, "_run_block",
+                            lambda group, lo, hi: groups.append(len(group))
+                            or run_block(group, lo, hi))
+        for result, reference in zip(run_many(cfgs, threads=1), alone):
+            self.assert_same(result, reference)
+        assert sorted(groups) == [1, 1, 1, 2]
+
+    def test_group_draws_the_normals_of_one_run(self, monkeypatch):
+        uniform, point = self.configs(1e-10)[:2]
+        calls = []
+        draw = particles._draw_normals
+        monkeypatch.setattr(particles, "_draw_normals",
+                            lambda *args: calls.append(1) or draw(*args))
+        run(uniform)
+        alone = len(calls)
+        calls.clear()
+        run_many([uniform, point])
+        assert alone > 0 and len(calls) == alone
 
 
 class TestSnapshots:

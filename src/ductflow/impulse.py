@@ -99,13 +99,14 @@ def cir_dispersion(model: DispersionModel, rx: ReceiverVolume, t):
     """Dispersion-regime observation probability at time(s) ``t``.
 
     ``(A_rx/a^2) * [Phi((d + c_x/2 - vbar t)/sigma) - Phi((d - c_x/2 - vbar t)/sigma)]``
-    with ``sigma = sqrt(2 D_eff t)``.  Returns 0 for ``t <= 0`` (at the
-    release instant no mass is downstream).  Bounded by the receiver area
-    fraction.
+    with ``sigma = sqrt(2 D_eff t)``.  Returns 0 for ``t <= 0`` and while
+    ``2 D_eff t`` underflows to 0 (``t`` below about 1e-300 s): no mass has
+    yet left the release plane, upstream of the receiver.  Bounded by the
+    receiver area fraction.
     """
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     out = np.zeros_like(t_arr)
-    pos = t_arr > 0.0
+    pos = 2.0 * model.d_eff * t_arr > 0.0
     if np.any(pos):
         tp = t_arr[pos]
         sigma = np.sqrt(2.0 * model.d_eff * tp)
@@ -167,7 +168,9 @@ def flow_transit_times(config: DuctChannelConfig, rx: ReceiverVolume) -> tuple[f
     validate_receiver(config, rx)
     if config.mean_velocity <= 0.0:
         raise ValueError("flow-dominated transit times require positive mean velocity")
-    band = 1.0 - (1.0 - rx.extent_cr / config.radius_a) ** 2
+    # 1 - (1 - x)^2 as x (2 - x): it cancels no digits when c_r << a.
+    x = rx.extent_cr / config.radius_a
+    band = x * (2.0 - x)
     denom = 2.0 * config.mean_velocity * band
     t1 = (rx.axial_distance_d - rx.extent_cx / 2.0) / denom
     t2 = (rx.axial_distance_d + rx.extent_cx / 2.0) / denom
@@ -205,6 +208,8 @@ def cir_flow_uniform(config: DuctChannelConfig, rx: ReceiverVolume, t):
     if np.any(mid):
         out[mid] = rx_fraction - angle_fraction * (
             rx.axial_distance_d - rx.extent_cx / 2.0) / (v2 * t_arr[mid])
+        # Rounding can take the difference an ulp below 0 just past t1.
+        np.maximum(out, 0.0, out=out)
     tail = t_arr >= t2
     if np.any(tail):
         out[tail] = angle_fraction * rx.extent_cx / (v2 * t_arr[tail])

@@ -40,20 +40,18 @@ independent, and for the SER that loses nothing: the SER is a mean of
 single-instant errors, and one instant's count sums independent releases.
 ``MONTE_CARLO_COUNTS`` samples that same model from the trimmed pmfs that
 ``BINOMIAL_ANALYTIC`` convolves, by inverse CDF on one uniform per count.
-It draws block by block of realizations, at most ``_MC_BLOCK`` of them and
-at most ``_MC_CELLS`` cells ``(realization, symbol)``, each draw in C order
-of ``(realization, symbol)``.  A block first draws the bits, then the noise
-of every sampling instant: links of one sequence length and noise mean
-share these common random numbers, so a sweep draws them once per block
-for all its links.  Each link then restarts from the generator state after
-the noise and draws, for ``j = 0..K-1``, offset ``j``'s count for every
-transmitted 1 whose offset-``j`` instant lies in the sequence.  That is
-one uniform per such 1 whatever the link, so every link leaves the
-generator in one state, from which the next block draws its bits: each
-link gets the result it would get run alone.  A guide table (Chen & Asau,
-1974) turns each uniform into the cell a binary search of the cumulative
-sum would find, and offset ``j`` adds its counts at the flat indices of
-those 1s shifted by ``j``: a block makes no binary search per draw.
+It draws block by block of realizations, each draw in C order of
+``(realization, symbol)``: the bits, the noise of every sampling instant,
+then for ``j = 0..K-1`` one uniform per transmitted 1 whose offset-``j``
+instant lies in the sequence.  No draw depends on a link's ``pob``, so the
+links of a sweep, of one sequence length and noise mean, share every draw.
+Each draw's uniforms are sorted once with the flat indices they add to, and
+a link's inverse CDF takes one binary search of them per pmf cell (Devroye,
+*Non-Uniform Random Variate Generation*, 1986, ch. III): each uniform gets
+the cell a binary search of the cumulative sum would, and each link its
+result run alone, bit for bit.  A block keeps every offset's sorted indices
+(int32) for all links: at most ``_MC_CELLS``, one per triple
+``(realization, symbol, offset)``, and at most ``_MC_BLOCK`` realizations.
 Trimming drops only tail cells below 1e-18, about ``max(1, sd / 4) 1e-18``
 of a term's mass, so a count's law is off by at most the sum over its
 ``K + 1`` terms, which no Monte Carlo run resolves.
@@ -98,8 +96,10 @@ __all__ = ["SerMethod", "OokLinkConfig", "SerResult", "detection_offsets", "ser_
 _PMF_TAIL = 1e-18
 #: Realizations the count Monte Carlo draws at a time, at most.
 _MC_BLOCK = 1 << 16
-#: Cells ``(realization, symbol)`` one count Monte Carlo block holds, at most.
+#: Triples ``(realization, symbol, offset)`` one count Monte Carlo block holds, at most.
 _MC_CELLS = 8 * _MC_BLOCK
+#: Cells ``(symbol, threshold)`` of a link's error table, at most: about 55 bytes each to build.
+_TABLE_CELLS = 1 << 22
 
 
 class SerMethod(Enum):
@@ -155,6 +155,13 @@ class OokLinkConfig:
             raise ValueError("detection threshold must lie in {0, ..., n_tx}")
         if self.noise_mean_Nn < 0.0:
             raise ValueError("noise mean must be non-negative")
+        # _error_table's size from the pmfs' windows, before any pmf is
+        # evaluated; a Poisson window reaches as high as a binomial one.
+        means = np.append(self.n_tx * pob, self.noise_mean_Nn)
+        tops = np.where(means > _PMF_TAIL, _window(means, means)[1], 0.0)
+        cells = pob.size * (min(self.n_tx + 1, 1 + int(tops.sum())) + 1)
+        if cells > _TABLE_CELLS:
+            raise ValueError(f"SER table of {cells} cells, more than the {_TABLE_CELLS} allowed")
         pob.flags.writeable = False
         object.__setattr__(self, "pob", pob)
 
@@ -274,21 +281,25 @@ def _binomial_pmf(low: int, high: int, n: int, p: float) -> np.ndarray:
     return _from_mode(anchor, i, ratios)
 
 
+def _window(mean, var):
+    """``(low, high)``, the cells ``mean +- (12 sd + 30)`` in ``0..``, as floats; elementwise."""
+    half = 12.0 * np.sqrt(var) + 30.0
+    return np.maximum(mean - half, 0.0) // 1.0, (mean + half) // 1.0
+
+
 def _trimmed_pmf(pmf_at, mean: float, var: float,
                  top: int | None = None) -> tuple[int, np.ndarray]:
     """``(start, pmf)``: ``pmf_at(low, high)`` over the cells where it exceeds ``_PMF_TAIL``.
 
     A mean at most the tail gives ``(0, [1.0])`` unevaluated: by Markov's
     inequality no cell ``k >= 1`` exceeds the mean, so trimming keeps only
-    ``k = 0``.  Otherwise only ``mean +- (12 sd + 30)``, and no cell above
-    ``top``, is evaluated; the pmfs lie far below the tail outside it.
+    ``k = 0``.  Otherwise only the :func:`_window` of the mean, and no cell
+    above ``top``, is evaluated; the pmfs lie far below the tail outside it.
     """
     if mean <= _PMF_TAIL:
         return 0, np.ones(1)
-    half = 12.0 * math.sqrt(var) + 30.0
-    low = max(int(mean - half), 0)
-    high = int(mean + half) if top is None else min(int(mean + half), top)
-    pmf = pmf_at(low, high)
+    low, high = (int(cell) for cell in _window(mean, var))
+    pmf = pmf_at(low, high if top is None else min(high, top))
     keep = np.flatnonzero(pmf > _PMF_TAIL)
     return low + int(keep[0]), pmf[keep[0]: keep[-1] + 1]
 
@@ -398,37 +409,20 @@ def optimal_threshold(link: OokLinkConfig,
     return xi, _ser_result(table, xi)
 
 
-def _inverse_cdf(term: tuple[int, np.ndarray], u: np.ndarray) -> np.ndarray:
-    """Counts drawn from the trimmed pmf ``term = (start, pmf)``, one per uniform in ``u``.
+def _sorted_draw(targets: np.ndarray, u: np.ndarray,
+                 terms: list[tuple[int, np.ndarray]]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """``targets`` in ascending order of ``u``, and the run lengths of each trimmed pmf's draws.
 
-    ``u`` in ``[cdf[k - 1], cdf[k])`` draws cell ``k``; trimming can leave the
-    cumulative sum a few 1e-18 below 1, and ``u`` above it draws the last cell.
-    That is the cell a binary search of ``cdf`` would find; a guide table
-    (Chen & Asau, 1974) finds it without one.  ``m``, a power of two at
-    least four times the pmf's width, cuts ``[0, 1)`` into buckets
-    ``[i / m, (i + 1) / m)``, and ``guide[i]`` is the cell of ``u = i / m``.
-    With ``m`` a power of two, ``u m`` and ``i / m`` are exact, so ``u``
-    lies in bucket ``floor(u m)``, whose guide cell is at most ``u``'s own.
-    Walking forward while ``cdf[c] <= u`` ends on it, and the last cell's
-    edge, set to ``inf``, keeps the walk inside the pmf.  One dense step
-    checks every draw; only the draws that moved step again.
+    For ``(start, pmf)`` in ``terms``, ``np.repeat(start + np.arange(pmf.size), runs)``
+    are the counts the sorted uniforms draw: cell ``k`` takes those in ``[cdf[k - 1],
+    cdf[k])``, the last cell every one left (trimming can leave the sum a few 1e-18
+    below 1), so each uniform gets the cell a binary search of ``cdf`` finds.
     """
-    start, pmf = term
-    width = pmf.size
-    cdf = np.cumsum(pmf)
-    m = 1 << (4 * width - 1).bit_length()
-    guide = np.minimum(np.searchsorted(cdf, np.arange(m) / m, side="right"), width - 1)
-    cdf[-1] = np.inf
-    flat_u = u.reshape(-1)
-    cells = np.empty(flat_u.size, dtype=np.intp)
-    np.multiply(flat_u, m, out=cells, casting="unsafe")
-    np.take(guide, cells, out=cells, mode="clip")
-    moved = np.flatnonzero(np.take(cdf, cells) <= flat_u)
-    while moved.size:
-        cells[moved] += 1
-        moved = moved[np.take(cdf, cells[moved]) <= flat_u[moved]]
-    cells += start
-    return cells.reshape(u.shape)
+    order = np.argsort(u)
+    u = u[order]
+    runs = [np.diff(np.searchsorted(u, np.cumsum(pmf)[:-1]), prepend=0, append=u.size)
+            for _, pmf in terms]
+    return targets[order], runs
 
 
 def _mc_block_errors(links: list[OokLinkConfig], terms: list[list[tuple[int, np.ndarray]]],
@@ -436,32 +430,37 @@ def _mc_block_errors(links: list[OokLinkConfig], terms: list[list[tuple[int, np.
     """Errors of each link at each symbol over one block, shape ``(len(links), K)``.
 
     ``terms[m]`` is link ``m``'s :func:`_count_terms`; the links share their
-    noise term, so the bits and the noise counts are drawn once.
+    noise term, and every draw is made and sorted once for all of them.
     """
     k = links[0].seq_len_K
     sent = rng.integers(0, 2, size=(realizations, k), dtype=np.int64) == 1
-    noise = _inverse_cdf(terms[0][0], rng.random((realizations, k)))
-    shared = rng.bit_generator.state
+    cells = np.arange(realizations * k, dtype=np.int32)
+    order, (runs,) = _sorted_draw(cells, rng.random(cells.size), terms[0][:1])
+    noise = np.empty(cells.size, dtype=np.int64)
+    noise[order] = np.repeat(terms[0][0][0] + np.arange(runs.size), runs)
+    del cells, order  # before the offsets' draws, which set the block's peak
+    # A 1 sent at symbol s < k - j of realization r adds offset j's count at
+    # flat index r k + s + j: the 1s left once the last j columns are
+    # cleared, shifted by j.  Ascending, these targets are the C order of
+    # (r, s) in which offset j draws.
+    active = sent.copy()
+    draws = []
+    for j in range(k):
+        if j:
+            active[:, k - j] = False
+        targets = (np.flatnonzero(active) + j).astype(np.int32)
+        draws.append(_sorted_draw(targets, rng.random(targets.size),
+                                  [link_terms[j + 1] for link_terms in terms]))
     errors = np.empty((len(links), k), dtype=np.int64)
+    # One buffer for every link: a fresh copy per link fragments the heap.
+    counts = np.empty_like(noise)
     for m, (link, link_terms) in enumerate(zip(links, terms)):
-        rng.bit_generator.state = shared
-        counts = noise if m == len(links) - 1 else noise.copy()
-        flat = counts.reshape(-1)
-        # A 1 sent at symbol s < k - j of realization r adds offset j's count
-        # at flat index r k + s + j: the 1s left once the last j columns are
-        # cleared, shifted by j.  Ascending, these targets are the C order of
-        # (r, s) in which offset j draws.
-        active = sent.copy()
-        for j, term in enumerate(link_terms[1:]):
-            if j:
-                active[:, k - j] = False
-            targets = np.flatnonzero(active)
-            targets += j
-            draws = _inverse_cdf(term, rng.random(targets.size))
-            draws += np.take(flat, targets, mode="clip")
-            flat[targets] = draws
-            del targets, draws  # before the next offset's targets and uniforms
-        errors[m] = np.count_nonzero((counts >= link.threshold_xi) != sent, axis=0)
+        np.copyto(counts, noise)
+        # One offset's targets are distinct; np.add.at is just faster than +=.
+        for (targets, runs), (start, pmf) in zip(draws, link_terms[1:]):
+            np.add.at(counts, targets, np.repeat(start + np.arange(pmf.size), runs[m]))
+        detected = counts.reshape(realizations, k) >= link.threshold_xi
+        errors[m] = np.count_nonzero(detected != sent, axis=0)
     return errors
 
 
@@ -470,11 +469,11 @@ def ser_monte_carlo_many(links: list[OokLinkConfig], realizations: int,
     """:func:`ser_monte_carlo` of each link, drawing what the links share once.
 
     All links must share ``seq_len_K`` and ``noise_mean_Nn``, as the points
-    of a sweep do.  Each block then draws the bits and the noise counts once
-    for every link, and each link only its own offsets' counts (see the
-    module notes), so each result is bit for bit ``ser_monte_carlo(link,
-    realizations, seed)``.  Links may differ in ``pob``, threshold and
-    ``n_tx``; ``[]`` gives ``[]``.
+    of a sweep do.  Each block then draws and sorts every uniform once for
+    all links, and each link only counts the sorted uniforms below its own
+    cumulative sums (see the module notes), so each result is bit for bit
+    ``ser_monte_carlo(link, realizations, seed)``.  Links may differ in
+    ``pob``, threshold and ``n_tx``; ``[]`` gives ``[]``.
     """
     if realizations < 1:
         raise ValueError("need at least one realization")
@@ -485,7 +484,7 @@ def ser_monte_carlo_many(links: list[OokLinkConfig], realizations: int,
         raise ValueError("Monte Carlo links must share their sequence length and noise mean")
     terms = [_count_terms(link, SerMethod.BINOMIAL_ANALYTIC) for link in links]
     rng = np.random.default_rng([seed, 0])
-    block = min(_MC_BLOCK, max(1, _MC_CELLS // k))
+    block = min(_MC_BLOCK, max(1, _MC_CELLS // (k * (k + 1) // 2)))
     errors = np.zeros((len(links), k), dtype=np.int64)
     for start in range(0, realizations, block):
         errors += _mc_block_errors(links, terms, min(block, realizations - start), rng)
@@ -501,9 +500,9 @@ def ser_monte_carlo(link: OokLinkConfig, realizations: int, seed: int,
     trimmed pmfs that ``BINOMIAL_ANALYTIC`` convolves: it estimates what that
     method computes, so it no longer checks the pmf kernels (the pmf tests
     and the brute-force SER do).  Blocks of at most ``_MC_BLOCK``
-    realizations and ``_MC_CELLS`` cells keep memory flat in
-    ``realizations`` and ``K``; a fixed seed reproduces the result.  This is
-    :func:`ser_monte_carlo_many` of the one link.
+    realizations and ``_MC_CELLS`` triples ``(realization, symbol, offset)``
+    keep memory flat in ``realizations`` and ``K``; a fixed seed reproduces
+    the result.  This is :func:`ser_monte_carlo_many` of the one link.
     """
     if method is not SerMethod.MONTE_CARLO_COUNTS:
         raise ValueError(f"{method} is not a Monte Carlo method")

@@ -251,7 +251,9 @@ def ser_action(cfg: ResolvedConfig, out_dir: Path, threads: int = 1) -> list[Pat
             if method is SerMethod.MONTE_CARLO_COUNTS:
                 result, used = mc_result, realizations
             elif method is SerMethod.PARTICLE_BINOMIAL:
-                result = ser_analytic(replace(link, pob=pob), SerMethod.BINOMIAL_ANALYTIC)
+                # The pool's P_ob can make a larger table than the closed form's.
+                result = ser_analytic(cfg.build(replace, link, pob=pob),
+                                      SerMethod.BINOMIAL_ANALYTIC)
             elif method is SerMethod.POISSON_ANALYTIC and searched is not None:
                 # The search's table holds every threshold, xi_opt's included.
                 result = searched

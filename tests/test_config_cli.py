@@ -10,10 +10,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ductflow
-from ductflow import SerMethod, particles, presets
+from ductflow import SerMethod, ook, particles, presets
 from ductflow.cli import _build_parser, main
 from ductflow.config import KEY_REGISTRY, MAX_GRID_POINTS, ConfigError, load_config, parse_value
 from ductflow.output import Table, emit_table, format_value
@@ -395,6 +396,46 @@ class TestCli:
         assert "configuration error" in err and "1000000000 detection offsets" in err
         assert str(MAX_GRID_POINTS) in err
         assert list(tmp_path.rglob("*")) == []
+
+    @pytest.mark.parametrize("setting, cells", [
+        # 1600 symbols of all 10 001 thresholds and one past: it peaked at 880 MB.
+        ("ook.seq_len=1600", 1600 * 10_002),
+        # 8 symbols of laws that reach about n_tx sum(pob), over 1e14 cells.
+        ("release.n_tx=9007199254740992", 8 * 10 ** 14)])
+    def test_huge_ser_table_is_config_error(self, tmp_path, capsys, monkeypatch, setting, cells):
+        # The error table's size is bounded from the pmfs' windows when the
+        # link is made, before any pmf or engine run.
+        def work(*args, **kwargs):
+            raise AssertionError("SER work ran for a refused link")
+        for name in ("optimal_threshold", "ser_analytic", "run_many"):
+            monkeypatch.setattr(presets, name, work)
+        rc = main(["ser", "--out", str(tmp_path), "--set", setting,
+                   "--set", "ook.method=poisson_analytic,particle_binomial"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and f"more than the {ook._TABLE_CELLS} allowed" in err
+        assert int(err.split("SER table of ")[1].split()[0]) >= cells
+        assert list(tmp_path.rglob("*")) == []
+
+    def test_pool_ser_table_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # The closed-form link passes; a pool that sees every molecule at
+        # every offset would need 8 x (1e6 + 2) cells.
+        monkeypatch.setattr(presets, "_particle_pobs",
+                            lambda cfg, points, threads: [np.ones(8) for _ in points])
+        rc = main(["ser", "--out", str(tmp_path), "--set", "ook.method=particle_binomial",
+                   "--set", "release.n_tx=1000000", "--set", "ook.threshold=10"])
+        assert rc == 2
+        assert f"SER table of {8 * 1_000_002} cells" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*")) == []
+
+    def test_preset_ser_tables_are_far_below_the_cap(self, monkeypatch):
+        # Every SER link the presets and the default ser make would pass a
+        # cap 64 times smaller.
+        monkeypatch.setattr(ook, "_TABLE_CELLS", ook._TABLE_CELLS // 64)
+        for cfg in (preset_config("ser_sweep"), load_config()):
+            for distance in cfg["ser.distances"]:
+                for symbol_interval in cfg["ser.symbol_intervals"]:
+                    presets._auto_link(cfg, distance, symbol_interval)
 
     def test_every_link_is_checked_before_the_engine(self, tmp_path, capsys, monkeypatch):
         # A refused link must not wait behind a 100 000-particle pool.

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ductflow import (
     DispersionModel,
@@ -321,6 +323,77 @@ class TestFlowPointCir:
         integral = np.trapezoid(cir_flow_point(wide_flow_only, rx, release, t), t)
         expected = rx.extent_cx / velocity_at(wide_flow_only, release.r0)
         assert integral == pytest.approx(expected, abs=3 * (t[1] - t[0]))
+
+
+@st.composite
+def ducts_and_receivers(draw, diffusion=True):
+    """A valid duct and wall receiver, over several decades of every length and rate."""
+    a = draw(st.floats(1e-6, 1e-3))
+    cx = a * draw(st.floats(1e-3, 10.0))
+    rx = ReceiverVolume(axial_distance_d=cx / 2.0 * (1.0 + draw(st.floats(1e-6, 1e4))),
+                        extent_cx=cx, extent_cr=a * draw(st.floats(1e-3, 1.0)),
+                        extent_cphi=draw(st.floats(1e-3, 2.0 * math.pi)))
+    channel = make_channel(radius=a, diffusion=draw(st.floats(1e-13, 1e-8)) if diffusion else 0.0,
+                           mean_velocity=draw(st.floats(1e-6, 1e-1)))
+    return channel, rx
+
+
+#: Times as multiples of a scale, 0 and the scale included.
+TIME_SCALES = st.lists(st.floats(0.0, 50.0), min_size=1, max_size=20).map(
+    lambda s: np.array(s + [0.0, 1.0]))
+
+
+class TestClosedFormProperties:
+    """Bounds and continuity of the closed forms over random valid geometries."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(setup=ducts_and_receivers(), scales=TIME_SCALES)
+    def test_dispersion_within_receiver_fraction(self, setup, scales):
+        channel, rx = setup
+        model = DispersionModel.for_channel(channel, rx)
+        t = scales * dispersion_peak_time(model, rx.axial_distance_d)
+        pob = cir_dispersion(model, rx, t)
+        assert np.all(pob >= 0.0) and np.all(pob <= model.rx_fraction)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(setup=ducts_and_receivers(diffusion=False), scales=TIME_SCALES)
+    def test_flow_uniform_within_receiver_fraction(self, setup, scales):
+        channel, rx = setup
+        t1, t2 = flow_transit_times(channel, rx)
+        t = np.concatenate([scales * t2, [t1, np.nextafter(t1, np.inf), np.nextafter(t2, 0.0)]])
+        pob = cir_flow_uniform(channel, rx, t)
+        assert np.all(pob >= 0.0) and np.all(pob <= rx_area_fraction(channel, rx))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(setup=ducts_and_receivers(diffusion=False), scales=TIME_SCALES,
+           r0=st.floats(0.0, 1.0), phi0=st.floats(-math.pi, math.pi, exclude_min=True))
+    def test_flow_point_is_zero_or_one(self, setup, scales, r0, phi0):
+        channel, rx = setup
+        release = ReleaseSpec.point(1, r0 * channel.radius_a, phi0)
+        t = scales * flow_transit_times(channel, rx)[1]
+        window = flow_point_window(channel, rx, release)
+        if window is not None:
+            t = np.concatenate([t, window, np.nextafter(window, [0.0, np.inf])])
+        assert set(cir_flow_point(channel, rx, release, t).tolist()) <= {0.0, 1.0}
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(setup=ducts_and_receivers(diffusion=False))
+    def test_flow_uniform_continuous_at_transit_times(self, setup):
+        # One double past t1 the middle branch is within a few ulp of 0, and
+        # one double before t2 within a few ulp of the tail at t2.  Each side
+        # is the receiver fraction R, or a term no larger, carrying about
+        # eight roundings of its own and of t1 or t2, so they agree to 16 ulp
+        # of R; 2e5 random geometries reached 7.  Past t1 the middle branch
+        # is R minus a term within rounding of R: it cancels no digits
+        # because t1's band is x (2 - x), with x = c_r / a, not 1 - (1 - x)^2,
+        # which was 82 ulp off at c_r = a / 1000.
+        channel, rx = setup
+        t1, t2 = flow_transit_times(channel, rx)
+        ulp = np.spacing(rx_area_fraction(channel, rx))
+        before, at = cir_flow_uniform(channel, rx, [t1, np.nextafter(t1, np.inf)])
+        assert before == 0.0 and at <= 16.0 * ulp
+        before, at = cir_flow_uniform(channel, rx, [np.nextafter(t2, 0.0), t2])
+        assert abs(before - at) <= 16.0 * ulp
 
 
 class TestFlowOracle:

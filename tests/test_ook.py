@@ -31,7 +31,7 @@ from ductflow import (
 from ductflow import presets
 from ductflow.config import load_config
 from ductflow.ook import (_MC_BLOCK, _MC_CELLS, _binomial_pmf, _count_terms, _error_table,
-                          _inverse_cdf, _mc_block_errors, _poisson_pmf)
+                          _mc_block_errors, _poisson_pmf, _sorted_draw)
 from ductflow.presets import _auto_link, _particle_pobs, preset_config
 from conftest import make_channel, make_receiver
 
@@ -438,7 +438,7 @@ def binary_search_cells(term, u):
 def mask_counts_block(link, terms, realizations, rng):
     """One block of the count Monte Carlo by boolean masks and binary search.
 
-    The form the flat-index scatter and the guide table replaced: offset
+    The form the flat-index scatter and the sorted draws replaced: offset
     ``j`` adds its counts through the mask ``sent[:, :K - j]`` on the view
     ``counts[:, j:]``, drawing one uniform per masked cell in C order.
     """
@@ -452,12 +452,12 @@ def mask_counts_block(link, terms, realizations, rng):
 
 
 def adversarial_uniforms(pmf):
-    """Uniforms on and next to every edge a guide table or a binary search can meet.
+    """Uniforms on and next to every edge an inverse CDF can meet, many of them tied.
 
-    Every cumulative sum and its neighbouring doubles, every bucket edge
+    Every cumulative sum and its neighbouring doubles, every dyadic fraction
     ``i / m`` and the double below it for each power of two ``m`` up to
-    eight times the pmf's width, and the ends ``0`` and ``1 - 2^-53`` of
-    ``Generator.random``'s range.
+    eight times the pmf's width (so many values repeat), and the ends ``0``
+    and ``1 - 2^-53`` of ``Generator.random``'s range.
     """
     cdf = np.cumsum(pmf)
     edges = [cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0), [0.0, 1.0 - 2.0 ** -53]]
@@ -467,11 +467,25 @@ def adversarial_uniforms(pmf):
         edges += [buckets, np.nextafter(buckets, -1.0)]
         m *= 2
     u = np.concatenate(edges)
-    return np.unique(u[(u >= 0.0) & (u < 1.0)])
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+def sorted_draw_cells(terms, u):
+    """The count :func:`_sorted_draw` gives each uniform of ``u`` from each term, shaped as ``u``.
+
+    Each uniform's target is its flat index in ``u``, as the noise draw's are.
+    """
+    targets, runs = _sorted_draw(np.arange(u.size, dtype=np.int32), u.reshape(-1), terms)
+    cells = []
+    for (start, pmf), term_runs in zip(terms, runs):
+        flat = np.empty(u.size, dtype=np.int64)
+        flat[targets] = np.repeat(start + np.arange(pmf.size), term_runs)
+        cells.append(flat.reshape(u.shape))
+    return cells
 
 
 def _inverse_cdf_terms() -> dict:
-    """Trimmed pmfs the guide table is checked on, keyed by test id."""
+    """Trimmed pmfs the sorted draw is checked on, keyed by test id."""
     link, *_ = flow_link(T=0.1, K=8)
     terms = {f"flow-{i}": term
              for i, term in enumerate(_count_terms(link, SerMethod.BINOMIAL_ANALYTIC))}
@@ -513,29 +527,37 @@ class TestSerMonteCarlo:
         assert result.per_symbol_errors.tolist() == [
             0.0715, 0.0305, 0.023, 0.033, 0.044, 0.0655, 0.093, 0.1125]
 
-    # Two blocks, the second of 5 realizations: the errors of each symbol,
-    # summed over 65 541 realizations, that the boolean-mask, binary-search
-    # draw gave.
+    # Two blocks, the second of 5 realizations: at K = 8 a realization
+    # holds K (K + 1) / 2 = 36 (symbol, offset) pairs, so a block holds
+    # _MC_CELLS // 36 = 14 563 realizations.  The errors of each symbol,
+    # summed over 14 568 realizations, that the boolean-mask, binary-search
+    # draw of the same two blocks gives.
     def test_counts_mode_pinned_two_blocks(self):
         link, *_ = flow_link(T=0.25, xi=70)
-        realizations = _MC_BLOCK + 5
+        realizations = _MC_CELLS // (8 * 9 // 2) + 5
         result = ser_monte_carlo(link, realizations, seed=17)
-        errors = np.array([4442, 2205, 1233, 2003, 3266, 4756, 6110, 7403])
-        assert result.ser == 0.059920507773759936
+        errors = np.array([968, 513, 283, 425, 695, 1071, 1357, 1720])
+        assert result.ser == 0.060337726523887976
         assert result.per_symbol_errors.tolist() == (errors / realizations).tolist()
 
     @pytest.mark.parametrize("name", INVERSE_CDF_TERMS)
     def test_inverse_cdf_is_binary_search(self, name):
-        # The guide table draws the cell a binary search would, on every
-        # uniform next to an edge and on random ones, for 1-D and 2-D u.
+        # The sorted draw gives each uniform the cell a binary search would,
+        # on every uniform next to an edge, tied or not, and on random ones,
+        # for 1-D and 2-D u, and with every other term drawn from the same
+        # sorted uniforms.
         term = INVERSE_CDF_TERMS[name]
         u = np.concatenate([adversarial_uniforms(term[1]),
                             np.random.default_rng(5).random(10_000)])
-        assert np.array_equal(_inverse_cdf(term, u), binary_search_cells(term, u))
+        (cells,) = sorted_draw_cells([term], u)
+        assert np.array_equal(cells, binary_search_cells(term, u))
         u = u[:u.size // 4 * 4].reshape(-1, 4)
-        cells = _inverse_cdf(term, u)
+        (cells,) = sorted_draw_cells([term], u)
         assert cells.shape == u.shape
         assert np.array_equal(cells, binary_search_cells(term, u))
+        terms = list(INVERSE_CDF_TERMS.values())
+        for other, cells in zip(terms, sorted_draw_cells(terms, u)):
+            assert np.array_equal(cells, binary_search_cells(other, u))
 
     @pytest.mark.parametrize("k", [1, 2, 8, 25])
     @pytest.mark.parametrize("xi", ["zero", "own", "n_tx"])
@@ -583,9 +605,13 @@ class TestSerMonteCarlo:
         # Generator.random returns; u on an edge draws the next cell.
         term = (3, np.array([0.25, 0.5, 0.25 - 2.0 ** -53]))
         u = np.array([0.0, np.nextafter(0.25, 0.0), 0.25, 0.5, 0.75, 1.0 - 2.0 ** -53])
-        assert _inverse_cdf(term, u).tolist() == [3, 3, 4, 4, 5, 5]
+        assert sorted_draw_cells([term], u)[0].tolist() == [3, 3, 4, 4, 5, 5]
+        # Unsorted and tied uniforms keep their own cells.
+        assert sorted_draw_cells([term], u[::-1])[0].tolist() == [5, 5, 4, 4, 3, 3]
+        assert sorted_draw_cells([term], np.repeat(u[2:4], 3))[0].tolist() == [4] * 6
         # A u above the last cumulative sum draws the last cell.
-        assert _inverse_cdf((0, np.array([0.5, 0.25])), np.array([0.8, 0.99])).tolist() == [1, 1]
+        assert sorted_draw_cells([(0, np.array([0.5, 0.25]))],
+                                 np.array([0.8, 0.99]))[0].tolist() == [1, 1]
 
     def test_counts_mode_unbiased_over_seeds(self):
         # Seeds 1-40 at 1e4 realizations: each standardised deviation is
@@ -663,6 +689,41 @@ class TestSerMonteCarlo:
         p = ser_analytic(link, SerMethod.BINOMIAL_ANALYTIC).per_symbol_errors
         assert np.all(np.abs(mc.per_symbol_errors - p)
                       <= 4.0 * np.sqrt(p * (1.0 - p) / realizations))
+
+    def test_sweep_shares_its_draws_in_bounded_memory(self):
+        # The ser_sweep preset's 60 links at 1e4 realizations: one block of
+        # R = 10 000 realizations, K = 8, RK cells.  The block keeps its bits
+        # and their working copy (1 byte a cell each), the noise counts (8)
+        # and each offset's sorted targets, int32, at most one per
+        # (realization, symbol, offset) triple: 4 K (K + 1) / 2 = 144 bytes
+        # a realization.  On top of that it holds at most one of: the noise
+        # draw's flat cells, uniforms, sort order, sorted uniforms and
+        # reordered targets (4 + 8 + 8 + 8 + 4 bytes a cell); an offset's
+        # draw, the same per target; or one link's counts, its drawn values
+        # and its scatter's index (8 each).  So 48 bytes a cell bounds the
+        # rest, and the links' pmfs, their cumulative sums and their runs
+        # add at most 3 times the pmfs' bytes.  Keeping every link's counts
+        # or drawn values at once would take 38 MB or more.
+        cfg = preset_config("ser_sweep")
+        links = []
+        for d in cfg["ser.distances"]:
+            for T in cfg["ser.symbol_intervals"]:
+                link = _auto_link(cfg, d, T)[0]
+                links.append(replace(link, threshold_xi=optimal_threshold(link)[0]))
+        assert len(links) == 60
+        realizations, k = cfg["ook.realizations"], cfg["ook.seq_len"]
+        pmf_bytes = sum(pmf.nbytes for link in links
+                        for _, pmf in _count_terms(link, SerMethod.BINOMIAL_ANALYTIC))
+        bound = 4 * realizations * k * (k + 1) // 2 + 48 * realizations * k + 3 * pmf_bytes
+        assert realizations * k * (k + 1) // 2 <= _MC_CELLS
+        assert bound < 8 * realizations * k * len(links)
+        tracemalloc.start()
+        try:
+            ser_monte_carlo_many(links, realizations, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
     def test_refuses_analytic_methods(self):
         link, *_ = flow_link()

@@ -31,27 +31,28 @@ forward cumulative sum of the latter and a reverse one of the former: sums
 of nonnegative cells from the error's own side, accurate to a few ulp
 relative however small (Higham, *Accuracy and Stability of Numerical
 Algorithms*, 2002, sec. 4.2).  That takes two convolutions of tail-trimmed
-pmfs per symbol, so time and memory grow linearly in ``K``, without limit.
-:func:`ser_analytic` reads one threshold of that table and
-:func:`optimal_threshold` its minimum.
+pmfs per symbol, so time and memory grow linearly in ``K``; a table of
+more than ``_TABLE_CELLS`` cells is refused before it is built.
+:func:`ser_analytic` reads one threshold of it, :func:`optimal_threshold`
+its minimum.
 
 Both analytic models treat counts at different sampling instants as
 independent, and for the SER that loses nothing: the SER is a mean of
 single-instant errors, and one instant's count sums independent releases.
 ``MONTE_CARLO_COUNTS`` samples that same model from the trimmed pmfs that
 ``BINOMIAL_ANALYTIC`` convolves, by inverse CDF on one uniform per count.
-It draws block by block of realizations, each draw in C order of
-``(realization, symbol)``: the bits, the noise of every sampling instant,
-then for ``j = 0..K-1`` one uniform per transmitted 1 whose offset-``j``
-instant lies in the sequence.  No draw depends on a link's ``pob``, so the
-links of a sweep, of one sequence length and noise mean, share every draw.
-Each draw's uniforms are sorted once with the flat indices they add to, and
-a link's inverse CDF takes one binary search of them per pmf cell (Devroye,
+Each block of realizations draws, in C order of ``(realization, symbol)``,
+the bits, the noise of every sampling instant, then for ``j = 0..K-1`` one
+uniform per transmitted 1 whose offset-``j`` instant lies in the sequence.
+No draw depends on ``pob``, so a sweep's links (one ``K``, one ``Nn``)
+share them all.  Each draw is sorted once with the flat indices it adds to,
+and a link's inverse CDF is one binary search of it per pmf cell (Devroye,
 *Non-Uniform Random Variate Generation*, 1986, ch. III): each uniform gets
 the cell a binary search of the cumulative sum would, and each link its
-result run alone, bit for bit.  A block keeps every offset's sorted indices
-(int32) for all links: at most ``_MC_CELLS``, one per triple
-``(realization, symbol, offset)``, and at most ``_MC_BLOCK`` realizations.
+result run alone.  A block holds at most ``_MC_BLOCK`` realizations and the
+draws, as int32 sorted indices, of ``_MC_CELLS`` triples ``(realization,
+symbol, offset)``; past that, in one realization of ``K >= 1024``, each
+link keeps its own ``K`` counts and takes the draws as they fill.
 Trimming drops only tail cells below 1e-18, about ``max(1, sd / 4) 1e-18``
 of a term's mass, so a count's law is off by at most the sum over its
 ``K + 1`` terms, which no Monte Carlo run resolves.
@@ -98,7 +99,8 @@ _PMF_TAIL = 1e-18
 _MC_BLOCK = 1 << 16
 #: Triples ``(realization, symbol, offset)`` one count Monte Carlo block holds, at most.
 _MC_CELLS = 8 * _MC_BLOCK
-#: Cells ``(symbol, threshold)`` of a link's error table, at most: about 55 bytes each to build.
+#: Cells ``(symbol, threshold)`` of an error table, and of the pmfs it evaluates, at most;
+#: about 55 bytes a table cell to build.
 _TABLE_CELLS = 1 << 22
 
 
@@ -155,13 +157,6 @@ class OokLinkConfig:
             raise ValueError("detection threshold must lie in {0, ..., n_tx}")
         if self.noise_mean_Nn < 0.0:
             raise ValueError("noise mean must be non-negative")
-        # _error_table's size from the pmfs' windows, before any pmf is
-        # evaluated; a Poisson window reaches as high as a binomial one.
-        means = np.append(self.n_tx * pob, self.noise_mean_Nn)
-        tops = np.where(means > _PMF_TAIL, _window(means, means)[1], 0.0)
-        cells = pob.size * (min(self.n_tx + 1, 1 + int(tops.sum())) + 1)
-        if cells > _TABLE_CELLS:
-            raise ValueError(f"SER table of {cells} cells, more than the {_TABLE_CELLS} allowed")
         pob.flags.writeable = False
         object.__setattr__(self, "pob", pob)
 
@@ -347,13 +342,29 @@ def _error_table(link: OokLinkConfig, method: SerMethod) -> np.ndarray:
     law without it: both add nonnegative cells from the error's own side,
     with no complement.  Past the widest law's last cell ``W - 1``, every
     threshold has column ``W``'s errors, so the table stops there, or at
-    ``n_tx`` if ``W`` is ``n_tx + 1``.
+    ``n_tx`` if ``W`` is ``n_tx + 1``.  Pmfs or a table of more than
+    ``_TABLE_CELLS`` cells raise ``ValueError`` before they are made.
     """
-    n = link.n_tx
-    noise, signal, *interference = _count_terms(link, method)
+    n, k = link.n_tx, link.seq_len_K
+    # The cells _count_terms evaluates, from the pmfs' windows; the trimmed
+    # pmfs then give the table's width exactly, before any is convolved.
+    means = np.append(link.noise_mean_Nn, n * link.pob)
+    binomial = method is SerMethod.BINOMIAL_ANALYTIC
+    low, high = _window(means, means * np.append(1.0, 1.0 - link.pob) if binomial else means)
+    if binomial:
+        high[1:] = np.minimum(high[1:], n)
+    cells = int(np.sum(high - low + 1.0, where=means > _PMF_TAIL))
+    if cells > _TABLE_CELLS:
+        raise ValueError(f"SER pmfs of {cells} cells, more than the {_TABLE_CELLS} allowed")
+    terms = _count_terms(link, method)
+    width = min(n + 1, 1 + sum(start + pmf.size - 1 for start, pmf in terms))
+    if k * (width + 1) > _TABLE_CELLS:
+        raise ValueError(f"SER table of {k * (width + 1)} cells, "
+                         f"more than the {_TABLE_CELLS} allowed")
+    noise, signal, *interference = terms
     law = _add(np.array([1.0]), noise, n)
     laws = []
-    for i in range(link.seq_len_K):
+    for i in range(k):
         if i:
             with_bit = _add(law, interference[i - 1], n)
             mixed = np.zeros(max(law.size, with_bit.size))
@@ -361,9 +372,7 @@ def _error_table(link: OokLinkConfig, method: SerMethod) -> np.ndarray:
             mixed[:with_bit.size] += with_bit
             law = 0.5 * mixed
         laws.append((_add(law, signal, n), law))
-    # Laws only widen with i, and adding the signal widens them further.
-    width = laws[-1][0].size
-    miss, false_alarm = np.zeros((2, link.seq_len_K, width + 1))
+    miss, false_alarm = np.zeros((2, k, width + 1))
     for i, (with_signal, without) in enumerate(laws):
         miss[i, 1:with_signal.size + 1] = with_signal
         false_alarm[i, :without.size] = without
@@ -409,56 +418,78 @@ def optimal_threshold(link: OokLinkConfig,
     return xi, _ser_result(table, xi)
 
 
-def _sorted_draw(targets: np.ndarray, u: np.ndarray,
-                 terms: list[tuple[int, np.ndarray]]) -> tuple[np.ndarray, list[np.ndarray]]:
-    """``targets`` in ascending order of ``u``, and the run lengths of each trimmed pmf's draws.
+def _cdf_edges(pmf: np.ndarray) -> np.ndarray:
+    """``[0, cdf[0], ..., cdf[-2], inf]``: cell ``k`` draws the uniforms in ``[edges[k], edges[k + 1])``.
 
-    For ``(start, pmf)`` in ``terms``, ``np.repeat(start + np.arange(pmf.size), runs)``
-    are the counts the sorted uniforms draw: cell ``k`` takes those in ``[cdf[k - 1],
-    cdf[k])``, the last cell every one left (trimming can leave the sum a few 1e-18
-    below 1), so each uniform gets the cell a binary search of ``cdf`` finds.
+    The last cell draws every uniform past ``cdf[-2]`` (trimming can leave the
+    sum a few 1e-18 below 1), so each gets the cell a binary search of ``cdf`` finds.
     """
-    order = np.argsort(u)
+    return np.concatenate(([0.0], np.cumsum(pmf)[:-1], [np.inf]))
+
+
+def _sorted_draw(targets: np.ndarray, u: np.ndarray,
+                 edges: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """``targets`` in ascending order of ``u``, and for each of ``edges`` the cells' runs.
+
+    For a term ``(start, pmf)`` with edges ``_cdf_edges(pmf)``, cell ``k``
+    takes the ``runs[k]`` sorted uniforms in ``[edges[k], edges[k + 1])``, so
+    they draw the counts ``np.repeat(start + np.arange(runs.size), runs)``.
+    """
+    order = u.argsort()
     u = u[order]
-    runs = [np.diff(np.searchsorted(u, np.cumsum(pmf)[:-1]), prepend=0, append=u.size)
-            for _, pmf in terms]
-    return targets[order], runs
+    return targets[order], [np.diff(u.searchsorted(cell_edges)) for cell_edges in edges]
+
+
+def _add_draws(counts: np.ndarray, draws: list, m: int,
+               terms: list[tuple[int, np.ndarray]]) -> None:
+    """Adds link ``m``'s counts from each :func:`_sorted_draw` in ``draws``, under ``terms``."""
+    # One offset's targets are distinct; np.add.at is just faster than +=.
+    for (targets, runs), (start, _) in zip(draws, terms):
+        np.add.at(counts, targets, np.arange(start, start + runs[m].size).repeat(runs[m]))
 
 
 def _mc_block_errors(links: list[OokLinkConfig], terms: list[list[tuple[int, np.ndarray]]],
                      realizations: int, rng: np.random.Generator) -> np.ndarray:
     """Errors of each link at each symbol over one block, shape ``(len(links), K)``.
 
-    ``terms[m]`` is link ``m``'s :func:`_count_terms`; the links share their
-    noise term, and every draw is made and sorted once for all of them.
+    ``terms[m]`` is link ``m``'s :func:`_count_terms`, each pmf as its
+    :func:`_cdf_edges`; the links share their noise term, and every draw is
+    made and sorted once for all of them.
     """
     k = links[0].seq_len_K
     sent = rng.integers(0, 2, size=(realizations, k), dtype=np.int64) == 1
-    cells = np.arange(realizations * k, dtype=np.int32)
-    order, (runs,) = _sorted_draw(cells, rng.random(cells.size), terms[0][:1])
-    noise = np.empty(cells.size, dtype=np.int64)
-    noise[order] = np.repeat(terms[0][0][0] + np.arange(runs.size), runs)
-    del cells, order  # before the offsets' draws, which set the block's peak
+    cells = realizations * k
+    draw = _sorted_draw(np.arange(cells, dtype=np.int32), rng.random(cells), [terms[0][0][1]])
+    noise = np.zeros(cells, dtype=np.int64)  # after the sort: no part of its peak
+    _add_draws(noise, [draw], 0, terms[0][:1])
+    del draw
     # A 1 sent at symbol s < k - j of realization r adds offset j's count at
     # flat index r k + s + j: the 1s left once the last j columns are
     # cleared, shifted by j.  Ascending, these targets are the C order of
-    # (r, s) in which offset j draws.
+    # (r, s) in which offset j draws.  The held draws, of offsets first..,
+    # pass _MC_CELLS targets only in one realization of K >= 1024: each link
+    # then keeps its own counts, K of them, and takes the draws as they fill.
     active = sent.copy()
-    draws = []
+    draws, first, held, kept = [], 0, 0, None
     for j in range(k):
         if j:
             active[:, k - j] = False
-        targets = (np.flatnonzero(active) + j).astype(np.int32)
+        targets = active.ravel().nonzero()[0].astype(np.int32)
+        targets += j
+        if draws and held + targets.size > _MC_CELLS:
+            kept = np.tile(noise, (len(links), 1)) if kept is None else kept
+            for m, link_terms in enumerate(terms):
+                _add_draws(kept[m], draws, m, link_terms[1 + first:])
+            draws, first, held = [], j, 0
         draws.append(_sorted_draw(targets, rng.random(targets.size),
-                                  [link_terms[j + 1] for link_terms in terms]))
+                                  [link_terms[j + 1][1] for link_terms in terms]))
+        held += targets.size
     errors = np.empty((len(links), k), dtype=np.int64)
     # One buffer for every link: a fresh copy per link fragments the heap.
     counts = np.empty_like(noise)
     for m, (link, link_terms) in enumerate(zip(links, terms)):
-        np.copyto(counts, noise)
-        # One offset's targets are distinct; np.add.at is just faster than +=.
-        for (targets, runs), (start, pmf) in zip(draws, link_terms[1:]):
-            np.add.at(counts, targets, np.repeat(start + np.arange(pmf.size), runs[m]))
+        np.copyto(counts, noise if kept is None else kept[m])
+        _add_draws(counts, draws, m, link_terms[1 + first:])
         detected = counts.reshape(realizations, k) >= link.threshold_xi
         errors[m] = np.count_nonzero(detected != sent, axis=0)
     return errors
@@ -482,7 +513,8 @@ def ser_monte_carlo_many(links: list[OokLinkConfig], realizations: int,
     k, noise = links[0].seq_len_K, links[0].noise_mean_Nn
     if any(link.seq_len_K != k or link.noise_mean_Nn != noise for link in links):
         raise ValueError("Monte Carlo links must share their sequence length and noise mean")
-    terms = [_count_terms(link, SerMethod.BINOMIAL_ANALYTIC) for link in links]
+    terms = [[(start, _cdf_edges(pmf)) for start, pmf in _count_terms(
+        link, SerMethod.BINOMIAL_ANALYTIC)] for link in links]
     rng = np.random.default_rng([seed, 0])
     block = min(_MC_BLOCK, max(1, _MC_CELLS // (k * (k + 1) // 2)))
     errors = np.zeros((len(links), k), dtype=np.int64)
@@ -500,9 +532,11 @@ def ser_monte_carlo(link: OokLinkConfig, realizations: int, seed: int,
     trimmed pmfs that ``BINOMIAL_ANALYTIC`` convolves: it estimates what that
     method computes, so it no longer checks the pmf kernels (the pmf tests
     and the brute-force SER do).  Blocks of at most ``_MC_BLOCK``
-    realizations and ``_MC_CELLS`` triples ``(realization, symbol, offset)``
-    keep memory flat in ``realizations`` and ``K``; a fixed seed reproduces
-    the result.  This is :func:`ser_monte_carlo_many` of the one link.
+    realizations that hold the draws of at most ``_MC_CELLS`` triples
+    ``(realization, symbol, offset)`` (module notes) keep memory flat in
+    ``realizations``, and in ``K`` growing no faster than the links' pmfs.
+    A fixed seed reproduces the result.  This is :func:`ser_monte_carlo_many`
+    of the one link.
     """
     if method is not SerMethod.MONTE_CARLO_COUNTS:
         raise ValueError(f"{method} is not a Monte Carlo method")

@@ -234,33 +234,30 @@ def ser_action(cfg: ResolvedConfig, out_dir: Path, threads: int = 1) -> list[Pat
     # Every link is checked before a particle_binomial pool starts the engine.
     points = [cfg.build(_auto_link, cfg, distance, symbol_interval)
               for distance, symbol_interval in grid]
-    pobs = (_particle_pobs(cfg, [(rx, offsets) for _, rx, offsets in points], threads)
-            if SerMethod.PARTICLE_BINOMIAL in methods else [None] * len(points))
-    links, searches = [link for link, _, _ in points], [None] * len(points)
-    if cfg["ook.threshold"] == "optimal":
-        for i, link in enumerate(links):
-            xi_opt, searches[i] = optimal_threshold(link, SerMethod.POISSON_ANALYTIC)
-            links[i] = replace(link, threshold_xi=xi_opt)
-    mc_results = (cfg.build(ser_monte_carlo_many, links, realizations, seed) if run_mc
-                  else [None] * len(links))
-    rows = []
-    for (distance, symbol_interval), link, searched, pob, mc_result in zip(
-            grid, links, searches, pobs, mc_results):
-        for method in methods:
-            used = 0
-            if method is SerMethod.MONTE_CARLO_COUNTS:
-                result, used = mc_result, realizations
-            elif method is SerMethod.PARTICLE_BINOMIAL:
-                # The pool's P_ob can make a larger table than the closed form's.
-                result = ser_analytic(cfg.build(replace, link, pob=pob),
-                                      SerMethod.BINOMIAL_ANALYTIC)
-            elif method is SerMethod.POISSON_ANALYTIC and searched is not None:
-                # The search's table holds every threshold, xi_opt's included.
-                result = searched
-            else:
-                result = ser_analytic(link, method)
-            rows.append((symbol_interval, distance, link.threshold_xi, result.ser,
-                         method.value, used, seed))
+    links, results = [link for link, _, _ in points], [{} for _ in points]
+    closed_forms = {SerMethod.POISSON_ANALYTIC, SerMethod.BINOMIAL_ANALYTIC}.intersection(methods)
+    for i, link in enumerate(links):
+        if cfg["ook.threshold"] == "optimal":
+            # The search's table holds every threshold, xi_opt's included.
+            xi_opt, results[i][SerMethod.POISSON_ANALYTIC] = cfg.build(
+                optimal_threshold, link, SerMethod.POISSON_ANALYTIC)
+            links[i] = link = replace(link, threshold_xi=xi_opt)
+        # A table too large to build is refused here, before any pool runs.
+        for method in closed_forms - results[i].keys():
+            results[i][method] = cfg.build(ser_analytic, link, method)
+    if SerMethod.PARTICLE_BINOMIAL in methods:
+        pobs = _particle_pobs(cfg, [(rx, offsets) for _, rx, offsets in points], threads)
+        for result, link, pob in zip(results, links, pobs):
+            # The pool's P_ob can make a larger table than the closed form's.
+            result[SerMethod.PARTICLE_BINOMIAL] = cfg.build(
+                ser_analytic, replace(link, pob=pob), SerMethod.BINOMIAL_ANALYTIC)
+    if run_mc:
+        for result, mc in zip(results, cfg.build(ser_monte_carlo_many, links, realizations, seed)):
+            result[SerMethod.MONTE_CARLO_COUNTS] = mc
+    rows = [(symbol_interval, distance, link.threshold_xi, result[method].ser, method.value,
+             realizations if method is SerMethod.MONTE_CARLO_COUNTS else 0, seed)
+            for (distance, symbol_interval), link, result in zip(grid, links, results)
+            for method in methods]
     return [_write(cfg, out_dir, "ser_sweep",
                    ("T_s", "d_m", "xi_opt", "ser", "method", "realizations", "seed"), rows,
                    content="symbol error rate sweep")]

@@ -397,25 +397,49 @@ class TestCli:
         assert str(MAX_GRID_POINTS) in err
         assert list(tmp_path.rglob("*")) == []
 
-    @pytest.mark.parametrize("setting, cells", [
+    @pytest.mark.parametrize("setting, what, cells", [
         # 1600 symbols of all 10 001 thresholds and one past: it peaked at 880 MB.
-        ("ook.seq_len=1600", 1600 * 10_002),
-        # 8 symbols of laws that reach about n_tx sum(pob), over 1e14 cells.
-        ("release.n_tx=9007199254740992", 8 * 10 ** 14)])
-    def test_huge_ser_table_is_config_error(self, tmp_path, capsys, monkeypatch, setting, cells):
-        # The error table's size is bounded from the pmfs' windows when the
-        # link is made, before any pmf or engine run.
-        def work(*args, **kwargs):
-            raise AssertionError("SER work ran for a refused link")
-        for name in ("optimal_threshold", "ser_analytic", "run_many"):
-            monkeypatch.setattr(presets, name, work)
+        ("ook.seq_len=1600", "SER table", 1600 * 10_002),
+        # 8 pmfs whose windows span 24 sqrt(n_tx p) cells or more, 7e8 in all.
+        ("release.n_tx=9007199254740992", "SER pmfs", 10 ** 8)])
+    def test_huge_ser_table_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                            setting, what, cells):
+        # The threshold search refuses the table before building it, and
+        # before the particle_binomial pool starts the engine.
+        def engine(*args, **kwargs):
+            raise AssertionError("the engine ran for a refused link")
+        monkeypatch.setattr(presets, "run_many", engine)
         rc = main(["ser", "--out", str(tmp_path), "--set", setting,
                    "--set", "ook.method=poisson_analytic,particle_binomial"])
         assert rc == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and f"more than the {ook._TABLE_CELLS} allowed" in err
-        assert int(err.split("SER table of ")[1].split()[0]) >= cells
+        assert int(err.split(f"{what} of ")[1].split()[0]) >= cells
         assert list(tmp_path.rglob("*")) == []
+
+    @pytest.mark.parametrize("method", ["poisson_analytic", "binomial_analytic"])
+    def test_fixed_threshold_table_is_checked_before_the_engine(self, tmp_path, capsys,
+                                                                 monkeypatch, method):
+        def engine(*args, **kwargs):
+            raise AssertionError("the engine ran for a refused link")
+        monkeypatch.setattr(presets, "run_many", engine)
+        rc = main(["ser", "--out", str(tmp_path), "--set", "ook.seq_len=1600",
+                   "--set", "ook.threshold=70", "--set", f"ook.method=particle_binomial,{method}"])
+        assert rc == 2
+        assert f"SER table of {1600 * 10_002} cells" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*")) == []
+
+    def test_monte_carlo_link_builds_no_table(self, tmp_path):
+        # A fixed threshold needs no error table, so a count Monte Carlo link
+        # whose table would be refused runs: here on grouped draws, since one
+        # realization of K = 1600 holds more than _MC_CELLS triples.
+        assert 1600 * 1601 // 2 > ook._MC_CELLS
+        rc = main(["ser", "--out", str(tmp_path), "--set", "ook.seq_len=1600",
+                   "--set", "ook.threshold=70", "--set", "ook.method=monte_carlo_counts",
+                   "--set", "ook.realizations=2"])
+        assert rc == 0
+        rows = (tmp_path / "ser_sweep.csv").read_text().splitlines()
+        assert rows[-1].split(",")[4:6] == ["monte_carlo_counts", "2"]
 
     def test_pool_ser_table_is_config_error(self, tmp_path, capsys, monkeypatch):
         # The closed-form link passes; a pool that sees every molecule at
@@ -429,13 +453,15 @@ class TestCli:
         assert list(tmp_path.rglob("*")) == []
 
     def test_preset_ser_tables_are_far_below_the_cap(self, monkeypatch):
-        # Every SER link the presets and the default ser make would pass a
+        # Every SER table the presets and the default ser build would pass a
         # cap 64 times smaller.
         monkeypatch.setattr(ook, "_TABLE_CELLS", ook._TABLE_CELLS // 64)
         for cfg in (preset_config("ser_sweep"), load_config()):
             for distance in cfg["ser.distances"]:
                 for symbol_interval in cfg["ser.symbol_intervals"]:
-                    presets._auto_link(cfg, distance, symbol_interval)
+                    link = presets._auto_link(cfg, distance, symbol_interval)[0]
+                    for method in (SerMethod.POISSON_ANALYTIC, SerMethod.BINOMIAL_ANALYTIC):
+                        ook._error_table(link, method)
 
     def test_every_link_is_checked_before_the_engine(self, tmp_path, capsys, monkeypatch):
         # A refused link must not wait behind a 100 000-particle pool.

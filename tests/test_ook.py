@@ -28,10 +28,10 @@ from ductflow import (
     ser_monte_carlo,
     ser_monte_carlo_many,
 )
-from ductflow import presets
+from ductflow import ook, presets
 from ductflow.config import load_config
-from ductflow.ook import (_MC_BLOCK, _MC_CELLS, _binomial_pmf, _count_terms, _error_table,
-                          _mc_block_errors, _poisson_pmf, _sorted_draw)
+from ductflow.ook import (_MC_BLOCK, _MC_CELLS, _binomial_pmf, _cdf_edges, _count_terms,
+                          _error_table, _mc_block_errors, _poisson_pmf, _sorted_draw)
 from ductflow.presets import _auto_link, _particle_pobs, preset_config
 from conftest import make_channel, make_receiver
 
@@ -475,9 +475,11 @@ def sorted_draw_cells(terms, u):
 
     Each uniform's target is its flat index in ``u``, as the noise draw's are.
     """
-    targets, runs = _sorted_draw(np.arange(u.size, dtype=np.int32), u.reshape(-1), terms)
+    targets, runs = _sorted_draw(np.arange(u.size, dtype=np.int32), u.reshape(-1),
+                                 [_cdf_edges(pmf) for _, pmf in terms])
     cells = []
     for (start, pmf), term_runs in zip(terms, runs):
+        assert term_runs.size == pmf.size
         flat = np.empty(u.size, dtype=np.int64)
         flat[targets] = np.repeat(start + np.arange(pmf.size), term_runs)
         cells.append(flat.reshape(u.shape))
@@ -570,7 +572,8 @@ class TestSerMonteCarlo:
             link = replace(link, threshold_xi={"zero": 0, "own": 30, "n_tx": link.n_tx}[xi])
             terms = _count_terms(link, SerMethod.BINOMIAL_ANALYTIC)
             fast, slow = np.random.default_rng(k), np.random.default_rng(k)
-            assert np.array_equal(_mc_block_errors([link], [terms], 3001, fast)[0],
+            edge_terms = [(start, _cdf_edges(pmf)) for start, pmf in terms]
+            assert np.array_equal(_mc_block_errors([link], [edge_terms], 3001, fast)[0],
                                   mask_counts_block(link, terms, 3001, slow).sum(axis=0))
             assert fast.random() == slow.random()
 
@@ -637,18 +640,18 @@ class TestSerMonteCarlo:
         assert np.array_equal(one.per_symbol_errors, two.per_symbol_errors)
 
     def test_blocks_bound_memory(self):
-        # 3e5 realizations span five blocks of _MC_BLOCK.  A block holds its
-        # bits (1 byte a cell); its noise draw holds the uniforms, the counts
-        # and the cumulative sums the guide table's dense step compares them
-        # with (8 bytes each) and the step's flags (1 byte): 26 bytes a cell,
-        # 13.7 MB measured.  One offset's draw holds the counts (8 bytes a
-        # cell) and, per target (at most about half the cells), the target,
-        # its uniform, its drawn count and the sum gathered or compared with
-        # it (8 bytes each): about 25.5 bytes a cell.  The peak stays under
-        # 32 bytes a cell of one block, 16.8 MB: below even one unblocked
-        # (realizations, K) int64 array (19.2 MB).  Drawn unblocked, the peak
-        # was 77 MB.  Summing the blocks' errors must keep every per-symbol
-        # rate within 4 standard errors of the binomial-analytic value.
+        # At K = 8 a realization has K (K + 1) / 2 = 36 (symbol, offset)
+        # pairs, so a block holds _MC_CELLS // 36 = 14 563 realizations and
+        # 3e5 span 21 blocks (and more than 4 of the largest, _MC_BLOCK).  A
+        # block peaks in its noise draw: the bits (1 byte a cell) and the
+        # draw's flat cells, uniforms, sort order, sorted uniforms and sorted
+        # cells (4 + 8 + 8 + 8 + 4 bytes), 33 bytes a cell of 14 563 x 8, or
+        # 3.7 MB measured.  The offsets' held int32 targets, about (K + 1) / 4
+        # a cell, with the counts and bits stay below that.  The bound, 32
+        # bytes a cell of an _MC_BLOCK-realization block (16.8 MB), is below
+        # even one unblocked (realizations, K) int64 array (19.2 MB).
+        # Summing the blocks' errors must keep every per-symbol rate within 4
+        # standard errors of the binomial-analytic value.
         link, *_ = flow_link(T=0.25)
         xi, _ = optimal_threshold(link)
         link = replace(link, threshold_xi=xi)
@@ -667,12 +670,16 @@ class TestSerMonteCarlo:
                       <= 4.0 * np.sqrt(p * (1.0 - p) / realizations))
 
     def test_blocks_bound_memory_for_long_links(self):
-        # At K = 64 a block holds _MC_CELLS // 64 = 8192 realizations, so
-        # 40 000 span five blocks.  Per cell of one block the peak is the one
-        # test_blocks_bound_memory counts, under 32 bytes; one unblocked
-        # (realizations, K) int64 array would be 20.5 MB, and drawn as one
-        # block they peak at 66.6 MB.  Every per-symbol rate lies within 4
-        # standard errors of the binomial-analytic value.
+        # At K = 64 a realization has 2080 (symbol, offset) pairs, so a block
+        # holds _MC_CELLS // 2080 = 252 realizations and 40 000 span 159
+        # blocks (and more than 3 of _MC_CELLS // 64, the old block).  A block
+        # holds at most _MC_CELLS int32 targets, 2.1 MB, and about half that
+        # on average; its noise draw takes 33 bytes a cell of 252 x 64: 1.6 MB
+        # measured, under the bound of 32 _MC_CELLS bytes (16.8 MB).  One
+        # unblocked (realizations, K) int64 array would be 20.5 MB, and every
+        # offset's targets of one block of 40 000 realizations 166 MB.  Every
+        # per-symbol rate lies within 4 standard errors of the
+        # binomial-analytic value.
         link, *_ = flow_link(T=0.05, K=64)
         xi, _ = optimal_threshold(link)
         link = replace(link, threshold_xi=xi)
@@ -690,6 +697,47 @@ class TestSerMonteCarlo:
         assert np.all(np.abs(mc.per_symbol_errors - p)
                       <= 4.0 * np.sqrt(p * (1.0 - p) / realizations))
 
+    def test_long_links_hold_bounded_draws(self):
+        # At K = 4096 one realization has K (K + 1) / 2 = 8.4e6 (symbol,
+        # offset) pairs, 16 times _MC_CELLS: a block is one realization, and
+        # it adds its draws group by group as they fill _MC_CELLS targets.  It
+        # holds at most _MC_CELLS int32 targets (2.1 MB); the link's cell
+        # edges and the held draws' run lengths, at most twice the pmfs'
+        # bytes; and under 1 kB of arrays and tuples per offset: 3.9 MB
+        # measured.
+        # Holding every offset's targets, about K (K + 1) / 4 of them, would
+        # take 16.8 MB (21 MB measured).
+        link, *_ = flow_link(T=0.05, K=4096)
+        k = link.seq_len_K
+        pmf_bytes = sum(pmf.nbytes for _, pmf in _count_terms(link, SerMethod.BINOMIAL_ANALYTIC))
+        bound = 4 * _MC_CELLS + 2 * pmf_bytes + 1024 * k
+        assert k * (k + 1) // 2 > _MC_CELLS and bound < k * (k + 1)
+        tracemalloc.start()
+        try:
+            ser_monte_carlo(link, 1, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
+    @pytest.mark.parametrize("cap", [1, 7, 40, 100])
+    def test_grouped_draws_are_the_held_draws(self, monkeypatch, cap):
+        # Three realizations of K = 16 hold about 200 targets.  Past a cap
+        # below that, a block adds its draws group by group, each link on its
+        # own counts: the errors and the generator's end state are those of
+        # the block that holds every draw at once.
+        link, *_ = flow_link(T=0.1, K=16)
+        links = [link, replace(link, pob=link.pob[::-1], threshold_xi=5),
+                 replace(link, pob=np.zeros(16), threshold_xi=0)]
+        terms = [[(start, _cdf_edges(pmf)) for start, pmf in
+                  _count_terms(one, SerMethod.BINOMIAL_ANALYTIC)] for one in links]
+        held_rng = np.random.default_rng(4)
+        held = _mc_block_errors(links, terms, 3, held_rng)
+        monkeypatch.setattr(ook, "_MC_CELLS", cap)
+        rng = np.random.default_rng(4)
+        assert np.array_equal(_mc_block_errors(links, terms, 3, rng), held)
+        assert rng.bit_generator.state == held_rng.bit_generator.state
+
     def test_sweep_shares_its_draws_in_bounded_memory(self):
         # The ser_sweep preset's 60 links at 1e4 realizations: one block of
         # R = 10 000 realizations, K = 8, RK cells.  The block keeps its bits
@@ -701,8 +749,8 @@ class TestSerMonteCarlo:
         # reordered targets (4 + 8 + 8 + 8 + 4 bytes a cell); an offset's
         # draw, the same per target; or one link's counts, its drawn values
         # and its scatter's index (8 each).  So 48 bytes a cell bounds the
-        # rest, and the links' pmfs, their cumulative sums and their runs
-        # add at most 3 times the pmfs' bytes.  Keeping every link's counts
+        # rest, and the links' pmfs, their cell edges and their runs add at
+        # most 3 times the pmfs' bytes.  Keeping every link's counts
         # or drawn values at once would take 38 MB or more.
         cfg = preset_config("ser_sweep")
         links = []

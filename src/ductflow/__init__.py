@@ -53,18 +53,9 @@ __all__ = [
     "classify_regime", "rx_area_fraction",
     "DispersionModel", "effective_diffusion", "cir_dispersion", "dispersion_peak_time",
     "flow_transit_times", "cir_flow_uniform", "cir_flow_point", "flow_point_window",
-    "oracle_cir_dispersion", "oracle_cir_flow",
     "SimConfig", "ObservationSeries", "SimResult", "run",
     "OokLinkConfig", "SerMethod", "SerResult", "detection_offsets", "ser_analytic",
     "optimal_threshold", "ser_monte_carlo", "ser_monte_carlo_many",
     "__version__",
 ]
 
-
-def __getattr__(name: str):
-    # The quadrature oracles need scipy (the ``oracles`` extra), which no CLI
-    # run needs, so they are imported on first use.
-    if name in ("oracle_cir_dispersion", "oracle_cir_flow"):
-        from . import oracles
-        return getattr(oracles, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -31,8 +31,10 @@ forward cumulative sum of the latter and a reverse one of the former: sums
 of nonnegative cells from the error's own side, accurate to a few ulp
 relative however small (Higham, *Accuracy and Stability of Numerical
 Algorithms*, 2002, sec. 4.2).  That takes two convolutions of tail-trimmed
-pmfs per symbol, so time and memory grow linearly in ``K``; a table of
-more than ``_TABLE_CELLS`` cells is refused before it is built.
+pmfs per symbol, written into the table and summed there, so time and
+memory grow linearly in ``K``.  Pmfs of more than ``_TABLE_CELLS`` cells,
+for any method, are refused before any is evaluated, and so is a table of
+more cells before it is built.
 :func:`ser_analytic` reads one threshold of it, :func:`optimal_threshold`
 its minimum.
 
@@ -99,8 +101,8 @@ _PMF_TAIL = 1e-18
 _MC_BLOCK = 1 << 16
 #: Triples ``(realization, symbol, offset)`` one count Monte Carlo block holds, at most.
 _MC_CELLS = 8 * _MC_BLOCK
-#: Cells ``(symbol, threshold)`` of an error table, and of the pmfs it evaluates, at most;
-#: about 55 bytes a table cell to build.
+#: Cells ``(symbol, threshold)`` of an error table, and of the pmfs any method evaluates,
+#: at most; about 16.5 bytes a table cell to build.
 _TABLE_CELLS = 1 << 22
 
 
@@ -282,19 +284,9 @@ def _window(mean, var):
     return np.maximum(mean - half, 0.0) // 1.0, (mean + half) // 1.0
 
 
-def _trimmed_pmf(pmf_at, mean: float, var: float,
-                 top: int | None = None) -> tuple[int, np.ndarray]:
-    """``(start, pmf)``: ``pmf_at(low, high)`` over the cells where it exceeds ``_PMF_TAIL``.
-
-    A mean at most the tail gives ``(0, [1.0])`` unevaluated: by Markov's
-    inequality no cell ``k >= 1`` exceeds the mean, so trimming keeps only
-    ``k = 0``.  Otherwise only the :func:`_window` of the mean, and no cell
-    above ``top``, is evaluated; the pmfs lie far below the tail outside it.
-    """
-    if mean <= _PMF_TAIL:
-        return 0, np.ones(1)
-    low, high = (int(cell) for cell in _window(mean, var))
-    pmf = pmf_at(low, high if top is None else min(high, top))
+def _trimmed_pmf(pmf_at, low: int, high: int) -> tuple[int, np.ndarray]:
+    """``(start, pmf)``: ``pmf_at(low, high)`` over the cells where it exceeds ``_PMF_TAIL``."""
+    pmf = pmf_at(low, high)
     keep = np.flatnonzero(pmf > _PMF_TAIL)
     return low + int(keep[0]), pmf[keep[0]: keep[-1] + 1]
 
@@ -305,17 +297,30 @@ def _count_terms(link: OokLinkConfig, method: SerMethod) -> list[tuple[int, np.n
     Offset ``j`` contributes ``Poisson(n_tx p_j)`` under ``POISSON_ANALYTIC``,
     whose mass past ``n_tx`` the censored laws keep, and
     ``Binomial(n_tx, p_j)``, on ``0..n_tx``, under ``BINOMIAL_ANALYTIC``.
+    Each is evaluated on its :func:`_window`, a binomial not above ``n_tx``:
+    outside it the pmfs lie far below the tail.  A mean at most the tail
+    gives ``(0, [1.0])`` unevaluated: by Markov's inequality no cell
+    ``k >= 1`` exceeds the mean.  Windows of more than ``_TABLE_CELLS``
+    cells in all raise ``ValueError`` before any pmf is evaluated.
     """
-    lam, n, pvec = link.noise_mean_Nn, link.n_tx, link.pob
+    n, pvec = link.n_tx, link.pob
+    means = np.append(link.noise_mean_Nn, n * pvec)
+    noise = partial(_poisson_pmf, lam=link.noise_mean_Nn)
     if method is SerMethod.POISSON_ANALYTIC:
-        offsets = [_trimmed_pmf(partial(_poisson_pmf, lam=n * p), n * p, n * p)
-                   for p in pvec]
+        low, high = _window(means, means)
+        kernels = [noise] + [partial(_poisson_pmf, lam=mean) for mean in means[1:]]
     elif method is SerMethod.BINOMIAL_ANALYTIC:
-        offsets = [_trimmed_pmf(partial(_binomial_pmf, n=n, p=p), n * p, n * p * (1.0 - p), n)
-                   for p in pvec]
+        low, high = _window(means, means * np.append(1.0, 1.0 - pvec))
+        high[1:] = np.minimum(high[1:], n)
+        kernels = [noise] + [partial(_binomial_pmf, n=n, p=p) for p in pvec]
     else:
         raise ValueError(f"{method} is not an analytic method")
-    return [_trimmed_pmf(partial(_poisson_pmf, lam=lam), lam, lam)] + offsets
+    live = means > _PMF_TAIL
+    cells = int(np.sum(high - low + 1.0, where=live))
+    if cells > _TABLE_CELLS:
+        raise ValueError(f"SER pmfs of {cells} cells, more than the {_TABLE_CELLS} allowed")
+    return [_trimmed_pmf(kernel, int(lo), int(hi)) if alive else (0, np.ones(1))
+            for kernel, lo, hi, alive in zip(kernels, low, high, live)]
 
 
 def _add(law: np.ndarray, term: tuple[int, np.ndarray], n: int) -> np.ndarray:
@@ -346,39 +351,32 @@ def _error_table(link: OokLinkConfig, method: SerMethod) -> np.ndarray:
     ``_TABLE_CELLS`` cells raise ``ValueError`` before they are made.
     """
     n, k = link.n_tx, link.seq_len_K
-    # The cells _count_terms evaluates, from the pmfs' windows; the trimmed
-    # pmfs then give the table's width exactly, before any is convolved.
-    means = np.append(link.noise_mean_Nn, n * link.pob)
-    binomial = method is SerMethod.BINOMIAL_ANALYTIC
-    low, high = _window(means, means * np.append(1.0, 1.0 - link.pob) if binomial else means)
-    if binomial:
-        high[1:] = np.minimum(high[1:], n)
-    cells = int(np.sum(high - low + 1.0, where=means > _PMF_TAIL))
-    if cells > _TABLE_CELLS:
-        raise ValueError(f"SER pmfs of {cells} cells, more than the {_TABLE_CELLS} allowed")
     terms = _count_terms(link, method)
+    # The trimmed pmfs give the table's width exactly, before any is convolved.
     width = min(n + 1, 1 + sum(start + pmf.size - 1 for start, pmf in terms))
     if k * (width + 1) > _TABLE_CELLS:
         raise ValueError(f"SER table of {k * (width + 1)} cells, "
                          f"more than the {_TABLE_CELLS} allowed")
     noise, signal, *interference = terms
+    miss, false_alarm = np.zeros((2, k, width + 1))
     law = _add(np.array([1.0]), noise, n)
-    laws = []
     for i in range(k):
         if i:
+            # X >= 0, so the law with the bit is never the shorter.
             with_bit = _add(law, interference[i - 1], n)
-            mixed = np.zeros(max(law.size, with_bit.size))
-            mixed[:law.size] = law
-            mixed[:with_bit.size] += with_bit
-            law = 0.5 * mixed
-        laws.append((_add(law, signal, n), law))
-    miss, false_alarm = np.zeros((2, k, width + 1))
-    for i, (with_signal, without) in enumerate(laws):
+            with_bit[:law.size] += law
+            with_bit *= 0.5
+            law = with_bit
+        with_signal = _add(law, signal, n)
         miss[i, 1:with_signal.size + 1] = with_signal
-        false_alarm[i, :without.size] = without
+        false_alarm[i, :law.size] = law
     np.cumsum(miss, axis=1, out=miss)
-    false_alarm = np.cumsum(false_alarm[:, ::-1], axis=1)[:, ::-1]
-    return (0.5 * miss + 0.5 * false_alarm)[:, :n + 1]
+    reverse = false_alarm[:, ::-1]
+    np.cumsum(reverse, axis=1, out=reverse)
+    miss *= 0.5
+    false_alarm *= 0.5
+    miss += false_alarm
+    return miss[:, :n + 1]
 
 
 def _ser_result(table: np.ndarray, xi: int) -> SerResult:
@@ -524,11 +522,10 @@ def ser_monte_carlo_many(links: list[OokLinkConfig], realizations: int,
             for e in errors]
 
 
-def ser_monte_carlo(link: OokLinkConfig, realizations: int, seed: int,
-                    method: SerMethod = SerMethod.MONTE_CARLO_COUNTS) -> SerResult:
+def ser_monte_carlo(link: OokLinkConfig, realizations: int, seed: int) -> SerResult:
     """Monte Carlo SER over uniformly random K-bit sequences.
 
-    ``MONTE_CARLO_COUNTS``, the one method, samples per-symbol counts from the
+    It samples per-symbol counts (``MONTE_CARLO_COUNTS``) from the
     trimmed pmfs that ``BINOMIAL_ANALYTIC`` convolves: it estimates what that
     method computes, so it no longer checks the pmf kernels (the pmf tests
     and the brute-force SER do).  Blocks of at most ``_MC_BLOCK``
@@ -538,6 +535,4 @@ def ser_monte_carlo(link: OokLinkConfig, realizations: int, seed: int,
     A fixed seed reproduces the result.  This is :func:`ser_monte_carlo_many`
     of the one link.
     """
-    if method is not SerMethod.MONTE_CARLO_COUNTS:
-        raise ValueError(f"{method} is not a Monte Carlo method")
     return ser_monte_carlo_many([link], realizations, seed)[0]

@@ -30,8 +30,6 @@ from ductflow import (
     flow_point_window,
     flow_transit_times,
     optimal_threshold,
-    oracle_cir_dispersion,
-    oracle_cir_flow,
     peclet_number,
     run,
     rx_area_fraction,
@@ -39,6 +37,7 @@ from ductflow import (
     ser_monte_carlo,
 )
 from ductflow.cli import main as cli_main
+from ductflow.oracles import oracle_cir_dispersion, oracle_cir_flow
 from test_impulse import random_flow_setup
 
 
@@ -361,7 +360,7 @@ def test_criterion_09_ser_pipeline():
     xi, _ = optimal_threshold(link)
     link = replace(link, threshold_xi=xi)
     exact = ser_analytic(link, SerMethod.BINOMIAL_ANALYTIC).ser
-    mc = ser_monte_carlo(link, 10_000, seed=909, method=SerMethod.MONTE_CARLO_COUNTS)
+    mc = ser_monte_carlo(link, 10_000, seed=909)
     clt = 3.0 * math.sqrt(exact * (1.0 - exact) / (10_000 * link.seq_len_K))
     b_ok = abs(mc.ser - exact) <= clt
 

@@ -441,6 +441,21 @@ class TestCli:
         rows = (tmp_path / "ser_sweep.csv").read_text().splitlines()
         assert rows[-1].split(",")[4:6] == ["monte_carlo_counts", "2"]
 
+    def test_monte_carlo_pmfs_are_bounded(self, tmp_path, capsys, monkeypatch):
+        # A fixed-threshold count Monte Carlo link builds no table, but its
+        # pmfs are capped like every method's: these 8 windows span 7.3e8
+        # cells (5.9 GB), and the link is refused before any is evaluated.
+        def kernel(*args, **kwargs):
+            raise AssertionError("a pmf was evaluated for a refused link")
+        monkeypatch.setattr(ook, "_binomial_pmf", kernel)
+        monkeypatch.setattr(ook, "_poisson_pmf", kernel)
+        rc = main(["ser", "--out", str(tmp_path), "--set", "release.n_tx=9007199254740992",
+                   "--set", "ook.threshold=5", "--set", "ook.method=monte_carlo_counts"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "configuration error: SER pmfs of 734416311 cells" in err
+        assert list(tmp_path.rglob("*")) == []
+
     def test_pool_ser_table_is_config_error(self, tmp_path, capsys, monkeypatch):
         # The closed-form link passes; a pool that sees every molecule at
         # every offset would need 8 x (1e6 + 2) cells.
@@ -610,7 +625,8 @@ class TestCli:
 
     def test_import_loads_no_scipy(self):
         # scipy.special alone cost about 0.3 s of every CLI run.  Only the
-        # quadrature oracles need scipy, and ductflow imports them on first use.
+        # quadrature oracles need scipy, and only their callers import
+        # ductflow.oracles.
         assert self._cli_scipy_modules() == []
 
     def test_import_skips_scipy_stats(self):
@@ -619,9 +635,8 @@ class TestCli:
 
     def test_import_skips_scipy_integrate(self):
         # Only the quadrature oracles need scipy.integrate, and ductflow
-        # imports them on first use.
+        # never imports them itself.
         assert "scipy.integrate" not in self._cli_scipy_modules()
-        assert ductflow.oracle_cir_flow is ductflow.oracles.oracle_cir_flow
 
     def test_oracles_name_their_extra_without_scipy(self, monkeypatch):
         monkeypatch.setitem(sys.modules, "scipy.integrate", None)
@@ -645,6 +660,36 @@ class TestCli:
                 found |= {alias.name for alias in node.names
                           if alias.name.startswith("ductflow")}
         return {name.removeprefix("ductflow.") for name in found}
+
+    def test_no_dead_private_names(self):
+        # Every module-level private name of the package is read somewhere in
+        # it: by name, as an attribute or by an import.
+        trees = {path.stem: ast.parse(path.read_text())
+                 for path in Path(ductflow.__file__).parent.glob("*.py")}
+        loaded = set()
+        for tree in trees.values():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    loaded.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    loaded.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    loaded |= {alias.name for alias in node.names}
+        defined = set()
+        for module, tree in trees.items():
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    targets = [node.name]
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = [target.id for target in (
+                        node.targets if isinstance(node, ast.Assign) else [node.target])
+                        if isinstance(target, ast.Name)]
+                else:
+                    targets = []
+                defined |= {(module, name) for name in targets
+                            if name.startswith("_") and not name.startswith("__")}
+        assert len(defined) > 50
+        assert sorted((module, name) for module, name in defined if name not in loaded) == []
 
     def test_layering(self):
         # The link layer sees the channel only through its observation

@@ -18,10 +18,9 @@ from ductflow import (
     effective_diffusion,
     flow_point_window,
     flow_transit_times,
-    oracle_cir_dispersion,
-    oracle_cir_flow,
     rx_area_fraction,
 )
+from ductflow.oracles import oracle_cir_dispersion, oracle_cir_flow
 from conftest import make_channel, make_receiver
 
 

@@ -262,6 +262,40 @@ class TestPmfs:
                            rtol=tol, atol=1e-300)
 
 
+class TestCountTerms:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(pvec=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+           noise=st.floats(0.0, 1e4), n_tx=st.integers(1, 10**7),
+           method=st.sampled_from(ANALYTIC))
+    def test_bound_counts_the_cells_evaluated(self, pvec, noise, n_tx, method):
+        # The cells the bound counts are the cells the kernels are asked for:
+        # a cap of exactly that many passes, and one fewer refuses before any
+        # pmf is evaluated.
+        link = OokLinkConfig(pvec, 0, noise, n_tx)
+        asked = []
+
+        def recorded(kernel):
+            def pmf_at(low, high, **kwargs):
+                asked.append(high - low + 1)
+                return kernel(low, high, **kwargs)
+            return pmf_at
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ook, "_TABLE_CELLS", -1)
+            with pytest.raises(ValueError, match="SER pmfs of") as refused:
+                _count_terms(link, method)
+            cells = int(str(refused.value).split("SER pmfs of ")[1].split()[0])
+            patch.setattr(ook, "_binomial_pmf", recorded(_binomial_pmf))
+            patch.setattr(ook, "_poisson_pmf", recorded(_poisson_pmf))
+            patch.setattr(ook, "_TABLE_CELLS", cells - 1)
+            with pytest.raises(ValueError, match=f"SER pmfs of {cells} cells"):
+                _count_terms(link, method)
+            assert asked == []
+            patch.setattr(ook, "_TABLE_CELLS", cells)
+            terms = _count_terms(link, method)
+        assert sum(asked) == cells and len(terms) == link.seq_len_K + 1
+
+
 class TestSerAnalytic:
     def test_dead_channel_k1(self):
         link = OokLinkConfig(np.zeros(1), 1, 0.0, 1000)
@@ -293,6 +327,13 @@ class TestSerAnalytic:
         rp = ser_analytic(link, SerMethod.POISSON_ANALYTIC).ser
         rb = ser_analytic(link, SerMethod.BINOMIAL_ANALYTIC).ser
         assert rp == pytest.approx(rb, rel=0.05)
+
+    def test_refuses_non_analytic_methods(self):
+        link, *_ = flow_link()
+        for method in (SerMethod.MONTE_CARLO_COUNTS, SerMethod.PARTICLE_BINOMIAL):
+            for entry in (ser_analytic, optimal_threshold):
+                with pytest.raises(ValueError, match="not an analytic method"):
+                    entry(link, method)
 
     def test_binomial_kernel_overflow(self):
         # p from the smallest normal double up to 1e-30.  Every count here
@@ -514,7 +555,7 @@ class TestSerMonteCarlo:
         xi, _ = optimal_threshold(link)
         link = replace(link, threshold_xi=xi)
         exact = ser_analytic(link, SerMethod.BINOMIAL_ANALYTIC).ser
-        mc = ser_monte_carlo(link, 10_000, seed=17, method=SerMethod.MONTE_CARLO_COUNTS)
+        mc = ser_monte_carlo(link, 10_000, seed=17)
         bound = 3.0 * math.sqrt(exact * (1.0 - exact) / (10_000 * link.seq_len_K))
         assert abs(mc.ser - exact) <= bound
 
@@ -773,12 +814,6 @@ class TestSerMonteCarlo:
             tracemalloc.stop()
         assert peak < bound
 
-    def test_refuses_analytic_methods(self):
-        link, *_ = flow_link()
-        for method in (*ANALYTIC, SerMethod.PARTICLE_BINOMIAL):
-            with pytest.raises(ValueError, match="not a Monte Carlo method"):
-                ser_monte_carlo(link, 10, seed=1, method=method)
-
     # The particle Monte Carlo that ``particle_binomial`` replaced drew every
     # release from a pool's per-particle observation patterns.  On a
     # 2000-particle pool of the engine's earlier streams (seed 7, 2000
@@ -889,6 +924,31 @@ class TestLongSequences:
                       <= 4.0 * np.sqrt(p * (1.0 - p) / realizations))
         assert abs(mc.ser - exact.ser) <= 4.0 * math.sqrt(
             exact.ser * (1.0 - exact.ser) / realizations)
+
+    def test_error_table_memory(self):
+        # The default link at K = 400: a table of K (W + 1) = 2.6e6 cells.
+        # The table keeps two (K, W + 1) float64 arrays, the miss and the
+        # false alarm, summed in place: 16 bytes a cell.  On top of that the
+        # walk holds at most eight vectors of at most W + 1 cells (the law,
+        # the law with a bit, a convolution and its censored copy, the law
+        # with the signal, and a kernel's scratch); the K + 1 pmfs, each a
+        # view of its evaluated window; and under 1 kB of tuples, array views
+        # and kernel partials per term: 16.2 bytes a cell measured.  Holding
+        # every law, then summing into copies, took 49.6.
+        cfg = load_config(overrides={"ook.seq_len": "400"})
+        link = _auto_link(cfg, cfg["ser.distances"][0], cfg["ser.symbol_intervals"][0])[0]
+        held = sum((pmf if pmf.base is None else pmf.base).nbytes
+                   for _, pmf in _count_terms(link, SerMethod.BINOMIAL_ANALYTIC))
+        for method in ANALYTIC:
+            tracemalloc.start()
+            try:
+                table = _error_table(link, method)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            k, w = link.seq_len_K, table.shape[1]
+            assert k == 400 and k * w > 2e6
+            assert peak < 16 * k * (w + 1) + 8 * 8 * (w + 1) + 2 * held + 1024 * (k + 1)
 
     def test_sweep_sized_tables_pass(self):
         link, *_ = flow_link(K=12)

@@ -34,7 +34,9 @@ from .ook import (
     SerResult,
     detection_offsets,
     optimal_threshold,
+    optimal_threshold_many,
     ser_analytic,
+    ser_analytic_many,
     ser_monte_carlo,
     ser_monte_carlo_many,
 )
@@ -55,7 +57,8 @@ __all__ = [
     "flow_transit_times", "cir_flow_uniform", "cir_flow_point", "flow_point_window",
     "SimConfig", "ObservationSeries", "SimResult", "run",
     "OokLinkConfig", "SerMethod", "SerResult", "detection_offsets", "ser_analytic",
-    "optimal_threshold", "ser_monte_carlo", "ser_monte_carlo_many",
+    "ser_analytic_many", "optimal_threshold", "optimal_threshold_many", "ser_monte_carlo",
+    "ser_monte_carlo_many",
     "__version__",
 ]
 

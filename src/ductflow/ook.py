@@ -32,9 +32,9 @@ of nonnegative cells from the error's own side, accurate to a few ulp
 relative however small (Higham, *Accuracy and Stability of Numerical
 Algorithms*, 2002, sec. 4.2).  That takes two convolutions of tail-trimmed
 pmfs per symbol, written into the table and summed there, so time and
-memory grow linearly in ``K``.  Pmfs of more than ``_TABLE_CELLS`` cells,
-for any method, are refused before any is evaluated, and so is a table of
-more cells before it is built.
+memory grow linearly in ``K``.  A link whose pmfs span more than
+``_TABLE_CELLS`` cells, for any method, is refused before any pmf of its
+sweep is evaluated, and a table of more cells before it is built.
 :func:`ser_analytic` reads one threshold of it, :func:`optimal_threshold`
 its minimum.
 
@@ -68,15 +68,17 @@ independent across sampling instants.
 
 The pmfs are computed as R's ``dbinom`` and ``dpois`` compute them (C.
 Loader, "Fast and Accurate Computation of Binomial Probabilities", 2000),
-over the contiguous range of cells a trimmed pmf needs.  The value at the
-mode is Loader's saddle-point form: ``exp`` of the Stirling-formula errors
-``stirlerr`` of ``n``, ``k`` and ``n - k`` and of the deviances ``bd0``,
-``x log(x / m) + m - x`` summed as a series near ``x = m``, so no large
-terms cancel.  The other cells follow by running products of the ratios of
-neighbouring cells, ``(n - k) / (k + 1) p / q`` for the binomial and
-``lam / (k + 1)`` for the Poisson, upward and downward from the mode.  A
-cell ``s`` steps from the mode is off by at most about ``(8 + 2.5 s) eps``
-relative: a few 1e-12 at the ends of the widest range, at ``n_tx = 1e7``.
+over the contiguous range of cells a trimmed pmf needs, those of a whole
+sweep in one stacked pass whose every cell sees the operations of a pass
+over its term alone.  The value at the mode is Loader's saddle-point form:
+``exp`` of the Stirling-formula errors ``stirlerr`` of ``n``, ``k`` and
+``n - k`` and of the deviances ``bd0``, ``x log(x / m) + m - x`` summed as
+a series near ``x = m``, so no large terms cancel.  The other cells follow
+by running products of the ratios of neighbouring cells, ``(n - k) / (k +
+1) p / q`` for the binomial and ``lam / (k + 1)`` for the Poisson, upward
+and downward from the mode.  A cell ``s`` steps from the mode is off by at
+most about ``(8 + 2.5 s) eps`` relative: a few 1e-12 at the ends of the
+widest range, at ``n_tx = 1e7``.
 
 Every method sees the channel only through the ``K`` values
 ``P_ob(t0 + j T)`` at the :func:`detection_offsets`, which a link holds as
@@ -89,12 +91,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
+from itertools import chain, islice
+from typing import Iterator
 
 import numpy as np
 
 __all__ = ["SerMethod", "OokLinkConfig", "SerResult", "detection_offsets", "ser_analytic",
-           "optimal_threshold", "ser_monte_carlo", "ser_monte_carlo_many"]
+           "ser_analytic_many", "optimal_threshold", "optimal_threshold_many", "ser_monte_carlo",
+           "ser_monte_carlo_many"]
 
 _PMF_TAIL = 1e-18
 #: Realizations the count Monte Carlo draws at a time, at most.
@@ -104,6 +108,8 @@ _MC_CELLS = 8 * _MC_BLOCK
 #: Cells ``(symbol, threshold)`` of an error table, and of the pmfs any method evaluates,
 #: at most; about 16.5 bytes a table cell to build.
 _TABLE_CELLS = 1 << 22
+#: Window cells a stacked pmf pass evaluates (or one wider term); 4096 raised peak RSS 0.1 MB.
+_BATCH_CELLS = 3 << 10
 
 
 class SerMethod(Enum):
@@ -221,106 +227,106 @@ def _bd0(x: float, mean: float) -> float:
     return x * math.log(x / mean) + mean - x
 
 
-def _from_mode(anchor: float, i: int, ratios: np.ndarray) -> np.ndarray:
-    """A pmf on ``ratios.size + 1`` cells from its value ``anchor`` at cell ``i``, its mode.
-
-    ``ratios[m]`` is ``pmf[m + 1] / pmf[m]`` for ``m >= i`` and
-    ``pmf[m] / pmf[m + 1]`` for ``m < i``, both at most about 1: running
-    products of them, outward from the mode, give the cells above and below.
-    """
-    pmf = np.empty(ratios.size + 1)
-    pmf[i] = 1.0
-    np.multiply.accumulate(ratios[i:], out=pmf[i + 1:])
-    np.multiply.accumulate(ratios[:i][::-1], out=pmf[:i][::-1])
-    pmf *= anchor
-    return pmf
-
-
-def _poisson_pmf(low: int, high: int, lam: float) -> np.ndarray:
-    """``P(Poisson(lam) = k)`` for ``k = low..high``, anchored at the mode (module notes)."""
-    if lam == 0.0:
-        return (np.arange(low, high + 1) == 0).astype(float)
-    mode = min(max(int(lam), low), high)
-    if mode == 0:
-        anchor = math.exp(-lam)
-    else:
-        anchor = math.exp(-_stirlerr(mode) - _bd0(mode, lam)) / math.sqrt(2.0 * math.pi * mode)
-    # Between cells k and k + 1 the ratio is lam / (k + 1), inverted below the mode.
-    ratios = np.arange(low + 1, high + 1, dtype=float)
-    i = mode - low
-    np.divide(lam, ratios[i:], out=ratios[i:])
-    ratios[:i] /= lam
-    return _from_mode(anchor, i, ratios)
-
-
-def _binomial_pmf(low: int, high: int, n: int, p: float) -> np.ndarray:
-    """``P(Binomial(n, p) = k)`` for ``k = low..high`` within ``0..n``, anchored at the mode."""
+def _mode_pmf(mode: int, lam: float, n: int, p: float) -> float:
+    """Loader's saddle-point value at ``mode`` of ``Poisson(lam)`` if ``n`` is 0, else of
+    ``Binomial(n, p)``."""
+    if not n:
+        if mode == 0:
+            return math.exp(-lam)
+        return math.exp(-_stirlerr(mode) - _bd0(mode, lam)) / math.sqrt(2.0 * math.pi * mode)
     q = 1.0 - p
-    if n == 0 or p == 0.0 or q == 0.0:
-        return (np.arange(low, high + 1) == (0 if p == 0.0 else n)).astype(float)
-    mode = min(max(int((n + 1) * p), low), high)
     if mode == 0:
-        anchor = math.exp(-_bd0(n, n * q) - n * p if p < 0.1 else n * math.log(q))
-    elif mode == n:
-        anchor = math.exp(-_bd0(n, n * p) - n * q if q < 0.1 else n * math.log(p))
-    else:
-        lc = (_stirlerr(n) - _stirlerr(mode) - _stirlerr(n - mode)
-              - _bd0(mode, n * p) - _bd0(n - mode, n * q))
-        anchor = math.exp(lc) * math.sqrt(n / (2.0 * math.pi * (mode * (n - mode))))
-    # Between cells k and k + 1 the ratio is (n - k) / (k + 1) p / q, inverted
-    # below the mode; computed in place, for speed.
-    k1 = np.arange(low + 1, high + 1, dtype=float)
-    ratios = (n + 1.0) - k1
-    ratios *= p / q
-    i = mode - low
-    ratios[i:] /= k1[i:]
-    np.divide(k1[:i], ratios[:i], out=ratios[:i])
-    return _from_mode(anchor, i, ratios)
+        return math.exp(-_bd0(n, n * q) - n * p if p < 0.1 else n * math.log(q))
+    if mode == n:
+        return math.exp(-_bd0(n, n * p) - n * q if q < 0.1 else n * math.log(p))
+    lc = (_stirlerr(n) - _stirlerr(mode) - _stirlerr(n - mode)
+          - _bd0(mode, n * p) - _bd0(n - mode, n * q))
+    return math.exp(lc) * math.sqrt(n / (2.0 * math.pi * (mode * (n - mode))))
 
 
-def _window(mean, var):
-    """``(low, high)``, the cells ``mean +- (12 sd + 30)`` in ``0..``, as floats; elementwise."""
-    half = 12.0 * np.sqrt(var) + 30.0
-    return np.maximum(mean - half, 0.0) // 1.0, (mean + half) // 1.0
+def _stacked_pmfs(low, high, mode, lam, n, p) -> list[tuple[int, np.ndarray]]:
+    """Tail-trimmed ``(start, pmf)`` of each term, from one stacked pass, as views of one buffer.
+
+    Term ``t`` is ``Poisson(lam[t])`` if ``n[t]`` is 0, else ``Binomial(n[t],
+    p[t])``, on cells ``low[t]..high[t]``.  Running products outward from
+    :func:`_mode_pmf` at ``mode[t]`` of the ratios ``r(k) / k`` above the mode
+    and ``k / r(k)`` below, ``r(k) = lam + ((n + 1) - k) p / q`` with one part
+    an exact 0, give each cell the operations of a pass over its term alone.
+    """
+    size = (high - low).astype(np.int64) + 1
+    ends = np.cumsum(size)
+    heads = ends - size
+    k = np.repeat(low - heads, size) + np.arange(ends[-1])
+    mode_at = np.repeat(mode, size)
+    below, above = k < mode_at, k > mode_at
+    k += below  # below the mode, cell k holds pmf[k] / pmf[k + 1], read at k + 1
+    # p = 1: inf odds zero the cells below the mode; its own 0 * inf is never read.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        odds = np.where(n > 0, p / (1.0 - p), 0.0)
+        r = (np.repeat(n + 1.0, size) - k) * np.repeat(odds, size) + np.repeat(lam, size)
+    pmf = np.ones(k.size)  # the mode's cell
+    np.divide(k, r, out=pmf, where=below)
+    np.divide(r, k, out=pmf, where=above)
+    mids = heads + (mode - low).astype(np.int64)
+    for head, mid, end in zip(heads.tolist(), mids.tolist(), ends.tolist()):
+        up, down = pmf[mid:end], pmf[head:mid + 1][::-1]
+        np.multiply.accumulate(up, out=up)
+        np.multiply.accumulate(down, out=down)
+    pmf *= np.repeat(list(map(_mode_pmf, mode.astype(np.int64).tolist(), lam.tolist(),
+                              n.tolist(), p.tolist())), size)
+    kept = np.flatnonzero(pmf > _PMF_TAIL)
+    first, stop = kept[kept.searchsorted(heads)], kept[kept.searchsorted(ends) - 1] + 1
+    starts = (low.astype(np.int64) + (first - heads)).tolist()
+    return [(start, pmf[a:b]) for start, a, b in zip(starts, first.tolist(), stop.tolist())]
 
 
-def _trimmed_pmf(pmf_at, low: int, high: int) -> tuple[int, np.ndarray]:
-    """``(start, pmf)``: ``pmf_at(low, high)`` over the cells where it exceeds ``_PMF_TAIL``."""
-    pmf = pmf_at(low, high)
-    keep = np.flatnonzero(pmf > _PMF_TAIL)
-    return low + int(keep[0]), pmf[keep[0]: keep[-1] + 1]
-
-
-def _count_terms(link: OokLinkConfig, method: SerMethod) -> list[tuple[int, np.ndarray]]:
-    """Tail-trimmed ``(start, pmf)`` of the external noise, then of each offset's count.
+def _count_terms(links: list[OokLinkConfig],
+                 method: SerMethod) -> Iterator[list[tuple[int, np.ndarray]]]:
+    """Per link, the tail-trimmed ``(start, pmf)`` of the noise, then of each offset's count.
 
     Offset ``j`` contributes ``Poisson(n_tx p_j)`` under ``POISSON_ANALYTIC``,
     whose mass past ``n_tx`` the censored laws keep, and
     ``Binomial(n_tx, p_j)``, on ``0..n_tx``, under ``BINOMIAL_ANALYTIC``.
-    Each is evaluated on its :func:`_window`, a binomial not above ``n_tx``:
-    outside it the pmfs lie far below the tail.  A mean at most the tail
-    gives ``(0, [1.0])`` unevaluated: by Markov's inequality no cell
-    ``k >= 1`` exceeds the mean.  Windows of more than ``_TABLE_CELLS``
-    cells in all raise ``ValueError`` before any pmf is evaluated.
+    Each is evaluated on its window, the cells ``mean +- (12 sd + 30)`` in
+    ``0..``, a binomial's not above ``n_tx``: outside it the pmfs lie far
+    below the tail.  A mean at most the tail gives ``(0, [1.0])``, as
+    ``Poisson(0)`` on cell 0: by Markov's inequality no cell ``k >= 1``
+    exceeds the mean.  A link whose windows span more than ``_TABLE_CELLS``
+    cells raises ``ValueError`` before any pmf is evaluated; then
+    :func:`_stacked_pmfs` evaluates the terms lazily, about ``_BATCH_CELLS``
+    window cells at a time.
     """
-    n, pvec = link.n_tx, link.pob
-    means = np.append(link.noise_mean_Nn, n * pvec)
-    noise = partial(_poisson_pmf, lam=link.noise_mean_Nn)
-    if method is SerMethod.POISSON_ANALYTIC:
-        low, high = _window(means, means)
-        kernels = [noise] + [partial(_poisson_pmf, lam=mean) for mean in means[1:]]
-    elif method is SerMethod.BINOMIAL_ANALYTIC:
-        low, high = _window(means, means * np.append(1.0, 1.0 - pvec))
-        high[1:] = np.minimum(high[1:], n)
-        kernels = [noise] + [partial(_binomial_pmf, n=n, p=p) for p in pvec]
-    else:
+    if method not in (SerMethod.POISSON_ANALYTIC, SerMethod.BINOMIAL_ANALYTIC):
         raise ValueError(f"{method} is not an analytic method")
+    if not links:
+        return iter(())
+    sizes = [link.seq_len_K + 1 for link in links]
+    heads = np.cumsum(sizes) - sizes
+    # The terms of all links in a row: each link's noise (p = 0), then its offsets.
+    p = np.concatenate([part for link in links for part in ((0.0,), link.pob)])
+    n = np.repeat([link.n_tx for link in links], sizes)
+    means = n * p
+    means[heads] = [link.noise_mean_Nn for link in links]
+    poisson = np.full(p.size, method is SerMethod.POISSON_ANALYTIC)
+    poisson[heads] = True
+    half = 12.0 * np.sqrt(np.where(poisson, means, means * (1.0 - p))) + 30.0
+    low, high = np.maximum(means - half, 0.0) // 1.0, (means + half) // 1.0
+    np.minimum(high, n, out=high, where=~poisson)
     live = means > _PMF_TAIL
-    cells = int(np.sum(high - low + 1.0, where=live))
-    if cells > _TABLE_CELLS:
-        raise ValueError(f"SER pmfs of {cells} cells, more than the {_TABLE_CELLS} allowed")
-    return [_trimmed_pmf(kernel, int(lo), int(hi)) if alive else (0, np.ones(1))
-            for kernel, lo, hi, alive in zip(kernels, low, high, live)]
+    cells = np.add.reduceat(np.where(live, high - low + 1.0, 0.0), heads)
+    if cells.max() > _TABLE_CELLS:
+        raise ValueError(f"SER pmfs of {int(cells[cells > _TABLE_CELLS][0])} cells, "
+                         f"more than the {_TABLE_CELLS} allowed")
+    high[~live] = 0.0
+    mode = np.clip(np.where(poisson, means, (n + 1) * p) // 1.0, low, high)
+    cols = (low, high, mode, np.where(poisson & live, means, 0.0),
+            np.where(poisson | ~live, 0, n), p)
+    width = high - low + 1.0
+    cuts = np.flatnonzero(np.diff((np.cumsum(width) - width) // _BATCH_CELLS)) + 1
+    bounds = [0, *cuts.tolist(), p.size]
+    flat = chain.from_iterable(_stacked_pmfs(*(col[a:b] for col in cols))
+                               for a, b in zip(bounds, bounds[1:]))
+    return (list(islice(flat, size)) for size in sizes)
 
 
 def _add(law: np.ndarray, term: tuple[int, np.ndarray], n: int) -> np.ndarray:
@@ -333,12 +339,12 @@ def _add(law: np.ndarray, term: tuple[int, np.ndarray], n: int) -> np.ndarray:
     start, pmf = term
     full = np.convolve(law, pmf)
     if start + full.size <= n + 1:
-        return np.concatenate((np.zeros(start), full))
+        return np.concatenate((np.zeros(start), full)) if start else full
     below = max(n - start, 0)
     return np.concatenate((np.zeros(n - below), full[:below], [full[below:].sum()]))
 
 
-def _error_table(link: OokLinkConfig, method: SerMethod) -> np.ndarray:
+def _error_table(link: OokLinkConfig, terms: list[tuple[int, np.ndarray]]) -> np.ndarray:
     """Error probability of symbol ``i`` at threshold ``xi``, shape ``(K, W + 1)``.
 
     Walks ``i = 0..K-1`` keeping the law of ``N + S_i`` (see the module
@@ -347,11 +353,10 @@ def _error_table(link: OokLinkConfig, method: SerMethod) -> np.ndarray:
     law without it: both add nonnegative cells from the error's own side,
     with no complement.  Past the widest law's last cell ``W - 1``, every
     threshold has column ``W``'s errors, so the table stops there, or at
-    ``n_tx`` if ``W`` is ``n_tx + 1``.  Pmfs or a table of more than
-    ``_TABLE_CELLS`` cells raise ``ValueError`` before they are made.
+    ``n_tx`` if ``W`` is ``n_tx + 1``.  ``terms`` are the link's :func:`_count_terms`; a
+    table of more than ``_TABLE_CELLS`` cells raises ``ValueError`` before it is made.
     """
     n, k = link.n_tx, link.seq_len_K
-    terms = _count_terms(link, method)
     # The trimmed pmfs give the table's width exactly, before any is convolved.
     width = min(n + 1, 1 + sum(start + pmf.size - 1 for start, pmf in terms))
     if k * (width + 1) > _TABLE_CELLS:
@@ -390,6 +395,20 @@ def _ser_result(table: np.ndarray, xi: int) -> SerResult:
     )
 
 
+def _optimum(table: np.ndarray) -> tuple[int, SerResult]:
+    """The SER-minimising threshold of an :func:`_error_table` (smallest on ties), and its SER."""
+    xi = int(np.argmin(table.mean(axis=0)))
+    return xi, _ser_result(table, xi)
+
+
+def ser_analytic_many(links: list[OokLinkConfig],
+                      method: SerMethod = SerMethod.POISSON_ANALYTIC) -> list[SerResult]:
+    """:func:`ser_analytic` of each link, bit for bit, with every pmf from one stacked pass
+    (:func:`_count_terms`); the tables are built one at a time."""
+    return [_ser_result(_error_table(link, terms), link.threshold_xi)
+            for link, terms in zip(links, _count_terms(links, method))]
+
+
 def ser_analytic(link: OokLinkConfig,
                  method: SerMethod = SerMethod.POISSON_ANALYTIC) -> SerResult:
     """Exact average SER over all ``2^K`` equiprobable binary sequences.
@@ -397,8 +416,17 @@ def ser_analytic(link: OokLinkConfig,
     Evaluated without enumerating them: symbol ``i``'s error averages a
     miss and a false alarm over the convolved interference law (see the
     module notes), two convolutions per symbol for any sequence length.
+    This is :func:`ser_analytic_many` of the one link.
     """
-    return _ser_result(_error_table(link, method), link.threshold_xi)
+    return ser_analytic_many([link], method)[0]
+
+
+def optimal_threshold_many(links: list[OokLinkConfig],
+                           method: SerMethod = SerMethod.POISSON_ANALYTIC
+                           ) -> list[tuple[int, SerResult]]:
+    """:func:`optimal_threshold` of each link, as :func:`ser_analytic_many` evaluates them."""
+    return [_optimum(_error_table(link, terms))
+            for link, terms in zip(links, _count_terms(links, method))]
 
 
 def optimal_threshold(link: OokLinkConfig,
@@ -409,11 +437,10 @@ def optimal_threshold(link: OokLinkConfig,
     Returns the SER-minimising threshold (smallest index on ties) together
     with the analytic SER at that threshold, the same result
     :func:`ser_analytic` gives there: both read one error table that holds
-    every threshold at once.
+    every threshold at once.  This is :func:`optimal_threshold_many` of the
+    one link.
     """
-    table = _error_table(link, method)
-    xi = int(np.argmin(table.mean(axis=0)))
-    return xi, _ser_result(table, xi)
+    return optimal_threshold_many([link], method)[0]
 
 
 def _cdf_edges(pmf: np.ndarray) -> np.ndarray:
@@ -511,8 +538,8 @@ def ser_monte_carlo_many(links: list[OokLinkConfig], realizations: int,
     k, noise = links[0].seq_len_K, links[0].noise_mean_Nn
     if any(link.seq_len_K != k or link.noise_mean_Nn != noise for link in links):
         raise ValueError("Monte Carlo links must share their sequence length and noise mean")
-    terms = [[(start, _cdf_edges(pmf)) for start, pmf in _count_terms(
-        link, SerMethod.BINOMIAL_ANALYTIC)] for link in links]
+    terms = [[(start, _cdf_edges(pmf)) for start, pmf in link_terms]
+             for link_terms in _count_terms(links, SerMethod.BINOMIAL_ANALYTIC)]
     rng = np.random.default_rng([seed, 0])
     block = min(_MC_BLOCK, max(1, _MC_CELLS // (k * (k + 1) // 2)))
     errors = np.zeros((len(links), k), dtype=np.int64)
@@ -527,7 +554,7 @@ def ser_monte_carlo(link: OokLinkConfig, realizations: int, seed: int) -> SerRes
 
     It samples per-symbol counts (``MONTE_CARLO_COUNTS``) from the
     trimmed pmfs that ``BINOMIAL_ANALYTIC`` convolves: it estimates what that
-    method computes, so it no longer checks the pmf kernels (the pmf tests
+    method computes, so it no longer checks the pmfs (the pmf tests
     and the brute-force SER do).  Blocks of at most ``_MC_BLOCK``
     realizations that hold the draws of at most ``_MC_CELLS`` triples
     ``(realization, symbol, offset)`` (module notes) keep memory flat in

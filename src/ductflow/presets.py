@@ -25,8 +25,8 @@ from .config import MAX_GRID_POINTS, ConfigError, ResolvedConfig, load_config
 from .duct import Regime, classify_regime
 from .impulse import (DispersionModel, cir_dispersion, cir_flow_point, cir_flow_uniform,
                       dispersion_peak_time, flow_transit_times)
-from .ook import (OokLinkConfig, SerMethod, detection_offsets, optimal_threshold, ser_analytic,
-                  ser_monte_carlo_many)
+from .ook import (OokLinkConfig, SerMethod, detection_offsets, optimal_threshold_many,
+                  ser_analytic_many, ser_monte_carlo_many)
 from .output import Table, emit_table
 from .particles import SimConfig, run, run_many
 
@@ -216,9 +216,10 @@ def ser_action(cfg: ResolvedConfig, out_dir: Path, threads: int = 1) -> list[Pat
 
     Each point writes one row per ``ook.method`` entry, in the listed order.
     ``particle_binomial`` takes the link's ``P_ob`` from an engine pool as
-    it is (:func:`_particle_pobs`).  ``monte_carlo_counts`` runs once over
-    every point's link (:func:`ser_monte_carlo_many`), each row the one a
-    sweep of that point alone would write.
+    it is (:func:`_particle_pobs`).  Each method runs once over every
+    point's link (:func:`optimal_threshold_many`, :func:`ser_analytic_many`,
+    :func:`ser_monte_carlo_many`), each row the one a sweep of that point
+    alone would write.
     """
     methods = [SerMethod(method) for method in cfg["ook.method"]]
     realizations = cfg["ook.realizations"]
@@ -234,29 +235,28 @@ def ser_action(cfg: ResolvedConfig, out_dir: Path, threads: int = 1) -> list[Pat
     # Every link is checked before a particle_binomial pool starts the engine.
     points = [cfg.build(_auto_link, cfg, distance, symbol_interval)
               for distance, symbol_interval in grid]
-    links, results = [link for link, _, _ in points], [{} for _ in points]
-    closed_forms = {SerMethod.POISSON_ANALYTIC, SerMethod.BINOMIAL_ANALYTIC}.intersection(methods)
-    for i, link in enumerate(links):
-        if cfg["ook.threshold"] == "optimal":
-            # The search's table holds every threshold, xi_opt's included.
-            xi_opt, results[i][SerMethod.POISSON_ANALYTIC] = cfg.build(
-                optimal_threshold, link, SerMethod.POISSON_ANALYTIC)
-            links[i] = link = replace(link, threshold_xi=xi_opt)
-        # A table too large to build is refused here, before any pool runs.
-        for method in closed_forms - results[i].keys():
-            results[i][method] = cfg.build(ser_analytic, link, method)
+    links, results = [link for link, _, _ in points], {}
+    if cfg["ook.threshold"] == "optimal":
+        # The search's tables hold every threshold, xi_opt's included.
+        found = cfg.build(optimal_threshold_many, links, SerMethod.POISSON_ANALYTIC)
+        links = [replace(link, threshold_xi=xi) for link, (xi, _) in zip(links, found)]
+        results[SerMethod.POISSON_ANALYTIC] = [best for _, best in found]
+    # A table too large to build is refused here, before any pool runs.
+    for method in (SerMethod.POISSON_ANALYTIC, SerMethod.BINOMIAL_ANALYTIC):
+        if method in methods and method not in results:
+            results[method] = cfg.build(ser_analytic_many, links, method)
     if SerMethod.PARTICLE_BINOMIAL in methods:
         pobs = _particle_pobs(cfg, [(rx, offsets) for _, rx, offsets in points], threads)
-        for result, link, pob in zip(results, links, pobs):
-            # The pool's P_ob can make a larger table than the closed form's.
-            result[SerMethod.PARTICLE_BINOMIAL] = cfg.build(
-                ser_analytic, replace(link, pob=pob), SerMethod.BINOMIAL_ANALYTIC)
+        # The pool's P_ob can make a larger table than the closed form's.
+        results[SerMethod.PARTICLE_BINOMIAL] = cfg.build(
+            ser_analytic_many, [replace(link, pob=pob) for link, pob in zip(links, pobs)],
+            SerMethod.BINOMIAL_ANALYTIC)
     if run_mc:
-        for result, mc in zip(results, cfg.build(ser_monte_carlo_many, links, realizations, seed)):
-            result[SerMethod.MONTE_CARLO_COUNTS] = mc
-    rows = [(symbol_interval, distance, link.threshold_xi, result[method].ser, method.value,
+        results[SerMethod.MONTE_CARLO_COUNTS] = cfg.build(ser_monte_carlo_many, links,
+                                                          realizations, seed)
+    rows = [(symbol_interval, distance, link.threshold_xi, results[method][i].ser, method.value,
              realizations if method is SerMethod.MONTE_CARLO_COUNTS else 0, seed)
-            for (distance, symbol_interval), link, result in zip(grid, links, results)
+            for i, ((distance, symbol_interval), link) in enumerate(zip(grid, links))
             for method in methods]
     return [_write(cfg, out_dir, "ser_sweep",
                    ("T_s", "d_m", "xi_opt", "ser", "method", "realizations", "seed"), rows,

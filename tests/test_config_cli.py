@@ -447,8 +447,7 @@ class TestCli:
         # cells (5.9 GB), and the link is refused before any is evaluated.
         def kernel(*args, **kwargs):
             raise AssertionError("a pmf was evaluated for a refused link")
-        monkeypatch.setattr(ook, "_binomial_pmf", kernel)
-        monkeypatch.setattr(ook, "_poisson_pmf", kernel)
+        monkeypatch.setattr(ook, "_stacked_pmfs", kernel)
         rc = main(["ser", "--out", str(tmp_path), "--set", "release.n_tx=9007199254740992",
                    "--set", "ook.threshold=5", "--set", "ook.method=monte_carlo_counts"])
         assert rc == 2
@@ -468,15 +467,16 @@ class TestCli:
         assert list(tmp_path.rglob("*")) == []
 
     def test_preset_ser_tables_are_far_below_the_cap(self, monkeypatch):
-        # Every SER table the presets and the default ser build would pass a
-        # cap 64 times smaller.
+        # Every SER table the presets and the default ser build, and their
+        # pmfs, would pass a cap 64 times smaller.
         monkeypatch.setattr(ook, "_TABLE_CELLS", ook._TABLE_CELLS // 64)
         for cfg in (preset_config("ser_sweep"), load_config()):
-            for distance in cfg["ser.distances"]:
-                for symbol_interval in cfg["ser.symbol_intervals"]:
-                    link = presets._auto_link(cfg, distance, symbol_interval)[0]
-                    for method in (SerMethod.POISSON_ANALYTIC, SerMethod.BINOMIAL_ANALYTIC):
-                        ook._error_table(link, method)
+            links = [presets._auto_link(cfg, distance, symbol_interval)[0]
+                     for distance in cfg["ser.distances"]
+                     for symbol_interval in cfg["ser.symbol_intervals"]]
+            for method in (SerMethod.POISSON_ANALYTIC, SerMethod.BINOMIAL_ANALYTIC):
+                for link, terms in zip(links, ook._count_terms(links, method)):
+                    ook._error_table(link, terms)
 
     def test_every_link_is_checked_before_the_engine(self, tmp_path, capsys, monkeypatch):
         # A refused link must not wait behind a 100 000-particle pool.
@@ -495,7 +495,7 @@ class TestCli:
         # engine pool, so its realization count is refused before either.
         def work(*args, **kwargs):
             raise AssertionError("SER work ran before ook.realizations was checked")
-        for name in ("optimal_threshold", "ser_analytic", "run_many"):
+        for name in ("optimal_threshold_many", "ser_analytic_many", "run_many"):
             monkeypatch.setattr(presets, name, work)
         rc = main(["ser", "--out", str(tmp_path),
                    "--set", "ook.method=particle_binomial,monte_carlo_counts",
@@ -798,6 +798,18 @@ GOLDEN.update({
         ["ser", "--set", "ook.threshold=20"] + SER_ARGS,
         ["ser_sweep.csv"],
         {"ser_sweep.csv": "b8d8e1d6f76ddbb26e70f5fdc54f17e35c6eeeb77e9a7334b10a047123893226"}),
+    # K = 64: long links, all three count methods on the default point.
+    "ser_long_links": (
+        ["ser", "--set", "ook.seq_len=64", "--set", "ook.realizations=1000", "--set",
+         "ook.method=poisson_analytic,binomial_analytic,monte_carlo_counts"],
+        ["ser_sweep.csv"],
+        {"ser_sweep.csv": "9542f97078e27aca914972d66e4ba13dc163a02a9ad29e1461e1be34aa672035"}),
+    # n_tx = 1e6: trimmed pmfs of up to 1159 cells, the sweep's of about 80.
+    "ser_wide_windows": (
+        ["ser", "--set", "release.n_tx=1000000",
+         "--set", "ook.method=poisson_analytic,binomial_analytic"],
+        ["ser_sweep.csv"],
+        {"ser_sweep.csv": "58d5505011a8c95627075bcf167c87770ac11125fa1d0846d32d1f7830476bdb"}),
     "ser_particle": (
         ["ser", "--set", "ook.method=particle_binomial", "--set", "ook.realizations=0",
          "--set", "channel.radius=10 um", "--set", "channel.diffusion=0"],

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from collections import deque
 from dataclasses import replace
 from itertools import product
 
@@ -30,8 +31,8 @@ from ductflow import (
 )
 from ductflow import ook, presets
 from ductflow.config import load_config
-from ductflow.ook import (_MC_BLOCK, _MC_CELLS, _binomial_pmf, _cdf_edges, _count_terms,
-                          _error_table, _mc_block_errors, _poisson_pmf, _sorted_draw)
+from ductflow.ook import (_MC_BLOCK, _MC_CELLS, _cdf_edges, _count_terms, _error_table,
+                          _mc_block_errors, _sorted_draw, _stacked_pmfs)
 from ductflow.presets import _auto_link, _particle_pobs, preset_config
 from conftest import make_channel, make_receiver
 
@@ -123,7 +124,7 @@ def rounding_tolerance(link):
 
 def assert_matches_brute_force(link, method):
     """The error table, the SER at ``link``'s threshold and the optimum, against the oracle."""
-    table = _error_table(link, method)
+    table = _error_table(link, terms_of(link, method))
     # Thresholds past the table's last column share that column's errors.
     table = np.pad(table, ((0, 0), (0, link.n_tx + 1 - table.shape[1])), mode="edge")
     oracle = brute_force_errors(link, method)
@@ -166,15 +167,30 @@ SCAN_LINKS = _scan_links()
 ANALYTIC = [SerMethod.POISSON_ANALYTIC, SerMethod.BINOMIAL_ANALYTIC]
 
 
-def _pmf_window(mean, var, top=None):
-    """The cells ``_trimmed_pmf`` evaluates around ``mean``, as ``(low, high)``."""
-    half = 12.0 * math.sqrt(var) + 30.0
-    high = int(mean + half)
-    return max(int(mean - half), 0), high if top is None else min(high, top)
+def terms_of(link, method=SerMethod.BINOMIAL_ANALYTIC):
+    """``link``'s count terms, from a stacked pass over it alone."""
+    return next(_count_terms([link], method))
+
+
+def binomial_terms(n, ps):
+    """``(start, pmf)`` of ``Binomial(n, p)`` for each ``p`` in ``ps``, from one stacked pass."""
+    return terms_of(OokLinkConfig(ps, 0, 0.0, n))[1:]
+
+
+def poisson_term(lam):
+    """``(start, pmf)`` of ``Poisson(lam)``: the noise term of a link with noise mean ``lam``."""
+    return terms_of(OokLinkConfig([0.0], 0, lam, 1), SerMethod.POISSON_ANALYTIC)[0]
+
+
+def same_terms(a, b):
+    """Whether two lists of ``(start, pmf)`` agree bit for bit."""
+    return len(a) == len(b) and all(
+        s == t and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        for (s, x), (t, y) in zip(a, b))
 
 
 class TestPmfs:
-    """The pmfs against exact values (mpmath, 40 digits) and against ``scipy.stats``.
+    """The stacked pass's pmfs against exact values (mpmath, 40 digits) and ``scipy.stats``.
 
     Each pmf is its value at the mode, from Loader's saddle-point form, times
     running products of the ratios of neighbouring cells.  With ``eps`` the
@@ -190,12 +206,13 @@ class TestPmfs:
       Poisson step rounds ``lam / (k + 1)`` and the running product, ``c = 1``.
 
     Cells near the underflow threshold lose their relative precision, so an
-    absolute ``1e-300`` is allowed on top.
+    absolute ``1e-300`` is allowed on top.  The pass keeps only the cells
+    above 1e-18, so every cell it drops must lie at most there.
     """
 
     P_GRID = [0.0, 1e-18, 1e-12, 1e-6, 0.01, 0.3, 0.5, 0.9, 1.0 - 1e-9, 1.0 - 1e-15,
               np.nextafter(1.0, 0.0), 1.0]
-    N_GRID = [0, 1, 7, 100, 1000, 3000]
+    N_GRID = [1, 7, 100, 1000, 3000]
     LAM_GRID = [0.0, 1e-18, 1e-6, 0.5, 4.0, 37.3, 1e3]
 
     @staticmethod
@@ -212,23 +229,32 @@ class TestPmfs:
             ref = exact(k)
             assert abs(mpmath.mpf(float(pmf[k - low])) - ref) <= tol * ref + 1e-300, k
 
+    @staticmethod
+    def _assert_matches(term, reference, tol):
+        """``term`` within ``tol`` relative of ``reference`` on ``0..``, where it keeps a cell."""
+        start, pmf = term
+        kept = np.zeros(reference.size, dtype=bool)
+        kept[start:start + pmf.size] = True
+        assert np.allclose(pmf, reference[kept], rtol=tol, atol=1e-300)
+        assert np.all(reference[~kept] <= ook._PMF_TAIL * (1.0 + tol))
+
     @pytest.mark.parametrize("n", N_GRID + [10**7])
     def test_binomial_accuracy(self, n):
         mpmath.mp.dps = 40
-        for p in self.P_GRID + list(np.random.default_rng(n).random(20)):
-            low, high = (0, n) if n <= 3000 else _pmf_window(n * p, n * p * (1.0 - p), n)
+        ps = self.P_GRID + list(np.random.default_rng(n).random(20))
+        for p, (low, pmf) in zip(ps, binomial_terms(n, ps)):
             exact_p = mpmath.mpf(float(p))
 
             def exact(k):
                 return (mpmath.binomial(n, k) * exact_p ** k
                         * (1 - exact_p) ** (n - k))
 
-            self._assert_accurate(_binomial_pmf(low, high, n, p), low, exact, 2.5)
+            self._assert_accurate(pmf, low, exact, 2.5)
 
     @pytest.mark.parametrize("lam", LAM_GRID + [1e7])
     def test_poisson_accuracy(self, lam):
         mpmath.mp.dps = 40
-        low, high = _pmf_window(lam, lam)
+        low, pmf = poisson_term(lam)
         exact_lam = mpmath.mpf(lam)
 
         def exact(k):
@@ -236,7 +262,7 @@ class TestPmfs:
                 return mpmath.mpf(k == 0)
             return mpmath.exp(k * mpmath.log(exact_lam) - mpmath.loggamma(k + 1) - exact_lam)
 
-        self._assert_accurate(_poisson_pmf(low, high, lam), low, exact, 1.0)
+        self._assert_accurate(pmf, low, exact, 1.0)
 
     # scipy.stats evaluates these pmfs in log space: its Poisson pmf,
     # exp(k log lam - lgamma(k + 1) - lam), carries a relative error up to
@@ -248,52 +274,123 @@ class TestPmfs:
         k = np.arange(n + 1)
         m = n + 31.0
         eps = np.finfo(float).eps
-        for p in self.P_GRID + list(np.random.default_rng(n).random(20)):
+        ps = self.P_GRID + list(np.random.default_rng(n).random(20))
+        for p, term in zip(ps, binomial_terms(n, ps)):
             tol = eps * (8.0 + 2.5 * (n + 1) + 6.0 * m * math.log(m))
-            assert np.allclose(_binomial_pmf(0, n, n, p), binom.pmf(k, n, p),
-                               rtol=tol, atol=1e-300), p
+            self._assert_matches(term, binom.pmf(k, n, p), tol)
 
     @pytest.mark.parametrize("lam", LAM_GRID)
     def test_poisson_matches_scipy_stats(self, lam):
         high = int(lam + 12.0 * math.sqrt(lam) + 30.0)
         m = high + 1.0
         tol = np.finfo(float).eps * (8.0 + high + 6.0 * m * math.log(m))
-        assert np.allclose(_poisson_pmf(0, high, lam), poisson.pmf(np.arange(high + 1), lam),
-                           rtol=tol, atol=1e-300)
+        self._assert_matches(poisson_term(lam), poisson.pmf(np.arange(high + 1), lam), tol)
+
+
+#: Links whose laws are point masses or sit at the ends of their domains.
+DEGENERATE_LINKS = [
+    OokLinkConfig([1.0], 0, 0.0, 1),
+    OokLinkConfig([0.0, 1.0, 0.0], 0, 0.0, 7),
+    OokLinkConfig([1.0, 1e-300], 0, 4.0, 100_000),
+    OokLinkConfig([1e-18, 1e-19, np.nextafter(1.0, 0.0)], 0, 1e-19, 1000),
+    OokLinkConfig(np.zeros(4), 0, 0.0, 100_000),
+]
+
+
+def links_of(n_tx):
+    """Links with ``n_tx`` drawn from ``n_tx``, and ``pob`` with 0, 1 and the tail among it."""
+    return st.builds(
+        OokLinkConfig,
+        pob=st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0, 1e-18])),
+                     min_size=1, max_size=6),
+        threshold_xi=st.just(0), noise_mean_Nn=st.floats(0.0, 1e4), n_tx=n_tx)
 
 
 class TestCountTerms:
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(pvec=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
-           noise=st.floats(0.0, 1e4), n_tx=st.integers(1, 10**7),
+    @given(links=st.lists(links_of(st.integers(1, 10**7)), min_size=1, max_size=4),
            method=st.sampled_from(ANALYTIC))
-    def test_bound_counts_the_cells_evaluated(self, pvec, noise, n_tx, method):
-        # The cells the bound counts are the cells the kernels are asked for:
-        # a cap of exactly that many passes, and one fewer refuses before any
-        # pmf is evaluated.
-        link = OokLinkConfig(pvec, 0, noise, n_tx)
+    def test_bound_counts_the_cells_evaluated(self, links, method):
+        # Each link's bound counts the window cells the stacked pass is asked
+        # for; a dead term (mean at most the tail) is asked for its cell 0.
+        # A cap of the largest link's count passes, and one fewer refuses that
+        # link before any pmf of any link is evaluated.
+        cells = []
         asked = []
 
-        def recorded(kernel):
-            def pmf_at(low, high, **kwargs):
-                asked.append(high - low + 1)
-                return kernel(low, high, **kwargs)
-            return pmf_at
+        def recorded(low, high, *args):
+            asked.append(int(np.sum(high - low + 1.0)))
+            return _stacked_pmfs(low, high, *args)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(ook, "_TABLE_CELLS", -1)
-            with pytest.raises(ValueError, match="SER pmfs of") as refused:
-                _count_terms(link, method)
-            cells = int(str(refused.value).split("SER pmfs of ")[1].split()[0])
-            patch.setattr(ook, "_binomial_pmf", recorded(_binomial_pmf))
-            patch.setattr(ook, "_poisson_pmf", recorded(_poisson_pmf))
-            patch.setattr(ook, "_TABLE_CELLS", cells - 1)
-            with pytest.raises(ValueError, match=f"SER pmfs of {cells} cells"):
-                _count_terms(link, method)
+            for link in links:
+                with pytest.raises(ValueError, match="SER pmfs of") as refused:
+                    _count_terms([link], method)
+                cells.append(int(str(refused.value).split("SER pmfs of ")[1].split()[0]))
+            patch.setattr(ook, "_stacked_pmfs", recorded)
+            patch.setattr(ook, "_TABLE_CELLS", max(cells) - 1)
+            with pytest.raises(ValueError, match=f"SER pmfs of {max(cells)} cells"):
+                _count_terms(links, method)
             assert asked == []
-            patch.setattr(ook, "_TABLE_CELLS", cells)
-            terms = _count_terms(link, method)
-        assert sum(asked) == cells and len(terms) == link.seq_len_K + 1
+            patch.setattr(ook, "_TABLE_CELLS", max(cells))
+            terms = list(_count_terms(links, method))
+        means = [np.append(link.noise_mean_Nn, link.n_tx * link.pob) for link in links]
+        dead = sum(int(np.sum(mean <= ook._PMF_TAIL)) for mean in means)
+        assert sum(asked) == sum(cells) + dead
+        assert [len(one) for one in terms] == [link.seq_len_K + 1 for link in links]
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(links=st.lists(st.one_of(links_of(st.sampled_from([1, 7, 1000, 100_000])),
+                                    st.sampled_from(DEGENERATE_LINKS)),
+                          min_size=1, max_size=6).flatmap(st.permutations),
+           batch=st.integers(1, 6000), method=st.sampled_from(ANALYTIC))
+    def test_stacked_pass_is_each_link_alone(self, links, batch, method):
+        # However the links are ordered and the pass is cut into batches,
+        # each link's terms are bit for bit those of a pass over it alone.
+        alone = [terms_of(link, method) for link in links]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ook, "_BATCH_CELLS", batch)
+            stacked = list(_count_terms(links, method))
+        assert len(stacked) == len(links)
+        for got, want in zip(stacked, alone):
+            assert same_terms(got, want)
+
+    @pytest.mark.parametrize("link", DEGENERATE_LINKS + [OokLinkConfig([1.0, 0.0], 0, 0.0, 2**53)])
+    def test_point_masses(self, link):
+        # A dead term (p = 0 here) is the point mass at 0, and under the
+        # binomial p = 1 is the one at n_tx, with no special case: p / q = inf
+        # zeroes the cells below the mode, and at n_tx = 2**53 the mode's own
+        # ratio, 0 * inf, is never read.
+        terms = terms_of(link)
+        for p, (start, pmf) in zip(link.pob, terms[1:]):
+            if p in (0.0, 1.0):
+                assert (start, pmf.tolist()) == (0 if p == 0.0 else link.n_tx, [1.0])
+
+    def test_memory_is_flat_in_the_links(self):
+        # Links are evaluated lazily, a batch at a time, and each link's
+        # terms are dropped as the next is made: 32 copies of a wide link
+        # (n_tx = 1e6, windows of up to 1690 cells, trimmed to 1157) peak
+        # above one copy by at most one batch's temporaries, eight float
+        # arrays of _BATCH_CELLS plus one window (82 kB measured).  Holding
+        # every link's pmfs would take 31 times a link's buffers more (2.1 MB).
+        cfg = load_config(overrides={"release.n_tx": "1000000"})
+        link = _auto_link(cfg, cfg["ser.distances"][0], cfg["ser.symbol_intervals"][0])[0]
+        terms = terms_of(link)
+        held = sum({id(pmf.base): pmf.base.nbytes for _, pmf in terms}.values())
+        widest = max(pmf.size for _, pmf in terms)
+
+        def peak(links):
+            tracemalloc.start()
+            try:
+                deque(_count_terms(links, SerMethod.BINOMIAL_ANALYTIC), maxlen=0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        batch = 8 * 8 * (ook._BATCH_CELLS + 2 * widest)
+        assert 31 * held > batch
+        assert peak([link] * 32) - peak([link]) < batch
 
 
 class TestSerAnalytic:
@@ -531,7 +628,7 @@ def _inverse_cdf_terms() -> dict:
     """Trimmed pmfs the sorted draw is checked on, keyed by test id."""
     link, *_ = flow_link(T=0.1, K=8)
     terms = {f"flow-{i}": term
-             for i, term in enumerate(_count_terms(link, SerMethod.BINOMIAL_ANALYTIC))}
+             for i, term in enumerate(terms_of(link))}
     terms["point-mass"] = (0, np.ones(1))
     terms["point-mass-start"] = (7, np.ones(1))
     terms["two-cells"] = (3, np.array([0.25, 0.75]))
@@ -542,7 +639,7 @@ def _inverse_cdf_terms() -> dict:
     terms["flat-runs"] = (2, np.array([0.5, 1e-19, 1e-19, 0.25, 0.25 - 1e-17, 1e-17, 1e-19, 1e-19]))
     # Short of 1 by more than a cell: the top uniforms draw the last cell.
     terms["short-mass"] = (1, np.array([0.3, 0.3, 0.3]))
-    terms["wide-poisson"] = (0, _poisson_pmf(0, 399, 200.0))
+    terms["wide-poisson"] = poisson_term(200.0)
     return terms
 
 
@@ -611,7 +708,7 @@ class TestSerMonteCarlo:
         links = [link, OokLinkConfig(np.where(np.arange(k) % 2, 0.0, link.pob), 0, 0.0, 1000)]
         for link in links:
             link = replace(link, threshold_xi={"zero": 0, "own": 30, "n_tx": link.n_tx}[xi])
-            terms = _count_terms(link, SerMethod.BINOMIAL_ANALYTIC)
+            terms = terms_of(link)
             fast, slow = np.random.default_rng(k), np.random.default_rng(k)
             edge_terms = [(start, _cdf_edges(pmf)) for start, pmf in terms]
             assert np.array_equal(_mc_block_errors([link], [edge_terms], 3001, fast)[0],
@@ -750,7 +847,7 @@ class TestSerMonteCarlo:
         # take 16.8 MB (21 MB measured).
         link, *_ = flow_link(T=0.05, K=4096)
         k = link.seq_len_K
-        pmf_bytes = sum(pmf.nbytes for _, pmf in _count_terms(link, SerMethod.BINOMIAL_ANALYTIC))
+        pmf_bytes = sum(pmf.nbytes for _, pmf in terms_of(link))
         bound = 4 * _MC_CELLS + 2 * pmf_bytes + 1024 * k
         assert k * (k + 1) // 2 > _MC_CELLS and bound < k * (k + 1)
         tracemalloc.start()
@@ -770,8 +867,7 @@ class TestSerMonteCarlo:
         link, *_ = flow_link(T=0.1, K=16)
         links = [link, replace(link, pob=link.pob[::-1], threshold_xi=5),
                  replace(link, pob=np.zeros(16), threshold_xi=0)]
-        terms = [[(start, _cdf_edges(pmf)) for start, pmf in
-                  _count_terms(one, SerMethod.BINOMIAL_ANALYTIC)] for one in links]
+        terms = [[(start, _cdf_edges(pmf)) for start, pmf in terms_of(one)] for one in links]
         held_rng = np.random.default_rng(4)
         held = _mc_block_errors(links, terms, 3, held_rng)
         monkeypatch.setattr(ook, "_MC_CELLS", cap)
@@ -802,7 +898,7 @@ class TestSerMonteCarlo:
         assert len(links) == 60
         realizations, k = cfg["ook.realizations"], cfg["ook.seq_len"]
         pmf_bytes = sum(pmf.nbytes for link in links
-                        for _, pmf in _count_terms(link, SerMethod.BINOMIAL_ANALYTIC))
+                        for _, pmf in terms_of(link))
         bound = 4 * realizations * k * (k + 1) // 2 + 48 * realizations * k + 3 * pmf_bytes
         assert realizations * k * (k + 1) // 2 <= _MC_CELLS
         assert bound < 8 * realizations * k * len(links)
@@ -931,18 +1027,18 @@ class TestLongSequences:
         # false alarm, summed in place: 16 bytes a cell.  On top of that the
         # walk holds at most eight vectors of at most W + 1 cells (the law,
         # the law with a bit, a convolution and its censored copy, the law
-        # with the signal, and a kernel's scratch); the K + 1 pmfs, each a
-        # view of its evaluated window; and under 1 kB of tuples, array views
-        # and kernel partials per term: 16.2 bytes a cell measured.  Holding
-        # every law, then summing into copies, took 49.6.
+        # with the signal, and a kernel's scratch); the K + 1 pmfs, views of
+        # the stacked pass's buffers, each counted once; and under 1 kB of
+        # tuples and array views per term: 16.2 bytes a cell measured.
+        # Holding every law, then summing into copies, took 49.6.
         cfg = load_config(overrides={"ook.seq_len": "400"})
         link = _auto_link(cfg, cfg["ser.distances"][0], cfg["ser.symbol_intervals"][0])[0]
-        held = sum((pmf if pmf.base is None else pmf.base).nbytes
-                   for _, pmf in _count_terms(link, SerMethod.BINOMIAL_ANALYTIC))
+        # Views of one buffer share it: counting it per view would loosen the bound.
+        held = sum({id(pmf.base): pmf.base.nbytes for _, pmf in terms_of(link)}.values())
         for method in ANALYTIC:
             tracemalloc.start()
             try:
-                table = _error_table(link, method)
+                table = _error_table(link, terms_of(link, method))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

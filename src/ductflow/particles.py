@@ -45,25 +45,27 @@ blocks.
 Workers are processes, not threads: each step makes a few dozen small NumPy
 calls, and threads handed the GIL back and forth around every one of them,
 so two threads ran no faster than one.  :func:`run_many`, the one scheduler,
-sends the partitions of all its groups, largest first, to one pool of workers
-and reassembles each run's counts and snapshots in block order; :func:`run`
-is its one-run case, and one worker runs inline, with no pool.  The pool
-forks, so the workers inherit the parent's imports (no re-import of numpy
-per worker) and its module state; ``threads > 1`` therefore
-needs a POSIX ``fork``.  ``import numpy`` starts OpenBLAS's thread pool,
-which OpenBLAS shuts down before a fork (3 OS threads before the first
-fork, 1 after, with numpy 2.4), and the executor forks its workers before
-it starts its own threads; the workers make no BLAS calls.  Python 3.12 and
-later warn (``DeprecationWarning``) at a fork while another OS thread
-lives, such as an earlier pool's thread that is still exiting.
+deals the partitions of all its groups, largest first, into one share per
+worker and reassembles each run's counts and snapshots in block order;
+:func:`run` is its one-run case, and one worker runs inline, with no fork.
+Otherwise each share runs in a child made by a bare ``os.fork``, so the
+workers inherit the parent's imports (no re-import of numpy per worker) and
+its module state; ``threads > 1`` therefore needs a POSIX ``fork``.  A
+child sends its pickled outcome back on its own pipe and leaves by
+``os._exit``; the parent runs no share, so its peak memory holds no engine
+state.  ``import numpy`` starts OpenBLAS's thread pool, which OpenBLAS
+shuts down before a fork (3 OS threads before the first fork, 1 after, with
+numpy 2.4); the engine starts no thread, and the workers make no BLAS
+calls.  Python 3.12 and later warn (``DeprecationWarning``) at a fork while
+another OS thread lives.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
+import pickle
+import signal
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -352,6 +354,91 @@ def _weight(group: Sequence[SimConfig], lo: int, hi: int) -> int:
     return (hi - lo) * group[0].n_steps * len({config.release for config in group})
 
 
+def _deal(weights: Sequence[int], workers: int) -> list[list[int]]:
+    """Indices of ``weights``, largest first, each dealt to the least loaded of ``workers`` shares.
+
+    Empty shares are dropped.
+    """
+    shares: list[list[int]] = [[] for _ in range(workers)]
+    loads = [0] * workers
+    for i in sorted(range(len(weights)), key=lambda i: -weights[i]):
+        least = loads.index(min(loads))
+        shares[least].append(i)
+        loads[least] += weights[i]
+    return [share for share in shares if share]
+
+
+def _serve(share: Sequence[tuple], fd: int) -> None:
+    """In a forked child: run ``share``'s tasks, send the outcome pickled on ``fd``, exit.
+
+    The outcome is ``(True, outputs)`` or ``(False, exception)``; an
+    exception that cannot be pickled goes as its name and message.  The
+    child leaves by ``os._exit``, so it never returns into the caller and
+    never flushes the stdio buffers it inherited.
+    """
+    code = 1
+    try:
+        try:
+            outcome = (True, [_run_block(*task) for task in share])
+        except BaseException as exc:  # noqa: BLE001 - sent to the parent, which raises it
+            try:
+                outcome = (False, pickle.loads(pickle.dumps(exc)))
+            except Exception:  # noqa: BLE001 - any failure to round-trip
+                outcome = (False, f"{type(exc).__name__}: {exc}")
+        with open(fd, "wb") as pipe:
+            pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _fork_shares(shares: Sequence[Sequence[tuple]]) -> list[list]:
+    """The :func:`_run_block` outputs of each share's tasks, one forked child per share.
+
+    A worker's exception is raised here; a worker that dies raises
+    ``RuntimeError``.  On any exception every child left is killed and
+    reaped, so no child outlives the call.
+    """
+    live: list[int] = []
+    pipes: list[int] = []
+    try:
+        for share in shares:
+            read, write = os.pipe()
+            pipes.append(read)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _serve(share, write)
+            finally:
+                os.close(write)  # before the next fork, so EOF comes when this child exits
+            live.append(pid)
+        outputs = []
+        for pid, read in zip(list(live), pipes):
+            with open(read, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            live.remove(pid)
+            if code < 0:
+                raise RuntimeError(f"engine worker killed by {signal.Signals(-code).name}")
+            if code:
+                raise RuntimeError(f"engine worker exited with status {code} and no result")
+            ok, value = pickle.loads(data)
+            if not ok:
+                if isinstance(value, str):
+                    raise RuntimeError(f"engine worker raised {value} (cannot be pickled)")
+                raise value
+            outputs.append(value)
+        return outputs
+    except BaseException:
+        for pid in live:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        raise
+    finally:
+        for read in pipes:
+            os.close(read)
+
+
 def run_many(configs: Sequence[SimConfig], *, threads: int = 1) -> list[SimResult]:
     """:func:`run` of each of ``configs``, in order, on one set of workers.
 
@@ -361,9 +448,10 @@ def run_many(configs: Sequence[SimConfig], *, threads: int = 1) -> list[SimResul
     one row per distinct release, on normals drawn once for all rows.  With
     ``workers = min(threads, os.cpu_count())``, each group is cut into
     ``workers`` partitions (fewer if it has fewer blocks), so a group longer
-    than the others still spreads over every worker.  All partitions go to
-    one pool, largest (in particle-steps times ``G``) first; each result
-    equals that config's own :func:`run`.
+    than the others still spreads over every worker.  The partitions of all
+    groups are dealt, largest (in particle-steps times ``G``) first, each to
+    the least loaded of ``workers`` shares, one forked worker per share;
+    each result equals that config's own :func:`run`.
     """
     if threads < 1:
         raise ValueError("threads must be at least 1")
@@ -373,16 +461,13 @@ def run_many(configs: Sequence[SimConfig], *, threads: int = 1) -> list[SimResul
         groups.setdefault(_stream_key(config), []).append(k)
     tasks = [(members, [configs[k] for k in members], lo, hi) for members in groups.values()
              for lo, hi in _partitions(configs[members[0]], workers)]
-    order = sorted(range(len(tasks)), key=lambda i: -_weight(*tasks[i][1:]))
-    ordered = [tasks[i][1:] for i in order]
-    workers = min(workers, len(tasks))
-    if workers <= 1:
-        outputs = [_run_block(*task) for task in ordered]
+    dealt = _deal([_weight(*task[1:]) for task in tasks], workers)
+    shares = [[tasks[i][1:] for i in share] for share in dealt]
+    if len(shares) > 1:
+        outputs = _fork_shares(shares)
     else:
-        with ProcessPoolExecutor(max_workers=workers,
-                                 mp_context=multiprocessing.get_context("fork")) as pool:
-            outputs = list(pool.map(_run_block, *zip(*ordered)))
-    done = dict(zip(order, outputs))
+        outputs = [[_run_block(*task) for task in share] for share in shares]
+    done = {i: output for share, outs in zip(dealt, outputs) for i, output in zip(share, outs)}
     parts: list[list] = [[] for _ in configs]
     for i, (members, *_) in enumerate(tasks):
         for k, part in zip(members, done[i]):

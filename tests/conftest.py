@@ -3,6 +3,7 @@ acceptance-line terminal summary."""
 
 import math
 import os
+import signal
 
 import numpy as np
 import pytest
@@ -66,6 +67,23 @@ def raise_in_worker(*args):
 def exit_in_worker(*args):
     """Stands in for ``particles._run_block``: a worker process that dies."""
     os._exit(1)
+
+
+def kill_in_worker(*args):
+    """Stands in for ``particles._run_block``: a worker process killed by a signal."""
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+class Unpicklable(Exception):
+    """An exception that ``pickle`` refuses."""
+
+    def __reduce__(self):
+        raise TypeError("Unpicklable cannot be pickled")
+
+
+def unpicklable_in_worker(*args):
+    """Stands in for ``particles._run_block``: a worker that raises what cannot be pickled."""
+    raise Unpicklable("worker failed")
 
 
 @pytest.fixture

@@ -19,7 +19,7 @@ from ductflow.cli import _build_parser, main
 from ductflow.config import KEY_REGISTRY, MAX_GRID_POINTS, ConfigError, load_config, parse_value
 from ductflow.output import Table, emit_table, format_value
 from ductflow.presets import ACTIONS, PRESETS, preset_config
-from conftest import exit_in_worker, raise_in_worker
+from conftest import exit_in_worker, kill_in_worker, raise_in_worker, unpicklable_in_worker
 
 
 class TestParsing:
@@ -357,10 +357,11 @@ class TestCli:
         assert "error" in capsys.readouterr().err
         assert list(tmp_path.rglob("*.csv")) == []
 
-    @pytest.mark.parametrize("fault", [raise_in_worker, exit_in_worker])
+    @pytest.mark.parametrize("fault", [raise_in_worker, exit_in_worker, kill_in_worker,
+                                       unpicklable_in_worker])
     def test_worker_failure_exit_code_and_cleanup(self, tmp_path, capsys, monkeypatch, fault):
         # The analytic tables are written before the engine's two runs fail
-        # in their shared pool of forked workers, which inherit the patch.
+        # on their shared forked workers, which inherit the patch.
         # The runs step as one group, so two blocks make the two partitions.
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(particles, "_run_block", fault)
@@ -612,13 +613,14 @@ class TestCli:
         assert [name for name in ductflow.__all__ if not hasattr(ductflow, name)] == []
 
     @staticmethod
-    def _cli_scipy_modules() -> list[str]:
-        """The ``scipy`` modules that a fresh ``import ductflow.cli`` loads."""
+    def _cli_modules(*packages: str) -> list[str]:
+        """The modules of ``packages`` that a fresh ``import ductflow.cli`` loads."""
         src = str(Path(ductflow.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
-        probe = ("import sys, ductflow.cli; print('\\n'.join(sorted(m for m in sys.modules "
-                 "if m == 'scipy' or m.startswith('scipy.'))))")
+        probe = (f"import sys, ductflow.cli; packages = {packages!r}; "
+                 "print('\\n'.join(sorted(m for m in sys.modules "
+                 "if m.partition('.')[0] in packages)))")
         result = subprocess.run([sys.executable, "-c", probe], env=env,
                                 capture_output=True, text=True, check=True)
         return result.stdout.split()
@@ -627,16 +629,22 @@ class TestCli:
         # scipy.special alone cost about 0.3 s of every CLI run.  Only the
         # quadrature oracles need scipy, and only their callers import
         # ductflow.oracles.
-        assert self._cli_scipy_modules() == []
+        assert self._cli_modules("scipy") == []
 
     def test_import_skips_scipy_stats(self):
         # scipy.stats alone costs about half a second of every CLI run.
-        assert "scipy.stats" not in self._cli_scipy_modules()
+        assert "scipy.stats" not in self._cli_modules("scipy")
 
     def test_import_skips_scipy_integrate(self):
         # Only the quadrature oracles need scipy.integrate, and ductflow
         # never imports them itself.
-        assert "scipy.integrate" not in self._cli_scipy_modules()
+        assert "scipy.integrate" not in self._cli_modules("scipy")
+
+    def test_import_loads_no_process_pool(self):
+        # The engine forks its workers itself: multiprocessing and
+        # concurrent.futures, with logging, socket and subprocess behind
+        # them, cost every CLI run about 2 MB and 10 to 20 ms of import.
+        assert self._cli_modules("multiprocessing", "concurrent") == []
 
     def test_oracles_name_their_extra_without_scipy(self, monkeypatch):
         monkeypatch.setitem(sys.modules, "scipy.integrate", None)

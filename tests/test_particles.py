@@ -12,8 +12,9 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 import warnings
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from pathlib import Path
 
@@ -43,8 +44,8 @@ from ductflow.particles import (
     _streams,
     run_many,
 )
-from conftest import (exit_in_worker, make_channel, make_receiver, point_in_receiver,
-                      raise_in_worker)
+from conftest import (exit_in_worker, kill_in_worker, make_channel, make_receiver,
+                      point_in_receiver, raise_in_worker, unpicklable_in_worker)
 
 
 def sim_config(channel, rx, release, sample_times, seed=1234, dt=1e-3, snapshot_times=()):
@@ -364,41 +365,27 @@ class TestRun:
         assert np.array_equal(np.concatenate([s[t] for _, s in parts]), snaps[t])
 
     @pytest.fixture
-    def inline_pool(self, monkeypatch):
-        """Replaces ``ProcessPoolExecutor`` with a pool that maps in this process.
+    def inline_shares(self, monkeypatch):
+        """Runs the shares that would be forked in this process instead.
 
-        Returns the list of pools made, each with its ``max_workers``, the
-        ``(n_tx, lo, hi)`` of every task in submission order, and the number
-        of configs in each task's group (``sizes``).
+        Returns one entry per call of ``_fork_shares``: for each share, the
+        ``(n_tx, lo, hi, group size)`` of its tasks in the order they run.
         """
-        pools = []
+        calls = []
 
-        class InlinePool:
-            def __init__(self, max_workers, mp_context):
-                assert mp_context.get_start_method() == "fork"
-                self.max_workers, self.tasks, self.sizes = max_workers, [], []
-                pools.append(self)
+        def run_inline(shares):
+            calls.append([[(group[0].release.n_tx, lo, hi, len(group)) for group, lo, hi in share]
+                          for share in shares])
+            return [[particles._run_block(*task) for task in share] for share in shares]
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                tasks = list(zip(*iterables))
-                self.tasks = [(group[0].release.n_tx, lo, hi) for group, lo, hi in tasks]
-                self.sizes = [len(group) for group, _, _ in tasks]
-                return [fn(*task) for task in tasks]
-
-        monkeypatch.setattr(particles, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(particles, "_fork_shares", run_inline)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        return pools
+        return calls
 
-    def test_workers_capped_at_cpu_count(self, narrow_channel, inline_pool, monkeypatch):
+    def test_workers_capped_at_cpu_count(self, narrow_channel, inline_shares, monkeypatch):
         # One partition, and one worker, per requested thread, but no more
         # than there are CPUs or partitions; one worker runs inline, with no
-        # pool.
+        # fork.
         calls = []
         run_block = particles._run_block
         monkeypatch.setattr(particles, "_run_block",
@@ -408,39 +395,41 @@ class TestRun:
                              ReleaseSpec.uniform(n_tx), np.arange(1, 21) * 1e-3)
             counts, seen = [], []
             for t in (1, 2, 64):
-                inline_pool.clear()
+                inline_shares.clear()
                 calls.clear()
                 counts.append(run(cfg, threads=t).series.counts)
-                workers = inline_pool[0].max_workers if inline_pool else 1
+                workers = len(inline_shares[0]) if inline_shares else 1
                 seen.append((workers, len(calls)))
-                assert len(inline_pool) == (workers > 1)
+                assert len(inline_shares) == (workers > 1)
             assert seen == [(k, k) for k in parts]
             assert all(np.array_equal(c, counts[0]) for c in counts)
         # Two runs' partitions share the CPUs' workers (other seeds: no group).
-        inline_pool.clear()
+        inline_shares.clear()
         calls.clear()
         run_many([cfg, replace(cfg, seed=cfg.seed + 1)], threads=64)
-        assert (inline_pool[0].max_workers, len(calls)) == (4, 8)
+        (shares,) = inline_shares
+        assert ([len(share) for share in shares], len(calls)) == ([2, 2, 2, 2], 8)
 
-    def test_partitions_submitted_largest_first(self, narrow_channel, inline_pool):
-        # Partitions of every config share one pool and are submitted by
-        # particle-steps, largest first: 200 steps of 3 blocks outweigh
-        # 20 steps of 11.
+    def test_partitions_submitted_largest_first(self, narrow_channel, inline_shares):
+        # Partitions of every config are dealt by particle-steps, largest
+        # first, each to the least loaded worker: 200 steps of 3 blocks
+        # outweigh 20 steps of 11, and the larger long partition outweighs
+        # the other three together.
         rx = make_receiver(10e-6, 20e-6)
         long = sim_config(narrow_channel, rx, ReleaseSpec.uniform(3 * _BLOCK),
                           np.arange(1, 201) * 1e-3)
         wide = sim_config(narrow_channel, rx, ReleaseSpec.uniform(10 * _BLOCK + 5),
                           np.arange(1, 21) * 1e-3)
         results = run_many([long, wide], threads=2)
-        (pool,) = inline_pool
-        assert pool.max_workers == 2
+        (shares,) = inline_shares
         n_long, n_wide = 3 * _BLOCK, 10 * _BLOCK + 5
-        assert pool.tasks == [(n_long, _BLOCK, n_long), (n_long, 0, _BLOCK),
-                              (n_wide, 5 * _BLOCK, n_wide), (n_wide, 0, 5 * _BLOCK)]
+        assert shares == [[(n_long, _BLOCK, n_long, 1)],
+                          [(n_long, 0, _BLOCK, 1), (n_wide, 5 * _BLOCK, n_wide, 1),
+                           (n_wide, 0, 5 * _BLOCK, 1)]]
         for cfg, result in zip([long, wide], results):
             assert np.array_equal(result.series.counts, run(cfg).series.counts)
 
-    def test_group_outweighs_single_run_of_same_size(self, narrow_channel, inline_pool):
+    def test_group_outweighs_single_run_of_same_size(self, narrow_channel, inline_shares):
         # A group of two releases steps twice the particles of one config
         # of the same particle count and steps, so its partitions go first.
         rx = make_receiver(10e-6, 20e-6)
@@ -449,26 +438,86 @@ class TestRun:
         pair = [sim_config(narrow_channel, rx, release, times, seed=6)
                 for release in (ReleaseSpec.uniform(n), ReleaseSpec.point(n, 8e-6))]
         results = run_many([single, *pair], threads=2)
-        (pool,) = inline_pool
-        assert pool.tasks == [(n, 0, _BLOCK), (n, _BLOCK, n), (n, 0, _BLOCK), (n, _BLOCK, n)]
-        assert pool.sizes == [2, 2, 1, 1]
+        (shares,) = inline_shares
+        assert shares == [[(n, 0, _BLOCK, 2), (n, 0, _BLOCK, 1)],
+                          [(n, _BLOCK, n, 2), (n, _BLOCK, n, 1)]]
         for cfg, result in zip([single, *pair], results):
             assert np.array_equal(result.series.counts, run(cfg).series.counts)
 
-    @pytest.mark.parametrize("fault,error", [(raise_in_worker, RuntimeError),
-                                             (exit_in_worker, BrokenProcessPool)])
+    @pytest.mark.parametrize("fault,error,match", [
+        pytest.param(raise_in_worker, RuntimeError, "^worker failed$",
+                     id="raise_in_worker-RuntimeError"),
+        pytest.param(exit_in_worker, RuntimeError, "exited with status 1 and no result",
+                     id="exit_in_worker-RuntimeError"),
+        pytest.param(kill_in_worker, RuntimeError, "killed by SIGKILL",
+                     id="kill_in_worker-RuntimeError"),
+        pytest.param(unpicklable_in_worker, RuntimeError,
+                     r"raised Unpicklable: worker failed \(cannot be pickled\)",
+                     id="unpicklable_in_worker-RuntimeError")])
     def test_worker_failure_raises(self, narrow_channel, several_cpus, monkeypatch,
-                                   fault, error):
+                                   fault, error, match):
         # Forked workers inherit the patched module.
         monkeypatch.setattr(particles, "_run_block", fault)
         cfg = sim_config(narrow_channel, make_receiver(10e-6, 20e-6),
                          ReleaseSpec.uniform(2 * _BLOCK), np.arange(1, 21) * 1e-3)
-        with pytest.raises(error):
+        with pytest.raises(error, match=match):
             run(cfg, threads=2)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
-    @pytest.mark.skipif(sys.version_info >= (3, 12),
-                        reason="Python 3.12 and later warn at a fork while another OS "
-                               "thread lives, such as an earlier pool's exiting thread")
+    def test_no_child_outlives_a_pooled_run(self, narrow_channel, several_cpus):
+        cfg = sim_config(narrow_channel, make_receiver(10e-6, 20e-6),
+                         ReleaseSpec.uniform(2 * _BLOCK), np.arange(1, 21) * 1e-3)
+        assert np.array_equal(run(cfg, threads=2).series.counts, run(cfg).series.counts)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_failure_kills_the_other_workers(self, narrow_channel, several_cpus, monkeypatch,
+                                             error):
+        # The first share fails at once while the second would run for a
+        # minute: the parent raises the first failure, then kills and reaps
+        # the second worker instead of waiting for it.
+        def fail_or_hang(configs, lo, hi):
+            if lo == 0:
+                raise error("first share failed")
+            time.sleep(60)
+
+        monkeypatch.setattr(particles, "_run_block", fail_or_hang)
+        cfg = sim_config(narrow_channel, make_receiver(10e-6, 20e-6),
+                         ReleaseSpec.uniform(2 * _BLOCK), np.arange(1, 21) * 1e-3)
+        start = time.monotonic()
+        with pytest.raises(error, match="first share failed"):
+            run(cfg, threads=2)
+        assert time.monotonic() - start < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_result_larger_than_a_pipe_buffer(self, narrow_channel, several_cpus):
+        # The second worker's share is 3 blocks, so each of its snapshots
+        # alone is 96 KiB, more than the 64 KiB a Linux pipe buffers.
+        n = 5 * _BLOCK
+        cfg = sim_config(narrow_channel, make_receiver(10e-6, 20e-6), ReleaseSpec.uniform(n),
+                         np.arange(1, 21) * 1e-3, snapshot_times=[0.005, 0.02])
+        assert particles._partitions(cfg, 2) == [(0, 2 * _BLOCK), (2 * _BLOCK, n)]
+        assert (n - 2 * _BLOCK) * 2 * 8 > 64 * 1024
+        one, two = run(cfg), run(cfg, threads=2)
+        assert two.series.counts.tobytes() == one.series.counts.tobytes()
+        assert list(two.snapshots) == list(one.snapshots) == [0.005, 0.02]
+        for t, snapshot in one.snapshots.items():
+            assert two.snapshots[t].tobytes() == snapshot.tobytes()
+
+    def test_pooled_run_starts_no_thread(self, narrow_channel, several_cpus, monkeypatch):
+        # A thread alive at a fork is what Python 3.12 and later warn about.
+        # Forked workers inherit the patch, so their threads are refused too.
+        def refuse(thread):
+            raise AssertionError(f"thread {thread.name} started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        cfg = sim_config(narrow_channel, make_receiver(10e-6, 20e-6),
+                         ReleaseSpec.uniform(2 * _BLOCK), np.arange(1, 21) * 1e-3)
+        assert np.array_equal(run(cfg, threads=2).series.counts, run(cfg).series.counts)
+
     def test_fork_emits_no_warning(self, narrow_channel, several_cpus):
         cfg = sim_config(narrow_channel, make_receiver(10e-6, 20e-6),
                          ReleaseSpec.uniform(2 * _BLOCK), np.arange(1, 21) * 1e-3)

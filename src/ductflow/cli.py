@@ -10,7 +10,7 @@ worker processes of the particle engine, capped at ``os.cpu_count()`` and
 shared by every engine run of the call; above 1 it needs a POSIX ``fork``.
 The worker count never changes results.  ``ser`` writes one row per method
 listed in ``ook.method``.
-Exit codes: 0 success, 2 configuration error, 3 runtime error.
+Exit codes: 0 success, 2 configuration error, 3 runtime error (a failed call keeps no table).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, load_config
-from .presets import ACTIONS, PRESETS, discard_partial_outputs, preset_config
+from .presets import ACTIONS, PRESETS, preset_config, publish
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -72,8 +72,7 @@ def _dispatch(args: argparse.Namespace) -> list[Path]:
     else:
         runner = ACTIONS[args.command][0]
         cfg = load_config(file_path=args.config, overrides=overrides, seed=args.seed)
-    out = Path(args.out)
-    return discard_partial_outputs(lambda: runner(cfg, out, args.threads), out)
+    return publish(runner(cfg, args.threads), args.out)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -172,10 +172,6 @@ class OokLinkConfig:
     def seq_len_K(self) -> int:
         return self.pob.size
 
-    def isi_probabilities(self) -> np.ndarray:
-        """The ISI vector ``P_ob(t0 + j T)``, ``j = 0 .. K-1``: the array ``pob``."""
-        return self.pob
-
 
 @dataclass(frozen=True)
 class SerResult:

@@ -65,6 +65,7 @@ from __future__ import annotations
 import math
 import os
 import pickle
+import select
 import signal
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -372,7 +373,7 @@ def _serve(share: Sequence[tuple], fd: int) -> None:
     """In a forked child: run ``share``'s tasks, send the outcome pickled on ``fd``, exit.
 
     The outcome is ``(True, outputs)`` or ``(False, exception)``; an
-    exception that cannot be pickled goes as its name and message.  The
+    exception that cannot be pickled goes as a ``RuntimeError`` naming it.  The
     child leaves by ``os._exit``, so it never returns into the caller and
     never flushes the stdio buffers it inherited.
     """
@@ -384,7 +385,8 @@ def _serve(share: Sequence[tuple], fd: int) -> None:
             try:
                 outcome = (False, pickle.loads(pickle.dumps(exc)))
             except Exception:  # noqa: BLE001 - any failure to round-trip
-                outcome = (False, f"{type(exc).__name__}: {exc}")
+                outcome = (False, RuntimeError(f"engine worker raised {type(exc).__name__}: "
+                                               f"{exc} (cannot be pickled)"))
         with open(fd, "wb") as pipe:
             pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
         code = 0
@@ -395,11 +397,11 @@ def _serve(share: Sequence[tuple], fd: int) -> None:
 def _fork_shares(shares: Sequence[Sequence[tuple]]) -> list[list]:
     """The :func:`_run_block` outputs of each share's tasks, one forked child per share.
 
-    A worker's exception is raised here; a worker that dies raises
-    ``RuntimeError``.  On any exception every child left is killed and
-    reaped, so no child outlives the call.
+    Pipes are read as they become ready, so the first failure raises at
+    once: the worker's exception, or ``RuntimeError`` if it died.  Then
+    every child left is killed and reaped, so no child outlives the call.
     """
-    live: list[int] = []
+    live: dict[int, int] = {}  # read end -> pid, for each child not yet reaped
     pipes: list[int] = []
     try:
         for share in shares:
@@ -411,26 +413,25 @@ def _fork_shares(shares: Sequence[Sequence[tuple]]) -> list[list]:
                     _serve(share, write)
             finally:
                 os.close(write)  # before the next fork, so EOF comes when this child exits
-            live.append(pid)
-        outputs = []
-        for pid, read in zip(list(live), pipes):
-            with open(read, "rb", closefd=False) as pipe:
-                data = pipe.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            live.remove(pid)
-            if code < 0:
-                raise RuntimeError(f"engine worker killed by {signal.Signals(-code).name}")
-            if code:
-                raise RuntimeError(f"engine worker exited with status {code} and no result")
-            ok, value = pickle.loads(data)
-            if not ok:
-                if isinstance(value, str):
-                    raise RuntimeError(f"engine worker raised {value} (cannot be pickled)")
-                raise value
-            outputs.append(value)
-        return outputs
+            live[read] = pid
+        outputs = {}
+        while live:
+            for read in select.select(list(live), [], [])[0]:
+                with open(read, "rb", closefd=False) as pipe:
+                    data = pipe.read()
+                code = os.waitstatus_to_exitcode(os.waitpid(live[read], 0)[1])
+                del live[read]
+                if code < 0:
+                    raise RuntimeError(f"engine worker killed by {signal.Signals(-code).name}")
+                if code:
+                    raise RuntimeError(f"engine worker exited with status {code} and no result")
+                ok, value = pickle.loads(data)
+                if not ok:
+                    raise value
+                outputs[read] = value
+        return [outputs[read] for read in pipes]
     except BaseException:
-        for pid in live:
+        for pid in live.values():
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
         raise

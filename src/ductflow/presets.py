@@ -1,7 +1,7 @@
 """Experiment presets and the data-emission actions behind the CLI.
 
 Each preset resolves to a complete configuration (duct, receiver, release,
-grids) and a runner that writes the CSV tables needed to re-plot the
+grids) and a runner that yields the CSV tables needed to re-plot the
 corresponding study: particle-position snapshots, impulse-response
 comparisons for a narrow and a wide duct, the transport-regime map, and the
 symbol-error-rate sweep versus symbol interval.  Exact figure-axis grids are
@@ -9,8 +9,8 @@ a choice of this package: uniform time grids spanning the visible ranges,
 recorded in the emitted headers.
 
 ``ACTIONS`` is the CLI's command table: each subcommand's runner and help.
-Every table goes through one writer that embeds the resolved configuration
-and seed; partially written files are removed if a runner fails.
+Every table is headed by the resolved configuration and seed; runners write
+no file, and :func:`publish` writes a call's tables all or none.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .ook import (OokLinkConfig, SerMethod, detection_offsets, optimal_threshold
 from .output import Table, emit_table
 from .particles import SimConfig, run, run_many
 
-__all__ = ["PRESETS", "ACTIONS", "preset_config", "discard_partial_outputs",
+__all__ = ["PRESETS", "ACTIONS", "preset_config", "publish",
            "regime_action", "cir_action", "simulate_action",
            "snapshot_action", "ser_action"]
 
@@ -40,10 +40,9 @@ _UM = 1e-6
 _POOL_PARTICLES = 100_000
 
 
-def _write(cfg: ResolvedConfig, out_dir: Path, stem: str, columns, rows, **header) -> Path:
-    """Emit one table as ``out_dir/<stem>.csv``, headed by ``cfg.header(**header)``."""
-    table = Table(tuple(columns), rows, meta=cfg.header(**header))
-    return emit_table(table, out_dir / f"{stem}.csv")
+def _table(cfg: ResolvedConfig, stem: str, columns, rows, **header) -> tuple[str, Table]:
+    """``("<stem>.csv", table)``, the table headed by ``cfg.header(**header)``."""
+    return f"{stem}.csv", Table(tuple(columns), rows, meta=cfg.header(**header))
 
 
 def _um_label(length_m: float) -> str:
@@ -57,7 +56,7 @@ def _sim_for_grid(cfg: ResolvedConfig, rx, release, sample_times,
                      sample_times=sample_times, snapshot_times=snapshot_times)
 
 
-def regime_action(cfg: ResolvedConfig, out_dir: Path, threads: int = 1) -> list[Path]:
+def regime_action(cfg: ResolvedConfig, threads: int = 1):
     """Regime verdicts for every configured (radius, distance) scenario."""
     channel = cfg.channel()
     rows = []
@@ -70,15 +69,12 @@ def regime_action(cfg: ResolvedConfig, out_dir: Path, threads: int = 1) -> list[
             verdict = classify_regime(scenario.channel(), scenario.receiver())
             rows.append((radius, distance, verdict.distance_ratio, verdict.peclet,
                          verdict.margin, verdict.regime.value))
-    ratios = np.logspace(-1, 3, 201)
-    return [
-        _write(cfg, out_dir, "regime_scenarios",
-               ("radius_a_m", "d_m", "distance_ratio", "peclet", "margin", "regime"), rows,
-               content="transport-regime classification"),
-        _write(cfg, out_dir, "regime_boundary", ("distance_ratio", "peclet_boundary"),
-               [(float(r), float(4.0 * r)) for r in ratios],
-               content="separating line peclet = 4 d / a"),
-    ]
+    yield _table(cfg, "regime_scenarios",
+                 ("radius_a_m", "d_m", "distance_ratio", "peclet", "margin", "regime"), rows,
+                 content="transport-regime classification")
+    yield _table(cfg, "regime_boundary", ("distance_ratio", "peclet_boundary"),
+                 [(float(r), float(4.0 * r)) for r in np.logspace(-1, 3, 201)],
+                 content="separating line peclet = 4 d / a")
 
 
 def _analytic_cir_tables(cfg: ResolvedConfig, distance: float):
@@ -106,33 +102,30 @@ def _analytic_cir_tables(cfg: ResolvedConfig, distance: float):
     return columns, rows, peak_rows
 
 
-def cir_action(cfg: ResolvedConfig, out_dir: Path, threads: int = 1) -> list[Path]:
+def cir_action(cfg: ResolvedConfig, threads: int = 1):
     """Closed-form impulse-response curves plus peak markers."""
-    paths = []
     all_peaks = []
     for distance in cfg["cir.distances"]:
         columns, rows, peak_rows = cfg.build(_analytic_cir_tables, cfg, distance)
         all_peaks.extend(peak_rows)
-        paths.append(_write(cfg, out_dir, f"cir_analytic_d{_um_label(distance)}",
-                            columns, rows, content="analytic impulse responses",
-                            rx_distance_m=distance))
-    paths.append(_write(cfg, out_dir, "cir_peaks", ("d_m", "model", "t_peak_s", "pob_peak"),
-                        all_peaks, content="impulse-response peak markers"))
-    return paths
+        yield _table(cfg, f"cir_analytic_d{_um_label(distance)}", columns, rows,
+                     content="analytic impulse responses", rx_distance_m=distance)
+    yield _table(cfg, "cir_peaks", ("d_m", "model", "t_peak_s", "pob_peak"), all_peaks,
+                 content="impulse-response peak markers")
 
 
-def simulate_action(cfg: ResolvedConfig, out_dir: Path, threads: int = 1) -> list[Path]:
+def simulate_action(cfg: ResolvedConfig, threads: int = 1):
     """Particle-simulated observation series on the configured time grid."""
     sim = _sim_for_grid(cfg, cfg.receiver(), cfg.release(), cfg.time_grid())
     series = run(sim, threads=threads).series
     rows = [(float(t), int(c), series.n_tx) for t, c in zip(series.times, series.counts)]
-    return [_write(cfg, out_dir, "observations", ("t_s", "count", "n_tx"), rows,
-                   content="simulated observation series")]
+    yield _table(cfg, "observations", ("t_s", "count", "n_tx"), rows,
+                 content="simulated observation series")
 
 
-def _simulated_cir_paths(cfg: ResolvedConfig, out_dir: Path, threads: int) -> list[Path]:
+def _simulated_cir_tables(cfg: ResolvedConfig, threads: int):
     # Both release kinds share their stream, so one engine pass moves them
-    # together and counts every distance's receiver; files are then written
+    # together and counts every distance's receiver; tables then follow
     # distance by distance.
     distances = cfg["cir.distances"]
     receivers = tuple(cfg.receiver(distance=d) for d in distances)
@@ -141,7 +134,6 @@ def _simulated_cir_paths(cfg: ResolvedConfig, out_dir: Path, threads: int) -> li
     results = dict(zip(labels, run_many(
         [_sim_for_grid(cfg, receivers, cfg.release(label), grid) for label in labels],
         threads=threads)))
-    paths = []
     for k, distance in enumerate(distances):
         for label in labels:
             series = results[label].all_series[k]
@@ -151,25 +143,23 @@ def _simulated_cir_paths(cfg: ResolvedConfig, out_dir: Path, threads: int) -> li
             rows = [(float(t), float(p), float(se), float(hw), int(c), series.n_tx)
                     for t, p, se, hw, c in zip(
                         series.times, pob, stderr, 1.96 * stderr, series.counts)]
-            paths.append(_write(
-                cfg, out_dir, f"cir_sim_{label}_d{_um_label(distance)}",
-                ("t_s", "pob", "stderr", "ci_half_width", "count", "n_tx"), rows,
-                content="simulated impulse response", release=label,
-                rx_distance_m=distance, seed=cfg["seed"]))
-    return paths
+            yield _table(cfg, f"cir_sim_{label}_d{_um_label(distance)}",
+                         ("t_s", "pob", "stderr", "ci_half_width", "count", "n_tx"), rows,
+                         content="simulated impulse response", release=label,
+                         rx_distance_m=distance, seed=cfg["seed"])
 
 
-def snapshot_action(cfg: ResolvedConfig, out_dir: Path, threads: int = 1) -> list[Path]:
+def snapshot_action(cfg: ResolvedConfig, threads: int = 1):
     """Per-particle (x, r^2) clouds at the configured snapshot times."""
     times = np.asarray(cfg["snapshot.times"], dtype=float)
     # A sample at step 0 draws nothing, so the snapshots alone set the run,
     # and times that snap to one step collapse into one snapshot.
     sim = _sim_for_grid(cfg, cfg.receiver(), cfg.release(), [0.0], times)
     result = run(sim, threads=threads)
-    return [_write(cfg, out_dir, f"snapshot_t{t:g}s", ("particle_id", "x_m", "r2_m2"),
-                   [(i, float(x), float(r2)) for i, (x, r2) in enumerate(result.snapshots[t])],
-                   content="particle position snapshot", snapshot_t_s=t)
-            for t in sorted(result.snapshots)]
+    for t in sorted(result.snapshots):
+        yield _table(cfg, f"snapshot_t{t:g}s", ("particle_id", "x_m", "r2_m2"),
+                     [(i, float(x), float(r2)) for i, (x, r2) in enumerate(result.snapshots[t])],
+                     content="particle position snapshot", snapshot_t_s=t)
 
 
 def _auto_link(cfg: ResolvedConfig, distance: float, symbol_interval: float):
@@ -211,15 +201,15 @@ def _particle_pobs(cfg: ResolvedConfig, points, threads: int) -> list[np.ndarray
     return [result.series.probabilities() for result in results]
 
 
-def ser_action(cfg: ResolvedConfig, out_dir: Path, threads: int = 1) -> list[Path]:
+def ser_action(cfg: ResolvedConfig, threads: int = 1):
     """SER sweep over the configured distances and symbol intervals.
 
-    Each point writes one row per ``ook.method`` entry, in the listed order.
+    Each point gives one row per ``ook.method`` entry, in the listed order.
     ``particle_binomial`` takes the link's ``P_ob`` from an engine pool as
     it is (:func:`_particle_pobs`).  Each method runs once over every
     point's link (:func:`optimal_threshold_many`, :func:`ser_analytic_many`,
     :func:`ser_monte_carlo_many`), each row the one a sweep of that point
-    alone would write.
+    alone would give.
     """
     methods = [SerMethod(method) for method in cfg["ook.method"]]
     realizations = cfg["ook.realizations"]
@@ -258,18 +248,19 @@ def ser_action(cfg: ResolvedConfig, out_dir: Path, threads: int = 1) -> list[Pat
              realizations if method is SerMethod.MONTE_CARLO_COUNTS else 0, seed)
             for i, ((distance, symbol_interval), link) in enumerate(zip(grid, links))
             for method in methods]
-    return [_write(cfg, out_dir, "ser_sweep",
-                   ("T_s", "d_m", "xi_opt", "ser", "method", "realizations", "seed"), rows,
-                   content="symbol error rate sweep")]
+    yield _table(cfg, "ser_sweep",
+                 ("T_s", "d_m", "xi_opt", "ser", "method", "realizations", "seed"), rows,
+                 content="symbol error rate sweep")
 
 
-def _cir_preset(cfg: ResolvedConfig, out_dir: Path, threads: int) -> list[Path]:
+def _cir_preset(cfg: ResolvedConfig, threads: int):
     """Analytic curves and peaks, then the simulated responses."""
-    return cir_action(cfg, out_dir) + _simulated_cir_paths(cfg, out_dir, threads)
+    yield from cir_action(cfg)
+    yield from _simulated_cir_tables(cfg, threads)
 
 
 #: Every CLI subcommand but ``preset``: ``name -> (runner, help)``, the
-#: runner called as ``runner(cfg, out_dir, threads) -> paths``.
+#: runner called as ``runner(cfg, threads)`` to yield ``(file name, Table)`` pairs.
 ACTIONS = {
     "regime": (regime_action, "classify transport regimes"),
     "cir": (cir_action, "emit analytic impulse responses"),
@@ -332,15 +323,25 @@ def preset_config(name: str, file_path=None, overrides=None, seed=None) -> Resol
     return load_config(PRESETS[name][1], file_path=file_path, overrides=overrides, seed=seed)
 
 
-def discard_partial_outputs(action, out_dir: str | Path):
-    """Run ``action()`` and remove any files it created if it fails."""
+def publish(tables, out_dir: str | Path) -> list[Path]:
+    """Write each ``(name, table)`` of ``tables`` as ``out_dir/name``, all or none.
+
+    Each table is staged under its own hidden name in ``out_dir`` (made first);
+    all are renamed into place, in order, after the last is written.  On any
+    exception, ``KeyboardInterrupt`` included, the staged files are removed.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    before = {p for p in out.rglob("*") if p.is_file()}
+    staged: list[tuple[Path, Path]] = []
     try:
-        return action()
-    except Exception:
-        for path in {p for p in out.rglob("*") if p.is_file()} - before:
-            path.unlink(missing_ok=True)
+        for k, (name, table) in enumerate(tables):
+            staged.append((out / f".{name}.{k}.partial", out / name))
+            emit_table(table, staged[-1][0])
+        for part, path in staged:
+            part.replace(path)
+    except BaseException:
+        for part, _ in staged:
+            part.unlink(missing_ok=True)
         raise
+    return [path for _, path in staged]
 

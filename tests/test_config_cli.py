@@ -371,6 +371,32 @@ class TestCli:
         assert capsys.readouterr().err.startswith("ductflow: error: ")
         assert list(tmp_path.rglob("*")) == []
 
+    def test_failed_rerun_keeps_earlier_outputs(self, tmp_path, capsys):
+        # The rerun's analytic tables are made before its sample grid is
+        # refused; none of them may replace the first call's files.
+        base = ["preset", "cir_small_duct", "--out", str(tmp_path), "--set", "release.n_tx=2000"]
+        assert main(base + ["--set", "grid.t_stop=0.1"]) == 0
+        before = {path: path.read_bytes() for path in tmp_path.rglob("*")}
+        assert len(before) == 7
+        rc = main(base + ["--set", "grid.t_stop=0.2", "--set", "sim.time_step=5e-3"])
+        assert rc == 2
+        assert "sample times must snap to distinct, increasing steps" in capsys.readouterr().err
+        assert {path: path.read_bytes() for path in tmp_path.rglob("*")} == before
+
+    def test_interrupt_leaves_no_staged_file(self, tmp_path, monkeypatch):
+        # A runner interrupted after its first table: the staged table is
+        # removed and the file it would have replaced is kept.
+        def interrupted(cfg, threads):
+            yield next(presets.regime_action(cfg, threads))
+            raise KeyboardInterrupt
+
+        monkeypatch.setitem(ACTIONS, "regime", (interrupted, "classify transport regimes"))
+        (tmp_path / "regime_scenarios.csv").write_text("earlier\n")
+        with pytest.raises(KeyboardInterrupt):
+            main(["regime", "--out", str(tmp_path)])
+        assert list(tmp_path.rglob("*")) == [tmp_path / "regime_scenarios.csv"]
+        assert (tmp_path / "regime_scenarios.csv").read_text() == "earlier\n"
+
     @pytest.mark.parametrize("setting", [
         "ook.seq_len=0", "ook.noise_mean=-1", "ook.threshold=2000",
         "ook.method=monte_carlo_counts ook.realizations=0",
@@ -719,7 +745,7 @@ class TestRunPresetApi:
     def test_regime_map_outputs(self, tmp_path):
         cfg = preset_config("regime_map")
         runner, _ = PRESETS["regime_map"]
-        paths = runner(cfg, tmp_path, 1)
+        paths = presets.publish(runner(cfg, 1), tmp_path)
         names = sorted(p.name for p in paths)
         assert names == ["regime_boundary.csv", "regime_scenarios.csv"]
         body = [line for line in (tmp_path / "regime_scenarios.csv").read_text().splitlines()

@@ -67,7 +67,7 @@ def brute_force_errors(link, method):
     fall below 1e-30.  Each distinct set of offsets is evaluated once.
     """
     k, n = link.seq_len_K, link.n_tx
-    pvec = link.isi_probabilities()
+    pvec = link.pob
     sequences = list(product((0, 1), repeat=k))
     offsets = [[tuple(j for j in range(i + 1) if bits[i - j]) for i in range(k)]
                for bits in sequences]
@@ -1077,7 +1077,7 @@ class TestLinkValidation:
         pvec = np.array([0.3, 0.1, 0.05])
         link = OokLinkConfig(pvec, 2, 4.0, 100)
         assert link.seq_len_K == 3
-        assert np.array_equal(link.pob, pvec) and link.isi_probabilities() is link.pob
+        assert np.array_equal(link.pob, pvec)
         pvec[0] = 0.9
         assert link.pob[0] == 0.3
         with pytest.raises(ValueError):

@@ -472,22 +472,25 @@ class TestRun:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    @pytest.mark.parametrize("error,failing", [
+        pytest.param(error, lo, id=error.__name__ + suffix)
+        for lo, suffix in [(0, ""), (_BLOCK, "-second")]
+        for error in (RuntimeError, KeyboardInterrupt)])
     def test_failure_kills_the_other_workers(self, narrow_channel, several_cpus, monkeypatch,
-                                             error):
-        # The first share fails at once while the second would run for a
-        # minute: the parent raises the first failure, then kills and reaps
-        # the second worker instead of waiting for it.
+                                             error, failing):
+        # One share fails at once while the other would run for a minute:
+        # the parent raises the failure as soon as it comes, whichever share
+        # it is, then kills and reaps the other worker instead of waiting.
         def fail_or_hang(configs, lo, hi):
-            if lo == 0:
-                raise error("first share failed")
+            if lo == failing:
+                raise error("share failed")
             time.sleep(60)
 
         monkeypatch.setattr(particles, "_run_block", fail_or_hang)
         cfg = sim_config(narrow_channel, make_receiver(10e-6, 20e-6),
                          ReleaseSpec.uniform(2 * _BLOCK), np.arange(1, 21) * 1e-3)
         start = time.monotonic()
-        with pytest.raises(error, match="first share failed"):
+        with pytest.raises(error, match="share failed"):
             run(cfg, threads=2)
         assert time.monotonic() - start < 30
         with pytest.raises(ChildProcessError):

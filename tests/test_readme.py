@@ -59,8 +59,8 @@ def test_examples_found():
 
 @pytest.mark.parametrize("argv", COMMANDS + DEMO_COMMANDS)
 def test_example_resolves(argv, monkeypatch):
-    # The CLI's own dispatch resolves the configuration; the action is dropped.
-    monkeypatch.setattr(cli, "discard_partial_outputs", lambda action, out_dir: [])
+    # The CLI's own dispatch resolves the configuration; no table is made.
+    monkeypatch.setattr(cli, "publish", lambda tables, out_dir: [])
     assert cli._dispatch(cli._build_parser().parse_args(argv)) == []
 
 

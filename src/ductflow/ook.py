@@ -35,8 +35,8 @@ pmfs per symbol, written into the table and summed there, so time and
 memory grow linearly in ``K``.  A link whose pmfs span more than
 ``_TABLE_CELLS`` cells, for any method, is refused before any pmf of its
 sweep is evaluated, and a table of more cells before it is built.
-:func:`ser_analytic` reads one threshold of it, :func:`optimal_threshold`
-its minimum.
+:func:`ser_analytic_many` reads one threshold of it,
+:func:`optimal_threshold_many` its minimum.
 
 Both analytic models treat counts at different sampling instants as
 independent, and for the SER that loses nothing: the SER is a mean of
@@ -96,9 +96,8 @@ from typing import Iterator
 
 import numpy as np
 
-__all__ = ["SerMethod", "OokLinkConfig", "SerResult", "detection_offsets", "ser_analytic",
-           "ser_analytic_many", "optimal_threshold", "optimal_threshold_many", "ser_monte_carlo",
-           "ser_monte_carlo_many"]
+__all__ = ["SerMethod", "OokLinkConfig", "SerResult", "detection_offsets",
+           "ser_analytic_many", "optimal_threshold_many", "ser_monte_carlo_many"]
 
 _PMF_TAIL = 1e-18
 #: Realizations the count Monte Carlo draws at a time, at most.
@@ -399,44 +398,31 @@ def _optimum(table: np.ndarray) -> tuple[int, SerResult]:
 
 def ser_analytic_many(links: list[OokLinkConfig],
                       method: SerMethod = SerMethod.POISSON_ANALYTIC) -> list[SerResult]:
-    """:func:`ser_analytic` of each link, bit for bit, with every pmf from one stacked pass
-    (:func:`_count_terms`); the tables are built one at a time."""
-    return [_ser_result(_error_table(link, terms), link.threshold_xi)
-            for link, terms in zip(links, _count_terms(links, method))]
-
-
-def ser_analytic(link: OokLinkConfig,
-                 method: SerMethod = SerMethod.POISSON_ANALYTIC) -> SerResult:
-    """Exact average SER over all ``2^K`` equiprobable binary sequences.
+    """Exact average SER of each link over all ``2^K`` equiprobable binary sequences.
 
     Evaluated without enumerating them: symbol ``i``'s error averages a
     miss and a false alarm over the convolved interference law (see the
     module notes), two convolutions per symbol for any sequence length.
-    This is :func:`ser_analytic_many` of the one link.
+    Every pmf of the links comes from one stacked pass (:func:`_count_terms`),
+    and each result is bit for bit that of the link alone; the tables are
+    built one at a time.  ``[]`` gives ``[]``.
     """
-    return ser_analytic_many([link], method)[0]
+    return [_ser_result(_error_table(link, terms), link.threshold_xi)
+            for link, terms in zip(links, _count_terms(links, method))]
 
 
 def optimal_threshold_many(links: list[OokLinkConfig],
                            method: SerMethod = SerMethod.POISSON_ANALYTIC
                            ) -> list[tuple[int, SerResult]]:
-    """:func:`optimal_threshold` of each link, as :func:`ser_analytic_many` evaluates them."""
+    """Threshold search over ``xi in {0, ..., n_tx}`` for each link.
+
+    Gives, per link, the SER-minimising threshold (smallest index on ties)
+    and the analytic SER there, the same result :func:`ser_analytic_many`
+    gives: both read one error table that holds every threshold at once.
+    ``[]`` gives ``[]``.
+    """
     return [_optimum(_error_table(link, terms))
             for link, terms in zip(links, _count_terms(links, method))]
-
-
-def optimal_threshold(link: OokLinkConfig,
-                      method: SerMethod = SerMethod.POISSON_ANALYTIC
-                      ) -> tuple[int, SerResult]:
-    """Threshold search over ``xi in {0, ..., n_tx}``.
-
-    Returns the SER-minimising threshold (smallest index on ties) together
-    with the analytic SER at that threshold, the same result
-    :func:`ser_analytic` gives there: both read one error table that holds
-    every threshold at once.  This is :func:`optimal_threshold_many` of the
-    one link.
-    """
-    return optimal_threshold_many([link], method)[0]
 
 
 def _cdf_edges(pmf: np.ndarray) -> np.ndarray:
@@ -518,14 +504,16 @@ def _mc_block_errors(links: list[OokLinkConfig], terms: list[list[tuple[int, np.
 
 def ser_monte_carlo_many(links: list[OokLinkConfig], realizations: int,
                          seed: int) -> list[SerResult]:
-    """:func:`ser_monte_carlo` of each link, drawing what the links share once.
+    """Monte Carlo SER of each link over uniformly random K-bit sequences.
 
-    All links must share ``seq_len_K`` and ``noise_mean_Nn``, as the points
-    of a sweep do.  Each block then draws and sorts every uniform once for
-    all links, and each link only counts the sorted uniforms below its own
-    cumulative sums (see the module notes), so each result is bit for bit
-    ``ser_monte_carlo(link, realizations, seed)``.  Links may differ in
-    ``pob``, threshold and ``n_tx``; ``[]`` gives ``[]``.
+    It samples per-symbol counts (``MONTE_CARLO_COUNTS``) from the trimmed
+    pmfs that ``BINOMIAL_ANALYTIC`` convolves, so it estimates what that
+    method computes and does not check the pmfs.  The links must share
+    ``seq_len_K`` and ``noise_mean_Nn``, as a sweep's points do.  Blocks of at
+    most ``_MC_BLOCK`` realizations that hold at most ``_MC_CELLS`` draws
+    (module notes) keep memory flat in ``realizations``; each block draws and
+    sorts every uniform once for all links.  A fixed seed reproduces each
+    result, bit for bit that of the link alone; ``[]`` gives ``[]``.
     """
     if realizations < 1:
         raise ValueError("need at least one realization")
@@ -543,19 +531,3 @@ def ser_monte_carlo_many(links: list[OokLinkConfig], realizations: int,
         errors += _mc_block_errors(links, terms, min(block, realizations - start), rng)
     return [SerResult(ser=float(e.sum() / (realizations * k)), per_symbol_errors=e / realizations)
             for e in errors]
-
-
-def ser_monte_carlo(link: OokLinkConfig, realizations: int, seed: int) -> SerResult:
-    """Monte Carlo SER over uniformly random K-bit sequences.
-
-    It samples per-symbol counts (``MONTE_CARLO_COUNTS``) from the
-    trimmed pmfs that ``BINOMIAL_ANALYTIC`` convolves: it estimates what that
-    method computes, so it no longer checks the pmfs (the pmf tests
-    and the brute-force SER do).  Blocks of at most ``_MC_BLOCK``
-    realizations that hold the draws of at most ``_MC_CELLS`` triples
-    ``(realization, symbol, offset)`` (module notes) keep memory flat in
-    ``realizations``, and in ``K`` growing no faster than the links' pmfs.
-    A fixed seed reproduces the result.  This is :func:`ser_monte_carlo_many`
-    of the one link.
-    """
-    return ser_monte_carlo_many([link], realizations, seed)[0]

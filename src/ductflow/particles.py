@@ -47,7 +47,7 @@ calls, and threads handed the GIL back and forth around every one of them,
 so two threads ran no faster than one.  :func:`run_many`, the one scheduler,
 deals the partitions of all its groups, largest first, into one share per
 worker and reassembles each run's counts and snapshots in block order;
-:func:`run` is its one-run case, and one worker runs inline, with no fork.
+one worker runs inline, with no fork.
 Otherwise each share runs in a child made by a bare ``os.fork``, so the
 workers inherit the parent's imports (no re-import of numpy per worker) and
 its module state; ``threads > 1`` therefore needs a POSIX ``fork``.  A
@@ -82,7 +82,7 @@ from .duct import (
     validate_release,
 )
 
-__all__ = ["SimConfig", "ObservationSeries", "SimResult", "run", "run_many"]
+__all__ = ["SimConfig", "ObservationSeries", "SimResult", "run_many"]
 
 #: Particles per random-stream block; part of the reproducibility contract.
 _BLOCK = 2048
@@ -139,10 +139,9 @@ def _to_steps(times, time_step: float, what: str) -> np.ndarray:
 class SimConfig:
     """Full specification of one simulation run.
 
-    ``rx`` is one receiver or a tuple of receivers; ``receivers`` always
-    holds the tuple, in the given order, and every receiver is validated
-    against the duct, as is a point release.  One run counts all of them on
-    the same trajectories.
+    ``receivers`` holds at least one receiver; each is validated against
+    the duct, as is a point release.  One run counts all of them on the
+    same trajectories.
 
     Sample and snapshot times are snapped to the nearest step boundary at
     construction so no silent interpolation happens later; both must be
@@ -152,13 +151,12 @@ class SimConfig:
     """
 
     channel: DuctChannelConfig
-    rx: ReceiverVolume | tuple[ReceiverVolume, ...]
+    receivers: tuple[ReceiverVolume, ...]
     release: ReleaseSpec
     time_step: float
     seed: int
     sample_times: Sequence[float]
     snapshot_times: Sequence[float] = ()
-    receivers: tuple[ReceiverVolume, ...] = field(init=False)
     sample_steps: np.ndarray = field(init=False)
     snapshot_steps: np.ndarray = field(init=False)
 
@@ -167,12 +165,10 @@ class SimConfig:
             raise ValueError("time step must be positive")
         if not 0 <= self.seed < _MAX_SEED:
             raise ValueError("seed must fit in 64 bits")
-        receivers = (self.rx,) if isinstance(self.rx, ReceiverVolume) else tuple(self.rx)
-        if not receivers:
+        if not self.receivers:
             raise ValueError("at least one receiver is required")
-        for rx in receivers:
+        for rx in self.receivers:
             validate_receiver(self.channel, rx)
-        object.__setattr__(self, "receivers", receivers)
         validate_release(self.channel, self.release)
         requested = np.asarray(self.sample_times, dtype=float)
         if requested.ndim != 1 or requested.size == 0:
@@ -199,7 +195,7 @@ class SimResult:
     """Observation series plus any requested position snapshots.
 
     ``all_series`` holds one series per receiver of the run, in the order of
-    ``SimConfig.receivers``; ``series`` is the first of them.
+    ``SimConfig.receivers``.
 
     ``snapshots`` maps each (snapped) snapshot time to an ``(n, 2)`` array
     of per-particle ``(x, r^2)`` pairs, the natural plotting coordinates:
@@ -210,10 +206,6 @@ class SimResult:
 
     all_series: tuple[ObservationSeries, ...]
     snapshots: dict[float, np.ndarray] = field(default_factory=dict)
-
-    @property
-    def series(self) -> ObservationSeries:
-        return self.all_series[0]
 
 
 def _initial_block(releases: Sequence[ReleaseSpec], radius_a: float, spans, gens):
@@ -441,18 +433,29 @@ def _fork_shares(shares: Sequence[Sequence[tuple]]) -> list[list]:
 
 
 def run_many(configs: Sequence[SimConfig], *, threads: int = 1) -> list[SimResult]:
-    """:func:`run` of each of ``configs``, in order, on one set of workers.
+    """Simulate each of ``configs``, in order, on one set of workers.
 
-    Configs that share a seed, particle count, channel, time step, sample
-    grid and snapshot times (the :func:`_stream_key`) form a group, whatever
-    their releases and receivers: the group steps as one ``(G, n)`` state,
-    one row per distinct release, on normals drawn once for all rows.  With
-    ``workers = min(threads, os.cpu_count())``, each group is cut into
-    ``workers`` partitions (fewer if it has fewer blocks), so a group longer
-    than the others still spreads over every worker.  The partitions of all
-    groups are dealt, largest (in particle-steps times ``G``) first, each to
-    the least loaded of ``workers`` shares, one forked worker per share;
-    each result equals that config's own :func:`run`.
+    One pass over a config's trajectories counts each of its receivers and
+    captures per-particle ``(x, r^2)`` pairs at its snapshot times.  Configs
+    that share a :func:`_stream_key` step as one group, and the partitions of
+    all groups are dealt to the workers together (module notes).
+
+    Parameters
+    ----------
+    configs : sequence of SimConfig
+    threads : int
+        Requested worker processes (at least 1); at most ``os.cpu_count()``
+        and one per block.  Has no effect on the results (see the module
+        reproducibility contract).
+
+    Returns
+    -------
+    list of SimResult
+        Per config, bit for bit what a call with it alone gives: one series
+        of counts at every sample time per receiver (``all_series``, in
+        receiver order) and a snapshot at each of its ``snapshot_times``.
+        ``[]`` gives ``[]``.  A worker that raises or dies raises here, and
+        no partial results are returned.
     """
     if threads < 1:
         raise ValueError("threads must be at least 1")
@@ -480,28 +483,3 @@ def run_many(configs: Sequence[SimConfig], *, threads: int = 1) -> list[SimResul
             tuple(ObservationSeries(config.sample_times, c, config.release.n_tx) for c in counts),
             {t: np.concatenate([snaps[t] for _, snaps in part]) for t in part[0][1]}))
     return results
-
-
-def run(config: SimConfig, *, threads: int = 1) -> SimResult:
-    """Simulate the configured release and return receiver counts over time.
-
-    One pass over the trajectories counts every receiver of ``config`` and
-    captures per-particle ``(x, r^2)`` pairs at its snapshot times.
-
-    Parameters
-    ----------
-    config : SimConfig
-    threads : int
-        Requested worker processes (at least 1); at most ``os.cpu_count()``
-        and one per block.  Has no effect on the results (see the module
-        reproducibility contract).
-
-    Returns
-    -------
-    SimResult
-        One series of counts at every sample time per receiver (``all_series``,
-        in receiver order; ``series`` is the first), plus a snapshot at each
-        of ``config.snapshot_times``.  No partial results are returned on
-        failure: a worker that raises or dies raises here.
-    """
-    return run_many([config], threads=threads)[0]

@@ -15,8 +15,10 @@ no file, and :func:`publish` writes a call's tables all or none.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import replace
 from functools import partial
+from itertools import takewhile
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +30,7 @@ from .impulse import (DispersionModel, cir_dispersion, cir_flow_point, cir_flow_
 from .ook import (OokLinkConfig, SerMethod, detection_offsets, optimal_threshold_many,
                   ser_analytic_many, ser_monte_carlo_many)
 from .output import Table, emit_table
-from .particles import SimConfig, run, run_many
+from .particles import SimConfig, run_many
 
 __all__ = ["PRESETS", "ACTIONS", "preset_config", "publish",
            "regime_action", "cir_action", "simulate_action",
@@ -49,9 +51,9 @@ def _um_label(length_m: float) -> str:
     return f"{length_m / _UM:g}um"
 
 
-def _sim_for_grid(cfg: ResolvedConfig, rx, release, sample_times,
+def _sim_for_grid(cfg: ResolvedConfig, receivers, release, sample_times,
                   snapshot_times=()) -> SimConfig:
-    return cfg.build(SimConfig, channel=cfg.channel(), rx=rx, release=release,
+    return cfg.build(SimConfig, channel=cfg.channel(), receivers=receivers, release=release,
                      time_step=cfg["sim.time_step"], seed=cfg["seed"],
                      sample_times=sample_times, snapshot_times=snapshot_times)
 
@@ -116,8 +118,8 @@ def cir_action(cfg: ResolvedConfig, threads: int = 1):
 
 def simulate_action(cfg: ResolvedConfig, threads: int = 1):
     """Particle-simulated observation series on the configured time grid."""
-    sim = _sim_for_grid(cfg, cfg.receiver(), cfg.release(), cfg.time_grid())
-    series = run(sim, threads=threads).series
+    sim = _sim_for_grid(cfg, (cfg.receiver(),), cfg.release(), cfg.time_grid())
+    series = run_many([sim], threads=threads)[0].all_series[0]
     rows = [(float(t), int(c), series.n_tx) for t, c in zip(series.times, series.counts)]
     yield _table(cfg, "observations", ("t_s", "count", "n_tx"), rows,
                  content="simulated observation series")
@@ -154,8 +156,8 @@ def snapshot_action(cfg: ResolvedConfig, threads: int = 1):
     times = np.asarray(cfg["snapshot.times"], dtype=float)
     # A sample at step 0 draws nothing, so the snapshots alone set the run,
     # and times that snap to one step collapse into one snapshot.
-    sim = _sim_for_grid(cfg, cfg.receiver(), cfg.release(), [0.0], times)
-    result = run(sim, threads=threads)
+    sim = _sim_for_grid(cfg, (cfg.receiver(),), cfg.release(), [0.0], times)
+    result = run_many([sim], threads=threads)[0]
     for t in sorted(result.snapshots):
         yield _table(cfg, f"snapshot_t{t:g}s", ("particle_id", "x_m", "r2_m2"),
                      [(i, float(x), float(r2)) for i, (x, r2) in enumerate(result.snapshots[t])],
@@ -196,9 +198,9 @@ def _particle_pobs(cfg: ResolvedConfig, points, threads: int) -> list[np.ndarray
     ``offsets``; the runs share one set of workers.
     """
     pool = replace(cfg.release(), n_tx=_POOL_PARTICLES)
-    results = run_many([_sim_for_grid(cfg, rx, pool, offsets) for rx, offsets in points],
+    results = run_many([_sim_for_grid(cfg, (rx,), pool, offsets) for rx, offsets in points],
                        threads=threads)
-    return [result.series.probabilities() for result in results]
+    return [result.all_series[0].probabilities() for result in results]
 
 
 def ser_action(cfg: ResolvedConfig, threads: int = 1):
@@ -326,22 +328,29 @@ def preset_config(name: str, file_path=None, overrides=None, seed=None) -> Resol
 def publish(tables, out_dir: str | Path) -> list[Path]:
     """Write each ``(name, table)`` of ``tables`` as ``out_dir/name``, all or none.
 
-    Each table is staged under its own hidden name in ``out_dir`` (made first);
-    all are renamed into place, in order, after the last is written.  On any
-    exception, ``KeyboardInterrupt`` included, the staged files are removed.
+    Each table is staged under a hidden name in ``out_dir`` (made first);
+    all are renamed into place, in order, after the last is written.  A
+    name that repeats raises ``ConfigError``.  On any exception,
+    ``KeyboardInterrupt`` included, the staged files are removed, and then,
+    deepest first, each directory this call made that is left empty.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    staged: list[tuple[Path, Path]] = []
+    made = list(takewhile(lambda path: not path.exists(), (out, *out.parents)))
+    staged: dict[str, Path] = {}
     try:
-        for k, (name, table) in enumerate(tables):
-            staged.append((out / f".{name}.{k}.partial", out / name))
-            emit_table(table, staged[-1][0])
-        for part, path in staged:
-            part.replace(path)
+        out.mkdir(parents=True, exist_ok=True)
+        for name, table in tables:
+            if name in staged:
+                raise ConfigError(f"two tables of this call share the file {out / name}")
+            staged[name] = out / f".{name}.partial"
+            emit_table(table, staged[name])
+        for name, part in staged.items():
+            part.replace(out / name)
     except BaseException:
-        for part, _ in staged:
+        for part in staged.values():
             part.unlink(missing_ok=True)
+        for path in made:
+            with suppress(OSError):
+                path.rmdir()
         raise
-    return [path for _, path in staged]
-
+    return [out / name for name in staged]

@@ -29,12 +29,12 @@ from ductflow import (
     effective_diffusion,
     flow_point_window,
     flow_transit_times,
-    optimal_threshold,
+    optimal_threshold_many,
     peclet_number,
-    run,
+    run_many,
     rx_area_fraction,
-    ser_analytic,
-    ser_monte_carlo,
+    ser_analytic_many,
+    ser_monte_carlo_many,
 )
 from ductflow.cli import main as cli_main
 from ductflow.oracles import oracle_cir_dispersion, oracle_cir_flow
@@ -77,10 +77,10 @@ WIDE_SER = DuctChannelConfig(radius_a=200e-6, diffusion_D=1e-12, mean_velocity=1
 def _run_uniform(channel, distance, t_stop, n_tx, seed, snapshot_times=(), threads=4):
     rx = quarter_receiver(channel.radius_a, distance)
     times = np.arange(1, int(round(t_stop / 1e-3)) + 1) * 1e-3
-    cfg = SimConfig(channel=channel, rx=rx, release=ReleaseSpec.uniform(n_tx),
+    cfg = SimConfig(channel=channel, receivers=(rx,), release=ReleaseSpec.uniform(n_tx),
                     time_step=1e-3, seed=seed, sample_times=times,
                     snapshot_times=snapshot_times)
-    return rx, run(cfg, threads=threads)
+    return rx, run_many([cfg], threads=threads)[0]
 
 
 @pytest.fixture(scope="module")
@@ -113,7 +113,7 @@ def test_criterion_02_regime_map_values():
 
 def test_criterion_03_flow_only_exactness():
     rx, result = _run_uniform(WIDE_FLOW_ONLY, 200e-6, 0.5, 100_000, seed=301)
-    series = result.series
+    series = result.all_series[0]
     p = cir_flow_uniform(WIDE_FLOW_ONLY, rx, series.times)
     bound = 3.0 * np.sqrt(p * (1.0 - p) / series.n_tx)
     inside = np.abs(series.probabilities() - p) <= bound + 1e-12
@@ -121,9 +121,9 @@ def test_criterion_03_flow_only_exactness():
 
     release = ReleaseSpec.point(100_000, 150e-6, 0.0)
     times = np.arange(1, 401) * 1e-3
-    cfg = SimConfig(channel=WIDE_FLOW_ONLY, rx=rx, release=release,
+    cfg = SimConfig(channel=WIDE_FLOW_ONLY, receivers=(rx,), release=release,
                     time_step=1e-3, seed=302, sample_times=times)
-    point = run(cfg, threads=4).series
+    point = run_many([cfg], threads=4)[0].all_series[0]
     window = flow_point_window(WIDE_FLOW_ONLY, rx, release)
     full = np.flatnonzero(point.counts == release.n_tx)
     edges_ok = (abs(point.times[full[0]] - window[0]) <= 1e-3 + 1e-12
@@ -236,7 +236,7 @@ def test_criterion_05_wide_duct_reproduction():
     ok = True
     for distance, t_stop in ((200e-6, 0.30), (800e-6, 0.85)):
         rx, result = _run_uniform(WIDE, distance, t_stop, 100_000, seed=20240)
-        series = result.series
+        series = result.all_series[0]
         t2 = flow_transit_times(WIDE, rx)[1]
         idx = smoothed_argmax(series.counts, 5)
         t_peak = series.times[idx]
@@ -268,9 +268,9 @@ def test_criterion_05_wide_duct_reproduction():
     rx = quarter_receiver(200e-6, 200e-6)
     release = ReleaseSpec.point(100_000, 150e-6, 0.0)
     times = np.arange(1, 401) * 1e-3
-    cfg = SimConfig(channel=WIDE, rx=rx, release=release, time_step=1e-3,
+    cfg = SimConfig(channel=WIDE, receivers=(rx,), release=release, time_step=1e-3,
                     seed=20241, sample_times=times)
-    series = run(cfg, threads=4).series
+    series = run_many([cfg], threads=4)[0].all_series[0]
     window = flow_point_window(WIDE, rx, release)
     width = window[1] - window[0]
     inner = (series.times > window[0] + 0.02) & (series.times < window[1] - 0.02)
@@ -289,8 +289,8 @@ def test_criterion_06_dispersion_peak_time(narrow_far_run):
     rx, result = narrow_far_run
     model = DispersionModel.for_channel(NARROW, rx)
     t_ref = dispersion_peak_time(model, 800e-6)
-    idx = smoothed_argmax(result.series.counts, 81)
-    t_peak = result.series.times[idx]
+    idx = smoothed_argmax(result.all_series[0].counts, 81)
+    t_peak = result.all_series[0].times[idx]
     ok = abs(t_peak - t_ref) <= 0.10 * t_ref
     check(6, "narrow-duct simulated peak time within 10% of the design guideline",
           ok, f"t_peak={t_peak:.3f}s vs {t_ref:.3f}s ({(t_peak - t_ref) / t_ref:+.1%})")
@@ -348,28 +348,28 @@ def test_criterion_09_ser_pipeline():
     scenarios += [(200e-6, T) for T in (0.1, 0.2, 0.3)]
     for distance, T in scenarios:
         link = flow_sweep_link(WIDE_SER, distance, T)
-        xi, _ = optimal_threshold(link)
+        xi, _ = optimal_threshold_many([link])[0]
         link = replace(link, threshold_xi=xi)
-        rp = ser_analytic(link, SerMethod.POISSON_ANALYTIC).ser
-        rb = ser_analytic(link, SerMethod.BINOMIAL_ANALYTIC).ser
+        rp = ser_analytic_many([link], SerMethod.POISSON_ANALYTIC)[0].ser
+        rb = ser_analytic_many([link], SerMethod.BINOMIAL_ANALYTIC)[0].ser
         worst_rel = max(worst_rel, abs(rp - rb) / rb)
     a_ok = worst_rel <= 0.05
 
     # (b) count-model Monte Carlo against the exact binomial computation.
     link = flow_sweep_link(WIDE_SER, 200e-6, 0.25)
-    xi, _ = optimal_threshold(link)
+    xi, _ = optimal_threshold_many([link])[0]
     link = replace(link, threshold_xi=xi)
-    exact = ser_analytic(link, SerMethod.BINOMIAL_ANALYTIC).ser
-    mc = ser_monte_carlo(link, 10_000, seed=909)
+    exact = ser_analytic_many([link], SerMethod.BINOMIAL_ANALYTIC)[0].ser
+    mc = ser_monte_carlo_many([link], 10_000, seed=909)[0]
     clt = 3.0 * math.sqrt(exact * (1.0 - exact) / (10_000 * link.seq_len_K))
     b_ok = abs(mc.ser - exact) <= clt
 
     # (c) long-interval behaviour: the far link stays interference-limited
     # while the near link becomes reliable.
     link_far = flow_sweep_link(WIDE_SER, 800e-6, 0.75)
-    _, far = optimal_threshold(link_far)
+    _, far = optimal_threshold_many([link_far])[0]
     link_near = flow_sweep_link(WIDE_SER, 200e-6, 0.75)
-    _, near = optimal_threshold(link_near)
+    _, near = optimal_threshold_many([link_near])[0]
     c_ok = far.ser > 1e-2 and near.ser < 1e-2
 
     check(9, "SER pipeline: Poisson~binomial 5%, Monte Carlo in CLT bound, "

@@ -397,6 +397,48 @@ class TestCli:
         assert list(tmp_path.rglob("*")) == [tmp_path / "regime_scenarios.csv"]
         assert (tmp_path / "regime_scenarios.csv").read_text() == "earlier\n"
 
+    @pytest.mark.parametrize("command,earlier,clash,name", [
+        ("cir", ["cir.distances=200 um"], ["cir.distances=200 um, 200.0001 um"],
+         "cir_analytic_d200um.csv"),
+        # Two snapshot steps that print alike to six significant digits:
+        # 250 001 flow-only steps of one particle.
+        ("snapshot", ["snapshot.times=1e-3"], ["snapshot.times=1, 1.000004"],
+         "snapshot_t1s.csv"),
+    ], ids=["cir", "snapshot"])
+    def test_repeated_table_name_is_config_error(self, tmp_path, capsys, command, earlier,
+                                                 clash, name):
+        common = ["release.n_tx=1", "channel.diffusion=0", "sim.time_step=4e-6"]
+
+        def call(settings):
+            flags = [arg for item in common + settings for arg in ("--set", item)]
+            return main([command, "--out", str(tmp_path)] + flags)
+
+        assert call(earlier) == 0
+        before = {path: path.read_bytes() for path in tmp_path.rglob("*")}
+        capsys.readouterr()
+        assert call(clash) == 2
+        assert f"share the file {tmp_path / name}" in capsys.readouterr().err
+        assert {path: path.read_bytes() for path in tmp_path.rglob("*")} == before
+
+    def test_cir_name_clash_is_refused_before_the_engine_runs(self, tmp_path, monkeypatch):
+        def engine(*args, **kwargs):
+            raise AssertionError("the engine ran for a refused call")
+
+        monkeypatch.setattr(presets, "run_many", engine)
+        rc = main(["preset", "cir_small_duct", "--out", str(tmp_path / "out"),
+                   "--set", "cir.distances=200 um, 200.0001 um"])
+        assert rc == 2
+        assert list(tmp_path.rglob("*")) == []
+
+    def test_failed_call_removes_the_directories_it_made(self, tmp_path, capsys):
+        # Each missing level of a nested --out is made for the call and
+        # removed when it fails; the level that already existed is kept.
+        (tmp_path / "kept").mkdir()
+        out = tmp_path / "kept" / "x" / "y"
+        assert main(["regime", "--set", "rx.distance=0", "--out", str(out)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*")) == [tmp_path / "kept"]
+
     @pytest.mark.parametrize("setting", [
         "ook.seq_len=0", "ook.noise_mean=-1", "ook.threshold=2000",
         "ook.method=monte_carlo_counts ook.realizations=0",
@@ -826,7 +868,7 @@ GOLDEN.update({
         ["ser", "--set", "ook.method=binomial_analytic"] + SER_ARGS,
         ["ser_sweep.csv"],
         {"ser_sweep.csv": "01af4438fd6a8fcf3d0a0e7fc10159f2720399c7c8fcf25729e914b5a9f43823"}),
-    # A fixed threshold: the one route into ser_analytic's Poisson branch,
+    # A fixed threshold: the one route into ser_analytic_many's Poisson branch,
     # where no threshold search runs.
     "ser_fixed_threshold": (
         ["ser", "--set", "ook.threshold=20"] + SER_ARGS,

@@ -23,10 +23,9 @@ from ductflow import (
     classify_regime,
     detection_offsets,
     flow_transit_times,
-    optimal_threshold,
-    run,
-    ser_analytic,
-    ser_monte_carlo,
+    optimal_threshold_many,
+    run_many,
+    ser_analytic_many,
     ser_monte_carlo_many,
 )
 from ductflow import ook, presets
@@ -130,10 +129,10 @@ def assert_matches_brute_force(link, method):
     oracle = brute_force_errors(link, method)
     tol = rounding_tolerance(link)
     assert np.max(np.abs(table - oracle)) <= tol
-    result = ser_analytic(link, method)
+    result = ser_analytic_many([link], method)[0]
     assert np.array_equal(result.per_symbol_errors,
                           np.clip(table[:, link.threshold_xi], 0.0, 1.0))
-    xi, best = optimal_threshold(link, method)
+    xi, best = optimal_threshold_many([link], method)[0]
     assert np.array_equal(best.per_symbol_errors, np.clip(table[:, xi], 0.0, 1.0))
     assert best.ser <= 1.0 and np.all(best.per_symbol_errors <= 1.0)
     assert best.ser >= 0.0 and np.all(best.per_symbol_errors >= 0.0)
@@ -396,19 +395,19 @@ class TestCountTerms:
 class TestSerAnalytic:
     def test_dead_channel_k1(self):
         link = OokLinkConfig(np.zeros(1), 1, 0.0, 1000)
-        assert ser_analytic(link).ser == pytest.approx(0.5, abs=1e-15)
+        assert ser_analytic_many([link])[0].ser == pytest.approx(0.5, abs=1e-15)
 
     @pytest.mark.parametrize("k", [1, 3, 8])
     def test_zero_threshold_gives_half(self, k):
         link, *_ = flow_link(K=k, xi=0)
-        result = ser_analytic(link)
+        result = ser_analytic_many([link])[0]
         assert result.ser == pytest.approx(0.5, abs=1e-12)
         assert np.allclose(result.per_symbol_errors, 0.5, atol=1e-12)
 
     def test_ser_equals_mean_per_symbol(self):
         link, *_ = flow_link(K=8, xi=55)
         for method in (SerMethod.POISSON_ANALYTIC, SerMethod.BINOMIAL_ANALYTIC):
-            result = ser_analytic(link, method)
+            result = ser_analytic_many([link], method)[0]
             assert result.ser == pytest.approx(
                 float(np.mean(result.per_symbol_errors)), abs=1e-15)
 
@@ -419,18 +418,18 @@ class TestSerAnalytic:
         # the tails (SER far below 1e-2), where binomial variance n p (1-p)
         # genuinely undercuts the Poisson n p.
         link, *_ = flow_link(distance=distance, T=T, xi=0)
-        xi, _ = optimal_threshold(link)
+        xi, _ = optimal_threshold_many([link])[0]
         link = replace(link, threshold_xi=xi)
-        rp = ser_analytic(link, SerMethod.POISSON_ANALYTIC).ser
-        rb = ser_analytic(link, SerMethod.BINOMIAL_ANALYTIC).ser
+        rp = ser_analytic_many([link], SerMethod.POISSON_ANALYTIC)[0].ser
+        rb = ser_analytic_many([link], SerMethod.BINOMIAL_ANALYTIC)[0].ser
         assert rp == pytest.approx(rb, rel=0.05)
 
     def test_refuses_non_analytic_methods(self):
         link, *_ = flow_link()
         for method in (SerMethod.MONTE_CARLO_COUNTS, SerMethod.PARTICLE_BINOMIAL):
-            for entry in (ser_analytic, optimal_threshold):
+            for entry in (ser_analytic_many, optimal_threshold_many):
                 with pytest.raises(ValueError, match="not an analytic method"):
-                    entry(link, method)
+                    entry([link], method)
 
     def test_binomial_kernel_overflow(self):
         # p from the smallest normal double up to 1e-30.  Every count here
@@ -441,12 +440,12 @@ class TestSerAnalytic:
             tiny = OokLinkConfig(pvec, 1, 0.5, n)
             dead = replace(tiny, pob=np.zeros(len(pvec)))
             for method in ANALYTIC:
-                assert np.array_equal(ser_analytic(tiny, method).per_symbol_errors,
-                                      ser_analytic(dead, method).per_symbol_errors)
+                assert np.array_equal(ser_analytic_many([tiny], method)[0].per_symbol_errors,
+                                      ser_analytic_many([dead], method)[0].per_symbol_errors)
                 if n == 1000:  # the oracle's tables are n_tx wide
                     assert_matches_brute_force(tiny, method)
-            assert np.array_equal(ser_monte_carlo(tiny, 100, seed=1).per_symbol_errors,
-                                  ser_monte_carlo(dead, 100, seed=1).per_symbol_errors)
+            assert np.array_equal(ser_monte_carlo_many([tiny], 100, seed=1)[0].per_symbol_errors,
+                                  ser_monte_carlo_many([dead], 100, seed=1)[0].per_symbol_errors)
 
     def test_isi_free_channel_reduces_to_single_symbol(self):
         # P_ob supported strictly inside one symbol interval: no memory.
@@ -455,9 +454,10 @@ class TestSerAnalytic:
 
         full = OokLinkConfig(pulse(detection_offsets(0.1, 6, 0.05)), 30, 4.0, 1000)
         single = OokLinkConfig(pulse(detection_offsets(0.1, 1, 0.05)), 30, 4.0, 1000)
-        assert ser_analytic(full).ser == pytest.approx(ser_analytic(single).ser, abs=1e-14)
-        assert np.allclose(ser_analytic(full).per_symbol_errors,
-                           ser_analytic(single).ser, atol=1e-14)
+        assert ser_analytic_many([full])[0].ser == pytest.approx(
+            ser_analytic_many([single])[0].ser, abs=1e-14)
+        assert np.allclose(ser_analytic_many([full])[0].per_symbol_errors,
+                           ser_analytic_many([single])[0].ser, atol=1e-14)
 
     @pytest.mark.parametrize("method", ANALYTIC, ids=lambda m: m.value)
     @pytest.mark.parametrize("xi", [28, 30, 32])
@@ -482,7 +482,7 @@ class TestSerAnalytic:
         top = max(k for k, cell in enumerate(noise) if cell > 1e-18)
         tol = ((mpmath.gammainc(top + 1, 0, 4, regularized=True) + miss) / 2
                + (2 * top + 7) * np.finfo(float).eps * exact)
-        result = ser_analytic(OokLinkConfig([0.2], xi, 4.0, 1000), method)
+        result = ser_analytic_many([OokLinkConfig([0.2], xi, 4.0, 1000)], method)[0]
         assert abs(mpmath.mpf(result.ser) - exact) <= tol
 
 
@@ -492,37 +492,37 @@ class TestOptimalThreshold:
         # the symbols (xi = 0 flags all zeros, xi >= 1 misses all ones), so
         # the whole domain ties and the smallest threshold wins.
         link = OokLinkConfig(np.zeros(1), 0, 0.0, 1000)
-        xi, result = optimal_threshold(link)
+        xi, result = optimal_threshold_many([link])[0]
         assert xi == 0
         assert result.ser == pytest.approx(0.5, abs=1e-15)
-        assert ser_analytic(replace(link, threshold_xi=1)).ser == result.ser
+        assert ser_analytic_many([replace(link, threshold_xi=1)])[0].ser == result.ser
 
     def test_matches_direct_scan(self):
         link, *_ = flow_link(T=0.3)
-        xi, result = optimal_threshold(link)
-        scan = [ser_analytic(replace(link, threshold_xi=x)).ser for x in range(0, 300)]
+        xi, result = optimal_threshold_many([link])[0]
+        scan = [ser_analytic_many([replace(link, threshold_xi=x)])[0].ser for x in range(0, 300)]
         assert xi == int(np.argmin(scan))
         assert result.ser == pytest.approx(min(scan), abs=1e-14)
 
     def test_optimum_beats_sampled_alternatives(self):
         rng = np.random.default_rng(31)
         link, *_ = flow_link(T=0.25)
-        xi, result = optimal_threshold(link)
+        xi, result = optimal_threshold_many([link])[0]
         for other in rng.integers(0, link.n_tx + 1, size=25):
-            assert result.ser <= ser_analytic(
-                replace(link, threshold_xi=int(other))).ser + 1e-15
+            assert result.ser <= ser_analytic_many(
+                [replace(link, threshold_xi=int(other))])[0].ser + 1e-15
 
     def test_strong_isolated_channel_is_reliable(self):
         # Single-shot link with a strong pulse and weak noise.
         link = OokLinkConfig(np.array([0.2]), 0, 1.0, 2000)
-        xi, result = optimal_threshold(link)
+        xi, result = optimal_threshold_many([link])[0]
         assert result.ser < 1e-3
         assert 1 < xi < 400
 
     def test_binomial_search_agrees_with_poisson_when_valid(self):
         link, *_ = flow_link(T=0.3)
-        xi_p, rp = optimal_threshold(link, SerMethod.POISSON_ANALYTIC)
-        xi_b, rb = optimal_threshold(link, SerMethod.BINOMIAL_ANALYTIC)
+        xi_p, rp = optimal_threshold_many([link], SerMethod.POISSON_ANALYTIC)[0]
+        xi_b, rb = optimal_threshold_many([link], SerMethod.BINOMIAL_ANALYTIC)[0]
         assert abs(xi_p - xi_b) <= 3
         assert rp.ser == pytest.approx(rb.ser, rel=0.05)
 
@@ -544,7 +544,7 @@ class TestOptimalThreshold:
         sers = []
         for n_tx in (200, 500, 1000, 2000):
             link, *_ = flow_link(T=0.4, n_tx=n_tx)
-            _, result = optimal_threshold(link)
+            _, result = optimal_threshold_many([link])[0]
             sers.append(result.ser)
         assert all(a >= b - 1e-12 for a, b in zip(sers, sers[1:]))
 
@@ -649,10 +649,10 @@ INVERSE_CDF_TERMS = _inverse_cdf_terms()
 class TestSerMonteCarlo:
     def test_counts_mode_matches_binomial_analytic(self):
         link, *_ = flow_link(T=0.25)
-        xi, _ = optimal_threshold(link)
+        xi, _ = optimal_threshold_many([link])[0]
         link = replace(link, threshold_xi=xi)
-        exact = ser_analytic(link, SerMethod.BINOMIAL_ANALYTIC).ser
-        mc = ser_monte_carlo(link, 10_000, seed=17)
+        exact = ser_analytic_many([link], SerMethod.BINOMIAL_ANALYTIC)[0].ser
+        mc = ser_monte_carlo_many([link], 10_000, seed=17)[0]
         bound = 3.0 * math.sqrt(exact * (1.0 - exact) / (10_000 * link.seq_len_K))
         assert abs(mc.ser - exact) <= bound
 
@@ -662,7 +662,7 @@ class TestSerMonteCarlo:
     # stream on purpose updates it.
     def test_counts_mode_pinned(self):
         link, *_ = flow_link(T=0.25, xi=70)
-        result = ser_monte_carlo(link, 2000, seed=17)
+        result = ser_monte_carlo_many([link], 2000, seed=17)[0]
         assert result.ser == 0.059125
         assert result.per_symbol_errors.tolist() == [
             0.0715, 0.0305, 0.023, 0.033, 0.044, 0.0655, 0.093, 0.1125]
@@ -675,7 +675,7 @@ class TestSerMonteCarlo:
     def test_counts_mode_pinned_two_blocks(self):
         link, *_ = flow_link(T=0.25, xi=70)
         realizations = _MC_CELLS // (8 * 9 // 2) + 5
-        result = ser_monte_carlo(link, realizations, seed=17)
+        result = ser_monte_carlo_many([link], realizations, seed=17)[0]
         errors = np.array([968, 513, 283, 425, 695, 1071, 1357, 1720])
         assert result.ser == 0.060337726523887976
         assert result.per_symbol_errors.tolist() == (errors / realizations).tolist()
@@ -728,7 +728,7 @@ class TestSerMonteCarlo:
         many = ser_monte_carlo_many(links, realizations, seed=29)
         assert len(many) == len(links)
         for one, got in zip(links, many):
-            alone = ser_monte_carlo(one, realizations, seed=29)
+            alone = ser_monte_carlo_many([one], realizations, seed=29)[0]
             assert got.ser == alone.ser
             assert np.array_equal(got.per_symbol_errors, alone.per_symbol_errors)
 
@@ -737,7 +737,6 @@ class TestSerMonteCarlo:
         for other in (flow_link(K=9)[0], replace(link, noise_mean_Nn=5.0)):
             with pytest.raises(ValueError, match="share their sequence length and noise mean"):
                 ser_monte_carlo_many([link, other], 10, seed=1)
-        assert ser_monte_carlo_many([], 10, seed=1) == []
         with pytest.raises(ValueError, match="at least one realization"):
             ser_monte_carlo_many([link], 0, seed=1)
 
@@ -758,22 +757,23 @@ class TestSerMonteCarlo:
         # Seeds 1-40 at 1e4 realizations: each standardised deviation is
         # about N(0, 1), so their mean lies within 4 / sqrt(40) of 0.
         link, *_ = flow_link(T=0.25)
-        xi, _ = optimal_threshold(link)
+        xi, _ = optimal_threshold_many([link])[0]
         link = replace(link, threshold_xi=xi)
-        exact = ser_analytic(link, SerMethod.BINOMIAL_ANALYTIC).ser
+        exact = ser_analytic_many([link], SerMethod.BINOMIAL_ANALYTIC)[0].ser
         sd = math.sqrt(exact * (1.0 - exact) / (10_000 * link.seq_len_K))
-        z = [(ser_monte_carlo(link, 10_000, seed=s).ser - exact) / sd for s in range(1, 41)]
+        z = [(ser_monte_carlo_many([link], 10_000, seed=s)[0].ser - exact) / sd
+             for s in range(1, 41)]
         assert abs(np.mean(z)) <= 4.0 / math.sqrt(40)
 
     def test_zero_threshold_empirical_half(self):
         link, *_ = flow_link(xi=0)
-        mc = ser_monte_carlo(link, 4000, seed=3)
+        mc = ser_monte_carlo_many([link], 4000, seed=3)[0]
         assert abs(mc.ser - 0.5) <= 3.0 * math.sqrt(0.25 / (4000 * 8))
 
     def test_single_realization_reproducible(self):
         link, *_ = flow_link()
-        one = ser_monte_carlo(link, 1, seed=55)
-        two = ser_monte_carlo(link, 1, seed=55)
+        one = ser_monte_carlo_many([link], 1, seed=55)[0]
+        two = ser_monte_carlo_many([link], 1, seed=55)[0]
         assert one.ser == two.ser
         assert np.array_equal(one.per_symbol_errors, two.per_symbol_errors)
 
@@ -791,19 +791,19 @@ class TestSerMonteCarlo:
         # Summing the blocks' errors must keep every per-symbol rate within 4
         # standard errors of the binomial-analytic value.
         link, *_ = flow_link(T=0.25)
-        xi, _ = optimal_threshold(link)
+        xi, _ = optimal_threshold_many([link])[0]
         link = replace(link, threshold_xi=xi)
         realizations = 300_000
         bound = 32 * _MC_BLOCK * link.seq_len_K
         assert realizations > 4 * _MC_BLOCK and bound < 8 * realizations * link.seq_len_K
         tracemalloc.start()
         try:
-            mc = ser_monte_carlo(link, realizations, seed=3)
+            mc = ser_monte_carlo_many([link], realizations, seed=3)[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < bound
-        p = ser_analytic(link, SerMethod.BINOMIAL_ANALYTIC).per_symbol_errors
+        p = ser_analytic_many([link], SerMethod.BINOMIAL_ANALYTIC)[0].per_symbol_errors
         assert np.all(np.abs(mc.per_symbol_errors - p)
                       <= 4.0 * np.sqrt(p * (1.0 - p) / realizations))
 
@@ -819,19 +819,19 @@ class TestSerMonteCarlo:
         # per-symbol rate lies within 4 standard errors of the
         # binomial-analytic value.
         link, *_ = flow_link(T=0.05, K=64)
-        xi, _ = optimal_threshold(link)
+        xi, _ = optimal_threshold_many([link])[0]
         link = replace(link, threshold_xi=xi)
         realizations = 40_000
         bound = 32 * _MC_CELLS
         assert realizations > 3 * (_MC_CELLS // 64) and bound < 8 * realizations * 64
         tracemalloc.start()
         try:
-            mc = ser_monte_carlo(link, realizations, seed=3)
+            mc = ser_monte_carlo_many([link], realizations, seed=3)[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < bound
-        p = ser_analytic(link, SerMethod.BINOMIAL_ANALYTIC).per_symbol_errors
+        p = ser_analytic_many([link], SerMethod.BINOMIAL_ANALYTIC)[0].per_symbol_errors
         assert np.all(np.abs(mc.per_symbol_errors - p)
                       <= 4.0 * np.sqrt(p * (1.0 - p) / realizations))
 
@@ -852,7 +852,7 @@ class TestSerMonteCarlo:
         assert k * (k + 1) // 2 > _MC_CELLS and bound < k * (k + 1)
         tracemalloc.start()
         try:
-            ser_monte_carlo(link, 1, seed=3)
+            ser_monte_carlo_many([link], 1, seed=3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -894,7 +894,7 @@ class TestSerMonteCarlo:
         for d in cfg["ser.distances"]:
             for T in cfg["ser.symbol_intervals"]:
                 link = _auto_link(cfg, d, T)[0]
-                links.append(replace(link, threshold_xi=optimal_threshold(link)[0]))
+                links.append(replace(link, threshold_xi=optimal_threshold_many([link])[0][0]))
         assert len(links) == 60
         realizations, k = cfg["ook.realizations"], cfg["ook.seq_len"]
         pmf_bytes = sum(pmf.nbytes for link in links
@@ -935,8 +935,8 @@ class TestSerMonteCarlo:
         p = link.pob
         bound = 0.0
         for j, step in enumerate(1e-6 * np.eye(p.size)):
-            up, down = (ser_analytic(replace(link, pob=p + sign * step),
-                                     SerMethod.BINOMIAL_ANALYTIC).per_symbol_errors
+            up, down = (ser_analytic_many([replace(link, pob=p + sign * step)],
+                                          SerMethod.BINOMIAL_ANALYTIC)[0].per_symbol_errors
                         for sign in (1.0, -1.0))
             bound = bound + np.abs(up - down) / 2e-6 * math.sqrt(p[j] * (1.0 - p[j]) / n_pool)
         return bound
@@ -947,7 +947,8 @@ class TestSerMonteCarlo:
         monkeypatch.setattr(presets, "_POOL_PARTICLES", 2000)
         cfg = particle_cfg(diffusion)
         link, other = (particle_link(cfg, t) for t in (threads, 4 - threads))
-        exact, again = (ser_analytic(k, SerMethod.BINOMIAL_ANALYTIC) for k in (link, other))
+        exact, again = (ser_analytic_many([k], SerMethod.BINOMIAL_ANALYTIC)[0]
+                        for k in (link, other))
         assert exact.ser == again.ser
         assert np.array_equal(exact.per_symbol_errors, again.per_symbol_errors)
         ser, per_symbol = self.PINNED_PARTICLE_SER[diffusion]
@@ -963,6 +964,16 @@ class TestSerMonteCarlo:
         assert np.all(np.abs(np.array(mc) - e) <= 4.0 * sd)
 
 
+@pytest.mark.parametrize("many", [
+    lambda: ser_analytic_many([]),
+    lambda: optimal_threshold_many([]),
+    lambda: ser_monte_carlo_many([], 10, seed=1),
+    lambda: run_many([]),
+], ids=["ser_analytic", "optimal_threshold", "ser_monte_carlo", "run"])
+def test_batch_of_nothing_is_empty(many):
+    assert many() == []
+
+
 class TestParticleBinomial:
     """``particle_binomial``: the binomial SER on a pool's empirical ``P_ob``."""
 
@@ -973,12 +984,13 @@ class TestParticleBinomial:
         offsets = 0.015 + 0.01 * np.arange(3)
         assert np.array_equal(PARTICLE_OFFSETS, offsets)
         pool = SimConfig(channel=make_channel(radius=10e-6, diffusion=1e-10),
-                         rx=make_receiver(10e-6, 20e-6), release=ReleaseSpec.uniform(2000),
-                         time_step=1e-4, seed=7, sample_times=offsets)
-        counts = run(pool).series.counts
+                         receivers=(make_receiver(10e-6, 20e-6),),
+                         release=ReleaseSpec.uniform(2000), time_step=1e-4, seed=7,
+                         sample_times=offsets)
+        counts = run_many([pool])[0].all_series[0].counts
         assert np.all(counts > 0)
         assert np.array_equal(link.pob, counts / 2000)
-        result = ser_analytic(link, SerMethod.BINOMIAL_ANALYTIC)
+        result = ser_analytic_many([link], SerMethod.BINOMIAL_ANALYTIC)[0]
         oracle = brute_force_errors(link, SerMethod.BINOMIAL_ANALYTIC)[:, link.threshold_xi]
         assert np.max(np.abs(result.per_symbol_errors - oracle)) <= rounding_tolerance(link)
 
@@ -995,7 +1007,7 @@ class TestLongSequences:
         tracemalloc.start()
         try:
             for method in ANALYTIC:
-                xi, result = optimal_threshold(link, method)
+                xi, result = optimal_threshold_many([link], method)[0]
                 assert result.per_symbol_errors.shape == (k,)
                 assert 0.0 < result.ser < 0.5
             peak = tracemalloc.get_traced_memory()[1]
@@ -1010,11 +1022,11 @@ class TestLongSequences:
         # ser (1 - ser) because it lies in [0, 1].  The 26 checks at 4
         # standard errors fail together with probability below 2e-3.
         link, *_ = flow_link(T=0.05, K=25)
-        xi, _ = optimal_threshold(link)
+        xi, _ = optimal_threshold_many([link])[0]
         link = replace(link, threshold_xi=xi)
-        exact = ser_analytic(link, SerMethod.BINOMIAL_ANALYTIC)
+        exact = ser_analytic_many([link], SerMethod.BINOMIAL_ANALYTIC)[0]
         realizations = 20_000
-        mc = ser_monte_carlo(link, realizations, seed=25)
+        mc = ser_monte_carlo_many([link], realizations, seed=25)[0]
         p = exact.per_symbol_errors
         assert np.all(np.abs(mc.per_symbol_errors - p)
                       <= 4.0 * np.sqrt(p * (1.0 - p) / realizations))
@@ -1048,8 +1060,8 @@ class TestLongSequences:
 
     def test_sweep_sized_tables_pass(self):
         link, *_ = flow_link(K=12)
-        optimal_threshold(link)
-        ser_analytic(link, SerMethod.BINOMIAL_ANALYTIC)
+        optimal_threshold_many([link])
+        ser_analytic_many([link], SerMethod.BINOMIAL_ANALYTIC)
 
 
 class TestLinkValidation:

@@ -1,6 +1,6 @@
 """Particle engine: release sampling, stepping, reflection, and full runs.
 
-Release and step tests drive the helpers ``run`` itself uses
+Release and step tests drive the helpers ``run_many`` itself uses
 (``_streams``, ``_initial_block``, ``_draw_normals``, ``_advance_inplace``),
 so they check the block-keyed ziggurat streams of every run.  Tests that
 compare worker counts patch ``os.cpu_count`` (``several_cpus``), so they
@@ -30,7 +30,6 @@ from ductflow import (
     SimConfig,
     cir_flow_uniform,
     flow_point_window,
-    run,
     rx_area_fraction,
     velocity_at,
 )
@@ -48,9 +47,10 @@ from conftest import (exit_in_worker, kill_in_worker, make_channel, make_receive
                       point_in_receiver, raise_in_worker, unpicklable_in_worker)
 
 
-def sim_config(channel, rx, release, sample_times, seed=1234, dt=1e-3, snapshot_times=()):
-    return SimConfig(channel=channel, rx=rx, release=release, time_step=dt, seed=seed,
-                     sample_times=sample_times, snapshot_times=snapshot_times)
+def sim_config(channel, receivers, release, sample_times, seed=1234, dt=1e-3,
+               snapshot_times=()):
+    return SimConfig(channel=channel, receivers=receivers, release=release, time_step=dt,
+                     seed=seed, sample_times=sample_times, snapshot_times=snapshot_times)
 
 
 @pytest.fixture
@@ -60,7 +60,7 @@ def several_cpus(monkeypatch):
 
 
 def released(release, radius, seed, lo=0, hi=None):
-    """The positions ``run`` starts particles ``[lo, hi)`` of ``seed`` from."""
+    """The positions ``run_many`` starts particles ``[lo, hi)`` of ``seed`` from."""
     spans, cross, _ = _streams(seed, lo, release.n_tx if hi is None else hi)
     return tuple(row for row, in _initial_block([release], radius, spans, cross))
 
@@ -68,7 +68,7 @@ def released(release, radius, seed, lo=0, hi=None):
 def walked(release, channel, seed, steps, dt=1e-3):
     """Release positions and ``(x, y, z)`` after ``steps`` engine steps.
 
-    ``x`` carries the advection only: ``run`` adds the axial noise at the
+    ``x`` carries the advection only: ``run_many`` adds the axial noise at the
     sample and snapshot steps.
     """
     n = release.n_tx
@@ -235,9 +235,9 @@ class TestStep:
         # Zero-flux sanity: a uniform disk stays uniform in r^2 under many
         # diffusive steps with reflection.
         channel = make_channel(radius=1e-5, diffusion=1e-10, mean_velocity=0.0)
-        cfg = sim_config(channel, make_receiver(1e-5, 200e-6), ReleaseSpec.uniform(20_000),
+        cfg = sim_config(channel, (make_receiver(1e-5, 200e-6),), ReleaseSpec.uniform(20_000),
                          [0.05], seed=4, snapshot_times=[0.05])
-        u = run(cfg).snapshots[0.05][:, 1] / (1e-5) ** 2
+        u = run_many([cfg])[0].snapshots[0.05][:, 1] / (1e-5) ** 2
         ks = stats.kstest(u, "uniform")
         assert ks.pvalue > 0.01
 
@@ -253,9 +253,9 @@ class TestStep:
         # number of steps, to the rounding of the step sum.
         channel = make_channel(radius=10e-6, diffusion=0.0)
         t = 0.4
-        cfg = sim_config(channel, make_receiver(10e-6, 200e-6), ReleaseSpec.uniform(3000),
+        cfg = sim_config(channel, (make_receiver(10e-6, 200e-6),), ReleaseSpec.uniform(3000),
                          [0.1, t], dt=1e-3, snapshot_times=[t])
-        cloud = run(cfg).snapshots[t]
+        cloud = run_many([cfg])[0].snapshots[t]
         x, r2 = cloud[:, 0], cloud[:, 1]
         u = 2.0 * channel.mean_velocity * (1.0 - r2 / (10e-6) ** 2)
         np.testing.assert_allclose(x, u * t, rtol=1e-12, atol=0.0)
@@ -267,9 +267,9 @@ class TestStep:
         channel = make_channel(radius=10e-6, diffusion=1e-10, mean_velocity=0.0)
         n = 20_000
         for times in ([0.3], [0.01, 0.3], np.arange(1, 301) * 1e-3):
-            cfg = sim_config(channel, make_receiver(10e-6, 200e-6), ReleaseSpec.uniform(n),
+            cfg = sim_config(channel, (make_receiver(10e-6, 200e-6),), ReleaseSpec.uniform(n),
                              times, seed=31, snapshot_times=[0.3])
-            x = run(cfg).snapshots[0.3][:, 0]
+            x = run_many([cfg])[0].snapshots[0.3][:, 0]
             stat = np.sum(x * x) / (2.0 * channel.diffusion_D * 0.3)
             assert stats.chi2.ppf(5e-4, n) <= stat <= stats.chi2.ppf(1.0 - 5e-4, n)
 
@@ -279,8 +279,8 @@ class TestStep:
         channel = make_channel(radius=10e-6, diffusion=1e-10)
         rx = make_receiver(10e-6, 20e-6)
         release = ReleaseSpec.uniform(_BLOCK + 500)
-        clouds = [run(sim_config(channel, rx, release, times, seed=6, snapshot_times=[0.05]),
-                      threads=2).snapshots[0.05]
+        clouds = [run_many([sim_config(channel, (rx,), release, times, seed=6,
+                                       snapshot_times=[0.05])], threads=2)[0].snapshots[0.05]
                   for times in ([0.08], np.arange(1, 81) * 1e-3)]
         assert np.array_equal(clouds[0][:, 1], clouds[1][:, 1])
         assert not np.array_equal(clouds[0][:, 0], clouds[1][:, 0])
@@ -290,8 +290,8 @@ class TestRun:
     def test_flow_only_uniform_matches_closed_form(self, wide_flow_only):
         rx = make_receiver(200e-6, 200e-6)
         times = np.arange(1, 301) * 1e-3
-        cfg = sim_config(wide_flow_only, rx, ReleaseSpec.uniform(50_000), times, seed=7)
-        series = run(cfg).series
+        cfg = sim_config(wide_flow_only, (rx,), ReleaseSpec.uniform(50_000), times, seed=7)
+        series = run_many([cfg])[0].all_series[0]
         p = cir_flow_uniform(wide_flow_only, rx, series.times)
         bound = 3.0 * np.sqrt(p * (1.0 - p) / cfg.release.n_tx)
         inside = np.abs(series.probabilities() - p) <= bound + 1e-12
@@ -301,8 +301,8 @@ class TestRun:
         rx = make_receiver(200e-6, 200e-6)
         release = ReleaseSpec.point(10_000, 150e-6, 0.0)
         times = np.arange(1, 401) * 1e-3
-        cfg = sim_config(wide_flow_only, rx, release, times)
-        series = run(cfg).series
+        cfg = sim_config(wide_flow_only, (rx,), release, times)
+        series = run_many([cfg])[0].all_series[0]
         window = flow_point_window(wide_flow_only, rx, release)
         full = np.flatnonzero(series.counts == release.n_tx)
         assert abs(series.times[full[0]] - window[0]) <= cfg.time_step
@@ -313,18 +313,18 @@ class TestRun:
 
     def test_empty_release(self, wide_flow_only):
         rx = make_receiver(200e-6, 200e-6)
-        cfg = sim_config(wide_flow_only, rx, ReleaseSpec.uniform(0), [0.01, 0.02])
-        series = run(cfg).series
+        cfg = sim_config(wide_flow_only, (rx,), ReleaseSpec.uniform(0), [0.01, 0.02])
+        series = run_many([cfg])[0].all_series[0]
         assert np.all(series.counts == 0)
 
     def test_deterministic_across_thread_counts(self, narrow_channel, several_cpus):
         rx = make_receiver(10e-6, 200e-6)
         times = np.arange(1, 60) * 2e-3
-        cfg = sim_config(narrow_channel, rx, ReleaseSpec.uniform(5_000), times,
+        cfg = sim_config(narrow_channel, (rx,), ReleaseSpec.uniform(5_000), times,
                          snapshot_times=[0.05])
-        results = [run(cfg, threads=t) for t in (1, 2, 7)]
+        results = [run_many([cfg], threads=t)[0] for t in (1, 2, 7)]
         for other in results[1:]:
-            assert np.array_equal(results[0].series.counts, other.series.counts)
+            assert np.array_equal(results[0].all_series[0].counts, other.all_series[0].counts)
             assert np.array_equal(results[0].snapshots[0.05], other.snapshots[0.05])
 
     @pytest.mark.parametrize("n_tx", [_BLOCK // 3, 3 * _BLOCK + 77])
@@ -334,17 +334,17 @@ class TestRun:
         # many-config call gives each config the results of its own run,
         # whatever the other configs' partitions are.
         rx, times = make_receiver(10e-6, 20e-6), np.arange(0, 41) * 1e-3
-        cfgs = [sim_config(narrow_channel, rx, release, times, seed=seed, dt=1e-4,
+        cfgs = [sim_config(narrow_channel, (rx,), release, times, seed=seed, dt=1e-4,
                            snapshot_times=[0.02])
                 for release, seed in ((ReleaseSpec.uniform(n_tx), 1234),
                                       (ReleaseSpec.uniform(0), 1234),
                                       (ReleaseSpec.point(_BLOCK + 5, 8e-6, 0.3), 99))]
-        alone = [run(cfg) for cfg in cfgs]
-        assert alone[0].series.counts.sum() > 0
+        alone = [run_many([cfg])[0] for cfg in cfgs]
+        assert alone[0].all_series[0].counts.sum() > 0
         for t in (1, 2, 3, 4):
-            results = [run(cfgs[0], threads=t), *run_many(cfgs, threads=t)]
+            results = [run_many([cfgs[0]], threads=t)[0], *run_many(cfgs, threads=t)]
             for result, reference in zip(results, [alone[0], *alone]):
-                assert np.array_equal(result.series.counts, reference.series.counts)
+                assert np.array_equal(result.all_series[0].counts, reference.all_series[0].counts)
                 assert np.array_equal(result.snapshots[0.02], reference.snapshots[0.02])
 
     # Every block-aligned cut of 3 or 4 full blocks and a ragged last one.
@@ -353,7 +353,7 @@ class TestRun:
            cuts=st.sets(st.integers(1, 4)), seed=st.integers(0, 2 ** 64 - 1))
     def test_counts_independent_of_cut_points(self, full, ragged, cuts, seed):
         n_tx = full * _BLOCK + ragged
-        cfg = sim_config(make_channel(radius=10e-6), make_receiver(10e-6, 20e-6),
+        cfg = sim_config(make_channel(radius=10e-6), (make_receiver(10e-6, 20e-6),),
                          ReleaseSpec.uniform(n_tx), np.arange(1, 41) * 1e-3, seed=seed,
                          snapshot_times=[0.02])
         bounds = [0, *sorted(c * _BLOCK for c in cuts if c <= full), n_tx]
@@ -391,13 +391,13 @@ class TestRun:
         monkeypatch.setattr(particles, "_run_block",
                             lambda *args: calls.append(args) or run_block(*args))
         for n_tx, parts in ((64, [1, 1, 1]), (10 * _BLOCK + 5, [1, 2, 4])):
-            cfg = sim_config(narrow_channel, make_receiver(10e-6, 20e-6),
+            cfg = sim_config(narrow_channel, (make_receiver(10e-6, 20e-6),),
                              ReleaseSpec.uniform(n_tx), np.arange(1, 21) * 1e-3)
             counts, seen = [], []
             for t in (1, 2, 64):
                 inline_shares.clear()
                 calls.clear()
-                counts.append(run(cfg, threads=t).series.counts)
+                counts.append(run_many([cfg], threads=t)[0].all_series[0].counts)
                 workers = len(inline_shares[0]) if inline_shares else 1
                 seen.append((workers, len(calls)))
                 assert len(inline_shares) == (workers > 1)
@@ -416,9 +416,9 @@ class TestRun:
         # outweigh 20 steps of 11, and the larger long partition outweighs
         # the other three together.
         rx = make_receiver(10e-6, 20e-6)
-        long = sim_config(narrow_channel, rx, ReleaseSpec.uniform(3 * _BLOCK),
+        long = sim_config(narrow_channel, (rx,), ReleaseSpec.uniform(3 * _BLOCK),
                           np.arange(1, 201) * 1e-3)
-        wide = sim_config(narrow_channel, rx, ReleaseSpec.uniform(10 * _BLOCK + 5),
+        wide = sim_config(narrow_channel, (rx,), ReleaseSpec.uniform(10 * _BLOCK + 5),
                           np.arange(1, 21) * 1e-3)
         results = run_many([long, wide], threads=2)
         (shares,) = inline_shares
@@ -427,22 +427,24 @@ class TestRun:
                           [(n_long, 0, _BLOCK, 1), (n_wide, 5 * _BLOCK, n_wide, 1),
                            (n_wide, 0, 5 * _BLOCK, 1)]]
         for cfg, result in zip([long, wide], results):
-            assert np.array_equal(result.series.counts, run(cfg).series.counts)
+            assert np.array_equal(result.all_series[0].counts,
+                                  run_many([cfg])[0].all_series[0].counts)
 
     def test_group_outweighs_single_run_of_same_size(self, narrow_channel, inline_shares):
         # A group of two releases steps twice the particles of one config
         # of the same particle count and steps, so its partitions go first.
         rx = make_receiver(10e-6, 20e-6)
         n, times = 2 * _BLOCK, np.arange(1, 21) * 1e-3
-        single = sim_config(narrow_channel, rx, ReleaseSpec.uniform(n), times, seed=5)
-        pair = [sim_config(narrow_channel, rx, release, times, seed=6)
+        single = sim_config(narrow_channel, (rx,), ReleaseSpec.uniform(n), times, seed=5)
+        pair = [sim_config(narrow_channel, (rx,), release, times, seed=6)
                 for release in (ReleaseSpec.uniform(n), ReleaseSpec.point(n, 8e-6))]
         results = run_many([single, *pair], threads=2)
         (shares,) = inline_shares
         assert shares == [[(n, 0, _BLOCK, 2), (n, 0, _BLOCK, 1)],
                           [(n, _BLOCK, n, 2), (n, _BLOCK, n, 1)]]
         for cfg, result in zip([single, *pair], results):
-            assert np.array_equal(result.series.counts, run(cfg).series.counts)
+            assert np.array_equal(result.all_series[0].counts,
+                                  run_many([cfg])[0].all_series[0].counts)
 
     @pytest.mark.parametrize("fault,error,match", [
         pytest.param(raise_in_worker, RuntimeError, "^worker failed$",
@@ -458,17 +460,18 @@ class TestRun:
                                    fault, error, match):
         # Forked workers inherit the patched module.
         monkeypatch.setattr(particles, "_run_block", fault)
-        cfg = sim_config(narrow_channel, make_receiver(10e-6, 20e-6),
+        cfg = sim_config(narrow_channel, (make_receiver(10e-6, 20e-6),),
                          ReleaseSpec.uniform(2 * _BLOCK), np.arange(1, 21) * 1e-3)
         with pytest.raises(error, match=match):
-            run(cfg, threads=2)
+            run_many([cfg], threads=2)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
     def test_no_child_outlives_a_pooled_run(self, narrow_channel, several_cpus):
-        cfg = sim_config(narrow_channel, make_receiver(10e-6, 20e-6),
+        cfg = sim_config(narrow_channel, (make_receiver(10e-6, 20e-6),),
                          ReleaseSpec.uniform(2 * _BLOCK), np.arange(1, 21) * 1e-3)
-        assert np.array_equal(run(cfg, threads=2).series.counts, run(cfg).series.counts)
+        assert np.array_equal(run_many([cfg], threads=2)[0].all_series[0].counts,
+                              run_many([cfg])[0].all_series[0].counts)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -487,11 +490,11 @@ class TestRun:
             time.sleep(60)
 
         monkeypatch.setattr(particles, "_run_block", fail_or_hang)
-        cfg = sim_config(narrow_channel, make_receiver(10e-6, 20e-6),
+        cfg = sim_config(narrow_channel, (make_receiver(10e-6, 20e-6),),
                          ReleaseSpec.uniform(2 * _BLOCK), np.arange(1, 21) * 1e-3)
         start = time.monotonic()
         with pytest.raises(error, match="share failed"):
-            run(cfg, threads=2)
+            run_many([cfg], threads=2)
         assert time.monotonic() - start < 30
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -500,12 +503,12 @@ class TestRun:
         # The second worker's share is 3 blocks, so each of its snapshots
         # alone is 96 KiB, more than the 64 KiB a Linux pipe buffers.
         n = 5 * _BLOCK
-        cfg = sim_config(narrow_channel, make_receiver(10e-6, 20e-6), ReleaseSpec.uniform(n),
+        cfg = sim_config(narrow_channel, (make_receiver(10e-6, 20e-6),), ReleaseSpec.uniform(n),
                          np.arange(1, 21) * 1e-3, snapshot_times=[0.005, 0.02])
         assert particles._partitions(cfg, 2) == [(0, 2 * _BLOCK), (2 * _BLOCK, n)]
         assert (n - 2 * _BLOCK) * 2 * 8 > 64 * 1024
-        one, two = run(cfg), run(cfg, threads=2)
-        assert two.series.counts.tobytes() == one.series.counts.tobytes()
+        one, two = run_many([cfg])[0], run_many([cfg], threads=2)[0]
+        assert two.all_series[0].counts.tobytes() == one.all_series[0].counts.tobytes()
         assert list(two.snapshots) == list(one.snapshots) == [0.005, 0.02]
         for t, snapshot in one.snapshots.items():
             assert two.snapshots[t].tobytes() == snapshot.tobytes()
@@ -517,24 +520,25 @@ class TestRun:
             raise AssertionError(f"thread {thread.name} started")
 
         monkeypatch.setattr(threading.Thread, "start", refuse)
-        cfg = sim_config(narrow_channel, make_receiver(10e-6, 20e-6),
+        cfg = sim_config(narrow_channel, (make_receiver(10e-6, 20e-6),),
                          ReleaseSpec.uniform(2 * _BLOCK), np.arange(1, 21) * 1e-3)
-        assert np.array_equal(run(cfg, threads=2).series.counts, run(cfg).series.counts)
+        assert np.array_equal(run_many([cfg], threads=2)[0].all_series[0].counts,
+                              run_many([cfg])[0].all_series[0].counts)
 
     def test_fork_emits_no_warning(self, narrow_channel, several_cpus):
-        cfg = sim_config(narrow_channel, make_receiver(10e-6, 20e-6),
+        cfg = sim_config(narrow_channel, (make_receiver(10e-6, 20e-6),),
                          ReleaseSpec.uniform(2 * _BLOCK), np.arange(1, 21) * 1e-3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            counts = run(cfg, threads=2).series.counts
-        assert np.array_equal(counts, run(cfg).series.counts)
+            counts = run_many([cfg], threads=2)[0].all_series[0].counts
+        assert np.array_equal(counts, run_many([cfg])[0].all_series[0].counts)
 
     def test_mean_axial_position_tracks_mean_velocity(self, narrow_channel):
         rx = make_receiver(10e-6, 800e-6)
         times = [0.1, 0.2, 0.3]
-        cfg = sim_config(narrow_channel, rx, ReleaseSpec.uniform(20_000), times, seed=77,
+        cfg = sim_config(narrow_channel, (rx,), ReleaseSpec.uniform(20_000), times, seed=77,
                          snapshot_times=times)
-        result = run(cfg)
+        result = run_many([cfg])[0]
         for t in times:
             x = result.snapshots[t][:, 0]
             stderr = x.std() / math.sqrt(x.size)
@@ -542,11 +546,11 @@ class TestRun:
 
     def test_sample_times_snap_to_steps(self, wide_flow_only):
         rx = make_receiver(200e-6, 200e-6)
-        cfg = sim_config(wide_flow_only, rx, ReleaseSpec.uniform(10),
+        cfg = sim_config(wide_flow_only, (rx,), ReleaseSpec.uniform(10),
                          [0.0101, 0.0199], dt=1e-3)
         assert np.allclose(cfg.sample_times, [0.010, 0.020])
         with pytest.raises(ValueError):
-            sim_config(wide_flow_only, rx, ReleaseSpec.uniform(10),
+            sim_config(wide_flow_only, (rx,), ReleaseSpec.uniform(10),
                        [0.0101, 0.0102], dt=1e-3)  # collide on the same step
 
     @pytest.mark.parametrize("what", ["sample_times", "snapshot_times"])
@@ -555,8 +559,8 @@ class TestRun:
         rx = make_receiver(200e-6, 200e-6)
         times = {"sample_times": [0.01], "snapshot_times": ()}
         with pytest.raises(ValueError, match="2\\*\\*63 steps"):
-            sim_config(wide_flow_only, rx, ReleaseSpec.uniform(10), **{**times, what: [1e16]})
-        cfg = sim_config(wide_flow_only, rx, ReleaseSpec.uniform(10), **{**times, what: [1e15]})
+            sim_config(wide_flow_only, (rx,), ReleaseSpec.uniform(10), **{**times, what: [1e16]})
+        cfg = sim_config(wide_flow_only, (rx,), ReleaseSpec.uniform(10), **{**times, what: [1e15]})
         assert cfg.n_steps == 10 ** 18
 
     @pytest.mark.parametrize("argv", [
@@ -592,9 +596,9 @@ class TestRun:
     @pytest.mark.parametrize("diffusion", [1e-10, 0.0])
     def test_pinned_counts(self, diffusion, threads, several_cpus):
         channel = make_channel(radius=10e-6, diffusion=diffusion)
-        cfg = sim_config(channel, make_receiver(10e-6, 20e-6), ReleaseSpec.uniform(1500),
+        cfg = sim_config(channel, (make_receiver(10e-6, 20e-6),), ReleaseSpec.uniform(1500),
                          np.arange(0, 41) * 1e-3, seed=2017, dt=1e-4)
-        counts = run(cfg, threads=threads).series.counts
+        counts = run_many([cfg], threads=threads)[0].all_series[0].counts
         assert counts.dtype == np.int64 and counts.sum() > 0
         assert hashlib.sha256(counts.tobytes()).hexdigest() == self.COUNTS_SHA256[diffusion]
 
@@ -609,12 +613,12 @@ class TestGrouping:
         channel = make_channel(radius=10e-6, diffusion=diffusion)
         near, wide = (make_receiver(10e-6, 20e-6, cphi=cphi) for cphi in (math.pi / 2, math.pi))
         far = make_receiver(10e-6, 40e-6)
-        return [sim_config(channel, rx, release, self.TIMES, seed=21, dt=1e-4,
+        return [sim_config(channel, receivers, release, self.TIMES, seed=21, dt=1e-4,
                            snapshot_times=self.SNAPS)
-                for rx, release in (((near, far), ReleaseSpec.uniform(n_tx)),
-                                    (wide, ReleaseSpec.point(n_tx, 8e-6, 0.3)),
-                                    (near, ReleaseSpec.point(n_tx, 6e-6, -0.5)),
-                                    (wide, ReleaseSpec.uniform(n_tx)))]
+                for receivers, release in (((near, far), ReleaseSpec.uniform(n_tx)),
+                                           ((wide,), ReleaseSpec.point(n_tx, 8e-6, 0.3)),
+                                           ((near,), ReleaseSpec.point(n_tx, 6e-6, -0.5)),
+                                           ((wide,), ReleaseSpec.uniform(n_tx)))]
 
     @staticmethod
     def assert_same(result, reference):
@@ -629,8 +633,8 @@ class TestGrouping:
     def test_group_matches_each_run(self, diffusion, several_cpus):
         cfgs = self.configs(diffusion)
         assert len({particles._stream_key(cfg) for cfg in cfgs}) == 1
-        alone = [run(cfg) for cfg in cfgs]
-        assert all(r.series.counts.sum() > 0 for r in alone)
+        alone = [run_many([cfg])[0] for cfg in cfgs]
+        assert all(r.all_series[0].counts.sum() > 0 for r in alone)
         for t in (1, 2, 3, 4):
             for result, reference in zip(run_many(cfgs, threads=t), alone):
                 self.assert_same(result, reference)
@@ -640,7 +644,7 @@ class TestGrouping:
         cfgs = [*base, replace(base[1], seed=22),
                 *self.configs(1e-10, n_tx=_BLOCK + 701)[1:2],
                 replace(base[1], sample_times=self.TIMES[:-1])]
-        alone = [run(cfg) for cfg in cfgs]
+        alone = [run_many([cfg])[0] for cfg in cfgs]
         groups = []
         run_block = particles._run_block
         monkeypatch.setattr(particles, "_run_block",
@@ -656,7 +660,7 @@ class TestGrouping:
         draw = particles._draw_normals
         monkeypatch.setattr(particles, "_draw_normals",
                             lambda *args: calls.append(1) or draw(*args))
-        run(uniform)
+        run_many([uniform])
         alone = len(calls)
         calls.clear()
         run_many([uniform, point])
@@ -666,9 +670,9 @@ class TestGrouping:
 class TestSnapshots:
     def test_at_release_plane(self, narrow_channel):
         rx = make_receiver(10e-6, 200e-6)
-        cfg = sim_config(narrow_channel, rx, ReleaseSpec.uniform(500), [0.01],
+        cfg = sim_config(narrow_channel, (rx,), ReleaseSpec.uniform(500), [0.01],
                          snapshot_times=[0.0])
-        result = run(cfg)
+        result = run_many([cfg])[0]
         cloud = result.snapshots[0.0]
         assert np.all(cloud[:, 0] == 0.0)
         assert np.all(cloud[:, 1] <= (10e-6) ** 2)
@@ -677,8 +681,8 @@ class TestSnapshots:
         channel = make_channel(radius=10e-6, diffusion=0.0)
         rx = make_receiver(10e-6, 200e-6)
         t = 0.02
-        cfg = sim_config(channel, rx, ReleaseSpec.uniform(2000), [t], snapshot_times=[t])
-        cloud = run(cfg).snapshots[t]
+        cfg = sim_config(channel, (rx,), ReleaseSpec.uniform(2000), [t], snapshot_times=[t])
+        cloud = run_many([cfg])[0].snapshots[t]
         a2 = (10e-6) ** 2
         line = a2 * (1.0 - cloud[:, 0] / (2.0 * channel.mean_velocity * t))
         assert np.allclose(cloud[:, 1], line, rtol=1e-9, atol=1e-24)
@@ -687,9 +691,9 @@ class TestSnapshots:
         # After long times the cross-wise positions decouple from x and r^2
         # is uniform on [0, a^2].
         rx = make_receiver(10e-6, 800e-6)
-        cfg = sim_config(narrow_channel, rx, ReleaseSpec.uniform(1000), [0.8], seed=15,
+        cfg = sim_config(narrow_channel, (rx,), ReleaseSpec.uniform(1000), [0.8], seed=15,
                          snapshot_times=[0.8])
-        cloud = run(cfg).snapshots[0.8]
+        cloud = run_many([cfg])[0].snapshots[0.8]
         u = cloud[:, 1] / (10e-6) ** 2
         ks = stats.kstest(u, "uniform")
         critical_1pct = 1.63 / math.sqrt(u.size)
@@ -697,24 +701,24 @@ class TestSnapshots:
 
     def test_negative_time_refused(self, narrow_channel):
         with pytest.raises(ValueError, match="snapshot times must be non-negative"):
-            sim_config(narrow_channel, make_receiver(10e-6, 200e-6), ReleaseSpec.uniform(10),
+            sim_config(narrow_channel, (make_receiver(10e-6, 200e-6),), ReleaseSpec.uniform(10),
                        [0.01], snapshot_times=[0.02, -1e-3])
 
     def test_duplicates_collapse(self, narrow_channel):
         # Times that snap to one step give one snapshot; order does not matter.
-        cfg = sim_config(narrow_channel, make_receiver(10e-6, 200e-6), ReleaseSpec.uniform(10),
+        cfg = sim_config(narrow_channel, (make_receiver(10e-6, 200e-6),), ReleaseSpec.uniform(10),
                          [0.01], snapshot_times=[0.02, 0.0051, 0.005, 0.02])
         assert cfg.snapshot_steps.tolist() == [5, 20]
         assert np.array_equal(cfg.snapshot_times, [5e-3, 20e-3])
-        assert sorted(run(cfg).snapshots) == [5e-3, 20e-3]
+        assert sorted(run_many([cfg])[0].snapshots) == [5e-3, 20e-3]
 
     def test_run_reaches_snapshot_after_last_sample(self, narrow_channel):
-        cfg = sim_config(narrow_channel, make_receiver(10e-6, 200e-6), ReleaseSpec.uniform(10),
+        cfg = sim_config(narrow_channel, (make_receiver(10e-6, 200e-6),), ReleaseSpec.uniform(10),
                          [0.01, 0.02], snapshot_times=[0.05])
         assert cfg.n_steps == 50
-        assert sim_config(narrow_channel, make_receiver(10e-6, 200e-6),
+        assert sim_config(narrow_channel, (make_receiver(10e-6, 200e-6),),
                           ReleaseSpec.uniform(10), [0.01, 0.02]).n_steps == 20
-        assert run(cfg).snapshots[0.05].shape == (10, 2)
+        assert run_many([cfg])[0].snapshots[0.05].shape == (10, 2)
 
     #: SHA-256 of the snapshots (in time order) and of the counts of the run
     #: below: they pin the snapshot path for a config made by ``replace``,
@@ -723,15 +727,16 @@ class TestSnapshots:
     COUNTS_SHA256 = "e4f5c2746d20c2059be2f8b02c00ada7fd055490c96b741f558aa6d82b8acaa8"
 
     def test_replace_matches_pinned_snapshots(self, narrow_channel):
-        cfg = sim_config(narrow_channel, make_receiver(10e-6, 20e-6), ReleaseSpec.uniform(2500),
+        cfg = sim_config(narrow_channel, (make_receiver(10e-6, 20e-6),), ReleaseSpec.uniform(2500),
                          np.arange(0, 21) * 1e-3, seed=2017, dt=1e-4)
-        result = run(replace(cfg, snapshot_times=[0.03, 0.0101, 0.01, 0.0]))
+        result = run_many([replace(cfg, snapshot_times=[0.03, 0.0101, 0.01, 0.0])])[0]
         assert sorted(result.snapshots) == [k * 1e-4 for k in (0, 100, 101, 300)]
         digest = hashlib.sha256()
         for t in sorted(result.snapshots):
             digest.update(result.snapshots[t].tobytes())
         assert digest.hexdigest() == self.SNAPSHOTS_SHA256
-        assert hashlib.sha256(result.series.counts.tobytes()).hexdigest() == self.COUNTS_SHA256
+        counts = result.all_series[0].counts
+        assert hashlib.sha256(counts.tobytes()).hexdigest() == self.COUNTS_SHA256
 
 
 class TestMultiReceiver:
@@ -747,35 +752,33 @@ class TestMultiReceiver:
     def test_counts_match_single_receiver_runs(self, diffusion, threads, several_cpus):
         channel = make_channel(radius=10e-6, diffusion=diffusion)
         release = ReleaseSpec.uniform(3000)
-        multi = run(sim_config(channel, self.RECEIVERS, release, self.TIMES,
-                               snapshot_times=self.SNAPS), threads=threads)
+        multi = run_many([sim_config(channel, self.RECEIVERS, release, self.TIMES,
+                                     snapshot_times=self.SNAPS)], threads=threads)[0]
         assert len(multi.all_series) == len(self.RECEIVERS)
-        assert multi.series is multi.all_series[0]
         for rx, series in zip(self.RECEIVERS, multi.all_series):
-            single = run(sim_config(channel, rx, release, self.TIMES,
-                                    snapshot_times=self.SNAPS), threads=threads)
+            single = run_many([sim_config(channel, (rx,), release, self.TIMES,
+                                          snapshot_times=self.SNAPS)], threads=threads)[0]
             assert series.counts.sum() > 0
-            assert np.array_equal(series.counts, single.series.counts)
-            assert np.array_equal(series.times, single.series.times)
+            assert np.array_equal(series.counts, single.all_series[0].counts)
+            assert np.array_equal(series.times, single.all_series[0].times)
             for t in self.SNAPS:
                 assert np.array_equal(multi.snapshots[t], single.snapshots[t])
 
     def test_empty_release(self, narrow_channel):
         cfg = sim_config(narrow_channel, self.RECEIVERS, ReleaseSpec.uniform(0), self.TIMES,
                          snapshot_times=self.SNAPS)
-        result = run(cfg, threads=3)
+        result = run_many([cfg], threads=3)[0]
         assert len(result.all_series) == len(self.RECEIVERS)
         for series in result.all_series:
             assert series.n_tx == 0
             assert np.array_equal(series.counts, np.zeros(self.TIMES.size, dtype=np.int64))
         assert all(result.snapshots[t].shape == (0, 2) for t in self.SNAPS)
 
-    def test_single_receiver_keeps_rx(self, narrow_channel):
+    def test_single_receiver_gives_one_series(self, narrow_channel):
         rx = self.RECEIVERS[0]
-        cfg = sim_config(narrow_channel, rx, ReleaseSpec.uniform(10), self.TIMES)
-        assert cfg.rx is rx and cfg.receivers == (rx,)
-        result = run(cfg)
-        assert result.all_series == (result.series,)
+        cfg = sim_config(narrow_channel, (rx,), ReleaseSpec.uniform(10), self.TIMES)
+        assert cfg.receivers == (rx,)
+        assert len(run_many([cfg])[0].all_series) == 1
 
     def test_every_receiver_is_validated(self, narrow_channel):
         too_deep = ReceiverVolume(axial_distance_d=200e-6, extent_cx=5e-6,
@@ -788,7 +791,7 @@ class TestMultiReceiver:
 
     @pytest.mark.parametrize("threads", [0, -1])
     def test_threads_below_one_rejected(self, narrow_channel, threads):
-        cfg = sim_config(narrow_channel, self.RECEIVERS[0], ReleaseSpec.uniform(10),
+        cfg = sim_config(narrow_channel, (self.RECEIVERS[0],), ReleaseSpec.uniform(10),
                          self.TIMES)
         with pytest.raises(ValueError, match="threads"):
-            run(cfg, threads=threads)
+            run_many([cfg], threads=threads)

@@ -37,12 +37,7 @@ from .ook import (
     ser_analytic_many,
     ser_monte_carlo_many,
 )
-from .particles import (
-    ObservationSeries,
-    SimConfig,
-    SimResult,
-    run_many,
-)
+from .particles import SimConfig, SimResult, run_many
 
 __version__ = "0.1.0"
 
@@ -52,7 +47,7 @@ __all__ = [
     "classify_regime", "rx_area_fraction",
     "DispersionModel", "effective_diffusion", "cir_dispersion", "dispersion_peak_time",
     "flow_transit_times", "cir_flow_uniform", "cir_flow_point", "flow_point_window",
-    "SimConfig", "ObservationSeries", "SimResult", "run_many",
+    "SimConfig", "SimResult", "run_many",
     "OokLinkConfig", "SerMethod", "SerResult", "detection_offsets", "ser_analytic_many",
     "optimal_threshold_many", "ser_monte_carlo_many",
     "__version__",

@@ -204,9 +204,14 @@ def peclet_number(config: DuctChannelConfig) -> float:
 
     Measures the relative importance of advective and diffusive transport.
     ``D = 0`` (flow-only transport) maps to ``math.inf``, which downstream
-    classification treats as firmly flow-dominated.
+    classification treats as firmly flow-dominated.  ``D = 0`` with
+    ``vbar = 0`` raises ``ValueError``: a fluid that neither flows nor
+    diffuses has no Peclet number.
     """
     if config.diffusion_D == 0.0:
+        if config.mean_velocity == 0.0:
+            raise ValueError("the Peclet number is undefined for D = 0 and a mean "
+                             "velocity of 0: the fluid neither flows nor diffuses")
         return math.inf
     return config.mean_velocity * config.radius_a / config.diffusion_D
 

@@ -11,7 +11,7 @@ crossings are not interpolated; particles are reflected at their
 end-of-step position only, a known ``O(sqrt(dt))`` boundary-layer bias of
 plain particle schemes.
 
-One step loop, ``_run_block``, serves every run: ``_initial_block`` places
+One step loop, ``_run_block``, serves every pass: ``_initial_block`` places
 a block of particles, ``_draw_normals`` and ``_advance_inplace`` move it,
 and ``_hits`` counts every receiver at each sample step.  ``x`` never feeds
 back into the cross-sectional motion, so the axial increments of the ``k``
@@ -32,21 +32,20 @@ alone, bit-identical for any worker count and partition.  Receivers are
 transparent: a receiver's counts equal those of a run with that receiver
 alone.
 
-Runs that share a seed, particle count, channel, time step, sample grid and
-snapshot times (the stream key) therefore draw the same normals, common
-random numbers across their releases (Glasserman, *Monte Carlo Methods in
-Financial Engineering*, 2003, sec. 4.2).  :func:`run_many` steps such a
-group as one ``(G, n)`` state, one row per distinct release, and applies
-each draw to every row; the rows round as they would alone, so each run
-keeps its own bytes.  A group's state memory grows with ``G``.  Each group
-is cut into ``min(threads, os.cpu_count(), blocks)`` partitions of whole
-blocks.
+The releases of one config, which share its ``n_tx``, therefore draw the
+same normals, common random numbers across releases (Glasserman, *Monte
+Carlo Methods in Financial Engineering*, 2003, sec. 4.2).  One pass steps
+them as one ``(G, n)`` state, one row per release, and applies each draw to
+every row; the rows round as they would alone, so each release's counts
+equal those of a config with that release alone.  The state memory grows
+with ``G``.  Each config is cut into ``min(threads, os.cpu_count(),
+blocks)`` partitions of whole blocks.
 
 Workers are processes, not threads: each step makes a few dozen small NumPy
 calls, and threads handed the GIL back and forth around every one of them,
 so two threads ran no faster than one.  :func:`run_many`, the one scheduler,
-deals the partitions of all its groups, largest first, into one share per
-worker and reassembles each run's counts and snapshots in block order;
+deals the partitions of all its configs, largest first, into one share per
+worker and reassembles each config's counts and snapshots in block order;
 one worker runs inline, with no fork.
 Otherwise each share runs in a child made by a bare ``os.fork``, so the
 workers inherit the parent's imports (no re-import of numpy per worker) and
@@ -82,7 +81,7 @@ from .duct import (
     validate_release,
 )
 
-__all__ = ["SimConfig", "ObservationSeries", "SimResult", "run_many"]
+__all__ = ["SimConfig", "SimResult", "run_many"]
 
 #: Particles per random-stream block; part of the reproducibility contract.
 _BLOCK = 2048
@@ -96,31 +95,6 @@ def _streams(seed: int, lo: int, hi: int):
     cross, axial = ([Generator(SFC64(SeedSequence(seed, spawn_key=(s // _BLOCK, axis))))
                      for s in starts] for axis in (0, 1))
     return spans, cross, axial
-
-
-@dataclass(frozen=True)
-class ObservationSeries:
-    """Receiver counts ``N_ob(t)`` at the sampled times."""
-
-    times: np.ndarray
-    counts: np.ndarray
-    n_tx: int
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        c = np.asarray(self.counts, dtype=np.int64)
-        if c.shape != t.shape:
-            raise ValueError("times and counts must have matching shapes")
-        if np.any(c < 0) or np.any(c > self.n_tx):
-            raise ValueError("counts must lie in [0, n_tx]")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "counts", c)
-
-    def probabilities(self) -> np.ndarray:
-        """Empirical ``P_ob`` at the sampled times: ``counts / n_tx`` (0 if ``n_tx = 0``)."""
-        if self.n_tx == 0:
-            return np.zeros_like(self.times)
-        return self.counts / float(self.n_tx)
 
 
 def _to_steps(times, time_step: float, what: str) -> np.ndarray:
@@ -137,22 +111,23 @@ def _to_steps(times, time_step: float, what: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Full specification of one simulation run.
+    """Full specification of one engine pass.
 
-    ``receivers`` holds at least one receiver; each is validated against
-    the duct, as is a point release.  One run counts all of them on the
-    same trajectories.
+    ``releases`` holds at least one release, all of one ``n_tx``, and
+    ``receivers`` at least one receiver; each is validated against the
+    duct.  One pass moves every release on the same normals and counts
+    every receiver of each.
 
     Sample and snapshot times are snapped to the nearest step boundary at
     construction so no silent interpolation happens later; both must be
     non-negative.  Sample times must be strictly increasing after snapping;
     snapshot times are sorted, and those that snap to one step collapse.  A
-    run lasts until the last sample or snapshot step.
+    pass lasts until the last sample or snapshot step.
     """
 
     channel: DuctChannelConfig
     receivers: tuple[ReceiverVolume, ...]
-    release: ReleaseSpec
+    releases: tuple[ReleaseSpec, ...]
     time_step: float
     seed: int
     sample_times: Sequence[float]
@@ -169,7 +144,12 @@ class SimConfig:
             raise ValueError("at least one receiver is required")
         for rx in self.receivers:
             validate_receiver(self.channel, rx)
-        validate_release(self.channel, self.release)
+        if not self.releases:
+            raise ValueError("at least one release is required")
+        if len({release.n_tx for release in self.releases}) > 1:
+            raise ValueError("releases must share one n_tx")
+        for release in self.releases:
+            validate_release(self.channel, release)
         requested = np.asarray(self.sample_times, dtype=float)
         if requested.ndim != 1 or requested.size == 0:
             raise ValueError("at least one sample time is required")
@@ -186,25 +166,31 @@ class SimConfig:
         object.__setattr__(self, "snapshot_times", snaps * self.time_step)
 
     @property
+    def n_tx(self) -> int:
+        return self.releases[0].n_tx
+
+    @property
     def n_steps(self) -> int:
         return int(self.snapshot_steps.max(initial=self.sample_steps[-1]))
 
 
 @dataclass(frozen=True)
 class SimResult:
-    """Observation series plus any requested position snapshots.
+    """Receiver counts plus any requested position snapshots.
 
-    ``all_series`` holds one series per receiver of the run, in the order of
-    ``SimConfig.receivers``.
+    ``counts[g, k]`` holds receiver ``k``'s counts ``N_ob`` at each sample
+    time after release ``g``, in the orders of ``SimConfig.releases`` and
+    ``SimConfig.receivers``; ``counts / max(n_tx, 1)`` is the empirical
+    ``P_ob``.
 
-    ``snapshots`` maps each (snapped) snapshot time to an ``(n, 2)`` array
-    of per-particle ``(x, r^2)`` pairs, the natural plotting coordinates:
+    ``snapshots`` maps each (snapped) snapshot time to a ``(releases, n, 2)``
+    array of per-particle ``(x, r^2)`` pairs, the natural plotting coordinates:
     a uniform cross-sectional distribution is uniform in ``r^2``, and
     without diffusion the ensemble collapses onto the line
     ``r^2 = a^2 (1 - x / (2 vbar t))``.
     """
 
-    all_series: tuple[ObservationSeries, ...]
+    counts: np.ndarray
     snapshots: dict[float, np.ndarray] = field(default_factory=dict)
 
 
@@ -285,34 +271,25 @@ def _hits(rx: ReceiverVolume, radius_a: float, x, y, z, r2) -> int:
     return int(np.count_nonzero(np.abs(np.arctan2(z[cand], y[cand])) <= rx.extent_cphi / 2.0))
 
 
-def _stream_key(config: SimConfig) -> tuple:
-    """What fixes a run's random streams and steps; runs sharing it step as one state."""
-    return (config.channel, config.time_step, config.seed, config.release.n_tx,
-            config.sample_steps.tobytes(), config.snapshot_steps.tobytes())
+def _run_block(config: SimConfig, lo: int, hi: int):
+    """``(counts, snapshots)`` of particles ``[lo, hi)`` of ``config``; ``lo`` starts a block.
 
-
-def _run_block(configs: Sequence[SimConfig], lo: int, hi: int):
-    """``(counts, snapshots)`` of particles ``[lo, hi)`` of each of ``configs``.
-
-    The configs share one :func:`_stream_key`; ``lo`` starts a block.  Each
-    distinct release is one row of the ``(G, n)`` state, moved by the
-    normals drawn once per step for all rows.
+    Each release is one row of the ``(G, n)`` state, moved by the normals
+    drawn once per step for all rows.
     """
-    first = configs[0]
-    ch = first.channel
-    dt = first.time_step
-    releases = list(dict.fromkeys(config.release for config in configs))
-    spans, cross, axial = _streams(first.seed, lo, hi)
-    x, y, z = _initial_block(releases, ch.radius_a, spans, cross)
+    ch = config.channel
+    dt = config.time_step
+    spans, cross, axial = _streams(config.seed, lo, hi)
+    x, y, z = _initial_block(config.releases, ch.radius_a, spans, cross)
     r2 = y * y + z * z
     normals = np.empty((2, hi - lo)) if ch.diffusion_D > 0.0 else None
-    columns = {int(s): col for col, s in enumerate(first.sample_steps)}
-    snapshots = dict(zip(first.snapshot_steps.tolist(), first.snapshot_times.tolist()))
-    outputs = [(releases.index(config.release), config.receivers,
-                np.zeros((len(config.receivers), len(columns)), dtype=np.int64), {})
-               for config in configs]
+    columns = {int(s): col for col, s in enumerate(config.sample_steps)}
+    times = dict(zip(config.snapshot_steps.tolist(), config.snapshot_times.tolist()))
+    counts = np.zeros((len(config.releases), len(config.receivers), len(columns)),
+                      dtype=np.int64)
+    snapshots: dict[float, np.ndarray] = {}
     last = 0
-    for j in sorted(columns.keys() | snapshots.keys()):
+    for j in sorted(columns.keys() | times.keys()):
         for _ in range(last, j):
             if normals is not None:
                 _draw_normals(spans, cross, *normals)
@@ -322,19 +299,18 @@ def _run_block(configs: Sequence[SimConfig], lo: int, hi: int):
             _draw_normals(spans, axial, normals[0])
             x += math.sqrt(2.0 * ch.diffusion_D * dt * (j - last)) * normals[0]
         last = j
-        for row, receivers, counts, snaps in outputs:
-            if j in columns:
-                for k, rx in enumerate(receivers):
-                    counts[k, columns[j]] = _hits(rx, ch.radius_a, x[row], y[row], z[row],
-                                                  r2[row])
-            if j in snapshots:
-                snaps[snapshots[j]] = np.column_stack((x[row], r2[row]))
-    return [(counts, snaps) for _, _, counts, snaps in outputs]
+        if j in columns:
+            for g in range(len(config.releases)):
+                for k, rx in enumerate(config.receivers):
+                    counts[g, k, columns[j]] = _hits(rx, ch.radius_a, x[g], y[g], z[g], r2[g])
+        if j in times:
+            snapshots[times[j]] = np.stack((x, r2), axis=-1)
+    return counts, snapshots
 
 
 def _partitions(config: SimConfig, workers: int) -> list[tuple[int, int]]:
     """``[lo, hi)`` of ``min(workers, blocks)`` runs of whole blocks."""
-    n = config.release.n_tx
+    n = config.n_tx
     blocks = -(-n // _BLOCK)
     parts = min(workers, max(blocks, 1))
     # Partition bounds fall on block boundaries, so no block is ever split.
@@ -342,9 +318,9 @@ def _partitions(config: SimConfig, workers: int) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
 
 
-def _weight(group: Sequence[SimConfig], lo: int, hi: int) -> int:
-    """Particle-steps of a task times its rows, the distinct releases of ``group``."""
-    return (hi - lo) * group[0].n_steps * len({config.release for config in group})
+def _weight(config: SimConfig, lo: int, hi: int) -> int:
+    """Particle-steps of a task times its rows, the releases of ``config``."""
+    return (hi - lo) * config.n_steps * len(config.releases)
 
 
 def _deal(weights: Sequence[int], workers: int) -> list[list[int]]:
@@ -435,10 +411,10 @@ def _fork_shares(shares: Sequence[Sequence[tuple]]) -> list[list]:
 def run_many(configs: Sequence[SimConfig], *, threads: int = 1) -> list[SimResult]:
     """Simulate each of ``configs``, in order, on one set of workers.
 
-    One pass over a config's trajectories counts each of its receivers and
-    captures per-particle ``(x, r^2)`` pairs at its snapshot times.  Configs
-    that share a :func:`_stream_key` step as one group, and the partitions of
-    all groups are dealt to the workers together (module notes).
+    One pass over a config's trajectories counts each of its receivers
+    after each of its releases and captures per-particle ``(x, r^2)`` pairs
+    at its snapshot times.  The partitions of all configs are dealt to the
+    workers together (module notes).
 
     Parameters
     ----------
@@ -451,35 +427,29 @@ def run_many(configs: Sequence[SimConfig], *, threads: int = 1) -> list[SimResul
     Returns
     -------
     list of SimResult
-        Per config, bit for bit what a call with it alone gives: one series
-        of counts at every sample time per receiver (``all_series``, in
-        receiver order) and a snapshot at each of its ``snapshot_times``.
-        ``[]`` gives ``[]``.  A worker that raises or dies raises here, and
-        no partial results are returned.
+        Per config, bit for bit what a call with it alone gives: the counts
+        of every (release, receiver) pair at every sample time and a
+        snapshot at each of its ``snapshot_times``.  ``[]`` gives ``[]``.
+        A worker that raises or dies raises here, and no partial results
+        are returned.
     """
     if threads < 1:
         raise ValueError("threads must be at least 1")
     workers = min(threads, os.cpu_count() or 1)
-    groups: dict[tuple, list[int]] = {}
-    for k, config in enumerate(configs):
-        groups.setdefault(_stream_key(config), []).append(k)
-    tasks = [(members, [configs[k] for k in members], lo, hi) for members in groups.values()
-             for lo, hi in _partitions(configs[members[0]], workers)]
-    dealt = _deal([_weight(*task[1:]) for task in tasks], workers)
-    shares = [[tasks[i][1:] for i in share] for share in dealt]
+    tasks = [(i, lo, hi) for i, config in enumerate(configs)
+             for lo, hi in _partitions(config, workers)]
+    runs = [(configs[i], lo, hi) for i, lo, hi in tasks]
+    dealt = _deal([_weight(*run) for run in runs], workers)
+    shares = [[runs[t] for t in share] for share in dealt]
     if len(shares) > 1:
         outputs = _fork_shares(shares)
     else:
         outputs = [[_run_block(*task) for task in share] for share in shares]
-    done = {i: output for share, outs in zip(dealt, outputs) for i, output in zip(share, outs)}
+    done = {t: output for share, outs in zip(dealt, outputs) for t, output in zip(share, outs)}
     parts: list[list] = [[] for _ in configs]
-    for i, (members, *_) in enumerate(tasks):
-        for k, part in zip(members, done[i]):
-            parts[k].append(part)
-    results = []
-    for config, part in zip(configs, parts):
-        counts = np.sum([c for c, _ in part], axis=0)
-        results.append(SimResult(
-            tuple(ObservationSeries(config.sample_times, c, config.release.n_tx) for c in counts),
-            {t: np.concatenate([snaps[t] for _, snaps in part]) for t in part[0][1]}))
-    return results
+    for t, (i, _, _) in enumerate(tasks):
+        parts[i].append(done[t])
+    return [SimResult(np.sum([c for c, _ in part], axis=0),
+                      {t: np.concatenate([snaps[t] for _, snaps in part], axis=1)
+                       for t in part[0][1]})
+            for part in parts]

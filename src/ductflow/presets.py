@@ -51,9 +51,9 @@ def _um_label(length_m: float) -> str:
     return f"{length_m / _UM:g}um"
 
 
-def _sim_for_grid(cfg: ResolvedConfig, receivers, release, sample_times,
+def _sim_for_grid(cfg: ResolvedConfig, receivers, releases, sample_times,
                   snapshot_times=()) -> SimConfig:
-    return cfg.build(SimConfig, channel=cfg.channel(), receivers=receivers, release=release,
+    return cfg.build(SimConfig, channel=cfg.channel(), receivers=receivers, releases=releases,
                      time_step=cfg["sim.time_step"], seed=cfg["seed"],
                      sample_times=sample_times, snapshot_times=snapshot_times)
 
@@ -68,7 +68,7 @@ def regime_action(cfg: ResolvedConfig, threads: int = 1):
                                     "channel.diffusion": cfg["channel.diffusion"],
                                     "channel.mean_velocity": channel.mean_velocity,
                                     "rx.distance": distance})
-            verdict = classify_regime(scenario.channel(), scenario.receiver())
+            verdict = cfg.build(classify_regime, scenario.channel(), scenario.receiver())
             rows.append((radius, distance, verdict.distance_ratio, verdict.peclet,
                          verdict.margin, verdict.regime.value))
     yield _table(cfg, "regime_scenarios",
@@ -118,33 +118,31 @@ def cir_action(cfg: ResolvedConfig, threads: int = 1):
 
 def simulate_action(cfg: ResolvedConfig, threads: int = 1):
     """Particle-simulated observation series on the configured time grid."""
-    sim = _sim_for_grid(cfg, (cfg.receiver(),), cfg.release(), cfg.time_grid())
-    series = run_many([sim], threads=threads)[0].all_series[0]
-    rows = [(float(t), int(c), series.n_tx) for t, c in zip(series.times, series.counts)]
+    sim = _sim_for_grid(cfg, (cfg.receiver(),), (cfg.release(),), cfg.time_grid())
+    counts = run_many([sim], threads=threads)[0].counts[0, 0]
+    rows = [(float(t), int(c), sim.n_tx) for t, c in zip(sim.sample_times, counts)]
     yield _table(cfg, "observations", ("t_s", "count", "n_tx"), rows,
                  content="simulated observation series")
 
 
 def _simulated_cir_tables(cfg: ResolvedConfig, threads: int):
-    # Both release kinds share their stream, so one engine pass moves them
-    # together and counts every distance's receiver; tables then follow
-    # distance by distance.
+    # One engine pass moves both release kinds on the same normals and
+    # counts every distance's receiver; tables then follow distance by
+    # distance.
     distances = cfg["cir.distances"]
-    receivers = tuple(cfg.receiver(distance=d) for d in distances)
-    grid = cfg.time_grid()
     labels = ("uniform", "point")
-    results = dict(zip(labels, run_many(
-        [_sim_for_grid(cfg, receivers, cfg.release(label), grid) for label in labels],
-        threads=threads)))
+    sim = _sim_for_grid(cfg, tuple(cfg.receiver(distance=d) for d in distances),
+                        tuple(cfg.release(label) for label in labels), cfg.time_grid())
+    counts = run_many([sim], threads=threads)[0].counts
+    n_tx = sim.n_tx
     for k, distance in enumerate(distances):
-        for label in labels:
-            series = results[label].all_series[k]
+        for g, label in enumerate(labels):
             # Binomial standard errors (0 if n_tx = 0) and 95 % CI half-widths.
-            pob = series.probabilities()
-            stderr = np.sqrt(pob * (1.0 - pob) / max(series.n_tx, 1))
-            rows = [(float(t), float(p), float(se), float(hw), int(c), series.n_tx)
+            pob = counts[g, k] / max(n_tx, 1)
+            stderr = np.sqrt(pob * (1.0 - pob) / max(n_tx, 1))
+            rows = [(float(t), float(p), float(se), float(hw), int(c), n_tx)
                     for t, p, se, hw, c in zip(
-                        series.times, pob, stderr, 1.96 * stderr, series.counts)]
+                        sim.sample_times, pob, stderr, 1.96 * stderr, counts[g, k])]
             yield _table(cfg, f"cir_sim_{label}_d{_um_label(distance)}",
                          ("t_s", "pob", "stderr", "ci_half_width", "count", "n_tx"), rows,
                          content="simulated impulse response", release=label,
@@ -156,11 +154,11 @@ def snapshot_action(cfg: ResolvedConfig, threads: int = 1):
     times = np.asarray(cfg["snapshot.times"], dtype=float)
     # A sample at step 0 draws nothing, so the snapshots alone set the run,
     # and times that snap to one step collapse into one snapshot.
-    sim = _sim_for_grid(cfg, (cfg.receiver(),), cfg.release(), [0.0], times)
-    result = run_many([sim], threads=threads)[0]
-    for t in sorted(result.snapshots):
+    sim = _sim_for_grid(cfg, (cfg.receiver(),), (cfg.release(),), [0.0], times)
+    snapshots = run_many([sim], threads=threads)[0].snapshots
+    for t in sorted(snapshots):
         yield _table(cfg, f"snapshot_t{t:g}s", ("particle_id", "x_m", "r2_m2"),
-                     [(i, float(x), float(r2)) for i, (x, r2) in enumerate(result.snapshots[t])],
+                     [(i, float(x), float(r2)) for i, (x, r2) in enumerate(snapshots[t][0])],
                      content="particle position snapshot", snapshot_t_s=t)
 
 
@@ -197,10 +195,10 @@ def _particle_pobs(cfg: ResolvedConfig, points, threads: int) -> list[np.ndarray
     and counts those inside ``rx`` at the (step-snapped) detection
     ``offsets``; the runs share one set of workers.
     """
-    pool = replace(cfg.release(), n_tx=_POOL_PARTICLES)
+    pool = (replace(cfg.release(), n_tx=_POOL_PARTICLES),)
     results = run_many([_sim_for_grid(cfg, (rx,), pool, offsets) for rx, offsets in points],
                        threads=threads)
-    return [result.all_series[0].probabilities() for result in results]
+    return [result.counts[0, 0] / _POOL_PARTICLES for result in results]
 
 
 def ser_action(cfg: ResolvedConfig, threads: int = 1):

@@ -77,10 +77,10 @@ WIDE_SER = DuctChannelConfig(radius_a=200e-6, diffusion_D=1e-12, mean_velocity=1
 def _run_uniform(channel, distance, t_stop, n_tx, seed, snapshot_times=(), threads=4):
     rx = quarter_receiver(channel.radius_a, distance)
     times = np.arange(1, int(round(t_stop / 1e-3)) + 1) * 1e-3
-    cfg = SimConfig(channel=channel, receivers=(rx,), release=ReleaseSpec.uniform(n_tx),
+    cfg = SimConfig(channel=channel, receivers=(rx,), releases=(ReleaseSpec.uniform(n_tx),),
                     time_step=1e-3, seed=seed, sample_times=times,
                     snapshot_times=snapshot_times)
-    return rx, run_many([cfg], threads=threads)[0]
+    return rx, cfg, run_many([cfg], threads=threads)[0]
 
 
 @pytest.fixture(scope="module")
@@ -112,28 +112,28 @@ def test_criterion_02_regime_map_values():
 
 
 def test_criterion_03_flow_only_exactness():
-    rx, result = _run_uniform(WIDE_FLOW_ONLY, 200e-6, 0.5, 100_000, seed=301)
-    series = result.all_series[0]
-    p = cir_flow_uniform(WIDE_FLOW_ONLY, rx, series.times)
-    bound = 3.0 * np.sqrt(p * (1.0 - p) / series.n_tx)
-    inside = np.abs(series.probabilities() - p) <= bound + 1e-12
+    rx, cfg, result = _run_uniform(WIDE_FLOW_ONLY, 200e-6, 0.5, 100_000, seed=301)
+    counts = result.counts[0, 0]
+    p = cir_flow_uniform(WIDE_FLOW_ONLY, rx, cfg.sample_times)
+    bound = 3.0 * np.sqrt(p * (1.0 - p) / cfg.n_tx)
+    inside = np.abs(counts / cfg.n_tx - p) <= bound + 1e-12
     uniform_ok = inside.mean() >= 0.99
 
     release = ReleaseSpec.point(100_000, 150e-6, 0.0)
     times = np.arange(1, 401) * 1e-3
-    cfg = SimConfig(channel=WIDE_FLOW_ONLY, receivers=(rx,), release=release,
+    cfg = SimConfig(channel=WIDE_FLOW_ONLY, receivers=(rx,), releases=(release,),
                     time_step=1e-3, seed=302, sample_times=times)
-    point = run_many([cfg], threads=4)[0].all_series[0]
+    point = run_many([cfg], threads=4)[0].counts[0, 0]
     window = flow_point_window(WIDE_FLOW_ONLY, rx, release)
-    full = np.flatnonzero(point.counts == release.n_tx)
-    edges_ok = (abs(point.times[full[0]] - window[0]) <= 1e-3 + 1e-12
-                and abs(point.times[full[-1]] - window[1]) <= 1e-3 + 1e-12)
+    full = np.flatnonzero(point == release.n_tx)
+    edges_ok = (abs(cfg.sample_times[full[0]] - window[0]) <= 1e-3 + 1e-12
+                and abs(cfg.sample_times[full[-1]] - window[1]) <= 1e-3 + 1e-12)
     check(3, "flow-only simulation inside 3-sigma of the closed form; "
              "point-release edges within one step",
           uniform_ok and edges_ok,
           f"inside={inside.mean():.3f}, edge devs "
-          f"{abs(point.times[full[0]] - window[0]):.1e}/"
-          f"{abs(point.times[full[-1]] - window[1]):.1e} s")
+          f"{abs(cfg.sample_times[full[0]] - window[0]):.1e}/"
+          f"{abs(cfg.sample_times[full[-1]] - window[1]):.1e} s")
 
 
 def test_criterion_04_quadrature_oracles():
@@ -235,29 +235,29 @@ def test_criterion_05_wide_duct_reproduction():
     details = []
     ok = True
     for distance, t_stop in ((200e-6, 0.30), (800e-6, 0.85)):
-        rx, result = _run_uniform(WIDE, distance, t_stop, 100_000, seed=20240)
-        series = result.all_series[0]
+        rx, cfg, result = _run_uniform(WIDE, distance, t_stop, 100_000, seed=20240)
+        counts, n_tx = result.counts[0, 0], cfg.n_tx
         t2 = flow_transit_times(WIDE, rx)[1]
-        idx = smoothed_argmax(series.counts, 5)
-        t_peak = series.times[idx]
-        p_peak = series.counts[idx] / series.n_tx
+        idx = smoothed_argmax(counts, 5)
+        t_peak = cfg.sample_times[idx]
+        p_peak = counts[idx] / n_tx
         p_ref = cir_flow_uniform(WIDE, rx, t2)
         if distance == 200e-6:
             loc_ok = abs(t_peak - t2) <= 0.05 * t2
-            tol = 3.0 * math.sqrt(p_ref * (1.0 - p_ref) / series.n_tx) + 0.05 * p_ref
+            tol = 3.0 * math.sqrt(p_ref * (1.0 - p_ref) / n_tx) + 0.05 * p_ref
             val_ok = True
         else:
-            allowance = peak_location_allowance(WIDE, rx, t2, p_ref, series.n_tx)
+            allowance = peak_location_allowance(WIDE, rx, t2, p_ref, n_tx)
             loc_ok = abs(t_peak - t2) <= allowance * t2
-            tol = peak_value_allowance(WIDE, rx, t2, p_ref, series.n_tx)
+            tol = peak_value_allowance(WIDE, rx, t2, p_ref, n_tx)
             # The allowances still tell the model's t2 and P(t2) from those
             # computed with the mean velocity in place of u(r_in).
             t2_mean = (distance + rx.extent_cx / 2.0) / WIDE.mean_velocity
             p_mean = cir_flow_uniform(WIDE, rx, t2_mean)
             loc_ok &= abs(t_peak - t2_mean) > peak_location_allowance(
-                WIDE, rx, t2_mean, p_ref, series.n_tx) * t2_mean
+                WIDE, rx, t2_mean, p_ref, n_tx) * t2_mean
             val_ok = abs(p_peak - p_mean) > peak_value_allowance(
-                WIDE, rx, t2_mean, p_mean, series.n_tx)
+                WIDE, rx, t2_mean, p_mean, n_tx)
             details.append(f"d={distance * 1e6:.0f}um location allowance {allowance:.1%}")
         val_ok &= abs(p_peak - p_ref) <= tol
         ok = ok and loc_ok and val_ok
@@ -268,16 +268,16 @@ def test_criterion_05_wide_duct_reproduction():
     rx = quarter_receiver(200e-6, 200e-6)
     release = ReleaseSpec.point(100_000, 150e-6, 0.0)
     times = np.arange(1, 401) * 1e-3
-    cfg = SimConfig(channel=WIDE, receivers=(rx,), release=release, time_step=1e-3,
+    cfg = SimConfig(channel=WIDE, receivers=(rx,), releases=(release,), time_step=1e-3,
                     seed=20241, sample_times=times)
-    series = run_many([cfg], threads=4)[0].all_series[0]
+    counts = run_many([cfg], threads=4)[0].counts[0, 0]
     window = flow_point_window(WIDE, rx, release)
     width = window[1] - window[0]
-    inner = (series.times > window[0] + 0.02) & (series.times < window[1] - 0.02)
-    half = np.median(series.counts[inner]) / 2.0
-    above = np.flatnonzero(series.counts >= half)
-    rise_dev = abs(series.times[above[0]] - window[0])
-    fall_dev = abs(series.times[above[-1]] - window[1])
+    inner = (cfg.sample_times > window[0] + 0.02) & (cfg.sample_times < window[1] - 0.02)
+    half = np.median(counts[inner]) / 2.0
+    above = np.flatnonzero(counts >= half)
+    rise_dev = abs(cfg.sample_times[above[0]] - window[0])
+    fall_dev = abs(cfg.sample_times[above[-1]] - window[1])
     rect_ok = rise_dev <= 0.10 * width and fall_dev <= 0.10 * width
     ok = ok and rect_ok
     details.append(f"rect edges dev {rise_dev / width:.1%}/{fall_dev / width:.1%} of width")
@@ -286,19 +286,19 @@ def test_criterion_05_wide_duct_reproduction():
 
 
 def test_criterion_06_dispersion_peak_time(narrow_far_run):
-    rx, result = narrow_far_run
+    rx, cfg, result = narrow_far_run
     model = DispersionModel.for_channel(NARROW, rx)
     t_ref = dispersion_peak_time(model, 800e-6)
-    idx = smoothed_argmax(result.all_series[0].counts, 81)
-    t_peak = result.all_series[0].times[idx]
+    idx = smoothed_argmax(result.counts[0, 0], 81)
+    t_peak = cfg.sample_times[idx]
     ok = abs(t_peak - t_ref) <= 0.10 * t_ref
     check(6, "narrow-duct simulated peak time within 10% of the design guideline",
           ok, f"t_peak={t_peak:.3f}s vs {t_ref:.3f}s ({(t_peak - t_ref) / t_ref:+.1%})")
 
 
 def test_criterion_07_taylor_variance(narrow_far_run):
-    _, result = narrow_far_run
-    x = result.snapshots[0.8][:, 0]
+    _, _, result = narrow_far_run
+    x = result.snapshots[0.8][0][:, 0]
     target = 2.0 * effective_diffusion(NARROW) * 0.8
     ratio = x.var() / target
     ok = abs(ratio - 1.0) <= 0.10

@@ -6,6 +6,7 @@ import importlib
 import hashlib
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -660,6 +661,23 @@ class TestCli:
         assert message in capsys.readouterr().err
         assert list(tmp_path.rglob("*")) == []
 
+    @pytest.mark.parametrize("command", ["regime", "ser"])
+    def test_still_fluid_is_config_error(self, tmp_path, capsys, command):
+        # D = 0 and v = 0: a fluid that neither flows nor diffuses has no
+        # Peclet number, so no regime.
+        argv = [command, "--out", str(tmp_path), "--set", "channel.diffusion=0",
+                "--set", "channel.mean_velocity=0"]
+        assert main(argv) == 2
+        assert "Peclet number is undefined" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*")) == []
+
+    @pytest.mark.parametrize("command,name", [("cir", "cir_peaks.csv"),
+                                              ("simulate", "observations.csv")])
+    def test_still_fluid_needs_no_regime(self, tmp_path, command, name):
+        assert main([command, "--out", str(tmp_path), "--set", "channel.diffusion=0",
+                     "--set", "channel.mean_velocity=0", "--set", "release.n_tx=100"]) == 0
+        assert (tmp_path / name).is_file()
+
     def test_binomial_ser_has_no_false_floor(self, tmp_path):
         # At T = 0.3 s three offsets have p below 1e-38: each P(X = 0) is 1
         # to double precision, so no rounding floor of about 1e-15 may show.
@@ -677,8 +695,12 @@ class TestCli:
         assert xi == 33 and 0.0 < ser <= 5.9e-18
 
     def test_public_names_resolve(self):
-        # A stale export would break ``from ductflow import *``.
-        assert [name for name in ductflow.__all__ if not hasattr(ductflow, name)] == []
+        # A stale export would break ``from ductflow import *`` or the same
+        # import from any of its modules.
+        modules = [ductflow, *(importlib.import_module(f"ductflow.{info.name}")
+                               for info in pkgutil.iter_modules(ductflow.__path__))]
+        assert [f"{module.__name__}.{name}" for module in modules
+                for name in getattr(module, "__all__", ()) if not hasattr(module, name)] == []
 
     @staticmethod
     def _cli_modules(*packages: str) -> list[str]:

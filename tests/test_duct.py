@@ -77,6 +77,14 @@ class TestPeclet:
     def test_flow_only_is_infinite(self):
         assert peclet_number(make_channel(diffusion=0.0)) == math.inf
 
+    def test_still_fluid_has_none(self):
+        # 0 / 0: neither flow nor diffusion, so no transport regime either.
+        still = make_channel(diffusion=0.0, mean_velocity=0.0)
+        with pytest.raises(ValueError, match="Peclet number is undefined"):
+            peclet_number(still)
+        with pytest.raises(ValueError, match="Peclet number is undefined"):
+            classify_regime(still, make_receiver())
+
     def test_scaling_in_random_triples(self):
         rng = np.random.default_rng(101)
         for _ in range(50):

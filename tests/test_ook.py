@@ -985,9 +985,9 @@ class TestParticleBinomial:
         assert np.array_equal(PARTICLE_OFFSETS, offsets)
         pool = SimConfig(channel=make_channel(radius=10e-6, diffusion=1e-10),
                          receivers=(make_receiver(10e-6, 20e-6),),
-                         release=ReleaseSpec.uniform(2000), time_step=1e-4, seed=7,
+                         releases=(ReleaseSpec.uniform(2000),), time_step=1e-4, seed=7,
                          sample_times=offsets)
-        counts = run_many([pool])[0].all_series[0].counts
+        counts = run_many([pool])[0].counts[0, 0]
         assert np.all(counts > 0)
         assert np.array_equal(link.pob, counts / 2000)
         result = ser_analytic_many([link], SerMethod.BINOMIAL_ANALYTIC)[0]

@@ -49,7 +49,7 @@ from conftest import (exit_in_worker, kill_in_worker, make_channel, make_receive
 
 def sim_config(channel, receivers, release, sample_times, seed=1234, dt=1e-3,
                snapshot_times=()):
-    return SimConfig(channel=channel, receivers=receivers, release=release, time_step=dt,
+    return SimConfig(channel=channel, receivers=receivers, releases=(release,), time_step=dt,
                      seed=seed, sample_times=sample_times, snapshot_times=snapshot_times)
 
 
@@ -237,7 +237,7 @@ class TestStep:
         channel = make_channel(radius=1e-5, diffusion=1e-10, mean_velocity=0.0)
         cfg = sim_config(channel, (make_receiver(1e-5, 200e-6),), ReleaseSpec.uniform(20_000),
                          [0.05], seed=4, snapshot_times=[0.05])
-        u = run_many([cfg])[0].snapshots[0.05][:, 1] / (1e-5) ** 2
+        u = run_many([cfg])[0].snapshots[0.05][0][:, 1] / (1e-5) ** 2
         ks = stats.kstest(u, "uniform")
         assert ks.pvalue > 0.01
 
@@ -255,7 +255,7 @@ class TestStep:
         t = 0.4
         cfg = sim_config(channel, (make_receiver(10e-6, 200e-6),), ReleaseSpec.uniform(3000),
                          [0.1, t], dt=1e-3, snapshot_times=[t])
-        cloud = run_many([cfg])[0].snapshots[t]
+        cloud = run_many([cfg])[0].snapshots[t][0]
         x, r2 = cloud[:, 0], cloud[:, 1]
         u = 2.0 * channel.mean_velocity * (1.0 - r2 / (10e-6) ** 2)
         np.testing.assert_allclose(x, u * t, rtol=1e-12, atol=0.0)
@@ -269,7 +269,7 @@ class TestStep:
         for times in ([0.3], [0.01, 0.3], np.arange(1, 301) * 1e-3):
             cfg = sim_config(channel, (make_receiver(10e-6, 200e-6),), ReleaseSpec.uniform(n),
                              times, seed=31, snapshot_times=[0.3])
-            x = run_many([cfg])[0].snapshots[0.3][:, 0]
+            x = run_many([cfg])[0].snapshots[0.3][0][:, 0]
             stat = np.sum(x * x) / (2.0 * channel.diffusion_D * 0.3)
             assert stats.chi2.ppf(5e-4, n) <= stat <= stats.chi2.ppf(1.0 - 5e-4, n)
 
@@ -280,7 +280,7 @@ class TestStep:
         rx = make_receiver(10e-6, 20e-6)
         release = ReleaseSpec.uniform(_BLOCK + 500)
         clouds = [run_many([sim_config(channel, (rx,), release, times, seed=6,
-                                       snapshot_times=[0.05])], threads=2)[0].snapshots[0.05]
+                                       snapshot_times=[0.05])], threads=2)[0].snapshots[0.05][0]
                   for times in ([0.08], np.arange(1, 81) * 1e-3)]
         assert np.array_equal(clouds[0][:, 1], clouds[1][:, 1])
         assert not np.array_equal(clouds[0][:, 0], clouds[1][:, 0])
@@ -291,10 +291,10 @@ class TestRun:
         rx = make_receiver(200e-6, 200e-6)
         times = np.arange(1, 301) * 1e-3
         cfg = sim_config(wide_flow_only, (rx,), ReleaseSpec.uniform(50_000), times, seed=7)
-        series = run_many([cfg])[0].all_series[0]
-        p = cir_flow_uniform(wide_flow_only, rx, series.times)
-        bound = 3.0 * np.sqrt(p * (1.0 - p) / cfg.release.n_tx)
-        inside = np.abs(series.probabilities() - p) <= bound + 1e-12
+        counts = run_many([cfg])[0].counts[0, 0]
+        p = cir_flow_uniform(wide_flow_only, rx, cfg.sample_times)
+        bound = 3.0 * np.sqrt(p * (1.0 - p) / cfg.n_tx)
+        inside = np.abs(counts / cfg.n_tx - p) <= bound + 1e-12
         assert inside.mean() >= 0.99
 
     def test_flow_only_point_release_window(self, wide_flow_only):
@@ -302,20 +302,20 @@ class TestRun:
         release = ReleaseSpec.point(10_000, 150e-6, 0.0)
         times = np.arange(1, 401) * 1e-3
         cfg = sim_config(wide_flow_only, (rx,), release, times)
-        series = run_many([cfg])[0].all_series[0]
+        counts, times = run_many([cfg])[0].counts[0, 0], cfg.sample_times
         window = flow_point_window(wide_flow_only, rx, release)
-        full = np.flatnonzero(series.counts == release.n_tx)
-        assert abs(series.times[full[0]] - window[0]) <= cfg.time_step
-        assert abs(series.times[full[-1]] - window[1]) <= cfg.time_step
-        outside = (series.times < window[0] - cfg.time_step) | \
-                  (series.times > window[1] + cfg.time_step)
-        assert np.all(series.counts[outside] == 0)
+        full = np.flatnonzero(counts == release.n_tx)
+        assert abs(times[full[0]] - window[0]) <= cfg.time_step
+        assert abs(times[full[-1]] - window[1]) <= cfg.time_step
+        outside = (times < window[0] - cfg.time_step) | \
+                  (times > window[1] + cfg.time_step)
+        assert np.all(counts[outside] == 0)
 
     def test_empty_release(self, wide_flow_only):
         rx = make_receiver(200e-6, 200e-6)
         cfg = sim_config(wide_flow_only, (rx,), ReleaseSpec.uniform(0), [0.01, 0.02])
-        series = run_many([cfg])[0].all_series[0]
-        assert np.all(series.counts == 0)
+        counts = run_many([cfg])[0].counts[0, 0]
+        assert np.all(counts == 0)
 
     def test_deterministic_across_thread_counts(self, narrow_channel, several_cpus):
         rx = make_receiver(10e-6, 200e-6)
@@ -324,8 +324,8 @@ class TestRun:
                          snapshot_times=[0.05])
         results = [run_many([cfg], threads=t)[0] for t in (1, 2, 7)]
         for other in results[1:]:
-            assert np.array_equal(results[0].all_series[0].counts, other.all_series[0].counts)
-            assert np.array_equal(results[0].snapshots[0.05], other.snapshots[0.05])
+            assert np.array_equal(results[0].counts[0, 0], other.counts[0, 0])
+            assert np.array_equal(results[0].snapshots[0.05][0], other.snapshots[0.05][0])
 
     @pytest.mark.parametrize("n_tx", [_BLOCK // 3, 3 * _BLOCK + 77])
     def test_counts_identical_across_partitions(self, narrow_channel, several_cpus, n_tx):
@@ -340,12 +340,12 @@ class TestRun:
                                       (ReleaseSpec.uniform(0), 1234),
                                       (ReleaseSpec.point(_BLOCK + 5, 8e-6, 0.3), 99))]
         alone = [run_many([cfg])[0] for cfg in cfgs]
-        assert alone[0].all_series[0].counts.sum() > 0
+        assert alone[0].counts[0, 0].sum() > 0
         for t in (1, 2, 3, 4):
             results = [run_many([cfgs[0]], threads=t)[0], *run_many(cfgs, threads=t)]
             for result, reference in zip(results, [alone[0], *alone]):
-                assert np.array_equal(result.all_series[0].counts, reference.all_series[0].counts)
-                assert np.array_equal(result.snapshots[0.02], reference.snapshots[0.02])
+                assert np.array_equal(result.counts[0, 0], reference.counts[0, 0])
+                assert np.array_equal(result.snapshots[0.02][0], reference.snapshots[0.02][0])
 
     # Every block-aligned cut of 3 or 4 full blocks and a ragged last one.
     @settings(deadline=None, max_examples=40, derandomize=True)
@@ -357,25 +357,25 @@ class TestRun:
                          ReleaseSpec.uniform(n_tx), np.arange(1, 41) * 1e-3, seed=seed,
                          snapshot_times=[0.02])
         bounds = [0, *sorted(c * _BLOCK for c in cuts if c <= full), n_tx]
-        parts = [particles._run_block([cfg], lo, hi)[0] for lo, hi in zip(bounds, bounds[1:])]
-        (counts, snaps), = particles._run_block([cfg], 0, n_tx)
+        parts = [particles._run_block(cfg, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        counts, snaps = particles._run_block(cfg, 0, n_tx)
         assert counts.sum() > 0
         assert np.array_equal(sum(c for c, _ in parts), counts)
         (t,) = snaps
-        assert np.array_equal(np.concatenate([s[t] for _, s in parts]), snaps[t])
+        assert np.array_equal(np.concatenate([s[t] for _, s in parts], axis=1), snaps[t])
 
     @pytest.fixture
     def inline_shares(self, monkeypatch):
         """Runs the shares that would be forked in this process instead.
 
         Returns one entry per call of ``_fork_shares``: for each share, the
-        ``(n_tx, lo, hi, group size)`` of its tasks in the order they run.
+        ``(n_tx, lo, hi, releases)`` of its tasks in the order they run.
         """
         calls = []
 
         def run_inline(shares):
-            calls.append([[(group[0].release.n_tx, lo, hi, len(group)) for group, lo, hi in share]
-                          for share in shares])
+            calls.append([[(config.n_tx, lo, hi, len(config.releases))
+                           for config, lo, hi in share] for share in shares])
             return [[particles._run_block(*task) for task in share] for share in shares]
 
         monkeypatch.setattr(particles, "_fork_shares", run_inline)
@@ -397,7 +397,7 @@ class TestRun:
             for t in (1, 2, 64):
                 inline_shares.clear()
                 calls.clear()
-                counts.append(run_many([cfg], threads=t)[0].all_series[0].counts)
+                counts.append(run_many([cfg], threads=t)[0].counts[0, 0])
                 workers = len(inline_shares[0]) if inline_shares else 1
                 seen.append((workers, len(calls)))
                 assert len(inline_shares) == (workers > 1)
@@ -427,24 +427,25 @@ class TestRun:
                           [(n_long, 0, _BLOCK, 1), (n_wide, 5 * _BLOCK, n_wide, 1),
                            (n_wide, 0, 5 * _BLOCK, 1)]]
         for cfg, result in zip([long, wide], results):
-            assert np.array_equal(result.all_series[0].counts,
-                                  run_many([cfg])[0].all_series[0].counts)
+            assert np.array_equal(result.counts[0, 0],
+                                  run_many([cfg])[0].counts[0, 0])
 
     def test_group_outweighs_single_run_of_same_size(self, narrow_channel, inline_shares):
-        # A group of two releases steps twice the particles of one config
+        # A config of two releases steps twice the particles of one config
         # of the same particle count and steps, so its partitions go first.
         rx = make_receiver(10e-6, 20e-6)
         n, times = 2 * _BLOCK, np.arange(1, 21) * 1e-3
         single = sim_config(narrow_channel, (rx,), ReleaseSpec.uniform(n), times, seed=5)
-        pair = [sim_config(narrow_channel, (rx,), release, times, seed=6)
-                for release in (ReleaseSpec.uniform(n), ReleaseSpec.point(n, 8e-6))]
-        results = run_many([single, *pair], threads=2)
+        releases = (ReleaseSpec.uniform(n), ReleaseSpec.point(n, 8e-6))
+        pair = replace(single, releases=releases, seed=6)
+        results = run_many([single, pair], threads=2)
         (shares,) = inline_shares
         assert shares == [[(n, 0, _BLOCK, 2), (n, 0, _BLOCK, 1)],
                           [(n, _BLOCK, n, 2), (n, _BLOCK, n, 1)]]
-        for cfg, result in zip([single, *pair], results):
-            assert np.array_equal(result.all_series[0].counts,
-                                  run_many([cfg])[0].all_series[0].counts)
+        assert np.array_equal(results[0].counts[0, 0], run_many([single])[0].counts[0, 0])
+        for g, release in enumerate(releases):
+            assert np.array_equal(results[1].counts[g, 0],
+                                  run_many([replace(pair, releases=(release,))])[0].counts[0, 0])
 
     @pytest.mark.parametrize("fault,error,match", [
         pytest.param(raise_in_worker, RuntimeError, "^worker failed$",
@@ -470,8 +471,8 @@ class TestRun:
     def test_no_child_outlives_a_pooled_run(self, narrow_channel, several_cpus):
         cfg = sim_config(narrow_channel, (make_receiver(10e-6, 20e-6),),
                          ReleaseSpec.uniform(2 * _BLOCK), np.arange(1, 21) * 1e-3)
-        assert np.array_equal(run_many([cfg], threads=2)[0].all_series[0].counts,
-                              run_many([cfg])[0].all_series[0].counts)
+        assert np.array_equal(run_many([cfg], threads=2)[0].counts[0, 0],
+                              run_many([cfg])[0].counts[0, 0])
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -484,7 +485,7 @@ class TestRun:
         # One share fails at once while the other would run for a minute:
         # the parent raises the failure as soon as it comes, whichever share
         # it is, then kills and reaps the other worker instead of waiting.
-        def fail_or_hang(configs, lo, hi):
+        def fail_or_hang(config, lo, hi):
             if lo == failing:
                 raise error("share failed")
             time.sleep(60)
@@ -508,10 +509,10 @@ class TestRun:
         assert particles._partitions(cfg, 2) == [(0, 2 * _BLOCK), (2 * _BLOCK, n)]
         assert (n - 2 * _BLOCK) * 2 * 8 > 64 * 1024
         one, two = run_many([cfg])[0], run_many([cfg], threads=2)[0]
-        assert two.all_series[0].counts.tobytes() == one.all_series[0].counts.tobytes()
+        assert two.counts[0, 0].tobytes() == one.counts[0, 0].tobytes()
         assert list(two.snapshots) == list(one.snapshots) == [0.005, 0.02]
         for t, snapshot in one.snapshots.items():
-            assert two.snapshots[t].tobytes() == snapshot.tobytes()
+            assert two.snapshots[t][0].tobytes() == snapshot[0].tobytes()
 
     def test_pooled_run_starts_no_thread(self, narrow_channel, several_cpus, monkeypatch):
         # A thread alive at a fork is what Python 3.12 and later warn about.
@@ -522,16 +523,16 @@ class TestRun:
         monkeypatch.setattr(threading.Thread, "start", refuse)
         cfg = sim_config(narrow_channel, (make_receiver(10e-6, 20e-6),),
                          ReleaseSpec.uniform(2 * _BLOCK), np.arange(1, 21) * 1e-3)
-        assert np.array_equal(run_many([cfg], threads=2)[0].all_series[0].counts,
-                              run_many([cfg])[0].all_series[0].counts)
+        assert np.array_equal(run_many([cfg], threads=2)[0].counts[0, 0],
+                              run_many([cfg])[0].counts[0, 0])
 
     def test_fork_emits_no_warning(self, narrow_channel, several_cpus):
         cfg = sim_config(narrow_channel, (make_receiver(10e-6, 20e-6),),
                          ReleaseSpec.uniform(2 * _BLOCK), np.arange(1, 21) * 1e-3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            counts = run_many([cfg], threads=2)[0].all_series[0].counts
-        assert np.array_equal(counts, run_many([cfg])[0].all_series[0].counts)
+            counts = run_many([cfg], threads=2)[0].counts[0, 0]
+        assert np.array_equal(counts, run_many([cfg])[0].counts[0, 0])
 
     def test_mean_axial_position_tracks_mean_velocity(self, narrow_channel):
         rx = make_receiver(10e-6, 800e-6)
@@ -540,7 +541,7 @@ class TestRun:
                          snapshot_times=times)
         result = run_many([cfg])[0]
         for t in times:
-            x = result.snapshots[t][:, 0]
+            x = result.snapshots[t][0][:, 0]
             stderr = x.std() / math.sqrt(x.size)
             assert abs(x.mean() - narrow_channel.mean_velocity * t) <= 3.0 * stderr
 
@@ -598,73 +599,70 @@ class TestRun:
         channel = make_channel(radius=10e-6, diffusion=diffusion)
         cfg = sim_config(channel, (make_receiver(10e-6, 20e-6),), ReleaseSpec.uniform(1500),
                          np.arange(0, 41) * 1e-3, seed=2017, dt=1e-4)
-        counts = run_many([cfg], threads=threads)[0].all_series[0].counts
+        counts = run_many([cfg], threads=threads)[0].counts[0, 0]
         assert counts.dtype == np.int64 and counts.sum() > 0
         assert hashlib.sha256(counts.tobytes()).hexdigest() == self.COUNTS_SHA256[diffusion]
 
 
 class TestGrouping:
-    """Runs sharing a stream key step as one state on shared normals."""
+    """The releases of one config step as one state on shared normals."""
 
     TIMES = np.arange(0, 41) * 1e-3
     SNAPS = [0.02]
 
-    def configs(self, diffusion, n_tx=_BLOCK + 700):
+    def config(self, diffusion, n_tx=_BLOCK + 700):
+        """Four releases, the uniform one twice, and the three receivers ``near, far, wide``."""
         channel = make_channel(radius=10e-6, diffusion=diffusion)
         near, wide = (make_receiver(10e-6, 20e-6, cphi=cphi) for cphi in (math.pi / 2, math.pi))
         far = make_receiver(10e-6, 40e-6)
-        return [sim_config(channel, receivers, release, self.TIMES, seed=21, dt=1e-4,
-                           snapshot_times=self.SNAPS)
-                for receivers, release in (((near, far), ReleaseSpec.uniform(n_tx)),
-                                           ((wide,), ReleaseSpec.point(n_tx, 8e-6, 0.3)),
-                                           ((near,), ReleaseSpec.point(n_tx, 6e-6, -0.5)),
-                                           ((wide,), ReleaseSpec.uniform(n_tx)))]
-
-    @staticmethod
-    def assert_same(result, reference):
-        assert len(result.all_series) == len(reference.all_series)
-        for series, expected in zip(result.all_series, reference.all_series):
-            assert np.array_equal(series.counts, expected.counts)
-        assert result.snapshots.keys() == reference.snapshots.keys()
-        for t, cloud in reference.snapshots.items():
-            assert np.array_equal(result.snapshots[t], cloud)
+        return SimConfig(channel=channel, receivers=(near, far, wide),
+                         releases=(ReleaseSpec.uniform(n_tx), ReleaseSpec.point(n_tx, 8e-6, 0.3),
+                                   ReleaseSpec.point(n_tx, 6e-6, -0.5), ReleaseSpec.uniform(n_tx)),
+                         time_step=1e-4, seed=21, sample_times=self.TIMES,
+                         snapshot_times=self.SNAPS)
 
     @pytest.mark.parametrize("diffusion", [1e-10, 0.0])
     def test_group_matches_each_run(self, diffusion, several_cpus):
-        cfgs = self.configs(diffusion)
-        assert len({particles._stream_key(cfg) for cfg in cfgs}) == 1
-        alone = [run_many([cfg])[0] for cfg in cfgs]
-        assert all(r.all_series[0].counts.sum() > 0 for r in alone)
+        cfg = self.config(diffusion)
+        alone = {(g, k): run_many([replace(cfg, releases=(release,), receivers=(rx,))])[0]
+                 for g, release in enumerate(cfg.releases) for k, rx in enumerate(cfg.receivers)}
+        # Each release seen by a receiver: (release, receiver) pairs that count.
+        assert all(alone[pair].counts.sum() > 0 for pair in ((0, 0), (1, 2), (2, 0), (3, 2)))
         for t in (1, 2, 3, 4):
-            for result, reference in zip(run_many(cfgs, threads=t), alone):
-                self.assert_same(result, reference)
-
-    def test_different_stream_keys_are_not_grouped(self, several_cpus, monkeypatch):
-        base = self.configs(1e-10)[:2]
-        cfgs = [*base, replace(base[1], seed=22),
-                *self.configs(1e-10, n_tx=_BLOCK + 701)[1:2],
-                replace(base[1], sample_times=self.TIMES[:-1])]
-        alone = [run_many([cfg])[0] for cfg in cfgs]
-        groups = []
-        run_block = particles._run_block
-        monkeypatch.setattr(particles, "_run_block",
-                            lambda group, lo, hi: groups.append(len(group))
-                            or run_block(group, lo, hi))
-        for result, reference in zip(run_many(cfgs, threads=1), alone):
-            self.assert_same(result, reference)
-        assert sorted(groups) == [1, 1, 1, 2]
+            result = run_many([cfg], threads=t)[0]
+            assert result.counts.shape == (4, 3, self.TIMES.size)
+            for (g, k), reference in alone.items():
+                assert np.array_equal(result.counts[g, k], reference.counts[0, 0])
+                assert result.snapshots.keys() == reference.snapshots.keys()
+                for time, cloud in reference.snapshots.items():
+                    assert np.array_equal(result.snapshots[time][g], cloud[0])
 
     def test_group_draws_the_normals_of_one_run(self, monkeypatch):
-        uniform, point = self.configs(1e-10)[:2]
+        cfg = self.config(1e-10)
         calls = []
         draw = particles._draw_normals
         monkeypatch.setattr(particles, "_draw_normals",
                             lambda *args: calls.append(1) or draw(*args))
-        run_many([uniform])
+        run_many([replace(cfg, releases=cfg.releases[:1])])
         alone = len(calls)
-        calls.clear()
-        run_many([uniform, point])
-        assert alone > 0 and len(calls) == alone
+        for rows in (2, 3, 4):
+            calls.clear()
+            run_many([replace(cfg, releases=cfg.releases[:rows])])
+            assert alone > 0 and len(calls) == alone
+
+    def test_no_release_refused(self):
+        with pytest.raises(ValueError, match="at least one release"):
+            replace(self.config(1e-10), releases=())
+
+    def test_mixed_n_tx_refused(self):
+        cfg = self.config(1e-10)
+        with pytest.raises(ValueError, match="share one n_tx"):
+            replace(cfg, releases=(cfg.releases[0], ReleaseSpec.uniform(cfg.n_tx + 1)))
+
+    def test_every_release_is_validated(self):
+        cfg = self.config(1e-10)
+        with pytest.raises(ValueError, match="release radius"):
+            replace(cfg, releases=(cfg.releases[0], ReleaseSpec.point(cfg.n_tx, 11e-6)))
 
 
 class TestSnapshots:
@@ -673,7 +671,7 @@ class TestSnapshots:
         cfg = sim_config(narrow_channel, (rx,), ReleaseSpec.uniform(500), [0.01],
                          snapshot_times=[0.0])
         result = run_many([cfg])[0]
-        cloud = result.snapshots[0.0]
+        cloud = result.snapshots[0.0][0]
         assert np.all(cloud[:, 0] == 0.0)
         assert np.all(cloud[:, 1] <= (10e-6) ** 2)
 
@@ -682,7 +680,7 @@ class TestSnapshots:
         rx = make_receiver(10e-6, 200e-6)
         t = 0.02
         cfg = sim_config(channel, (rx,), ReleaseSpec.uniform(2000), [t], snapshot_times=[t])
-        cloud = run_many([cfg])[0].snapshots[t]
+        cloud = run_many([cfg])[0].snapshots[t][0]
         a2 = (10e-6) ** 2
         line = a2 * (1.0 - cloud[:, 0] / (2.0 * channel.mean_velocity * t))
         assert np.allclose(cloud[:, 1], line, rtol=1e-9, atol=1e-24)
@@ -693,7 +691,7 @@ class TestSnapshots:
         rx = make_receiver(10e-6, 800e-6)
         cfg = sim_config(narrow_channel, (rx,), ReleaseSpec.uniform(1000), [0.8], seed=15,
                          snapshot_times=[0.8])
-        cloud = run_many([cfg])[0].snapshots[0.8]
+        cloud = run_many([cfg])[0].snapshots[0.8][0]
         u = cloud[:, 1] / (10e-6) ** 2
         ks = stats.kstest(u, "uniform")
         critical_1pct = 1.63 / math.sqrt(u.size)
@@ -718,7 +716,7 @@ class TestSnapshots:
         assert cfg.n_steps == 50
         assert sim_config(narrow_channel, (make_receiver(10e-6, 200e-6),),
                           ReleaseSpec.uniform(10), [0.01, 0.02]).n_steps == 20
-        assert run_many([cfg])[0].snapshots[0.05].shape == (10, 2)
+        assert run_many([cfg])[0].snapshots[0.05][0].shape == (10, 2)
 
     #: SHA-256 of the snapshots (in time order) and of the counts of the run
     #: below: they pin the snapshot path for a config made by ``replace``,
@@ -733,9 +731,9 @@ class TestSnapshots:
         assert sorted(result.snapshots) == [k * 1e-4 for k in (0, 100, 101, 300)]
         digest = hashlib.sha256()
         for t in sorted(result.snapshots):
-            digest.update(result.snapshots[t].tobytes())
+            digest.update(result.snapshots[t][0].tobytes())
         assert digest.hexdigest() == self.SNAPSHOTS_SHA256
-        counts = result.all_series[0].counts
+        counts = result.counts[0, 0]
         assert hashlib.sha256(counts.tobytes()).hexdigest() == self.COUNTS_SHA256
 
 
@@ -752,33 +750,35 @@ class TestMultiReceiver:
     def test_counts_match_single_receiver_runs(self, diffusion, threads, several_cpus):
         channel = make_channel(radius=10e-6, diffusion=diffusion)
         release = ReleaseSpec.uniform(3000)
-        multi = run_many([sim_config(channel, self.RECEIVERS, release, self.TIMES,
-                                     snapshot_times=self.SNAPS)], threads=threads)[0]
-        assert len(multi.all_series) == len(self.RECEIVERS)
-        for rx, series in zip(self.RECEIVERS, multi.all_series):
-            single = run_many([sim_config(channel, (rx,), release, self.TIMES,
-                                          snapshot_times=self.SNAPS)], threads=threads)[0]
-            assert series.counts.sum() > 0
-            assert np.array_equal(series.counts, single.all_series[0].counts)
-            assert np.array_equal(series.times, single.all_series[0].times)
+        multi_cfg = sim_config(channel, self.RECEIVERS, release, self.TIMES,
+                               snapshot_times=self.SNAPS)
+        multi = run_many([multi_cfg], threads=threads)[0]
+        assert len(multi.counts[0]) == len(self.RECEIVERS)
+        for rx, counts in zip(self.RECEIVERS, multi.counts[0]):
+            single_cfg = sim_config(channel, (rx,), release, self.TIMES,
+                                    snapshot_times=self.SNAPS)
+            single = run_many([single_cfg], threads=threads)[0]
+            assert counts.sum() > 0
+            assert np.array_equal(counts, single.counts[0, 0])
+            assert np.array_equal(multi_cfg.sample_times, single_cfg.sample_times)
             for t in self.SNAPS:
-                assert np.array_equal(multi.snapshots[t], single.snapshots[t])
+                assert np.array_equal(multi.snapshots[t][0], single.snapshots[t][0])
 
     def test_empty_release(self, narrow_channel):
         cfg = sim_config(narrow_channel, self.RECEIVERS, ReleaseSpec.uniform(0), self.TIMES,
                          snapshot_times=self.SNAPS)
         result = run_many([cfg], threads=3)[0]
-        assert len(result.all_series) == len(self.RECEIVERS)
-        for series in result.all_series:
-            assert series.n_tx == 0
-            assert np.array_equal(series.counts, np.zeros(self.TIMES.size, dtype=np.int64))
-        assert all(result.snapshots[t].shape == (0, 2) for t in self.SNAPS)
+        assert len(result.counts[0]) == len(self.RECEIVERS)
+        assert cfg.n_tx == 0
+        for counts in result.counts[0]:
+            assert np.array_equal(counts, np.zeros(self.TIMES.size, dtype=np.int64))
+        assert all(result.snapshots[t][0].shape == (0, 2) for t in self.SNAPS)
 
     def test_single_receiver_gives_one_series(self, narrow_channel):
         rx = self.RECEIVERS[0]
         cfg = sim_config(narrow_channel, (rx,), ReleaseSpec.uniform(10), self.TIMES)
         assert cfg.receivers == (rx,)
-        assert len(run_many([cfg])[0].all_series) == 1
+        assert len(run_many([cfg])[0].counts[0]) == 1
 
     def test_every_receiver_is_validated(self, narrow_channel):
         too_deep = ReceiverVolume(axial_distance_d=200e-6, extent_cx=5e-6,

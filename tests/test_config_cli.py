@@ -913,6 +913,22 @@ GOLDEN.update({
          "--set", "channel.radius=10 um", "--set", "channel.diffusion=0"],
         ["ser_sweep.csv"],
         {"ser_sweep.csv": "288855775c24dedaf8a7f768ff9af1c74154a0495c046060cf3d4028807c3a08"}),
+    # A fixed delay: both points observe at the same offsets.
+    "ser_particle_fixed_delay": (
+        ["ser", "--set", "ook.method=particle_binomial", "--set", "ook.realizations=0",
+         "--set", "ser.distances=200 um, 400 um", "--set", "ser.symbol_intervals=0.05",
+         "--set", "ook.detection_delay=0.05", "--set", "ook.seq_len=2",
+         "--set", "channel.radius=10 um"],
+        ["ser_sweep.csv"],
+        {"ser_sweep.csv": "3a3bdfeedbe83119a18274fe38d43b0069c559eb139191dab6ba2ee181ae6e8c"}),
+    # Margins 1.25, 1.0 and 0.3125: a flow-dominated, a BOUNDARY and a
+    # dispersion link in one sweep.
+    "ser_every_regime": (
+        ["ser", "--set", "ser.distances=200 um, 250 um, 800 um",
+         "--set", "ser.symbol_intervals=0.1, 0.5",
+         "--set", "ook.method=poisson_analytic,binomial_analytic"],
+        ["ser_sweep.csv"],
+        {"ser_sweep.csv": "0a3c7b1f84a8660381837a72a85e7d8480a7deb1fb354309f2e04c7a2c8b4031"}),
     "simulate": (
         ["simulate"] + SIM_ARGS,
         ["observations.csv"],

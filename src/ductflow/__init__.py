@@ -19,7 +19,6 @@ from .duct import (
     velocity_at,
 )
 from .impulse import (
-    DispersionModel,
     cir_dispersion,
     cir_flow_point,
     cir_flow_uniform,
@@ -27,6 +26,7 @@ from .impulse import (
     effective_diffusion,
     flow_point_window,
     flow_transit_times,
+    uniform_response,
 )
 from .ook import (
     OokLinkConfig,
@@ -45,8 +45,8 @@ __all__ = [
     "DuctChannelConfig", "ReceiverVolume", "ReleaseKind", "ReleaseSpec",
     "Regime", "RegimeVerdict", "velocity_at", "peclet_number",
     "classify_regime", "rx_area_fraction",
-    "DispersionModel", "effective_diffusion", "cir_dispersion", "dispersion_peak_time",
-    "flow_transit_times", "cir_flow_uniform", "cir_flow_point", "flow_point_window",
+    "effective_diffusion", "cir_dispersion", "dispersion_peak_time", "flow_transit_times",
+    "cir_flow_uniform", "uniform_response", "cir_flow_point", "flow_point_window",
     "SimConfig", "SimResult", "run_many",
     "OokLinkConfig", "SerMethod", "SerResult", "detection_offsets", "ser_analytic_many",
     "optimal_threshold_many", "ser_monte_carlo_many",

@@ -14,8 +14,10 @@ closed forms:
   form that switches branches at the transit times ``t1 < t2`` of the band
   edges and decays like ``1/t``; a point release gives a rectangular pulse
   (or nothing, if the release point is not radially/angularly aligned with
-  the receiver).  Both flow forms depend on the duct and the receiver
-  alone, so both take ``(config, rx, ...)`` directly.
+  the receiver).
+
+Every form takes ``(config, rx, ...)`` and derives what it needs from them;
+:func:`uniform_response` pairs each regime with its uniform-release form.
 
 The Gaussian axial standard deviation used throughout is
 ``sigma(t) = sqrt(2 D_eff t)``, i.e. the observation probability is
@@ -26,13 +28,14 @@ axial extent; :mod:`ductflow.oracles` certifies this by quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .duct import (
     DuctChannelConfig,
     ReceiverVolume,
+    Regime,
     ReleaseKind,
     ReleaseSpec,
     TWO_PI,
@@ -44,12 +47,12 @@ from .duct import (
 )
 
 __all__ = [
-    "DispersionModel",
     "effective_diffusion",
     "cir_dispersion",
     "dispersion_peak_time",
     "flow_transit_times",
     "cir_flow_uniform",
+    "uniform_response",
     "cir_flow_point",
     "flow_point_window",
 ]
@@ -70,52 +73,30 @@ def effective_diffusion(config: DuctChannelConfig) -> float:
     return config.diffusion_D * (1.0 + pe * pe / 48.0)
 
 
-@dataclass(frozen=True)
-class DispersionModel:
-    """Parameters of the dispersion-regime impulse response."""
-
-    d_eff: float
-    mean_velocity: float
-    rx_fraction: float
-
-    def __post_init__(self):
-        if not self.d_eff > 0.0:
-            raise ValueError("effective diffusivity must be positive")
-        if self.mean_velocity < 0.0:
-            raise ValueError("mean velocity must be non-negative")
-        if not 0.0 < self.rx_fraction <= 1.0:
-            raise ValueError("receiver area fraction must lie in (0, 1]")
-
-    @classmethod
-    def for_channel(cls, config: DuctChannelConfig, rx: ReceiverVolume) -> "DispersionModel":
-        return cls(
-            d_eff=effective_diffusion(config),
-            mean_velocity=config.mean_velocity,
-            rx_fraction=rx_area_fraction(config, rx),
-        )
-
-
-def cir_dispersion(model: DispersionModel, rx: ReceiverVolume, t):
+def cir_dispersion(config: DuctChannelConfig, rx: ReceiverVolume, t):
     """Dispersion-regime observation probability at time(s) ``t``.
 
     ``(A_rx/a^2) * [Phi((d + c_x/2 - vbar t)/sigma) - Phi((d - c_x/2 - vbar t)/sigma)]``
-    with ``sigma = sqrt(2 D_eff t)``.  Returns 0 for ``t <= 0`` and while
-    ``2 D_eff t`` underflows to 0 (``t`` below about 1e-300 s): no mass has
-    yet left the release plane, upstream of the receiver.  Bounded by the
-    receiver area fraction.
+    with ``sigma = sqrt(2 D_eff t)``; :func:`effective_diffusion` and
+    :func:`rx_area_fraction` refuse invalid inputs.  Returns 0 for ``t <= 0``
+    and while ``2 D_eff t`` underflows to 0 (``t`` below about 1e-300 s): no
+    mass has yet left the release plane, upstream of the receiver.  Bounded
+    by the receiver area fraction.
     """
+    d_eff = effective_diffusion(config)
+    rx_fraction = rx_area_fraction(config, rx)
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     out = np.zeros_like(t_arr)
-    pos = 2.0 * model.d_eff * t_arr > 0.0
+    pos = 2.0 * d_eff * t_arr > 0.0
     if np.any(pos):
         tp = t_arr[pos]
-        sigma = np.sqrt(2.0 * model.d_eff * tp)
-        center = model.mean_velocity * tp
+        sigma = np.sqrt(2.0 * d_eff * tp)
+        center = config.mean_velocity * tp
         d = rx.axial_distance_d
         half = rx.extent_cx / 2.0
         hi = (d + half - center) / sigma
         lo = (d - half - center) / sigma
-        out[pos] = model.rx_fraction * np.maximum(_phi_diff(lo, hi), 0.0)
+        out[pos] = rx_fraction * np.maximum(_phi_diff(lo, hi), 0.0)
     return float(out[0]) if np.ndim(t) == 0 else out
 
 
@@ -139,21 +120,26 @@ def _phi_diff(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.where(near < 0.0, 1.0 - q_far - q_near, q_near - q_far)
 
 
-def dispersion_peak_time(model: DispersionModel, d: float) -> float:
+def dispersion_peak_time(config: DuctChannelConfig, rx: ReceiverVolume) -> float:
     """Time at which the dispersion-regime response peaks (design guideline).
 
-    Maximizes the axial density at the receiver center, giving
+    Maximizes the axial density at the receiver center ``d``, giving
     ``(D_eff / vbar^2) (-1 + sqrt(1 + vbar^2 d^2 / D_eff^2))``, evaluated
     here in the cancellation-free form ``d^2 / (D_eff (1 + sqrt(1 + s^2)))``
     with ``s = vbar d / D_eff``.  That form is continuous through
     ``vbar = 0``, where it reduces to the pure-diffusion limit
     ``d^2 / (2 D_eff)``.  Always strictly below the mean arrival time
-    ``d / vbar``.
+    ``d / vbar``.  Raises ``ValueError`` for every ``(config, rx)`` that
+    :func:`cir_dispersion` refuses.
     """
-    if d < 0.0:
-        raise ValueError("distance must be non-negative")
-    s = model.mean_velocity * d / model.d_eff
-    return d * d / (model.d_eff * (1.0 + math.sqrt(1.0 + s * s)))
+    d_eff = effective_diffusion(config)
+    if isinstance(config, DispersionModel):  # the deprecated ``(model, d)`` call
+        d = rx
+    else:
+        d = rx.axial_distance_d
+        rx_area_fraction(config, rx)
+    s = config.mean_velocity * d / d_eff
+    return d * d / (d_eff * (1.0 + math.sqrt(1.0 + s * s)))
 
 
 def flow_transit_times(config: DuctChannelConfig, rx: ReceiverVolume) -> tuple[float, float]:
@@ -216,6 +202,20 @@ def cir_flow_uniform(config: DuctChannelConfig, rx: ReceiverVolume, t):
     return float(out[0]) if np.ndim(t) == 0 else out
 
 
+def uniform_response(config: DuctChannelConfig, rx: ReceiverVolume, regime: Regime):
+    """The uniform-release closed form that applies in ``regime``, with its peak time.
+
+    Returns ``(pob, t_peak)``, ``pob(t)`` a function of time: the dispersion
+    form (:func:`cir_dispersion`, :func:`dispersion_peak_time`) for
+    ``Regime.DISPERSION``, and the flow form (:func:`cir_flow_uniform`, the
+    transit time ``t2``) for ``FLOW_DOMINATED`` and on the ``BOUNDARY`` line.
+    Raises ``ValueError`` where the form's peak time does.
+    """
+    if regime is Regime.DISPERSION:
+        return partial(cir_dispersion, config, rx), dispersion_peak_time(config, rx)
+    return partial(cir_flow_uniform, config, rx), flow_transit_times(config, rx)[1]
+
+
 def flow_point_window(config: DuctChannelConfig, rx: ReceiverVolume,
                       release: ReleaseSpec) -> tuple[float, float] | None:
     """Arrival window ``(t_start, t_end)`` of a point release, if any.
@@ -257,3 +257,14 @@ def cir_flow_point(config: DuctChannelConfig, rx: ReceiverVolume,
     else:
         out = ((t_arr >= window[0]) & (t_arr <= window[1])).astype(float)
     return float(out[0]) if np.ndim(t) == 0 else out
+
+
+class DispersionModel(DuctChannelConfig):
+    """Deprecated: the channel itself, still built by ``perfbench/checks.py``.
+
+    That file passes it as the channel, and to :func:`dispersion_peak_time`
+    with ``d`` for ``rx``; drop both once it takes ``(config, rx)``.
+    """
+
+    for_channel = classmethod(lambda cls, config, rx: cls(
+        config.radius_a, config.diffusion_D, config.mean_velocity))

@@ -12,7 +12,8 @@ routes certifies the closed forms:
   distribution (midpoint-rule measure of the indicator in the uniform
   ``(r^2/a^2, phi)`` coordinates).
 
-The indicator quadrature converges like one cell width per jump, so the cell
+Each oracle takes its closed form's ``(config, rx, ...)`` arguments.  The
+indicator quadrature converges like one cell width per jump, so the cell
 counts below keep the worst-case error under 1e-6; the smooth Gaussian
 quadrature is accurate to ~1e-12.
 """
@@ -34,25 +35,29 @@ from .duct import (
     ReceiverVolume,
     ReleaseKind,
     ReleaseSpec,
+    rx_area_fraction,
     validate_receiver,
     velocity_at,
 )
-from .impulse import DispersionModel
+from .impulse import effective_diffusion
 
 __all__ = ["oracle_cir_dispersion", "oracle_cir_flow"]
 
 
-def oracle_cir_dispersion(model: DispersionModel, rx: ReceiverVolume, t: float) -> float:
+def oracle_cir_dispersion(config: DuctChannelConfig, rx: ReceiverVolume, t: float) -> float:
     """Dispersion-regime observation probability by adaptive quadrature.
 
     Integrates the axial Gaussian density (variance ``2 D_eff t``, mean
     ``vbar t``) over ``[d - c_x/2, d + c_x/2]`` and scales by the receiver
-    area fraction.  Accurate to well below 1e-9 of the exact integral.
+    area fraction; only ``D_eff`` and that fraction are shared with the closed
+    form.  Accurate to well below 1e-9 of the exact integral.
     """
+    d_eff = effective_diffusion(config)
+    rx_fraction = rx_area_fraction(config, rx)
     if t <= 0.0:
         return 0.0
-    var = 2.0 * model.d_eff * t
-    center = model.mean_velocity * t
+    var = 2.0 * d_eff * t
+    center = config.mean_velocity * t
     norm = 1.0 / math.sqrt(2.0 * math.pi * var)
 
     def density(x: float) -> float:
@@ -61,7 +66,7 @@ def oracle_cir_dispersion(model: DispersionModel, rx: ReceiverVolume, t: float) 
     lo = rx.axial_distance_d - rx.extent_cx / 2.0
     hi = rx.axial_distance_d + rx.extent_cx / 2.0
     val, _ = quad(density, lo, hi, epsabs=1e-14, epsrel=1e-12, limit=200)
-    return model.rx_fraction * val
+    return rx_fraction * val
 
 
 def _indicator_measure(lo: float, hi: float, n_cells: int,

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from contextlib import suppress
 from dataclasses import replace
-from functools import partial
 from itertools import takewhile
 from pathlib import Path
 
@@ -25,8 +24,7 @@ import numpy as np
 
 from .config import MAX_GRID_POINTS, ConfigError, ResolvedConfig, load_config
 from .duct import Regime, classify_regime
-from .impulse import (DispersionModel, cir_dispersion, cir_flow_point, cir_flow_uniform,
-                      dispersion_peak_time, flow_transit_times)
+from .impulse import cir_flow_point, uniform_response
 from .ook import (OokLinkConfig, SerMethod, detection_offsets, optimal_threshold_many,
                   ser_analytic_many, ser_monte_carlo_many)
 from .output import Table, emit_table
@@ -87,19 +85,15 @@ def _analytic_cir_tables(cfg: ResolvedConfig, distance: float):
     series = [grid]
     peak_rows = []
     if channel.diffusion_D > 0.0:
-        disp = DispersionModel.for_channel(channel, rx)
+        pob, t_peak = uniform_response(channel, rx, Regime.DISPERSION)
         columns.append("pob_dispersion")
-        series.append(cir_dispersion(disp, rx, grid))
-        tmax = dispersion_peak_time(disp, rx.axial_distance_d)
-        peak_rows.append((distance, "dispersion_uniform", tmax, cir_dispersion(disp, rx, tmax)))
+        series.append(pob(grid))
+        peak_rows.append((distance, "dispersion_uniform", t_peak, pob(t_peak)))
     if channel.mean_velocity > 0.0:
-        t2 = flow_transit_times(channel, rx)[1]
-        columns.append("pob_flow_uniform")
-        series.append(cir_flow_uniform(channel, rx, grid))
-        peak_rows.append((distance, "flow_uniform", t2, cir_flow_uniform(channel, rx, t2)))
-        point = cfg.release("point")
-        columns.append("pob_flow_point")
-        series.append(cir_flow_point(channel, rx, point, grid))
+        pob, t_peak = uniform_response(channel, rx, Regime.FLOW_DOMINATED)
+        columns += ["pob_flow_uniform", "pob_flow_point"]
+        series += [pob(grid), cir_flow_point(channel, rx, cfg.release("point"), grid)]
+        peak_rows.append((distance, "flow_uniform", t_peak, pob(t_peak)))
     rows = list(zip(*[np.asarray(s, dtype=float) for s in series]))
     return columns, rows, peak_rows
 
@@ -166,21 +160,17 @@ def _auto_link(cfg: ResolvedConfig, distance: float, symbol_interval: float):
     """Build the OOK link for one sweep point, resolving auto delay/threshold.
 
     Returns ``(link, rx, offsets)``: the link holds the regime's closed form
-    at the detection ``offsets``, and threshold 0 if it is to be optimised.
+    (:func:`uniform_response`) at the detection ``offsets``, which start at
+    that form's peak time if the delay is ``auto``, and threshold 0 if it is
+    to be optimised.
     An invalid link raises ``ValueError``, which the caller's ``cfg.build`` reports.
     """
     channel = cfg.channel()
     rx = cfg.receiver(distance=distance)
-    if classify_regime(channel, rx).regime is Regime.DISPERSION:
-        model = DispersionModel.for_channel(channel, rx)
-        closed_form = partial(cir_dispersion, model, rx)
-        auto_delay = dispersion_peak_time(model, rx.axial_distance_d)
-    else:
-        closed_form = partial(cir_flow_uniform, channel, rx)
-        auto_delay = flow_transit_times(channel, rx)[1]
+    closed_form, t_peak = uniform_response(channel, rx, classify_regime(channel, rx).regime)
     delay = cfg["ook.detection_delay"]
     offsets = detection_offsets(symbol_interval, cfg["ook.seq_len"],
-                                auto_delay if delay == "auto" else float(delay))
+                                t_peak if delay == "auto" else float(delay))
     threshold = cfg["ook.threshold"]
     link = OokLinkConfig(pob=closed_form(offsets),
                          threshold_xi=0 if threshold == "optimal" else int(threshold),
@@ -189,16 +179,24 @@ def _auto_link(cfg: ResolvedConfig, distance: float, symbol_interval: float):
 
 
 def _particle_pobs(cfg: ResolvedConfig, points, threads: int) -> list[np.ndarray]:
-    """The empirical ``P_ob`` of one engine run per ``(rx, offsets)`` point.
+    """The empirical ``P_ob`` of each ``(rx, offsets)`` point.
 
-    Each run releases ``_POOL_PARTICLES`` particles of the configured kind
-    and counts those inside ``rx`` at the (step-snapped) detection
-    ``offsets``; the runs share one set of workers.
+    Points with equal ``offsets`` share one engine run, which releases
+    ``_POOL_PARTICLES`` particles of the configured kind and counts those
+    inside each point's ``rx`` at the (step-snapped) detection offsets; a
+    receiver's counts do not depend on the others of its run.  The runs
+    share one set of workers.
     """
     pool = (replace(cfg.release(), n_tx=_POOL_PARTICLES),)
-    results = run_many([_sim_for_grid(cfg, (rx,), pool, offsets) for rx, offsets in points],
-                       threads=threads)
-    return [result.counts[0, 0] / _POOL_PARTICLES for result in results]
+    groups: dict[bytes, list[int]] = {}
+    for i, (_, offsets) in enumerate(points):
+        groups.setdefault(offsets.tobytes(), []).append(i)
+    sims = [_sim_for_grid(cfg, tuple(points[i][0] for i in group), pool, points[group[0]][1])
+            for group in groups.values()]
+    pobs = {i: result.counts[0, k] / _POOL_PARTICLES
+            for group, result in zip(groups.values(), run_many(sims, threads=threads))
+            for k, i in enumerate(group)}
+    return [pobs[i] for i in range(len(points))]
 
 
 def ser_action(cfg: ResolvedConfig, threads: int = 1):

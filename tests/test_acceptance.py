@@ -15,7 +15,6 @@ import pytest
 
 import conftest
 from ductflow import (
-    DispersionModel,
     DuctChannelConfig,
     OokLinkConfig,
     ReceiverVolume,
@@ -157,11 +156,10 @@ def test_criterion_04_quadrature_oracles():
         rx = ReceiverVolume(axial_distance_d=cx / 2 + a * 10.0 ** rng.uniform(0.5, 2.0),
                             extent_cx=cx, extent_cr=a * rng.uniform(0.1, 1.0),
                             extent_cphi=rng.uniform(0.1, 1.0) * 2.0 * math.pi)
-        model = DispersionModel.for_channel(channel, rx)
         t_ref = rx.axial_distance_d / v
         t = t_ref * 10.0 ** rng.uniform(-0.5, 0.5)
-        worst_disp = max(worst_disp, abs(oracle_cir_dispersion(model, rx, t)
-                                         - cir_dispersion(model, rx, t)))
+        worst_disp = max(worst_disp, abs(oracle_cir_dispersion(channel, rx, t)
+                                         - cir_dispersion(channel, rx, t)))
     disp_ok = worst_disp < 1e-9
     check(4, "quadrature oracles match closed forms over 100 random configs",
           flow_ok and disp_ok,
@@ -287,8 +285,8 @@ def test_criterion_05_wide_duct_reproduction():
 
 def test_criterion_06_dispersion_peak_time(narrow_far_run):
     rx, cfg, result = narrow_far_run
-    model = DispersionModel.for_channel(NARROW, rx)
-    t_ref = dispersion_peak_time(model, 800e-6)
+    assert rx.axial_distance_d == 800e-6
+    t_ref = dispersion_peak_time(NARROW, rx)
     idx = smoothed_argmax(result.counts[0, 0], 81)
     t_peak = cfg.sample_times[idx]
     ok = abs(t_peak - t_ref) <= 0.10 * t_ref

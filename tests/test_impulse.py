@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ductflow import (
-    DispersionModel,
     ReceiverVolume,
+    Regime,
     ReleaseSpec,
+    classify_regime,
     cir_dispersion,
     cir_flow_point,
     cir_flow_uniform,
@@ -19,6 +20,7 @@ from ductflow import (
     flow_point_window,
     flow_transit_times,
     rx_area_fraction,
+    uniform_response,
 )
 from ductflow.oracles import oracle_cir_dispersion, oracle_cir_flow
 from conftest import make_channel, make_receiver
@@ -68,25 +70,24 @@ class TestEffectiveDiffusion:
 class TestDispersionCir:
     @pytest.fixture
     def setup(self, narrow_channel):
-        rx = make_receiver(10e-6, 800e-6)
-        return DispersionModel.for_channel(narrow_channel, rx), rx
+        return narrow_channel, make_receiver(10e-6, 800e-6)
 
     def test_zero_at_and_before_release(self, setup):
-        model, rx = setup
-        assert cir_dispersion(model, rx, 0.0) == 0.0
-        assert cir_dispersion(model, rx, -1.0) == 0.0
-        assert cir_dispersion(model, rx, 1e-6) == pytest.approx(0.0, abs=1e-300)
+        channel, rx = setup
+        assert cir_dispersion(channel, rx, 0.0) == 0.0
+        assert cir_dispersion(channel, rx, -1.0) == 0.0
+        assert cir_dispersion(channel, rx, 1e-6) == pytest.approx(0.0, abs=1e-300)
 
     def test_symmetric_instant_closed_form(self, setup):
         # At t = d / vbar the axial Gaussian is centred on the receiver.
-        model, rx = setup
-        t = rx.axial_distance_d / model.mean_velocity
-        sigma = math.sqrt(2.0 * model.d_eff * t)
+        channel, rx = setup
+        t = rx.axial_distance_d / channel.mean_velocity
+        sigma = math.sqrt(2.0 * effective_diffusion(channel) * t)
         from scipy.special import ndtr
         u = rx.extent_cx / 2.0 / sigma
-        expected = model.rx_fraction * (1.0 - 2.0 * ndtr(-u))
-        assert cir_dispersion(model, rx, t) == pytest.approx(expected, rel=1e-12)
-        assert cir_dispersion(model, rx, t) == pytest.approx(2.0e-3, rel=0.05)
+        expected = rx_area_fraction(channel, rx) * (1.0 - 2.0 * ndtr(-u))
+        assert cir_dispersion(channel, rx, t) == pytest.approx(expected, rel=1e-12)
+        assert cir_dispersion(channel, rx, t) == pytest.approx(2.0e-3, rel=0.05)
 
     def test_tails_without_cancellation(self):
         # Before the front arrives (lo > 0) both CDFs sit near 1 and their
@@ -94,115 +95,167 @@ class TestDispersionCir:
         # (hi < 0) both sit near 0.  Either way the response is the
         # difference of two upper tails, evaluated where they are small.
         from scipy.special import ndtr
-        model = DispersionModel(d_eff=2e-9, mean_velocity=1e-3, rx_fraction=1.0)
+        channel = make_channel(radius=10e-6, diffusion=2e-9, mean_velocity=1e-3)
         rx = ReceiverVolume(axial_distance_d=200e-6, extent_cx=20e-6,
                             extent_cr=10e-6, extent_cphi=math.pi)
+        d_eff, fraction = effective_diffusion(channel), rx_area_fraction(channel, rx)
         for t in (0.02, 0.05, 0.08, 0.12, 0.18, 0.22, 0.3, 0.5, 1.0):
-            sigma = math.sqrt(2.0 * model.d_eff * t)
-            lo = (rx.axial_distance_d - 10e-6 - model.mean_velocity * t) / sigma
-            hi = (rx.axial_distance_d + 10e-6 - model.mean_velocity * t) / sigma
+            sigma = math.sqrt(2.0 * d_eff * t)
+            lo = (rx.axial_distance_d - 10e-6 - channel.mean_velocity * t) / sigma
+            hi = (rx.axial_distance_d + 10e-6 - channel.mean_velocity * t) / sigma
             assert lo > 0.0 or hi < 0.0
-            expected = ndtr(-lo) - ndtr(-hi) if lo > 0.0 else ndtr(hi) - ndtr(lo)
-            value = cir_dispersion(model, rx, t)
+            expected = fraction * (ndtr(-lo) - ndtr(-hi) if lo > 0.0 else ndtr(hi) - ndtr(lo))
+            value = cir_dispersion(channel, rx, t)
             assert value > 0.0
             assert value == pytest.approx(expected, rel=1e-12), t
 
     def test_bounded_by_rx_fraction(self, setup):
-        model, rx = setup
+        channel, rx = setup
         t = np.linspace(1e-3, 3.0, 800)
-        values = cir_dispersion(model, rx, t)
-        assert np.all(values <= model.rx_fraction + 1e-15)
+        values = cir_dispersion(channel, rx, t)
+        assert np.all(values <= rx_area_fraction(channel, rx) + 1e-15)
         assert np.all(values >= 0.0)
 
     def test_matches_quadrature_oracle(self, setup):
-        model, rx = setup
+        channel, rx = setup
         for t in (0.1, 0.5, 0.779, 0.8, 1.5):
-            assert cir_dispersion(model, rx, t) == pytest.approx(
-                oracle_cir_dispersion(model, rx, t), abs=1e-9)
+            assert cir_dispersion(channel, rx, t) == pytest.approx(
+                oracle_cir_dispersion(channel, rx, t), abs=1e-9)
 
     def test_oracle_vanishes_at_long_times(self, setup):
-        model, rx = setup
-        assert oracle_cir_dispersion(model, rx, 1e6) < 1e-6
+        channel, rx = setup
+        assert oracle_cir_dispersion(channel, rx, 1e6) < 1e-6
 
     def test_wide_axial_window_gives_total_mass(self, narrow_channel):
         # Window much wider than the Gaussian spread captures A_rx / a^2.
         rx = ReceiverVolume(axial_distance_d=0.5, extent_cx=0.99,
                             extent_cr=5e-6, extent_cphi=math.pi / 2)
-        model = DispersionModel.for_channel(narrow_channel, rx)
-        t = 0.5 / model.mean_velocity
-        assert cir_dispersion(model, rx, t) == pytest.approx(model.rx_fraction, rel=1e-9)
+        t = 0.5 / narrow_channel.mean_velocity
+        assert cir_dispersion(narrow_channel, rx, t) == pytest.approx(
+            rx_area_fraction(narrow_channel, rx), rel=1e-9)
+
+    def test_refuses_a_channel_without_diffusion(self, wide_flow_only):
+        with pytest.raises(ValueError, match="D = 0"):
+            cir_dispersion(wide_flow_only, make_receiver(200e-6, 800e-6), 1.0)
+        with pytest.raises(ValueError, match="D = 0"):
+            oracle_cir_dispersion(wide_flow_only, make_receiver(200e-6, 800e-6), 1.0)
+
+    def test_refuses_a_receiver_wider_than_the_duct(self, narrow_channel):
+        rx = make_receiver(40e-6, 800e-6)
+        for form in (cir_dispersion, oracle_cir_dispersion):
+            with pytest.raises(ValueError, match="exceeds duct radius"):
+                form(narrow_channel, rx, 1.0)
+
+    def test_refuses_a_vanishing_area_fraction(self, narrow_channel):
+        rx = make_receiver(10e-6, 800e-6, cphi=5e-324)
+        for form in (cir_dispersion, oracle_cir_dispersion):
+            with pytest.raises(ValueError, match="area fraction"):
+                form(narrow_channel, rx, 1.0)
 
 
 class TestDispersionPeak:
     @pytest.fixture
     def setup(self, narrow_channel):
-        rx = make_receiver(10e-6, 800e-6)
-        return DispersionModel.for_channel(narrow_channel, rx), rx
+        return narrow_channel, make_receiver(10e-6, 800e-6)
 
     def test_reference_value_and_early_arrival(self, setup):
-        model, rx = setup
-        tmax = dispersion_peak_time(model, 800e-6)
+        channel, rx = setup
+        tmax = dispersion_peak_time(channel, rx)
         assert tmax == pytest.approx(0.779, rel=2e-3)
-        assert tmax < 800e-6 / model.mean_velocity
+        assert tmax < 800e-6 / channel.mean_velocity
 
     def test_matches_dense_argmax_of_axial_density(self, setup):
         # Independent route: maximise the Gaussian density at x = d by scan.
-        model, _ = setup
-        d = 800e-6
+        channel, rx = setup
+        d, d_eff = 800e-6, effective_diffusion(channel)
         t = np.linspace(0.4, 1.1, 240_001)
-        density = np.exp(-((d - model.mean_velocity * t) ** 2)
-                         / (4.0 * model.d_eff * t)) / np.sqrt(4.0 * math.pi * model.d_eff * t)
+        density = np.exp(-((d - channel.mean_velocity * t) ** 2)
+                         / (4.0 * d_eff * t)) / np.sqrt(4.0 * math.pi * d_eff * t)
         t_scan = t[np.argmax(density)]
-        assert dispersion_peak_time(model, d) == pytest.approx(t_scan, abs=2 * (t[1] - t[0]))
-
-    def test_zero_distance(self, setup):
-        model, _ = setup
-        assert dispersion_peak_time(model, 0.0) == 0.0
+        assert dispersion_peak_time(channel, rx) == pytest.approx(t_scan, abs=2 * (t[1] - t[0]))
 
     def test_no_flow_limit(self):
         channel = make_channel(mean_velocity=0.0)
         rx = make_receiver(10e-6, 800e-6)
-        model = DispersionModel.for_channel(channel, rx)
-        assert dispersion_peak_time(model, 800e-6) == pytest.approx(
-            (800e-6) ** 2 / (2.0 * model.d_eff), rel=1e-12)
+        assert dispersion_peak_time(channel, rx) == pytest.approx(
+            (800e-6) ** 2 / (2.0 * effective_diffusion(channel)), rel=1e-12)
 
-    def test_continuous_through_vanishing_flow(self, narrow_channel):
+    def test_continuous_through_vanishing_flow(self):
         rx = make_receiver(10e-6, 800e-6)
-        deff = effective_diffusion(narrow_channel)
-        slow = DispersionModel(d_eff=deff, mean_velocity=1e-12, rx_fraction=0.1875)
-        still = DispersionModel(d_eff=deff, mean_velocity=0.0, rx_fraction=0.1875)
-        assert dispersion_peak_time(slow, 800e-6) == pytest.approx(
-            dispersion_peak_time(still, 800e-6), rel=1e-9)
+        slow = make_channel(mean_velocity=1e-12)
+        still = make_channel(mean_velocity=0.0)
+        assert effective_diffusion(slow) == pytest.approx(effective_diffusion(still), rel=1e-9)
+        assert dispersion_peak_time(slow, rx) == pytest.approx(
+            dispersion_peak_time(still, rx), rel=1e-9)
 
     def test_peak_value_is_near_stationary(self, setup):
-        model, rx = setup
-        tmax = dispersion_peak_time(model, rx.axial_distance_d)
-        peak = cir_dispersion(model, rx, tmax)
+        channel, rx = setup
+        tmax = dispersion_peak_time(channel, rx)
+        peak = cir_dispersion(channel, rx, tmax)
         for factor in (0.99, 1.01):
-            assert peak >= cir_dispersion(model, rx, tmax * factor) * (1.0 - 1e-4)
+            assert peak >= cir_dispersion(channel, rx, tmax * factor) * (1.0 - 1e-4)
 
     def test_peak_strictly_before_mean_arrival(self):
         rng = np.random.default_rng(77)
         for _ in range(40):
-            model = DispersionModel(d_eff=10.0 ** rng.uniform(-9, -5),
-                                    mean_velocity=10.0 ** rng.uniform(-4, -2),
-                                    rx_fraction=0.5)
+            a = 10.0 ** rng.uniform(-5, -3)
+            channel = make_channel(radius=a, diffusion=10.0 ** rng.uniform(-12, -8),
+                                   mean_velocity=10.0 ** rng.uniform(-4, -2))
             d = 10.0 ** rng.uniform(-4, -2)
-            assert dispersion_peak_time(model, d) < d / model.mean_velocity
+            rx = ReceiverVolume(axial_distance_d=d, extent_cx=d, extent_cr=a / 2,
+                                extent_cphi=math.pi)
+            assert dispersion_peak_time(channel, rx) < d / channel.mean_velocity
 
     def test_no_flow_peak_value_matches_oracle(self):
         # At vbar = 0 the Gaussian stays centred on the release plane, so
         # the peak value is the off-centre window integral at sigma = d.
         channel = make_channel(mean_velocity=0.0)
         rx = make_receiver(10e-6, 800e-6)
-        model = DispersionModel.for_channel(channel, rx)
-        tmax = dispersion_peak_time(model, rx.axial_distance_d)
-        value = cir_dispersion(model, rx, tmax)
-        assert value == pytest.approx(oracle_cir_dispersion(model, rx, tmax), abs=1e-12)
+        tmax = dispersion_peak_time(channel, rx)
+        value = cir_dispersion(channel, rx, tmax)
+        assert value == pytest.approx(oracle_cir_dispersion(channel, rx, tmax), abs=1e-12)
         from scipy.special import ndtr
         d, half = rx.axial_distance_d, rx.extent_cx / 2.0
-        expected = model.rx_fraction * (ndtr((d + half) / d) - ndtr((d - half) / d))
+        expected = rx_area_fraction(channel, rx) * (ndtr((d + half) / d) - ndtr((d - half) / d))
         assert value == pytest.approx(expected, rel=1e-9)
+
+    def test_refuses_what_the_response_refuses(self, narrow_channel, wide_flow_only):
+        with pytest.raises(ValueError, match="D = 0"):
+            dispersion_peak_time(wide_flow_only, make_receiver(200e-6, 800e-6))
+        with pytest.raises(ValueError, match="exceeds duct radius"):
+            dispersion_peak_time(narrow_channel, make_receiver(40e-6, 800e-6))
+        with pytest.raises(ValueError, match="area fraction"):
+            dispersion_peak_time(narrow_channel, make_receiver(10e-6, 800e-6, cphi=5e-324))
+
+
+class TestUniformResponse:
+    """Each regime's uniform-release form and its peak time."""
+
+    @pytest.mark.parametrize("mean_velocity", [1e-3, 0.0])
+    def test_dispersion_pair(self, mean_velocity):
+        channel = make_channel(mean_velocity=mean_velocity)
+        rx = make_receiver(10e-6, 800e-6)
+        assert classify_regime(channel, rx).regime is Regime.DISPERSION
+        pob, t_peak = uniform_response(channel, rx, Regime.DISPERSION)
+        assert t_peak == dispersion_peak_time(channel, rx)
+        t = np.linspace(0.0, 2.0, 41)
+        assert np.array_equal(pob(t), cir_dispersion(channel, rx, t))
+        if mean_velocity == 0.0:
+            assert t_peak == pytest.approx(800e-6 ** 2 / (2.0 * effective_diffusion(channel)),
+                                           rel=1e-12)
+
+    @pytest.mark.parametrize("diffusion, distance, regime", [
+        (1e-10, 200e-6, Regime.FLOW_DOMINATED),
+        (1e-10, 250e-6, Regime.BOUNDARY),
+        (0.0, 800e-6, Regime.FLOW_DOMINATED),
+    ])
+    def test_flow_pair(self, diffusion, distance, regime):
+        channel, rx = make_channel(diffusion=diffusion), make_receiver(10e-6, distance)
+        assert classify_regime(channel, rx).regime is regime
+        pob, t_peak = uniform_response(channel, rx, regime)
+        assert t_peak == flow_transit_times(channel, rx)[1]
+        t = np.linspace(0.0, 2.0, 41)
+        assert np.array_equal(pob(t), cir_flow_uniform(channel, rx, t))
 
 
 class TestFlowTransitTimes:
@@ -349,10 +402,9 @@ class TestClosedFormProperties:
     @given(setup=ducts_and_receivers(), scales=TIME_SCALES)
     def test_dispersion_within_receiver_fraction(self, setup, scales):
         channel, rx = setup
-        model = DispersionModel.for_channel(channel, rx)
-        t = scales * dispersion_peak_time(model, rx.axial_distance_d)
-        pob = cir_dispersion(model, rx, t)
-        assert np.all(pob >= 0.0) and np.all(pob <= model.rx_fraction)
+        t = scales * dispersion_peak_time(channel, rx)
+        pob = cir_dispersion(channel, rx, t)
+        assert np.all(pob >= 0.0) and np.all(pob <= rx_area_fraction(channel, rx))
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(setup=ducts_and_receivers(diffusion=False), scales=TIME_SCALES)

@@ -16,18 +16,18 @@ closed forms:
   (or nothing, if the release point is not radially/angularly aligned with
   the receiver).
 
-Every form takes ``(config, rx, ...)`` and derives what it needs from them;
-:func:`uniform_response` pairs each regime with its uniform-release form.
-
-The Gaussian axial standard deviation used throughout is
-``sigma(t) = sqrt(2 D_eff t)``, i.e. the observation probability is
-exactly the integral of the dispersion-regime density over the receiver's
-axial extent; :mod:`ductflow.oracles` certifies this by quadrature.
+Every form takes ``(config, rx, ...)``, and :func:`uniform_response` pairs
+each regime with its uniform-release form.  The Gaussian axial standard
+deviation used throughout is ``sigma(t) = sqrt(2 D_eff t)``, i.e. the
+observation probability is exactly the integral of the dispersion-regime
+density over the receiver's axial extent; :mod:`ductflow.oracles`
+certifies this by quadrature.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import astuple, dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -77,11 +77,10 @@ def cir_dispersion(config: DuctChannelConfig, rx: ReceiverVolume, t):
     """Dispersion-regime observation probability at time(s) ``t``.
 
     ``(A_rx/a^2) * [Phi((d + c_x/2 - vbar t)/sigma) - Phi((d - c_x/2 - vbar t)/sigma)]``
-    with ``sigma = sqrt(2 D_eff t)``; :func:`effective_diffusion` and
-    :func:`rx_area_fraction` refuse invalid inputs.  Returns 0 for ``t <= 0``
-    and while ``2 D_eff t`` underflows to 0 (``t`` below about 1e-300 s): no
-    mass has yet left the release plane, upstream of the receiver.  Bounded
-    by the receiver area fraction.
+    with ``sigma = sqrt(2 D_eff t)``.  Returns 0 for ``t <= 0`` and while
+    ``2 D_eff t`` underflows to 0 (``t`` below about 1e-300 s): no mass has
+    yet left the release plane, upstream of the receiver.  Bounded by the
+    receiver area fraction.
     """
     d_eff = effective_diffusion(config)
     rx_fraction = rx_area_fraction(config, rx)
@@ -132,12 +131,11 @@ def dispersion_peak_time(config: DuctChannelConfig, rx: ReceiverVolume) -> float
     ``d / vbar``.  Raises ``ValueError`` for every ``(config, rx)`` that
     :func:`cir_dispersion` refuses.
     """
+    if isinstance(config, DispersionModel):  # deprecated ``(model, d)``: model.rx moved to d
+        rx = replace(config.rx, axial_distance_d=rx)
     d_eff = effective_diffusion(config)
-    if isinstance(config, DispersionModel):  # the deprecated ``(model, d)`` call
-        d = rx
-    else:
-        d = rx.axial_distance_d
-        rx_area_fraction(config, rx)
+    rx_area_fraction(config, rx)
+    d = rx.axial_distance_d
     s = config.mean_velocity * d / d_eff
     return d * d / (d_eff * (1.0 + math.sqrt(1.0 + s * s)))
 
@@ -203,13 +201,10 @@ def cir_flow_uniform(config: DuctChannelConfig, rx: ReceiverVolume, t):
 
 
 def uniform_response(config: DuctChannelConfig, rx: ReceiverVolume, regime: Regime):
-    """The uniform-release closed form that applies in ``regime``, with its peak time.
+    """``(pob, t_peak)``: ``regime``'s uniform-release form, a function of ``t``, and its peak time.
 
-    Returns ``(pob, t_peak)``, ``pob(t)`` a function of time: the dispersion
-    form (:func:`cir_dispersion`, :func:`dispersion_peak_time`) for
-    ``Regime.DISPERSION``, and the flow form (:func:`cir_flow_uniform`, the
-    transit time ``t2``) for ``FLOW_DOMINATED`` and on the ``BOUNDARY`` line.
-    Raises ``ValueError`` where the form's peak time does.
+    :func:`cir_dispersion` and :func:`dispersion_peak_time` for ``DISPERSION``;
+    :func:`cir_flow_uniform` and the transit time ``t2`` otherwise (``BOUNDARY`` included).
     """
     if regime is Regime.DISPERSION:
         return partial(cir_dispersion, config, rx), dispersion_peak_time(config, rx)
@@ -259,12 +254,9 @@ def cir_flow_point(config: DuctChannelConfig, rx: ReceiverVolume,
     return float(out[0]) if np.ndim(t) == 0 else out
 
 
+@dataclass(frozen=True)
 class DispersionModel(DuctChannelConfig):
-    """Deprecated: the channel itself, still built by ``perfbench/checks.py``.
+    """Deprecated: a channel with its receiver, still built by ``perfbench/checks.py``."""
 
-    That file passes it as the channel, and to :func:`dispersion_peak_time`
-    with ``d`` for ``rx``; drop both once it takes ``(config, rx)``.
-    """
-
-    for_channel = classmethod(lambda cls, config, rx: cls(
-        config.radius_a, config.diffusion_D, config.mean_velocity))
+    rx: ReceiverVolume | None = None
+    for_channel = classmethod(lambda cls, config, rx: cls(*astuple(config), rx))

@@ -227,6 +227,17 @@ class TestDispersionPeak:
         with pytest.raises(ValueError, match="area fraction"):
             dispersion_peak_time(narrow_channel, make_receiver(10e-6, 800e-6, cphi=5e-324))
 
+    def test_deprecated_distance_call_is_checked_like_a_receiver(self, setup):
+        # perfbench/checks.py still passes ``(DispersionModel.for_channel(channel, rx), d)``.
+        from ductflow.impulse import DispersionModel
+        channel, rx = setup
+        model = DispersionModel.for_channel(channel, rx)
+        assert dispersion_peak_time(model, 800e-6) == dispersion_peak_time(channel, rx)
+        assert oracle_cir_dispersion(model, rx, 0.5) == oracle_cir_dispersion(channel, rx, 0.5)
+        for d in (-1e-6, 0.0):
+            with pytest.raises(ValueError, match="downstream of the release plane"):
+                dispersion_peak_time(model, d)
+
 
 class TestUniformResponse:
     """Each regime's uniform-release form and its peak time."""

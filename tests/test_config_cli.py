@@ -560,6 +560,20 @@ class TestCli:
         assert "detection threshold must lie in" in capsys.readouterr().err
         assert list(tmp_path.rglob("*")) == []
 
+    def test_colliding_offsets_are_refused_before_the_engine(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # At T = 0.4 ms the 8 offsets of the first point snap onto at most
+        # 4 steps of 1 ms; a pool over the sweep's steps must not hide that.
+        def engine(*args, **kwargs):
+            raise AssertionError("the engine ran for colliding offsets")
+        monkeypatch.setattr(particles, "_run_block", engine)
+        rc = main(["ser", "--out", str(tmp_path), "--set", "ook.method=particle_binomial",
+                   "--set", "ook.realizations=0", "--set", "ser.symbol_intervals=0.4 ms, 0.05"])
+        assert rc == 2
+        assert ("sample times must snap to distinct, increasing steps"
+                in capsys.readouterr().err)
+        assert list(tmp_path.rglob("*")) == []
+
     def test_realizations_are_checked_before_any_ser_work(self, tmp_path, capsys, monkeypatch):
         # The count Monte Carlo runs after every point's threshold search and
         # engine pool, so its realization count is refused before either.
@@ -921,6 +935,14 @@ GOLDEN.update({
          "--set", "channel.radius=10 um"],
         ["ser_sweep.csv"],
         {"ser_sweep.csv": "3a3bdfeedbe83119a18274fe38d43b0069c559eb139191dab6ba2ee181ae6e8c"}),
+    # Four points, four detection-offset grids.  With D = 0 no normal is
+    # drawn, so the sample grid of the pool cannot move a count.
+    "ser_particle_multi_grid": (
+        ["ser", "--set", "ook.method=particle_binomial", "--set", "ook.realizations=0",
+         "--set", "channel.radius=10 um", "--set", "channel.diffusion=0",
+         "--set", "ser.distances=200 um, 400 um", "--set", "ser.symbol_intervals=0.05, 0.1"],
+        ["ser_sweep.csv"],
+        {"ser_sweep.csv": "8b15ed03a96eebc3af06dbb4b846c42981feb6be6ffcb95aaf008714f534d605"}),
     # Margins 1.25, 1.0 and 0.3125: a flow-dominated, a BOUNDARY and a
     # dispersion link in one sweep.
     "ser_every_regime": (

@@ -37,7 +37,8 @@ from .ook import (
     ser_analytic_many,
     ser_monte_carlo_many,
 )
-from .particles import SimConfig, SimResult, run_many
+from . import particles
+from .particles import SimConfig, SimResult
 
 __version__ = "0.1.0"
 
@@ -47,7 +48,7 @@ __all__ = [
     "classify_regime", "rx_area_fraction",
     "effective_diffusion", "cir_dispersion", "dispersion_peak_time", "flow_transit_times",
     "cir_flow_uniform", "uniform_response", "cir_flow_point", "flow_point_window",
-    "SimConfig", "SimResult", "run_many",
+    "SimConfig", "SimResult", "particles",
     "OokLinkConfig", "SerMethod", "SerResult", "detection_offsets", "ser_analytic_many",
     "optimal_threshold_many", "ser_monte_carlo_many",
     "__version__",

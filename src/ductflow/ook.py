@@ -59,10 +59,11 @@ Trimming drops only tail cells below 1e-18, about ``max(1, sd / 4) 1e-18``
 of a term's mass, so a count's law is off by at most the sum over its
 ``K + 1`` terms, which no Monte Carlo run resolves.
 ``PARTICLE_BINOMIAL`` is ``BINOMIAL_ANALYTIC`` on the empirical
-``P_ob(t0 + j T)`` of one particle-engine run of 100 000 particles, which
-the CLI's SER action makes.  A molecule seen at one instant can be seen
-again at the next, but that correlation couples the counts of different
-symbols, never the count of one, so the method is exact given the pool.
+``P_ob(t0 + j T)`` of a pool of 100 000 particles, from one engine run per
+sweep, which the CLI's SER action makes.  A molecule seen at one instant
+can be seen again at the next, but that correlation couples the counts of
+different symbols, never the count of one, so the method is exact given
+the pool.
 External noise molecules are modelled as Poisson with mean ``Nn``,
 independent across sampling instants.
 

@@ -38,20 +38,19 @@ Carlo Methods in Financial Engineering*, 2003, sec. 4.2).  One pass steps
 them as one ``(G, n)`` state, one row per release, and applies each draw to
 every row; the rows round as they would alone, so each release's counts
 equal those of a config with that release alone.  The state memory grows
-with ``G``.  Each config is cut into ``min(threads, os.cpu_count(),
-blocks)`` partitions of whole blocks.
+with ``G``.  A pass is cut into ``min(threads, os.cpu_count(), blocks)``
+partitions of whole blocks, one per worker.
 
 Workers are processes, not threads: each step makes a few dozen small NumPy
 calls, and threads handed the GIL back and forth around every one of them,
-so two threads ran no faster than one.  :func:`run_many`, the one scheduler,
-deals the partitions of all its configs, largest first, into one share per
-worker and reassembles each config's counts and snapshots in block order;
-one worker runs inline, with no fork.
-Otherwise each share runs in a child made by a bare ``os.fork``, so the
+so two threads ran no faster than one.  :func:`run` reassembles the
+partitions' counts and snapshots in block order; one partition runs
+inline, with no fork.
+Otherwise each partition runs in a child made by a bare ``os.fork``, so the
 workers inherit the parent's imports (no re-import of numpy per worker) and
 its module state; ``threads > 1`` therefore needs a POSIX ``fork``.  A
 child sends its pickled outcome back on its own pipe and leaves by
-``os._exit``; the parent runs no share, so its peak memory holds no engine
+``os._exit``; the parent runs no partition, so its peak memory holds no engine
 state.  ``import numpy`` starts OpenBLAS's thread pool, which OpenBLAS
 shuts down before a fork (3 OS threads before the first fork, 1 after, with
 numpy 2.4); the engine starts no thread, and the workers make no BLAS
@@ -81,7 +80,7 @@ from .duct import (
     validate_release,
 )
 
-__all__ = ["SimConfig", "SimResult", "run_many"]
+__all__ = ["SimConfig", "SimResult", "run"]
 
 #: Particles per random-stream block; part of the reproducibility contract.
 _BLOCK = 2048
@@ -318,29 +317,10 @@ def _partitions(config: SimConfig, workers: int) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
 
 
-def _weight(config: SimConfig, lo: int, hi: int) -> int:
-    """Particle-steps of a task times its rows, the releases of ``config``."""
-    return (hi - lo) * config.n_steps * len(config.releases)
+def _serve(config: SimConfig, lo: int, hi: int, fd: int) -> None:
+    """In a forked child: run particles ``[lo, hi)``, send the outcome pickled on ``fd``, exit.
 
-
-def _deal(weights: Sequence[int], workers: int) -> list[list[int]]:
-    """Indices of ``weights``, largest first, each dealt to the least loaded of ``workers`` shares.
-
-    Empty shares are dropped.
-    """
-    shares: list[list[int]] = [[] for _ in range(workers)]
-    loads = [0] * workers
-    for i in sorted(range(len(weights)), key=lambda i: -weights[i]):
-        least = loads.index(min(loads))
-        shares[least].append(i)
-        loads[least] += weights[i]
-    return [share for share in shares if share]
-
-
-def _serve(share: Sequence[tuple], fd: int) -> None:
-    """In a forked child: run ``share``'s tasks, send the outcome pickled on ``fd``, exit.
-
-    The outcome is ``(True, outputs)`` or ``(False, exception)``; an
+    The outcome is ``(True, output)`` or ``(False, exception)``; an
     exception that cannot be pickled goes as a ``RuntimeError`` naming it.  The
     child leaves by ``os._exit``, so it never returns into the caller and
     never flushes the stdio buffers it inherited.
@@ -348,7 +328,7 @@ def _serve(share: Sequence[tuple], fd: int) -> None:
     code = 1
     try:
         try:
-            outcome = (True, [_run_block(*task) for task in share])
+            outcome = (True, _run_block(config, lo, hi))
         except BaseException as exc:  # noqa: BLE001 - sent to the parent, which raises it
             try:
                 outcome = (False, pickle.loads(pickle.dumps(exc)))
@@ -362,8 +342,8 @@ def _serve(share: Sequence[tuple], fd: int) -> None:
         os._exit(code)
 
 
-def _fork_shares(shares: Sequence[Sequence[tuple]]) -> list[list]:
-    """The :func:`_run_block` outputs of each share's tasks, one forked child per share.
+def _fork_partitions(config: SimConfig, parts: Sequence[tuple[int, int]]) -> list:
+    """The :func:`_run_block` output of each of ``parts``, one forked child per partition.
 
     Pipes are read as they become ready, so the first failure raises at
     once: the worker's exception, or ``RuntimeError`` if it died.  Then
@@ -372,13 +352,13 @@ def _fork_shares(shares: Sequence[Sequence[tuple]]) -> list[list]:
     live: dict[int, int] = {}  # read end -> pid, for each child not yet reaped
     pipes: list[int] = []
     try:
-        for share in shares:
+        for lo, hi in parts:
             read, write = os.pipe()
             pipes.append(read)
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _serve(share, write)
+                    _serve(config, lo, hi, write)
             finally:
                 os.close(write)  # before the next fork, so EOF comes when this child exits
             live[read] = pid
@@ -408,17 +388,15 @@ def _fork_shares(shares: Sequence[Sequence[tuple]]) -> list[list]:
             os.close(read)
 
 
-def run_many(configs: Sequence[SimConfig], *, threads: int = 1) -> list[SimResult]:
-    """Simulate each of ``configs``, in order, on one set of workers.
+def run(config: SimConfig, *, threads: int = 1) -> SimResult:
+    """Simulate ``config``: one pass over its trajectories.
 
-    One pass over a config's trajectories counts each of its receivers
-    after each of its releases and captures per-particle ``(x, r^2)`` pairs
-    at its snapshot times.  The partitions of all configs are dealt to the
-    workers together (module notes).
+    The pass counts each receiver after each release and captures
+    per-particle ``(x, r^2)`` pairs at the snapshot times.
 
     Parameters
     ----------
-    configs : sequence of SimConfig
+    config : SimConfig
     threads : int
         Requested worker processes (at least 1); at most ``os.cpu_count()``
         and one per block.  Has no effect on the results (see the module
@@ -426,30 +404,18 @@ def run_many(configs: Sequence[SimConfig], *, threads: int = 1) -> list[SimResul
 
     Returns
     -------
-    list of SimResult
-        Per config, bit for bit what a call with it alone gives: the counts
-        of every (release, receiver) pair at every sample time and a
-        snapshot at each of its ``snapshot_times``.  ``[]`` gives ``[]``.
-        A worker that raises or dies raises here, and no partial results
-        are returned.
+    SimResult
+        The counts of every (release, receiver) pair at every sample time
+        and a snapshot at each of the ``snapshot_times``.  A worker that
+        raises or dies raises here, and no partial result is returned.
     """
     if threads < 1:
         raise ValueError("threads must be at least 1")
-    workers = min(threads, os.cpu_count() or 1)
-    tasks = [(i, lo, hi) for i, config in enumerate(configs)
-             for lo, hi in _partitions(config, workers)]
-    runs = [(configs[i], lo, hi) for i, lo, hi in tasks]
-    dealt = _deal([_weight(*run) for run in runs], workers)
-    shares = [[runs[t] for t in share] for share in dealt]
-    if len(shares) > 1:
-        outputs = _fork_shares(shares)
+    parts = _partitions(config, min(threads, os.cpu_count() or 1))
+    if len(parts) > 1:
+        outputs = _fork_partitions(config, parts)
     else:
-        outputs = [[_run_block(*task) for task in share] for share in shares]
-    done = {t: output for share, outs in zip(dealt, outputs) for t, output in zip(share, outs)}
-    parts: list[list] = [[] for _ in configs]
-    for t, (i, _, _) in enumerate(tasks):
-        parts[i].append(done[t])
-    return [SimResult(np.sum([c for c, _ in part], axis=0),
-                      {t: np.concatenate([snaps[t] for _, snaps in part], axis=1)
-                       for t in part[0][1]})
-            for part in parts]
+        outputs = [_run_block(config, *parts[0])]
+    return SimResult(np.sum([counts for counts, _ in outputs], axis=0),
+                     {t: np.concatenate([snaps[t] for _, snaps in outputs], axis=1)
+                      for t in outputs[0][1]})

@@ -23,12 +23,13 @@ from pathlib import Path
 import numpy as np
 
 from .config import MAX_GRID_POINTS, ConfigError, ResolvedConfig, load_config
+from . import particles
 from .duct import Regime, classify_regime
 from .impulse import cir_flow_point, uniform_response
 from .ook import (OokLinkConfig, SerMethod, detection_offsets, optimal_threshold_many,
                   ser_analytic_many, ser_monte_carlo_many)
 from .output import Table, emit_table
-from .particles import SimConfig, run_many
+from .particles import SimConfig
 
 __all__ = ["PRESETS", "ACTIONS", "preset_config", "publish",
            "regime_action", "cir_action", "simulate_action",
@@ -113,7 +114,7 @@ def cir_action(cfg: ResolvedConfig, threads: int = 1):
 def simulate_action(cfg: ResolvedConfig, threads: int = 1):
     """Particle-simulated observation series on the configured time grid."""
     sim = _sim_for_grid(cfg, (cfg.receiver(),), (cfg.release(),), cfg.time_grid())
-    counts = run_many([sim], threads=threads)[0].counts[0, 0]
+    counts = particles.run(sim, threads=threads).counts[0, 0]
     rows = [(float(t), int(c), sim.n_tx) for t, c in zip(sim.sample_times, counts)]
     yield _table(cfg, "observations", ("t_s", "count", "n_tx"), rows,
                  content="simulated observation series")
@@ -127,7 +128,7 @@ def _simulated_cir_tables(cfg: ResolvedConfig, threads: int):
     labels = ("uniform", "point")
     sim = _sim_for_grid(cfg, tuple(cfg.receiver(distance=d) for d in distances),
                         tuple(cfg.release(label) for label in labels), cfg.time_grid())
-    counts = run_many([sim], threads=threads)[0].counts
+    counts = particles.run(sim, threads=threads).counts
     n_tx = sim.n_tx
     for k, distance in enumerate(distances):
         for g, label in enumerate(labels):
@@ -149,7 +150,7 @@ def snapshot_action(cfg: ResolvedConfig, threads: int = 1):
     # A sample at step 0 draws nothing, so the snapshots alone set the run,
     # and times that snap to one step collapse into one snapshot.
     sim = _sim_for_grid(cfg, (cfg.receiver(),), (cfg.release(),), [0.0], times)
-    snapshots = run_many([sim], threads=threads)[0].snapshots
+    snapshots = particles.run(sim, threads=threads).snapshots
     for t in sorted(snapshots):
         yield _table(cfg, f"snapshot_t{t:g}s", ("particle_id", "x_m", "r2_m2"),
                      [(i, float(x), float(r2)) for i, (x, r2) in enumerate(snapshots[t][0])],
@@ -179,35 +180,37 @@ def _auto_link(cfg: ResolvedConfig, distance: float, symbol_interval: float):
 
 
 def _particle_pobs(cfg: ResolvedConfig, points, threads: int) -> list[np.ndarray]:
-    """The empirical ``P_ob`` of each ``(rx, offsets)`` point.
+    """The empirical ``P_ob`` of each ``(rx, offsets)`` point, all from one engine run.
 
-    Points with equal ``offsets`` share one engine run, which releases
-    ``_POOL_PARTICLES`` particles of the configured kind and counts those
-    inside each point's ``rx`` at the (step-snapped) detection offsets; a
-    receiver's counts do not depend on the others of its run.  The runs
-    share one set of workers.
+    Each point's offsets are first checked as a run of that point alone
+    would check them.  The one run releases ``_POOL_PARTICLES`` particles
+    of the configured kind and counts the points' distinct receivers at the
+    union of their step-snapped offsets; each point reads its own receiver
+    at its own steps.  The points thus share their paths, and each
+    ``P_ob`` is still the fraction of one pool.
     """
     pool = (replace(cfg.release(), n_tx=_POOL_PARTICLES),)
-    groups: dict[bytes, list[int]] = {}
-    for i, (_, offsets) in enumerate(points):
-        groups.setdefault(offsets.tobytes(), []).append(i)
-    sims = [_sim_for_grid(cfg, tuple(points[i][0] for i in group), pool, points[group[0]][1])
-            for group in groups.values()]
-    pobs = {i: result.counts[0, k] / _POOL_PARTICLES
-            for group, result in zip(groups.values(), run_many(sims, threads=threads))
-            for k, i in enumerate(group)}
-    return [pobs[i] for i in range(len(points))]
+    alone = [_sim_for_grid(cfg, (rx,), pool, offsets) for rx, offsets in points]
+    receivers = list(dict.fromkeys(rx for rx, _ in points))
+    times = sorted(set().union(*(sim.sample_times.tolist() for sim in alone)))
+    sim = _sim_for_grid(cfg, tuple(receivers), pool, times)
+    counts = particles.run(sim, threads=threads).counts[0] / _POOL_PARTICLES
+    return [counts[receivers.index(rx), np.searchsorted(sim.sample_steps, one.sample_steps)]
+            for (rx, _), one in zip(points, alone)]
 
 
 def ser_action(cfg: ResolvedConfig, threads: int = 1):
     """SER sweep over the configured distances and symbol intervals.
 
     Each point gives one row per ``ook.method`` entry, in the listed order.
-    ``particle_binomial`` takes the link's ``P_ob`` from an engine pool as
-    it is (:func:`_particle_pobs`).  Each method runs once over every
-    point's link (:func:`optimal_threshold_many`, :func:`ser_analytic_many`,
-    :func:`ser_monte_carlo_many`), each row the one a sweep of that point
-    alone would give.
+    ``particle_binomial`` takes each link's ``P_ob`` as it is from one
+    engine run per sweep (:func:`_particle_pobs`).  Each method runs once
+    over every point's link (:func:`optimal_threshold_many`,
+    :func:`ser_analytic_many`, :func:`ser_monte_carlo_many`), each row the
+    one a sweep of that point alone would give; with ``D > 0``, a
+    ``particle_binomial`` row of a sweep whose points differ in their
+    offsets is another draw of the same law, since the pool's axial
+    increments are drawn at every point's offsets.
     """
     methods = [SerMethod(method) for method in cfg["ook.method"]]
     realizations = cfg["ook.realizations"]

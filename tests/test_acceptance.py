@@ -30,13 +30,13 @@ from ductflow import (
     flow_transit_times,
     optimal_threshold_many,
     peclet_number,
-    run_many,
     rx_area_fraction,
     ser_analytic_many,
     ser_monte_carlo_many,
 )
 from ductflow.cli import main as cli_main
 from ductflow.oracles import oracle_cir_dispersion, oracle_cir_flow
+from ductflow.particles import run
 from test_impulse import random_flow_setup
 
 
@@ -79,7 +79,7 @@ def _run_uniform(channel, distance, t_stop, n_tx, seed, snapshot_times=(), threa
     cfg = SimConfig(channel=channel, receivers=(rx,), releases=(ReleaseSpec.uniform(n_tx),),
                     time_step=1e-3, seed=seed, sample_times=times,
                     snapshot_times=snapshot_times)
-    return rx, cfg, run_many([cfg], threads=threads)[0]
+    return rx, cfg, run(cfg, threads=threads)
 
 
 @pytest.fixture(scope="module")
@@ -122,7 +122,7 @@ def test_criterion_03_flow_only_exactness():
     times = np.arange(1, 401) * 1e-3
     cfg = SimConfig(channel=WIDE_FLOW_ONLY, receivers=(rx,), releases=(release,),
                     time_step=1e-3, seed=302, sample_times=times)
-    point = run_many([cfg], threads=4)[0].counts[0, 0]
+    point = run(cfg, threads=4).counts[0, 0]
     window = flow_point_window(WIDE_FLOW_ONLY, rx, release)
     full = np.flatnonzero(point == release.n_tx)
     edges_ok = (abs(cfg.sample_times[full[0]] - window[0]) <= 1e-3 + 1e-12
@@ -268,7 +268,7 @@ def test_criterion_05_wide_duct_reproduction():
     times = np.arange(1, 401) * 1e-3
     cfg = SimConfig(channel=WIDE, receivers=(rx,), releases=(release,), time_step=1e-3,
                     seed=20241, sample_times=times)
-    counts = run_many([cfg], threads=4)[0].counts[0, 0]
+    counts = run(cfg, threads=4).counts[0, 0]
     window = flow_point_window(WIDE, rx, release)
     width = window[1] - window[0]
     inner = (cfg.sample_times > window[0] + 0.02) & (cfg.sample_times < window[1] - 0.02)

@@ -425,7 +425,7 @@ class TestCli:
         def engine(*args, **kwargs):
             raise AssertionError("the engine ran for a refused call")
 
-        monkeypatch.setattr(presets, "run_many", engine)
+        monkeypatch.setattr(particles, "run", engine)
         rc = main(["preset", "cir_small_duct", "--out", str(tmp_path / "out"),
                    "--set", "cir.distances=200 um, 200.0001 um"])
         assert rc == 2
@@ -478,7 +478,7 @@ class TestCli:
         # before the particle_binomial pool starts the engine.
         def engine(*args, **kwargs):
             raise AssertionError("the engine ran for a refused link")
-        monkeypatch.setattr(presets, "run_many", engine)
+        monkeypatch.setattr(particles, "run", engine)
         rc = main(["ser", "--out", str(tmp_path), "--set", setting,
                    "--set", "ook.method=poisson_analytic,particle_binomial"])
         assert rc == 2
@@ -492,7 +492,7 @@ class TestCli:
                                                                  monkeypatch, method):
         def engine(*args, **kwargs):
             raise AssertionError("the engine ran for a refused link")
-        monkeypatch.setattr(presets, "run_many", engine)
+        monkeypatch.setattr(particles, "run", engine)
         rc = main(["ser", "--out", str(tmp_path), "--set", "ook.seq_len=1600",
                    "--set", "ook.threshold=70", "--set", f"ook.method=particle_binomial,{method}"])
         assert rc == 2
@@ -552,8 +552,7 @@ class TestCli:
         # A refused link must not wait behind a 100 000-particle pool.
         def engine(*args, **kwargs):
             raise AssertionError("the engine ran before every link was checked")
-        monkeypatch.setattr(presets, "run_many", engine)
-        monkeypatch.setattr(particles, "run_many", engine)
+        monkeypatch.setattr(particles, "run", engine)
         rc = main(["ser", "--out", str(tmp_path), "--set", "ook.method=particle_binomial",
                    "--set", "release.n_tx=100", "--set", "ook.threshold=500"])
         assert rc == 2
@@ -579,8 +578,9 @@ class TestCli:
         # engine pool, so its realization count is refused before either.
         def work(*args, **kwargs):
             raise AssertionError("SER work ran before ook.realizations was checked")
-        for name in ("optimal_threshold_many", "ser_analytic_many", "run_many"):
+        for name in ("optimal_threshold_many", "ser_analytic_many"):
             monkeypatch.setattr(presets, name, work)
+        monkeypatch.setattr(particles, "run", work)
         rc = main(["ser", "--out", str(tmp_path),
                    "--set", "ook.method=particle_binomial,monte_carlo_counts",
                    "--set", "ook.realizations=0"])

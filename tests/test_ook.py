@@ -5,6 +5,7 @@ import tracemalloc
 from collections import deque
 from dataclasses import replace
 from itertools import product
+from statistics import NormalDist
 
 import mpmath
 import numpy as np
@@ -24,11 +25,10 @@ from ductflow import (
     detection_offsets,
     flow_transit_times,
     optimal_threshold_many,
-    run_many,
     ser_analytic_many,
     ser_monte_carlo_many,
 )
-from ductflow import ook, presets
+from ductflow import ook, particles, presets
 from ductflow.config import load_config
 from ductflow.ook import (_MC_BLOCK, _MC_CELLS, _cdf_edges, _count_terms, _error_table,
                           _mc_block_errors, _sorted_draw, _stacked_pmfs)
@@ -968,8 +968,7 @@ class TestSerMonteCarlo:
     lambda: ser_analytic_many([]),
     lambda: optimal_threshold_many([]),
     lambda: ser_monte_carlo_many([], 10, seed=1),
-    lambda: run_many([]),
-], ids=["ser_analytic", "optimal_threshold", "ser_monte_carlo", "run"])
+], ids=["ser_analytic", "optimal_threshold", "ser_monte_carlo"])
 def test_batch_of_nothing_is_empty(many):
     assert many() == []
 
@@ -987,12 +986,58 @@ class TestParticleBinomial:
                          receivers=(make_receiver(10e-6, 20e-6),),
                          releases=(ReleaseSpec.uniform(2000),), time_step=1e-4, seed=7,
                          sample_times=offsets)
-        counts = run_many([pool])[0].counts[0, 0]
+        counts = particles.run(pool).counts[0, 0]
         assert np.all(counts > 0)
         assert np.array_equal(link.pob, counts / 2000)
         result = ser_analytic_many([link], SerMethod.BINOMIAL_ANALYTIC)[0]
         oracle = brute_force_errors(link, SerMethod.BINOMIAL_ANALYTIC)[:, link.threshold_xi]
         assert np.max(np.abs(result.per_symbol_errors - oracle)) <= rounding_tolerance(link)
+
+    @staticmethod
+    def sweep(diffusion):
+        """``particle_cfg``'s duct and pool over 2 distances and 2 symbol intervals,
+        and the ``(rx, offsets)`` of its points: four offset grids of K = 8."""
+        cfg = load_config({"channel.radius": 10e-6, "channel.diffusion": diffusion,
+                           "release.n_tx": 200, "sim.time_step": 1e-4, "seed": 7,
+                           "ser.distances": (20e-6, 40e-6), "ser.symbol_intervals": (0.01, 0.015),
+                           "ook.method": ("particle_binomial",), "ook.realizations": 0})
+        points = [_auto_link(cfg, d, T)[1:] for d in cfg["ser.distances"]
+                  for T in cfg["ser.symbol_intervals"]]
+        return cfg, points
+
+    def test_sweep_is_one_engine_run(self, monkeypatch):
+        monkeypatch.setattr(presets, "_POOL_PARTICLES", 2000)
+        cfg, points = self.sweep(0.0)
+        calls, engine = [], particles.run
+        monkeypatch.setattr(particles, "run",
+                            lambda config, **kw: calls.append(config) or engine(config, **kw))
+        (name, table), = presets.ser_action(cfg, threads=2)
+        assert len(table.rows) == 4
+        (config,) = calls
+        assert config.n_tx == 2000
+        assert config.receivers == tuple(cfg.receiver(distance=d) for d in (20e-6, 40e-6))
+        grids = [np.rint(offsets / 1e-4).astype(np.int64) for _, offsets in points]
+        assert len({grid.tobytes() for grid in grids}) == 4
+        assert np.array_equal(config.sample_steps, np.unique(np.concatenate(grids)))
+
+    def test_shared_run_matches_each_point_alone(self, monkeypatch):
+        # At D > 0 the shared run draws the axial increments at the union of
+        # the points' steps, so each P_ob is another draw of the pool
+        # fraction a run of that point alone gives.  Each is binomial, sd at
+        # most sqrt(p (1 - p) / n) with p the pair's mean, and sd(A - B) <=
+        # sd(A) + sd(B) whatever their correlation.  z keeps the normal
+        # false-alarm rate of all 32 two-sided comparisons at 1e-6.
+        monkeypatch.setattr(presets, "_POOL_PARTICLES", 2000)
+        cfg, points = self.sweep(1e-10)
+        shared = _particle_pobs(cfg, points, threads=2)
+        alone = [_particle_pobs(cfg, [point], threads=1)[0] for point in points]
+        z = NormalDist().inv_cdf(1.0 - 1e-6 / (2 * 32))
+        for a, b in zip(shared, alone):
+            assert np.any(b > 0)
+            p = (a + b) / 2.0
+            assert np.all(np.abs(a - b) <= z * 2.0 * np.sqrt(p * (1.0 - p) / 2000))
+        # The union grid moved the axial draws.
+        assert any(not np.array_equal(a, b) for a, b in zip(shared, alone))
 
 
 class TestLongSequences:

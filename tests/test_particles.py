@@ -1,6 +1,6 @@
 """Particle engine: release sampling, stepping, reflection, and full runs.
 
-Release and step tests drive the helpers ``run_many`` itself uses
+Release and step tests drive the helpers ``run`` itself uses
 (``_streams``, ``_initial_block``, ``_draw_normals``, ``_advance_inplace``),
 so they check the block-keyed ziggurat streams of every run.  Tests that
 compare worker counts patch ``os.cpu_count`` (``several_cpus``), so they
@@ -41,7 +41,7 @@ from ductflow.particles import (
     _initial_block,
     _reflect_inplace,
     _streams,
-    run_many,
+    run,
 )
 from conftest import (exit_in_worker, kill_in_worker, make_channel, make_receiver,
                       point_in_receiver, raise_in_worker, unpicklable_in_worker)
@@ -60,7 +60,7 @@ def several_cpus(monkeypatch):
 
 
 def released(release, radius, seed, lo=0, hi=None):
-    """The positions ``run_many`` starts particles ``[lo, hi)`` of ``seed`` from."""
+    """The positions ``run`` starts particles ``[lo, hi)`` of ``seed`` from."""
     spans, cross, _ = _streams(seed, lo, release.n_tx if hi is None else hi)
     return tuple(row for row, in _initial_block([release], radius, spans, cross))
 
@@ -68,7 +68,7 @@ def released(release, radius, seed, lo=0, hi=None):
 def walked(release, channel, seed, steps, dt=1e-3):
     """Release positions and ``(x, y, z)`` after ``steps`` engine steps.
 
-    ``x`` carries the advection only: ``run_many`` adds the axial noise at the
+    ``x`` carries the advection only: ``run`` adds the axial noise at the
     sample and snapshot steps.
     """
     n = release.n_tx
@@ -237,7 +237,7 @@ class TestStep:
         channel = make_channel(radius=1e-5, diffusion=1e-10, mean_velocity=0.0)
         cfg = sim_config(channel, (make_receiver(1e-5, 200e-6),), ReleaseSpec.uniform(20_000),
                          [0.05], seed=4, snapshot_times=[0.05])
-        u = run_many([cfg])[0].snapshots[0.05][0][:, 1] / (1e-5) ** 2
+        u = run(cfg).snapshots[0.05][0][:, 1] / (1e-5) ** 2
         ks = stats.kstest(u, "uniform")
         assert ks.pvalue > 0.01
 
@@ -255,7 +255,7 @@ class TestStep:
         t = 0.4
         cfg = sim_config(channel, (make_receiver(10e-6, 200e-6),), ReleaseSpec.uniform(3000),
                          [0.1, t], dt=1e-3, snapshot_times=[t])
-        cloud = run_many([cfg])[0].snapshots[t][0]
+        cloud = run(cfg).snapshots[t][0]
         x, r2 = cloud[:, 0], cloud[:, 1]
         u = 2.0 * channel.mean_velocity * (1.0 - r2 / (10e-6) ** 2)
         np.testing.assert_allclose(x, u * t, rtol=1e-12, atol=0.0)
@@ -269,7 +269,7 @@ class TestStep:
         for times in ([0.3], [0.01, 0.3], np.arange(1, 301) * 1e-3):
             cfg = sim_config(channel, (make_receiver(10e-6, 200e-6),), ReleaseSpec.uniform(n),
                              times, seed=31, snapshot_times=[0.3])
-            x = run_many([cfg])[0].snapshots[0.3][0][:, 0]
+            x = run(cfg).snapshots[0.3][0][:, 0]
             stat = np.sum(x * x) / (2.0 * channel.diffusion_D * 0.3)
             assert stats.chi2.ppf(5e-4, n) <= stat <= stats.chi2.ppf(1.0 - 5e-4, n)
 
@@ -279,8 +279,8 @@ class TestStep:
         channel = make_channel(radius=10e-6, diffusion=1e-10)
         rx = make_receiver(10e-6, 20e-6)
         release = ReleaseSpec.uniform(_BLOCK + 500)
-        clouds = [run_many([sim_config(channel, (rx,), release, times, seed=6,
-                                       snapshot_times=[0.05])], threads=2)[0].snapshots[0.05][0]
+        clouds = [run(sim_config(channel, (rx,), release, times, seed=6,
+                                 snapshot_times=[0.05]), threads=2).snapshots[0.05][0]
                   for times in ([0.08], np.arange(1, 81) * 1e-3)]
         assert np.array_equal(clouds[0][:, 1], clouds[1][:, 1])
         assert not np.array_equal(clouds[0][:, 0], clouds[1][:, 0])
@@ -291,7 +291,7 @@ class TestRun:
         rx = make_receiver(200e-6, 200e-6)
         times = np.arange(1, 301) * 1e-3
         cfg = sim_config(wide_flow_only, (rx,), ReleaseSpec.uniform(50_000), times, seed=7)
-        counts = run_many([cfg])[0].counts[0, 0]
+        counts = run(cfg).counts[0, 0]
         p = cir_flow_uniform(wide_flow_only, rx, cfg.sample_times)
         bound = 3.0 * np.sqrt(p * (1.0 - p) / cfg.n_tx)
         inside = np.abs(counts / cfg.n_tx - p) <= bound + 1e-12
@@ -302,7 +302,7 @@ class TestRun:
         release = ReleaseSpec.point(10_000, 150e-6, 0.0)
         times = np.arange(1, 401) * 1e-3
         cfg = sim_config(wide_flow_only, (rx,), release, times)
-        counts, times = run_many([cfg])[0].counts[0, 0], cfg.sample_times
+        counts, times = run(cfg).counts[0, 0], cfg.sample_times
         window = flow_point_window(wide_flow_only, rx, release)
         full = np.flatnonzero(counts == release.n_tx)
         assert abs(times[full[0]] - window[0]) <= cfg.time_step
@@ -314,7 +314,7 @@ class TestRun:
     def test_empty_release(self, wide_flow_only):
         rx = make_receiver(200e-6, 200e-6)
         cfg = sim_config(wide_flow_only, (rx,), ReleaseSpec.uniform(0), [0.01, 0.02])
-        counts = run_many([cfg])[0].counts[0, 0]
+        counts = run(cfg).counts[0, 0]
         assert np.all(counts == 0)
 
     def test_deterministic_across_thread_counts(self, narrow_channel, several_cpus):
@@ -322,7 +322,7 @@ class TestRun:
         times = np.arange(1, 60) * 2e-3
         cfg = sim_config(narrow_channel, (rx,), ReleaseSpec.uniform(5_000), times,
                          snapshot_times=[0.05])
-        results = [run_many([cfg], threads=t)[0] for t in (1, 2, 7)]
+        results = [run(cfg, threads=t) for t in (1, 2, 7)]
         for other in results[1:]:
             assert np.array_equal(results[0].counts[0, 0], other.counts[0, 0])
             assert np.array_equal(results[0].snapshots[0.05][0], other.snapshots[0.05][0])
@@ -330,20 +330,18 @@ class TestRun:
     @pytest.mark.parametrize("n_tx", [_BLOCK // 3, 3 * _BLOCK + 77])
     def test_counts_identical_across_partitions(self, narrow_channel, several_cpus, n_tx):
         # Below one block there is one partition whatever the thread count;
-        # a ragged last block must not shift any other block's streams.  A
-        # many-config call gives each config the results of its own run,
-        # whatever the other configs' partitions are.
+        # a ragged last block must not shift any other block's streams.
         rx, times = make_receiver(10e-6, 20e-6), np.arange(0, 41) * 1e-3
         cfgs = [sim_config(narrow_channel, (rx,), release, times, seed=seed, dt=1e-4,
                            snapshot_times=[0.02])
                 for release, seed in ((ReleaseSpec.uniform(n_tx), 1234),
                                       (ReleaseSpec.uniform(0), 1234),
                                       (ReleaseSpec.point(_BLOCK + 5, 8e-6, 0.3), 99))]
-        alone = [run_many([cfg])[0] for cfg in cfgs]
+        alone = [run(cfg) for cfg in cfgs]
         assert alone[0].counts[0, 0].sum() > 0
         for t in (1, 2, 3, 4):
-            results = [run_many([cfgs[0]], threads=t)[0], *run_many(cfgs, threads=t)]
-            for result, reference in zip(results, [alone[0], *alone]):
+            for cfg, reference in zip(cfgs, alone):
+                result = run(cfg, threads=t)
                 assert np.array_equal(result.counts[0, 0], reference.counts[0, 0])
                 assert np.array_equal(result.snapshots[0.02][0], reference.snapshots[0.02][0])
 
@@ -364,88 +362,31 @@ class TestRun:
         (t,) = snaps
         assert np.array_equal(np.concatenate([s[t] for _, s in parts], axis=1), snaps[t])
 
-    @pytest.fixture
-    def inline_shares(self, monkeypatch):
-        """Runs the shares that would be forked in this process instead.
-
-        Returns one entry per call of ``_fork_shares``: for each share, the
-        ``(n_tx, lo, hi, releases)`` of its tasks in the order they run.
-        """
-        calls = []
-
-        def run_inline(shares):
-            calls.append([[(config.n_tx, lo, hi, len(config.releases))
-                           for config, lo, hi in share] for share in shares])
-            return [[particles._run_block(*task) for task in share] for share in shares]
-
-        monkeypatch.setattr(particles, "_fork_shares", run_inline)
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        return calls
-
-    def test_workers_capped_at_cpu_count(self, narrow_channel, inline_shares, monkeypatch):
+    def test_workers_capped_at_cpu_count(self, narrow_channel, monkeypatch):
         # One partition, and one worker, per requested thread, but no more
         # than there are CPUs or partitions; one worker runs inline, with no
-        # fork.
-        calls = []
+        # fork.  The partitions that would be forked run in this process.
+        forks, calls = [], []
         run_block = particles._run_block
         monkeypatch.setattr(particles, "_run_block",
                             lambda *args: calls.append(args) or run_block(*args))
+        monkeypatch.setattr(particles, "_fork_partitions",
+                            lambda config, parts: forks.append(parts)
+                            or [particles._run_block(config, *part) for part in parts])
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
         for n_tx, parts in ((64, [1, 1, 1]), (10 * _BLOCK + 5, [1, 2, 4])):
             cfg = sim_config(narrow_channel, (make_receiver(10e-6, 20e-6),),
                              ReleaseSpec.uniform(n_tx), np.arange(1, 21) * 1e-3)
             counts, seen = [], []
             for t in (1, 2, 64):
-                inline_shares.clear()
+                forks.clear()
                 calls.clear()
-                counts.append(run_many([cfg], threads=t)[0].counts[0, 0])
-                workers = len(inline_shares[0]) if inline_shares else 1
+                counts.append(run(cfg, threads=t).counts[0, 0])
+                workers = len(forks[0]) if forks else 1
                 seen.append((workers, len(calls)))
-                assert len(inline_shares) == (workers > 1)
+                assert len(forks) == (workers > 1)
             assert seen == [(k, k) for k in parts]
             assert all(np.array_equal(c, counts[0]) for c in counts)
-        # Two runs' partitions share the CPUs' workers (other seeds: no group).
-        inline_shares.clear()
-        calls.clear()
-        run_many([cfg, replace(cfg, seed=cfg.seed + 1)], threads=64)
-        (shares,) = inline_shares
-        assert ([len(share) for share in shares], len(calls)) == ([2, 2, 2, 2], 8)
-
-    def test_partitions_submitted_largest_first(self, narrow_channel, inline_shares):
-        # Partitions of every config are dealt by particle-steps, largest
-        # first, each to the least loaded worker: 200 steps of 3 blocks
-        # outweigh 20 steps of 11, and the larger long partition outweighs
-        # the other three together.
-        rx = make_receiver(10e-6, 20e-6)
-        long = sim_config(narrow_channel, (rx,), ReleaseSpec.uniform(3 * _BLOCK),
-                          np.arange(1, 201) * 1e-3)
-        wide = sim_config(narrow_channel, (rx,), ReleaseSpec.uniform(10 * _BLOCK + 5),
-                          np.arange(1, 21) * 1e-3)
-        results = run_many([long, wide], threads=2)
-        (shares,) = inline_shares
-        n_long, n_wide = 3 * _BLOCK, 10 * _BLOCK + 5
-        assert shares == [[(n_long, _BLOCK, n_long, 1)],
-                          [(n_long, 0, _BLOCK, 1), (n_wide, 5 * _BLOCK, n_wide, 1),
-                           (n_wide, 0, 5 * _BLOCK, 1)]]
-        for cfg, result in zip([long, wide], results):
-            assert np.array_equal(result.counts[0, 0],
-                                  run_many([cfg])[0].counts[0, 0])
-
-    def test_group_outweighs_single_run_of_same_size(self, narrow_channel, inline_shares):
-        # A config of two releases steps twice the particles of one config
-        # of the same particle count and steps, so its partitions go first.
-        rx = make_receiver(10e-6, 20e-6)
-        n, times = 2 * _BLOCK, np.arange(1, 21) * 1e-3
-        single = sim_config(narrow_channel, (rx,), ReleaseSpec.uniform(n), times, seed=5)
-        releases = (ReleaseSpec.uniform(n), ReleaseSpec.point(n, 8e-6))
-        pair = replace(single, releases=releases, seed=6)
-        results = run_many([single, pair], threads=2)
-        (shares,) = inline_shares
-        assert shares == [[(n, 0, _BLOCK, 2), (n, 0, _BLOCK, 1)],
-                          [(n, _BLOCK, n, 2), (n, _BLOCK, n, 1)]]
-        assert np.array_equal(results[0].counts[0, 0], run_many([single])[0].counts[0, 0])
-        for g, release in enumerate(releases):
-            assert np.array_equal(results[1].counts[g, 0],
-                                  run_many([replace(pair, releases=(release,))])[0].counts[0, 0])
 
     @pytest.mark.parametrize("fault,error,match", [
         pytest.param(raise_in_worker, RuntimeError, "^worker failed$",
@@ -464,15 +405,15 @@ class TestRun:
         cfg = sim_config(narrow_channel, (make_receiver(10e-6, 20e-6),),
                          ReleaseSpec.uniform(2 * _BLOCK), np.arange(1, 21) * 1e-3)
         with pytest.raises(error, match=match):
-            run_many([cfg], threads=2)
+            run(cfg, threads=2)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
     def test_no_child_outlives_a_pooled_run(self, narrow_channel, several_cpus):
         cfg = sim_config(narrow_channel, (make_receiver(10e-6, 20e-6),),
                          ReleaseSpec.uniform(2 * _BLOCK), np.arange(1, 21) * 1e-3)
-        assert np.array_equal(run_many([cfg], threads=2)[0].counts[0, 0],
-                              run_many([cfg])[0].counts[0, 0])
+        assert np.array_equal(run(cfg, threads=2).counts[0, 0],
+                              run(cfg).counts[0, 0])
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -495,7 +436,7 @@ class TestRun:
                          ReleaseSpec.uniform(2 * _BLOCK), np.arange(1, 21) * 1e-3)
         start = time.monotonic()
         with pytest.raises(error, match="share failed"):
-            run_many([cfg], threads=2)
+            run(cfg, threads=2)
         assert time.monotonic() - start < 30
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -508,7 +449,7 @@ class TestRun:
                          np.arange(1, 21) * 1e-3, snapshot_times=[0.005, 0.02])
         assert particles._partitions(cfg, 2) == [(0, 2 * _BLOCK), (2 * _BLOCK, n)]
         assert (n - 2 * _BLOCK) * 2 * 8 > 64 * 1024
-        one, two = run_many([cfg])[0], run_many([cfg], threads=2)[0]
+        one, two = run(cfg), run(cfg, threads=2)
         assert two.counts[0, 0].tobytes() == one.counts[0, 0].tobytes()
         assert list(two.snapshots) == list(one.snapshots) == [0.005, 0.02]
         for t, snapshot in one.snapshots.items():
@@ -523,23 +464,23 @@ class TestRun:
         monkeypatch.setattr(threading.Thread, "start", refuse)
         cfg = sim_config(narrow_channel, (make_receiver(10e-6, 20e-6),),
                          ReleaseSpec.uniform(2 * _BLOCK), np.arange(1, 21) * 1e-3)
-        assert np.array_equal(run_many([cfg], threads=2)[0].counts[0, 0],
-                              run_many([cfg])[0].counts[0, 0])
+        assert np.array_equal(run(cfg, threads=2).counts[0, 0],
+                              run(cfg).counts[0, 0])
 
     def test_fork_emits_no_warning(self, narrow_channel, several_cpus):
         cfg = sim_config(narrow_channel, (make_receiver(10e-6, 20e-6),),
                          ReleaseSpec.uniform(2 * _BLOCK), np.arange(1, 21) * 1e-3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            counts = run_many([cfg], threads=2)[0].counts[0, 0]
-        assert np.array_equal(counts, run_many([cfg])[0].counts[0, 0])
+            counts = run(cfg, threads=2).counts[0, 0]
+        assert np.array_equal(counts, run(cfg).counts[0, 0])
 
     def test_mean_axial_position_tracks_mean_velocity(self, narrow_channel):
         rx = make_receiver(10e-6, 800e-6)
         times = [0.1, 0.2, 0.3]
         cfg = sim_config(narrow_channel, (rx,), ReleaseSpec.uniform(20_000), times, seed=77,
                          snapshot_times=times)
-        result = run_many([cfg])[0]
+        result = run(cfg)
         for t in times:
             x = result.snapshots[t][0][:, 0]
             stderr = x.std() / math.sqrt(x.size)
@@ -599,7 +540,7 @@ class TestRun:
         channel = make_channel(radius=10e-6, diffusion=diffusion)
         cfg = sim_config(channel, (make_receiver(10e-6, 20e-6),), ReleaseSpec.uniform(1500),
                          np.arange(0, 41) * 1e-3, seed=2017, dt=1e-4)
-        counts = run_many([cfg], threads=threads)[0].counts[0, 0]
+        counts = run(cfg, threads=threads).counts[0, 0]
         assert counts.dtype == np.int64 and counts.sum() > 0
         assert hashlib.sha256(counts.tobytes()).hexdigest() == self.COUNTS_SHA256[diffusion]
 
@@ -624,12 +565,12 @@ class TestGrouping:
     @pytest.mark.parametrize("diffusion", [1e-10, 0.0])
     def test_group_matches_each_run(self, diffusion, several_cpus):
         cfg = self.config(diffusion)
-        alone = {(g, k): run_many([replace(cfg, releases=(release,), receivers=(rx,))])[0]
+        alone = {(g, k): run(replace(cfg, releases=(release,), receivers=(rx,)))
                  for g, release in enumerate(cfg.releases) for k, rx in enumerate(cfg.receivers)}
         # Each release seen by a receiver: (release, receiver) pairs that count.
         assert all(alone[pair].counts.sum() > 0 for pair in ((0, 0), (1, 2), (2, 0), (3, 2)))
         for t in (1, 2, 3, 4):
-            result = run_many([cfg], threads=t)[0]
+            result = run(cfg, threads=t)
             assert result.counts.shape == (4, 3, self.TIMES.size)
             for (g, k), reference in alone.items():
                 assert np.array_equal(result.counts[g, k], reference.counts[0, 0])
@@ -643,11 +584,11 @@ class TestGrouping:
         draw = particles._draw_normals
         monkeypatch.setattr(particles, "_draw_normals",
                             lambda *args: calls.append(1) or draw(*args))
-        run_many([replace(cfg, releases=cfg.releases[:1])])
+        run(replace(cfg, releases=cfg.releases[:1]))
         alone = len(calls)
         for rows in (2, 3, 4):
             calls.clear()
-            run_many([replace(cfg, releases=cfg.releases[:rows])])
+            run(replace(cfg, releases=cfg.releases[:rows]))
             assert alone > 0 and len(calls) == alone
 
     def test_no_release_refused(self):
@@ -670,7 +611,7 @@ class TestSnapshots:
         rx = make_receiver(10e-6, 200e-6)
         cfg = sim_config(narrow_channel, (rx,), ReleaseSpec.uniform(500), [0.01],
                          snapshot_times=[0.0])
-        result = run_many([cfg])[0]
+        result = run(cfg)
         cloud = result.snapshots[0.0][0]
         assert np.all(cloud[:, 0] == 0.0)
         assert np.all(cloud[:, 1] <= (10e-6) ** 2)
@@ -680,7 +621,7 @@ class TestSnapshots:
         rx = make_receiver(10e-6, 200e-6)
         t = 0.02
         cfg = sim_config(channel, (rx,), ReleaseSpec.uniform(2000), [t], snapshot_times=[t])
-        cloud = run_many([cfg])[0].snapshots[t][0]
+        cloud = run(cfg).snapshots[t][0]
         a2 = (10e-6) ** 2
         line = a2 * (1.0 - cloud[:, 0] / (2.0 * channel.mean_velocity * t))
         assert np.allclose(cloud[:, 1], line, rtol=1e-9, atol=1e-24)
@@ -691,7 +632,7 @@ class TestSnapshots:
         rx = make_receiver(10e-6, 800e-6)
         cfg = sim_config(narrow_channel, (rx,), ReleaseSpec.uniform(1000), [0.8], seed=15,
                          snapshot_times=[0.8])
-        cloud = run_many([cfg])[0].snapshots[0.8][0]
+        cloud = run(cfg).snapshots[0.8][0]
         u = cloud[:, 1] / (10e-6) ** 2
         ks = stats.kstest(u, "uniform")
         critical_1pct = 1.63 / math.sqrt(u.size)
@@ -708,7 +649,7 @@ class TestSnapshots:
                          [0.01], snapshot_times=[0.02, 0.0051, 0.005, 0.02])
         assert cfg.snapshot_steps.tolist() == [5, 20]
         assert np.array_equal(cfg.snapshot_times, [5e-3, 20e-3])
-        assert sorted(run_many([cfg])[0].snapshots) == [5e-3, 20e-3]
+        assert sorted(run(cfg).snapshots) == [5e-3, 20e-3]
 
     def test_run_reaches_snapshot_after_last_sample(self, narrow_channel):
         cfg = sim_config(narrow_channel, (make_receiver(10e-6, 200e-6),), ReleaseSpec.uniform(10),
@@ -716,7 +657,7 @@ class TestSnapshots:
         assert cfg.n_steps == 50
         assert sim_config(narrow_channel, (make_receiver(10e-6, 200e-6),),
                           ReleaseSpec.uniform(10), [0.01, 0.02]).n_steps == 20
-        assert run_many([cfg])[0].snapshots[0.05][0].shape == (10, 2)
+        assert run(cfg).snapshots[0.05][0].shape == (10, 2)
 
     #: SHA-256 of the snapshots (in time order) and of the counts of the run
     #: below: they pin the snapshot path for a config made by ``replace``,
@@ -727,7 +668,7 @@ class TestSnapshots:
     def test_replace_matches_pinned_snapshots(self, narrow_channel):
         cfg = sim_config(narrow_channel, (make_receiver(10e-6, 20e-6),), ReleaseSpec.uniform(2500),
                          np.arange(0, 21) * 1e-3, seed=2017, dt=1e-4)
-        result = run_many([replace(cfg, snapshot_times=[0.03, 0.0101, 0.01, 0.0])])[0]
+        result = run(replace(cfg, snapshot_times=[0.03, 0.0101, 0.01, 0.0]))
         assert sorted(result.snapshots) == [k * 1e-4 for k in (0, 100, 101, 300)]
         digest = hashlib.sha256()
         for t in sorted(result.snapshots):
@@ -752,12 +693,12 @@ class TestMultiReceiver:
         release = ReleaseSpec.uniform(3000)
         multi_cfg = sim_config(channel, self.RECEIVERS, release, self.TIMES,
                                snapshot_times=self.SNAPS)
-        multi = run_many([multi_cfg], threads=threads)[0]
+        multi = run(multi_cfg, threads=threads)
         assert len(multi.counts[0]) == len(self.RECEIVERS)
         for rx, counts in zip(self.RECEIVERS, multi.counts[0]):
             single_cfg = sim_config(channel, (rx,), release, self.TIMES,
                                     snapshot_times=self.SNAPS)
-            single = run_many([single_cfg], threads=threads)[0]
+            single = run(single_cfg, threads=threads)
             assert counts.sum() > 0
             assert np.array_equal(counts, single.counts[0, 0])
             assert np.array_equal(multi_cfg.sample_times, single_cfg.sample_times)
@@ -767,7 +708,7 @@ class TestMultiReceiver:
     def test_empty_release(self, narrow_channel):
         cfg = sim_config(narrow_channel, self.RECEIVERS, ReleaseSpec.uniform(0), self.TIMES,
                          snapshot_times=self.SNAPS)
-        result = run_many([cfg], threads=3)[0]
+        result = run(cfg, threads=3)
         assert len(result.counts[0]) == len(self.RECEIVERS)
         assert cfg.n_tx == 0
         for counts in result.counts[0]:
@@ -778,7 +719,7 @@ class TestMultiReceiver:
         rx = self.RECEIVERS[0]
         cfg = sim_config(narrow_channel, (rx,), ReleaseSpec.uniform(10), self.TIMES)
         assert cfg.receivers == (rx,)
-        assert len(run_many([cfg])[0].counts[0]) == 1
+        assert len(run(cfg).counts[0]) == 1
 
     def test_every_receiver_is_validated(self, narrow_channel):
         too_deep = ReceiverVolume(axial_distance_d=200e-6, extent_cx=5e-6,
@@ -794,4 +735,4 @@ class TestMultiReceiver:
         cfg = sim_config(narrow_channel, (self.RECEIVERS[0],), ReleaseSpec.uniform(10),
                          self.TIMES)
         with pytest.raises(ValueError, match="threads"):
-            run_many([cfg], threads=threads)
+            run(cfg, threads=threads)

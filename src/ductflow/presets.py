@@ -22,8 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import MAX_GRID_POINTS, ConfigError, ResolvedConfig, load_config
 from . import particles
+from .config import MAX_GRID_POINTS, ConfigError, ResolvedConfig, load_config
 from .duct import Regime, classify_regime
 from .impulse import cir_flow_point, uniform_response
 from .ook import (OokLinkConfig, SerMethod, detection_offsets, optimal_threshold_many,

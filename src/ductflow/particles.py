@@ -22,24 +22,41 @@ Reproducibility contract: particles form blocks of ``_BLOCK`` by index.
 Block ``b`` owns two generators built from
 ``SeedSequence(seed, spawn_key=(b, axis))``: axis 0 draws two release
 uniforms per particle, for every release kind (a point release ignores
-them), then each step's ``y`` and ``z`` normals; axis 1 draws one ``x``
-normal per particle at each sample or snapshot step, so the sample grid
-leaves the ``y, z`` streams alone.
+them), then each step's ``y`` and ``z`` normals per live particle; axis 1
+draws one ``x`` normal per live particle at each sample or snapshot step,
+so the sample grid leaves the ``y, z`` streams alone until a particle
+retires.
 Normals are numpy's ziggurat ``standard_normal`` (Marsaglia & Tsang, 2000)
 on SFC64, chosen over Philox for speed (13.5 against 22.5 ns a normal on a
 2-vCPU Xeon, numpy 2.4).  A run is thus a function of its :class:`SimConfig`
-alone, bit-identical for any worker count and partition.  Receivers are
-transparent: a receiver's counts equal those of a run with that receiver
-alone.
+alone, bit-identical for any worker count and partition.
 
-The releases of one config, which share its ``n_tx``, therefore draw the
-same normals, common random numbers across releases (Glasserman, *Monte
-Carlo Methods in Financial Engineering*, 2003, sec. 4.2).  One pass steps
-them as one ``(G, n)`` state, one row per release, and applies each draw to
-every row; the rows round as they would alone, so each release's counts
-equal those of a config with that release alone.  The state memory grows
-with ``G``.  A pass is cut into ``min(threads, os.cpu_count(), blocks)``
-partitions of whole blocks, one per worker.
+Retirement: the flow never runs upstream, so only axial diffusion brings a
+particle back.  From the last snapshot step on (a snapshot holds every
+particle), each sample step before the last retires each particle index
+that every release row holds past the farthest receiver, ``max(d + c_x/2)``,
+by ``k = _RETIRE_SIGMAS = 8`` widths ``sqrt(2 D t)``, ``t`` the time left
+to the last sample step.  Such a particle would be counted again with
+probability at most ``2 Phi(-k)``, about 1.2e-15 (reflection principle).
+Each block's state is compacted to its live particles, in index order, and
+its generators go on drawing for them alone.  The decision is per particle,
+so the bytes stay independent of the partition.  With ``D = 0`` the rule
+is exact and no normal is drawn, so retirement moves no count.
+
+The releases of one config, which share its ``n_tx``, draw the same
+normals, common random numbers across releases (Glasserman, *Monte Carlo
+Methods in Financial Engineering*, 2003, sec. 4.2).  One pass steps them as
+one ``(G, n)`` state, one row per release, and applies each draw to every
+row.  The state memory grows with ``G``.  A pass is cut into
+``min(threads, os.cpu_count(), blocks)`` partitions of whole blocks, one per
+worker.
+
+Two contracts hold byte for byte only with ``D = 0`` or where nothing
+retires, and otherwise in distribution: each release's counts equal those
+of a config with that release alone, and each receiver's counts equal those
+of a run with that receiver alone.  With ``D > 0`` a retired index hands
+its draws to the live indices after it in its block, and which indices
+retire depends on every row and on the farthest receiver.
 
 Workers are processes, not threads: each step makes a few dozen small NumPy
 calls, and threads handed the GIL back and forth around every one of them,
@@ -84,6 +101,9 @@ __all__ = ["SimConfig", "SimResult", "run"]
 
 #: Particles per random-stream block; part of the reproducibility contract.
 _BLOCK = 2048
+#: Axial-diffusion widths ``k`` past the farthest receiver at which a particle
+#: retires; part of the reproducibility contract.
+_RETIRE_SIGMAS = 8.0
 _MAX_SEED = 2 ** 64
 
 
@@ -250,7 +270,11 @@ def _advance_inplace(x, y, z, r2, channel: DuctChannelConfig, dt: float, normals
 
     ``x, y, z, r2`` are ``(n,)`` or ``(G, n)``; ``normals`` is ``(2, n)``
     (scaled in place), and each of its columns moves that particle of every row.
+    ``y, z, r2`` must be C-contiguous (``ValueError`` otherwise).
     """
+    if not (y.flags.c_contiguous and z.flags.c_contiguous and r2.flags.c_contiguous):
+        # A reshape of any other layout copies, and the wall folds would be lost.
+        raise ValueError("engine state must be C-contiguous")
     a = channel.radius_a
     x += (2.0 * channel.mean_velocity) * (1.0 - r2 / (a * a)) * dt
     if normals is not None:
@@ -270,11 +294,28 @@ def _hits(rx: ReceiverVolume, radius_a: float, x, y, z, r2) -> int:
     return int(np.count_nonzero(np.abs(np.arctan2(z[cand], y[cand])) <= rx.extent_cphi / 2.0))
 
 
+def _retirement_line(config: SimConfig, step: int, sigmas: float) -> float:
+    """The axial position past which a particle retires at sample ``step`` (module docstring).
+
+    It is ``inf`` before the last snapshot step, whose snapshot holds every
+    particle, and from the last sample step on, after which nothing is
+    counted; it is ``nan`` for ``sigmas = inf`` with ``D = 0``.
+    """
+    final = int(config.sample_steps[-1])
+    if not config.snapshot_steps.max(initial=0) <= step < final:
+        return math.inf
+    reach = max(rx.axial_distance_d + rx.extent_cx / 2.0 for rx in config.receivers)
+    return reach + sigmas * math.sqrt(2.0 * config.channel.diffusion_D * config.time_step
+                                      * (final - step))
+
+
 def _run_block(config: SimConfig, lo: int, hi: int):
     """``(counts, snapshots)`` of particles ``[lo, hi)`` of ``config``; ``lo`` starts a block.
 
     Each release is one row of the ``(G, n)`` state, moved by the normals
-    drawn once per step for all rows.
+    drawn once per step for all rows.  From the last snapshot step on, each
+    sample step before the last retires the particles that no receiver can
+    count again and compacts the state to the others.
     """
     ch = config.channel
     dt = config.time_step
@@ -304,6 +345,19 @@ def _run_block(config: SimConfig, lo: int, hi: int):
                     counts[g, k, columns[j]] = _hits(rx, ch.radius_a, x[g], y[g], z[g], r2[g])
         if j in times:
             snapshots[times[j]] = np.stack((x, r2), axis=-1)
+        line = _retirement_line(config, j, _RETIRE_SIGMAS) if j in columns else math.inf
+        if line < math.inf:  # nan fails too
+            # An index retires once every row holds it past the line.
+            live = x.min(axis=0) <= line
+            if not live.all():
+                keep = np.flatnonzero(live)
+                x, y, z, r2 = (state.take(keep, axis=1) for state in (x, y, z, r2))
+                ends = np.cumsum([np.count_nonzero(live[s:e]) for s, e in spans]).tolist()
+                spans = list(zip([0] + ends[:-1], ends))
+                if normals is not None:
+                    normals = np.empty((2, keep.size))
+                if not keep.size:
+                    break  # the later counts stay 0
     return counts, snapshots
 
 

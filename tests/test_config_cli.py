@@ -854,18 +854,18 @@ CIR_GOLDEN_SHA256 = {
         "cir_analytic_d800um.csv": "d4f8cdfdb890faf619526dfdd89199d2bf3cb7efd21c9533d9402e3aa0eb0952",
         "cir_peaks.csv": "538a6cc7038328f1d01392a39ef2645e5f8ad2a6c065ee625fa44d5affcfd4ec",
         "cir_sim_point_d200um.csv": "3ed04523e70fcfdf89fd546640513df572ec518fa16195c2dad8c91702ca3240",
-        "cir_sim_point_d800um.csv": "e4b59ef9334aeac6e8521f63771a143d8a22c41ffd7b95a2f93423de632f8db9",
+        "cir_sim_point_d800um.csv": "e72bbe2f808cc3a03fe738a8e445037592600645b229e09a333f5a6f43eba8c0",
         "cir_sim_uniform_d200um.csv": "d0a853c7850fe1b1d03e25907d57d7887a9aaaedc0a47c54cb4486bcd806deb1",
-        "cir_sim_uniform_d800um.csv": "7432faa412b37008f48fceefb772c624bcde84cb79b2f620b394cdfd3e76b11b",
+        "cir_sim_uniform_d800um.csv": "b2950264d668d86af313535bb4cf4899d5f7d4e793fc274a7fdd619073990c57",
     },
     "cir_large_duct": {
         "cir_analytic_d200um.csv": "1a2e8704911ad491540f62055fd047603c8e3780a7e22b10734135b2a5659e27",
         "cir_analytic_d800um.csv": "1d93783d3cab45cdcce91d77b210e2dd7b02c3b415e7f2a6650fb98bb12d2183",
         "cir_peaks.csv": "c4d7d26d8ccc1f7cb5c95718c0b0f97df2b57ac22a3feaa409c2343c9c4950ce",
         "cir_sim_point_d200um.csv": "315a7b14ae27ea31af16623373cab9be2c3ca82eb4c4387dfc2bf427362d6d0e",
-        "cir_sim_point_d800um.csv": "a6eecd9f6f83fa79f625e19b4ceeb23687c3f1a04f3da0f8fcf190d27863c530",
-        "cir_sim_uniform_d200um.csv": "a88f054bbde5f0dc604067f242e2ee123256b9c358ed4fd7bef79eebd389c2e1",
-        "cir_sim_uniform_d800um.csv": "3ff7f9221f4c763f2a98f2642c1221b578685386e1e4029034282a3c39803055",
+        "cir_sim_point_d800um.csv": "998e2e8d8f19c375aec69c747a642935323955051cd13350abdfe4bacea27e3f",
+        "cir_sim_uniform_d200um.csv": "24c7ea6fef71c0467d105bc609ac536dd65b4987cc9ffc94b8b2cf77bb90efc4",
+        "cir_sim_uniform_d800um.csv": "aeefd1d7b059bb81cd6bd342475ec9d279cdcd4ead7ad354de48488a569ce519",
     },
 }
 
@@ -954,7 +954,7 @@ GOLDEN.update({
     "simulate": (
         ["simulate"] + SIM_ARGS,
         ["observations.csv"],
-        {"observations.csv": "79089524d6cbf2f44c084b37ea7fb9d4ab14e74e5dc45a63596d7ec6a0151b4f"}),
+        {"observations.csv": "49e11ac3f1c0e9cc41daef2f9ed83397164aeef0c10d364dde7874a689104e41"}),
     "simulate_flow_only": (
         ["simulate", "--set", "channel.diffusion=0"] + SIM_ARGS,
         ["observations.csv"],
@@ -984,18 +984,49 @@ GOLDEN.update({
 })
 
 
+#: The files of the ``D > 0`` calls above whose bytes particle retirement
+#: moves, as they are with nothing retired (``particles._RETIRE_SIGMAS =
+#: inf``): the digests these calls had before retirement, so the engine's
+#: streams are otherwise unchanged.  ``ser_particle_fixed_delay`` retires
+#: nothing before its last sample and keeps its bytes either way.
+UNRETIRED_SHA256 = {
+    "cir_small_duct": {
+        "cir_sim_point_d800um.csv": "e4b59ef9334aeac6e8521f63771a143d8a22c41ffd7b95a2f93423de632f8db9",
+        "cir_sim_uniform_d800um.csv": "7432faa412b37008f48fceefb772c624bcde84cb79b2f620b394cdfd3e76b11b",
+    },
+    "cir_large_duct": {
+        "cir_sim_point_d800um.csv": "a6eecd9f6f83fa79f625e19b4ceeb23687c3f1a04f3da0f8fcf190d27863c530",
+        "cir_sim_uniform_d200um.csv": "a88f054bbde5f0dc604067f242e2ee123256b9c358ed4fd7bef79eebd389c2e1",
+        "cir_sim_uniform_d800um.csv": "3ff7f9221f4c763f2a98f2642c1221b578685386e1e4029034282a3c39803055",
+    },
+    "simulate": {
+        "observations.csv": "79089524d6cbf2f44c084b37ea7fb9d4ab14e74e5dc45a63596d7ec6a0151b4f"},
+    "ser_particle_fixed_delay": {},
+}
+
+
 class TestCirPresetGoldenBytes:
     """CLI calls end to end, pinned byte for byte at tiny sizes."""
 
-    @pytest.mark.parametrize("threads", ["1", "2"])
-    @pytest.mark.parametrize("name", sorted(GOLDEN))
-    def test_outputs_match_pinned_digests(self, tmp_path, capsys, name, threads):
-        argv, order, expected = GOLDEN[name]
+    @staticmethod
+    def digests(tmp_path, capsys, name, threads):
+        argv, order, _ = GOLDEN[name]
         out = tmp_path / "out"
         rc = main(argv + ["--out", str(out), "--threads", threads])
         assert rc == 0
         printed = [Path(line).name for line in capsys.readouterr().out.splitlines()]
         assert printed == order
-        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-                   for p in out.iterdir()}
-        assert digests == expected
+        return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_outputs_match_pinned_digests(self, tmp_path, capsys, name, threads):
+        assert self.digests(tmp_path, capsys, name, threads) == GOLDEN[name][2]
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("name", sorted(UNRETIRED_SHA256))
+    def test_outputs_without_retirement_match_pinned_digests(self, tmp_path, capsys, monkeypatch,
+                                                             name, threads):
+        monkeypatch.setattr(particles, "_RETIRE_SIGMAS", math.inf)
+        expected = {**GOLDEN[name][2], **UNRETIRED_SHA256[name]}
+        assert self.digests(tmp_path, capsys, name, threads) == expected

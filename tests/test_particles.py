@@ -34,6 +34,7 @@ from ductflow import (
     velocity_at,
 )
 from ductflow import particles
+from ductflow.presets import _sim_for_grid, preset_config
 from ductflow.particles import (
     _BLOCK,
     _advance_inplace,
@@ -230,6 +231,24 @@ class TestStep:
                         "--set", f"channel.diffusion={diffusion}", "--set", "release.n_tx=10",
                         "--set", "grid.t_stop=0.01"],
                        env=env, capture_output=True, check=True, timeout=60)
+
+    def test_state_of_another_layout_keeps_its_wall(self):
+        # A column gather such as ``x[:, keep]`` returns an F-ordered array,
+        # whose flat reshape is a copy: the wall folds must not be lost on it.
+        channel = make_channel(radius=1e-5, diffusion=1e-10, mean_velocity=0.0)
+        a, n = channel.radius_a, 500
+        y, z = (np.asfortranarray(np.repeat(row[None], 2, axis=0))
+                for row in released(ReleaseSpec.uniform(n), a, 8)[1:])
+        x, r2 = np.zeros_like(y), y * y + z * z
+        normals = np.random.default_rng(8).standard_normal((2, n))
+        # One step of sd a/2 per axis takes most particles past the wall.
+        dt = a * a / (8.0 * channel.diffusion_D)
+        assert not y.flags.c_contiguous
+        try:
+            _advance_inplace(x, y, z, r2, channel, dt, normals)
+        except ValueError:
+            return
+        assert np.all(r2 <= a * a * (1.0 + 4.0 * np.finfo(float).eps))
 
     def test_wall_keeps_cross_section_uniform(self):
         # Zero-flux sanity: a uniform disk stays uniform in r^2 under many
@@ -526,23 +545,29 @@ class TestRun:
         assert "Warning" not in done.stderr
         assert list(tmp_path.rglob("*.csv")) == []
 
-    # SHA-256 of the counts' bytes: they pin the random streams and the
-    # receiver test for D > 0 and D = 0.  Samples start at t = 0, so step 0
-    # is observed too.  A change to the streams on purpose updates them.
+    # SHA-256 of the counts' bytes at the default k and at k = inf (nothing
+    # retires): they pin the random streams, the retirement and the receiver
+    # test for D > 0 and D = 0.  Samples start at t = 0, so step 0 is
+    # observed too.  A change to the streams on purpose updates them.
     COUNTS_SHA256 = {
-        1e-10: "9a30a916e7de4aaac2e67acd8a8077f24cb1330aba4c47781b51edfbed7ace02",
-        0.0: "115b2f5c8f0182976d2f056a730dd5ddf652b10339cca57f80e94f3eb56d032a",
+        1e-10: ("88162d9eb15b2892e0db65932cde45a9b9f5c62fdf589ab55ecdf05653c30e54",
+                "9a30a916e7de4aaac2e67acd8a8077f24cb1330aba4c47781b51edfbed7ace02"),
+        0.0: ("115b2f5c8f0182976d2f056a730dd5ddf652b10339cca57f80e94f3eb56d032a",
+              "115b2f5c8f0182976d2f056a730dd5ddf652b10339cca57f80e94f3eb56d032a"),
     }
 
     @pytest.mark.parametrize("threads", [1, 3])
     @pytest.mark.parametrize("diffusion", [1e-10, 0.0])
-    def test_pinned_counts(self, diffusion, threads, several_cpus):
+    def test_pinned_counts(self, diffusion, threads, several_cpus, monkeypatch):
         channel = make_channel(radius=10e-6, diffusion=diffusion)
         cfg = sim_config(channel, (make_receiver(10e-6, 20e-6),), ReleaseSpec.uniform(1500),
                          np.arange(0, 41) * 1e-3, seed=2017, dt=1e-4)
-        counts = run(cfg, threads=threads).counts[0, 0]
-        assert counts.dtype == np.int64 and counts.sum() > 0
-        assert hashlib.sha256(counts.tobytes()).hexdigest() == self.COUNTS_SHA256[diffusion]
+        for sigmas, expected in zip((particles._RETIRE_SIGMAS, math.inf),
+                                    self.COUNTS_SHA256[diffusion]):
+            monkeypatch.setattr(particles, "_RETIRE_SIGMAS", sigmas)
+            counts = run(cfg, threads=threads).counts[0, 0]
+            assert counts.dtype == np.int64 and counts.sum() > 0
+            assert hashlib.sha256(counts.tobytes()).hexdigest() == expected
 
 
 class TestGrouping:
@@ -563,7 +588,12 @@ class TestGrouping:
                          snapshot_times=self.SNAPS)
 
     @pytest.mark.parametrize("diffusion", [1e-10, 0.0])
-    def test_group_matches_each_run(self, diffusion, several_cpus):
+    def test_group_matches_each_run(self, diffusion, several_cpus, monkeypatch):
+        # With D > 0 a retired index frees its normals for the indices after
+        # it, and which indices retire depends on every row and receiver; so
+        # the match is exact only when nothing retires (k = inf).
+        if diffusion > 0.0:
+            monkeypatch.setattr(particles, "_RETIRE_SIGMAS", math.inf)
         cfg = self.config(diffusion)
         alone = {(g, k): run(replace(cfg, releases=(release,), receivers=(rx,)))
                  for g, release in enumerate(cfg.releases) for k, rx in enumerate(cfg.receivers)}
@@ -604,6 +634,102 @@ class TestGrouping:
         cfg = self.config(1e-10)
         with pytest.raises(ValueError, match="release radius"):
             replace(cfg, releases=(cfg.releases[0], ReleaseSpec.point(cfg.n_tx, 11e-6)))
+
+
+def small_duct_pass(n_tx, snapshot_times=(), diffusion="1e-10"):
+    """The ``cir_small_duct`` preset's one engine pass (both releases, both receivers) at ``n_tx``."""
+    cfg = preset_config("cir_small_duct", seed=5, overrides={
+        "release.n_tx": str(n_tx), "channel.diffusion": diffusion})
+    return _sim_for_grid(cfg, tuple(cfg.receiver(distance=d) for d in cfg["cir.distances"]),
+                         tuple(cfg.release(kind) for kind in ("uniform", "point")),
+                         cfg.time_grid(), snapshot_times)
+
+
+class TestRetirement:
+    """Particles that no receiver can count again leave the state at sample steps."""
+
+    def test_retired_particles_are_never_counted_later(self, monkeypatch):
+        # Coupled paths: run with nothing retired (k = inf) and apply the
+        # k = 8 rule to the same paths at each sample step; a particle it
+        # retires must lie in no receiver at any later sample step.
+        sigmas = particles._RETIRE_SIGMAS
+        monkeypatch.setattr(particles, "_RETIRE_SIGMAS", math.inf)
+        cfg = small_duct_pass(1000)
+        rows, receivers, a = len(cfg.releases), cfg.receivers, cfg.channel.radius_a
+        retired = np.zeros(cfg.n_tx, dtype=bool)
+        seen, counted_late, column = [], [], iter(cfg.sample_steps.tolist())
+        hits = particles._hits
+
+        def spy(rx, radius_a, x, y, z, r2):
+            if not seen:
+                seen.append(next(column))
+                seen.append(np.full(cfg.n_tx, np.inf))
+            inside = point_in_receiver(rx, x, np.sqrt(r2), np.arctan2(z, y), a)
+            counted_late.append(int(np.count_nonzero(inside & retired)))
+            seen[1] = np.minimum(seen[1], x)
+            if len(counted_late) % (rows * len(receivers)) == 0:
+                step, xmin = seen
+                retired[xmin > particles._retirement_line(cfg, step, sigmas)] = True
+                seen.clear()
+            return hits(rx, radius_a, x, y, z, r2)
+
+        monkeypatch.setattr(particles, "_hits", spy)
+        particles._run_block(cfg, 0, cfg.n_tx)
+        assert len(counted_late) == rows * len(receivers) * cfg.sample_steps.size
+        assert retired.mean() > 0.9
+        assert sum(counted_late) == 0
+
+    @staticmethod
+    def stepped(monkeypatch, cfg):
+        """The counts of ``cfg`` and the particle-steps the engine took for them."""
+        widths = []
+        advance = particles._advance_inplace
+        monkeypatch.setattr(particles, "_advance_inplace",
+                            lambda x, *args: widths.append(x.shape[-1]) or advance(x, *args))
+        counts, _ = particles._run_block(cfg, 0, cfg.n_tx)
+        # Once every particle is retired the pass stops stepping.
+        assert len(widths) <= cfg.n_steps
+        return counts, sum(widths)
+
+    def test_retirement_skips_particle_steps(self, monkeypatch):
+        # The pass requests n_tx particle-steps a step; about 0.69 of them
+        # move particles that a receiver can still count.
+        cfg = small_duct_pass(1000)
+        assert self.stepped(monkeypatch, cfg)[1] <= 0.75 * cfg.n_tx * cfg.n_steps
+        monkeypatch.setattr(particles, "_RETIRE_SIGMAS", math.inf)
+        assert self.stepped(monkeypatch, cfg)[1] == cfg.n_tx * cfg.n_steps
+
+    def test_flow_only_retirement_is_exact(self, monkeypatch):
+        # With D = 0 no particle ever moves upstream and no normal is drawn, so
+        # retiring cuts the work and moves no count of either release.
+        cfg = small_duct_pass(1000, diffusion="0")
+        counts, steps = self.stepped(monkeypatch, cfg)
+        assert steps <= 0.8 * cfg.n_tx * cfg.n_steps  # 0.78: the wall layer never arrives
+        monkeypatch.setattr(particles, "_RETIRE_SIGMAS", math.inf)
+        unretired, steps = self.stepped(monkeypatch, cfg)
+        assert steps == cfg.n_tx * cfg.n_steps
+        assert np.all(counts.sum(axis=-1) > 0)
+        assert np.array_equal(counts, unretired)
+
+    @pytest.mark.parametrize("last_snapshot", [1.0, 1.4, 1.6])
+    def test_snapshots_hold_every_particle(self, monkeypatch, last_snapshot):
+        # Nothing retires before the last snapshot step: every snapshot holds
+        # all n_tx particles, bit for bit as with retirement off.
+        cfg = small_duct_pass(600, snapshot_times=[0.2, last_snapshot])
+        result = run(cfg)
+        monkeypatch.setattr(particles, "_RETIRE_SIGMAS", math.inf)
+        unretired = run(cfg)
+        for t, cloud in unretired.snapshots.items():
+            assert cloud.shape == (2, cfg.n_tx, 2)
+            assert np.array_equal(result.snapshots[t], cloud)
+        # Past the last sample step, nothing retires at all.
+        assert np.array_equal(result.counts, unretired.counts) == (last_snapshot >= 1.4)
+
+    def test_empty_release_with_retirement(self, narrow_channel):
+        cfg = sim_config(narrow_channel, (make_receiver(10e-6, 20e-6),), ReleaseSpec.uniform(0),
+                         np.arange(0, 41) * 1e-3, dt=1e-4)
+        counts = run(cfg, threads=2).counts
+        assert counts.shape == (1, 1, 41) and not counts.any()
 
 
 class TestSnapshots:

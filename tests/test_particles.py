@@ -655,27 +655,25 @@ class TestRetirement:
         sigmas = particles._RETIRE_SIGMAS
         monkeypatch.setattr(particles, "_RETIRE_SIGMAS", math.inf)
         cfg = small_duct_pass(1000)
-        rows, receivers, a = len(cfg.releases), cfg.receivers, cfg.channel.radius_a
+        per_step = len(cfg.releases) * len(cfg.receivers)
         retired = np.zeros(cfg.n_tx, dtype=bool)
-        seen, counted_late, column = [], [], iter(cfg.sample_steps.tolist())
+        xmin = np.full(cfg.n_tx, np.inf)
+        counted_late = []
         hits = particles._hits
 
         def spy(rx, radius_a, x, y, z, r2):
-            if not seen:
-                seen.append(next(column))
-                seen.append(np.full(cfg.n_tx, np.inf))
-            inside = point_in_receiver(rx, x, np.sqrt(r2), np.arctan2(z, y), a)
+            inside = point_in_receiver(rx, x, np.sqrt(r2), np.arctan2(z, y), radius_a)
             counted_late.append(int(np.count_nonzero(inside & retired)))
-            seen[1] = np.minimum(seen[1], x)
-            if len(counted_late) % (rows * len(receivers)) == 0:
-                step, xmin = seen
+            np.minimum(xmin, x, out=xmin)
+            if len(counted_late) % per_step == 0:  # every row and receiver of this step seen
+                step = cfg.sample_steps[len(counted_late) // per_step - 1]
                 retired[xmin > particles._retirement_line(cfg, step, sigmas)] = True
-                seen.clear()
+                xmin[:] = np.inf
             return hits(rx, radius_a, x, y, z, r2)
 
         monkeypatch.setattr(particles, "_hits", spy)
         particles._run_block(cfg, 0, cfg.n_tx)
-        assert len(counted_late) == rows * len(receivers) * cfg.sample_steps.size
+        assert len(counted_late) == per_step * cfg.sample_steps.size
         assert retired.mean() > 0.9
         assert sum(counted_late) == 0
 

@@ -163,8 +163,8 @@ class OokLinkConfig:
             raise ValueError("per-symbol particle count must lie in 1..2**53")
         if not 0 <= self.threshold_xi <= self.n_tx:
             raise ValueError("detection threshold must lie in {0, ..., n_tx}")
-        if self.noise_mean_Nn < 0.0:
-            raise ValueError("noise mean must be non-negative")
+        if not 0.0 <= self.noise_mean_Nn < math.inf:  # nan fails too
+            raise ValueError("noise mean must be non-negative and finite")
         pob.flags.writeable = False
         object.__setattr__(self, "pob", pob)
 

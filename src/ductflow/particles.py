@@ -13,7 +13,8 @@ plain particle schemes.
 
 One step loop, ``_run_block``, serves every pass: ``_initial_block`` places
 a block of particles, ``_draw_normals`` and ``_advance_inplace`` move it,
-and ``_hits`` counts every receiver at each sample step.  ``x`` never feeds
+``_hits`` counts every receiver at each sample step, and each snapshot step
+fills its row of one ``(snapshots, releases, n, 2)`` array.  ``x`` never feeds
 back into the cross-sectional motion, so the axial increments of the ``k``
 steps since the last sample or snapshot step are drawn at that step as one
 ``N(0, 2 D k dt)``, exact in distribution.
@@ -38,10 +39,11 @@ that every release row holds past the farthest receiver, ``max(d + c_x/2)``,
 by ``k = _RETIRE_SIGMAS = 8`` widths ``sqrt(2 D t)``, ``t`` the time left
 to the last sample step.  Such a particle would be counted again with
 probability at most ``2 Phi(-k)``, about 1.2e-15 (reflection principle).
-Each block's state is compacted to its live particles, in index order, and
-its generators go on drawing for them alone.  The decision is per particle,
-so the bytes stay independent of the partition.  With ``D = 0`` the rule
-is exact and no normal is drawn, so retirement moves no count.
+A pass with no receiver retires every particle there.  Each block's state
+is compacted to its live particles, in index order, and its generators go
+on drawing for them alone.  The decision is per particle, so the bytes stay
+independent of the partition.  With ``D = 0`` the rule is exact and no
+normal is drawn, so retirement moves no count.
 
 The releases of one config, which share its ``n_tx``, draw the same
 normals, common random numbers across releases (Glasserman, *Monte Carlo
@@ -132,16 +134,17 @@ def _to_steps(times, time_step: float, what: str) -> np.ndarray:
 class SimConfig:
     """Full specification of one engine pass.
 
-    ``releases`` holds at least one release, all of one ``n_tx``, and
-    ``receivers`` at least one receiver; each is validated against the
-    duct.  One pass moves every release on the same normals and counts
-    every receiver of each.
+    ``releases`` holds at least one release, all of one ``n_tx``; each
+    release and each of the ``receivers`` (there may be none) is validated
+    against the duct.  One pass moves every release on the same normals and
+    counts every receiver of each at each sample time.
 
     Sample and snapshot times are snapped to the nearest step boundary at
     construction so no silent interpolation happens later; both must be
-    non-negative.  Sample times must be strictly increasing after snapping;
-    snapshot times are sorted, and those that snap to one step collapse.  A
-    pass lasts until the last sample or snapshot step.
+    non-negative, and either may be empty.  Sample times must be strictly
+    increasing after snapping; snapshot times are sorted, and those that
+    snap to one step collapse.  A pass lasts until the last sample or
+    snapshot step, and takes no step if it has neither.
     """
 
     channel: DuctChannelConfig
@@ -155,12 +158,10 @@ class SimConfig:
     snapshot_steps: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if not self.time_step > 0.0:
-            raise ValueError("time step must be positive")
+        if not 0.0 < self.time_step < math.inf:  # nan fails too
+            raise ValueError("time step must be positive and finite")
         if not 0 <= self.seed < _MAX_SEED:
             raise ValueError("seed must fit in 64 bits")
-        if not self.receivers:
-            raise ValueError("at least one receiver is required")
         for rx in self.receivers:
             validate_receiver(self.channel, rx)
         if not self.releases:
@@ -169,11 +170,8 @@ class SimConfig:
             raise ValueError("releases must share one n_tx")
         for release in self.releases:
             validate_release(self.channel, release)
-        requested = np.asarray(self.sample_times, dtype=float)
-        if requested.ndim != 1 or requested.size == 0:
-            raise ValueError("at least one sample time is required")
-        steps = _to_steps(requested, self.time_step, "sample times")
-        if np.any(np.diff(steps) <= 0):
+        steps = _to_steps(self.sample_times, self.time_step, "sample times")
+        if steps.ndim != 1 or np.any(np.diff(steps) <= 0):
             raise ValueError("sample times must snap to distinct, increasing steps")
         # Sorted and deduplicated without np.unique, whose first call imports
         # numpy.ma (about 30 ms, nothing else on the CLI path loads it).
@@ -190,7 +188,7 @@ class SimConfig:
 
     @property
     def n_steps(self) -> int:
-        return int(self.snapshot_steps.max(initial=self.sample_steps[-1]))
+        return int(max(self.sample_steps.max(initial=0), self.snapshot_steps.max(initial=0)))
 
 
 @dataclass(frozen=True)
@@ -202,15 +200,17 @@ class SimResult:
     ``SimConfig.receivers``; ``counts / max(n_tx, 1)`` is the empirical
     ``P_ob``.
 
-    ``snapshots`` maps each (snapped) snapshot time to a ``(releases, n, 2)``
-    array of per-particle ``(x, r^2)`` pairs, the natural plotting coordinates:
+    ``snapshots[i, g]`` holds the per-particle ``(x, r^2)`` pairs of release
+    ``g`` at ``SimConfig.snapshot_times[i]``, an ``(n, 2)`` array; the whole
+    is ``(snapshots, releases, n, 2)``.  ``(x, r^2)`` are the natural plotting
+    coordinates:
     a uniform cross-sectional distribution is uniform in ``r^2``, and
     without diffusion the ensemble collapses onto the line
     ``r^2 = a^2 (1 - x / (2 vbar t))``.
     """
 
     counts: np.ndarray
-    snapshots: dict[float, np.ndarray] = field(default_factory=dict)
+    snapshots: np.ndarray
 
 
 def _initial_block(releases: Sequence[ReleaseSpec], radius_a: float, spans, gens):
@@ -299,12 +299,15 @@ def _retirement_line(config: SimConfig, step: int, sigmas: float) -> float:
 
     It is ``inf`` before the last snapshot step, whose snapshot holds every
     particle, and from the last sample step on, after which nothing is
-    counted; it is ``nan`` for ``sigmas = inf`` with ``D = 0``.
+    counted.  With no receiver it is ``-inf``, so everything retires; it is
+    ``nan``, so nothing retires, for ``sigmas = inf`` with ``D = 0`` or with
+    no receiver.
     """
     final = int(config.sample_steps[-1])
     if not config.snapshot_steps.max(initial=0) <= step < final:
         return math.inf
-    reach = max(rx.axial_distance_d + rx.extent_cx / 2.0 for rx in config.receivers)
+    reach = max((rx.axial_distance_d + rx.extent_cx / 2.0 for rx in config.receivers),
+                default=-math.inf)
     return reach + sigmas * math.sqrt(2.0 * config.channel.diffusion_D * config.time_step
                                       * (final - step))
 
@@ -323,13 +326,13 @@ def _run_block(config: SimConfig, lo: int, hi: int):
     x, y, z = _initial_block(config.releases, ch.radius_a, spans, cross)
     r2 = y * y + z * z
     normals = np.empty((2, hi - lo)) if ch.diffusion_D > 0.0 else None
-    columns = {int(s): col for col, s in enumerate(config.sample_steps)}
-    times = dict(zip(config.snapshot_steps.tolist(), config.snapshot_times.tolist()))
+    columns = {s: i for i, s in enumerate(config.sample_steps.tolist())}
+    frames = {s: i for i, s in enumerate(config.snapshot_steps.tolist())}
     counts = np.zeros((len(config.releases), len(config.receivers), len(columns)),
                       dtype=np.int64)
-    snapshots: dict[float, np.ndarray] = {}
+    snapshots = np.empty((len(frames), len(config.releases), hi - lo, 2))
     last = 0
-    for j in sorted(columns.keys() | times.keys()):
+    for j in sorted(columns.keys() | frames.keys()):
         for _ in range(last, j):
             if normals is not None:
                 _draw_normals(spans, cross, *normals)
@@ -343,8 +346,8 @@ def _run_block(config: SimConfig, lo: int, hi: int):
             for g in range(len(config.releases)):
                 for k, rx in enumerate(config.receivers):
                     counts[g, k, columns[j]] = _hits(rx, ch.radius_a, x[g], y[g], z[g], r2[g])
-        if j in times:
-            snapshots[times[j]] = np.stack((x, r2), axis=-1)
+        if j in frames:
+            snapshots[frames[j]] = np.stack((x, r2), axis=-1)
         line = _retirement_line(config, j, _RETIRE_SIGMAS) if j in columns else math.inf
         if line < math.inf:  # nan fails too
             # An index retires once every row holds it past the line.
@@ -471,5 +474,4 @@ def run(config: SimConfig, *, threads: int = 1) -> SimResult:
     else:
         outputs = [_run_block(config, *parts[0])]
     return SimResult(np.sum([counts for counts, _ in outputs], axis=0),
-                     {t: np.concatenate([snaps[t] for _, snaps in outputs], axis=1)
-                      for t in outputs[0][1]})
+                     np.concatenate([snaps for _, snaps in outputs], axis=2))

@@ -146,14 +146,11 @@ def _simulated_cir_tables(cfg: ResolvedConfig, threads: int):
 
 def snapshot_action(cfg: ResolvedConfig, threads: int = 1):
     """Per-particle (x, r^2) clouds at the configured snapshot times."""
-    times = np.asarray(cfg["snapshot.times"], dtype=float)
-    # A sample at step 0 draws nothing, so the snapshots alone set the run,
-    # and times that snap to one step collapse into one snapshot.
-    sim = _sim_for_grid(cfg, (cfg.receiver(),), (cfg.release(),), [0.0], times)
+    sim = _sim_for_grid(cfg, (), (cfg.release(),), (), cfg["snapshot.times"])
     snapshots = particles.run(sim, threads=threads).snapshots
-    for t in sorted(snapshots):
+    for t, cloud in zip(sim.snapshot_times.tolist(), snapshots):
         yield _table(cfg, f"snapshot_t{t:g}s", ("particle_id", "x_m", "r2_m2"),
-                     [(i, float(x), float(r2)) for i, (x, r2) in enumerate(snapshots[t][0])],
+                     [(i, float(x), float(r2)) for i, (x, r2) in enumerate(cloud[0])],
                      content="particle position snapshot", snapshot_t_s=t)
 
 

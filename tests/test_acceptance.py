@@ -295,7 +295,7 @@ def test_criterion_06_dispersion_peak_time(narrow_far_run):
 
 def test_criterion_07_taylor_variance(narrow_far_run):
     _, _, result = narrow_far_run
-    x = result.snapshots[0.8][0][:, 0]
+    x = result.snapshots[0, 0][:, 0]
     target = 2.0 * effective_diffusion(NARROW) * 0.8
     ratio = x.var() / target
     ok = abs(ratio - 1.0) <= 0.10

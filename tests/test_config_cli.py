@@ -278,6 +278,20 @@ class TestCli:
         assert rc == 0
         assert [p.name for p in tmp_path.iterdir()] == ["snapshot_t0.02s.csv"]
 
+    def test_snapshot_needs_no_receiver(self, tmp_path):
+        # A snapshot pass counts nothing, so receiver settings that fit no
+        # duct are not refused, and the data rows are the default call's.
+        rows = []
+        for setting in ([], ["--set", "rx.extent_r=20um"], ["--set", "rx.distance=1um"]):
+            out = tmp_path / f"call{len(rows)}"
+            assert main(["snapshot", "--out", str(out), "--set", "release.n_tx=50",
+                         "--set", "snapshot.times=0.01,0.02", *setting]) == 0
+            rows.append({path.name: [line for line in path.read_text().splitlines()
+                                     if not line.startswith("#")]
+                         for path in out.iterdir()})
+        assert len(rows[0]) == 2
+        assert rows[1] == rows[0] and rows[2] == rows[0]
+
     def test_ser_interface_columns(self, tmp_path):
         rc = main(["ser", "--out", str(tmp_path), "--seed", "8",
                    "--set", "channel.radius=200 um", "--set", "channel.diffusion=1e-12",

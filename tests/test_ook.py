@@ -1130,6 +1130,11 @@ class TestLinkValidation:
         with pytest.raises(ValueError, match="observation probabilities"):
             OokLinkConfig([np.nan], 0, 4.0, 1000)
 
+    @pytest.mark.parametrize("noise", [-1.0, math.inf, math.nan])
+    def test_noise_mean_must_be_non_negative_and_finite(self, noise):
+        with pytest.raises(ValueError, match="noise mean must be non-negative and finite"):
+            OokLinkConfig([0.2], 0, noise, 1000)
+
     def test_link_is_its_probabilities(self):
         pvec = np.array([0.3, 0.1, 0.05])
         link = OokLinkConfig(pvec, 2, 4.0, 100)

@@ -256,7 +256,7 @@ class TestStep:
         channel = make_channel(radius=1e-5, diffusion=1e-10, mean_velocity=0.0)
         cfg = sim_config(channel, (make_receiver(1e-5, 200e-6),), ReleaseSpec.uniform(20_000),
                          [0.05], seed=4, snapshot_times=[0.05])
-        u = run(cfg).snapshots[0.05][0][:, 1] / (1e-5) ** 2
+        u = run(cfg).snapshots[0, 0][:, 1] / (1e-5) ** 2
         ks = stats.kstest(u, "uniform")
         assert ks.pvalue > 0.01
 
@@ -274,7 +274,7 @@ class TestStep:
         t = 0.4
         cfg = sim_config(channel, (make_receiver(10e-6, 200e-6),), ReleaseSpec.uniform(3000),
                          [0.1, t], dt=1e-3, snapshot_times=[t])
-        cloud = run(cfg).snapshots[t][0]
+        cloud = run(cfg).snapshots[0, 0]
         x, r2 = cloud[:, 0], cloud[:, 1]
         u = 2.0 * channel.mean_velocity * (1.0 - r2 / (10e-6) ** 2)
         np.testing.assert_allclose(x, u * t, rtol=1e-12, atol=0.0)
@@ -288,7 +288,7 @@ class TestStep:
         for times in ([0.3], [0.01, 0.3], np.arange(1, 301) * 1e-3):
             cfg = sim_config(channel, (make_receiver(10e-6, 200e-6),), ReleaseSpec.uniform(n),
                              times, seed=31, snapshot_times=[0.3])
-            x = run(cfg).snapshots[0.3][0][:, 0]
+            x = run(cfg).snapshots[0, 0][:, 0]
             stat = np.sum(x * x) / (2.0 * channel.diffusion_D * 0.3)
             assert stats.chi2.ppf(5e-4, n) <= stat <= stats.chi2.ppf(1.0 - 5e-4, n)
 
@@ -299,7 +299,7 @@ class TestStep:
         rx = make_receiver(10e-6, 20e-6)
         release = ReleaseSpec.uniform(_BLOCK + 500)
         clouds = [run(sim_config(channel, (rx,), release, times, seed=6,
-                                 snapshot_times=[0.05]), threads=2).snapshots[0.05][0]
+                                 snapshot_times=[0.05]), threads=2).snapshots[0, 0]
                   for times in ([0.08], np.arange(1, 81) * 1e-3)]
         assert np.array_equal(clouds[0][:, 1], clouds[1][:, 1])
         assert not np.array_equal(clouds[0][:, 0], clouds[1][:, 0])
@@ -344,7 +344,7 @@ class TestRun:
         results = [run(cfg, threads=t) for t in (1, 2, 7)]
         for other in results[1:]:
             assert np.array_equal(results[0].counts[0, 0], other.counts[0, 0])
-            assert np.array_equal(results[0].snapshots[0.05][0], other.snapshots[0.05][0])
+            assert np.array_equal(results[0].snapshots, other.snapshots)
 
     @pytest.mark.parametrize("n_tx", [_BLOCK // 3, 3 * _BLOCK + 77])
     def test_counts_identical_across_partitions(self, narrow_channel, several_cpus, n_tx):
@@ -362,7 +362,7 @@ class TestRun:
             for cfg, reference in zip(cfgs, alone):
                 result = run(cfg, threads=t)
                 assert np.array_equal(result.counts[0, 0], reference.counts[0, 0])
-                assert np.array_equal(result.snapshots[0.02][0], reference.snapshots[0.02][0])
+                assert np.array_equal(result.snapshots, reference.snapshots)
 
     # Every block-aligned cut of 3 or 4 full blocks and a ragged last one.
     @settings(deadline=None, max_examples=40, derandomize=True)
@@ -378,8 +378,8 @@ class TestRun:
         counts, snaps = particles._run_block(cfg, 0, n_tx)
         assert counts.sum() > 0
         assert np.array_equal(sum(c for c, _ in parts), counts)
-        (t,) = snaps
-        assert np.array_equal(np.concatenate([s[t] for _, s in parts], axis=1), snaps[t])
+        assert snaps.shape == (1, 1, n_tx, 2)
+        assert np.array_equal(np.concatenate([s for _, s in parts], axis=2), snaps)
 
     def test_workers_capped_at_cpu_count(self, narrow_channel, monkeypatch):
         # One partition, and one worker, per requested thread, but no more
@@ -470,9 +470,8 @@ class TestRun:
         assert (n - 2 * _BLOCK) * 2 * 8 > 64 * 1024
         one, two = run(cfg), run(cfg, threads=2)
         assert two.counts[0, 0].tobytes() == one.counts[0, 0].tobytes()
-        assert list(two.snapshots) == list(one.snapshots) == [0.005, 0.02]
-        for t, snapshot in one.snapshots.items():
-            assert two.snapshots[t][0].tobytes() == snapshot[0].tobytes()
+        assert two.snapshots.shape == one.snapshots.shape == (2, 1, n, 2)
+        assert two.snapshots.tobytes() == one.snapshots.tobytes()
 
     def test_pooled_run_starts_no_thread(self, narrow_channel, several_cpus, monkeypatch):
         # A thread alive at a fork is what Python 3.12 and later warn about.
@@ -500,8 +499,8 @@ class TestRun:
         cfg = sim_config(narrow_channel, (rx,), ReleaseSpec.uniform(20_000), times, seed=77,
                          snapshot_times=times)
         result = run(cfg)
-        for t in times:
-            x = result.snapshots[t][0][:, 0]
+        for t, cloud in zip(cfg.snapshot_times, result.snapshots):
+            x = cloud[0][:, 0]
             stderr = x.std() / math.sqrt(x.size)
             assert abs(x.mean() - narrow_channel.mean_velocity * t) <= 3.0 * stderr
 
@@ -513,6 +512,12 @@ class TestRun:
         with pytest.raises(ValueError):
             sim_config(wide_flow_only, (rx,), ReleaseSpec.uniform(10),
                        [0.0101, 0.0102], dt=1e-3)  # collide on the same step
+
+    @pytest.mark.parametrize("dt", [math.inf, math.nan, 0.0, -1e-3])
+    def test_time_step_must_be_positive_and_finite(self, wide_flow_only, dt):
+        with pytest.raises(ValueError, match="time step must be positive and finite"):
+            sim_config(wide_flow_only, (make_receiver(200e-6, 200e-6),), ReleaseSpec.uniform(10),
+                       [0.01], dt=dt)
 
     @pytest.mark.parametrize("what", ["sample_times", "snapshot_times"])
     def test_time_step_count_must_fit_int64(self, wide_flow_only, what):
@@ -604,9 +609,7 @@ class TestGrouping:
             assert result.counts.shape == (4, 3, self.TIMES.size)
             for (g, k), reference in alone.items():
                 assert np.array_equal(result.counts[g, k], reference.counts[0, 0])
-                assert result.snapshots.keys() == reference.snapshots.keys()
-                for time, cloud in reference.snapshots.items():
-                    assert np.array_equal(result.snapshots[time][g], cloud[0])
+                assert np.array_equal(result.snapshots[:, g], reference.snapshots[:, 0])
 
     def test_group_draws_the_normals_of_one_run(self, monkeypatch):
         cfg = self.config(1e-10)
@@ -717,11 +720,29 @@ class TestRetirement:
         result = run(cfg)
         monkeypatch.setattr(particles, "_RETIRE_SIGMAS", math.inf)
         unretired = run(cfg)
-        for t, cloud in unretired.snapshots.items():
-            assert cloud.shape == (2, cfg.n_tx, 2)
-            assert np.array_equal(result.snapshots[t], cloud)
+        assert unretired.snapshots.shape == (2, 2, cfg.n_tx, 2)
+        assert np.array_equal(result.snapshots, unretired.snapshots)
         # Past the last sample step, nothing retires at all.
         assert np.array_equal(result.counts, unretired.counts) == (last_snapshot >= 1.4)
+
+    @pytest.mark.parametrize("diffusion", ["1e-10", "0"])
+    def test_pass_without_receivers_stops_at_its_last_snapshot(self, monkeypatch, diffusion):
+        # Nothing can be counted, so every particle retires at the first
+        # sample step from the last snapshot on, and the pass stops there.
+        cfg = replace(small_duct_pass(600, snapshot_times=[0.2, 0.5], diffusion=diffusion),
+                      receivers=())
+        assert 500 in cfg.sample_steps and cfg.n_steps > 500
+        counts, steps = self.stepped(monkeypatch, cfg)
+        assert counts.shape == (2, 0, cfg.sample_steps.size)
+        assert steps == cfg.n_tx * 500
+        assert run(cfg).snapshots.shape == (2, 2, cfg.n_tx, 2)
+
+    def test_pass_without_observations_takes_no_step(self, monkeypatch):
+        cfg = replace(small_duct_pass(600), sample_times=())
+        assert cfg.n_steps == 0
+        counts, steps = self.stepped(monkeypatch, cfg)
+        assert counts.shape == (2, 2, 0) and steps == 0
+        assert run(cfg).snapshots.shape == (0, 2, cfg.n_tx, 2)
 
     def test_empty_release_with_retirement(self, narrow_channel):
         cfg = sim_config(narrow_channel, (make_receiver(10e-6, 20e-6),), ReleaseSpec.uniform(0),
@@ -736,7 +757,7 @@ class TestSnapshots:
         cfg = sim_config(narrow_channel, (rx,), ReleaseSpec.uniform(500), [0.01],
                          snapshot_times=[0.0])
         result = run(cfg)
-        cloud = result.snapshots[0.0][0]
+        cloud = result.snapshots[0, 0]
         assert np.all(cloud[:, 0] == 0.0)
         assert np.all(cloud[:, 1] <= (10e-6) ** 2)
 
@@ -745,7 +766,7 @@ class TestSnapshots:
         rx = make_receiver(10e-6, 200e-6)
         t = 0.02
         cfg = sim_config(channel, (rx,), ReleaseSpec.uniform(2000), [t], snapshot_times=[t])
-        cloud = run(cfg).snapshots[t][0]
+        cloud = run(cfg).snapshots[0, 0]
         a2 = (10e-6) ** 2
         line = a2 * (1.0 - cloud[:, 0] / (2.0 * channel.mean_velocity * t))
         assert np.allclose(cloud[:, 1], line, rtol=1e-9, atol=1e-24)
@@ -756,11 +777,34 @@ class TestSnapshots:
         rx = make_receiver(10e-6, 800e-6)
         cfg = sim_config(narrow_channel, (rx,), ReleaseSpec.uniform(1000), [0.8], seed=15,
                          snapshot_times=[0.8])
-        cloud = run(cfg).snapshots[0.8][0]
+        cloud = run(cfg).snapshots[0, 0]
         u = cloud[:, 1] / (10e-6) ** 2
         ks = stats.kstest(u, "uniform")
         critical_1pct = 1.63 / math.sqrt(u.size)
         assert ks.statistic < critical_1pct
+
+    @pytest.mark.parametrize("dt,times", [(1e-3, [0.57, 0.7]), (0.1, [0.3])])
+    def test_snapshots_align_with_snapshot_times(self, dt, times):
+        # Snapped times need not equal the requested ones (700 steps of 1 ms
+        # are 0.7000000000000001 s), so snapshots go by position, as counts
+        # do: snapshots[i] is the cloud at snapshot_times[i].  With D = 0,
+        # x = u(r) t at that time.
+        channel = make_channel(radius=10e-6, diffusion=0.0)
+        cfg = sim_config(channel, (make_receiver(10e-6, 200e-6),), ReleaseSpec.uniform(500),
+                         [dt], dt=dt, snapshot_times=times)
+        assert cfg.snapshot_times.tolist() != times
+        result = run(cfg)
+        assert result.snapshots.shape == (len(times), 1, 500, 2)
+        for t, cloud in zip(cfg.snapshot_times, result.snapshots):
+            u = 2.0 * channel.mean_velocity * (1.0 - cloud[0, :, 1] / (10e-6) ** 2)
+            np.testing.assert_allclose(cloud[0, :, 0], u * t, rtol=1e-12, atol=0.0)
+
+    def test_empty_release_without_receivers(self, narrow_channel, several_cpus):
+        cfg = sim_config(narrow_channel, (), ReleaseSpec.uniform(0), (),
+                         snapshot_times=[0.01, 0.02])
+        result = run(cfg, threads=2)
+        assert result.counts.shape == (1, 0, 0)
+        assert result.snapshots.shape == (2, 1, 0, 2)
 
     def test_negative_time_refused(self, narrow_channel):
         with pytest.raises(ValueError, match="snapshot times must be non-negative"):
@@ -773,7 +817,7 @@ class TestSnapshots:
                          [0.01], snapshot_times=[0.02, 0.0051, 0.005, 0.02])
         assert cfg.snapshot_steps.tolist() == [5, 20]
         assert np.array_equal(cfg.snapshot_times, [5e-3, 20e-3])
-        assert sorted(run(cfg).snapshots) == [5e-3, 20e-3]
+        assert run(cfg).snapshots.shape == (2, 1, 10, 2)
 
     def test_run_reaches_snapshot_after_last_sample(self, narrow_channel):
         cfg = sim_config(narrow_channel, (make_receiver(10e-6, 200e-6),), ReleaseSpec.uniform(10),
@@ -781,7 +825,7 @@ class TestSnapshots:
         assert cfg.n_steps == 50
         assert sim_config(narrow_channel, (make_receiver(10e-6, 200e-6),),
                           ReleaseSpec.uniform(10), [0.01, 0.02]).n_steps == 20
-        assert run(cfg).snapshots[0.05][0].shape == (10, 2)
+        assert run(cfg).snapshots.shape == (1, 1, 10, 2)
 
     #: SHA-256 of the snapshots (in time order) and of the counts of the run
     #: below: they pin the snapshot path for a config made by ``replace``,
@@ -792,11 +836,12 @@ class TestSnapshots:
     def test_replace_matches_pinned_snapshots(self, narrow_channel):
         cfg = sim_config(narrow_channel, (make_receiver(10e-6, 20e-6),), ReleaseSpec.uniform(2500),
                          np.arange(0, 21) * 1e-3, seed=2017, dt=1e-4)
-        result = run(replace(cfg, snapshot_times=[0.03, 0.0101, 0.01, 0.0]))
-        assert sorted(result.snapshots) == [k * 1e-4 for k in (0, 100, 101, 300)]
+        cfg = replace(cfg, snapshot_times=[0.03, 0.0101, 0.01, 0.0])
+        assert cfg.snapshot_times.tolist() == [k * 1e-4 for k in (0, 100, 101, 300)]
+        result = run(cfg)
         digest = hashlib.sha256()
-        for t in sorted(result.snapshots):
-            digest.update(result.snapshots[t][0].tobytes())
+        for cloud in result.snapshots:
+            digest.update(cloud[0].tobytes())
         assert digest.hexdigest() == self.SNAPSHOTS_SHA256
         counts = result.counts[0, 0]
         assert hashlib.sha256(counts.tobytes()).hexdigest() == self.COUNTS_SHA256
@@ -826,8 +871,7 @@ class TestMultiReceiver:
             assert counts.sum() > 0
             assert np.array_equal(counts, single.counts[0, 0])
             assert np.array_equal(multi_cfg.sample_times, single_cfg.sample_times)
-            for t in self.SNAPS:
-                assert np.array_equal(multi.snapshots[t][0], single.snapshots[t][0])
+            assert np.array_equal(multi.snapshots, single.snapshots)
 
     def test_empty_release(self, narrow_channel):
         cfg = sim_config(narrow_channel, self.RECEIVERS, ReleaseSpec.uniform(0), self.TIMES,
@@ -837,7 +881,7 @@ class TestMultiReceiver:
         assert cfg.n_tx == 0
         for counts in result.counts[0]:
             assert np.array_equal(counts, np.zeros(self.TIMES.size, dtype=np.int64))
-        assert all(result.snapshots[t][0].shape == (0, 2) for t in self.SNAPS)
+        assert result.snapshots.shape == (len(self.SNAPS), 1, 0, 2)
 
     def test_single_receiver_gives_one_series(self, narrow_channel):
         rx = self.RECEIVERS[0]
@@ -851,8 +895,8 @@ class TestMultiReceiver:
         with pytest.raises(ValueError):
             sim_config(narrow_channel, (self.RECEIVERS[0], too_deep),
                        ReleaseSpec.uniform(10), self.TIMES)
-        with pytest.raises(ValueError):
-            sim_config(narrow_channel, (), ReleaseSpec.uniform(10), self.TIMES)
+        # No receiver at all is a valid pass that counts nothing.
+        assert sim_config(narrow_channel, (), ReleaseSpec.uniform(10), self.TIMES).receivers == ()
 
     @pytest.mark.parametrize("threads", [0, -1])
     def test_threads_below_one_rejected(self, narrow_channel, threads):

@@ -27,8 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .duct import (DuctChannelConfig, ReceiverVolume, ReleaseKind, ReleaseSpec,
-                   validate_receiver, validate_release)
+from .duct import DuctChannelConfig, ReceiverVolume, ReleaseSpec, validate_receiver
 from .ook import SerMethod
 from .output import format_value, short_digest
 
@@ -244,14 +243,11 @@ class ResolvedConfig:
         return rx
 
     def release(self, kind: str | None = None) -> ReleaseSpec:
-        kind = kind or self.values["release.kind"]
-        n_tx = self.values["release.n_tx"]
-        if kind == "point":
-            release = self.build(ReleaseSpec, ReleaseKind.POINT, n_tx,
-                                 self.values["release.r0"], self.values["release.phi0"])
-            self.build(validate_release, self.channel(), release)
-            return release
-        return self.build(ReleaseSpec, ReleaseKind.UNIFORM_CROSS_SECTION, n_tx)
+        """The release of ``kind`` (default ``release.kind``); the engine pass and the
+        closed form that take it check that it fits the duct."""
+        if (kind or self.values["release.kind"]) == "uniform":
+            return ReleaseSpec.uniform()
+        return self.build(ReleaseSpec.point, self.values["release.r0"], self.values["release.phi0"])
 
     def time_grid(self):
         start = self.values["grid.t_start"]

@@ -117,20 +117,18 @@ class ReleaseKind(Enum):
 
 @dataclass(frozen=True)
 class ReleaseSpec:
-    """Instantaneous particle release at the transmitter.
+    """Where an instantaneous release at the transmitter places its particles.
 
-    ``n_tx`` may be zero, which yields an empty ensemble (all observation
-    counts zero); that is occasionally useful for dry runs.
+    A point release needs ``r0`` and ``phi0``; a uniform one takes neither.
+    How many particles a release holds is the engine pass's ``n_tx``
+    (:class:`ductflow.particles.SimConfig`), shared by all its releases.
     """
 
     kind: ReleaseKind
-    n_tx: int
     r0: float | None = None
     phi0: float | None = None
 
     def __post_init__(self):
-        if self.n_tx < 0:
-            raise ValueError(f"particle count must be non-negative, got {self.n_tx!r}")
         if self.kind is ReleaseKind.POINT:
             if self.r0 is None or self.phi0 is None:
                 raise ValueError("point release needs r0 and phi0")
@@ -142,12 +140,12 @@ class ReleaseSpec:
             raise ValueError("uniform release takes no point coordinates")
 
     @classmethod
-    def uniform(cls, n_tx: int) -> "ReleaseSpec":
-        return cls(ReleaseKind.UNIFORM_CROSS_SECTION, n_tx)
+    def uniform(cls) -> "ReleaseSpec":
+        return cls(ReleaseKind.UNIFORM_CROSS_SECTION)
 
     @classmethod
-    def point(cls, n_tx: int, r0: float, phi0: float = 0.0) -> "ReleaseSpec":
-        return cls(ReleaseKind.POINT, n_tx, r0, phi0)
+    def point(cls, r0: float, phi0: float = 0.0) -> "ReleaseSpec":
+        return cls(ReleaseKind.POINT, r0, phi0)
 
 
 class Regime(Enum):

@@ -170,7 +170,7 @@ def cir_flow_uniform(config: DuctChannelConfig, rx: ReceiverVolume, t):
     :func:`flow_transit_times`, ``A_rx/a^2`` from :func:`rx_area_fraction`
     (both refuse invalid inputs), ``c_phi/2pi``, ``vbar``, ``d`` and ``c_x``.
 
-    Piecewise in time::
+    Piecewise in time, so 0 before the release as well::
 
         0                                                   t <= t1
         A_rx/a^2 - (c_phi/2pi) (d - c_x/2) / (2 vbar t)     t1 < t < t2
@@ -181,8 +181,6 @@ def cir_flow_uniform(config: DuctChannelConfig, rx: ReceiverVolume, t):
     ``alpha`` of the peak is still observable at ``t2 / alpha``.
     """
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(t_arr < 0.0):
-        raise ValueError("time must be non-negative")
     t1, t2 = flow_transit_times(config, rx)
     rx_fraction = rx_area_fraction(config, rx)
     angle_fraction = rx.extent_cphi / TWO_PI
@@ -240,17 +238,14 @@ def cir_flow_point(config: DuctChannelConfig, rx: ReceiverVolume,
 
     A rectangular pulse: 1 while ``d - c_x/2 <= v(r0) t <= d + c_x/2``
     (edges inclusive) provided the release point lies within the receiver's
-    ``(r, phi)`` window, and 0 otherwise -- identically 0 for all times when
-    the point is not aligned with the receiver or sits on the wall.
+    ``(r, phi)`` window, and 0 otherwise (before the release, ``t < 0``,
+    too) -- identically 0 for all times when the point is not aligned with
+    the receiver or sits on the wall.
     """
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(t_arr < 0.0):
-        raise ValueError("time must be non-negative")
-    window = flow_point_window(config, rx, release)
-    if window is None:
-        out = np.zeros_like(t_arr)
-    else:
-        out = ((t_arr >= window[0]) & (t_arr <= window[1])).astype(float)
+    # No window is an empty one: no time lies in [inf, -inf].
+    start, end = flow_point_window(config, rx, release) or (math.inf, -math.inf)
+    out = ((t_arr >= start) & (t_arr <= end)).astype(float)
     return float(out[0]) if np.ndim(t) == 0 else out
 
 

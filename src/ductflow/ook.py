@@ -90,6 +90,7 @@ never evaluates an impulse response itself.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, islice
@@ -112,6 +113,14 @@ _TABLE_CELLS = 1 << 22
 _BATCH_CELLS = 3 << 10
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as a plain ``int`` (:func:`operator.index`); ``ValueError`` if it is no integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
 class SerMethod(Enum):
     """How a symbol error rate was computed."""
 
@@ -130,7 +139,7 @@ def detection_offsets(symbol_interval_T: float, seq_len_K: int,
     """
     if not symbol_interval_T > 0.0:
         raise ValueError("symbol interval must be positive")
-    if seq_len_K < 1:
+    if _integer(seq_len_K, "sequence length") < 1:
         raise ValueError("sequence length must be at least 1")
     if detection_delay_t0 < 0.0:
         raise ValueError("detection delay must be non-negative")
@@ -144,7 +153,8 @@ class OokLinkConfig:
     ``pob`` holds ``P_ob(t0 + j T)`` for ``j = 0 .. K-1``, the channel's
     observation probabilities at the :func:`detection_offsets`: the SER
     depends on the channel only through them.  ``seq_len_K`` is their
-    number ``K``.  ``pob`` is stored as a read-only copy.
+    number ``K``.  ``pob`` is stored as a read-only copy, ``threshold_xi``
+    and ``n_tx`` as plain ``int``; a non-integer raises ``ValueError``.
     """
 
     pob: np.ndarray
@@ -158,6 +168,8 @@ class OokLinkConfig:
             raise ValueError("sequence length must be at least 1")
         if not np.all((pob >= 0.0) & (pob <= 1.0)):
             raise ValueError("observation probabilities must lie in [0, 1]")
+        for name in ("n_tx", "threshold_xi"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         # Past 2^53 not every count is a double: n_tx p and the pmf ratios lose their meaning.
         if not 1 <= self.n_tx <= 2 ** 53:
             raise ValueError("per-symbol particle count must lie in 1..2**53")

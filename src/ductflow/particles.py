@@ -45,7 +45,7 @@ on drawing for them alone.  The decision is per particle, so the bytes stay
 independent of the partition.  With ``D = 0`` the rule is exact and no
 normal is drawn, so retirement moves no count.
 
-The releases of one config, which share its ``n_tx``, draw the same
+The releases of one config, ``n_tx`` particles each, draw the same
 normals, common random numbers across releases (Glasserman, *Monte Carlo
 Methods in Financial Engineering*, 2003, sec. 4.2).  One pass steps them as
 one ``(G, n)`` state, one row per release, and applies each draw to every
@@ -80,6 +80,7 @@ another OS thread lives.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import pickle
 import select
@@ -106,7 +107,6 @@ _BLOCK = 2048
 #: Axial-diffusion widths ``k`` past the farthest receiver at which a particle
 #: retires; part of the reproducibility contract.
 _RETIRE_SIGMAS = 8.0
-_MAX_SEED = 2 ** 64
 
 
 def _streams(seed: int, lo: int, hi: int):
@@ -134,10 +134,12 @@ def _to_steps(times, time_step: float, what: str) -> np.ndarray:
 class SimConfig:
     """Full specification of one engine pass.
 
-    ``releases`` holds at least one release, all of one ``n_tx``; each
+    ``releases`` holds at least one release of ``n_tx`` particles each;
+    ``n_tx = 0`` gives an empty ensemble, whose counts are all zero.  Each
     release and each of the ``receivers`` (there may be none) is validated
     against the duct.  One pass moves every release on the same normals and
-    counts every receiver of each at each sample time.
+    counts every receiver of each at each sample time.  ``n_tx`` and
+    ``seed`` are stored as plain ``int``; a non-integer raises ``ValueError``.
 
     Sample and snapshot times are snapped to the nearest step boundary at
     construction so no silent interpolation happens later; both must be
@@ -150,6 +152,7 @@ class SimConfig:
     channel: DuctChannelConfig
     receivers: tuple[ReceiverVolume, ...]
     releases: tuple[ReleaseSpec, ...]
+    n_tx: int
     time_step: float
     seed: int
     sample_times: Sequence[float]
@@ -160,14 +163,20 @@ class SimConfig:
     def __post_init__(self):
         if not 0.0 < self.time_step < math.inf:  # nan fails too
             raise ValueError("time step must be positive and finite")
-        if not 0 <= self.seed < _MAX_SEED:
+        for name in ("n_tx", "seed"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        if self.n_tx < 0:
+            raise ValueError(f"particle count must be non-negative, got {self.n_tx!r}")
+        if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in 64 bits")
         for rx in self.receivers:
             validate_receiver(self.channel, rx)
         if not self.releases:
             raise ValueError("at least one release is required")
-        if len({release.n_tx for release in self.releases}) > 1:
-            raise ValueError("releases must share one n_tx")
         for release in self.releases:
             validate_release(self.channel, release)
         steps = _to_steps(self.sample_times, self.time_step, "sample times")
@@ -181,10 +190,6 @@ class SimConfig:
         object.__setattr__(self, "sample_times", steps * self.time_step)
         object.__setattr__(self, "snapshot_steps", snaps)
         object.__setattr__(self, "snapshot_times", snaps * self.time_step)
-
-    @property
-    def n_tx(self) -> int:
-        return self.releases[0].n_tx
 
     @property
     def n_steps(self) -> int:

@@ -51,8 +51,10 @@ def _um_label(length_m: float) -> str:
 
 
 def _sim_for_grid(cfg: ResolvedConfig, receivers, releases, sample_times,
-                  snapshot_times=()) -> SimConfig:
+                  snapshot_times=(), n_tx=None) -> SimConfig:
+    """The engine pass of ``n_tx`` particles a release (default ``release.n_tx``)."""
     return cfg.build(SimConfig, channel=cfg.channel(), receivers=receivers, releases=releases,
+                     n_tx=cfg["release.n_tx"] if n_tx is None else n_tx,
                      time_step=cfg["sim.time_step"], seed=cfg["seed"],
                      sample_times=sample_times, snapshot_times=snapshot_times)
 
@@ -186,11 +188,11 @@ def _particle_pobs(cfg: ResolvedConfig, points, threads: int) -> list[np.ndarray
     at its own steps.  The points thus share their paths, and each
     ``P_ob`` is still the fraction of one pool.
     """
-    pool = (replace(cfg.release(), n_tx=_POOL_PARTICLES),)
-    alone = [_sim_for_grid(cfg, (rx,), pool, offsets) for rx, offsets in points]
+    alone = [_sim_for_grid(cfg, (rx,), (cfg.release(),), offsets, n_tx=_POOL_PARTICLES)
+             for rx, offsets in points]
     receivers = list(dict.fromkeys(rx for rx, _ in points))
     times = sorted(set().union(*(sim.sample_times.tolist() for sim in alone)))
-    sim = _sim_for_grid(cfg, tuple(receivers), pool, times)
+    sim = _sim_for_grid(cfg, tuple(receivers), (cfg.release(),), times, n_tx=_POOL_PARTICLES)
     counts = particles.run(sim, threads=threads).counts[0] / _POOL_PARTICLES
     return [counts[receivers.index(rx), np.searchsorted(sim.sample_steps, one.sample_steps)]
             for (rx, _), one in zip(points, alone)]

@@ -76,8 +76,8 @@ WIDE_SER = DuctChannelConfig(radius_a=200e-6, diffusion_D=1e-12, mean_velocity=1
 def _run_uniform(channel, distance, t_stop, n_tx, seed, snapshot_times=(), threads=4):
     rx = quarter_receiver(channel.radius_a, distance)
     times = np.arange(1, int(round(t_stop / 1e-3)) + 1) * 1e-3
-    cfg = SimConfig(channel=channel, receivers=(rx,), releases=(ReleaseSpec.uniform(n_tx),),
-                    time_step=1e-3, seed=seed, sample_times=times,
+    cfg = SimConfig(channel=channel, receivers=(rx,), releases=(ReleaseSpec.uniform(),),
+                    n_tx=n_tx, time_step=1e-3, seed=seed, sample_times=times,
                     snapshot_times=snapshot_times)
     return rx, cfg, run(cfg, threads=threads)
 
@@ -118,13 +118,13 @@ def test_criterion_03_flow_only_exactness():
     inside = np.abs(counts / cfg.n_tx - p) <= bound + 1e-12
     uniform_ok = inside.mean() >= 0.99
 
-    release = ReleaseSpec.point(100_000, 150e-6, 0.0)
+    release = ReleaseSpec.point(150e-6, 0.0)
     times = np.arange(1, 401) * 1e-3
-    cfg = SimConfig(channel=WIDE_FLOW_ONLY, receivers=(rx,), releases=(release,),
+    cfg = SimConfig(channel=WIDE_FLOW_ONLY, receivers=(rx,), releases=(release,), n_tx=100_000,
                     time_step=1e-3, seed=302, sample_times=times)
     point = run(cfg, threads=4).counts[0, 0]
     window = flow_point_window(WIDE_FLOW_ONLY, rx, release)
-    full = np.flatnonzero(point == release.n_tx)
+    full = np.flatnonzero(point == cfg.n_tx)
     edges_ok = (abs(cfg.sample_times[full[0]] - window[0]) <= 1e-3 + 1e-12
                 and abs(cfg.sample_times[full[-1]] - window[1]) <= 1e-3 + 1e-12)
     check(3, "flow-only simulation inside 3-sigma of the closed form; "
@@ -142,7 +142,7 @@ def test_criterion_04_quadrature_oracles():
         channel, rx = random_flow_setup(rng)
         t1, t2 = flow_transit_times(channel, rx)
         t = rng.uniform(0.5 * t1, 3.0 * t2)
-        numeric = oracle_cir_flow(channel, rx, ReleaseSpec.uniform(1), t)
+        numeric = oracle_cir_flow(channel, rx, ReleaseSpec.uniform(), t)
         worst_flow = max(worst_flow, abs(numeric - cir_flow_uniform(channel, rx, t)))
     flow_ok = worst_flow < 1e-6
 
@@ -264,10 +264,10 @@ def test_criterion_05_wide_duct_reproduction():
                        f"{abs(p_peak - p_ref):.1e}<= {tol:.1e}")
 
     rx = quarter_receiver(200e-6, 200e-6)
-    release = ReleaseSpec.point(100_000, 150e-6, 0.0)
+    release = ReleaseSpec.point(150e-6, 0.0)
     times = np.arange(1, 401) * 1e-3
-    cfg = SimConfig(channel=WIDE, receivers=(rx,), releases=(release,), time_step=1e-3,
-                    seed=20241, sample_times=times)
+    cfg = SimConfig(channel=WIDE, receivers=(rx,), releases=(release,), n_tx=100_000,
+                    time_step=1e-3, seed=20241, sample_times=times)
     counts = run(cfg, threads=4).counts[0, 0]
     window = flow_point_window(WIDE, rx, release)
     width = window[1] - window[0]

@@ -268,6 +268,17 @@ class TestUniformResponse:
         t = np.linspace(0.0, 2.0, 41)
         assert np.array_equal(pob(t), cir_flow_uniform(channel, rx, t))
 
+    def test_zero_before_release(self):
+        # One contract for every regime, as in the engine: nothing is seen
+        # before the release, so both forms are 0 at t < 0 and neither raises.
+        channel, rx = make_channel(), make_receiver(10e-6, 200e-6)
+        for regime in (Regime.DISPERSION, Regime.FLOW_DOMINATED):
+            pob, _ = uniform_response(channel, rx, regime)
+            assert pob(-0.1) == 0.0
+        aligned = ReleaseSpec.point(8e-6, 0.0)
+        assert flow_point_window(channel, rx, aligned) is not None
+        assert cir_flow_point(channel, rx, aligned, -0.1) == 0.0
+
 
 class TestFlowTransitTimes:
     def test_near_receiver(self, wide_flow_only):
@@ -356,7 +367,7 @@ class TestFlowPointCir:
         return make_receiver(200e-6, 200e-6)
 
     def test_reference_window(self, wide_flow_only, rx):
-        release = ReleaseSpec.point(1000, 150e-6, 0.0)
+        release = ReleaseSpec.point(150e-6, 0.0)
         window = flow_point_window(wide_flow_only, rx, release)
         assert window[0] == pytest.approx(0.1714, rel=1e-3)
         assert window[1] == pytest.approx(0.2857, rel=1e-3)
@@ -364,24 +375,24 @@ class TestFlowPointCir:
         assert cir_flow_point(wide_flow_only, rx, release, t).tolist() == [0, 1, 1, 1, 0]
 
     def test_center_release_never_seen(self, wide_flow_only, rx):
-        release = ReleaseSpec.point(1000, 0.0, 0.0)
+        release = ReleaseSpec.point(0.0, 0.0)
         t = np.linspace(0.0, 10.0, 50)
         assert np.all(cir_flow_point(wide_flow_only, rx, release, t) == 0.0)
 
     def test_rect_center(self, wide_flow_only, rx):
-        release = ReleaseSpec.point(1000, 150e-6, 0.0)
+        release = ReleaseSpec.point(150e-6, 0.0)
         t = rx.axial_distance_d / 0.875e-3
         assert cir_flow_point(wide_flow_only, rx, release, t) == 1.0
 
     def test_wall_release_never_advects(self, wide_flow_only, rx):
-        release = ReleaseSpec.point(1000, 200e-6, 0.0)
+        release = ReleaseSpec.point(200e-6, 0.0)
         assert flow_point_window(wide_flow_only, rx, release) is None
         assert np.all(cir_flow_point(wide_flow_only, rx, release,
                                      np.linspace(0, 1e6, 20)) == 0.0)
 
     def test_time_integral_is_window_width(self, wide_flow_only, rx):
         from ductflow import velocity_at
-        release = ReleaseSpec.point(1000, 150e-6, 0.0)
+        release = ReleaseSpec.point(150e-6, 0.0)
         t = np.linspace(0.0, 0.5, 200_001)
         integral = np.trapezoid(cir_flow_point(wide_flow_only, rx, release, t), t)
         expected = rx.extent_cx / velocity_at(wide_flow_only, release.r0)
@@ -431,7 +442,7 @@ class TestClosedFormProperties:
            r0=st.floats(0.0, 1.0), phi0=st.floats(-math.pi, math.pi, exclude_min=True))
     def test_flow_point_is_zero_or_one(self, setup, scales, r0, phi0):
         channel, rx = setup
-        release = ReleaseSpec.point(1, r0 * channel.radius_a, phi0)
+        release = ReleaseSpec.point(r0 * channel.radius_a, phi0)
         t = scales * flow_transit_times(channel, rx)[1]
         window = flow_point_window(channel, rx, release)
         if window is not None:
@@ -465,19 +476,19 @@ class TestFlowOracle:
             channel, rx = random_flow_setup(rng)
             t1, t2 = flow_transit_times(channel, rx)
             t = rng.uniform(0.5 * t1, 3.0 * t2)
-            numeric = oracle_cir_flow(channel, rx, ReleaseSpec.uniform(1), t,
+            numeric = oracle_cir_flow(channel, rx, ReleaseSpec.uniform(), t,
                                       n_radial_cells=2_000_000, n_angular_cells=2_000_000)
             assert abs(numeric - cir_flow_uniform(channel, rx, t)) < 2e-6
 
     def test_zero_before_first_transit(self, wide_flow_only):
         rx = make_receiver(200e-6, 200e-6)
         t1 = flow_transit_times(wide_flow_only, rx)[0]
-        assert oracle_cir_flow(wide_flow_only, rx, ReleaseSpec.uniform(1),
+        assert oracle_cir_flow(wide_flow_only, rx, ReleaseSpec.uniform(),
                                0.5 * t1, 100_000, 100_000) == 0.0
 
     def test_point_release_is_exact(self, wide_flow_only):
         rx = make_receiver(200e-6, 200e-6)
-        release = ReleaseSpec.point(1, 150e-6, 0.0)
+        release = ReleaseSpec.point(150e-6, 0.0)
         for t in (0.1, 0.2, 0.3):
             assert oracle_cir_flow(wide_flow_only, rx, release, t) == \
                 cir_flow_point(wide_flow_only, rx, release, t)

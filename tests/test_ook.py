@@ -984,7 +984,7 @@ class TestParticleBinomial:
         assert np.array_equal(PARTICLE_OFFSETS, offsets)
         pool = SimConfig(channel=make_channel(radius=10e-6, diffusion=1e-10),
                          receivers=(make_receiver(10e-6, 20e-6),),
-                         releases=(ReleaseSpec.uniform(2000),), time_step=1e-4, seed=7,
+                         releases=(ReleaseSpec.uniform(),), n_tx=2000, time_step=1e-4, seed=7,
                          sample_times=offsets)
         counts = particles.run(pool).counts[0, 0]
         assert np.all(counts > 0)
@@ -1019,6 +1019,21 @@ class TestParticleBinomial:
         grids = [np.rint(offsets / 1e-4).astype(np.int64) for _, offsets in points]
         assert len({grid.tobytes() for grid in grids}) == 4
         assert np.array_equal(config.sample_steps, np.unique(np.concatenate(grids)))
+
+    def test_pool_owns_its_count(self, monkeypatch):
+        # The pool's pass moves _POOL_PARTICLES particles of the configured
+        # release; the links it feeds keep release.n_tx.
+        monkeypatch.setattr(presets, "_POOL_PARTICLES", 2000)
+        cfg, _ = self.sweep(0.0)
+        passes, links, engine, analytic = [], [], particles.run, presets.ser_analytic_many
+        monkeypatch.setattr(particles, "run",
+                            lambda config, **kw: passes.append(config) or engine(config, **kw))
+        monkeypatch.setattr(presets, "ser_analytic_many",
+                            lambda batch, method: links.extend(batch) or analytic(batch, method))
+        list(presets.ser_action(cfg, threads=1))
+        (config,) = passes
+        assert config.n_tx == 2000 and config.releases == (cfg.release(),)
+        assert len(links) == 4 and {link.n_tx for link in links} == {cfg["release.n_tx"]} == {200}
 
     def test_shared_run_matches_each_point_alone(self, monkeypatch):
         # At D > 0 the shared run draws the axial increments at the union of
@@ -1129,6 +1144,26 @@ class TestLinkValidation:
             OokLinkConfig([0.5, 1.5], 0, 4.0, 1000)
         with pytest.raises(ValueError, match="observation probabilities"):
             OokLinkConfig([np.nan], 0, 4.0, 1000)
+
+    def test_counts_are_integers(self):
+        # Each count is read with operator.index and stored as a plain int.
+        for xi, n_tx in ((2.5, 1000), (0, 10.5)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                OokLinkConfig([0.2], xi, 4.0, n_tx)
+        with pytest.raises(ValueError, match="sequence length must be an integer"):
+            detection_offsets(0.1, 2.5, 0.0)
+        link = OokLinkConfig([0.2], np.int64(3), 4.0, np.int64(10))
+        assert type(link.threshold_xi) is int and type(link.n_tx) is int
+        assert detection_offsets(0.1, np.int64(3), 0.0).size == 3
+
+    def test_bool_threshold_is_threshold_one(self):
+        # True is the threshold 1, read as one column of the error table,
+        # not a mask over its columns.
+        link = OokLinkConfig([0.3, 0.1], True, 4.0, 10)
+        assert link.threshold_xi == 1 and type(link.threshold_xi) is int
+        got, want = ser_analytic_many([link, replace(link, threshold_xi=1)])
+        assert got.per_symbol_errors.shape == (2,)
+        assert got.ser == want.ser
 
     @pytest.mark.parametrize("noise", [-1.0, math.inf, math.nan])
     def test_noise_mean_must_be_non_negative_and_finite(self, noise):

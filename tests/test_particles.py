@@ -48,10 +48,11 @@ from conftest import (exit_in_worker, kill_in_worker, make_channel, make_receive
                       point_in_receiver, raise_in_worker, unpicklable_in_worker)
 
 
-def sim_config(channel, receivers, release, sample_times, seed=1234, dt=1e-3,
+def sim_config(channel, receivers, release, n_tx, sample_times, seed=1234, dt=1e-3,
                snapshot_times=()):
-    return SimConfig(channel=channel, receivers=receivers, releases=(release,), time_step=dt,
-                     seed=seed, sample_times=sample_times, snapshot_times=snapshot_times)
+    return SimConfig(channel=channel, receivers=receivers, releases=(release,), n_tx=n_tx,
+                     time_step=dt, seed=seed, sample_times=sample_times,
+                     snapshot_times=snapshot_times)
 
 
 @pytest.fixture
@@ -60,19 +61,18 @@ def several_cpus(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
 
 
-def released(release, radius, seed, lo=0, hi=None):
+def released(release, hi, radius, seed, lo=0):
     """The positions ``run`` starts particles ``[lo, hi)`` of ``seed`` from."""
-    spans, cross, _ = _streams(seed, lo, release.n_tx if hi is None else hi)
+    spans, cross, _ = _streams(seed, lo, hi)
     return tuple(row for row, in _initial_block([release], radius, spans, cross))
 
 
-def walked(release, channel, seed, steps, dt=1e-3):
-    """Release positions and ``(x, y, z)`` after ``steps`` engine steps.
+def walked(release, n, channel, seed, steps, dt=1e-3):
+    """Release positions of ``n`` particles and ``(x, y, z)`` after ``steps`` engine steps.
 
     ``x`` carries the advection only: ``run`` adds the axial noise at the
     sample and snapshot steps.
     """
-    n = release.n_tx
     spans, cross, _ = _streams(seed, 0, n)
     start = tuple(row for row, in _initial_block([release], channel.radius_a, spans, cross))
     x, y, z = (c.copy() for c in start)
@@ -96,8 +96,7 @@ def azimuth(positions):
 
 class TestInitialPositions:
     def test_point_release_is_deterministic(self):
-        release = ReleaseSpec.point(5, 150e-6, 0.5)
-        pos = released(release, 200e-6, 7)
+        pos = released(ReleaseSpec.point(150e-6, 0.5), 5, 200e-6, 7)
         x, y, z = pos
         assert np.all(x == 0.0)
         assert np.unique(y).size == 1 and np.unique(z).size == 1
@@ -106,7 +105,7 @@ class TestInitialPositions:
 
     def test_uniform_release_r2_mean(self):
         n = 100_000
-        u = (radius(released(ReleaseSpec.uniform(n), 1e-5, 99)) / 1e-5) ** 2
+        u = (radius(released(ReleaseSpec.uniform(), n, 1e-5, 99)) / 1e-5) ** 2
         stderr = math.sqrt(1.0 / 12.0 / n)
         assert abs(u.mean() - 0.5) <= 3.0 * stderr
         assert np.all(u <= 1.0)
@@ -115,7 +114,7 @@ class TestInitialPositions:
         channel = make_channel(radius=200e-6)
         rx = make_receiver(200e-6, 200e-6)
         n = 100_000
-        pos = released(ReleaseSpec.uniform(n), 200e-6, 5)
+        pos = released(ReleaseSpec.uniform(), n, 200e-6, 5)
         inside = point_in_receiver(rx, np.full(n, rx.axial_distance_d),
                                    radius(pos), azimuth(pos), 200e-6)
         frac = rx_area_fraction(channel, rx)
@@ -126,10 +125,10 @@ class TestInitialPositions:
         # Partition independence: runs of whole blocks draw exactly the
         # release positions and step normals of the one-partition draw.
         n = 3 * _BLOCK + 77
-        release = ReleaseSpec.uniform(n)
-        whole = released(release, 1e-5, 42)
-        head = released(release, 1e-5, 42, 0, 2 * _BLOCK)
-        tail = released(release, 1e-5, 42, 2 * _BLOCK, n)
+        release = ReleaseSpec.uniform()
+        whole = released(release, n, 1e-5, 42)
+        head = released(release, 2 * _BLOCK, 1e-5, 42)
+        tail = released(release, n, 1e-5, 42, 2 * _BLOCK)
         for w, h, t in zip(whole, head, tail):
             assert np.array_equal(w, np.concatenate([h, t]))
         draws = []
@@ -147,7 +146,7 @@ class TestInitialPositions:
 class TestStep:
     def test_pure_advection_is_exact(self):
         channel = make_channel(radius=200e-6, diffusion=0.0)
-        x0, y0, z0 = released(ReleaseSpec.uniform(2000), 200e-6, 3)
+        x0, y0, z0 = released(ReleaseSpec.uniform(), 2000, 200e-6, 3)
         x, y, z = x0.copy(), y0.copy(), z0.copy()
         r2 = y0 * y0 + z0 * z0
         _advance_inplace(x, y, z, r2, channel, 1e-3, None)
@@ -164,7 +163,7 @@ class TestStep:
         channel = make_channel(radius=1e-4, diffusion=1e-12, mean_velocity=0.0)
         n = 200_000
         dt = 1e-3
-        before, after = walked(ReleaseSpec.point(n, 0.0, 0.0), channel, 12, 1, dt)
+        before, after = walked(ReleaseSpec.point(0.0, 0.0), n, channel, 12, 1, dt)
         var = 2.0 * channel.diffusion_D * dt
         for old, new in zip(before[1:], after[1:]):
             delta = new - old
@@ -238,7 +237,7 @@ class TestStep:
         channel = make_channel(radius=1e-5, diffusion=1e-10, mean_velocity=0.0)
         a, n = channel.radius_a, 500
         y, z = (np.asfortranarray(np.repeat(row[None], 2, axis=0))
-                for row in released(ReleaseSpec.uniform(n), a, 8)[1:])
+                for row in released(ReleaseSpec.uniform(), n, a, 8)[1:])
         x, r2 = np.zeros_like(y), y * y + z * z
         normals = np.random.default_rng(8).standard_normal((2, n))
         # One step of sd a/2 per axis takes most particles past the wall.
@@ -254,7 +253,7 @@ class TestStep:
         # Zero-flux sanity: a uniform disk stays uniform in r^2 under many
         # diffusive steps with reflection.
         channel = make_channel(radius=1e-5, diffusion=1e-10, mean_velocity=0.0)
-        cfg = sim_config(channel, (make_receiver(1e-5, 200e-6),), ReleaseSpec.uniform(20_000),
+        cfg = sim_config(channel, (make_receiver(1e-5, 200e-6),), ReleaseSpec.uniform(), 20_000,
                          [0.05], seed=4, snapshot_times=[0.05])
         u = run(cfg).snapshots[0, 0][:, 1] / (1e-5) ** 2
         ks = stats.kstest(u, "uniform")
@@ -262,7 +261,7 @@ class TestStep:
 
     def test_azimuthal_symmetry(self):
         channel = make_channel(radius=1e-5, diffusion=1e-10)
-        _, pos = walked(ReleaseSpec.uniform(20_000), channel, 2, 20)
+        _, pos = walked(ReleaseSpec.uniform(), 20_000, channel, 2, 20)
         counts, _ = np.histogram(azimuth(pos), bins=16, range=(-math.pi, math.pi))
         chi = stats.chisquare(counts)
         assert chi.pvalue > 0.01
@@ -272,7 +271,7 @@ class TestStep:
         # number of steps, to the rounding of the step sum.
         channel = make_channel(radius=10e-6, diffusion=0.0)
         t = 0.4
-        cfg = sim_config(channel, (make_receiver(10e-6, 200e-6),), ReleaseSpec.uniform(3000),
+        cfg = sim_config(channel, (make_receiver(10e-6, 200e-6),), ReleaseSpec.uniform(), 3000,
                          [0.1, t], dt=1e-3, snapshot_times=[t])
         cloud = run(cfg).snapshots[0, 0]
         x, r2 = cloud[:, 0], cloud[:, 1]
@@ -286,7 +285,7 @@ class TestStep:
         channel = make_channel(radius=10e-6, diffusion=1e-10, mean_velocity=0.0)
         n = 20_000
         for times in ([0.3], [0.01, 0.3], np.arange(1, 301) * 1e-3):
-            cfg = sim_config(channel, (make_receiver(10e-6, 200e-6),), ReleaseSpec.uniform(n),
+            cfg = sim_config(channel, (make_receiver(10e-6, 200e-6),), ReleaseSpec.uniform(), n,
                              times, seed=31, snapshot_times=[0.3])
             x = run(cfg).snapshots[0, 0][:, 0]
             stat = np.sum(x * x) / (2.0 * channel.diffusion_D * 0.3)
@@ -297,9 +296,8 @@ class TestStep:
         # sample grid gives the same r^2 at a shared snapshot step.
         channel = make_channel(radius=10e-6, diffusion=1e-10)
         rx = make_receiver(10e-6, 20e-6)
-        release = ReleaseSpec.uniform(_BLOCK + 500)
-        clouds = [run(sim_config(channel, (rx,), release, times, seed=6,
-                                 snapshot_times=[0.05]), threads=2).snapshots[0, 0]
+        clouds = [run(sim_config(channel, (rx,), ReleaseSpec.uniform(), _BLOCK + 500, times,
+                                 seed=6, snapshot_times=[0.05]), threads=2).snapshots[0, 0]
                   for times in ([0.08], np.arange(1, 81) * 1e-3)]
         assert np.array_equal(clouds[0][:, 1], clouds[1][:, 1])
         assert not np.array_equal(clouds[0][:, 0], clouds[1][:, 0])
@@ -309,7 +307,7 @@ class TestRun:
     def test_flow_only_uniform_matches_closed_form(self, wide_flow_only):
         rx = make_receiver(200e-6, 200e-6)
         times = np.arange(1, 301) * 1e-3
-        cfg = sim_config(wide_flow_only, (rx,), ReleaseSpec.uniform(50_000), times, seed=7)
+        cfg = sim_config(wide_flow_only, (rx,), ReleaseSpec.uniform(), 50_000, times, seed=7)
         counts = run(cfg).counts[0, 0]
         p = cir_flow_uniform(wide_flow_only, rx, cfg.sample_times)
         bound = 3.0 * np.sqrt(p * (1.0 - p) / cfg.n_tx)
@@ -318,12 +316,12 @@ class TestRun:
 
     def test_flow_only_point_release_window(self, wide_flow_only):
         rx = make_receiver(200e-6, 200e-6)
-        release = ReleaseSpec.point(10_000, 150e-6, 0.0)
+        release = ReleaseSpec.point(150e-6, 0.0)
         times = np.arange(1, 401) * 1e-3
-        cfg = sim_config(wide_flow_only, (rx,), release, times)
+        cfg = sim_config(wide_flow_only, (rx,), release, 10_000, times)
         counts, times = run(cfg).counts[0, 0], cfg.sample_times
         window = flow_point_window(wide_flow_only, rx, release)
-        full = np.flatnonzero(counts == release.n_tx)
+        full = np.flatnonzero(counts == cfg.n_tx)
         assert abs(times[full[0]] - window[0]) <= cfg.time_step
         assert abs(times[full[-1]] - window[1]) <= cfg.time_step
         outside = (times < window[0] - cfg.time_step) | \
@@ -332,14 +330,14 @@ class TestRun:
 
     def test_empty_release(self, wide_flow_only):
         rx = make_receiver(200e-6, 200e-6)
-        cfg = sim_config(wide_flow_only, (rx,), ReleaseSpec.uniform(0), [0.01, 0.02])
+        cfg = sim_config(wide_flow_only, (rx,), ReleaseSpec.uniform(), 0, [0.01, 0.02])
         counts = run(cfg).counts[0, 0]
         assert np.all(counts == 0)
 
     def test_deterministic_across_thread_counts(self, narrow_channel, several_cpus):
         rx = make_receiver(10e-6, 200e-6)
         times = np.arange(1, 60) * 2e-3
-        cfg = sim_config(narrow_channel, (rx,), ReleaseSpec.uniform(5_000), times,
+        cfg = sim_config(narrow_channel, (rx,), ReleaseSpec.uniform(), 5_000, times,
                          snapshot_times=[0.05])
         results = [run(cfg, threads=t) for t in (1, 2, 7)]
         for other in results[1:]:
@@ -351,11 +349,11 @@ class TestRun:
         # Below one block there is one partition whatever the thread count;
         # a ragged last block must not shift any other block's streams.
         rx, times = make_receiver(10e-6, 20e-6), np.arange(0, 41) * 1e-3
-        cfgs = [sim_config(narrow_channel, (rx,), release, times, seed=seed, dt=1e-4,
+        cfgs = [sim_config(narrow_channel, (rx,), release, n, times, seed=seed, dt=1e-4,
                            snapshot_times=[0.02])
-                for release, seed in ((ReleaseSpec.uniform(n_tx), 1234),
-                                      (ReleaseSpec.uniform(0), 1234),
-                                      (ReleaseSpec.point(_BLOCK + 5, 8e-6, 0.3), 99))]
+                for release, n, seed in ((ReleaseSpec.uniform(), n_tx, 1234),
+                                         (ReleaseSpec.uniform(), 0, 1234),
+                                         (ReleaseSpec.point(8e-6, 0.3), _BLOCK + 5, 99))]
         alone = [run(cfg) for cfg in cfgs]
         assert alone[0].counts[0, 0].sum() > 0
         for t in (1, 2, 3, 4):
@@ -371,7 +369,7 @@ class TestRun:
     def test_counts_independent_of_cut_points(self, full, ragged, cuts, seed):
         n_tx = full * _BLOCK + ragged
         cfg = sim_config(make_channel(radius=10e-6), (make_receiver(10e-6, 20e-6),),
-                         ReleaseSpec.uniform(n_tx), np.arange(1, 41) * 1e-3, seed=seed,
+                         ReleaseSpec.uniform(), n_tx, np.arange(1, 41) * 1e-3, seed=seed,
                          snapshot_times=[0.02])
         bounds = [0, *sorted(c * _BLOCK for c in cuts if c <= full), n_tx]
         parts = [particles._run_block(cfg, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
@@ -395,7 +393,7 @@ class TestRun:
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         for n_tx, parts in ((64, [1, 1, 1]), (10 * _BLOCK + 5, [1, 2, 4])):
             cfg = sim_config(narrow_channel, (make_receiver(10e-6, 20e-6),),
-                             ReleaseSpec.uniform(n_tx), np.arange(1, 21) * 1e-3)
+                             ReleaseSpec.uniform(), n_tx, np.arange(1, 21) * 1e-3)
             counts, seen = [], []
             for t in (1, 2, 64):
                 forks.clear()
@@ -422,7 +420,7 @@ class TestRun:
         # Forked workers inherit the patched module.
         monkeypatch.setattr(particles, "_run_block", fault)
         cfg = sim_config(narrow_channel, (make_receiver(10e-6, 20e-6),),
-                         ReleaseSpec.uniform(2 * _BLOCK), np.arange(1, 21) * 1e-3)
+                         ReleaseSpec.uniform(), 2 * _BLOCK, np.arange(1, 21) * 1e-3)
         with pytest.raises(error, match=match):
             run(cfg, threads=2)
         with pytest.raises(ChildProcessError):
@@ -430,7 +428,7 @@ class TestRun:
 
     def test_no_child_outlives_a_pooled_run(self, narrow_channel, several_cpus):
         cfg = sim_config(narrow_channel, (make_receiver(10e-6, 20e-6),),
-                         ReleaseSpec.uniform(2 * _BLOCK), np.arange(1, 21) * 1e-3)
+                         ReleaseSpec.uniform(), 2 * _BLOCK, np.arange(1, 21) * 1e-3)
         assert np.array_equal(run(cfg, threads=2).counts[0, 0],
                               run(cfg).counts[0, 0])
         with pytest.raises(ChildProcessError):
@@ -452,7 +450,7 @@ class TestRun:
 
         monkeypatch.setattr(particles, "_run_block", fail_or_hang)
         cfg = sim_config(narrow_channel, (make_receiver(10e-6, 20e-6),),
-                         ReleaseSpec.uniform(2 * _BLOCK), np.arange(1, 21) * 1e-3)
+                         ReleaseSpec.uniform(), 2 * _BLOCK, np.arange(1, 21) * 1e-3)
         start = time.monotonic()
         with pytest.raises(error, match="share failed"):
             run(cfg, threads=2)
@@ -464,7 +462,7 @@ class TestRun:
         # The second worker's share is 3 blocks, so each of its snapshots
         # alone is 96 KiB, more than the 64 KiB a Linux pipe buffers.
         n = 5 * _BLOCK
-        cfg = sim_config(narrow_channel, (make_receiver(10e-6, 20e-6),), ReleaseSpec.uniform(n),
+        cfg = sim_config(narrow_channel, (make_receiver(10e-6, 20e-6),), ReleaseSpec.uniform(), n,
                          np.arange(1, 21) * 1e-3, snapshot_times=[0.005, 0.02])
         assert particles._partitions(cfg, 2) == [(0, 2 * _BLOCK), (2 * _BLOCK, n)]
         assert (n - 2 * _BLOCK) * 2 * 8 > 64 * 1024
@@ -481,13 +479,13 @@ class TestRun:
 
         monkeypatch.setattr(threading.Thread, "start", refuse)
         cfg = sim_config(narrow_channel, (make_receiver(10e-6, 20e-6),),
-                         ReleaseSpec.uniform(2 * _BLOCK), np.arange(1, 21) * 1e-3)
+                         ReleaseSpec.uniform(), 2 * _BLOCK, np.arange(1, 21) * 1e-3)
         assert np.array_equal(run(cfg, threads=2).counts[0, 0],
                               run(cfg).counts[0, 0])
 
     def test_fork_emits_no_warning(self, narrow_channel, several_cpus):
         cfg = sim_config(narrow_channel, (make_receiver(10e-6, 20e-6),),
-                         ReleaseSpec.uniform(2 * _BLOCK), np.arange(1, 21) * 1e-3)
+                         ReleaseSpec.uniform(), 2 * _BLOCK, np.arange(1, 21) * 1e-3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             counts = run(cfg, threads=2).counts[0, 0]
@@ -496,7 +494,7 @@ class TestRun:
     def test_mean_axial_position_tracks_mean_velocity(self, narrow_channel):
         rx = make_receiver(10e-6, 800e-6)
         times = [0.1, 0.2, 0.3]
-        cfg = sim_config(narrow_channel, (rx,), ReleaseSpec.uniform(20_000), times, seed=77,
+        cfg = sim_config(narrow_channel, (rx,), ReleaseSpec.uniform(), 20_000, times, seed=77,
                          snapshot_times=times)
         result = run(cfg)
         for t, cloud in zip(cfg.snapshot_times, result.snapshots):
@@ -506,18 +504,30 @@ class TestRun:
 
     def test_sample_times_snap_to_steps(self, wide_flow_only):
         rx = make_receiver(200e-6, 200e-6)
-        cfg = sim_config(wide_flow_only, (rx,), ReleaseSpec.uniform(10),
+        cfg = sim_config(wide_flow_only, (rx,), ReleaseSpec.uniform(), 10,
                          [0.0101, 0.0199], dt=1e-3)
         assert np.allclose(cfg.sample_times, [0.010, 0.020])
         with pytest.raises(ValueError):
-            sim_config(wide_flow_only, (rx,), ReleaseSpec.uniform(10),
+            sim_config(wide_flow_only, (rx,), ReleaseSpec.uniform(), 10,
                        [0.0101, 0.0102], dt=1e-3)  # collide on the same step
 
     @pytest.mark.parametrize("dt", [math.inf, math.nan, 0.0, -1e-3])
     def test_time_step_must_be_positive_and_finite(self, wide_flow_only, dt):
         with pytest.raises(ValueError, match="time step must be positive and finite"):
-            sim_config(wide_flow_only, (make_receiver(200e-6, 200e-6),), ReleaseSpec.uniform(10),
+            sim_config(wide_flow_only, (make_receiver(200e-6, 200e-6),), ReleaseSpec.uniform(), 10,
                        [0.01], dt=dt)
+
+    def test_particle_count_and_seed_are_integers(self, wide_flow_only):
+        rx = make_receiver(200e-6, 200e-6)
+        with pytest.raises(ValueError, match="particle count must be non-negative"):
+            sim_config(wide_flow_only, (rx,), ReleaseSpec.uniform(), -1, [0.01])
+        assert sim_config(wide_flow_only, (rx,), ReleaseSpec.uniform(), 0, [0.01]).n_tx == 0
+        for n_tx, seed in ((2500.5, 1), (10, 1.5)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                sim_config(wide_flow_only, (rx,), ReleaseSpec.uniform(), n_tx, [0.01], seed=seed)
+        cfg = sim_config(wide_flow_only, (rx,), ReleaseSpec.uniform(), np.int64(10), [0.01],
+                         seed=np.uint64(3))
+        assert type(cfg.n_tx) is int and type(cfg.seed) is int
 
     @pytest.mark.parametrize("what", ["sample_times", "snapshot_times"])
     def test_time_step_count_must_fit_int64(self, wide_flow_only, what):
@@ -525,8 +535,10 @@ class TestRun:
         rx = make_receiver(200e-6, 200e-6)
         times = {"sample_times": [0.01], "snapshot_times": ()}
         with pytest.raises(ValueError, match="2\\*\\*63 steps"):
-            sim_config(wide_flow_only, (rx,), ReleaseSpec.uniform(10), **{**times, what: [1e16]})
-        cfg = sim_config(wide_flow_only, (rx,), ReleaseSpec.uniform(10), **{**times, what: [1e15]})
+            sim_config(wide_flow_only, (rx,), ReleaseSpec.uniform(), 10,
+                       **{**times, what: [1e16]})
+        cfg = sim_config(wide_flow_only, (rx,), ReleaseSpec.uniform(), 10,
+                         **{**times, what: [1e15]})
         assert cfg.n_steps == 10 ** 18
 
     @pytest.mark.parametrize("argv", [
@@ -565,7 +577,7 @@ class TestRun:
     @pytest.mark.parametrize("diffusion", [1e-10, 0.0])
     def test_pinned_counts(self, diffusion, threads, several_cpus, monkeypatch):
         channel = make_channel(radius=10e-6, diffusion=diffusion)
-        cfg = sim_config(channel, (make_receiver(10e-6, 20e-6),), ReleaseSpec.uniform(1500),
+        cfg = sim_config(channel, (make_receiver(10e-6, 20e-6),), ReleaseSpec.uniform(), 1500,
                          np.arange(0, 41) * 1e-3, seed=2017, dt=1e-4)
         for sigmas, expected in zip((particles._RETIRE_SIGMAS, math.inf),
                                     self.COUNTS_SHA256[diffusion]):
@@ -587,9 +599,9 @@ class TestGrouping:
         near, wide = (make_receiver(10e-6, 20e-6, cphi=cphi) for cphi in (math.pi / 2, math.pi))
         far = make_receiver(10e-6, 40e-6)
         return SimConfig(channel=channel, receivers=(near, far, wide),
-                         releases=(ReleaseSpec.uniform(n_tx), ReleaseSpec.point(n_tx, 8e-6, 0.3),
-                                   ReleaseSpec.point(n_tx, 6e-6, -0.5), ReleaseSpec.uniform(n_tx)),
-                         time_step=1e-4, seed=21, sample_times=self.TIMES,
+                         releases=(ReleaseSpec.uniform(), ReleaseSpec.point(8e-6, 0.3),
+                                   ReleaseSpec.point(6e-6, -0.5), ReleaseSpec.uniform()),
+                         n_tx=n_tx, time_step=1e-4, seed=21, sample_times=self.TIMES,
                          snapshot_times=self.SNAPS)
 
     @pytest.mark.parametrize("diffusion", [1e-10, 0.0])
@@ -628,15 +640,10 @@ class TestGrouping:
         with pytest.raises(ValueError, match="at least one release"):
             replace(self.config(1e-10), releases=())
 
-    def test_mixed_n_tx_refused(self):
-        cfg = self.config(1e-10)
-        with pytest.raises(ValueError, match="share one n_tx"):
-            replace(cfg, releases=(cfg.releases[0], ReleaseSpec.uniform(cfg.n_tx + 1)))
-
     def test_every_release_is_validated(self):
         cfg = self.config(1e-10)
         with pytest.raises(ValueError, match="release radius"):
-            replace(cfg, releases=(cfg.releases[0], ReleaseSpec.point(cfg.n_tx, 11e-6)))
+            replace(cfg, releases=(cfg.releases[0], ReleaseSpec.point(11e-6)))
 
 
 def small_duct_pass(n_tx, snapshot_times=(), diffusion="1e-10"):
@@ -745,7 +752,7 @@ class TestRetirement:
         assert run(cfg).snapshots.shape == (0, 2, cfg.n_tx, 2)
 
     def test_empty_release_with_retirement(self, narrow_channel):
-        cfg = sim_config(narrow_channel, (make_receiver(10e-6, 20e-6),), ReleaseSpec.uniform(0),
+        cfg = sim_config(narrow_channel, (make_receiver(10e-6, 20e-6),), ReleaseSpec.uniform(), 0,
                          np.arange(0, 41) * 1e-3, dt=1e-4)
         counts = run(cfg, threads=2).counts
         assert counts.shape == (1, 1, 41) and not counts.any()
@@ -754,7 +761,7 @@ class TestRetirement:
 class TestSnapshots:
     def test_at_release_plane(self, narrow_channel):
         rx = make_receiver(10e-6, 200e-6)
-        cfg = sim_config(narrow_channel, (rx,), ReleaseSpec.uniform(500), [0.01],
+        cfg = sim_config(narrow_channel, (rx,), ReleaseSpec.uniform(), 500, [0.01],
                          snapshot_times=[0.0])
         result = run(cfg)
         cloud = result.snapshots[0, 0]
@@ -765,7 +772,7 @@ class TestSnapshots:
         channel = make_channel(radius=10e-6, diffusion=0.0)
         rx = make_receiver(10e-6, 200e-6)
         t = 0.02
-        cfg = sim_config(channel, (rx,), ReleaseSpec.uniform(2000), [t], snapshot_times=[t])
+        cfg = sim_config(channel, (rx,), ReleaseSpec.uniform(), 2000, [t], snapshot_times=[t])
         cloud = run(cfg).snapshots[0, 0]
         a2 = (10e-6) ** 2
         line = a2 * (1.0 - cloud[:, 0] / (2.0 * channel.mean_velocity * t))
@@ -775,7 +782,7 @@ class TestSnapshots:
         # After long times the cross-wise positions decouple from x and r^2
         # is uniform on [0, a^2].
         rx = make_receiver(10e-6, 800e-6)
-        cfg = sim_config(narrow_channel, (rx,), ReleaseSpec.uniform(1000), [0.8], seed=15,
+        cfg = sim_config(narrow_channel, (rx,), ReleaseSpec.uniform(), 1000, [0.8], seed=15,
                          snapshot_times=[0.8])
         cloud = run(cfg).snapshots[0, 0]
         u = cloud[:, 1] / (10e-6) ** 2
@@ -790,7 +797,7 @@ class TestSnapshots:
         # do: snapshots[i] is the cloud at snapshot_times[i].  With D = 0,
         # x = u(r) t at that time.
         channel = make_channel(radius=10e-6, diffusion=0.0)
-        cfg = sim_config(channel, (make_receiver(10e-6, 200e-6),), ReleaseSpec.uniform(500),
+        cfg = sim_config(channel, (make_receiver(10e-6, 200e-6),), ReleaseSpec.uniform(), 500,
                          [dt], dt=dt, snapshot_times=times)
         assert cfg.snapshot_times.tolist() != times
         result = run(cfg)
@@ -800,7 +807,7 @@ class TestSnapshots:
             np.testing.assert_allclose(cloud[0, :, 0], u * t, rtol=1e-12, atol=0.0)
 
     def test_empty_release_without_receivers(self, narrow_channel, several_cpus):
-        cfg = sim_config(narrow_channel, (), ReleaseSpec.uniform(0), (),
+        cfg = sim_config(narrow_channel, (), ReleaseSpec.uniform(), 0, (),
                          snapshot_times=[0.01, 0.02])
         result = run(cfg, threads=2)
         assert result.counts.shape == (1, 0, 0)
@@ -808,23 +815,23 @@ class TestSnapshots:
 
     def test_negative_time_refused(self, narrow_channel):
         with pytest.raises(ValueError, match="snapshot times must be non-negative"):
-            sim_config(narrow_channel, (make_receiver(10e-6, 200e-6),), ReleaseSpec.uniform(10),
-                       [0.01], snapshot_times=[0.02, -1e-3])
+            sim_config(narrow_channel, (make_receiver(10e-6, 200e-6),), ReleaseSpec.uniform(),
+                       10, [0.01], snapshot_times=[0.02, -1e-3])
 
     def test_duplicates_collapse(self, narrow_channel):
         # Times that snap to one step give one snapshot; order does not matter.
-        cfg = sim_config(narrow_channel, (make_receiver(10e-6, 200e-6),), ReleaseSpec.uniform(10),
-                         [0.01], snapshot_times=[0.02, 0.0051, 0.005, 0.02])
+        cfg = sim_config(narrow_channel, (make_receiver(10e-6, 200e-6),), ReleaseSpec.uniform(),
+                         10, [0.01], snapshot_times=[0.02, 0.0051, 0.005, 0.02])
         assert cfg.snapshot_steps.tolist() == [5, 20]
         assert np.array_equal(cfg.snapshot_times, [5e-3, 20e-3])
         assert run(cfg).snapshots.shape == (2, 1, 10, 2)
 
     def test_run_reaches_snapshot_after_last_sample(self, narrow_channel):
-        cfg = sim_config(narrow_channel, (make_receiver(10e-6, 200e-6),), ReleaseSpec.uniform(10),
-                         [0.01, 0.02], snapshot_times=[0.05])
+        cfg = sim_config(narrow_channel, (make_receiver(10e-6, 200e-6),), ReleaseSpec.uniform(),
+                         10, [0.01, 0.02], snapshot_times=[0.05])
         assert cfg.n_steps == 50
         assert sim_config(narrow_channel, (make_receiver(10e-6, 200e-6),),
-                          ReleaseSpec.uniform(10), [0.01, 0.02]).n_steps == 20
+                          ReleaseSpec.uniform(), 10, [0.01, 0.02]).n_steps == 20
         assert run(cfg).snapshots.shape == (1, 1, 10, 2)
 
     #: SHA-256 of the snapshots (in time order) and of the counts of the run
@@ -834,8 +841,8 @@ class TestSnapshots:
     COUNTS_SHA256 = "e4f5c2746d20c2059be2f8b02c00ada7fd055490c96b741f558aa6d82b8acaa8"
 
     def test_replace_matches_pinned_snapshots(self, narrow_channel):
-        cfg = sim_config(narrow_channel, (make_receiver(10e-6, 20e-6),), ReleaseSpec.uniform(2500),
-                         np.arange(0, 21) * 1e-3, seed=2017, dt=1e-4)
+        cfg = sim_config(narrow_channel, (make_receiver(10e-6, 20e-6),), ReleaseSpec.uniform(),
+                         2500, np.arange(0, 21) * 1e-3, seed=2017, dt=1e-4)
         cfg = replace(cfg, snapshot_times=[0.03, 0.0101, 0.01, 0.0])
         assert cfg.snapshot_times.tolist() == [k * 1e-4 for k in (0, 100, 101, 300)]
         result = run(cfg)
@@ -859,13 +866,13 @@ class TestMultiReceiver:
     @pytest.mark.parametrize("diffusion", [1e-10, 0.0])
     def test_counts_match_single_receiver_runs(self, diffusion, threads, several_cpus):
         channel = make_channel(radius=10e-6, diffusion=diffusion)
-        release = ReleaseSpec.uniform(3000)
-        multi_cfg = sim_config(channel, self.RECEIVERS, release, self.TIMES,
+        release = ReleaseSpec.uniform()
+        multi_cfg = sim_config(channel, self.RECEIVERS, release, 3000, self.TIMES,
                                snapshot_times=self.SNAPS)
         multi = run(multi_cfg, threads=threads)
         assert len(multi.counts[0]) == len(self.RECEIVERS)
         for rx, counts in zip(self.RECEIVERS, multi.counts[0]):
-            single_cfg = sim_config(channel, (rx,), release, self.TIMES,
+            single_cfg = sim_config(channel, (rx,), release, 3000, self.TIMES,
                                     snapshot_times=self.SNAPS)
             single = run(single_cfg, threads=threads)
             assert counts.sum() > 0
@@ -874,7 +881,7 @@ class TestMultiReceiver:
             assert np.array_equal(multi.snapshots, single.snapshots)
 
     def test_empty_release(self, narrow_channel):
-        cfg = sim_config(narrow_channel, self.RECEIVERS, ReleaseSpec.uniform(0), self.TIMES,
+        cfg = sim_config(narrow_channel, self.RECEIVERS, ReleaseSpec.uniform(), 0, self.TIMES,
                          snapshot_times=self.SNAPS)
         result = run(cfg, threads=3)
         assert len(result.counts[0]) == len(self.RECEIVERS)
@@ -885,7 +892,7 @@ class TestMultiReceiver:
 
     def test_single_receiver_gives_one_series(self, narrow_channel):
         rx = self.RECEIVERS[0]
-        cfg = sim_config(narrow_channel, (rx,), ReleaseSpec.uniform(10), self.TIMES)
+        cfg = sim_config(narrow_channel, (rx,), ReleaseSpec.uniform(), 10, self.TIMES)
         assert cfg.receivers == (rx,)
         assert len(run(cfg).counts[0]) == 1
 
@@ -894,13 +901,14 @@ class TestMultiReceiver:
                                   extent_cr=20e-6, extent_cphi=math.pi / 2)
         with pytest.raises(ValueError):
             sim_config(narrow_channel, (self.RECEIVERS[0], too_deep),
-                       ReleaseSpec.uniform(10), self.TIMES)
+                       ReleaseSpec.uniform(), 10, self.TIMES)
         # No receiver at all is a valid pass that counts nothing.
-        assert sim_config(narrow_channel, (), ReleaseSpec.uniform(10), self.TIMES).receivers == ()
+        cfg = sim_config(narrow_channel, (), ReleaseSpec.uniform(), 10, self.TIMES)
+        assert cfg.receivers == ()
 
     @pytest.mark.parametrize("threads", [0, -1])
     def test_threads_below_one_rejected(self, narrow_channel, threads):
-        cfg = sim_config(narrow_channel, (self.RECEIVERS[0],), ReleaseSpec.uniform(10),
+        cfg = sim_config(narrow_channel, (self.RECEIVERS[0],), ReleaseSpec.uniform(), 10,
                          self.TIMES)
         with pytest.raises(ValueError, match="threads"):
             run(cfg, threads=threads)

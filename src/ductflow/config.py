@@ -20,6 +20,7 @@ keys are read exactly, so ``seed = 18446744073709551615`` keeps every digit.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from decimal import Decimal
@@ -278,13 +279,18 @@ def load_config(preset_values: dict | None = None, file_path: str | Path | None 
         Textual ``key -> value`` overrides from the command line; parsed
         with the same unit rules as the file.
     seed : int, optional
-        Convenience override for the ``seed`` key.
+        Convenience override for the ``seed`` key; a non-integer is refused.
     """
+    if seed is not None:
+        try:
+            seed = operator.index(seed)
+        except TypeError:
+            raise ConfigError(f"seed must be an integer, got {seed!r}") from None
     layers = (
         (preset_values or {}, "preset"),
         (_read_config_file(file_path) if file_path is not None else {}, "file"),
         ({key: parse_value(key, text) for key, text in (overrides or {}).items()}, "flag"),
-        ({} if seed is None else {"seed": int(seed)}, "flag"),
+        ({} if seed is None else {"seed": seed}, "flag"),
     )
     values = {key: default for key, (default, _) in KEY_REGISTRY.items()}
     provenance = dict.fromkeys(KEY_REGISTRY, "default")

@@ -132,8 +132,8 @@ class ReleaseSpec:
         if self.kind is ReleaseKind.POINT:
             if self.r0 is None or self.phi0 is None:
                 raise ValueError("point release needs r0 and phi0")
-            if self.r0 < 0.0:
-                raise ValueError(f"release radius must be non-negative, got {self.r0!r}")
+            if not 0.0 <= self.r0 < math.inf:
+                raise ValueError(f"release radius must be non-negative and finite, got {self.r0!r}")
             if not -math.pi < self.phi0 <= math.pi:
                 raise ValueError(f"release azimuth must lie in (-pi, pi], got {self.phi0!r}")
         elif self.r0 is not None or self.phi0 is not None:

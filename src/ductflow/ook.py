@@ -137,12 +137,12 @@ def detection_offsets(symbol_interval_T: float, seq_len_K: int,
     Symbol ``i`` is detected at ``t0 + i T``, so the release of symbol
     ``i - j`` is seen there ``t0 + j T`` after it was sent.
     """
-    if not symbol_interval_T > 0.0:
-        raise ValueError("symbol interval must be positive")
+    if not 0.0 < symbol_interval_T < math.inf:
+        raise ValueError("symbol interval must be positive and finite")
     if _integer(seq_len_K, "sequence length") < 1:
         raise ValueError("sequence length must be at least 1")
-    if detection_delay_t0 < 0.0:
-        raise ValueError("detection delay must be non-negative")
+    if not 0.0 <= detection_delay_t0 < math.inf:
+        raise ValueError("detection delay must be non-negative and finite")
     return detection_delay_t0 + symbol_interval_T * np.arange(seq_len_K)
 
 

@@ -37,6 +37,7 @@ from .duct import (
     ReleaseSpec,
     rx_area_fraction,
     validate_receiver,
+    validate_release,
     velocity_at,
 )
 from .impulse import effective_diffusion
@@ -102,13 +103,12 @@ def oracle_cir_flow(config: DuctChannelConfig, rx: ReceiverVolume,
     if t < 0.0:
         raise ValueError("time must be non-negative")
     validate_receiver(config, rx)
+    validate_release(config, release)
     a = config.radius_a
     x_lo = rx.axial_distance_d - rx.extent_cx / 2.0
     x_hi = rx.axial_distance_d + rx.extent_cx / 2.0
 
     if release.kind is ReleaseKind.POINT:
-        if release.r0 > a:
-            raise ValueError(f"release radius {release.r0!r} exceeds duct radius")
         in_band = (release.r0 >= a - rx.extent_cr
                    and abs(release.phi0) <= rx.extent_cphi / 2.0)
         if not in_band:

@@ -165,6 +165,13 @@ class TestResolution:
         assert header["config.seed"] == "9 [flag]"
         assert "config_digest" in header
 
+    def test_seed_argument_is_an_integer(self):
+        # The flag layer reads seed exactly: 1.5 is refused, not truncated to 1.
+        assert load_config(seed=np.uint64(2 ** 64 - 1))["seed"] == 2 ** 64 - 1
+        for seed in (1.5, 1.0, "1"):
+            with pytest.raises(ConfigError, match="seed must be an integer"):
+                load_config(seed=seed)
+
 
 class TestPresetDefaults:
     """The resolved preset parameters are the published operating point."""

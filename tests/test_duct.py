@@ -223,6 +223,10 @@ class TestValidation:
             ReleaseSpec.point(-1e-6, 0.0)
         with pytest.raises(ValueError):
             ReleaseSpec.point(1e-6, 4.0)
+        # A nan release would run with every particle at nan.
+        for r0 in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="release radius must be non-negative and finite"):
+                ReleaseSpec.point(r0)
 
     def test_channel_invariants(self):
         with pytest.raises(ValueError):

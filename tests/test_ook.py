@@ -1138,6 +1138,12 @@ class TestLinkValidation:
             detection_offsets(0.1, 0, 0.05)
         with pytest.raises(ValueError, match="detection delay must be non-negative"):
             detection_offsets(0.1, 4, -0.05)
+        # A nan offset would read as no signal in the dispersion form.
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="symbol interval must be positive"):
+                detection_offsets(bad, 4, 0.05)
+            with pytest.raises(ValueError, match="detection delay must be non-negative"):
+                detection_offsets(0.1, 4, bad)
         with pytest.raises(ValueError, match="sequence length must be at least 1"):
             OokLinkConfig(np.zeros(0), 0, 4.0, 1000)
         with pytest.raises(ValueError, match="observation probabilities"):

@@ -82,11 +82,12 @@ class DuctChannelConfig:
 class ReceiverVolume:
     """Wall-mounted sensing region of the transparent receiver.
 
-    The receiver sits fully downstream of the release plane
-    (``axial_distance_d > extent_cx / 2``) and spans a radial band reaching
-    the wall.  Whether ``extent_cr`` fits inside a particular duct is checked
-    against the channel by :func:`validate_receiver`, since the receiver
-    itself does not carry the duct radius.
+    The receiver sits fully downstream of the release plane, at a finite
+    distance (``extent_cx / 2 < axial_distance_d < inf``), and spans a
+    radial band reaching the wall.  Whether ``extent_cr`` fits inside a
+    particular duct is checked against the channel by
+    :func:`validate_receiver`, since the receiver itself does not carry the
+    duct radius.
     """
 
     axial_distance_d: float
@@ -102,10 +103,10 @@ class ReceiverVolume:
         if not 0.0 < self.extent_cphi <= TWO_PI:
             raise ValueError(
                 f"angular extent must lie in (0, 2*pi], got {self.extent_cphi!r}")
-        if not self.axial_distance_d > self.extent_cx / 2.0:
+        if not self.extent_cx / 2.0 < self.axial_distance_d < math.inf:
             raise ValueError(
-                "receiver must be fully downstream of the release plane: "
-                f"need d > c_x/2, got d={self.axial_distance_d!r}, c_x={self.extent_cx!r}")
+                "receiver must be fully downstream of the release plane, at a finite distance: "
+                f"need c_x/2 < d < inf, got d={self.axial_distance_d!r}, c_x={self.extent_cx!r}")
 
 
 class ReleaseKind(Enum):
@@ -228,8 +229,8 @@ def validate_release(config: DuctChannelConfig, release: ReleaseSpec) -> None:
         raise ValueError(f"release radius {release.r0!r} exceeds duct radius")
 
 
-def classify_regime(config: DuctChannelConfig, rx: ReceiverVolume) -> RegimeVerdict:
-    """Classify the channel as dispersion-, flow-dominated, or boundary.
+def classify_regime(config: DuctChannelConfig, d: float) -> RegimeVerdict:
+    """Classify the channel at distance ``d`` as dispersion-, flow-dominated, or boundary.
 
     The two closed-form solution families apply when the Peclet number is
     far below respectively far above ``4 d / a``; the verdict compares the
@@ -237,11 +238,13 @@ def classify_regime(config: DuctChannelConfig, rx: ReceiverVolume) -> RegimeVerd
     equality.  Results for parameters close to the separating line should
     be treated with care, so the verdict reports the raw numbers (callers
     wanting a safety band can apply their own policy to
-    :attr:`RegimeVerdict.margin`).
+    :attr:`RegimeVerdict.margin`).  Raises ``ValueError`` unless ``d`` is
+    positive and finite.
     """
-    validate_receiver(config, rx)
+    if not 0.0 < d < math.inf:
+        raise ValueError(f"distance must be positive and finite, got {d!r}")
     pe = peclet_number(config)
-    ratio = rx.axial_distance_d / config.radius_a
+    ratio = d / config.radius_a
     margin = pe / (4.0 * ratio)
     if margin < 1.0:
         regime = Regime.DISPERSION

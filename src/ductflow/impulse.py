@@ -16,8 +16,9 @@ closed forms:
   (or nothing, if the release point is not radially/angularly aligned with
   the receiver).
 
-Every form takes ``(config, rx, ...)``, and :func:`uniform_response` pairs
-each regime with its uniform-release form.  The Gaussian axial standard
+Every form takes ``(config, rx, ...)``; :func:`dispersion_peak_time` takes
+``(config, d)``, the distance alone.  :func:`uniform_response` pairs each
+regime with its uniform-release form.  The Gaussian axial standard
 deviation used throughout is ``sigma(t) = sqrt(2 D_eff t)``, i.e. the
 observation probability is exactly the integral of the dispersion-regime
 density over the receiver's axial extent; :mod:`ductflow.oracles`
@@ -27,7 +28,7 @@ certifies this by quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, dataclass
 from functools import partial
 
 import numpy as np
@@ -119,7 +120,7 @@ def _phi_diff(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.where(near < 0.0, 1.0 - q_far - q_near, q_near - q_far)
 
 
-def dispersion_peak_time(config: DuctChannelConfig, rx: ReceiverVolume) -> float:
+def dispersion_peak_time(config: DuctChannelConfig, d: float) -> float:
     """Time at which the dispersion-regime response peaks (design guideline).
 
     Maximizes the axial density at the receiver center ``d``, giving
@@ -128,14 +129,12 @@ def dispersion_peak_time(config: DuctChannelConfig, rx: ReceiverVolume) -> float
     with ``s = vbar d / D_eff``.  That form is continuous through
     ``vbar = 0``, where it reduces to the pure-diffusion limit
     ``d^2 / (2 D_eff)``.  Always strictly below the mean arrival time
-    ``d / vbar``.  Raises ``ValueError`` for every ``(config, rx)`` that
-    :func:`cir_dispersion` refuses.
+    ``d / vbar``.  Raises ``ValueError`` for ``D = 0``, as
+    :func:`effective_diffusion` does, and unless ``d`` is positive and finite.
     """
-    if isinstance(config, DispersionModel):  # deprecated ``(model, d)``: model.rx moved to d
-        rx = replace(config.rx, axial_distance_d=rx)
+    if not 0.0 < d < math.inf:
+        raise ValueError(f"distance must be positive and finite, got {d!r}")
     d_eff = effective_diffusion(config)
-    rx_area_fraction(config, rx)
-    d = rx.axial_distance_d
     s = config.mean_velocity * d / d_eff
     return d * d / (d_eff * (1.0 + math.sqrt(1.0 + s * s)))
 
@@ -205,7 +204,8 @@ def uniform_response(config: DuctChannelConfig, rx: ReceiverVolume, regime: Regi
     :func:`cir_flow_uniform` and the transit time ``t2`` otherwise (``BOUNDARY`` included).
     """
     if regime is Regime.DISPERSION:
-        return partial(cir_dispersion, config, rx), dispersion_peak_time(config, rx)
+        t_peak = dispersion_peak_time(config, rx.axial_distance_d)
+        return partial(cir_dispersion, config, rx), t_peak
     return partial(cir_flow_uniform, config, rx), flow_transit_times(config, rx)[1]
 
 

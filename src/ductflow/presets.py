@@ -61,15 +61,11 @@ def _sim_for_grid(cfg: ResolvedConfig, receivers, releases, sample_times,
 
 def regime_action(cfg: ResolvedConfig, threads: int = 1):
     """Regime verdicts for every configured (radius, distance) scenario."""
-    channel = cfg.channel()
     rows = []
     for radius in cfg["regime.radii"]:
+        channel = cfg.build(replace, cfg.channel(), radius_a=radius)
         for distance in cfg["regime.distances"]:
-            scenario = load_config({"channel.radius": radius,
-                                    "channel.diffusion": cfg["channel.diffusion"],
-                                    "channel.mean_velocity": channel.mean_velocity,
-                                    "rx.distance": distance})
-            verdict = cfg.build(classify_regime, scenario.channel(), scenario.receiver())
+            verdict = cfg.build(classify_regime, channel, distance)
             rows.append((radius, distance, verdict.distance_ratio, verdict.peclet,
                          verdict.margin, verdict.regime.value))
     yield _table(cfg, "regime_scenarios",
@@ -167,7 +163,7 @@ def _auto_link(cfg: ResolvedConfig, distance: float, symbol_interval: float):
     """
     channel = cfg.channel()
     rx = cfg.receiver(distance=distance)
-    closed_form, t_peak = uniform_response(channel, rx, classify_regime(channel, rx).regime)
+    closed_form, t_peak = uniform_response(channel, rx, classify_regime(channel, distance).regime)
     delay = cfg["ook.detection_delay"]
     offsets = detection_offsets(symbol_interval, cfg["ook.seq_len"],
                                 t_peak if delay == "auto" else float(delay))

@@ -285,7 +285,7 @@ def test_criterion_05_wide_duct_reproduction():
 
 def test_criterion_06_dispersion_peak_time(narrow_far_run):
     rx, cfg, result = narrow_far_run
-    t_ref = dispersion_peak_time(NARROW, rx)  # the fixture's receiver sits at 800 um
+    t_ref = dispersion_peak_time(NARROW, rx.axial_distance_d)  # 800 um
     idx = smoothed_argmax(result.counts[0, 0], 81)
     t_peak = cfg.sample_times[idx]
     ok = abs(t_peak - t_ref) <= 0.10 * t_ref

@@ -264,6 +264,18 @@ class TestCli:
         out = capsys.readouterr().out
         assert "regime_scenarios.csv" in out
 
+    def test_regime_takes_a_distance_shorter_than_any_receiver(self, tmp_path):
+        # A verdict needs Pe and d/a alone, so d/a = 0.1 is classified even
+        # though a receiver of extent a/2 at that d would reach upstream of x = 0.
+        assert main(["regime", "--set", "regime.radii=10um,200um",
+                     "--set", "regime.distances=20um,200um,800um", "--out", str(tmp_path)]) == 0
+        lines = [line for line in (tmp_path / "regime_scenarios.csv").read_text().splitlines()
+                 if not line.startswith("#")]
+        columns, rows = lines[0].split(","), [line.split(",") for line in lines[1:]]
+        verdicts = {float(row[columns.index("distance_ratio")]): row[columns.index("regime")]
+                    for row in rows}
+        assert len(rows) == 6 and verdicts[0.1] == "flow_dominated"
+
     def test_observation_interface_columns(self, tmp_path):
         assert main(["simulate", "--out", str(tmp_path), "--seed", "3"] + SMALL_SIM) == 0
         lines = (tmp_path / "observations.csv").read_text().splitlines()

@@ -83,7 +83,7 @@ class TestPeclet:
         with pytest.raises(ValueError, match="Peclet number is undefined"):
             peclet_number(still)
         with pytest.raises(ValueError, match="Peclet number is undefined"):
-            classify_regime(still, make_receiver())
+            classify_regime(still, 200e-6)
 
     def test_scaling_in_random_triples(self):
         rng = np.random.default_rng(101)
@@ -97,21 +97,21 @@ class TestPeclet:
 
 class TestRegime:
     def test_dispersion_side_scenario(self, narrow_channel):
-        verdict = classify_regime(narrow_channel, make_receiver(10e-6, 800e-6))
+        verdict = classify_regime(narrow_channel, 800e-6)
         assert verdict.peclet == 100.0
         assert verdict.distance_ratio == 80.0
         assert verdict.margin == pytest.approx(0.3125, rel=1e-12)
         assert verdict.regime is Regime.DISPERSION
 
     def test_flow_dominated_scenario(self, wide_channel):
-        verdict = classify_regime(wide_channel, make_receiver(200e-6, 200e-6))
+        verdict = classify_regime(wide_channel, 200e-6)
         assert verdict.margin == pytest.approx(500.0, rel=1e-12)
         assert verdict.regime is Regime.FLOW_DOMINATED
 
     def test_boundary_on_exact_equality(self):
         # Pe = 4 d/a: a=1e-5, v=1e-3, D=1e-10 gives Pe=100; d/a=25 puts the
         # separating value at exactly 100.
-        verdict = classify_regime(make_channel(), make_receiver(10e-6, 250e-6))
+        verdict = classify_regime(make_channel(), 250e-6)
         assert verdict.margin == 1.0
         assert verdict.regime is Regime.BOUNDARY
 
@@ -123,18 +123,22 @@ class TestRegime:
             v = 10.0 ** rng.uniform(-4, -2)
             dcoef = 10.0 ** rng.uniform(-12, -9)
             scale = 10.0 ** rng.uniform(-1, 1)
-            base = classify_regime(make_channel(a, dcoef, v),
-                                   make_receiver(a, d))
+            base = classify_regime(make_channel(a, dcoef, v), d)
             # a, d scaled together and v scaled inversely keeps Pe and d/a.
-            scaled = classify_regime(make_channel(a * scale, dcoef, v / scale),
-                                     make_receiver(a * scale, d * scale))
+            scaled = classify_regime(make_channel(a * scale, dcoef, v / scale), d * scale)
             assert scaled.regime is base.regime
             assert scaled.margin == pytest.approx(base.margin, rel=1e-9)
 
     def test_flow_only_classifies_flow_dominated(self):
-        verdict = classify_regime(make_channel(diffusion=0.0), make_receiver())
+        verdict = classify_regime(make_channel(diffusion=0.0), 200e-6)
         assert verdict.regime is Regime.FLOW_DOMINATED
         assert verdict.margin == math.inf
+
+    @pytest.mark.parametrize("d", [0.0, -1e-6, math.inf, math.nan])
+    def test_refuses_a_distance_not_positive_and_finite(self, narrow_channel, d):
+        # An infinite d would read as a DISPERSION verdict of margin 0.
+        with pytest.raises(ValueError, match="distance must be positive and finite"):
+            classify_regime(narrow_channel, d)
 
 
 class TestRxAreaFraction:
@@ -217,6 +221,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             ReceiverVolume(axial_distance_d=1e-4, extent_cx=1e-5,
                            extent_cr=1e-6, extent_cphi=7.0)  # c_phi > 2 pi
+        for d in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="fully downstream of the release plane"):
+                ReceiverVolume(axial_distance_d=d, extent_cx=1e-5,
+                               extent_cr=1e-6, extent_cphi=1.0)
 
     def test_release_invariants(self):
         with pytest.raises(ValueError):

@@ -159,38 +159,36 @@ class TestDispersionPeak:
         return narrow_channel, make_receiver(10e-6, 800e-6)
 
     def test_reference_value_and_early_arrival(self, setup):
-        channel, rx = setup
-        tmax = dispersion_peak_time(channel, rx)
+        channel, _ = setup
+        tmax = dispersion_peak_time(channel, 800e-6)
         assert tmax == pytest.approx(0.779, rel=2e-3)
         assert tmax < 800e-6 / channel.mean_velocity
 
     def test_matches_dense_argmax_of_axial_density(self, setup):
         # Independent route: maximise the Gaussian density at x = d by scan.
-        channel, rx = setup
+        channel, _ = setup
         d, d_eff = 800e-6, effective_diffusion(channel)
         t = np.linspace(0.4, 1.1, 240_001)
         density = np.exp(-((d - channel.mean_velocity * t) ** 2)
                          / (4.0 * d_eff * t)) / np.sqrt(4.0 * math.pi * d_eff * t)
         t_scan = t[np.argmax(density)]
-        assert dispersion_peak_time(channel, rx) == pytest.approx(t_scan, abs=2 * (t[1] - t[0]))
+        assert dispersion_peak_time(channel, d) == pytest.approx(t_scan, abs=2 * (t[1] - t[0]))
 
     def test_no_flow_limit(self):
         channel = make_channel(mean_velocity=0.0)
-        rx = make_receiver(10e-6, 800e-6)
-        assert dispersion_peak_time(channel, rx) == pytest.approx(
+        assert dispersion_peak_time(channel, 800e-6) == pytest.approx(
             (800e-6) ** 2 / (2.0 * effective_diffusion(channel)), rel=1e-12)
 
     def test_continuous_through_vanishing_flow(self):
-        rx = make_receiver(10e-6, 800e-6)
         slow = make_channel(mean_velocity=1e-12)
         still = make_channel(mean_velocity=0.0)
         assert effective_diffusion(slow) == pytest.approx(effective_diffusion(still), rel=1e-9)
-        assert dispersion_peak_time(slow, rx) == pytest.approx(
-            dispersion_peak_time(still, rx), rel=1e-9)
+        assert dispersion_peak_time(slow, 800e-6) == pytest.approx(
+            dispersion_peak_time(still, 800e-6), rel=1e-9)
 
     def test_peak_value_is_near_stationary(self, setup):
         channel, rx = setup
-        tmax = dispersion_peak_time(channel, rx)
+        tmax = dispersion_peak_time(channel, 800e-6)
         peak = cir_dispersion(channel, rx, tmax)
         for factor in (0.99, 1.01):
             assert peak >= cir_dispersion(channel, rx, tmax * factor) * (1.0 - 1e-4)
@@ -202,16 +200,14 @@ class TestDispersionPeak:
             channel = make_channel(radius=a, diffusion=10.0 ** rng.uniform(-12, -8),
                                    mean_velocity=10.0 ** rng.uniform(-4, -2))
             d = 10.0 ** rng.uniform(-4, -2)
-            rx = ReceiverVolume(axial_distance_d=d, extent_cx=d, extent_cr=a / 2,
-                                extent_cphi=math.pi)
-            assert dispersion_peak_time(channel, rx) < d / channel.mean_velocity
+            assert dispersion_peak_time(channel, d) < d / channel.mean_velocity
 
     def test_no_flow_peak_value_matches_oracle(self):
         # At vbar = 0 the Gaussian stays centred on the release plane, so
         # the peak value is the off-centre window integral at sigma = d.
         channel = make_channel(mean_velocity=0.0)
         rx = make_receiver(10e-6, 800e-6)
-        tmax = dispersion_peak_time(channel, rx)
+        tmax = dispersion_peak_time(channel, 800e-6)
         value = cir_dispersion(channel, rx, tmax)
         assert value == pytest.approx(oracle_cir_dispersion(channel, rx, tmax), abs=1e-12)
         from scipy.special import ndtr
@@ -219,23 +215,24 @@ class TestDispersionPeak:
         expected = rx_area_fraction(channel, rx) * (ndtr((d + half) / d) - ndtr((d - half) / d))
         assert value == pytest.approx(expected, rel=1e-9)
 
-    def test_refuses_what_the_response_refuses(self, narrow_channel, wide_flow_only):
+    def test_refuses_what_the_response_refuses(self, wide_flow_only):
         with pytest.raises(ValueError, match="D = 0"):
-            dispersion_peak_time(wide_flow_only, make_receiver(200e-6, 800e-6))
-        with pytest.raises(ValueError, match="exceeds duct radius"):
-            dispersion_peak_time(narrow_channel, make_receiver(40e-6, 800e-6))
-        with pytest.raises(ValueError, match="area fraction"):
-            dispersion_peak_time(narrow_channel, make_receiver(10e-6, 800e-6, cphi=5e-324))
+            dispersion_peak_time(wide_flow_only, 800e-6)
 
-    def test_deprecated_distance_call_is_checked_like_a_receiver(self, setup):
-        # perfbench/checks.py still passes ``(DispersionModel.for_channel(channel, rx), d)``.
+    @pytest.mark.parametrize("d", [0.0, -1e-6, math.inf, math.nan])
+    def test_refuses_a_distance_not_positive_and_finite(self, narrow_channel, d):
+        with pytest.raises(ValueError, match="distance must be positive and finite"):
+            dispersion_peak_time(narrow_channel, d)
+
+    def test_model_call_is_the_channel_call(self, setup):
+        # perfbench/checks.py passes ``(DispersionModel.for_channel(channel, rx), d)``.
         from ductflow.impulse import DispersionModel
         channel, rx = setup
         model = DispersionModel.for_channel(channel, rx)
-        assert dispersion_peak_time(model, 800e-6) == dispersion_peak_time(channel, rx)
+        assert dispersion_peak_time(model, 800e-6) == dispersion_peak_time(channel, 800e-6)
         assert oracle_cir_dispersion(model, rx, 0.5) == oracle_cir_dispersion(channel, rx, 0.5)
-        for d in (-1e-6, 0.0):
-            with pytest.raises(ValueError, match="downstream of the release plane"):
+        for d in (0.0, -1e-6, math.inf, math.nan):
+            with pytest.raises(ValueError, match="distance must be positive and finite"):
                 dispersion_peak_time(model, d)
 
 
@@ -246,9 +243,9 @@ class TestUniformResponse:
     def test_dispersion_pair(self, mean_velocity):
         channel = make_channel(mean_velocity=mean_velocity)
         rx = make_receiver(10e-6, 800e-6)
-        assert classify_regime(channel, rx).regime is Regime.DISPERSION
+        assert classify_regime(channel, 800e-6).regime is Regime.DISPERSION
         pob, t_peak = uniform_response(channel, rx, Regime.DISPERSION)
-        assert t_peak == dispersion_peak_time(channel, rx)
+        assert t_peak == dispersion_peak_time(channel, 800e-6)
         t = np.linspace(0.0, 2.0, 41)
         assert np.array_equal(pob(t), cir_dispersion(channel, rx, t))
         if mean_velocity == 0.0:
@@ -262,7 +259,7 @@ class TestUniformResponse:
     ])
     def test_flow_pair(self, diffusion, distance, regime):
         channel, rx = make_channel(diffusion=diffusion), make_receiver(10e-6, distance)
-        assert classify_regime(channel, rx).regime is regime
+        assert classify_regime(channel, distance).regime is regime
         pob, t_peak = uniform_response(channel, rx, regime)
         assert t_peak == flow_transit_times(channel, rx)[1]
         t = np.linspace(0.0, 2.0, 41)
@@ -424,7 +421,7 @@ class TestClosedFormProperties:
     @given(setup=ducts_and_receivers(), scales=TIME_SCALES)
     def test_dispersion_within_receiver_fraction(self, setup, scales):
         channel, rx = setup
-        t = scales * dispersion_peak_time(channel, rx)
+        t = scales * dispersion_peak_time(channel, rx.axial_distance_d)
         pob = cir_dispersion(channel, rx, t)
         assert np.all(pob >= 0.0) and np.all(pob <= rx_area_fraction(channel, rx))
 

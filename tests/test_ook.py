@@ -1193,7 +1193,7 @@ class TestLinkValidation:
             cfg = load_config({"channel.radius": 10e-6, "channel.diffusion": diffusion,
                                "ook.detection_delay": 0.0})
             link, rx, offsets = _auto_link(cfg, 200e-6, 0.1)
-            assert classify_regime(cfg.channel(), rx).regime is regime
+            assert classify_regime(cfg.channel(), rx.axial_distance_d).regime is regime
             assert offsets[0] == 0.0 and offsets[1] == 0.1
             assert link.pob[0] == 0.0
             assert np.any(link.pob > 0.0)
